@@ -292,9 +292,10 @@ fn write_throughput_json(path: &str) {
                     black_box(fused.count_bytes(black_box(xml)).unwrap());
                 }),
             ));
-            // The scalar twin of the fused engine: the pre-index
-            // byte-at-a-time loop, kept in the matrix so the artifact
-            // itself records the structural-index speedup.
+            // The forced-scalar reference: the same structural scan
+            // with certification off, so every tag goes through the
+            // byte-at-a-time lexer excursion; kept in the matrix so the
+            // artifact itself records the structural-index speedup.
             let scalar_query = Query::compile(pattern, &g).unwrap().with_force_scalar(true);
             let scalar_fused = scalar_query.fused();
             series.push((

@@ -2,10 +2,10 @@
 //! [`MatchStream`] layer over [`EngineSession`].
 //!
 //! All three engine classes of the paper decide selection at a node's
-//! *open* event — the registerless composite table raises
-//! `FLAG_SELECTED` on the open transition, and the stackless/stack
-//! engines test `dfa.is_accepting` immediately after stepping on the
-//! open letter.  The byte offset of the open tag is therefore the
+//! *open* event — each engine's per-event step reports the verdict with the
+//! open (the registerless event table carries it in the open entry, and
+//! the stackless/stack steps test `dfa.is_accepting` immediately after
+//! stepping on the open letter).  The byte offset of the open tag is therefore the
 //! **earliest offset at which the match is certain** (Gienieczko–Muñoz–
 //! Murlak–Paperman, "Earliest query answering over streamed trees"),
 //! and the collected match list equals the emitted stream: no candidate
@@ -22,7 +22,7 @@
 //! the same bytes, which is what makes failover replay dedupable.
 //!
 //! The cursor (count + FNV-1a digest over `(node, offset)` pairs in
-//! emission order) travels inside every [`EngineCheckpoint`], so a
+//! emission order) travels inside every [`crate::session::EngineCheckpoint`], so a
 //! resuming side knows precisely how much of the stream was already
 //! delivered — and a forged cursor is detected, never silently trusted.
 

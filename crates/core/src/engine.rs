@@ -4,7 +4,7 @@
 //! The event-based pipeline (`st_trees::xml::Scanner` → tag evaluator)
 //! pays, per event, for name re-scanning, label lookup, `Tag`
 //! materialization, and a second dispatch inside the evaluator.  This
-//! module removes all of it by *composing automata at compile time*:
+//! module removes all of it:
 //!
 //! 1. [`TagLexer`] — a byte-level DFA recognizing exactly the tag
 //!    skeleton the `Scanner` accepts for a fixed alphabet Γ.  Element
@@ -12,12 +12,24 @@
 //!    lookup disappears: the state *is* the partially-matched name.
 //!    Transitions carry event codes (`open a` / `close a` /
 //!    `self-closing a`) instead of producing `Tag` values.
-//! 2. [`ByteDfa`] — the product of the lexer with a registerless query
-//!    DFA over tags (Lemma 3.5): one dense `state × 256` table whose
-//!    single lookup per byte advances both the tokenizer and the query.
-//!    While the lexer component sits in its text state the engine skips
-//!    to the next `<` with a word-at-a-time scan, so byte-per-byte table
-//!    walking is only paid inside tags.
+//! 2. One event driver.  [`crate::structural`]'s scan walks the bytes
+//!    (striding the SIMD structural index, with `TagLexer` excursions
+//!    for whatever it cannot certify, or for every tag when the scalar
+//!    path is forced) and fires lexer event codes into a `Drive`: the
+//!    per-event *step* of the engine class the planner picked, a *sink*
+//!    and a *guard*, monomorphized together.
+//!    * Steps: the Lemma 3.5 registerless DFA ([`ByteDfa`]: one
+//!      per-event table load per tag, or the factored query table when
+//!      the premultiplied offsets do not fit `u16`), the Lemma 3.8
+//!      depth-register run (depth counter + SCC chain), and the pushdown
+//!      fallback (an explicit state stack).
+//!    * Sinks: count, select (document-order node ids), and emit (select
+//!      plus the offset of the byte that decided each match).
+//!    * Guards: none, or the depth/imbalance budgets, which stop the scan
+//!      at the exact breaching event.
+//!
+//!    One-shot runs, guarded runs, session windows, pass 2 of the
+//!    chunked select, and the recovery scanner all run through it.
 //! 3. A data-parallel path ([`ByteDfa::count_bytes_chunked`] /
 //!    [`ByteDfa::select_bytes_chunked`]): because registerless
 //!    evaluation is a pure DFA, a document can be cut at candidate tag
@@ -28,24 +40,11 @@
 //!    query-independent and is validated by the previous chunk's end
 //!    state; any mismatch falls back to the sequential pass, so the
 //!    parallel path is sound on every input.
-//! 4. Fused depth-register and stack engines ([`FusedQuery`]): for HAR
-//!    queries the lexer drives the Lemma 3.8 register loop directly
-//!    (depth counter + register file in locals); for the pushdown
-//!    fallback it drives an explicit state stack.  Both evaluate in the
-//!    same single pass over bytes, without an intermediate event buffer.
 //!
-//! Error handling is two-tier: the hot loops only track *whether* the
-//! input is malformed (a dedicated error event / flag); on failure the
-//! cold path re-runs the `Scanner` to reproduce its exact diagnostic, so
-//! fused evaluation reports byte-identical errors to the event pipeline.
-//!
-//! On top of the composite tables sits the SIMD structural index
-//! ([`crate::structural`]): by default every engine strides from tag to
-//! tag over a vectorized `<`/`>`/hazard bitmap and only the certified
-//! events reach the per-event logic below; any ambiguous span falls back
-//! to the scalar lexer, so results are bitwise identical.  The scalar
-//! loops in this module are that fallback — and the whole-run path when
-//! forced via `ST_FORCE_SCALAR` / [`FusedQuery::set_force_scalar`].
+//! Error handling is two-tier: the scan only reports *where* the input
+//! is malformed; on failure the one-shot entry points re-run the
+//! `Scanner` cold to reproduce its exact diagnostic, so fused evaluation
+//! reports byte-identical errors to the event pipeline.
 
 use std::collections::BTreeMap;
 
@@ -54,8 +53,8 @@ use st_trees::error::TreeError;
 use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
-use crate::har::{HarMarkupProgram, MAX_CHAIN};
-use crate::session::SessionError;
+use crate::har::{HarCore, HarMarkupProgram, MAX_CHAIN};
+use crate::session::{LimitExceeded, LimitKind, Limits, SessionError};
 use crate::structural::{
     force_scalar_env, structural_scan, EventSink, NameTable, ScanEnd, ScanStats,
 };
@@ -105,8 +104,9 @@ pub(crate) fn is_name_byte(b: u8) -> bool {
 }
 
 /// Word-at-a-time scan for the next `<` at or after `from`; returns
-/// `bytes.len()` if there is none.  This is the memchr-style fast path
-/// the engines use while the lexer sits in its text state.
+/// `bytes.len()` if there is none.  This is the memchr-style skip of the
+/// scalar path while the lexer sits in its text state, and the cut /
+/// resynchronization finder of the chunked and recovering passes.
 #[inline]
 pub(crate) fn find_lt(bytes: &[u8], from: usize) -> usize {
     const LO: u64 = 0x0101_0101_0101_0101;
@@ -141,9 +141,9 @@ pub(crate) fn find_lt(bytes: &[u8], from: usize) -> usize {
 // TagLexer
 // ---------------------------------------------------------------------------
 
-/// Lexer state ids fixed across all alphabets.  `TEXT` must be 0 so that
-/// composite states `lexer * m + q` of a [`ByteDfa`] satisfy
-/// `state < m ⇔ lexer in TEXT` — the test the skip loop uses.
+/// Lexer state ids fixed across all alphabets.  `TEXT` is 0, so the
+/// registerless checkpoint's composite state `lexer * m + q` at a text
+/// position is the query state itself.
 pub(crate) const TEXT: u16 = 0;
 const LEX_ERROR: u16 = 1;
 pub(crate) const LT: u16 = 2;
@@ -185,7 +185,7 @@ pub struct TagLexer {
     /// Whole-name label lookup for the structural index's certified
     /// classifier (same filtered label set as the tries).
     names: NameTable,
-    /// Disables the structural-index fast path for every engine driven
+    /// Turns structural-index certification off for every engine driven
     /// by this lexer (seeded from `ST_FORCE_SCALAR`, overridable per
     /// query / per session).
     force_scalar: bool,
@@ -428,6 +428,12 @@ impl TagLexer {
         self.force_scalar = on;
     }
 
+    /// Whether a scan certifies tags from the structural index: unless
+    /// the scalar path is forced here or for the run (`force`).
+    pub(crate) fn certify(&self, force: bool) -> bool {
+        !(force || self.force_scalar)
+    }
+
     /// Number of lexer states.
     pub fn n_states(&self) -> usize {
         self.n_states
@@ -443,84 +449,6 @@ impl TagLexer {
     pub fn step(&self, s: u16, b: u8) -> (u16, u16) {
         let idx = ((s as usize) << 8) | b as usize;
         (self.next[idx], self.event[idx])
-    }
-
-    /// Runs the lexer over `bytes`, invoking `on_event` for every fired
-    /// event code (`1..=3k`).  Returns `Err(())` if the input is
-    /// malformed — deliberately unit, the hot path carries no diagnostic;
-    /// callers re-scan with the `Scanner` to reproduce its exact error.
-    #[inline]
-    #[allow(clippy::result_unit_err)]
-    pub fn scan(&self, bytes: &[u8], mut on_event: impl FnMut(u16)) -> Result<(), ()> {
-        let n = bytes.len();
-        let mut s = TEXT;
-        let mut i = 0usize;
-        while i < n {
-            if s == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-            }
-            let idx = ((s as usize) << 8) | bytes[i] as usize;
-            let ev = self.event[idx];
-            s = self.next[idx];
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    return Err(());
-                }
-                on_event(ev);
-            }
-            i += 1;
-        }
-        if s == TEXT {
-            Ok(())
-        } else {
-            Err(())
-        }
-    }
-
-    /// [`Self::scan`] with a controllable callback: `on_event` returns
-    /// `false` to stop the scan early (the guarded engines use this to
-    /// bail out the moment a resource budget is breached, before the
-    /// evaluator allocates anything proportional to the excess).  An
-    /// early stop is `Ok` — the caller owns the breach flag and decides
-    /// what it means; `Err(())` still means malformed input.
-    #[inline]
-    #[allow(clippy::result_unit_err)]
-    pub(crate) fn scan_ctl(
-        &self,
-        bytes: &[u8],
-        mut on_event: impl FnMut(u16) -> bool,
-    ) -> Result<(), ()> {
-        let n = bytes.len();
-        let mut s = TEXT;
-        let mut i = 0usize;
-        while i < n {
-            if s == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-            }
-            let idx = ((s as usize) << 8) | bytes[i] as usize;
-            let ev = self.event[idx];
-            s = self.next[idx];
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    return Err(());
-                }
-                if !on_event(ev) {
-                    return Ok(());
-                }
-            }
-            i += 1;
-        }
-        if s == TEXT {
-            Ok(())
-        } else {
-            Err(())
-        }
     }
 }
 
@@ -555,31 +483,15 @@ pub(crate) fn rescan_error(bytes: &[u8], alphabet: &Alphabet) -> TreeError {
 // ByteDfa: lexer × registerless query DFA
 // ---------------------------------------------------------------------------
 
-/// Flag bit: the transition opened a node.
-pub const FLAG_OPEN: u8 = 1;
-/// Flag bit: the node opened by the transition is selected.
-pub const FLAG_SELECTED: u8 = 2;
-/// Flag bit: the transition detected malformed input.
-pub const FLAG_ERROR: u8 = 4;
-/// Flag bit: the transition closed a node (set together with
-/// [`FLAG_OPEN`] on self-closing elements).  The resource-guarded loops
-/// use it to keep a depth counter without a second table.
-pub const FLAG_CLOSE: u8 = 8;
-
-/// The fully fused byte engine for registerless (Lemma 3.5) queries: the
-/// product of a [`TagLexer`] with a query DFA over the tag alphabet,
-/// tabulated densely as `state × 256` transitions plus per-transition
-/// flags.  One table lookup per byte tokenizes *and* evaluates.
+/// The fully fused byte engine for registerless (Lemma 3.5) queries: a
+/// [`TagLexer`] composed with a query DFA over the tag alphabet, stepped
+/// once per *tag* through a per-event table.
 pub struct ByteDfa {
-    /// Query-DFA state count; composite states are `lexer * m + q`.
+    /// Query-DFA state count; checkpoints encode the composite state
+    /// `lexer * m + q`.
     pub(crate) m: usize,
     k: usize,
     pub(crate) start: u16,
-    /// `table[s * 256 + b]`: successor state in the low 16 bits, the
-    /// transition's flags in bits 16.. — one cache load per byte.  Padded
-    /// to a power-of-two length so the hot loops can index through a mask,
-    /// which lets the compiler drop the per-byte bounds check.
-    pub(crate) table: Vec<u32>,
     lexer: TagLexer,
     /// Query transitions `qnext[q * 2k + t]`, kept factored for the
     /// chunk-summary (all-states) pass.
@@ -589,14 +501,14 @@ pub struct ByteDfa {
     /// Row stride of [`Self::evtab`]: `3k + 1` (event codes are
     /// `1..=3k`; slot 0 is padding).
     estride: usize,
-    /// Packed per-*event* table for the structural-index stride:
-    /// `evtab[q * estride + ev]` holds the premultiplied successor row
-    /// offset (`q' * estride`, low 15 bits) and, in bit 15, whether the
-    /// event's open is selected (for self-closing events, selection of
-    /// the opened node).  One dependent load per certified tag instead
-    /// of one per byte.  `None` when `m * estride` exceeds the 15-bit
-    /// offset budget — the stride then decodes events through `qnext`.
-    evtab: Option<Vec<u16>>,
+    /// Per-*event* table, indexed by `q * estride + ev`: the
+    /// premultiplied successor row offset (`q' * estride`) and whether
+    /// the event's open is selected (for self-closing events, selection
+    /// of the opened node).  One dependent load per tag — the offset
+    /// feeds the next tag's index as is, with no unpacking on that
+    /// chain.  `None` when the offsets do not fit in `u16` — events then
+    /// step through `qnext`.
+    evtab: Option<Vec<(u16, bool)>>,
 }
 
 /// Speculative summary of one chunk, computed assuming the lexer starts
@@ -615,241 +527,6 @@ struct ChunkSummary {
     err: bool,
 }
 
-/// Sink for the packed-evtab count.  A struct with by-value scalar
-/// state rather than a closure: the certified sweep is monomorphized
-/// per sink and inlines [`EventSink::event`] into its loop, where a
-/// struct behind one `&mut` register-promotes `qoff`/`count` across
-/// iterations — closure-captured `&mut` locals round-trip through
-/// memory once per event, which doubles the per-tag cost.  The per-tag
-/// work is then the one dependent `evtab` load it is on paper, and the
-/// out-of-order core overlaps it with the next tag's certification.
-struct EvtabCount<'a> {
-    evtab: &'a [u16],
-    qoff: usize,
-    count: usize,
-}
-
-impl EventSink for EvtabCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        self.count += (e >> 15) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        true
-    }
-}
-
-/// [`EvtabCount`]'s twin over the factored tables, for engines whose
-/// packed offsets don't fit in 15 bits.
-struct StepCount<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    count: usize,
-}
-
-impl EventSink for StepCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, _, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        self.count += sel as usize;
-        true
-    }
-}
-
-/// Batch-draining sink for the packed-evtab select (document-order node
-/// ids of selected opens).
-struct EvtabSelect<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    out: Vec<usize>,
-    node: usize,
-}
-
-impl EventSink for EvtabSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        if e >> 15 != 0 {
-            self.out.push(self.node);
-        }
-        self.node += (ev <= self.k || ev > self.k2) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        true
-    }
-}
-
-/// [`EvtabSelect`]'s twin over the factored tables.
-struct StepSelect<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    out: Vec<usize>,
-    node: usize,
-}
-
-impl EventSink for StepSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if sel {
-            self.out.push(self.node);
-        }
-        self.node += opened as usize;
-        true
-    }
-}
-
-/// Depth-guarded count over the packed evtab: open/close are decoded
-/// branchlessly from the event number alone (`ev ≤ k` open, `ev > k`
-/// close, `ev > 2k` both), and the two breach compares are
-/// never-taken branches, so the guard costs two predictable compares on
-/// top of [`EvtabCount`]'s one dependent load.  Check order matches the
-/// scalar flag dispatch (open check before the selection tally, close
-/// check after) so a breach stops at the same event.
-struct GuardedEvtabCount<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    count: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedEvtabCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        self.count += (e >> 15) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        let opened = (ev <= self.k) | (ev > self.k2);
-        // Two never-taken branches (cheaper than or-ing the compares
-        // into one): a breach only has to be *detected* — the caller
-        // replays the document cold for the exact diagnostic — so the
-        // stop may trail the scalar twin's by part of an event as long
-        // as no breach is ever missed; `peak` covers the self-closing
-        // transient.
-        let peak = self.depth + i64::from(opened);
-        if peak > self.max_depth {
-            return false;
-        }
-        self.depth = peak - i64::from(ev > self.k);
-        if self.depth < self.min_depth {
-            return false;
-        }
-        true
-    }
-}
-
-/// [`GuardedEvtabCount`]'s select twin.
-struct GuardedEvtabSelect<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    out: Vec<usize>,
-    node: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedEvtabSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        if e >> 15 != 0 {
-            self.out.push(self.node);
-        }
-        self.qoff = (e & 0x7FFF) as usize;
-        let opened = (ev <= self.k) | (ev > self.k2);
-        self.node += opened as usize;
-        // See `GuardedEvtabCount`: detection-only, never-taken branches.
-        let peak = self.depth + i64::from(opened);
-        if peak > self.max_depth {
-            return false;
-        }
-        self.depth = peak - i64::from(ev > self.k);
-        if self.depth < self.min_depth {
-            return false;
-        }
-        true
-    }
-}
-
-/// [`GuardedEvtabCount`] over the factored tables, for engines whose
-/// packed offsets don't fit in 15 bits.
-struct GuardedCount<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    count: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if opened {
-            self.depth += 1;
-            if self.depth > self.max_depth {
-                return false;
-            }
-        }
-        self.count += sel as usize;
-        if ev as usize > self.dfa.k {
-            self.depth -= 1;
-            if self.depth < self.min_depth {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// [`GuardedCount`]'s select twin.
-struct GuardedSelect<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    out: Vec<usize>,
-    node: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if opened {
-            self.depth += 1;
-            if self.depth > self.max_depth {
-                return false;
-            }
-        }
-        if sel {
-            self.out.push(self.node);
-        }
-        self.node += opened as usize;
-        if ev as usize > self.dfa.k {
-            self.depth -= 1;
-            if self.depth < self.min_depth {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 impl ByteDfa {
     /// Composes the tag lexer for `alphabet` with `dfa`, a query DFA over
     /// the tag alphabet Γ ∪ Γ̄ (`2·|Γ|` letters, open `l` ↦ `l`, close
@@ -859,8 +536,9 @@ impl ByteDfa {
     /// # Errors
     ///
     /// [`CoreError::MalformedTable`] if the alphabet does not match the
-    /// DFA, and [`CoreError::FusedTooLarge`] if the composite table would
-    /// exceed the `u16` state budget.
+    /// DFA, and [`CoreError::FusedTooLarge`] if the composite state
+    /// `lexer * m + q` would not fit the `u16` of the checkpoint wire
+    /// format.
     pub fn new(dfa: &Dfa, alphabet: &Alphabet) -> Result<ByteDfa, CoreError> {
         let k = alphabet.len();
         if dfa.n_letters() != 2 * k {
@@ -886,59 +564,18 @@ impl ByteDfa {
             .map(|(q, t)| dfa.step(q, t) as u16)
             .collect();
         let accepting: Vec<bool> = (0..m).map(|q| dfa.is_accepting(q)).collect();
-
-        // Padding entries are unreachable (states stay < n_composite);
-        // fill them with error transitions so any bug fails loudly.
-        let mut table = vec![
-            ((FLAG_ERROR as u32) << 16) | (LEX_ERROR as usize * m) as u32;
-            (n_composite * 256).next_power_of_two()
-        ];
-        for lex in 0..lexer.n_states() {
-            for q in 0..m {
-                let s = lex * m + q;
-                for b in 0..=255u8 {
-                    let (lex2, ev) = lexer.step(lex as u16, b);
-                    let (q2, f) = match ev {
-                        EV_NONE => (q, 0u8),
-                        EV_ERROR => (0, FLAG_ERROR),
-                        ev if (ev as usize) <= 2 * k => {
-                            let t = ev as usize - 1;
-                            let q2 = qnext[q * 2 * k + t] as usize;
-                            let f = if t < k {
-                                FLAG_OPEN | if accepting[q2] { FLAG_SELECTED } else { 0 }
-                            } else {
-                                FLAG_CLOSE
-                            };
-                            (q2, f)
-                        }
-                        ev => {
-                            // Self-closing: open then close in one byte.
-                            let l = ev as usize - 1 - 2 * k;
-                            let q1 = qnext[q * 2 * k + l] as usize;
-                            let q2 = qnext[q1 * 2 * k + k + l] as usize;
-                            let f = FLAG_OPEN
-                                | FLAG_CLOSE
-                                | if accepting[q1] { FLAG_SELECTED } else { 0 };
-                            (q2, f)
-                        }
-                    };
-                    let idx = s * 256 + b as usize;
-                    table[idx] = ((f as u32) << 16) | (lex2 as usize * m + q2) as u32;
-                }
-            }
-        }
         let estride = 3 * k + 1;
-        let evtab = if m * estride <= 1 << 15 {
-            let mut t = vec![0u16; m * estride];
+        let evtab = if m * estride <= 1 << 16 {
+            let mut t = vec![(0u16, false); m * estride];
             for q in 0..m {
+                let row = q * estride;
                 for l in 0..k {
                     let qo = qnext[q * 2 * k + l] as usize;
                     let qc = qnext[q * 2 * k + k + l] as usize;
                     let qs = qnext[qo * 2 * k + k + l] as usize;
-                    let sel = (accepting[qo] as u16) << 15;
-                    t[q * estride + 1 + l] = (qo * estride) as u16 | sel;
-                    t[q * estride + 1 + k + l] = (qc * estride) as u16;
-                    t[q * estride + 1 + 2 * k + l] = (qs * estride) as u16 | sel;
+                    t[row + 1 + l] = ((qo * estride) as u16, accepting[qo]);
+                    t[row + 1 + k + l] = ((qc * estride) as u16, false);
+                    t[row + 1 + 2 * k + l] = ((qs * estride) as u16, accepting[qo]);
                 }
             }
             Some(t)
@@ -948,8 +585,7 @@ impl ByteDfa {
         Ok(ByteDfa {
             m,
             k,
-            start: dfa.init() as u16, // TEXT * m + init
-            table,
+            start: dfa.init() as u16,
             lexer,
             qnext,
             accepting,
@@ -960,10 +596,7 @@ impl ByteDfa {
     }
 
     /// Applies a lexer event code (`1..=3k`) to a query state:
-    /// `(next_q, opened, open_selected)`.  The factored-table twin of
-    /// the packed [`Self::evtab`] row, used where the packed offsets
-    /// don't fit or extra per-event state (depth guards) is tracked
-    /// anyway.
+    /// `(next_q, opened, open_selected)` over the factored tables.
     #[inline]
     pub(crate) fn event_step(&self, q: usize, ev: u16) -> (usize, bool, bool) {
         let k = self.k;
@@ -982,6 +615,20 @@ impl ByteDfa {
             let q1 = self.qnext[q * k2 + l] as usize;
             let q2 = self.qnext[q1 * k2 + k + l] as usize;
             (q2, true, self.accepting[q1])
+        }
+    }
+
+    /// The per-event step for this engine in query state `q`: the per-event
+    /// table when it exists, the factored tables otherwise.
+    pub(crate) fn step_at(&self, q: usize) -> EngineStep<'_> {
+        match &self.evtab {
+            Some(evtab) => EngineStep::Evtab(EvtabStep {
+                evtab,
+                k: self.k as u16,
+                k2: 2 * self.k as u16,
+                qoff: q * self.estride,
+            }),
+            None => EngineStep::Qnext(QnextStep { dfa: self, q }),
         }
     }
 
@@ -1006,31 +653,23 @@ impl ByteDfa {
         self.lexer.set_force_scalar(on);
     }
 
-    /// Counts selected nodes in a single pass over `bytes`: the
-    /// structural-index stride by default, the scalar composite-table
-    /// loop when the scalar path is forced.
+    /// Counts selected nodes in a single pass over `bytes`.
     ///
     /// # Errors
     ///
     /// The `Scanner`'s diagnostic if the document is malformed.
     pub fn count_bytes(&self, bytes: &[u8]) -> Result<usize, TreeError> {
-        self.count_bytes_opts(bytes, &mut ScanStats::default(), false)
-    }
-
-    /// Dispatches between the indexed stride and the scalar loop;
-    /// `force` is the caller's (per-run) scalar override, OR-ed with the
-    /// engine's own flag.
-    pub(crate) fn count_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<usize, TreeError> {
-        if force || self.lexer.force_scalar {
-            self.count_bytes_scalar(bytes)
-        } else {
-            self.count_bytes_indexed(bytes, stats)
-        }
+        let step = self.step_at(self.start as usize);
+        let mut stats = ScanStats::default();
+        let sink = one_shot(
+            step,
+            &self.lexer,
+            &self.alphabet,
+            bytes,
+            &mut stats,
+            CountSink::default(),
+        )?;
+        Ok(sink.count)
     }
 
     /// Runs the structural scan with a sink that only counts events —
@@ -1041,429 +680,32 @@ impl ByteDfa {
     pub fn probe_events_noop(&self, bytes: &[u8]) -> usize {
         let mut n = 0usize;
         let mut stats = ScanStats::default();
-        structural_scan(&self.lexer, bytes, TEXT, &mut stats, &mut |_, _| {
+        structural_scan(&self.lexer, bytes, TEXT, true, &mut stats, &mut |_, _| {
             n += 1;
             true
         });
         n
     }
 
-    /// The indexed two-pass count: certified tags advance the query
-    /// through one packed `evtab` load per *tag* (or the factored
-    /// tables when the packed offsets don't fit).
-    #[inline(never)]
-    fn count_bytes_indexed(&self, bytes: &[u8], stats: &mut ScanStats) -> Result<usize, TreeError> {
-        let (count, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = EvtabCount {
-                evtab,
-                qoff: self.start as usize * self.estride,
-                count: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        } else {
-            let mut sink = StepCount {
-                dfa: self,
-                q: self.start as usize,
-                count: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(count),
-            _ => Err(rescan_error(bytes, &self.alphabet)),
-        }
-    }
-
-    /// The per-byte composite-table count (the forced-scalar path and
-    /// the reference the structural index is differentially tested
-    /// against).
-    #[doc(hidden)]
-    pub fn count_bytes_scalar(&self, bytes: &[u8]) -> Result<usize, TreeError> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                // TEXT --'<'--> LT (lexer state 2) with no event: a
-                // constant composite step, no table load needed.  A
-                // trailing `<` leaves `s ≥ m`, caught after the loop.
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return Err(rescan_error(bytes, &self.alphabet));
-                }
-                count += (f >> 1) as usize & 1;
-            }
-            i += 1;
-        }
-        if s < m {
-            Ok(count)
-        } else {
-            Err(rescan_error(bytes, &self.alphabet))
-        }
-    }
-
-    /// [`Self::count_bytes`] with the depth/imbalance budgets tracked
-    /// inline from the open/close flags the composite table already
-    /// carries — the O(1)-state engine has no depth of its own, so the
-    /// guard rides in the flag-dispatch branch that only event bytes
-    /// take.  Returns `None` on a breach *or* a parse error; the caller
-    /// re-runs the windowed session cold to reproduce the exact
-    /// diagnostic (neither is the throughput case).  `inline(never)`
-    /// keeps the loop out of the caller's multi-backend dispatch body.
-    pub(crate) fn count_bytes_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Option<usize> {
-        if force || self.lexer.force_scalar {
-            self.count_bytes_guarded_scalar(bytes, max_depth, min_depth)
-        } else {
-            self.count_bytes_guarded_indexed(bytes, max_depth, min_depth, stats)
-        }
-    }
-
-    /// Indexed guarded count: the depth guard rides per event exactly as
-    /// in the scalar flag-dispatch branch (open check before the
-    /// selection tally, close check after), so breach detection happens
-    /// at the same event.
-    #[inline(never)]
-    fn count_bytes_guarded_indexed(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-    ) -> Option<usize> {
-        let (count, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = GuardedEvtabCount {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                count: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        } else {
-            let mut sink = GuardedCount {
-                dfa: self,
-                q: self.start as usize,
-                count: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Some(count),
-            _ => None,
-        }
-    }
-
-    #[inline(never)]
-    fn count_bytes_guarded_scalar(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-    ) -> Option<usize> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut count = 0usize;
-        let mut depth: i64 = 0;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return None;
-                }
-                if f & FLAG_OPEN != 0 {
-                    depth += 1;
-                    if depth > max_depth {
-                        return None;
-                    }
-                }
-                count += (f >> 1) as usize & 1;
-                if f & FLAG_CLOSE != 0 {
-                    depth -= 1;
-                    if depth < min_depth {
-                        return None;
-                    }
-                }
-            }
-            i += 1;
-        }
-        if s < m {
-            Some(count)
-        } else {
-            None
-        }
-    }
-
-    /// Guarded variant of [`Self::select_bytes`]; see
-    /// [`Self::count_bytes_guarded`] for the contract.
-    pub(crate) fn select_bytes_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Option<Vec<usize>> {
-        if force || self.lexer.force_scalar {
-            self.select_bytes_guarded_scalar(bytes, max_depth, min_depth)
-        } else {
-            self.select_bytes_guarded_indexed(bytes, max_depth, min_depth, stats)
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_guarded_indexed(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-    ) -> Option<Vec<usize>> {
-        let (out, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = GuardedEvtabSelect {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                out: Vec::new(),
-                node: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        } else {
-            let mut sink = GuardedSelect {
-                dfa: self,
-                q: self.start as usize,
-                out: Vec::new(),
-                node: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Some(out),
-            _ => None,
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_guarded_scalar(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-    ) -> Option<Vec<usize>> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut out = Vec::new();
-        let mut node = 0usize;
-        let mut depth: i64 = 0;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return None;
-                }
-                if f & FLAG_OPEN != 0 {
-                    depth += 1;
-                    if depth > max_depth {
-                        return None;
-                    }
-                }
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-                if f & FLAG_CLOSE != 0 {
-                    depth -= 1;
-                    if depth < min_depth {
-                        return None;
-                    }
-                }
-            }
-            i += 1;
-        }
-        if s < m {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
     /// Document-order ids of selected nodes, in a single pass over
     /// `bytes` (pre-selection semantics, identical to
     /// [`crate::planner::CompiledQuery::select`] over the scanned events).
-    /// Strides the structural index unless the scalar path is forced.
     ///
     /// # Errors
     ///
     /// The `Scanner`'s diagnostic if the document is malformed.
     pub fn select_bytes(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        self.select_bytes_opts(bytes, &mut ScanStats::default(), false)
-    }
-
-    pub(crate) fn select_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<Vec<usize>, TreeError> {
-        if force || self.lexer.force_scalar {
-            self.select_bytes_scalar(bytes)
-        } else {
-            self.select_bytes_indexed(bytes, stats)
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_indexed(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-    ) -> Result<Vec<usize>, TreeError> {
-        let (out, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = EvtabSelect {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                out: Vec::new(),
-                node: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        } else {
-            let mut sink = StepSelect {
-                dfa: self,
-                q: self.start as usize,
-                out: Vec::new(),
-                node: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(out),
-            _ => Err(rescan_error(bytes, &self.alphabet)),
-        }
-    }
-
-    /// Scalar twin of [`Self::select_bytes`]; see
-    /// [`Self::count_bytes_scalar`].
-    #[doc(hidden)]
-    pub fn select_bytes_scalar(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut out = Vec::new();
-        let mut node = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return Err(rescan_error(bytes, &self.alphabet));
-                }
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-            }
-            i += 1;
-        }
-        if s < m {
-            Ok(out)
-        } else {
-            Err(rescan_error(bytes, &self.alphabet))
-        }
+        let step = self.step_at(self.start as usize);
+        let mut stats = ScanStats::default();
+        let sink = one_shot(
+            step,
+            &self.lexer,
+            &self.alphabet,
+            bytes,
+            &mut stats,
+            SelectSink::default(),
+        )?;
+        Ok(sink.out)
     }
 
     /// Chunk boundaries for the data-parallel path: cuts at `<` bytes,
@@ -1494,8 +736,6 @@ impl ByteDfa {
     /// text state, while the query component is simulated from *every*
     /// state at once (`qmap`).  Sound to compose because registerless
     /// evaluation is a pure DFA and the lexer is query-independent.
-    /// Certified tags reach the O(m) per-event simulation straight from
-    /// the structural index (scalar when forced).
     fn summarize_chunk(&self, chunk: &[u8]) -> ChunkSummary {
         let m = self.m;
         let k = self.k;
@@ -1503,72 +743,37 @@ impl ByteDfa {
         let mut qmap: Vec<u16> = (0..m as u16).collect();
         let mut counts = vec![0usize; m];
         let mut nodes = 0usize;
-        let mut err = false;
-        let mut end_lex = TEXT;
-
-        let mut on_event = |ev: u16| {
-            let (open_l, close_t) = if (ev as usize) <= 2 * k {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t))
-                }
-            } else {
-                let l = ev as usize - 1 - 2 * k;
-                (Some(l), Some(k + l))
-            };
-            if let Some(l) = open_l {
-                nodes += 1;
-                for q in 0..m {
-                    let q2 = self.qnext[qmap[q] as usize * k2 + l];
-                    qmap[q] = q2;
-                    counts[q] += self.accepting[q2 as usize] as usize;
-                }
-            }
-            if let Some(t) = close_t {
-                for q in qmap.iter_mut() {
-                    *q = self.qnext[*q as usize * k2 + t];
-                }
-            }
-        };
-
-        if self.lexer.force_scalar {
-            let mut lex = TEXT;
-            let n = chunk.len();
-            let mut i = 0usize;
-            'bytes: while i < n {
-                if lex == TEXT {
-                    i = find_lt(chunk, i);
-                    if i >= n {
-                        break;
+        let mut stats = ScanStats::default();
+        let certify = self.lexer.certify(false);
+        let end = structural_scan(
+            &self.lexer,
+            chunk,
+            TEXT,
+            certify,
+            &mut stats,
+            &mut |ev, _| {
+                let (open_l, close_l) = decode_event(ev, k);
+                if let Some(l) = open_l {
+                    nodes += 1;
+                    for q in 0..m {
+                        let q2 = self.qnext[qmap[q] as usize * k2 + l];
+                        qmap[q] = q2;
+                        counts[q] += self.accepting[q2 as usize] as usize;
                     }
                 }
-                let (lex2, ev) = self.lexer.step(lex, chunk[i]);
-                lex = lex2;
-                if ev != EV_NONE {
-                    if ev == EV_ERROR {
-                        err = true;
-                        break 'bytes;
+                if let Some(l) = close_l {
+                    for q in qmap.iter_mut() {
+                        *q = self.qnext[*q as usize * k2 + k + l];
                     }
-                    on_event(ev);
                 }
-                i += 1;
-            }
-            if !err {
-                end_lex = lex;
-            }
-        } else {
-            let mut stats = ScanStats::default();
-            match structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                on_event(ev);
                 true
-            }) {
-                ScanEnd::Complete { lex } => end_lex = lex,
-                ScanEnd::Error { .. } => err = true,
-                ScanEnd::Stopped => unreachable!("summary sink never stops"),
-            }
-        }
+            },
+        );
+        let (end_lex, err) = match end {
+            ScanEnd::Complete { lex } => (lex, false),
+            ScanEnd::Error { .. } => (TEXT, true),
+            ScanEnd::Stopped => unreachable!("summary sink never stops"),
+        };
         ChunkSummary {
             end_lex,
             qmap,
@@ -1577,7 +782,6 @@ impl ByteDfa {
             err,
         }
     }
-
     /// Runs all chunk summaries on scoped threads.  A worker panic is
     /// caught at the join and surfaces as [`CoreError::WorkerFailed`];
     /// it never unwinds through (or aborts) the caller.
@@ -1727,74 +931,22 @@ impl ByteDfa {
     /// parallel select; the chunk was already validated, so errors cannot
     /// occur here.
     fn select_chunk(&self, chunk: &[u8], entry_q: u16, node_off: usize) -> Vec<usize> {
-        if self.lexer.force_scalar {
-            return self.select_chunk_scalar(chunk, entry_q, node_off);
-        }
-        let k = self.k;
-        let k2 = 2 * k;
-        let mut out = Vec::new();
-        let mut node = node_off;
+        let sink = SelectSink {
+            node: node_off,
+            out: Vec::new(),
+        };
+        let certify = self.lexer.certify(false);
         let mut stats = ScanStats::default();
-        if let Some(evtab) = self.evtab.as_deref() {
-            let mut qoff = entry_q as usize * self.estride;
-            structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                let e = evtab[qoff + ev as usize];
-                if e >> 15 != 0 {
-                    out.push(node);
-                }
-                let ev = ev as usize;
-                node += (ev <= k || ev > k2) as usize;
-                qoff = (e & 0x7FFF) as usize;
-                true
-            });
-        } else {
-            let mut q = entry_q as usize;
-            structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                let (q2, opened, sel) = self.event_step(q, ev);
-                q = q2;
-                if sel {
-                    out.push(node);
-                }
-                node += opened as usize;
-                true
-            });
-        }
-        out
-    }
-
-    fn select_chunk_scalar(&self, chunk: &[u8], entry_q: u16, node_off: usize) -> Vec<usize> {
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = entry_q as usize; // lexer TEXT ⇒ composite id == q
-        let mut out = Vec::new();
-        let mut node = node_off;
-        let n = chunk.len();
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(chunk, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | chunk[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-            }
-            i += 1;
-        }
-        out
+        let (_, sink, _) = self.step_at(entry_q as usize).drive(
+            &self.lexer,
+            chunk,
+            TEXT,
+            certify,
+            &mut stats,
+            sink,
+            NoGuard,
+        );
+        sink.out
     }
 
     /// Data-parallel select: pass 1 summarizes chunks (in parallel) to
@@ -1876,322 +1028,489 @@ impl ByteDfa {
 }
 
 // ---------------------------------------------------------------------------
+// The event driver: one step per engine class, a sink, and a guard
+// ---------------------------------------------------------------------------
+
+/// Decodes a lexer event code into `(open_letter, close_letter)`; a
+/// self-closing element is both.
+#[inline]
+pub(crate) fn decode_event(ev: u16, k: usize) -> (Option<usize>, Option<usize>) {
+    if (ev as usize) <= 2 * k {
+        let t = ev as usize - 1;
+        if t < k {
+            (Some(t), None)
+        } else {
+            (None, Some(t - k))
+        }
+    } else {
+        let l = ev as usize - 1 - 2 * k;
+        (Some(l), Some(l))
+    }
+}
+
+/// The per-event rule of one engine class.
+pub(crate) trait Step {
+    /// Applies a lexer event code (`1..=3k`); returns `(opened,
+    /// selected)` — whether the event opened a node, and whether that
+    /// node is selected (pre-selection: decided at the open).
+    fn step(&mut self, ev: u16) -> (bool, bool);
+}
+
+/// Lemma 3.5 over the per-event table: one dependent load per tag.
+#[derive(Clone, Copy)]
+pub(crate) struct EvtabStep<'a> {
+    evtab: &'a [(u16, bool)],
+    /// Current query state, premultiplied by the table's row stride.
+    qoff: usize,
+    k: u16,
+    k2: u16,
+}
+
+impl Step for EvtabStep<'_> {
+    #[inline(always)]
+    fn step(&mut self, ev: u16) -> (bool, bool) {
+        let (next, selected) = self.evtab[self.qoff + ev as usize];
+        self.qoff = next as usize;
+        ((ev <= self.k) | (ev > self.k2), selected)
+    }
+}
+
+/// Lemma 3.5 over the factored query table, for engines whose event
+/// table offsets do not fit in `u16`.
+#[derive(Clone, Copy)]
+pub(crate) struct QnextStep<'a> {
+    dfa: &'a ByteDfa,
+    q: usize,
+}
+
+impl Step for QnextStep<'_> {
+    #[inline(always)]
+    fn step(&mut self, ev: u16) -> (bool, bool) {
+        let (q2, opened, selected) = self.dfa.event_step(self.q, ev);
+        self.q = q2;
+        (opened, selected)
+    }
+}
+
+/// The Lemma 3.8 run state: current DFA state, the dead flag, and the
+/// SCC chain with its depth registers.
+#[derive(Clone, Copy)]
+pub(crate) struct HarRun {
+    pub(crate) current: usize,
+    pub(crate) dead: bool,
+    pub(crate) chain: [u16; MAX_CHAIN],
+    pub(crate) regs: [i64; MAX_CHAIN],
+    pub(crate) chain_len: usize,
+}
+
+impl HarRun {
+    /// The run at document start.
+    pub(crate) fn new(core: &HarCore) -> HarRun {
+        HarRun {
+            current: core.dfa().init(),
+            dead: false,
+            chain: [0; MAX_CHAIN],
+            regs: [0; MAX_CHAIN],
+            chain_len: 0,
+        }
+    }
+
+    /// Applies an open event; `depth` is the depth *after* the open.
+    /// Returns the pre-selection verdict.
+    #[inline]
+    pub(crate) fn open(&mut self, core: &HarCore, l: usize, depth: i64) -> bool {
+        if self.dead {
+            return false;
+        }
+        let dfa = core.dfa();
+        let next = dfa.step(self.current, l);
+        if core.component()[next] != core.component()[self.current] {
+            self.chain[self.chain_len] = self.current as u16;
+            self.regs[self.chain_len] = depth;
+            self.chain_len += 1;
+        }
+        self.current = next;
+        dfa.is_accepting(self.current)
+    }
+
+    /// Applies a close event; `depth` is the depth *after* the close.
+    #[inline]
+    pub(crate) fn close(&mut self, core: &HarCore, l: usize, depth: i64) {
+        if self.dead {
+            return;
+        }
+        if self.chain_len > 0 && self.regs[self.chain_len - 1] > depth {
+            self.chain_len -= 1;
+            self.current = self.chain[self.chain_len] as usize;
+        } else {
+            match core.rewind_markup()[self.current * core.dfa().n_letters() + l] {
+                Some(p2) => self.current = p2,
+                None => self.dead = true,
+            }
+        }
+    }
+}
+
+/// Lemma 3.8: the depth-register run, one register comparison per close
+/// beyond the DFA step.
+#[derive(Clone, Copy)]
+pub(crate) struct HarStep<'a> {
+    core: &'a HarCore,
+    k: usize,
+    depth: i64,
+    pub(crate) run: HarRun,
+}
+
+impl<'a> HarStep<'a> {
+    /// The step at `depth` with run state `run`.
+    pub(crate) fn at(engine: &'a FusedHar, depth: i64, run: HarRun) -> EngineStep<'a> {
+        EngineStep::Har(HarStep {
+            core: engine.program.core(),
+            k: engine.lexer.k(),
+            depth,
+            run,
+        })
+    }
+}
+
+impl Step for HarStep<'_> {
+    #[inline(always)]
+    fn step(&mut self, ev: u16) -> (bool, bool) {
+        let (open_l, close_l) = decode_event(ev, self.k);
+        let mut selected = false;
+        if let Some(l) = open_l {
+            self.depth += 1;
+            selected = self.run.open(self.core, l, self.depth);
+        }
+        if let Some(l) = close_l {
+            self.depth -= 1;
+            self.run.close(self.core, l, self.depth);
+        }
+        (open_l.is_some(), selected)
+    }
+}
+
+/// The pushdown fallback: push the DFA state at opens, pop at closes.
+pub(crate) struct StackStep<'a> {
+    dfa: &'a Dfa,
+    k: usize,
+    pub(crate) current: usize,
+    /// The saved DFA states, bottom of stack first.
+    pub(crate) stack: Vec<u16>,
+}
+
+impl<'a> StackStep<'a> {
+    /// The step in state `current` over the saved `stack`.
+    pub(crate) fn at(engine: &'a FusedStack, current: usize, stack: Vec<u16>) -> EngineStep<'a> {
+        EngineStep::Stack(StackStep {
+            dfa: &engine.dfa,
+            k: engine.lexer.k(),
+            current,
+            stack,
+        })
+    }
+}
+
+impl Step for StackStep<'_> {
+    #[inline(always)]
+    fn step(&mut self, ev: u16) -> (bool, bool) {
+        let (open_l, close_l) = decode_event(ev, self.k);
+        let mut selected = false;
+        if let Some(l) = open_l {
+            self.stack.push(self.current as u16);
+            self.current = self.dfa.step(self.current, l);
+            selected = self.dfa.is_accepting(self.current);
+        }
+        // Underflowing pop keeps the state, like the baseline evaluator.
+        if close_l.is_some() {
+            if let Some(s) = self.stack.pop() {
+                self.current = s as usize;
+            }
+        }
+        (open_l.is_some(), selected)
+    }
+}
+
+/// What a run collects from the step's verdicts.
+pub(crate) trait Sink {
+    /// One event: whether it opened a node, whether that node is
+    /// selected, and the offset of the byte that fired it.
+    fn hit(&mut self, opened: bool, selected: bool, pos: usize);
+}
+
+/// Counts selected nodes.
+#[derive(Default)]
+pub(crate) struct CountSink {
+    pub(crate) count: usize,
+}
+
+impl Sink for CountSink {
+    #[inline(always)]
+    fn hit(&mut self, _opened: bool, selected: bool, _pos: usize) {
+        self.count += selected as usize;
+    }
+}
+
+/// Collects the document-order ids of selected nodes.
+#[derive(Default)]
+pub(crate) struct SelectSink {
+    /// Id the next opened node gets.
+    pub(crate) node: usize,
+    pub(crate) out: Vec<usize>,
+}
+
+impl Sink for SelectSink {
+    #[inline(always)]
+    fn hit(&mut self, opened: bool, selected: bool, _pos: usize) {
+        if selected {
+            self.out.push(self.node);
+        }
+        self.node += opened as usize;
+    }
+}
+
+/// [`SelectSink`] plus the absolute offset of the open event that decided
+/// each match — what the session's emission frontier releases.
+pub(crate) struct EmitSink {
+    pub(crate) node: usize,
+    /// Absolute offset of the scanned window's first byte.
+    pub(crate) base: usize,
+    pub(crate) matches: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
+}
+
+impl Sink for EmitSink {
+    #[inline(always)]
+    fn hit(&mut self, opened: bool, selected: bool, pos: usize) {
+        if selected {
+            self.matches.push(self.node);
+            self.offsets.push(self.base + pos);
+        }
+        self.node += opened as usize;
+    }
+}
+
+/// A per-event resource check, run before the step so a breach stops the
+/// scan before the engine does any work for the breaching event (the
+/// pushdown stack never grows past the depth budget).
+pub(crate) trait Guard {
+    /// Admits the event `ev` fired at `pos`; `false` stops the scan.
+    fn admit(&mut self, ev: u16, pos: usize) -> bool;
+}
+
+/// No budgets.
+#[derive(Clone, Copy)]
+pub(crate) struct NoGuard;
+
+impl Guard for NoGuard {
+    #[inline(always)]
+    fn admit(&mut self, _ev: u16, _pos: usize) -> bool {
+        true
+    }
+}
+
+/// The depth and imbalance budgets: two never-taken compares per event.
+#[derive(Clone, Copy)]
+pub(crate) struct DepthGuard {
+    k: u16,
+    k2: u16,
+    /// Opens minus closes so far.
+    pub(crate) depth: i64,
+    max_depth: i64,
+    min_depth: i64,
+    /// The breaching event: which budget, and the offset of its byte.
+    stopped: Option<(LimitKind, usize)>,
+}
+
+impl DepthGuard {
+    /// The budgets of `limits` (unbounded where unset), from `depth`.
+    pub(crate) fn new(k: usize, depth: i64, limits: &Limits) -> DepthGuard {
+        DepthGuard {
+            k: k as u16,
+            k2: 2 * k as u16,
+            depth,
+            max_depth: limits.max_depth.map_or(i64::MAX, |d| d as i64),
+            min_depth: limits.max_imbalance.map_or(i64::MIN, |d| -(d as i64)),
+            stopped: None,
+        }
+    }
+
+    /// Records a breach at `pos` (depth as the breaching event left it).
+    #[cold]
+    #[inline(never)]
+    fn stop(&mut self, depth: i64, kind: LimitKind, pos: usize) -> bool {
+        self.depth = depth;
+        self.stopped = Some((kind, pos));
+        false
+    }
+
+    /// The budget the scan stopped at, with `base` added to the offset
+    /// of the breaching byte.
+    pub(crate) fn breach(&self, base: usize) -> LimitExceeded {
+        let (kind, pos) = self.stopped.expect("a stopped scan recorded its breach");
+        let limit = match kind {
+            LimitKind::Depth => self.max_depth as u64,
+            _ => self.min_depth.unsigned_abs(),
+        };
+        LimitExceeded {
+            kind,
+            limit,
+            offset: base + pos,
+        }
+    }
+}
+
+impl Guard for DepthGuard {
+    #[inline(always)]
+    fn admit(&mut self, ev: u16, pos: usize) -> bool {
+        let opened = (ev <= self.k) | (ev > self.k2);
+        // A self-closing element peaks one deeper before it closes.
+        let peak = self.depth + i64::from(opened);
+        if peak > self.max_depth {
+            return self.stop(peak, LimitKind::Depth, pos);
+        }
+        let depth = peak - i64::from(ev > self.k);
+        if depth < self.min_depth {
+            return self.stop(depth, LimitKind::Imbalance, pos);
+        }
+        self.depth = depth;
+        true
+    }
+}
+
+/// A step, a sink and a guard composed into the event sink the
+/// structural scan drives — a by-value struct monomorphized per
+/// combination, so the whole per-event rule inlines into the certified
+/// sweep (a closure sink measures at twice the per-tag cost).
+pub(crate) struct Drive<St, Sk, G> {
+    pub(crate) step: St,
+    pub(crate) sink: Sk,
+    pub(crate) guard: G,
+}
+
+impl<St: Step, Sk: Sink, G: Guard> EventSink for Drive<St, Sk, G> {
+    #[inline(always)]
+    fn event(&mut self, ev: u16, pos: usize) -> bool {
+        if !self.guard.admit(ev, pos) {
+            return false;
+        }
+        let (opened, selected) = self.step.step(ev);
+        self.sink.hit(opened, selected, pos);
+        true
+    }
+}
+
+/// The live state of a fused engine, whichever class the planner picked:
+/// what a run carries between scans (session windows, recovery
+/// restarts).
+pub(crate) enum EngineStep<'a> {
+    Evtab(EvtabStep<'a>),
+    Qnext(QnextStep<'a>),
+    Har(HarStep<'a>),
+    Stack(StackStep<'a>),
+}
+
+impl<'a> EngineStep<'a> {
+    /// The engine at document start.
+    pub(crate) fn fresh(query: &'a FusedQuery) -> EngineStep<'a> {
+        match &query.backend {
+            FusedBackend::Registerless(b) => b.step_at(b.start as usize),
+            FusedBackend::Stackless(e) => HarStep::at(e, 0, HarRun::new(e.program.core())),
+            FusedBackend::Stack(e) => StackStep::at(e, e.dfa.init(), Vec::new()),
+        }
+    }
+
+    /// The query state of registerless engine `b` (0 for the other
+    /// classes).
+    pub(crate) fn query_state(&self, b: &ByteDfa) -> usize {
+        match self {
+            EngineStep::Evtab(st) => st.qoff / b.estride,
+            EngineStep::Qnext(st) => st.q,
+            _ => 0,
+        }
+    }
+
+    /// Scans `bytes` from lexer state `lex` through this engine's step,
+    /// `sink` and `guard`, keeping the advanced step state; returns how
+    /// the scan ended plus the sink and guard.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn drive<Sk: Sink, G: Guard>(
+        &mut self,
+        lexer: &TagLexer,
+        bytes: &[u8],
+        lex: u16,
+        certify: bool,
+        stats: &mut ScanStats,
+        sink: Sk,
+        guard: G,
+    ) -> (ScanEnd, Sk, G) {
+        macro_rules! run {
+            ($st:expr, $step:expr) => {{
+                let mut d = Drive {
+                    step: $step,
+                    sink,
+                    guard,
+                };
+                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut d);
+                *$st = d.step;
+                (end, d.sink, d.guard)
+            }};
+        }
+        match self {
+            EngineStep::Evtab(st) => run!(st, *st),
+            EngineStep::Qnext(st) => run!(st, *st),
+            EngineStep::Har(st) => run!(st, *st),
+            EngineStep::Stack(st) => run!(
+                st,
+                StackStep {
+                    stack: std::mem::take(&mut st.stack),
+                    ..*st
+                }
+            ),
+        }
+    }
+}
+
+/// One unguarded pass over a whole document from `step` at document
+/// start: the sink, or the `Scanner`'s diagnostic if the document is
+/// malformed.
+fn one_shot<Sk: Sink>(
+    mut step: EngineStep<'_>,
+    lexer: &TagLexer,
+    alphabet: &Alphabet,
+    bytes: &[u8],
+    stats: &mut ScanStats,
+    sink: Sk,
+) -> Result<Sk, TreeError> {
+    let certify = lexer.certify(false);
+    match step.drive(lexer, bytes, TEXT, certify, stats, sink, NoGuard) {
+        (ScanEnd::Complete { lex: TEXT }, sink, _) => Ok(sink),
+        _ => Err(rescan_error(bytes, alphabet)),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fused DRA (HAR) and stack engines
 // ---------------------------------------------------------------------------
 
-/// Lemma 3.8 evaluation driven directly by the byte lexer: the depth
-/// counter, register file, and SCC chain live in locals, and the only
-/// per-event work beyond the DFA step is one register comparison — the
-/// paper's "transitions at very low CPU cost", now starting from bytes.
+/// Lemma 3.8 evaluation driven directly by the byte lexer ([`HarStep`]):
+/// the depth counter, register file, and SCC chain are the whole state,
+/// and the only per-event work beyond the DFA step is one register
+/// comparison — the paper's "transitions at very low CPU cost", now
+/// starting from bytes.
 pub(crate) struct FusedHar {
     pub(crate) lexer: TagLexer,
     pub(crate) program: HarMarkupProgram,
 }
 
-impl FusedHar {
-    /// Single pass over bytes; `on_open(node, selected)` per opened node.
-    /// Certified tags come straight off the structural index (scalar
-    /// when forced); either driver feeds the same event closure.
-    fn run(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<(), ()> {
-        let core = self.program.core();
-        let dfa = core.dfa();
-        let component = core.component();
-        let rewind = core.rewind_markup();
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-
-        let mut regs = [0i64; MAX_CHAIN];
-        let mut chain = [0u16; MAX_CHAIN];
-        let mut chain_len = 0usize;
-        let mut current = dfa.init();
-        let mut dead = false;
-        let mut depth: i64 = 0;
-        let mut node = 0usize;
-
-        let mut handle = |ev: u16| {
-            let (open_l, close_l) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t - k))
-                }
-            } else {
-                let l = ev as usize - 1 - k2;
-                (Some(l), Some(l))
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if !dead {
-                    let next = dfa.step(current, l);
-                    if component[next] != component[current] {
-                        chain[chain_len] = current as u16;
-                        regs[chain_len] = depth;
-                        chain_len += 1;
-                    }
-                    current = next;
-                    on_open(node, dfa.is_accepting(current));
-                } else {
-                    on_open(node, false);
-                }
-                node += 1;
-            }
-            if let Some(l) = close_l {
-                depth -= 1;
-                if !dead {
-                    if chain_len > 0 && regs[chain_len - 1] > depth {
-                        chain_len -= 1;
-                        current = chain[chain_len] as usize;
-                    } else {
-                        match rewind[current * k + l] {
-                            Some(p2) => current = p2,
-                            None => dead = true,
-                        }
-                    }
-                }
-            }
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan(bytes, &mut handle);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| {
-            handle(ev);
-            true
-        }) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(()),
-            ScanEnd::Stopped => unreachable!("unguarded sink never stops"),
-            _ => Err(()),
-        }
-    }
-
-    /// [`Self::run`] with the depth and imbalance budgets checked inline.
-    /// Returns `Ok(true)` on a clean complete pass, `Ok(false)` the
-    /// moment a budget is breached — the scan stops before the evaluator
-    /// does any further work, and the caller re-runs the windowed session
-    /// cold to reproduce the exact diagnostic (breaches are not the
-    /// throughput case).  `Err(())` still means malformed input.
-    ///
-    /// Structured exactly like [`Self::run`]: the scan-closure shape is
-    /// what keeps the register file and depth counter in machine
-    /// registers, and the two extra compares per *event* (not per byte)
-    /// are in the noise next to the DFA step.  `inline(never)` keeps the
-    /// loop out of the caller's multi-backend dispatch body, where the
-    /// combined register pressure would spill the hot state.
-    #[inline(never)]
-    pub(crate) fn run_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<bool, ()> {
-        let core = self.program.core();
-        let dfa = core.dfa();
-        let component = core.component();
-        let rewind = core.rewind_markup();
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-
-        let mut regs = [0i64; MAX_CHAIN];
-        let mut chain = [0u16; MAX_CHAIN];
-        let mut chain_len = 0usize;
-        let mut current = dfa.init();
-        let mut dead = false;
-        let mut depth: i64 = 0;
-        let mut node = 0usize;
-        let mut breached = false;
-
-        let mut handle = |ev: u16| {
-            let (open_l, close_l) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t - k))
-                }
-            } else {
-                let l = ev as usize - 1 - k2;
-                (Some(l), Some(l))
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if depth > max_depth {
-                    breached = true;
-                    return false;
-                }
-                if !dead {
-                    let next = dfa.step(current, l);
-                    if component[next] != component[current] {
-                        chain[chain_len] = current as u16;
-                        regs[chain_len] = depth;
-                        chain_len += 1;
-                    }
-                    current = next;
-                    on_open(node, dfa.is_accepting(current));
-                } else {
-                    on_open(node, false);
-                }
-                node += 1;
-            }
-            if let Some(l) = close_l {
-                depth -= 1;
-                if depth < min_depth {
-                    breached = true;
-                    return false;
-                }
-                if !dead {
-                    if chain_len > 0 && regs[chain_len - 1] > depth {
-                        chain_len -= 1;
-                        current = chain[chain_len] as usize;
-                    } else {
-                        match rewind[current * k + l] {
-                            Some(p2) => current = p2,
-                            None => dead = true,
-                        }
-                    }
-                }
-            }
-            true
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan_ctl(bytes, &mut handle).map(|()| !breached);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| handle(ev)) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(!breached),
-            ScanEnd::Stopped => Ok(!breached),
-            _ => Err(()),
-        }
-    }
-}
-
-/// The pushdown fallback driven directly by the byte lexer: push the DFA
-/// state at opens, pop at closes — same visible behaviour as
+/// The pushdown fallback driven directly by the byte lexer
+/// ([`StackStep`]): same visible behaviour as
 /// `st_baseline::stack::StackEvaluator` over scanned events, minus the
 /// event stream.
 pub(crate) struct FusedStack {
     pub(crate) lexer: TagLexer,
     /// The minimal automaton of L (over Γ, `k` letters).
     pub(crate) dfa: Dfa,
-}
-
-impl FusedStack {
-    fn run(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<(), ()> {
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-        let mut stack: Vec<usize> = Vec::new();
-        let mut current = self.dfa.init();
-        let mut node = 0usize;
-        let mut handle = |ev: u16| {
-            let (open_l, close) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), false)
-                } else {
-                    (None, true)
-                }
-            } else {
-                (Some(ev as usize - 1 - k2), true)
-            };
-            if let Some(l) = open_l {
-                stack.push(current);
-                current = self.dfa.step(current, l);
-                on_open(node, self.dfa.is_accepting(current));
-                node += 1;
-            }
-            if close {
-                // Underflowing pop keeps the state, like the baseline.
-                current = stack.pop().unwrap_or(current);
-            }
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan(bytes, &mut handle);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| {
-            handle(ev);
-            true
-        }) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(()),
-            ScanEnd::Stopped => unreachable!("unguarded sink never stops"),
-            _ => Err(()),
-        }
-    }
-
-    /// Guarded variant of [`Self::run`]; see [`FusedHar::run_guarded`]
-    /// for the contract.  The depth check fires *before* the push, so a
-    /// breach caps the pushdown stack at `max_depth` entries — the guard
-    /// protects the very allocation this engine is named for.
-    #[inline(never)]
-    pub(crate) fn run_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<bool, ()> {
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-        let mut stack: Vec<usize> = Vec::new();
-        let mut current = self.dfa.init();
-        let mut node = 0usize;
-        let mut depth: i64 = 0;
-        let mut breached = false;
-        let mut handle = |ev: u16| {
-            let (open_l, close) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), false)
-                } else {
-                    (None, true)
-                }
-            } else {
-                (Some(ev as usize - 1 - k2), true)
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if depth > max_depth {
-                    breached = true;
-                    return false;
-                }
-                stack.push(current);
-                current = self.dfa.step(current, l);
-                on_open(node, self.dfa.is_accepting(current));
-                node += 1;
-            }
-            if close {
-                depth -= 1;
-                if depth < min_depth {
-                    breached = true;
-                    return false;
-                }
-                current = stack.pop().unwrap_or(current);
-            }
-            true
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan_ctl(bytes, &mut handle).map(|()| !breached);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| handle(ev)) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(!breached),
-            ScanEnd::Stopped => Ok(!breached),
-            _ => Err(()),
-        }
-    }
 }
 
 pub(crate) enum FusedBackend {
@@ -2272,12 +1591,22 @@ impl FusedQuery {
         }
     }
 
+    /// The tag lexer of the chosen backend.
+    pub(crate) fn tag_lexer(&self) -> &TagLexer {
+        match &self.backend {
+            FusedBackend::Registerless(b) => b.lexer(),
+            FusedBackend::Stackless(e) => &e.lexer,
+            FusedBackend::Stack(e) => &e.lexer,
+        }
+    }
+
     /// Forces (or re-enables) the scalar byte path for this query: with
-    /// `true`, every evaluation walks the composite tables per byte
-    /// instead of striding the structural index.  Defaults to the
-    /// process-wide `ST_FORCE_SCALAR` escape hatch.  Results are
-    /// bitwise identical either way; this exists as a kill switch and
-    /// for differential testing.
+    /// `true`, every evaluation runs the structural scan with
+    /// certification off, so the `TagLexer` steps every byte of markup
+    /// (text is still skipped to the next `<`).  Defaults to the
+    /// process-wide `ST_FORCE_SCALAR` escape hatch.  Results are bitwise
+    /// identical either way; this exists as a kill switch and as the
+    /// reference side of differential testing.
     pub fn set_force_scalar(&mut self, on: bool) {
         match &mut self.backend {
             FusedBackend::Registerless(b) => b.set_force_scalar(on),
@@ -2288,11 +1617,23 @@ impl FusedQuery {
 
     /// Whether the scalar byte path is forced for this query.
     pub fn force_scalar(&self) -> bool {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.lexer().force_scalar(),
-            FusedBackend::Stackless(e) => e.lexer.force_scalar(),
-            FusedBackend::Stack(e) => e.lexer.force_scalar(),
-        }
+        self.tag_lexer().force_scalar()
+    }
+
+    /// One pass over a whole document from its start, through this
+    /// engine's step, `sink` and `guard`; `force` forces the scalar path
+    /// for this run.
+    pub(crate) fn drive_fresh<Sk: Sink, G: Guard>(
+        &self,
+        bytes: &[u8],
+        force: bool,
+        stats: &mut ScanStats,
+        sink: Sk,
+        guard: G,
+    ) -> (ScanEnd, Sk, G) {
+        let lexer = self.tag_lexer();
+        let certify = lexer.certify(force);
+        EngineStep::fresh(self).drive(lexer, bytes, TEXT, certify, stats, sink, guard)
     }
 
     /// Document-order ids of selected nodes, in one pass over raw bytes.
@@ -2312,38 +1653,15 @@ impl FusedQuery {
         bytes: &[u8],
         stats: &mut ScanStats,
     ) -> Result<Vec<usize>, TreeError> {
-        self.select_bytes_opts(bytes, stats, false)
-    }
-
-    pub(crate) fn select_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<Vec<usize>, TreeError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.select_bytes_opts(bytes, stats, force),
-            FusedBackend::Stackless(e) => {
-                let mut out = Vec::new();
-                e.run(bytes, stats, force, |node, sel| {
-                    if sel {
-                        out.push(node);
-                    }
-                })
-                .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(out)
-            }
-            FusedBackend::Stack(e) => {
-                let mut out = Vec::new();
-                e.run(bytes, stats, force, |node, sel| {
-                    if sel {
-                        out.push(node);
-                    }
-                })
-                .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(out)
-            }
-        }
+        let sink = one_shot(
+            EngineStep::fresh(self),
+            self.tag_lexer(),
+            &self.alphabet,
+            bytes,
+            stats,
+            SelectSink::default(),
+        )?;
+        Ok(sink.out)
     }
 
     /// Streaming count of selected nodes, in one pass over raw bytes.
@@ -2363,30 +1681,15 @@ impl FusedQuery {
         bytes: &[u8],
         stats: &mut ScanStats,
     ) -> Result<usize, TreeError> {
-        self.count_bytes_opts(bytes, stats, false)
-    }
-
-    pub(crate) fn count_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<usize, TreeError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.count_bytes_opts(bytes, stats, force),
-            FusedBackend::Stackless(e) => {
-                let mut n = 0usize;
-                e.run(bytes, stats, force, |_, sel| n += sel as usize)
-                    .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(n)
-            }
-            FusedBackend::Stack(e) => {
-                let mut n = 0usize;
-                e.run(bytes, stats, force, |_, sel| n += sel as usize)
-                    .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(n)
-            }
-        }
+        let sink = one_shot(
+            EngineStep::fresh(self),
+            self.tag_lexer(),
+            &self.alphabet,
+            bytes,
+            stats,
+            CountSink::default(),
+        )?;
+        Ok(sink.count)
     }
 
     /// Like [`Self::count_bytes`] but uses the data-parallel chunked path
@@ -2424,33 +1727,13 @@ impl FusedQuery {
         }
     }
 
-    /// Records one completed engine run into `obs`.  The byte loops
-    /// themselves stay untouched — metrics are tallied once per run, so
-    /// the no-op handle's cost is a handful of branches per document.
-    fn record_run(
-        &self,
-        obs: &st_obs::ObsHandle,
-        bytes: usize,
-        matches: Option<usize>,
-        stats: &ScanStats,
-    ) {
-        if !obs.is_enabled() {
-            return;
-        }
-        obs.counter("engine_runs_total").incr();
-        obs.counter("engine_bytes_total").add(bytes as u64);
-        match matches {
-            Some(n) => obs.counter("engine_matches_total").add(n as u64),
-            None => obs.counter("engine_failed_runs_total").incr(),
-        }
-        record_scan_stats(obs, stats);
-    }
-
     /// [`Self::count_bytes`] with per-run metrics (`engine_runs_total`,
     /// `engine_bytes_total`, `engine_matches_total`,
     /// `engine_failed_runs_total`, and the structural-index tallies
     /// `engine_simd_windows` / `engine_scalar_fallback_windows`)
-    /// recorded into `obs`.
+    /// recorded into `obs`.  The scan itself stays untouched — metrics
+    /// are tallied once per run, so the no-op handle's cost is a handful
+    /// of branches per document.
     ///
     /// # Errors
     ///
@@ -2462,79 +1745,16 @@ impl FusedQuery {
     ) -> Result<usize, TreeError> {
         let mut stats = ScanStats::default();
         let res = self.count_bytes_stats(bytes, &mut stats);
-        self.record_run(obs, bytes.len(), res.as_ref().ok().copied(), &stats);
-        res
-    }
-
-    /// [`Self::select_bytes`] with per-run metrics recorded into `obs`;
-    /// see [`Self::count_bytes_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::select_bytes`].
-    pub fn select_bytes_observed(
-        &self,
-        bytes: &[u8],
-        obs: &st_obs::ObsHandle,
-    ) -> Result<Vec<usize>, TreeError> {
-        let mut stats = ScanStats::default();
-        let res = self.select_bytes_stats(bytes, &mut stats);
-        self.record_run(obs, bytes.len(), res.as_ref().ok().map(Vec::len), &stats);
-        res
-    }
-
-    /// [`Self::count_bytes_parallel`] with per-run metrics recorded into
-    /// `obs`, plus the chunked-path tallies `engine_chunked_runs_total`
-    /// and `engine_chunks_total` when the data-parallel path ran.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_bytes_parallel`].
-    pub fn count_bytes_parallel_observed(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-        obs: &st_obs::ObsHandle,
-    ) -> Result<usize, SessionError> {
-        let res = self.count_bytes_parallel(bytes, n_threads);
-        self.record_run(
-            obs,
-            bytes.len(),
-            res.as_ref().ok().copied(),
-            &ScanStats::default(),
-        );
-        self.record_chunked(obs, n_threads);
-        res
-    }
-
-    /// [`Self::select_bytes_parallel`] with per-run metrics recorded into
-    /// `obs`; see [`Self::count_bytes_parallel_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::select_bytes_parallel`].
-    pub fn select_bytes_parallel_observed(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-        obs: &st_obs::ObsHandle,
-    ) -> Result<Vec<usize>, SessionError> {
-        let res = self.select_bytes_parallel(bytes, n_threads);
-        self.record_run(
-            obs,
-            bytes.len(),
-            res.as_ref().ok().map(Vec::len),
-            &ScanStats::default(),
-        );
-        self.record_chunked(obs, n_threads);
-        res
-    }
-
-    fn record_chunked(&self, obs: &st_obs::ObsHandle, n_threads: usize) {
-        if obs.is_enabled() && matches!(&self.backend, FusedBackend::Registerless(_)) {
-            obs.counter("engine_chunked_runs_total").incr();
-            obs.counter("engine_chunks_total").add(n_threads as u64);
+        if obs.is_enabled() {
+            obs.counter("engine_runs_total").incr();
+            obs.counter("engine_bytes_total").add(bytes.len() as u64);
+            match &res {
+                Ok(n) => obs.counter("engine_matches_total").add(*n as u64),
+                Err(_) => obs.counter("engine_failed_runs_total").incr(),
+            }
+            record_scan_stats(obs, &stats);
         }
+        res
     }
 }
 
@@ -2547,26 +1767,34 @@ mod tests {
     use st_trees::generate;
     use st_trees::xml::write_events;
 
-    /// Decodes a lexer event stream into tags (test aid only).
+    /// Decodes a lexer event stream into tags (test aid only): the lexer
+    /// stepped over every byte, the grammar reference of the scan.
     fn lex_tags(lexer: &TagLexer, bytes: &[u8]) -> Result<Vec<Tag>, ()> {
         let k = lexer.k();
         let mut out = Vec::new();
-        lexer.scan(bytes, |ev| {
-            let ev = ev as usize;
-            if ev <= 2 * k {
-                let t = ev - 1;
-                if t < k {
-                    out.push(Tag::Open(st_automata::Letter(t as u32)));
-                } else {
-                    out.push(Tag::Close(st_automata::Letter((t - k) as u32)));
-                }
-            } else {
-                let l = (ev - 1 - 2 * k) as u32;
-                out.push(Tag::Open(st_automata::Letter(l)));
-                out.push(Tag::Close(st_automata::Letter(l)));
+        let mut s = TEXT;
+        for &b in bytes {
+            let (s2, ev) = lexer.step(s, b);
+            s = s2;
+            if ev == EV_ERROR {
+                return Err(());
             }
-        })?;
-        Ok(out)
+            if ev == EV_NONE {
+                continue;
+            }
+            let (open_l, close_l) = decode_event(ev, k);
+            if let Some(l) = open_l {
+                out.push(Tag::Open(st_automata::Letter(l as u32)));
+            }
+            if let Some(l) = close_l {
+                out.push(Tag::Close(st_automata::Letter(l as u32)));
+            }
+        }
+        if s == TEXT {
+            Ok(out)
+        } else {
+            Err(())
+        }
     }
 
     fn scanner_tags(bytes: &[u8], alphabet: &Alphabet) -> Result<Vec<Tag>, TreeError> {
@@ -2744,6 +1972,41 @@ mod tests {
                         "pattern {pattern} seed {seed}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn factored_and_event_table_steps_agree() {
+        // Query-DFA sizes seen in practice always fit the per-event
+        // tables, so drive the factored `qnext` step explicitly.
+        let g = Alphabet::of_chars("abc");
+        for pattern in ["a.*b", "a.*", ".*", "b.*c"] {
+            let dfa = compile_regex(pattern, &g).unwrap();
+            let plan = CompiledQuery::compile(&dfa);
+            let fused = plan.fused(&g).unwrap();
+            let b = fused.byte_dfa().expect("registerless");
+            let start = b.start as usize;
+            assert!(matches!(b.step_at(start), EngineStep::Evtab(_)));
+            for seed in 0..6 {
+                let tree = generate::random_attachment(&g, 300, 0.5, seed);
+                let bytes = decorate(&markup_encode(&tree), &g, seed);
+                let run = |step: EngineStep<'_>| {
+                    let mut stats = ScanStats::default();
+                    one_shot(
+                        step,
+                        &b.lexer,
+                        &g,
+                        &bytes,
+                        &mut stats,
+                        SelectSink::default(),
+                    )
+                    .unwrap()
+                    .out
+                };
+                let factored = run(EngineStep::Qnext(QnextStep { dfa: b, q: start }));
+                assert_eq!(run(b.step_at(start)), factored, "{pattern} seed {seed}");
+                assert_eq!(b.select_bytes(&bytes).unwrap(), factored);
             }
         }
     }

@@ -134,11 +134,12 @@ impl Query {
     }
 
     /// Forces (or re-enables) the scalar byte path for every evaluation
-    /// through this query — the builder twin of the process-wide
+    /// through this query — the builder form of the process-wide
     /// `ST_FORCE_SCALAR` escape hatch and of
-    /// [`Limits::with_force_scalar`].  Results are bitwise identical
-    /// either way; this exists as a kill switch and for differential
-    /// testing.
+    /// [`Limits::with_force_scalar`]: the structural scan runs with
+    /// certification off, so the tag lexer steps every byte of markup.
+    /// Results are bitwise identical either way; this exists as a kill
+    /// switch and as the reference side of differential testing.
     pub fn with_force_scalar(mut self, on: bool) -> Query {
         self.fused.set_force_scalar(on);
         self

@@ -33,9 +33,11 @@
 //!   is bitwise identical to N independent runs by construction — the
 //!   per-event logic is the same as each member's own session backend.
 //!
-//! All three tiers share the byte pass: the indexed two-pass structural
-//! scan when available, the scalar lexer twin under `ST_FORCE_SCALAR`
-//! or [`Limits::force_scalar`].
+//! All three tiers share the byte pass: the structural scan, with
+//! certification off under `ST_FORCE_SCALAR` or
+//! [`Limits::force_scalar`].  Each tier is one sink type, parameterized
+//! by what it collects (counts or node ids) and by its guard (none for
+//! one-shot runs, the depth/imbalance budgets for sessions).
 //!
 //! # Sessions
 //!
@@ -49,14 +51,16 @@ use st_automata::{compile_regex, Alphabet, Dfa};
 use st_obs::TraceEvent;
 use st_trees::error::TreeError;
 
-use crate::engine::{find_lt, rescan_error, TagLexer, EV_ERROR, EV_NONE, TEXT};
+use crate::engine::{
+    decode_event, rescan_error, DepthGuard, Guard, HarRun, NoGuard, TagLexer, TEXT,
+};
 use crate::har::{HarMarkupProgram, MAX_CHAIN};
 use crate::planner::{CompiledQuery, Strategy};
 use crate::query::QueryError;
 use crate::session::{
-    alphabet_symbols, corrupt, decode_event, depth_error, fnv_bytes, fnv_dfa, fnv_usize,
-    imbalance_error, limit_kind_name, parse_error, put_i64, put_u16, put_u32, put_u64, HarRun,
-    LimitExceeded, LimitKind, Limits, Reader, SessObs, SessionError, WINDOW,
+    alphabet_symbols, corrupt, fnv_bytes, fnv_dfa, fnv_usize, limit_kind_name, parse_error,
+    put_i64, put_u16, put_u32, put_u64, LimitExceeded, LimitKind, Limits, Reader, SessObs,
+    SessionError, WINDOW,
 };
 use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
 
@@ -156,11 +160,6 @@ impl FamilyTable {
         }
     }
 
-    #[inline]
-    fn accepts(&self, s: u32) -> bool {
-        (self.accepting[s as usize >> 6] >> (s as usize & 63)) & 1 != 0
-    }
-
     fn n_members(&self) -> usize {
         self.init.len()
     }
@@ -194,13 +193,7 @@ fn fresh_lane(engine: &LaneEngine) -> LaneState {
             s: dfa.init() as u32,
         },
         LaneEngine::Har(program) => LaneState::Har {
-            run: HarRun {
-                current: program.core().dfa().init(),
-                dead: false,
-                chain: [0; MAX_CHAIN],
-                regs: [0; MAX_CHAIN],
-                chain_len: 0,
-            },
+            run: HarRun::new(program.core()),
         },
         LaneEngine::Stack(dfa) => LaneState::Stack {
             s: dfa.init() as u32,
@@ -600,63 +593,100 @@ impl QuerySet {
         emit: &mut E,
         stats: &mut ScanStats,
     ) -> Result<(), TreeError> {
-        let k = self.lexer.k();
-        match &self.backend {
-            SetBackend::Product(t) => {
-                let mut sink = ProductSink {
-                    k,
-                    t,
-                    s: t.init,
-                    node: 0,
-                    emit,
-                };
-                self.drive(bytes, &mut sink, stats)
-            }
-            SetBackend::Lanes(t) => {
-                let mut sink = LaneSink {
-                    k,
-                    t,
-                    cur: t.init.clone(),
-                    buf: vec![0; t.n_members().div_ceil(64)],
-                    node: 0,
-                    emit,
-                };
-                self.drive(bytes, &mut sink, stats)
-            }
-            SetBackend::Hybrid(engines) => {
-                let mut sink = HybridSink {
-                    k,
-                    engines,
-                    lanes: engines.iter().map(fresh_lane).collect(),
-                    buf: vec![0; engines.len().div_ceil(64)],
-                    depth: 0,
-                    node: 0,
-                    emit,
-                };
-                self.drive(bytes, &mut sink, stats)
-            }
-        }
-    }
-
-    fn drive<S: EventSink>(
-        &self,
-        bytes: &[u8],
-        sink: &mut S,
-        stats: &mut ScanStats,
-    ) -> Result<(), TreeError> {
-        let mut lex = TEXT;
-        match drive_window(
-            &self.lexer,
+        let mut walk = Walk {
+            node: 0,
+            depth: 0,
+            guard: NoGuard,
+        };
+        let certify = self.lexer.certify(false);
+        match self.drive(
+            &mut self.fresh_state(),
             bytes,
-            &mut lex,
-            self.lexer.force_scalar(),
+            TEXT,
+            certify,
+            &mut walk,
+            emit,
             stats,
-            sink,
         ) {
-            DriveEnd::Done if lex == TEXT => Ok(()),
+            ScanEnd::Complete { lex: TEXT } => Ok(()),
             // Any failure re-scans cold for the exact single-query
             // diagnostic (same offset and message as `Query::count`).
             _ => Err(rescan_error(bytes, &self.alphabet)),
+        }
+    }
+
+    /// The tier state at document start.
+    fn fresh_state(&self) -> QsState {
+        match &self.backend {
+            SetBackend::Product(t) => QsState::Product { s: t.init },
+            SetBackend::Lanes(t) => QsState::Lanes {
+                cur: t.init.clone(),
+            },
+            SetBackend::Hybrid(engines) => QsState::Hybrid {
+                lanes: engines.iter().map(fresh_lane).collect(),
+            },
+        }
+    }
+
+    /// Scans `bytes` from lexer state `lex` through the tier's sink,
+    /// advancing `state` and `walk` — the one byte pass of every
+    /// one-shot run and session window.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<E: Emit, G: Guard + Copy>(
+        &self,
+        state: &mut QsState,
+        bytes: &[u8],
+        lex: u16,
+        certify: bool,
+        walk: &mut Walk<G>,
+        emit: &mut E,
+        stats: &mut ScanStats,
+    ) -> ScanEnd {
+        let k = self.lexer.k();
+        let lexer = &self.lexer;
+        match (state, &self.backend) {
+            (QsState::Product { s }, SetBackend::Product(t)) => {
+                let mut sink = ProductSink {
+                    k,
+                    t,
+                    s: *s,
+                    walk: *walk,
+                    emit,
+                };
+                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
+                *s = sink.s;
+                *walk = sink.walk;
+                end
+            }
+            (QsState::Lanes { cur }, SetBackend::Lanes(t)) => {
+                let mut sink = LaneSink {
+                    k,
+                    t,
+                    cur: std::mem::take(cur),
+                    buf: vec![0; t.n_members().div_ceil(64)],
+                    walk: *walk,
+                    emit,
+                };
+                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
+                *cur = sink.cur;
+                *walk = sink.walk;
+                end
+            }
+            (QsState::Hybrid { lanes }, SetBackend::Hybrid(engines)) => {
+                let mut sink = HybridSink {
+                    k,
+                    engines,
+                    lanes: std::mem::take(lanes),
+                    buf: vec![0; engines.len().div_ceil(64)],
+                    walk: *walk,
+                    emit,
+                };
+                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
+                *lanes = sink.lanes;
+                *walk = sink.walk;
+                end
+            }
+            _ => unreachable!("state/backend agree by construction"),
         }
     }
 }
@@ -717,70 +747,17 @@ impl ProductTable {
 }
 
 // ---------------------------------------------------------------------------
-// The shared byte pass
+// Tier sinks (monomorphized per tier × collector × guard)
 // ---------------------------------------------------------------------------
 
-enum DriveEnd {
-    /// Window consumed; the lexer state was written back.
-    Done,
-    /// Malformed input at this window-relative offset.
-    Parse(usize),
-    /// The sink stopped the scan (budget breach; the sink recorded why).
-    Stopped,
+/// Where a pass stands between scans: the id of the next opened node,
+/// the depth (the hybrid tier's HAR lanes register it), and the guard.
+#[derive(Clone, Copy)]
+struct Walk<G> {
+    node: usize,
+    depth: i64,
+    guard: G,
 }
-
-/// Runs one window of bytes through either the indexed structural scan
-/// or its scalar lexer twin, feeding events into `sink`.  `lex` is the
-/// entry lexer state and receives the exit state.
-fn drive_window<S: EventSink>(
-    lexer: &TagLexer,
-    w: &[u8],
-    lex: &mut u16,
-    force_scalar: bool,
-    stats: &mut ScanStats,
-    sink: &mut S,
-) -> DriveEnd {
-    if !force_scalar {
-        return match structural_scan(lexer, w, *lex, stats, sink) {
-            ScanEnd::Complete { lex: l2 } => {
-                *lex = l2;
-                DriveEnd::Done
-            }
-            ScanEnd::Error { pos } => DriveEnd::Parse(pos),
-            ScanEnd::Stopped => DriveEnd::Stopped,
-        };
-    }
-    let n = w.len();
-    let mut l = *lex;
-    let mut i = 0usize;
-    while i < n {
-        if l == TEXT {
-            i = find_lt(w, i);
-            if i >= n {
-                break;
-            }
-        }
-        let (l2, ev) = lexer.step(l, w[i]);
-        l = l2;
-        if ev != EV_NONE {
-            if ev == EV_ERROR {
-                *lex = l;
-                return DriveEnd::Parse(i);
-            }
-            if !sink.event(ev, i) {
-                *lex = l;
-                return DriveEnd::Stopped;
-            }
-        }
-        i += 1;
-    }
-    *lex = l;
-    DriveEnd::Done
-}
-
-// ---------------------------------------------------------------------------
-// One-shot sinks (monomorphized per tier × collector)
-// ---------------------------------------------------------------------------
 
 /// What a multi-query sink does with an attributed match: bit `q` of
 /// `masks` set means member `q` selected node `node`.
@@ -822,26 +799,29 @@ impl Emit for SelectEmit {
     }
 }
 
-struct ProductSink<'a, E: Emit> {
+struct ProductSink<'a, E: Emit, G> {
     k: usize,
     t: &'a ProductTable,
     s: u32,
-    node: usize,
+    walk: Walk<G>,
     emit: &'a mut E,
 }
 
-impl<E: Emit> EventSink for ProductSink<'_, E> {
+impl<E: Emit, G: Guard> EventSink for ProductSink<'_, E, G> {
     #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
+    fn event(&mut self, ev: u16, pos: usize) -> bool {
+        if !self.walk.guard.admit(ev, pos) {
+            return false;
+        }
         let t = self.t;
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
             self.s = t.delta[self.s as usize * t.n_classes + t.class_of[l] as usize];
             let masks = &t.accept[self.s as usize * t.words..][..t.words];
             if masks.iter().any(|&w| w != 0) {
-                self.emit.hit(masks, self.node);
+                self.emit.hit(masks, self.walk.node);
             }
-            self.node += 1;
+            self.walk.node += 1;
         }
         if let Some(l) = close_l {
             self.s = t.delta[self.s as usize * t.n_classes + t.class_of[self.k + l] as usize];
@@ -850,18 +830,21 @@ impl<E: Emit> EventSink for ProductSink<'_, E> {
     }
 }
 
-struct LaneSink<'a, E: Emit> {
+struct LaneSink<'a, E: Emit, G> {
     k: usize,
     t: &'a FamilyTable,
     cur: Vec<u32>,
     buf: Vec<u64>,
-    node: usize,
+    walk: Walk<G>,
     emit: &'a mut E,
 }
 
-impl<E: Emit> EventSink for LaneSink<'_, E> {
+impl<E: Emit, G: Guard> EventSink for LaneSink<'_, E, G> {
     #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
+    fn event(&mut self, ev: u16, pos: usize) -> bool {
+        if !self.walk.guard.admit(ev, pos) {
+            return false;
+        }
         let t = self.t;
         let nl = t.n_letters;
         let (open_l, close_l) = decode_event(ev, self.k);
@@ -876,9 +859,9 @@ impl<E: Emit> EventSink for LaneSink<'_, E> {
                 any |= bit;
             }
             if any != 0 {
-                self.emit.hit(&self.buf, self.node);
+                self.emit.hit(&self.buf, self.walk.node);
             }
-            self.node += 1;
+            self.walk.node += 1;
         }
         if let Some(l) = close_l {
             for s in self.cur.iter_mut() {
@@ -889,39 +872,41 @@ impl<E: Emit> EventSink for LaneSink<'_, E> {
     }
 }
 
-struct HybridSink<'a, E: Emit> {
+struct HybridSink<'a, E: Emit, G> {
     k: usize,
     engines: &'a [LaneEngine],
     lanes: Vec<LaneState>,
     buf: Vec<u64>,
-    depth: i64,
-    node: usize,
+    walk: Walk<G>,
     emit: &'a mut E,
 }
 
-impl<E: Emit> EventSink for HybridSink<'_, E> {
+impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
     #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
+    fn event(&mut self, ev: u16, pos: usize) -> bool {
+        if !self.walk.guard.admit(ev, pos) {
+            return false;
+        }
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
-            self.depth += 1;
+            self.walk.depth += 1;
             self.buf.fill(0);
             let mut any = false;
             for (i, (engine, lane)) in self.engines.iter().zip(&mut self.lanes).enumerate() {
-                if lane_open(engine, lane, l, self.depth) {
+                if lane_open(engine, lane, l, self.walk.depth) {
                     self.buf[i >> 6] |= 1 << (i & 63);
                     any = true;
                 }
             }
             if any {
-                self.emit.hit(&self.buf, self.node);
+                self.emit.hit(&self.buf, self.walk.node);
             }
-            self.node += 1;
+            self.walk.node += 1;
         }
         if let Some(l) = close_l {
-            self.depth -= 1;
+            self.walk.depth -= 1;
             for (engine, lane) in self.engines.iter().zip(&mut self.lanes) {
-                lane_close(engine, lane, self.k, l, self.depth);
+                lane_close(engine, lane, self.k, l, self.walk.depth);
             }
         }
         true
@@ -1249,15 +1234,7 @@ pub struct QuerySetSession<'q> {
 
 impl<'q> QuerySetSession<'q> {
     fn fresh(set: &'q QuerySet, limits: Limits) -> QuerySetSession<'q> {
-        let state = match &set.backend {
-            SetBackend::Product(t) => QsState::Product { s: t.init },
-            SetBackend::Lanes(t) => QsState::Lanes {
-                cur: t.init.clone(),
-            },
-            SetBackend::Hybrid(engines) => QsState::Hybrid {
-                lanes: engines.iter().map(fresh_lane).collect(),
-            },
-        };
+        let state = set.fresh_state();
         let started = limits.now();
         let obs = SessObs::attach(&limits.obs, 0);
         QuerySetSession {
@@ -1376,140 +1353,43 @@ impl<'q> QuerySetSession<'q> {
     }
 
     /// Processes one window; `self.offset` is the absolute offset of
-    /// `w[0]` and is only advanced by the caller afterwards.  Hot state
-    /// is hoisted into locals for the window, as in `EngineSession`.
+    /// `w[0]` and is only advanced by the caller afterwards.
     fn run_window(&mut self, w: &[u8]) -> Result<(), SessionError> {
-        let max_depth = self.limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-        let min_depth = self
-            .limits
-            .max_imbalance
-            .map(|d| -(d as i64))
-            .unwrap_or(i64::MIN);
-        let base = self.offset;
-        let force_scalar = self.limits.force_scalar || self.set.lexer.force_scalar();
-        let mut stats = ScanStats::default();
-        let mut depth = self.depth;
-        let mut node = self.node;
-        let mut lx = self.lex;
-        let k = self.set.lexer.k();
         let lexer = &self.set.lexer;
-        let matches = &mut self.matches;
-        let mut lim_err: Option<SessionError> = None;
-        let end = match (&mut self.state, &self.set.backend) {
-            (QsState::Product { s }, SetBackend::Product(t)) => {
-                let mut st = *s;
-                let mut on_event = |ev: u16, pos: usize| -> bool {
-                    let (open_l, close_l) = decode_event(ev, k);
-                    if let Some(l) = open_l {
-                        depth += 1;
-                        if depth > max_depth {
-                            lim_err = Some(depth_error(max_depth, base + pos));
-                            return false;
-                        }
-                        st = t.delta[st as usize * t.n_classes + t.class_of[l] as usize];
-                        let masks = &t.accept[st as usize * t.words..][..t.words];
-                        for (wd, &word0) in masks.iter().enumerate() {
-                            let mut word = word0;
-                            while word != 0 {
-                                matches[(wd << 6) + word.trailing_zeros() as usize].push(node);
-                                word &= word - 1;
-                            }
-                        }
-                        node += 1;
-                    }
-                    if let Some(l) = close_l {
-                        depth -= 1;
-                        if depth < min_depth {
-                            lim_err = Some(imbalance_error(min_depth, base + pos));
-                            return false;
-                        }
-                        st = t.delta[st as usize * t.n_classes + t.class_of[k + l] as usize];
-                    }
-                    true
-                };
-                let end = drive_window(lexer, w, &mut lx, force_scalar, &mut stats, &mut on_event);
-                *s = st;
-                end
-            }
-            (QsState::Lanes { cur }, SetBackend::Lanes(t)) => {
-                let nl = t.n_letters;
-                let mut on_event = |ev: u16, pos: usize| -> bool {
-                    let (open_l, close_l) = decode_event(ev, k);
-                    if let Some(l) = open_l {
-                        depth += 1;
-                        if depth > max_depth {
-                            lim_err = Some(depth_error(max_depth, base + pos));
-                            return false;
-                        }
-                        for (i, s) in cur.iter_mut().enumerate() {
-                            let ns = t.delta[*s as usize * nl + l];
-                            *s = ns;
-                            if t.accepts(ns) {
-                                matches[i].push(node);
-                            }
-                        }
-                        node += 1;
-                    }
-                    if let Some(l) = close_l {
-                        depth -= 1;
-                        if depth < min_depth {
-                            lim_err = Some(imbalance_error(min_depth, base + pos));
-                            return false;
-                        }
-                        for s in cur.iter_mut() {
-                            *s = t.delta[*s as usize * nl + k + l];
-                        }
-                    }
-                    true
-                };
-                drive_window(lexer, w, &mut lx, force_scalar, &mut stats, &mut on_event)
-            }
-            (QsState::Hybrid { lanes }, SetBackend::Hybrid(engines)) => {
-                let mut on_event = |ev: u16, pos: usize| -> bool {
-                    let (open_l, close_l) = decode_event(ev, k);
-                    if let Some(l) = open_l {
-                        depth += 1;
-                        if depth > max_depth {
-                            lim_err = Some(depth_error(max_depth, base + pos));
-                            return false;
-                        }
-                        for (i, (engine, lane)) in engines.iter().zip(lanes.iter_mut()).enumerate()
-                        {
-                            if lane_open(engine, lane, l, depth) {
-                                matches[i].push(node);
-                            }
-                        }
-                        node += 1;
-                    }
-                    if let Some(l) = close_l {
-                        depth -= 1;
-                        if depth < min_depth {
-                            lim_err = Some(imbalance_error(min_depth, base + pos));
-                            return false;
-                        }
-                        for (engine, lane) in engines.iter().zip(lanes.iter_mut()) {
-                            lane_close(engine, lane, k, l, depth);
-                        }
-                    }
-                    true
-                };
-                drive_window(lexer, w, &mut lx, force_scalar, &mut stats, &mut on_event)
-            }
-            _ => unreachable!("state/backend agree by construction"),
+        let certify = lexer.certify(self.limits.force_scalar);
+        let mut stats = ScanStats::default();
+        let mut walk = Walk {
+            node: self.node,
+            depth: self.depth,
+            guard: DepthGuard::new(lexer.k(), self.depth, &self.limits),
         };
-        let res = match end {
-            DriveEnd::Done => Ok(()),
-            DriveEnd::Parse(pos) => Err(parse_error(base + pos)),
-            DriveEnd::Stopped => Err(lim_err.take().expect("stopped sink set its error")),
+        let mut emit = SelectEmit {
+            sel: std::mem::take(&mut self.matches),
         };
-        self.depth = depth;
-        self.node = node;
-        self.lex = lx;
+        let end = self.set.drive(
+            &mut self.state,
+            w,
+            self.lex,
+            certify,
+            &mut walk,
+            &mut emit,
+            &mut stats,
+        );
+        self.matches = emit.sel;
+        self.node = walk.node;
+        self.depth = walk.guard.depth;
         if let Some(o) = &self.obs {
             o.simd_windows.add(stats.simd_windows);
             o.fallback_windows.add(stats.fallback_windows);
         }
-        res
+        match end {
+            ScanEnd::Complete { lex } => {
+                self.lex = lex;
+                Ok(())
+            }
+            ScanEnd::Error { pos } => Err(parse_error(self.offset + pos)),
+            ScanEnd::Stopped => Err(SessionError::Limit(walk.guard.breach(self.offset))),
+        }
     }
 
     /// Freezes the session at the current byte boundary.
@@ -1777,13 +1657,10 @@ fn restore_lane(
             if *current as usize >= dfa.n_states() || chain.len() > MAX_CHAIN {
                 return Err(corrupt("har lane state out of range"));
             }
-            let mut run = HarRun {
-                current: *current as usize,
-                dead: *dead,
-                chain: [0; MAX_CHAIN],
-                regs: [0; MAX_CHAIN],
-                chain_len: chain.len(),
-            };
+            let mut run = HarRun::new(program.core());
+            run.current = *current as usize;
+            run.dead = *dead;
+            run.chain_len = chain.len();
             for (i, (s, r)) in chain.iter().enumerate() {
                 run.chain[i] = *s;
                 run.regs[i] = *r;

@@ -22,10 +22,10 @@
 //!   3.1/3.2 made visible on the wire.
 //! * [`Limits`] — resource guards (max depth, max document bytes, max
 //!   open-tag imbalance, wall-clock budget) enforced with amortized
-//!   checks: depth and imbalance ride the per-event flag branch the hot
-//!   loops already take, byte and time budgets are checked once per
-//!   64 KiB window, so guarded throughput stays within noise of the
-//!   unguarded fused loops.  Violations surface as typed
+//!   checks: depth and imbalance are the event scan's depth guard (two
+//!   compares per *event*, never per byte), byte and time budgets are
+//!   checked once per 64 KiB window, so guarded throughput stays close
+//!   to the unguarded engines.  Violations surface as typed
 //!   [`LimitExceeded`] values with the exact byte offset.
 //! * Recovery mode ([`FusedQuery::select_bytes_recovering`]) — a lenient
 //!   pass that, instead of aborting on the first malformed byte, records
@@ -33,6 +33,10 @@
 //!   resynchronizes at the next tag start, and keeps collecting matches;
 //!   the query and depth state survive the skip, so one corrupt tag does
 //!   not void the rest of the document.
+//!
+//! Every session window, guarded one-shot run and recovery restart is one
+//! `crate::engine::EngineStep::drive` call with an emit, select or count
+//! sink and a depth guard.
 //!
 //! Error handling across the chunked engines is unified under
 //! [`SessionError`]; worker panics in the data-parallel path are caught
@@ -49,13 +53,13 @@ use st_trees::error::TreeError;
 
 use crate::emit::{EmissionCursor, StreamedMatch};
 use crate::engine::{
-    find_lt, record_scan_stats, rescan_error, FusedBackend, FusedQuery, TagLexer, EV_ERROR,
-    EV_NONE, FLAG_CLOSE, FLAG_ERROR, FLAG_OPEN, FLAG_SELECTED, LT, TEXT,
+    find_lt, record_scan_stats, rescan_error, CountSink, DepthGuard, EmitSink, EngineStep,
+    FusedBackend, FusedQuery, HarRun, HarStep, NoGuard, SelectSink, Sink, StackStep, TEXT,
 };
 use crate::error::CoreError;
-use crate::har::{HarCore, MAX_CHAIN};
+use crate::har::MAX_CHAIN;
 use crate::planner::Strategy;
-use crate::structural::{structural_scan, ScanEnd, ScanStats};
+use crate::structural::{ScanEnd, ScanStats};
 
 /// Bytes processed between amortized byte-budget / wall-clock checks.
 pub(crate) const WINDOW: usize = 64 << 10;
@@ -110,10 +114,10 @@ pub struct Limits {
     /// taxonomy in DESIGN.
     pub obs: ObsHandle,
     /// Forces the scalar byte path for runs under these limits, without
-    /// mutating the shared query: the per-window structural index is
-    /// skipped and the composite tables walk every byte.  Results are
-    /// bitwise identical either way (that identity is what st-conform
-    /// fuzzes); this is the per-run twin of the process-wide
+    /// mutating the shared query: the structural scan runs with
+    /// certification off, so the tag lexer steps every byte of markup.
+    /// Results are bitwise identical either way (that identity is what
+    /// st-conform fuzzes); this is the per-run form of the process-wide
     /// `ST_FORCE_SCALAR` escape hatch.
     pub force_scalar: bool,
 }
@@ -784,81 +788,6 @@ pub(crate) fn fnv_dfa(h: &mut u64, dfa: &st_automata::Dfa) {
 // Session state
 // ---------------------------------------------------------------------------
 
-/// The Lemma 3.8 run state in session form (mirrors the locals of the
-/// fused HAR loop in `engine.rs`).
-pub(crate) struct HarRun {
-    pub(crate) current: usize,
-    pub(crate) dead: bool,
-    pub(crate) chain: [u16; MAX_CHAIN],
-    pub(crate) regs: [i64; MAX_CHAIN],
-    pub(crate) chain_len: usize,
-}
-
-impl HarRun {
-    /// Applies an open event; returns the pre-selection verdict.
-    #[inline]
-    pub(crate) fn open(&mut self, core: &HarCore, l: usize, depth: i64) -> bool {
-        if self.dead {
-            return false;
-        }
-        let dfa = core.dfa();
-        let next = dfa.step(self.current, l);
-        if core.component()[next] != core.component()[self.current] {
-            self.chain[self.chain_len] = self.current as u16;
-            self.regs[self.chain_len] = depth;
-            self.chain_len += 1;
-        }
-        self.current = next;
-        dfa.is_accepting(self.current)
-    }
-
-    /// Applies a close event; `depth` is the depth *after* the close.
-    #[inline]
-    pub(crate) fn close(&mut self, core: &HarCore, l: usize, depth: i64) {
-        if self.dead {
-            return;
-        }
-        if self.chain_len > 0 && self.regs[self.chain_len - 1] > depth {
-            self.chain_len -= 1;
-            self.current = self.chain[self.chain_len] as usize;
-        } else {
-            match core.rewind_markup()[self.current * core.dfa().n_letters() + l] {
-                Some(p2) => self.current = p2,
-                None => self.dead = true,
-            }
-        }
-    }
-}
-
-enum SessState {
-    /// Composite fused-table state of the registerless byte engine.
-    Registerless { s: usize },
-    /// Lexer state + HAR run.
-    Stackless { lex: u16, run: HarRun },
-    /// Lexer state + pushdown frames.
-    Stack {
-        lex: u16,
-        current: usize,
-        stack: Vec<u16>,
-    },
-}
-
-/// Decodes a lexer event code into `(open_letter, close_letter)`.
-#[inline]
-pub(crate) fn decode_event(ev: u16, k: usize) -> (Option<usize>, Option<usize>) {
-    if (ev as usize) <= 2 * k {
-        let t = ev as usize - 1;
-        if t < k {
-            (Some(t), None)
-        } else {
-            (None, Some(t - k))
-        }
-    } else {
-        let l = ev as usize - 1 - 2 * k;
-        (Some(l), Some(l))
-    }
-}
-
 /// The final tallies of a completed session run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionOutcome {
@@ -967,33 +896,16 @@ pub struct EngineSession<'q> {
     /// Count + digest of everything emitted since document start
     /// (resume restores the checkpoint's cursor and keeps folding).
     cursor: EmissionCursor,
-    state: SessState,
+    /// Lexer state (mid-tag cuts are legal).
+    lex: u16,
+    /// The engine's step state.
+    state: EngineStep<'q>,
     failed: Option<SessionError>,
     obs: Option<SessObs>,
 }
 
 impl<'q> EngineSession<'q> {
     fn fresh(query: &'q FusedQuery, limits: Limits) -> EngineSession<'q> {
-        let state = match &query.backend {
-            FusedBackend::Registerless(b) => SessState::Registerless {
-                s: b.start as usize,
-            },
-            FusedBackend::Stackless(e) => SessState::Stackless {
-                lex: TEXT,
-                run: HarRun {
-                    current: e.program.core().dfa().init(),
-                    dead: false,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: 0,
-                },
-            },
-            FusedBackend::Stack(e) => SessState::Stack {
-                lex: TEXT,
-                current: e.dfa.init(),
-                stack: Vec::new(),
-            },
-        };
         let started = limits.now();
         let obs = SessObs::attach(&limits.obs, 0);
         EngineSession {
@@ -1009,7 +921,8 @@ impl<'q> EngineSession<'q> {
             flushed: 0,
             drained: 0,
             cursor: EmissionCursor::new(),
-            state,
+            lex: TEXT,
+            state: EngineStep::fresh(query),
             failed: None,
             obs,
         }
@@ -1172,375 +1085,39 @@ impl<'q> EngineSession<'q> {
         Err(e)
     }
 
-    /// Processes one window; `self.offset` is the absolute offset of
-    /// `w[0]` and is only advanced by the caller afterwards.
-    ///
-    /// Every piece of hot state (lexer/query state, depth, node counter)
-    /// is hoisted into locals for the duration of the window and written
-    /// back once at the end — through `&mut self` the compiler would
-    /// spill them on every byte, which is where the guarded loop would
-    /// lose to the unguarded engines.
+    /// Processes one window — one `EngineStep::drive` call, whatever
+    /// the engine class; `self.offset` is the absolute offset of `w[0]`
+    /// and is only advanced by the caller afterwards.
     fn run_window(&mut self, w: &[u8]) -> Result<(), SessionError> {
-        let max_depth = self.limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-        let min_depth = self
-            .limits
-            .max_imbalance
-            .map(|d| -(d as i64))
-            .unwrap_or(i64::MIN);
-        let base = self.offset;
-        let force_scalar = self.limits.force_scalar || self.query.force_scalar();
+        let lexer = self.query.tag_lexer();
+        let certify = lexer.certify(self.limits.force_scalar);
         let mut stats = ScanStats::default();
-        let mut depth = self.depth;
-        let mut node = self.node;
-        let matches = &mut self.matches;
-        let offsets = &mut self.match_offsets;
-        let n = w.len();
-        let res = match &mut self.state {
-            SessState::Registerless { s } => {
-                let FusedBackend::Registerless(b) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let m = b.m;
-                let mut st = *s;
-                let res = if !force_scalar {
-                    // Indexed window: the composite state factors as
-                    // `lex·m + q`; the structural scan carries the lexer
-                    // half and the event sink carries the query half.
-                    let k = b.k();
-                    let entry_lex = (st / m) as u16;
-                    let mut q = st % m;
-                    let mut lim_err: Option<SessionError> = None;
-                    let end =
-                        structural_scan(b.lexer(), w, entry_lex, &mut stats, &mut |ev, pos| {
-                            let (q2, opened, sel) = b.event_step(q, ev);
-                            q = q2;
-                            if opened {
-                                depth += 1;
-                                if depth > max_depth {
-                                    lim_err = Some(depth_error(max_depth, base + pos));
-                                    return false;
-                                }
-                                if sel {
-                                    matches.push(node);
-                                    offsets.push(base + pos);
-                                }
-                                node += 1;
-                            }
-                            if ev as usize > k {
-                                depth -= 1;
-                                if depth < min_depth {
-                                    lim_err = Some(imbalance_error(min_depth, base + pos));
-                                    return false;
-                                }
-                            }
-                            true
-                        });
-                    match end {
-                        ScanEnd::Complete { lex } => {
-                            st = lex as usize * m + q;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let table = b.table.as_slice();
-                    let mask = table.len() - 1;
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if st < m {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                                st += LT as usize * m;
-                                i += 1;
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let p = table[((st << 8) | w[i] as usize) & mask];
-                            st = (p & 0xFFFF) as usize;
-                            if p >> 16 != 0 {
-                                let f = (p >> 16) as u8;
-                                if f & FLAG_ERROR != 0 {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                if f & FLAG_OPEN != 0 {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    if f & FLAG_SELECTED != 0 {
-                                        matches.push(node);
-                                        offsets.push(base + i);
-                                    }
-                                    node += 1;
-                                }
-                                if f & FLAG_CLOSE != 0 {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *s = st;
-                res
-            }
-            SessState::Stackless { lex, run } => {
-                let FusedBackend::Stackless(e) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let core = e.program.core();
-                let lexer = &e.lexer;
-                let k = lexer.k();
-                let dfa = core.dfa();
-                let component = core.component();
-                let rewind = core.rewind_markup();
-                let mut lx = *lex;
-                // The HAR run mirrors `HarRun::open`/`close` with the
-                // scalars in locals (the chain arrays stay in place —
-                // they are touched once per SCC change, not per event).
-                let mut current = run.current;
-                let mut dead = run.dead;
-                let mut chain_len = run.chain_len;
-                let res = if !force_scalar {
-                    let mut lim_err: Option<SessionError> = None;
-                    let end = structural_scan(lexer, w, lx, &mut stats, &mut |ev, pos| {
-                        let (open_l, close_l) = decode_event(ev, k);
-                        if let Some(l) = open_l {
-                            depth += 1;
-                            if depth > max_depth {
-                                lim_err = Some(depth_error(max_depth, base + pos));
-                                return false;
-                            }
-                            if !dead {
-                                let next = dfa.step(current, l);
-                                if component[next] != component[current] {
-                                    run.chain[chain_len] = current as u16;
-                                    run.regs[chain_len] = depth;
-                                    chain_len += 1;
-                                }
-                                current = next;
-                                if dfa.is_accepting(current) {
-                                    matches.push(node);
-                                    offsets.push(base + pos);
-                                }
-                            }
-                            node += 1;
-                        }
-                        if let Some(l) = close_l {
-                            depth -= 1;
-                            if depth < min_depth {
-                                lim_err = Some(imbalance_error(min_depth, base + pos));
-                                return false;
-                            }
-                            if !dead {
-                                if chain_len > 0 && run.regs[chain_len - 1] > depth {
-                                    chain_len -= 1;
-                                    current = run.chain[chain_len] as usize;
-                                } else {
-                                    match rewind[current * k + l] {
-                                        Some(p2) => current = p2,
-                                        None => dead = true,
-                                    }
-                                }
-                            }
-                        }
-                        true
-                    });
-                    match end {
-                        ScanEnd::Complete { lex: l2 } => {
-                            lx = l2;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if lx == TEXT {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let (lex2, ev) = lexer.step(lx, w[i]);
-                            lx = lex2;
-                            if ev != EV_NONE {
-                                if ev == EV_ERROR {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                let (open_l, close_l) = decode_event(ev, k);
-                                if let Some(l) = open_l {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    if !dead {
-                                        let next = dfa.step(current, l);
-                                        if component[next] != component[current] {
-                                            run.chain[chain_len] = current as u16;
-                                            run.regs[chain_len] = depth;
-                                            chain_len += 1;
-                                        }
-                                        current = next;
-                                        if dfa.is_accepting(current) {
-                                            matches.push(node);
-                                            offsets.push(base + i);
-                                        }
-                                    }
-                                    node += 1;
-                                }
-                                if let Some(l) = close_l {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                    if !dead {
-                                        if chain_len > 0 && run.regs[chain_len - 1] > depth {
-                                            chain_len -= 1;
-                                            current = run.chain[chain_len] as usize;
-                                        } else {
-                                            match rewind[current * k + l] {
-                                                Some(p2) => current = p2,
-                                                None => dead = true,
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *lex = lx;
-                run.current = current;
-                run.dead = dead;
-                run.chain_len = chain_len;
-                res
-            }
-            SessState::Stack {
-                lex,
-                current,
-                stack,
-            } => {
-                let FusedBackend::Stack(e) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let lexer = &e.lexer;
-                let dfa = &e.dfa;
-                let k = lexer.k();
-                let mut lx = *lex;
-                let mut cur = *current;
-                let res = if !force_scalar {
-                    let mut lim_err: Option<SessionError> = None;
-                    let end = structural_scan(lexer, w, lx, &mut stats, &mut |ev, pos| {
-                        let (open_l, close_l) = decode_event(ev, k);
-                        if let Some(l) = open_l {
-                            depth += 1;
-                            if depth > max_depth {
-                                lim_err = Some(depth_error(max_depth, base + pos));
-                                return false;
-                            }
-                            stack.push(cur as u16);
-                            cur = dfa.step(cur, l);
-                            if dfa.is_accepting(cur) {
-                                matches.push(node);
-                                offsets.push(base + pos);
-                            }
-                            node += 1;
-                        }
-                        if close_l.is_some() {
-                            depth -= 1;
-                            if depth < min_depth {
-                                lim_err = Some(imbalance_error(min_depth, base + pos));
-                                return false;
-                            }
-                            // Underflowing pop keeps the state, like the
-                            // baseline evaluator.
-                            if let Some(s) = stack.pop() {
-                                cur = s as usize;
-                            }
-                        }
-                        true
-                    });
-                    match end {
-                        ScanEnd::Complete { lex: l2 } => {
-                            lx = l2;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if lx == TEXT {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let (lex2, ev) = lexer.step(lx, w[i]);
-                            lx = lex2;
-                            if ev != EV_NONE {
-                                if ev == EV_ERROR {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                let (open_l, close_l) = decode_event(ev, k);
-                                if let Some(l) = open_l {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    stack.push(cur as u16);
-                                    cur = dfa.step(cur, l);
-                                    if dfa.is_accepting(cur) {
-                                        matches.push(node);
-                                        offsets.push(base + i);
-                                    }
-                                    node += 1;
-                                }
-                                if close_l.is_some() {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                    // Underflowing pop keeps the state, like
-                                    // the baseline evaluator.
-                                    if let Some(s) = stack.pop() {
-                                        cur = s as usize;
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *lex = lx;
-                *current = cur;
-                res
-            }
+        let sink = EmitSink {
+            node: self.node,
+            base: self.offset,
+            matches: std::mem::take(&mut self.matches),
+            offsets: std::mem::take(&mut self.match_offsets),
         };
-        self.depth = depth;
-        self.node = node;
+        let guard = DepthGuard::new(lexer.k(), self.depth, &self.limits);
+        let (end, sink, guard) = self
+            .state
+            .drive(lexer, w, self.lex, certify, &mut stats, sink, guard);
+        self.node = sink.node;
+        self.matches = sink.matches;
+        self.match_offsets = sink.offsets;
+        self.depth = guard.depth;
         if let Some(o) = &self.obs {
             o.simd_windows.add(stats.simd_windows);
             o.fallback_windows.add(stats.fallback_windows);
         }
-        res
+        match end {
+            ScanEnd::Complete { lex } => {
+                self.lex = lex;
+                Ok(())
+            }
+            ScanEnd::Error { pos } => Err(parse_error(self.offset + pos)),
+            ScanEnd::Stopped => Err(SessionError::Limit(guard.breach(self.offset))),
+        }
     }
 
     /// Freezes the session at the current byte boundary.
@@ -1553,27 +1130,25 @@ impl<'q> EngineSession<'q> {
         if let Some(e) = &self.failed {
             return Err(corrupt(format!("session already failed: {e}")));
         }
-        let state = match &self.state {
-            SessState::Registerless { s } => CheckpointState::Registerless {
-                composite: *s as u16,
-            },
-            SessState::Stackless { lex, run } => CheckpointState::Stackless {
-                lex: *lex,
-                current: run.current as u16,
-                dead: run.dead,
-                chain: (0..run.chain_len)
-                    .map(|i| (run.chain[i], run.regs[i]))
+        let lex = self.lex;
+        let state = match (&self.state, &self.query.backend) {
+            (EngineStep::Har(st), _) => CheckpointState::Stackless {
+                lex,
+                current: st.run.current as u16,
+                dead: st.run.dead,
+                chain: (0..st.run.chain_len)
+                    .map(|i| (st.run.chain[i], st.run.regs[i]))
                     .collect(),
             },
-            SessState::Stack {
+            (EngineStep::Stack(st), _) => CheckpointState::Stack {
                 lex,
-                current,
-                stack,
-            } => CheckpointState::Stack {
-                lex: *lex,
-                current: *current as u16,
-                frames: stack.clone(),
+                current: st.current as u16,
+                frames: st.stack.clone(),
             },
+            (step, FusedBackend::Registerless(b)) => CheckpointState::Registerless {
+                composite: (lex as usize * b.m + step.query_state(b)) as u16,
+            },
+            _ => unreachable!("state/backend agree by construction"),
         };
         if let Some(o) = &self.obs {
             o.checkpoints.incr();
@@ -1607,17 +1182,7 @@ impl<'q> EngineSession<'q> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let in_text = match &self.state {
-            SessState::Registerless { s } => {
-                let FusedBackend::Registerless(b) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                *s < b.m
-            }
-            SessState::Stackless { lex, .. } => *lex == TEXT,
-            SessState::Stack { lex, .. } => *lex == TEXT,
-        };
-        if !in_text {
+        if self.lex != TEXT {
             return Err(SessionError::Parse(TreeError::Parse {
                 position: self.offset,
                 message: "input ended inside markup".to_owned(),
@@ -1642,26 +1207,6 @@ pub(crate) fn parse_error(offset: usize) -> SessionError {
     SessionError::Parse(TreeError::Parse {
         position: offset,
         message: "malformed markup or unknown label".to_owned(),
-    })
-}
-
-#[cold]
-#[inline(never)]
-pub(crate) fn depth_error(max_depth: i64, offset: usize) -> SessionError {
-    SessionError::Limit(LimitExceeded {
-        kind: LimitKind::Depth,
-        limit: max_depth as u64,
-        offset,
-    })
-}
-
-#[cold]
-#[inline(never)]
-pub(crate) fn imbalance_error(min_depth: i64, offset: usize) -> SessionError {
-    SessionError::Limit(LimitExceeded {
-        kind: LimitKind::Imbalance,
-        limit: (-min_depth) as u64,
-        offset,
     })
 }
 
@@ -1714,81 +1259,11 @@ pub struct RecoveryOutcome {
     pub suppressed: usize,
 }
 
-/// Per-backend query state for the recovery stepper (the lenient pass is
-/// not a throughput path, so every backend runs the factored per-event
-/// loop here).
-enum RecQuery<'q> {
-    Registerless {
-        qnext: &'q [u16],
-        accepting: &'q [bool],
-        k2: usize,
-        q: usize,
-    },
-    Stackless {
-        core: &'q HarCore,
-        run: HarRun,
-    },
-    Stack {
-        dfa: &'q st_automata::Dfa,
-        current: usize,
-        stack: Vec<u16>,
-    },
-}
-
-impl RecQuery<'_> {
-    fn open(&mut self, l: usize, depth: i64) -> bool {
-        match self {
-            RecQuery::Registerless {
-                qnext,
-                accepting,
-                k2,
-                q,
-            } => {
-                *q = qnext[*q * *k2 + l] as usize;
-                accepting[*q]
-            }
-            RecQuery::Stackless { core, run } => run.open(core, l, depth),
-            RecQuery::Stack {
-                dfa,
-                current,
-                stack,
-            } => {
-                stack.push(*current as u16);
-                *current = dfa.step(*current, l);
-                dfa.is_accepting(*current)
-            }
-        }
-    }
-
-    fn close(&mut self, l: usize, depth: i64) {
-        match self {
-            RecQuery::Registerless { qnext, k2, q, .. } => {
-                *q = qnext[*q * *k2 + (*k2 / 2) + l] as usize;
-            }
-            RecQuery::Stackless { core, run } => run.close(core, l, depth),
-            RecQuery::Stack { current, stack, .. } => {
-                if let Some(s) = stack.pop() {
-                    *current = s as usize;
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FusedQuery session API
 // ---------------------------------------------------------------------------
 
 impl FusedQuery {
-    /// The tag lexer of the chosen backend.
-    pub(crate) fn tag_lexer(&self) -> &TagLexer {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.lexer(),
-            FusedBackend::Stackless(e) => &e.lexer,
-            FusedBackend::Stack(e) => &e.lexer,
-        }
-    }
-
     /// Opens a fresh resilient session under `limits`.
     pub fn session(&self, limits: Limits) -> EngineSession<'_> {
         let session = EngineSession::fresh(self, limits);
@@ -1860,13 +1335,13 @@ impl FusedQuery {
                 offset: checkpoint.offset,
             });
         }
-        session.state = match (&checkpoint.state, &self.backend) {
+        let (lex, state) = match (&checkpoint.state, &self.backend) {
             (CheckpointState::Registerless { composite }, FusedBackend::Registerless(b)) => {
                 let s = *composite as usize;
                 if s >= b.n_states() {
                     return Err(corrupt(format!("composite state {s} out of range")));
                 }
-                SessState::Registerless { s }
+                ((s / b.m) as u16, b.step_at(s % b.m))
             }
             (
                 CheckpointState::Stackless {
@@ -1877,22 +1352,22 @@ impl FusedQuery {
                 },
                 FusedBackend::Stackless(e),
             ) => {
-                let dfa = e.program.core().dfa();
-                if *current as usize >= dfa.n_states() || chain.len() > MAX_CHAIN {
+                let n = e.program.core().dfa().n_states();
+                if *current as usize >= n
+                    || chain.len() > MAX_CHAIN
+                    || chain.iter().any(|&(s, _)| s as usize >= n)
+                {
                     return Err(corrupt("stackless state out of range"));
                 }
-                let mut run = HarRun {
-                    current: *current as usize,
-                    dead: *dead,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: chain.len(),
-                };
+                let mut run = HarRun::new(e.program.core());
+                run.current = *current as usize;
+                run.dead = *dead;
+                run.chain_len = chain.len();
                 for (i, (s, r)) in chain.iter().enumerate() {
                     run.chain[i] = *s;
                     run.regs[i] = *r;
                 }
-                SessState::Stackless { lex: *lex, run }
+                (*lex, HarStep::at(e, checkpoint.depth, run))
             }
             (
                 CheckpointState::Stack {
@@ -1902,25 +1377,19 @@ impl FusedQuery {
                 },
                 FusedBackend::Stack(e),
             ) => {
-                if *current as usize >= e.dfa.n_states() {
+                let n = e.dfa.n_states();
+                if *current as usize >= n || frames.iter().any(|&f| f as usize >= n) {
                     return Err(corrupt("stack state out of range"));
                 }
-                SessState::Stack {
-                    lex: *lex,
-                    current: *current as usize,
-                    stack: frames.clone(),
-                }
+                (*lex, StackStep::at(e, *current as usize, frames.clone()))
             }
             _ => unreachable!("strategy equality checked above"),
         };
-        let lexer_states = self.tag_lexer().n_states() as u16;
-        let lex_ok = match &session.state {
-            SessState::Registerless { .. } => true,
-            SessState::Stackless { lex, .. } | SessState::Stack { lex, .. } => *lex < lexer_states,
-        };
-        if !lex_ok {
+        if lex as usize >= self.tag_lexer().n_states() {
             return Err(corrupt("lexer state out of range"));
         }
+        session.lex = lex;
+        session.state = state;
         Ok(session)
     }
 
@@ -1985,21 +1454,13 @@ impl FusedQuery {
         session.finish()
     }
 
-    /// Whether the one-shot guarded fast path applies: the whole
-    /// document is in memory, so the byte budget degenerates to a length
-    /// check and only the wall-clock budget still needs the windowed
-    /// loop's amortized clock reads.
-    fn fast_guard_applies(&self, bytes: &[u8], limits: &Limits) -> bool {
-        limits.time_budget.is_none() && limits.max_bytes.is_none_or(|mb| bytes.len() <= mb)
-    }
-
     /// Resource-guarded select over a whole in-memory document.  With
-    /// unbounded limits this is exactly [`Self::select_bytes`].  With
-    /// structural limits the depth/imbalance compares ride inline in the
-    /// engines' own scan-closure loops (one compare per *event*, not per
-    /// byte); only a wall-clock budget, an already-blown byte budget, or
-    /// any detected breach or parse error falls back to the windowed
-    /// session loop, which reproduces the exact diagnostic cold.
+    /// unbounded limits this is exactly [`Self::select_bytes`].  The
+    /// depth/imbalance budgets are the depth guard, which stops the
+    /// one pass at the exact breaching event, and the byte budget is a
+    /// length cut; only a wall-clock budget runs the windowed session
+    /// loop for its amortized clock reads.  Breaches and errors are the
+    /// ones [`Self::run_session`] reports.
     ///
     /// # Errors
     ///
@@ -2009,86 +1470,10 @@ impl FusedQuery {
         bytes: &[u8],
         limits: &Limits,
     ) -> Result<Vec<usize>, SessionError> {
-        if limits.is_unbounded() {
-            let mut stats = ScanStats::default();
-            let res = self
-                .select_bytes_opts(bytes, &mut stats, limits.force_scalar)
-                .map_err(SessionError::Parse);
-            record_scan_stats(&limits.obs, &stats);
-            return res;
+        if limits.time_budget.is_some() {
+            return self.run_session_cold(bytes, limits).map(|o| o.matches);
         }
-        if self.fast_guard_applies(bytes, limits) {
-            limits.obs.counter("engine_guarded_runs_total").incr();
-            let max_depth = limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-            let min_depth = limits
-                .max_imbalance
-                .map(|d| -(d as i64))
-                .unwrap_or(i64::MIN);
-            let force = limits.force_scalar;
-            let mut stats = ScanStats::default();
-            let fast = match &self.backend {
-                FusedBackend::Registerless(b) => {
-                    // The O(1)-state engine has no depth of its own;
-                    // with only a (satisfied) byte budget the guarded
-                    // run IS the unguarded run, and structural limits
-                    // ride on the open/close flags in the composite
-                    // table.
-                    if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
-                        self.select_bytes_opts(bytes, &mut stats, force).ok()
-                    } else {
-                        b.select_bytes_guarded(bytes, max_depth, min_depth, &mut stats, force)
-                    }
-                }
-                FusedBackend::Stackless(e) => {
-                    let mut out = Vec::new();
-                    match e.run_guarded(
-                        bytes,
-                        max_depth,
-                        min_depth,
-                        &mut stats,
-                        force,
-                        |node, sel| {
-                            if sel {
-                                out.push(node);
-                            }
-                        },
-                    ) {
-                        Ok(true) => Some(out),
-                        _ => None,
-                    }
-                }
-                FusedBackend::Stack(e) => {
-                    let mut out = Vec::new();
-                    match e.run_guarded(
-                        bytes,
-                        max_depth,
-                        min_depth,
-                        &mut stats,
-                        force,
-                        |node, sel| {
-                            if sel {
-                                out.push(node);
-                            }
-                        },
-                    ) {
-                        Ok(true) => Some(out),
-                        _ => None,
-                    }
-                }
-            };
-            record_scan_stats(&limits.obs, &stats);
-            if let Some(out) = fast {
-                return Ok(out);
-            }
-        }
-        limits.obs.counter("engine_guard_fallbacks_total").incr();
-        match self.run_session(bytes, limits) {
-            Ok(outcome) => Ok(outcome.matches),
-            Err(SessionError::Parse(_)) => {
-                Err(SessionError::Parse(rescan_error(bytes, &self.alphabet)))
-            }
-            Err(e) => Err(e),
-        }
+        Ok(self.run_limited(bytes, limits, SelectSink::default())?.out)
     }
 
     /// Resource-guarded count; see [`Self::select_bytes_limited`].
@@ -2101,63 +1486,68 @@ impl FusedQuery {
         bytes: &[u8],
         limits: &Limits,
     ) -> Result<usize, SessionError> {
-        if limits.is_unbounded() {
-            let mut stats = ScanStats::default();
-            let res = self
-                .count_bytes_opts(bytes, &mut stats, limits.force_scalar)
-                .map_err(SessionError::Parse);
-            record_scan_stats(&limits.obs, &stats);
-            return res;
+        if limits.time_budget.is_some() {
+            return self
+                .run_session_cold(bytes, limits)
+                .map(|o| o.matches.len());
         }
-        if self.fast_guard_applies(bytes, limits) {
+        Ok(self.run_limited(bytes, limits, CountSink::default())?.count)
+    }
+
+    /// The guarded one-shot pass: the document up to the byte budget
+    /// through the engine's step, with the depth guard when a structural budget
+    /// is set.
+    fn run_limited<Sk: Sink>(
+        &self,
+        bytes: &[u8],
+        limits: &Limits,
+        sink: Sk,
+    ) -> Result<Sk, SessionError> {
+        let doc = &bytes[..limits
+            .max_bytes
+            .map_or(bytes.len(), |mb| mb.min(bytes.len()))];
+        let force = limits.force_scalar;
+        let mut stats = ScanStats::default();
+        let (end, sink, breach) = if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
+            let (end, sink, _) = self.drive_fresh(doc, force, &mut stats, sink, NoGuard);
+            (end, sink, None)
+        } else {
+            let guard = DepthGuard::new(self.tag_lexer().k(), 0, limits);
+            let (end, sink, guard) = self.drive_fresh(doc, force, &mut stats, sink, guard);
+            (end, sink, Some(guard))
+        };
+        if !limits.is_unbounded() {
             limits.obs.counter("engine_guarded_runs_total").incr();
-            let max_depth = limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-            let min_depth = limits
-                .max_imbalance
-                .map(|d| -(d as i64))
-                .unwrap_or(i64::MIN);
-            let force = limits.force_scalar;
-            let mut stats = ScanStats::default();
-            let fast = match &self.backend {
-                FusedBackend::Registerless(b) => {
-                    if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
-                        self.count_bytes_opts(bytes, &mut stats, force).ok()
-                    } else {
-                        b.count_bytes_guarded(bytes, max_depth, min_depth, &mut stats, force)
-                    }
-                }
-                FusedBackend::Stackless(e) => {
-                    let mut n = 0usize;
-                    match e.run_guarded(bytes, max_depth, min_depth, &mut stats, force, |_, sel| {
-                        n += sel as usize;
-                    }) {
-                        Ok(true) => Some(n),
-                        _ => None,
-                    }
-                }
-                FusedBackend::Stack(e) => {
-                    let mut n = 0usize;
-                    match e.run_guarded(bytes, max_depth, min_depth, &mut stats, force, |_, sel| {
-                        n += sel as usize;
-                    }) {
-                        Ok(true) => Some(n),
-                        _ => None,
-                    }
-                }
-            };
-            record_scan_stats(&limits.obs, &stats);
-            if let Some(n) = fast {
-                return Ok(n);
-            }
         }
+        record_scan_stats(&limits.obs, &stats);
+        match end {
+            ScanEnd::Stopped => Err(SessionError::Limit(
+                breach.expect("only a guard stops the scan").breach(0),
+            )),
+            ScanEnd::Complete { .. } if doc.len() < bytes.len() => {
+                Err(SessionError::Limit(LimitExceeded {
+                    kind: LimitKind::Bytes,
+                    limit: doc.len() as u64,
+                    offset: doc.len(),
+                }))
+            }
+            ScanEnd::Complete { lex: TEXT } => Ok(sink),
+            _ => Err(SessionError::Parse(rescan_error(bytes, &self.alphabet))),
+        }
+    }
+
+    /// [`Self::run_session`] with a parse failure replaced by the
+    /// `Scanner`'s exact diagnostic (the whole document is in memory).
+    fn run_session_cold(
+        &self,
+        bytes: &[u8],
+        limits: &Limits,
+    ) -> Result<SessionOutcome, SessionError> {
         limits.obs.counter("engine_guard_fallbacks_total").incr();
-        match self.run_session(bytes, limits) {
-            Ok(outcome) => Ok(outcome.matches.len()),
-            Err(SessionError::Parse(_)) => {
-                Err(SessionError::Parse(rescan_error(bytes, &self.alphabet)))
-            }
-            Err(e) => Err(e),
-        }
+        self.run_session(bytes, limits).map_err(|e| match e {
+            SessionError::Parse(_) => SessionError::Parse(rescan_error(bytes, &self.alphabet)),
+            e => e,
+        })
     }
 
     /// Lenient evaluation: instead of aborting at the first malformed
@@ -2184,92 +1574,43 @@ impl FusedQuery {
         let cap = limits.diagnostics_cap();
         limits.obs.counter("session_recovery_runs_total").incr();
         let lexer = self.tag_lexer();
-        let k = lexer.k();
-        let mut query = match &self.backend {
-            FusedBackend::Registerless(b) => RecQuery::Registerless {
-                qnext: &b.qnext,
-                accepting: &b.accepting,
-                k2: 2 * k,
-                q: (b.start as usize) % b.m,
-            },
-            FusedBackend::Stackless(e) => RecQuery::Stackless {
-                core: e.program.core(),
-                run: HarRun {
-                    current: e.program.core().dfa().init(),
-                    dead: false,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: 0,
-                },
-            },
-            FusedBackend::Stack(e) => RecQuery::Stack {
-                dfa: &e.dfa,
-                current: e.dfa.init(),
-                stack: Vec::new(),
-            },
-        };
+        let certify = lexer.certify(limits.force_scalar);
+        let mut stats = ScanStats::default();
+        let mut step = EngineStep::fresh(self);
+        let mut sink = SelectSink::default();
+        // The unbounded guard never stops; it tracks the depth the
+        // diagnostics report.
+        let mut guard = DepthGuard::new(lexer.k(), 0, &Limits::none());
         let mut out = RecoveryOutcome::default();
-        let record = |out: &mut RecoveryOutcome, d: Diagnostic| {
+        let mut i = 0usize;
+        loop {
+            let end;
+            (end, sink, guard) =
+                step.drive(lexer, &bytes[i..], TEXT, certify, &mut stats, sink, guard);
+            let (offset, class) = match end {
+                ScanEnd::Complete { lex: TEXT } => break,
+                ScanEnd::Complete { .. } => (bytes.len(), ErrorClass::Truncated),
+                ScanEnd::Error { pos } => (i + pos, ErrorClass::Malformed),
+                ScanEnd::Stopped => unreachable!("an unbounded guard never stops"),
+            };
             if out.diagnostics.len() < cap {
-                out.diagnostics.push(d);
+                out.diagnostics.push(Diagnostic {
+                    offset,
+                    depth: guard.depth,
+                    class,
+                });
             } else {
                 out.suppressed += 1;
             }
-        };
-        let mut depth: i64 = 0;
-        let mut lex = TEXT;
-        let n = bytes.len();
-        let mut i = 0usize;
-        while i < n {
-            if lex == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
+            if class == ErrorClass::Truncated {
+                break;
             }
-            let (lex2, ev) = lexer.step(lex, bytes[i]);
-            lex = lex2;
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    record(
-                        &mut out,
-                        Diagnostic {
-                            offset: i,
-                            depth,
-                            class: ErrorClass::Malformed,
-                        },
-                    );
-                    // Resynchronize at the next candidate tag start; the
-                    // query/depth state survives the skipped region.
-                    i = find_lt(bytes, i + 1);
-                    lex = TEXT;
-                    continue;
-                }
-                let (open_l, close_l) = decode_event(ev, k);
-                if let Some(l) = open_l {
-                    depth += 1;
-                    if query.open(l, depth) {
-                        out.matches.push(out.nodes);
-                    }
-                    out.nodes += 1;
-                }
-                if let Some(l) = close_l {
-                    depth -= 1;
-                    query.close(l, depth);
-                }
-            }
-            i += 1;
+            // Resynchronize at the next candidate tag start; the
+            // query/depth state survives the skipped region.
+            i = find_lt(bytes, offset + 1);
         }
-        if lex != TEXT {
-            record(
-                &mut out,
-                Diagnostic {
-                    offset: n,
-                    depth,
-                    class: ErrorClass::Truncated,
-                },
-            );
-        }
+        out.matches = sink.out;
+        out.nodes = sink.node;
         limits
             .obs
             .counter("session_recovery_diagnostics_total")

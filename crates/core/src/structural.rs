@@ -1,10 +1,9 @@
-//! Structural indexing: the simdjson-style two-pass fast path of the
-//! fused byte engines.
+//! Structural indexing: the simdjson-style two-pass byte walker every
+//! fused evaluation runs on.
 //!
-//! The scalar engines walk one composite-DFA transition per byte — a
-//! dependent table load per byte is the throughput ceiling.  This module
-//! replaces the per-byte walk with two passes over fixed-size windows
-//! ([`STRUCTURAL_WINDOW`] bytes):
+//! A per-byte lexer walk pays one dependent table load per byte — the
+//! throughput ceiling.  This module replaces the per-byte walk with two
+//! passes over fixed-size windows ([`STRUCTURAL_WINDOW`] bytes):
 //!
 //! 1. **Index build** (`crate::simd`): a vectorized scan produces three
 //!    bitmaps per window — `<` positions, `>` positions, and *hazard*
@@ -14,6 +13,12 @@
 //!    window), it *certifies* that the span is a plain element tag the
 //!    bitmaps fully determine, and if so synthesizes the lexer's event
 //!    code directly — the bytes in between are never stepped through.
+//!
+//! `structural_scan` is the only byte walker of the fused engines: the
+//! one-shot runs, the guarded runs, session windows, the chunked pass,
+//! the multi-query sets and the recovery scanner all hand it an
+//! `EventSink` (see `crate::engine::Drive`: one engine-class step, a
+//! sink and a guard).
 //!
 //! # Certification rules
 //!
@@ -37,27 +42,30 @@
 //!
 //! # Fallback
 //!
-//! Any failed certification falls back to the *scalar lexer* from the
-//! `<` byte, stepping byte-at-a-time until the lexer returns to its text
-//! state (possibly crossing many windows — a long comment, a quoted
-//! attribute, a declaration), then striding resumes.  A scan entered
-//! mid-markup (session resume at an arbitrary byte cut) starts with such
-//! an excursion.  Because the fallback *is* the scalar engine and the
-//! certified path emits exactly the event codes the lexer would, results
-//! — counts, match sets, error offsets, checkpoint bytes — are bitwise
-//! identical to the scalar path on every input.  The conformance suite's
-//! simd-vs-scalar oracle pair enforces this.
+//! Any failed certification falls back to a *scalar excursion*: the
+//! [`crate::engine::TagLexer`] steps byte-at-a-time from the `<` until it
+//! returns to its text state (possibly crossing many windows — a long
+//! comment, a quoted attribute, a declaration), then striding resumes.  A
+//! scan entered mid-markup (session resume at an arbitrary byte cut)
+//! starts with such an excursion.  The certified path emits exactly the
+//! event codes the lexer would, so results — counts, match sets, error
+//! offsets, checkpoint bytes — are bitwise identical whether a span
+//! certifies or not.
 //!
-//! The escape hatch `ST_FORCE_SCALAR` (any non-empty value except `0`)
-//! disables the indexed path process-wide; `Limits::with_force_scalar`
-//! and `Query::with_force_scalar` disable it per run.  Fallback pressure
-//! is observable: [`ScanStats`] counts fully-strided windows against
-//! windows that needed at least one scalar excursion, surfaced as the
-//! obs counters `engine_simd_windows` / `engine_scalar_fallback_windows`.
+//! With certification off, every `<` takes the excursion: that is the
+//! forced-scalar mode (`ST_FORCE_SCALAR`, any non-empty value except `0`,
+//! process-wide; `Limits::with_force_scalar` and
+//! `Query::with_force_scalar` per run), the lexer-only reference run the
+//! conformance suite's indexed-vs-scalar oracle compares against.
+//! Fallback pressure is observable: [`ScanStats`] counts fully-strided
+//! windows against windows that needed at least one scalar excursion,
+//! surfaced as the obs counters `engine_simd_windows` /
+//! `engine_scalar_fallback_windows` (a scan with certification off builds
+//! no index and tallies nothing).
 
 use std::sync::OnceLock;
 
-use crate::engine::{is_name_byte, is_name_start, TagLexer, EV_ERROR, EV_NONE, TEXT};
+use crate::engine::{find_lt, is_name_byte, is_name_start, TagLexer, EV_ERROR, EV_NONE, TEXT};
 use crate::simd;
 
 /// Bytes per structural-index window: the unit of the build-then-stride
@@ -99,7 +107,7 @@ pub(crate) enum ScanEnd {
         lex: u16,
     },
     /// The event sink returned `false` (budget breach); the scan stopped
-    /// with the event's transition applied, like `TagLexer::scan_ctl`.
+    /// at that event, with the lexer transition applied.
     Stopped,
     /// Malformed input: the byte offset of the first offending byte,
     /// exactly where the scalar lexer errors.
@@ -187,12 +195,12 @@ impl NameTable {
 /// Where [`structural_scan`] delivers events.
 ///
 /// A plain `FnMut(u16, usize) -> bool` closure is a valid sink via the
-/// blanket impl.  The hot engines implement the trait on small structs
-/// whose state lives in by-value scalar fields instead: the certified
-/// sweep is `inline(never)` and monomorphized per sink, and a struct
-/// behind one `&mut` register-promotes cleanly inside its loop, where
-/// closure-captured `&mut` locals round-trip through memory once per
-/// event.
+/// blanket impl (the chunk summary and the probes use one).  The engines
+/// go through `crate::engine::Drive`, a small struct whose state lives
+/// in by-value scalar fields instead: the certified sweep is
+/// `inline(never)` and monomorphized per sink, and a struct behind one
+/// `&mut` keeps its loop tight, where closure-captured `&mut` locals
+/// round-trip through memory once per event.
 pub(crate) trait EventSink {
     /// Applies one event at absolute byte offset `pos`; `false` stops
     /// the scan.
@@ -206,48 +214,39 @@ impl<F: FnMut(u16, usize) -> bool> EventSink for F {
     }
 }
 
-/// Outcome of a scalar excursion (see [`scalar_excursion`]).
-enum Exc {
-    /// Back in TEXT at this offset (resume striding there).
-    Text(usize),
-    /// Input ended mid-excursion in this lexer state.
-    End(u16),
-    /// The sink stopped the scan.
-    Stopped,
-    /// Lexical error at this offset.
-    Error(usize),
-}
-
 /// Steps the scalar lexer from `i` (entry state `*lex`) until it returns
 /// to TEXT — the certify-failure fallback.  Events fire through the same
 /// sink as the certified path, so the composition is exactly the scalar
-/// run.
-#[inline]
+/// run.  `Ok` is the offset back in TEXT (resume striding there); `Err`
+/// ends the scan (input exhausted mid-markup, sink stop, or lexical
+/// error).  Always inlined: an out-of-line excursion would force the
+/// sink's state through memory at every irregular tag.
+#[inline(always)]
 fn scalar_excursion(
     lexer: &TagLexer,
     bytes: &[u8],
     mut i: usize,
     lex: &mut u16,
     sink: &mut impl EventSink,
-) -> Exc {
+) -> Result<usize, ScanEnd> {
     let n = bytes.len();
     while i < n {
         let (l2, ev) = lexer.step(*lex, bytes[i]);
         *lex = l2;
         if ev != EV_NONE {
             if ev == EV_ERROR {
-                return Exc::Error(i);
+                return Err(ScanEnd::Error { pos: i });
             }
             if !sink.event(ev, i) {
-                return Exc::Stopped;
+                return Err(ScanEnd::Stopped);
             }
         }
         i += 1;
         if *lex == TEXT {
-            return Exc::Text(i);
+            return Ok(i);
         }
     }
-    Exc::End(*lex)
+    Err(ScanEnd::Complete { lex: *lex })
 }
 
 /// Any hazard bit in the half-open window-relative range `[a, b)`?
@@ -420,31 +419,42 @@ fn next_bit_at_or_after(words: &[u64], from: usize) -> Option<usize> {
     }
 }
 
-/// The indexed two-pass scan: emits exactly the event stream (and error
-/// offsets) of the scalar `TagLexer` run from `entry_lex`, windowed so
-/// it composes with session feeds and checkpoint cuts at arbitrary byte
-/// offsets.  `on_event(code, pos)` receives the lexer event code and the
-/// absolute offset of the byte that fired it (`>` for certified tags);
-/// returning `false` stops the scan ([`ScanEnd::Stopped`]).
+/// The byte walker: emits exactly the event stream (and error offsets)
+/// of the scalar `TagLexer` run from `entry_lex`, windowed so it composes
+/// with session feeds and checkpoint cuts at arbitrary byte offsets.
+/// `sink.event(code, pos)` receives the lexer event code and the offset
+/// (within `bytes`) of the byte that fired it (`>` for certified tags);
+/// returning `false` stops the scan ([`ScanEnd::Stopped`]).  With
+/// `certify` off no index is built and every `<` takes the scalar
+/// excursion (the forced-scalar reference run).
 pub(crate) fn structural_scan(
     lexer: &TagLexer,
     bytes: &[u8],
     entry_lex: u16,
+    certify: bool,
     stats: &mut ScanStats,
     sink: &mut impl EventSink,
 ) -> ScanEnd {
     let n = bytes.len();
     let mut lex = entry_lex;
     let mut i = 0usize;
-    if lex != TEXT {
-        // Mid-markup entry (resume at an arbitrary cut): scalar until
-        // the lexer is back in TEXT, however many windows that takes.
-        stats.fallback_windows += 1;
+    // Lexer-only stretches: a mid-markup entry (resume at an arbitrary
+    // cut) runs scalar until the lexer is back in TEXT, however many
+    // windows that takes; with certification off the whole input does,
+    // from `<` to `<`.  One excursion call site here (plus the two
+    // fallbacks below) keeps the excursion inlined into every scan.
+    while !certify || lex != TEXT {
+        if lex == TEXT {
+            i = find_lt(bytes, i);
+            if i >= n {
+                return ScanEnd::Complete { lex };
+            }
+        } else if certify {
+            stats.fallback_windows += 1;
+        }
         match scalar_excursion(lexer, bytes, i, &mut lex, sink) {
-            Exc::Text(e) => i = e,
-            Exc::End(l) => return ScanEnd::Complete { lex: l },
-            Exc::Stopped => return ScanEnd::Stopped,
-            Exc::Error(p) => return ScanEnd::Error { pos: p },
+            Ok(e) => i = e,
+            Err(end) => return end,
         }
     }
     let k = lexer.k() as u16;
@@ -529,18 +539,10 @@ pub(crate) fn structural_scan(
                 // comment); the loop bounds handle both cases.
                 clean = false;
                 match scalar_excursion(lexer, bytes, lt, &mut lex, sink) {
-                    Exc::Text(e) => i = e,
-                    Exc::End(l) => {
+                    Ok(e) => i = e,
+                    Err(end) => {
                         tally(stats, false);
-                        return ScanEnd::Complete { lex: l };
-                    }
-                    Exc::Stopped => {
-                        tally(stats, false);
-                        return ScanEnd::Stopped;
-                    }
-                    Exc::Error(p) => {
-                        tally(stats, false);
-                        return ScanEnd::Error { pos: p };
+                        return end;
                     }
                 }
             }
@@ -590,18 +592,10 @@ pub(crate) fn structural_scan(
             // wend (long comment); the loop bounds handle both cases.
             clean = false;
             match scalar_excursion(lexer, bytes, lt, &mut lex, sink) {
-                Exc::Text(e) => i = e,
-                Exc::End(l) => {
+                Ok(e) => i = e,
+                Err(end) => {
                     tally(stats, false);
-                    return ScanEnd::Complete { lex: l };
-                }
-                Exc::Stopped => {
-                    tally(stats, false);
-                    return ScanEnd::Stopped;
-                }
-                Exc::Error(p) => {
-                    tally(stats, false);
-                    return ScanEnd::Error { pos: p };
+                    return end;
                 }
             }
         }
@@ -658,32 +652,22 @@ pub fn structural_flatten_census(bytes: &[u8]) -> usize {
     total
 }
 
-/// Scalar census oracle for the differential test (and the SWAR-class
-/// fallback measurement in E22).
-#[doc(hidden)]
-pub fn structural_census_scalar(bytes: &[u8]) -> (usize, usize, usize) {
-    let (mut lt, mut gt, mut hz) = (0usize, 0usize, 0usize);
-    for &b in bytes {
-        match b {
-            b'<' => lt += 1,
-            b'>' => gt += 1,
-            b'"' | b'\'' | b'!' | b'?' => hz += 1,
-            _ => {}
-        }
-    }
-    (lt, gt, hz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use st_automata::Alphabet;
 
-    /// Collects `(event, pos)` pairs plus the end through either driver.
-    fn run_indexed(lexer: &TagLexer, bytes: &[u8], entry: u16) -> (Vec<(u16, usize)>, String) {
+    /// Collects `(event, pos)` pairs plus the end through the scan, with
+    /// certification on (indexed) or off (lexer excursions only).
+    fn run_scan(
+        lexer: &TagLexer,
+        bytes: &[u8],
+        entry: u16,
+        certify: bool,
+    ) -> (Vec<(u16, usize)>, String) {
         let mut evs = Vec::new();
         let mut stats = ScanStats::default();
-        let end = structural_scan(lexer, bytes, entry, &mut stats, &mut |ev, pos| {
+        let end = structural_scan(lexer, bytes, entry, certify, &mut stats, &mut |ev, pos| {
             evs.push((ev, pos));
             true
         });
@@ -717,8 +701,12 @@ mod tests {
 
     fn assert_agree(lexer: &TagLexer, bytes: &[u8], what: &str) {
         let want = run_scalar(lexer, bytes, TEXT);
-        let got = run_indexed(lexer, bytes, TEXT);
-        assert_eq!(got, want, "{what}");
+        assert_eq!(run_scan(lexer, bytes, TEXT, true), want, "{what}");
+        assert_eq!(
+            run_scan(lexer, bytes, TEXT, false),
+            want,
+            "{what} (certify off)"
+        );
     }
 
     #[test]
@@ -827,8 +815,8 @@ mod tests {
         let lexer = TagLexer::new(&g);
         // Entry state LT, as if the previous feed ended right after '<'.
         let want = run_scalar(&lexer, b"a></a>", LT);
-        let got = run_indexed(&lexer, b"a></a>", LT);
-        assert_eq!(got, want);
+        assert_eq!(run_scan(&lexer, b"a></a>", LT, true), want);
+        assert_eq!(run_scan(&lexer, b"a></a>", LT, false), want);
     }
 
     #[test]
@@ -839,7 +827,7 @@ mod tests {
         // 8-byte unit so no tag straddles a window edge (a straddling
         // tag is a legitimate fallback even in a pure skeleton).
         let doc = b"<a></a>.".repeat(3 * STRUCTURAL_WINDOW / 8);
-        match structural_scan(&lexer, &doc, TEXT, &mut stats, &mut |_, _| true) {
+        match structural_scan(&lexer, &doc, TEXT, true, &mut stats, &mut |_, _| true) {
             ScanEnd::Complete { lex } => assert_eq!(lex, TEXT),
             _ => panic!("clean doc"),
         }
@@ -852,7 +840,7 @@ mod tests {
         let mut stats = ScanStats::default();
         let mut doc = doc;
         doc.extend_from_slice(b"<!-- c --><a></a>");
-        match structural_scan(&lexer, &doc, TEXT, &mut stats, &mut |_, _| true) {
+        match structural_scan(&lexer, &doc, TEXT, true, &mut stats, &mut |_, _| true) {
             ScanEnd::Complete { lex } => assert_eq!(lex, TEXT),
             _ => panic!("clean doc"),
         }
@@ -861,7 +849,19 @@ mod tests {
 
     #[test]
     fn census_matches_scalar() {
+        let census_scalar = |bytes: &[u8]| {
+            let (mut lt, mut gt, mut hz) = (0usize, 0usize, 0usize);
+            for &b in bytes {
+                match b {
+                    b'<' => lt += 1,
+                    b'>' => gt += 1,
+                    b'"' | b'\'' | b'!' | b'?' => hz += 1,
+                    _ => {}
+                }
+            }
+            (lt, gt, hz)
+        };
         let doc = b"<a x=\"1\"><!-- ? --></a>".repeat(700);
-        assert_eq!(structural_census(&doc), structural_census_scalar(&doc));
+        assert_eq!(structural_census(&doc), census_scalar(&doc));
     }
 }

@@ -348,13 +348,14 @@ enum Status {
     Done(Result<Vec<usize>, ServeError>),
 }
 
-/// The last good checkpoint of a request, with the matches accumulated
-/// up to it (node ids are global, so prefix + tail concatenation
-/// reproduces the uninterrupted run — the session layer's contract).
+/// The last good checkpoint of a request, with how many of the job's
+/// stored matches (`JobState::resume_matches`) precede it (node ids are
+/// global, so prefix + tail concatenation reproduces the uninterrupted
+/// run — the session layer's contract).
 #[derive(Clone)]
 struct ResumePoint {
     checkpoint: EngineCheckpoint,
-    matches: Vec<usize>,
+    matches: usize,
 }
 
 /// A validated multi-query request as the runtime holds it.
@@ -422,6 +423,10 @@ struct JobState {
     /// racing the supervisor — are discarded by comparing against this.
     attempt: u32,
     resume: Option<ResumePoint>,
+    /// Single jobs: the matches found before the stored checkpoint,
+    /// appended one checkpoint segment at a time.  Append-only: a
+    /// resumed attempt's prefix is the whole vector, which it extends.
+    resume_matches: Vec<usize>,
     resumes: u32,
     failures: Vec<FailureCause>,
     status: Status,
@@ -445,6 +450,15 @@ struct JobState {
     ledger: Vec<StreamedMatch>,
     /// Streamed jobs: replayed matches the ledger suppressed.
     suppressed: u64,
+}
+
+impl JobState {
+    /// Frees the resume point and its stored matches once the job is
+    /// finished: no further attempt can resume from them.
+    fn drop_failover_state(&mut self) {
+        self.resume = None;
+        self.resume_matches = Vec::new();
+    }
 }
 
 struct Pending {
@@ -740,6 +754,7 @@ impl Inner {
             }
             st.status = Status::Done(Ok(matches));
             st.path = path;
+            st.drop_failover_state();
             bytes = st.work.doc_len();
             submitted_ms = st.submitted_ms;
         }
@@ -807,20 +822,30 @@ impl Inner {
         self.queue_cv.notify_all();
     }
 
-    /// Stores the latest good checkpoint (and the matches up to it) so a
-    /// failover can resume mid-document.
-    fn store_resume(&self, job: u64, attempt: u32, cp: EngineCheckpoint, matches: Vec<usize>) {
+    /// Stores the latest good checkpoint, with the matches found since
+    /// the previous one, so a failover can resume mid-document.
+    fn store_resume(&self, job: u64, attempt: u32, cp: EngineCheckpoint, new_matches: &[usize]) {
         let mut jobs = lock(&self.jobs);
         let Some(st) = jobs.get_mut(&job) else { return };
         if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
             return;
         }
+        st.resume_matches.extend_from_slice(new_matches);
         st.resume = Some(ResumePoint {
             checkpoint: cp,
-            matches,
+            matches: st.resume_matches.len(),
         });
         self.checkpoints.fetch_add(1, Ordering::SeqCst);
         self.obs.checkpoints.incr();
+    }
+
+    /// The first `len` stored matches of a job: a resumed attempt's
+    /// prefix.
+    fn resume_prefix(&self, job: u64, len: usize) -> Vec<usize> {
+        let jobs = lock(&self.jobs);
+        jobs.get(&job)
+            .and_then(|st| st.resume_matches.get(..len))
+            .map_or_else(Vec::new, <[usize]>::to_vec)
     }
 
     /// Records a batch of matches a worker claims to have emitted
@@ -1065,6 +1090,7 @@ impl Inner {
                     attempts: st.attempt,
                     last: cause,
                 }));
+                st.drop_failover_state();
                 let bytes = st.work.doc_len();
                 let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
                 self.failed.fetch_add(1, Ordering::SeqCst);
@@ -1352,10 +1378,7 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
     }
 
     // Guarded session path with checkpoint cadence.
-    let prefix = resume
-        .as_ref()
-        .map(|r| r.matches.clone())
-        .unwrap_or_default();
+    let prefix_len = resume.as_ref().map_or(0, |r| r.matches);
     let mut session = match &resume {
         Some(r) => match spec.query.resume(&r.checkpoint, limits) {
             Ok(s) => {
@@ -1388,6 +1411,8 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
     }
     let cadence = cfg.checkpoint_every.max(1);
     let mut off = session.offset();
+    // `session.matches()[..stored]` already went out with a checkpoint.
+    let mut stored = 0usize;
     while off < doc.len() {
         let end = (off + cadence).min(doc.len());
         let fault = cfg.chaos.as_ref().map_or(Fault::None, |c| {
@@ -1432,9 +1457,8 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
         }
         match session.checkpoint() {
             Ok(cp) => {
-                let mut upto = prefix.clone();
-                upto.extend_from_slice(session.matches());
-                inner.store_resume(job, attempt, cp, upto);
+                inner.store_resume(job, attempt, cp, &session.matches()[stored..]);
+                stored = session.matches().len();
             }
             Err(e) => return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e)),
         }
@@ -1442,7 +1466,7 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
     let stream_cursor = spec.stream.then(|| session.emission_cursor());
     match session.finish() {
         Ok(out) => {
-            let mut all = prefix;
+            let mut all = inner.resume_prefix(job, prefix_len);
             all.extend_from_slice(&out.matches);
             // A streamed request completes only if the delivered stream
             // equals the final match list and the cursors agree — a gap
@@ -1820,6 +1844,7 @@ impl ServeRuntime {
                         JobState {
                             attempt: 1,
                             resume: None,
+                            resume_matches: Vec::new(),
                             resumes: 0,
                             failures: Vec::new(),
                             status: Status::Queued,

@@ -21,7 +21,7 @@ use stackless_streamed_trees::conform::gen::{case_rng, gen_case};
 use stackless_streamed_trees::conform::{run_case, Case, GenConfig, Mutation, Outcome};
 use stackless_streamed_trees::core::registerless;
 use stackless_streamed_trees::core::session::{ErrorClass, LimitKind, Limits, SessionError};
-use stackless_streamed_trees::core::{Analysis, ByteDfa, CompiledQuery, CoreError};
+use stackless_streamed_trees::core::{Analysis, ByteDfa, CompiledQuery, CoreError, Query};
 
 fn poisoned_byte_dfa() -> ByteDfa {
     let g = Alphabet::of_chars("ab");
@@ -153,48 +153,122 @@ fn fault_mode_fuzz_runs_clean() {
     assert!(rejected > 50, "fault mode should actually produce errors");
 }
 
+/// Runs `doc` under `limits` through every guarded entry point — the
+/// windowed session, and the one-shot `count_limited` / `select_limited`
+/// — and asserts they agree: the same matches on success, the same typed
+/// error (kind, limit, offset) on failure.  Returns the shared result.
+fn guarded_everywhere(
+    query: &Query,
+    doc: &[u8],
+    limits: &Limits,
+    what: &str,
+) -> Result<Vec<usize>, SessionError> {
+    let session = query
+        .fused()
+        .run_session(doc, limits)
+        .map(|outcome| outcome.matches);
+    let select = query.select_limited(doc, limits);
+    let count = query.count_limited(doc, limits);
+    match (&session, &select, &count) {
+        (Ok(s), Ok(sel), Ok(n)) => {
+            assert_eq!(s, sel, "{what}: session vs select_limited");
+            assert_eq!(s.len(), *n, "{what}: session vs count_limited");
+        }
+        (Err(SessionError::Limit(a)), Err(SessionError::Limit(b)), Err(SessionError::Limit(c))) => {
+            assert_eq!(a, b, "{what}: session vs select_limited");
+            assert_eq!(a, c, "{what}: session vs count_limited");
+        }
+        _ => panic!(
+            "{what}: paths disagree: session {session:?}, select {select:?}, count {count:?}"
+        ),
+    }
+    session
+}
+
 /// Limit-boundary documents: one under, exactly at, and one over each
 /// budget; the typed error must appear exactly when the boundary is
-/// crossed.
+/// crossed, at the exact offset of the breaching tag, identically on
+/// every engine class, both byte paths (indexed and forced scalar), and
+/// every guarded entry point.
 #[test]
 fn limit_boundaries_are_exact() {
     let g = Alphabet::of_chars("ab");
-    let fused = CompiledQuery::compile(&compile_regex("a.*b", &g).unwrap())
-        .fused(&g)
-        .unwrap();
-
-    // Depth: a chain nesting exactly `d` deep.
-    let chain = |d: usize| -> Vec<u8> {
-        let mut doc = Vec::with_capacity(d * 7);
-        for _ in 0..d {
-            doc.extend_from_slice(b"<a>");
-        }
-        for _ in 0..d {
-            doc.extend_from_slice(b"</a>");
-        }
+    // Depth: a chain nesting exactly `d` deep; the open of level `d`
+    // ends at byte `3d - 1`.
+    fn chain_doc(d: usize) -> Vec<u8> {
+        let mut doc = b"<a>".repeat(d);
+        doc.extend_from_slice(&b"</a>".repeat(d));
         doc
-    };
-    for budget in [1usize, 7, 64] {
-        let limits = Limits::none().with_max_depth(budget);
-        assert!(fused.run_session(&chain(budget - 1), &limits).is_ok());
-        assert!(fused.run_session(&chain(budget), &limits).is_ok());
-        match fused.run_session(&chain(budget + 1), &limits) {
-            Err(SessionError::Limit(e)) => {
-                assert_eq!(e.kind, LimitKind::Depth);
-                assert_eq!(e.limit, budget as u64);
+    }
+    // Depth through a self-closing leaf: `d - 1` opens, then `<b/>`
+    // peaks at depth `d` on its own `>` at byte `3(d - 1) + 3`.
+    fn leaf_doc(d: usize) -> Vec<u8> {
+        let mut doc = b"<a>".repeat(d - 1);
+        doc.extend_from_slice(b"<b/>");
+        doc.extend_from_slice(&b"</a>".repeat(d - 1));
+        doc
+    }
+    // Imbalance: `d` unmatched closes; the `d`-th ends at byte `4d - 1`.
+    fn closes_doc(d: usize) -> Vec<u8> {
+        b"</a>".repeat(d)
+    }
+    /// A document shape: its name, the budget it breaches, the document
+    /// at a given depth or imbalance, and the offset of the breaching byte.
+    type Shape = (
+        &'static str,
+        LimitKind,
+        fn(usize) -> Vec<u8>,
+        fn(usize) -> usize,
+    );
+    let shapes: [Shape; 3] = [
+        ("chain", LimitKind::Depth, chain_doc, |d| 3 * d - 1),
+        ("leaf", LimitKind::Depth, leaf_doc, |d| 3 * (d - 1) + 3),
+        ("closes", LimitKind::Imbalance, closes_doc, |d| 4 * d - 1),
+    ];
+
+    for pattern in ["a.*b", ".*a.*b", ".*ab"] {
+        let query = Query::compile(pattern, &g).unwrap();
+        for force_scalar in [false, true] {
+            for budget in [1usize, 7, 64] {
+                for (shape, kind, doc, offset) in shapes {
+                    let limits = match kind {
+                        LimitKind::Depth => Limits::none().with_max_depth(budget),
+                        _ => Limits::none().with_max_imbalance(budget),
+                    }
+                    .with_force_scalar(force_scalar);
+                    let what = |d: usize| {
+                        format!("{pattern} {shape} scalar={force_scalar} budget {budget} doc {d}")
+                    };
+                    if budget > 1 || shape != "leaf" {
+                        let d = budget - 1;
+                        guarded_everywhere(&query, &doc(d), &limits, &what(d))
+                            .unwrap_or_else(|e| panic!("{}: {e}", what(d)));
+                    }
+                    guarded_everywhere(&query, &doc(budget), &limits, &what(budget))
+                        .unwrap_or_else(|e| panic!("{}: {e}", what(budget)));
+                    let d = budget + 1;
+                    match guarded_everywhere(&query, &doc(d), &limits, &what(d)) {
+                        Err(SessionError::Limit(e)) => {
+                            assert_eq!(e.kind, kind, "{}", what(d));
+                            assert_eq!(e.limit, budget as u64, "{}", what(d));
+                            assert_eq!(e.offset, offset(d), "{}", what(d));
+                        }
+                        other => panic!("{}: expected a limit error, got {other:?}", what(d)),
+                    }
+                }
             }
-            other => panic!("depth budget {budget}: expected limit error, got {other:?}"),
         }
     }
 
     // Bytes: a document of exactly the budget length passes; one byte
     // more fails at offset == budget.
+    let query = Query::compile("a.*b", &g).unwrap();
     let doc = b"<a><b></b></a>".to_vec();
     let exact = Limits::none().with_max_bytes(doc.len());
-    assert!(fused.run_session(&doc, &exact).is_ok());
+    assert!(guarded_everywhere(&query, &doc, &exact, "bytes exact").is_ok());
     let mut over = doc.clone();
     over.push(b' ');
-    match fused.run_session(&over, &exact) {
+    match guarded_everywhere(&query, &over, &exact, "bytes over") {
         Err(SessionError::Limit(e)) => {
             assert_eq!(e.kind, LimitKind::Bytes);
             assert_eq!(e.offset, doc.len());
