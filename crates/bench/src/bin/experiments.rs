@@ -18,7 +18,7 @@ use st_core::model::{preselect, DraProgram, TagDfaProgram};
 use st_core::planner::{CompiledQuery, Strategy};
 use st_core::{classify, dtd, fooling, har, papers, registerless, term};
 use st_trees::xml::Scanner;
-use stackless_streamed_trees::prelude::{ObsHandle, Query};
+use stackless_streamed_trees::prelude::{Limits, ObsHandle, Query};
 use stackless_streamed_trees::serve::{NetClient, NetConfig, NetResponse, NetServer};
 
 fn main() {
@@ -252,6 +252,11 @@ fn write_throughput_json(path: &str) {
         .map(|n| n.get())
         .unwrap_or(1);
 
+    // Guards that run on every event but never fire on these documents.
+    let session_guards = Limits::none()
+        .with_max_depth(1 << 20)
+        .with_max_imbalance(1 << 20);
+
     let mut workload_objects: Vec<String> = Vec::new();
     let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8]| {
         let mut series: Vec<(String, f64)> = Vec::new();
@@ -290,6 +295,29 @@ fn write_throughput_json(path: &str) {
                 format!("fused_{slug}/{pattern}"),
                 gbit_per_s(xml.len(), || {
                     black_box(fused.count_bytes(black_box(xml)).unwrap());
+                }),
+            ));
+            series.push((
+                format!("select_{slug}/{pattern}"),
+                gbit_per_s(xml.len(), || {
+                    black_box(fused.select_bytes(black_box(xml)).unwrap());
+                }),
+            ));
+            // The streamed session as a serving worker runs it: 64 KiB
+            // feeds under depth/imbalance guards, the emitted matches
+            // drained and a checkpoint minted after every feed.
+            series.push((
+                format!("session_stream_{slug}/{pattern}"),
+                gbit_per_s(xml.len(), || {
+                    let mut session = fused.session(session_guards.clone());
+                    let mut emitted = 0usize;
+                    for feed in black_box(xml).chunks(64 << 10) {
+                        session.feed(feed).unwrap();
+                        emitted += session.drain_emitted().len();
+                        black_box(session.checkpoint().unwrap());
+                    }
+                    black_box(session.finish().unwrap());
+                    black_box(emitted);
                 }),
             ));
             // The forced-scalar reference: the same structural scan
@@ -358,6 +386,11 @@ fn write_throughput_json(path: &str) {
     for w in standard_workloads(6_000) {
         measure_workload(w.name, w.nodes, w.depth, &w.xml);
     }
+    // A ~4 MiB document of the mixed shape, beyond the caches the
+    // ~40 KB shapes fit in.
+    let large = st_trees::generate::random_attachment(&g, 600_000, 0.5, 202);
+    let large_xml = st_trees::xml::write_document(&large, &g).into_bytes();
+    measure_workload("mixed_4mib", large.len(), large.height(), &large_xml);
     // The deep chain where stack memory hurts; fused DRA stays constant.
     let chain = chain_workload(100_000);
     measure_workload("deep_chain", chain.nodes, chain.depth, &chain.xml);

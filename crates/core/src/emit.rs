@@ -21,10 +21,18 @@
 //! session is exactly the emitted prefix of every successful re-run of
 //! the same bytes, which is what makes failover replay dedupable.
 //!
-//! The cursor (count + FNV-1a digest over `(node, offset)` pairs in
-//! emission order) travels inside every [`crate::session::EngineCheckpoint`], so a
-//! resuming side knows precisely how much of the stream was already
-//! delivered — and a forged cursor is detected, never silently trusted.
+//! The cursor (count + a word-wise FNV-1a digest over `(node, offset)`
+//! pairs in emission order) travels inside every
+//! [`crate::session::EngineCheckpoint`], so a resuming side knows
+//! precisely how much of the stream was already delivered — and a forged
+//! cursor is detected, never silently trusted.  The digest folds each
+//! pair as two `u64` words, `h = (h ^ w) * FNV_PRIME`, so a match costs
+//! two dependent multiplies.  Each step is a bijection in `h` and
+//! injective in `w`, so changing the node *or* the offset of any single
+//! match changes the digest; changing both can collide, as any fold of
+//! two words into one must.  The runtime does not lean on the digest for
+//! replayed positions: it compares each replayed match with its ledger
+//! entry directly.
 
 use crate::engine::FusedQuery;
 use crate::session::{EngineSession, Limits, SessionError, SessionOutcome, WINDOW};
@@ -41,8 +49,9 @@ pub struct StreamedMatch {
 }
 
 /// A crash-consistent position in the emitted match stream: how many
-/// matches have crossed the certainty frontier, plus an FNV-1a digest of
-/// the emitted prefix (folding each `(node, offset)` pair in order).
+/// matches have crossed the certainty frontier, plus a word-wise FNV-1a
+/// digest of the emitted prefix (folding each `(node, offset)` pair in
+/// order, one `u64` word per field).
 ///
 /// Two runs over the same document emit identical streams, so equal
 /// counts imply equal digests — a digest mismatch at equal counts is
@@ -52,7 +61,7 @@ pub struct StreamedMatch {
 pub struct EmissionCursor {
     /// Matches emitted (i.e. past the certainty frontier) so far.
     pub count: u64,
-    /// FNV-1a digest of the emitted prefix.
+    /// Word-wise FNV-1a digest of the emitted prefix.
     pub digest: u64,
 }
 
@@ -74,16 +83,12 @@ impl EmissionCursor {
         }
     }
 
-    /// Folds one emitted match into the cursor.
+    /// Folds one emitted match into the cursor: `node`, then `offset`,
+    /// each as one `u64` word.
+    #[inline]
     pub fn push(&mut self, m: StreamedMatch) {
-        let mut h = self.digest;
-        for b in (m.node as u64).to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in (m.offset as u64).to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.digest = h;
+        let h = (self.digest ^ m.node as u64).wrapping_mul(FNV_PRIME);
+        self.digest = (h ^ m.offset as u64).wrapping_mul(FNV_PRIME);
         self.count += 1;
     }
 
@@ -219,5 +224,41 @@ impl FusedQuery {
             pos = end;
         }
         session.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn m(node: usize, offset: usize) -> StreamedMatch {
+        StreamedMatch { node, offset }
+    }
+
+    #[test]
+    fn digest_of_a_fixed_stream_is_pinned() {
+        // The checkpoint wire format (version 3) carries this digest; a
+        // change here is a format change and needs a version bump.
+        let c = EmissionCursor::over(&[m(1, 3), m(4, 10), m(7, 25)]);
+        assert_eq!(c.count, 3);
+        assert_eq!(c.digest, 0x4AD5_3325_29B5_F7AF);
+        assert_eq!(EmissionCursor::over(&[]), EmissionCursor::new());
+    }
+
+    #[test]
+    fn digest_changes_with_either_field_of_a_match() {
+        let base = [m(1, 3), m(4, 10), m(7, 25)];
+        let d = EmissionCursor::over(&base).digest;
+        for i in 0..base.len() {
+            for edit in [
+                m(base[i].node + 1, base[i].offset),
+                m(base[i].node, base[i].offset + 1),
+                m(base[i].offset, base[i].node),
+            ] {
+                let mut changed = base;
+                changed[i] = edit;
+                assert_ne!(EmissionCursor::over(&changed).digest, d, "{i} {edit:?}");
+            }
+        }
     }
 }

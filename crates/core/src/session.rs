@@ -400,9 +400,11 @@ pub fn check_event_limits(tags: &[Tag], limits: &Limits) -> Result<(), LimitExce
 
 /// Version tag written into every serialized checkpoint.  Version 2
 /// added the emission cursor (count + digest of the emitted match
-/// prefix); version-1 checkpoints predate streaming emission and are
-/// rejected rather than resumed with a silently empty cursor.
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// prefix); version 3 changed the digest to the word-wise fold of
+/// [`EmissionCursor::push`], leaving every other field as it was.
+/// Older checkpoints are rejected rather than resumed with an empty or
+/// differently-hashed cursor.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"STCK";
 
@@ -460,7 +462,7 @@ pub struct EngineCheckpoint {
     /// Matches emitted (past the certainty frontier) before the
     /// checkpoint was minted.
     emit_count: u64,
-    /// FNV-1a digest of the emitted prefix; see
+    /// Word-wise FNV-1a digest of the emitted prefix; see
     /// [`crate::emit::EmissionCursor`].
     emit_digest: u64,
     /// Engine-specific state.
@@ -742,13 +744,14 @@ pub(crate) fn alphabet_symbols(alphabet: &Alphabet) -> Vec<String> {
 
 /// A stable hash of the query automaton and alphabet, written into every
 /// checkpoint so a resume against a different query fails loudly.
-fn query_fingerprint(query: &FusedQuery) -> u64 {
+/// Computed once per [`FusedQuery`] (its `fingerprint` field).
+pub(crate) fn query_fingerprint(alphabet: &Alphabet, backend: &FusedBackend) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for s in alphabet_symbols(&query.alphabet) {
+    for s in alphabet_symbols(alphabet) {
         fnv_usize(&mut h, s.len());
         fnv_bytes(&mut h, s.as_bytes());
     }
-    match &query.backend {
+    match backend {
         FusedBackend::Registerless(b) => {
             fnv_usize(&mut h, 0);
             fnv_usize(&mut h, b.m);
@@ -1023,19 +1026,16 @@ impl<'q> EngineSession<'q> {
     /// here, so its tentative matches stay unemitted — exactly the
     /// prefix every successful re-run of the same bytes would emit.
     fn flush_emitted(&mut self) {
-        if let Some(o) = &self.obs {
-            o.frontier_depth
-                .set((self.matches.len() - self.flushed) as i64);
+        let nodes = &self.matches[self.flushed..];
+        let offsets = &self.match_offsets[self.flushed..];
+        for (&node, &offset) in nodes.iter().zip(offsets) {
+            self.cursor.push(StreamedMatch { node, offset });
         }
-        for i in self.flushed..self.matches.len() {
-            self.cursor.push(StreamedMatch {
-                node: self.matches[i],
-                offset: self.match_offsets[i],
-            });
-            if let Some(o) = &self.obs {
-                o.emissions.incr();
-                o.emission_latency
-                    .record((self.offset - self.match_offsets[i]) as u64);
+        if let Some(o) = &self.obs {
+            o.frontier_depth.set(offsets.len() as i64);
+            o.emissions.add(offsets.len() as u64);
+            for &offset in offsets {
+                o.emission_latency.record((self.offset - offset) as u64);
             }
         }
         self.flushed = self.matches.len();
@@ -1092,19 +1092,18 @@ impl<'q> EngineSession<'q> {
         let lexer = self.query.tag_lexer();
         let certify = lexer.certify(self.limits.force_scalar);
         let mut stats = ScanStats::default();
-        let sink = EmitSink {
-            node: self.node,
-            base: self.offset,
-            matches: std::mem::take(&mut self.matches),
-            offsets: std::mem::take(&mut self.match_offsets),
-        };
+        let sink = EmitSink::new(
+            self.node,
+            self.offset,
+            std::mem::take(&mut self.matches),
+            std::mem::take(&mut self.match_offsets),
+        );
         let guard = DepthGuard::new(lexer.k(), self.depth, &self.limits);
         let (end, sink, guard) = self
             .state
             .drive(lexer, w, self.lex, certify, &mut stats, sink, guard);
         self.node = sink.node;
-        self.matches = sink.matches;
-        self.match_offsets = sink.offsets;
+        (self.matches, self.match_offsets) = sink.into_parts();
         self.depth = guard.depth;
         if let Some(o) = &self.obs {
             o.simd_windows.add(stats.simd_windows);
@@ -1161,7 +1160,7 @@ impl<'q> EngineSession<'q> {
             });
         }
         Ok(EngineCheckpoint {
-            fingerprint: query_fingerprint(self.query),
+            fingerprint: self.query.fingerprint,
             alphabet: alphabet_symbols(&self.query.alphabet),
             offset: self.offset as u64,
             node: self.node as u64,
@@ -1293,7 +1292,7 @@ impl FusedQuery {
                 self.strategy()
             )));
         }
-        if checkpoint.fingerprint != query_fingerprint(self) {
+        if checkpoint.fingerprint != self.fingerprint {
             return Err(corrupt(
                 "checkpoint was minted by a different query or alphabet",
             ));

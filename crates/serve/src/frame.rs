@@ -1,7 +1,7 @@
 //! The wire protocol of the network front-end: a tiny length-prefixed
 //! frame codec over any byte stream.
 //!
-//! A connection opens with the 4-byte preamble [`PREAMBLE`] (`"STN1"`),
+//! A connection opens with the 4-byte preamble [`PREAMBLE`] (`"STN2"`),
 //! then carries a sequence of frames, each `[kind: u8][len: u32 LE]
 //! [payload: len bytes]`.  The client speaks [`FrameKind::Query`] /
 //! [`FrameKind::MultiQuery`] to open a request, streams document bytes
@@ -36,8 +36,10 @@ use st_core::emit::{EmissionCursor, StreamedMatch};
 
 use crate::error::codes;
 
-/// The 4-byte connection preamble: `"STN1"` (Streamed Trees Net v1).
-pub const PREAMBLE: [u8; 4] = *b"STN1";
+/// The 4-byte connection preamble: `"STN2"` (Streamed Trees Net v2).
+/// Version 2 carries the word-wise emission digest in the final
+/// `Matches` cursor; a version-1 peer is refused with `BAD_PREAMBLE`.
+pub const PREAMBLE: [u8; 4] = *b"STN2";
 
 /// Default maximum frame payload length the server accepts (1 MiB).
 pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 20;

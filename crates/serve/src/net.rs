@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -572,7 +572,6 @@ impl NetServer {
     /// The bind error, verbatim.
     pub fn bind(addr: &str, cfg: NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let clock = cfg.budget.session_limits.clock.unwrap_or(monotonic_clock);
         let cache = Arc::new(PlanCache::with_obs(cfg.plan_cache_capacity, &cfg.obs));
@@ -654,16 +653,41 @@ impl NetServer {
     /// Drains, waits up to [`NetConfig::drain_timeout`] for in-flight
     /// connections to finish, force-closes stragglers, and joins every
     /// thread.  Idempotent.
+    ///
+    /// The accept loop blocks in `accept`, so shutdown wakes it with a
+    /// loopback connection of its own, retried until one lands or the
+    /// drain deadline passes.  If none lands (say the accept backlog
+    /// stays full), the accept thread is left detached: it still owns
+    /// the listener, which stays bound until its next accepted
+    /// connection lets it see the stop flag and exit.
     pub fn shutdown(&self) {
         if self.shut.swap(true, Ordering::SeqCst) {
             return;
         }
         self.begin_drain();
         self.stop_accept.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            let _ = h.join();
-        }
         let deadline = std::time::Instant::now() + self.inner.cfg.drain_timeout;
+        if let Some(h) = self.accept.lock().unwrap_or_else(|p| p.into_inner()).take() {
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // A connection that lands is queued for `accept`, which
+            // then returns and sees the stop flag.
+            let mut woke = false;
+            while !woke && !h.is_finished() && std::time::Instant::now() < deadline {
+                woke = TcpStream::connect_timeout(&wake, Duration::from_millis(100)).is_ok();
+                if !woke {
+                    thread::sleep(Duration::from_millis(10));
+                }
+            }
+            if woke || h.is_finished() {
+                let _ = h.join();
+            }
+        }
         while self.inner.open_conns.load(Ordering::SeqCst) > 0
             && std::time::Instant::now() < deadline
         {
@@ -696,8 +720,10 @@ impl Drop for NetServer {
 }
 
 fn accept_loop(inner: &Arc<NetInner>, listener: &TcpListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The connection that woke a stopping loop is not served.
+            Ok(_) if stop.load(Ordering::SeqCst) => return,
             Ok((mut stream, _peer)) => {
                 inner.c.connections.fetch_add(1, Ordering::SeqCst);
                 inner.o.connections.incr();
@@ -735,9 +761,9 @@ fn accept_loop(inner: &Arc<NetInner>, listener: &TcpListener, stop: &AtomicBool)
                 handlers.retain(|h| !h.is_finished());
                 handlers.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            Err(_) if stop.load(Ordering::SeqCst) => return,
+            // A failed accept (e.g. out of descriptors) backs off rather
+            // than spinning.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }

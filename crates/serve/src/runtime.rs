@@ -869,8 +869,8 @@ impl Inner {
         start: usize,
         batch: &[StreamedMatch],
     ) -> Result<(), FailureCause> {
-        let mut appended = 0u64;
-        let mut replayed = 0u64;
+        let appended;
+        let replayed;
         {
             let mut jobs = lock(&self.jobs);
             let Some(st) = jobs.get_mut(&job) else {
@@ -888,26 +888,28 @@ impl Inner {
                     ),
                 });
             }
-            for (k, &m) in batch.iter().enumerate() {
-                let idx = start + k;
-                if idx < st.ledger.len() {
-                    let delivered = st.ledger[idx];
-                    if delivered != m {
-                        return Err(FailureCause::EmissionLedger {
-                            detail: format!(
-                                "replay diverged at stream position {idx}: \
-                                 delivered node {} at byte {}, replay claims \
-                                 node {} at byte {}",
-                                delivered.node, delivered.offset, m.node, m.offset
-                            ),
-                        });
-                    }
-                    replayed += 1;
-                } else {
-                    st.ledger.push(m);
-                    appended += 1;
-                }
+            // `batch[..replay]` re-covers delivered positions; the rest
+            // is new and appended in one copy.
+            let replay = (st.ledger.len() - start).min(batch.len());
+            let delivered = &st.ledger[start..start + replay];
+            if let Some(k) = delivered.iter().zip(batch).position(|(d, m)| d != m) {
+                let (d, m) = (delivered[k], batch[k]);
+                return Err(FailureCause::EmissionLedger {
+                    detail: format!(
+                        "replay diverged at stream position {}: \
+                         delivered node {} at byte {}, replay claims \
+                         node {} at byte {}",
+                        start + k,
+                        d.node,
+                        d.offset,
+                        m.node,
+                        m.offset
+                    ),
+                });
             }
+            st.ledger.extend_from_slice(&batch[replay..]);
+            replayed = replay as u64;
+            appended = (batch.len() - replay) as u64;
             st.suppressed += replayed;
         }
         if appended > 0 {
@@ -1466,8 +1468,13 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
     let stream_cursor = spec.stream.then(|| session.emission_cursor());
     match session.finish() {
         Ok(out) => {
-            let mut all = inner.resume_prefix(job, prefix_len);
-            all.extend_from_slice(&out.matches);
+            let all = if prefix_len == 0 {
+                out.matches
+            } else {
+                let mut all = inner.resume_prefix(job, prefix_len);
+                all.extend_from_slice(&out.matches);
+                all
+            };
             // A streamed request completes only if the delivered stream
             // equals the final match list and the cursors agree — a gap
             // or duplicate that survived this far is a typed failure,

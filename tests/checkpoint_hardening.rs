@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use stackless_streamed_trees::automata::{compile_regex, Alphabet};
 use stackless_streamed_trees::core::engine::FusedQuery;
 use stackless_streamed_trees::core::planner::{CompiledQuery, Strategy};
-use stackless_streamed_trees::core::session::{EngineCheckpoint, Limits};
+use stackless_streamed_trees::core::session::{EngineCheckpoint, Limits, SessionError};
 
 /// Tracks the largest single allocation while `WATCHING` is set.  The
 /// checkpoint parser must never allocate anywhere near this bound no
@@ -296,5 +296,30 @@ fn tampered_emission_digest_is_tamper_evident() {
             out.cursor, hout.cursor,
             "a tampered digest must never reconverge with the honest one"
         );
+    }
+}
+
+#[test]
+fn older_checkpoint_versions_are_refused_with_the_version_error() {
+    // Version 2 carried a byte-wise emission digest; resuming it under
+    // the word-wise fold would reject an honest stream, so the parser
+    // refuses it up front, as it refuses version 1.
+    for (fused, doc) in corpus() {
+        let mut session = fused.session(Limits::none());
+        session.feed(&doc[..doc.len() / 2]).unwrap();
+        let wire = session.checkpoint().unwrap().to_bytes();
+        assert_eq!(&wire[4..6], &3u16.to_le_bytes(), "current version");
+        for old in [1u16, 2] {
+            let mut retagged = wire.clone();
+            retagged[4..6].copy_from_slice(&old.to_le_bytes());
+            match EngineCheckpoint::from_bytes(&retagged) {
+                Err(SessionError::Checkpoint { detail }) => assert_eq!(
+                    detail,
+                    format!("version {old} (this build reads 3)"),
+                    "wrong detail"
+                ),
+                other => panic!("version {old} must be refused, got {other:?}"),
+            }
+        }
     }
 }

@@ -191,3 +191,44 @@ fn matches_are_emitted_before_end_of_document() {
         }
     }
 }
+
+/// `<a>` + 20 000 × `<b/>` + `</a>`: one 64 KiB window decides more
+/// matches than a match sink's grow step, so the sinks grow mid-window
+/// and are carried across window and feed boundaries full.
+#[test]
+fn dense_matches_survive_sink_growth_at_window_and_feed_boundaries() {
+    const BS: usize = 20_000;
+    let g = Alphabet::of_chars("ab");
+    let mut doc = b"<a>".to_vec();
+    for _ in 0..BS {
+        doc.extend_from_slice(b"<b/>");
+    }
+    doc.extend_from_slice(b"</a>");
+    // Each `<b/>` open event fires at the `>` that completes its tag.
+    let opens: Vec<usize> = (0..BS).map(|i| 3 + 4 * i + 3).collect();
+    assert!(doc[opens[BS - 1] - 3..].starts_with(b"<b/>"));
+    for pattern in ["a.*b", ".*a.*b", ".*ab"] {
+        let dfa = compile_regex(pattern, &g).expect("pattern compiles");
+        let fused = CompiledQuery::compile(&dfa).fused(&g).expect("fusable");
+        let expected = fused.select_bytes(&doc).expect("well-formed");
+        assert_eq!(expected, (1..=BS).collect::<Vec<_>>(), "{pattern}");
+        for (label, limits) in limits_variants() {
+            for feed in [doc.len(), 1, 4095, 4097] {
+                let mut session = fused.session(limits.clone());
+                let mut emitted = Vec::new();
+                for seg in doc.chunks(feed) {
+                    session.feed(seg).expect("well-formed");
+                    emitted.extend(session.drain_emitted());
+                }
+                let outcome = session.finish().expect("balanced");
+                let ctx = format!("{pattern}/{label}/feed {feed}");
+                assert_eq!(outcome.matches, expected, "{ctx}");
+                let nodes: Vec<usize> = emitted.iter().map(|m| m.node).collect();
+                let offsets: Vec<usize> = emitted.iter().map(|m| m.offset).collect();
+                assert_eq!(nodes, expected, "{ctx}");
+                assert_eq!(offsets, opens, "{ctx}");
+                assert_eq!(outcome.cursor, EmissionCursor::over(&emitted), "{ctx}");
+            }
+        }
+    }
+}

@@ -56,6 +56,19 @@ fn garbage_preamble_is_refused_with_a_typed_code() {
 }
 
 #[test]
+fn previous_protocol_version_is_refused_as_a_bad_preamble() {
+    // An STN1 peer hashes its emission cursor byte-wise; serving it
+    // would fail every streamed cursor check, so it is refused up front.
+    let server = server();
+    let mut s = raw(&server);
+    s.write_all(b"STN1").unwrap();
+    write_frame(&mut s, FrameKind::Query, &encode_query("a,b", ".*a")).unwrap();
+    s.flush().unwrap();
+    assert_eq!(read_error_code(&mut s), codes::BAD_PREAMBLE);
+    assert_eq!(server.stats().bad_frames, 1);
+}
+
+#[test]
 fn byte_at_a_time_delivery_still_parses() {
     // The codec must reassemble frames across arbitrary read boundaries:
     // deliver an entire valid request one byte at a time, flushing after

@@ -273,6 +273,26 @@ fn shutdown_cuts_through_a_connection_blocked_on_its_socket() {
 }
 
 #[test]
+fn shutdown_wakes_the_blocking_accept_loop_and_releases_the_port() {
+    // The accept loop blocks in `accept`; shutdown must wake it (also
+    // when bound to the unspecified address), join it, and so drop the
+    // listener well before the drain deadline.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = NetServer::bind(bind, NetConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "{bind}: shutdown took {:?}",
+            started.elapsed()
+        );
+        std::net::TcpListener::bind(addr)
+            .unwrap_or_else(|e| panic!("{bind}: port still held after shutdown: {e}"));
+    }
+}
+
+#[test]
 fn streaming_round_trip_delivers_verified_parts_before_the_end() {
     let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
