@@ -54,7 +54,7 @@ use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
 use crate::har::{HarCore, HarMarkupProgram, MAX_CHAIN};
-use crate::session::{query_fingerprint, LimitExceeded, LimitKind, Limits, SessionError};
+use crate::session::{corrupt, query_fingerprint, LimitExceeded, LimitKind, Limits, SessionError};
 use crate::structural::{
     force_scalar_env, structural_scan, EventSink, NameTable, ScanEnd, ScanStats,
 };
@@ -1115,6 +1115,58 @@ impl HarRun {
         }
     }
 
+    /// The frozen form a checkpoint carries: current state, dead flag,
+    /// and the `(state, register)` pairs of the chain.
+    pub(crate) fn freeze(&self) -> (usize, bool, Vec<(u16, i64)>) {
+        let chain = (0..self.chain_len)
+            .map(|i| (self.chain[i], self.regs[i]))
+            .collect();
+        (self.current, self.dead, chain)
+    }
+
+    /// Rebuilds a run from its frozen form — the one thaw of every
+    /// checkpointed HAR run, single-query or query-set lane.  Every state
+    /// must be in range, and the chain followed by `current` must be a
+    /// path of one-letter steps down the SCC DAG, as a real run pushes
+    /// it: anything else could index past the DFA or, on a later open,
+    /// push past [`MAX_CHAIN`].
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Checkpoint`] naming the first violated bound.
+    pub(crate) fn thaw(
+        core: &HarCore,
+        current: usize,
+        dead: bool,
+        chain: &[(u16, i64)],
+    ) -> Result<HarRun, SessionError> {
+        let dfa = core.dfa();
+        let comp = core.component();
+        if current >= dfa.n_states()
+            || chain.len() > MAX_CHAIN
+            || chain.iter().any(|&(s, _)| s as usize >= dfa.n_states())
+        {
+            return Err(corrupt("HAR run state out of range"));
+        }
+        let path = chain.iter().map(|&(s, _)| s as usize).chain([current]);
+        for (from, to) in path.clone().zip(path.skip(1)) {
+            if comp[from] == comp[to]
+                || !(0..dfa.n_letters()).any(|l| comp[dfa.step(from, l)] == comp[to])
+            {
+                return Err(corrupt("HAR chain is not a path of the SCC DAG"));
+            }
+        }
+        let mut run = HarRun::new(core);
+        run.current = current;
+        run.dead = dead;
+        run.chain_len = chain.len();
+        for (i, &(s, r)) in chain.iter().enumerate() {
+            run.chain[i] = s;
+            run.regs[i] = r;
+        }
+        Ok(run)
+    }
+
     /// Applies an open event; `depth` is the depth *after* the open.
     /// Returns the pre-selection verdict.
     #[inline]
@@ -1229,6 +1281,34 @@ impl Step for StackStep<'_> {
         }
         (open_l.is_some(), selected)
     }
+}
+
+/// Validates a frozen pushdown run over a DFA of `n_states` states and
+/// returns its frames — the one thaw of every checkpointed stack, the
+/// single-query fallback's and the query-set lanes' alike.  The current
+/// state and every frame must be in range, and there can be no more
+/// frames than bytes consumed (each one cost an open tag).
+///
+/// # Errors
+///
+/// [`SessionError::Checkpoint`] naming the first violated bound.
+pub(crate) fn thaw_stack<F: Copy + Into<u64>>(
+    n_states: usize,
+    current: F,
+    frames: &[F],
+    offset: u64,
+) -> Result<Vec<F>, SessionError> {
+    if frames.len() as u64 > offset {
+        return Err(corrupt("stack frames exceed bytes consumed"));
+    }
+    if [current]
+        .iter()
+        .chain(frames)
+        .any(|&s| s.into() >= n_states as u64)
+    {
+        return Err(corrupt("stack state out of range"));
+    }
+    Ok(frames.to_vec())
 }
 
 /// What a run collects from the step's verdicts.

@@ -41,26 +41,24 @@
 //!
 //! # Sessions
 //!
-//! [`QuerySetSession`] mirrors [`crate::session::EngineSession`]:
-//! windowed feeds under [`Limits`], checkpoint/resume at any byte
-//! boundary with a versioned wire format ([`QuerySetCheckpoint`],
-//! magic `STQS`), and resume ≡ whole-run at every cut.
+//! [`QuerySetSession`] is [`crate::session::EngineSession`]'s shell
+//! around the tier state: windowed feeds under [`Limits`], and
+//! checkpoint/resume at any byte boundary ([`QuerySetCheckpoint`], magic
+//! `STQS`), with resume ≡ whole-run at every cut.
 
 use st_automata::ops::{letter_classes, product_many, MultiProduct};
 use st_automata::{compile_regex, Alphabet, Dfa};
-use st_obs::TraceEvent;
 use st_trees::error::TreeError;
 
 use crate::engine::{
-    decode_event, rescan_error, DepthGuard, Guard, HarRun, NoGuard, TagLexer, TEXT,
+    decode_event, rescan_error, thaw_stack, DepthGuard, Guard, HarRun, NoGuard, TagLexer, TEXT,
 };
-use crate::har::{HarMarkupProgram, MAX_CHAIN};
+use crate::har::HarMarkupProgram;
 use crate::planner::{CompiledQuery, Strategy};
 use crate::query::QueryError;
 use crate::session::{
-    alphabet_symbols, corrupt, fnv_bytes, fnv_dfa, fnv_usize, limit_kind_name, parse_error,
-    put_i64, put_u16, put_u32, put_u64, LimitExceeded, LimitKind, Limits, Reader, SessObs,
-    SessionError, WINDOW,
+    alphabet_symbols, corrupt, fnv_bytes, fnv_dfa, fnv_usize, put_chain, put_u16, put_u32,
+    session_methods, CheckpointHeader, Limits, Reader, SessionCore, SessionError, WindowRun,
 };
 use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
 
@@ -75,9 +73,9 @@ pub const QUERYSET_CHECKPOINT_VERSION: u16 = 1;
 
 const QS_MAGIC: [u8; 4] = *b"STQS";
 
-const TAG_PRODUCT: u8 = 0;
-const TAG_LANES: u8 = 1;
-const TAG_HYBRID: u8 = 2;
+const TAG_PRODUCT: u8 = SetStrategy::Product as u8;
+const TAG_LANES: u8 = SetStrategy::Lanes as u8;
+const TAG_HYBRID: u8 = SetStrategy::Hybrid as u8;
 
 const LANE_MARKUP: u8 = 0;
 const LANE_HAR: u8 = 1;
@@ -328,15 +326,7 @@ impl QuerySet {
         alphabet: &Alphabet,
         budget: usize,
     ) -> Result<QuerySet, QueryError> {
-        let mut dfas = Vec::with_capacity(patterns.len());
-        for p in patterns {
-            dfas.push(compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern)?);
-        }
-        let names = patterns
-            .iter()
-            .map(|p| Some(p.as_ref().to_owned()))
-            .collect();
-        Ok(Self::build(dfas, names, alphabet, budget, true))
+        Self::compile_patterns(patterns, alphabet, budget, true)
     }
 
     /// Compiles a set from pre-built query DFAs over `alphabet` with the
@@ -374,15 +364,24 @@ impl QuerySet {
         alphabet: &Alphabet,
         budget: usize,
     ) -> Result<QuerySet, QueryError> {
-        let mut dfas = Vec::with_capacity(patterns.len());
-        for p in patterns {
-            dfas.push(compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern)?);
-        }
+        Self::compile_patterns(patterns, alphabet, budget, false)
+    }
+
+    fn compile_patterns<S: AsRef<str>>(
+        patterns: &[S],
+        alphabet: &Alphabet,
+        budget: usize,
+        compress: bool,
+    ) -> Result<QuerySet, QueryError> {
+        let dfas = patterns
+            .iter()
+            .map(|p| compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern))
+            .collect::<Result<_, _>>()?;
         let names = patterns
             .iter()
             .map(|p| Some(p.as_ref().to_owned()))
             .collect();
-        Ok(Self::build(dfas, names, alphabet, budget, false))
+        Ok(Self::build(dfas, names, alphabet, budget, compress))
     }
 
     fn build(
@@ -443,15 +442,16 @@ impl QuerySet {
                 .collect();
             SetBackend::Hybrid(engines)
         };
-        let fingerprint = set_fingerprint(&members, backend_tag(&backend), compress, alphabet);
-        QuerySet {
+        let mut set = QuerySet {
             alphabet: alphabet.clone(),
             lexer,
             members,
             backend,
             compressed: compress,
-            fingerprint,
-        }
+            fingerprint: 0,
+        };
+        set.fingerprint = set_fingerprint(&set);
+        set
     }
 
     /// Number of member queries.
@@ -552,11 +552,8 @@ impl QuerySet {
     ///
     /// As for [`Self::count_all`].
     pub fn count_all_stats(&self, bytes: &[u8]) -> Result<(Vec<usize>, ScanStats), TreeError> {
-        let mut emit = CountEmit {
-            counts: vec![0; self.members.len()],
-        };
-        let mut stats = ScanStats::default();
-        self.run_emit(bytes, &mut emit, &mut stats)?;
+        let counts = vec![0; self.members.len()];
+        let (emit, stats) = self.run_emit(bytes, CountEmit { counts })?;
         Ok((emit.counts, stats))
     }
 
@@ -579,36 +576,24 @@ impl QuerySet {
         &self,
         bytes: &[u8],
     ) -> Result<(Vec<Vec<usize>>, ScanStats), TreeError> {
-        let mut emit = SelectEmit {
-            sel: vec![Vec::new(); self.members.len()],
-        };
-        let mut stats = ScanStats::default();
-        self.run_emit(bytes, &mut emit, &mut stats)?;
+        let sel = vec![Vec::new(); self.members.len()];
+        let (emit, stats) = self.run_emit(bytes, SelectEmit { sel })?;
         Ok((emit.sel, stats))
     }
 
-    fn run_emit<E: Emit>(
-        &self,
-        bytes: &[u8],
-        emit: &mut E,
-        stats: &mut ScanStats,
-    ) -> Result<(), TreeError> {
+    fn run_emit<E: Emit>(&self, bytes: &[u8], mut emit: E) -> Result<(E, ScanStats), TreeError> {
         let mut walk = Walk {
             node: 0,
             depth: 0,
             guard: NoGuard,
         };
         let certify = self.lexer.certify(false);
+        let mut stats = ScanStats::default();
+        let mut state = self.fresh_state();
         match self.drive(
-            &mut self.fresh_state(),
-            bytes,
-            TEXT,
-            certify,
-            &mut walk,
-            emit,
-            stats,
+            &mut state, bytes, TEXT, certify, &mut walk, &mut emit, &mut stats,
         ) {
-            ScanEnd::Complete { lex: TEXT } => Ok(()),
+            ScanEnd::Complete { lex: TEXT } => Ok((emit, stats)),
             // Any failure re-scans cold for the exact single-query
             // diagnostic (same offset and message as `Query::count`).
             _ => Err(rescan_error(bytes, &self.alphabet)),
@@ -691,24 +676,16 @@ impl QuerySet {
     }
 }
 
-fn backend_tag(backend: &SetBackend) -> u8 {
-    match backend {
-        SetBackend::Product(_) => TAG_PRODUCT,
-        SetBackend::Lanes(_) => TAG_LANES,
-        SetBackend::Hybrid(_) => TAG_HYBRID,
-    }
-}
-
-fn set_fingerprint(members: &[SetMember], tier: u8, compressed: bool, alphabet: &Alphabet) -> u64 {
+fn set_fingerprint(set: &QuerySet) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     fnv_bytes(&mut h, &QS_MAGIC);
-    fnv_usize(&mut h, tier as usize);
-    fnv_usize(&mut h, compressed as usize);
-    fnv_usize(&mut h, members.len());
-    for sym in alphabet_symbols(alphabet) {
+    fnv_usize(&mut h, set.strategy() as usize);
+    fnv_usize(&mut h, set.compressed as usize);
+    fnv_usize(&mut h, set.members.len());
+    for sym in alphabet_symbols(&set.alphabet) {
         fnv_bytes(&mut h, sym.as_bytes());
     }
-    for m in members {
+    for m in &set.members {
         fnv_dfa(&mut h, &m.dfa);
     }
     h
@@ -968,11 +945,9 @@ pub enum HybridLaneCheckpoint {
 /// (wire magic `STQS`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuerySetCheckpoint {
-    fingerprint: u64,
-    alphabet: Vec<String>,
-    offset: u64,
-    node: u64,
-    depth: i64,
+    /// Fingerprint, alphabet and position: the run both wire formats
+    /// share.
+    header: CheckpointHeader,
     lex: u16,
     state: QuerySetCheckpointState,
 }
@@ -987,46 +962,12 @@ impl QuerySetCheckpoint {
         }
     }
 
-    /// Absolute byte offset of the freeze point.
-    pub fn offset(&self) -> usize {
-        self.offset as usize
-    }
-
-    /// Document-order id the next opened node will get.
-    pub fn next_node(&self) -> usize {
-        self.node as usize
-    }
-
-    /// Depth (opens minus closes) at the freeze point.
-    pub fn depth(&self) -> i64 {
-        self.depth
-    }
-
-    /// Symbols of the alphabet the minting set was compiled over.
-    pub fn alphabet_symbols(&self) -> &[String] {
-        &self.alphabet
-    }
-
     /// Serializes to the versioned little-endian wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(64);
-        w.extend_from_slice(&QS_MAGIC);
+        let mut w = QS_MAGIC.to_vec();
         put_u16(&mut w, QUERYSET_CHECKPOINT_VERSION);
-        let tag = match &self.state {
-            QuerySetCheckpointState::Product { .. } => TAG_PRODUCT,
-            QuerySetCheckpointState::Lanes { .. } => TAG_LANES,
-            QuerySetCheckpointState::Hybrid { .. } => TAG_HYBRID,
-        };
-        w.push(tag);
-        put_u64(&mut w, self.fingerprint);
-        put_u16(&mut w, self.alphabet.len() as u16);
-        for sym in &self.alphabet {
-            put_u16(&mut w, sym.len() as u16);
-            w.extend_from_slice(sym.as_bytes());
-        }
-        put_u64(&mut w, self.offset);
-        put_u64(&mut w, self.node);
-        put_i64(&mut w, self.depth);
+        w.push(self.strategy() as u8);
+        self.header.write(&mut w);
         put_u16(&mut w, self.lex);
         match &self.state {
             QuerySetCheckpointState::Product { state } => put_u32(&mut w, *state),
@@ -1053,10 +994,7 @@ impl QuerySetCheckpoint {
                             put_u32(&mut w, *current);
                             w.push(u8::from(*dead));
                             put_u16(&mut w, chain.len() as u16);
-                            for (s, r) in chain {
-                                put_u16(&mut w, *s);
-                                put_i64(&mut w, *r);
-                            }
+                            put_chain(&mut w, chain);
                         }
                         HybridLaneCheckpoint::Stack { current, frames } => {
                             w.push(LANE_STACK);
@@ -1083,51 +1021,23 @@ impl QuerySetCheckpoint {
     /// trailing-garbage input.
     pub fn from_bytes(bytes: &[u8]) -> Result<QuerySetCheckpoint, SessionError> {
         let mut r = Reader::new(bytes);
-        if r.take(4)? != QS_MAGIC {
-            return Err(corrupt("bad magic: not a query-set checkpoint"));
-        }
-        let version = r.u16()?;
-        if version != QUERYSET_CHECKPOINT_VERSION {
-            return Err(corrupt(format!("unsupported checkpoint version {version}")));
-        }
+        r.preamble(QS_MAGIC, QUERYSET_CHECKPOINT_VERSION)?;
         let tag = r.u8()?;
-        let fingerprint = r.u64()?;
-        let n_syms = r.u16()? as usize;
-        let mut alphabet = Vec::with_capacity(n_syms.min(r.remaining() / 2));
-        for _ in 0..n_syms {
-            let len = r.u16()? as usize;
-            let raw = r.take(len)?;
-            let sym = std::str::from_utf8(raw)
-                .map_err(|_| corrupt("alphabet symbol is not UTF-8"))?
-                .to_owned();
-            alphabet.push(sym);
-        }
-        let offset = r.u64()?;
-        let node = r.u64()?;
-        let depth = r.i64()?;
+        let header = CheckpointHeader::read(&mut r)?;
         let lex = r.u16()?;
         let state = match tag {
             TAG_PRODUCT => QuerySetCheckpointState::Product { state: r.u32()? },
             TAG_LANES => {
-                let n = r.u32()? as usize;
-                if n * 4 > r.remaining() {
-                    return Err(corrupt("lane count exceeds checkpoint size"));
-                }
-                let mut lanes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lanes.push(r.u32()?);
-                }
+                let n = r.count(4)?;
+                let lanes = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
                 QuerySetCheckpointState::Lanes { lanes }
             }
             TAG_HYBRID => {
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(corrupt("lane count exceeds checkpoint size"));
-                }
+                // The shortest lane is a tag byte and one state.
+                let n = r.count(5)?;
                 let mut lanes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let lane_tag = r.u8()?;
-                    lanes.push(match lane_tag {
+                    lanes.push(match r.u8()? {
                         LANE_MARKUP => HybridLaneCheckpoint::Markup { state: r.u32()? },
                         LANE_HAR => {
                             let current = r.u32()?;
@@ -1137,31 +1047,17 @@ impl QuerySetCheckpoint {
                                 _ => return Err(corrupt("har dead flag is not a boolean")),
                             };
                             let chain_len = r.u16()? as usize;
-                            if chain_len > MAX_CHAIN {
-                                return Err(corrupt("har chain longer than MAX_CHAIN"));
-                            }
-                            let mut chain = Vec::with_capacity(chain_len);
-                            for _ in 0..chain_len {
-                                let s = r.u16()?;
-                                let reg = r.i64()?;
-                                chain.push((s, reg));
-                            }
                             HybridLaneCheckpoint::Har {
                                 current,
                                 dead,
-                                chain,
+                                chain: r.chain(chain_len)?,
                             }
                         }
                         LANE_STACK => {
                             let current = r.u32()?;
-                            let n_frames = r.u32()? as usize;
-                            if n_frames * 4 > r.remaining() {
-                                return Err(corrupt("stack frames exceed checkpoint size"));
-                            }
-                            let mut frames = Vec::with_capacity(n_frames);
-                            for _ in 0..n_frames {
-                                frames.push(r.u32()?);
-                            }
+                            let n_frames = r.count(4)?;
+                            let frames =
+                                (0..n_frames).map(|_| r.u32()).collect::<Result<_, _>>()?;
                             HybridLaneCheckpoint::Stack { current, frames }
                         }
                         _ => return Err(corrupt("unknown hybrid lane tag")),
@@ -1174,15 +1070,7 @@ impl QuerySetCheckpoint {
         if !r.at_end() {
             return Err(corrupt("trailing bytes after checkpoint"));
         }
-        Ok(QuerySetCheckpoint {
-            fingerprint,
-            alphabet,
-            offset,
-            node,
-            depth,
-            lex,
-            state,
-        })
+        Ok(QuerySetCheckpoint { header, lex, state })
     }
 }
 
@@ -1218,150 +1106,42 @@ enum QsState {
 /// [`Limits`].  Feed the document in arbitrary segments; freeze at any
 /// byte boundary with [`Self::checkpoint`]; close with [`Self::finish`].
 pub struct QuerySetSession<'q> {
-    set: &'q QuerySet,
-    limits: Limits,
-    started: std::time::Duration,
-    offset: usize,
-    node: usize,
-    node_base: usize,
-    depth: i64,
-    lex: u16,
-    matches: Vec<Vec<usize>>,
-    state: QsState,
-    failed: Option<SessionError>,
-    obs: Option<SessObs>,
+    core: SessionCore,
+    run: SetRun<'q>,
 }
 
-impl<'q> QuerySetSession<'q> {
-    fn fresh(set: &'q QuerySet, limits: Limits) -> QuerySetSession<'q> {
-        let state = set.fresh_state();
-        let started = limits.now();
-        let obs = SessObs::attach(&limits.obs, 0);
-        QuerySetSession {
-            set,
-            limits,
-            started,
-            offset: 0,
-            node: 0,
-            node_base: 0,
-            depth: 0,
-            lex: TEXT,
-            matches: vec![Vec::new(); set.members.len()],
-            state,
-            failed: None,
-            obs,
-        }
-    }
+session_methods!(
+    QuerySetSession,
+    Vec<usize>,
+    QuerySetCheckpoint,
+    QuerySetOutcome
+);
 
-    /// The id this session carries in its observability handle's trace
-    /// (0 when unobserved).
-    pub fn obs_session_id(&self) -> u64 {
-        self.obs.as_ref().map_or(0, |o| o.id)
-    }
+/// The engine half of a [`QuerySetSession`]: the tier state and the
+/// per-member matches.
+struct SetRun<'q> {
+    set: &'q QuerySet,
+    state: QsState,
+    matches: Vec<Vec<usize>>,
+}
 
-    /// Absolute byte offset consumed so far.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
+impl WindowRun for SetRun<'_> {
+    type Checkpoint = QuerySetCheckpoint;
+    type Outcome = QuerySetOutcome;
 
-    /// Total nodes opened so far (document-order id of the next open).
-    pub fn node_count(&self) -> usize {
-        self.node
-    }
-
-    /// Current depth (opens minus closes).
-    pub fn depth(&self) -> i64 {
-        self.depth
-    }
-
-    /// Per-member ids of nodes selected during this session so far.
-    pub fn matches(&self) -> &[Vec<usize>] {
-        &self.matches
-    }
-
-    /// Feeds the next segment of the document.  Errors are sticky: once
-    /// a feed fails, the session stays failed.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Parse`] at the first malformed byte or
-    /// [`SessionError::Limit`] when a budget is crossed.
-    pub fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let feed_start = self.offset;
-        let res = self.feed_inner(segment);
-        if let Some(o) = &self.obs {
-            let consumed = (self.offset - feed_start) as u64;
-            o.feeds.incr();
-            o.bytes.add(consumed);
-            o.obs.trace(TraceEvent::SessionFeed {
-                session: o.id,
-                offset: feed_start as u64,
-                bytes: consumed,
-            });
-        }
-        res
-    }
-
-    fn feed_inner(&mut self, segment: &[u8]) -> Result<(), SessionError> {
-        let mut pos = 0usize;
-        while pos < segment.len() {
-            let mut end = (pos + WINDOW).min(segment.len());
-            if let Some(mb) = self.limits.max_bytes {
-                if self.offset >= mb {
-                    return self.fail(SessionError::Limit(LimitExceeded {
-                        kind: LimitKind::Bytes,
-                        limit: mb as u64,
-                        offset: mb,
-                    }));
-                }
-                end = end.min(pos + (mb - self.offset));
-            }
-            if let Some(tb) = self.limits.time_budget {
-                if self.limits.now().saturating_sub(self.started) > tb {
-                    return self.fail(SessionError::Limit(LimitExceeded {
-                        kind: LimitKind::Time,
-                        limit: tb.as_millis() as u64,
-                        offset: self.offset,
-                    }));
-                }
-            }
-            if let Err(e) = self.run_window(&segment[pos..end]) {
-                return self.fail(e);
-            }
-            self.offset += end - pos;
-            pos = end;
-        }
-        Ok(())
-    }
-
-    fn fail(&mut self, e: SessionError) -> Result<(), SessionError> {
-        if let Some(o) = &self.obs {
-            if let SessionError::Limit(l) = &e {
-                o.breaches.incr();
-                o.obs.trace(TraceEvent::LimitBreach {
-                    session: o.id,
-                    kind: limit_kind_name(l.kind),
-                    offset: l.offset as u64,
-                });
-            }
-        }
-        self.failed = Some(e.clone());
-        Err(e)
-    }
-
-    /// Processes one window; `self.offset` is the absolute offset of
-    /// `w[0]` and is only advanced by the caller afterwards.
-    fn run_window(&mut self, w: &[u8]) -> Result<(), SessionError> {
+    /// One [`QuerySet::drive`] call, whatever the tier.
+    fn drive(
+        &mut self,
+        core: &mut SessionCore,
+        w: &[u8],
+        stats: &mut ScanStats,
+    ) -> (ScanEnd, DepthGuard) {
         let lexer = &self.set.lexer;
-        let certify = lexer.certify(self.limits.force_scalar);
-        let mut stats = ScanStats::default();
+        let certify = lexer.certify(core.limits.force_scalar);
         let mut walk = Walk {
-            node: self.node,
-            depth: self.depth,
-            guard: DepthGuard::new(lexer.k(), self.depth, &self.limits),
+            node: core.node,
+            depth: core.depth,
+            guard: DepthGuard::new(lexer.k(), core.depth, &core.limits),
         };
         let mut emit = SelectEmit {
             sel: std::mem::take(&mut self.matches),
@@ -1369,121 +1149,61 @@ impl<'q> QuerySetSession<'q> {
         let end = self.set.drive(
             &mut self.state,
             w,
-            self.lex,
+            core.lex,
             certify,
             &mut walk,
             &mut emit,
-            &mut stats,
+            stats,
         );
         self.matches = emit.sel;
-        self.node = walk.node;
-        self.depth = walk.guard.depth;
-        if let Some(o) = &self.obs {
-            o.simd_windows.add(stats.simd_windows);
-            o.fallback_windows.add(stats.fallback_windows);
-        }
-        match end {
-            ScanEnd::Complete { lex } => {
-                self.lex = lex;
-                Ok(())
-            }
-            ScanEnd::Error { pos } => Err(parse_error(self.offset + pos)),
-            ScanEnd::Stopped => Err(SessionError::Limit(walk.guard.breach(self.offset))),
-        }
+        core.node = walk.node;
+        (end, walk.guard)
     }
 
-    /// Freezes the session at the current byte boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Checkpoint`] if the session has already failed —
-    /// a failed run has no resumable state.
-    pub fn checkpoint(&self) -> Result<QuerySetCheckpoint, SessionError> {
-        if let Some(e) = &self.failed {
-            return Err(corrupt(format!("session already failed: {e}")));
-        }
+    fn freeze(&self, core: &SessionCore) -> QuerySetCheckpoint {
         let state = match &self.state {
             QsState::Product { s } => QuerySetCheckpointState::Product { state: *s },
             QsState::Lanes { cur } => QuerySetCheckpointState::Lanes { lanes: cur.clone() },
             QsState::Hybrid { lanes } => QuerySetCheckpointState::Hybrid {
-                lanes: lanes
-                    .iter()
-                    .map(|lane| match lane {
-                        LaneState::Markup { s } => HybridLaneCheckpoint::Markup { state: *s },
-                        LaneState::Har { run } => HybridLaneCheckpoint::Har {
-                            current: run.current as u32,
-                            dead: run.dead,
-                            chain: (0..run.chain_len)
-                                .map(|i| (run.chain[i], run.regs[i]))
-                                .collect(),
-                        },
-                        LaneState::Stack { s, frames } => HybridLaneCheckpoint::Stack {
-                            current: *s,
-                            frames: frames.clone(),
-                        },
-                    })
-                    .collect(),
+                lanes: lanes.iter().map(freeze_lane).collect(),
             },
         };
-        if let Some(o) = &self.obs {
-            o.checkpoints.incr();
-            let last = o.last_checkpoint_offset.replace(self.offset as u64);
-            o.checkpoint_interval
-                .record((self.offset as u64).saturating_sub(last));
-            o.obs.trace(TraceEvent::SessionCheckpoint {
-                session: o.id,
-                offset: self.offset as u64,
-            });
-        }
-        Ok(QuerySetCheckpoint {
-            fingerprint: self.set.fingerprint,
-            alphabet: alphabet_symbols(&self.set.alphabet),
-            offset: self.offset as u64,
-            node: self.node as u64,
-            depth: self.depth,
-            lex: self.lex,
+        QuerySetCheckpoint {
+            header: core.header(self.set.fingerprint, &self.set.alphabet),
+            lex: core.lex,
             state,
-        })
+        }
     }
 
-    /// Declares end-of-input and returns the session's tallies.
-    ///
-    /// # Errors
-    ///
-    /// The sticky error if the session already failed, or
-    /// [`SessionError::Parse`] if the input ended inside markup.
-    pub fn finish(self) -> Result<QuerySetOutcome, SessionError> {
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        if self.lex != TEXT {
-            return Err(SessionError::Parse(TreeError::Parse {
-                position: self.offset,
-                message: "input ended inside markup".to_owned(),
-            }));
-        }
-        if let Some(o) = &self.obs {
-            o.finished.incr();
-            o.nodes.add((self.node - self.node_base) as u64);
-            o.matches
-                .add(self.matches.iter().map(|m| m.len() as u64).sum());
-        }
-        Ok(QuerySetOutcome {
+    fn match_count(&self) -> u64 {
+        self.matches.iter().map(|m| m.len() as u64).sum()
+    }
+
+    fn outcome(self, nodes: usize) -> QuerySetOutcome {
+        QuerySetOutcome {
             matches: self.matches,
-            nodes: self.node,
-        })
+            nodes,
+        }
+    }
+}
+
+impl<'q> QuerySetSession<'q> {
+    fn new(set: &'q QuerySet, core: SessionCore, state: QsState) -> QuerySetSession<'q> {
+        QuerySetSession {
+            core,
+            run: SetRun {
+                set,
+                state,
+                matches: vec![Vec::new(); set.members.len()],
+            },
+        }
     }
 }
 
 impl QuerySet {
     /// Opens a fresh resilient multi-query session under `limits`.
     pub fn session(&self, limits: Limits) -> QuerySetSession<'_> {
-        let session = QuerySetSession::fresh(self, limits);
-        if let Some(o) = &session.obs {
-            o.obs.counter("session_started_total").incr();
-            o.obs.trace(TraceEvent::SessionStart { session: o.id });
-        }
-        session
+        QuerySetSession::new(self, SessionCore::start(limits), self.fresh_state())
     }
 
     /// Reopens a session from a checkpoint minted by the *same* query
@@ -1492,7 +1212,7 @@ impl QuerySet {
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] on a tier or fingerprint mismatch,
-    /// or any out-of-range frozen state.
+    /// or any implausible or out-of-range frozen state.
     pub fn resume(
         &self,
         checkpoint: &QuerySetCheckpoint,
@@ -1505,23 +1225,11 @@ impl QuerySet {
                 self.strategy()
             )));
         }
-        if checkpoint.fingerprint != self.fingerprint {
+        let h = &checkpoint.header;
+        if h.fingerprint != self.fingerprint {
             return Err(corrupt(
                 "checkpoint was minted by a different query set or alphabet",
             ));
-        }
-        const MAX_STREAM_OFFSET: u64 = 1 << 60;
-        if checkpoint.offset > MAX_STREAM_OFFSET {
-            return Err(corrupt("stream offset implausibly large"));
-        }
-        if checkpoint.node > checkpoint.offset {
-            return Err(corrupt("node counter exceeds bytes consumed"));
-        }
-        if checkpoint.depth.unsigned_abs() > checkpoint.offset {
-            return Err(corrupt("depth exceeds bytes consumed"));
-        }
-        if checkpoint.lex as usize >= self.lexer.n_states() {
-            return Err(corrupt("lexer state out of range"));
         }
         let state = match (&checkpoint.state, &self.backend) {
             (QuerySetCheckpointState::Product { state }, SetBackend::Product(t)) => {
@@ -1531,13 +1239,9 @@ impl QuerySet {
                 QsState::Product { s: *state }
             }
             (QuerySetCheckpointState::Lanes { lanes }, SetBackend::Lanes(t)) => {
-                if lanes.len() != t.n_members() {
-                    return Err(corrupt("lane count does not match the query set"));
-                }
-                for (i, &s) in lanes.iter().enumerate() {
-                    if !t.in_block(i, s) {
-                        return Err(corrupt("lane state out of range"));
-                    }
+                let in_range = lanes.iter().enumerate().all(|(i, &s)| t.in_block(i, s));
+                if lanes.len() != t.n_members() || !in_range {
+                    return Err(corrupt("lane states do not match the query set"));
                 }
                 QsState::Lanes { cur: lanes.clone() }
             }
@@ -1545,30 +1249,17 @@ impl QuerySet {
                 if lanes.len() != engines.len() {
                     return Err(corrupt("lane count does not match the query set"));
                 }
-                let mut restored = Vec::with_capacity(lanes.len());
-                for (lane, engine) in lanes.iter().zip(engines) {
-                    restored.push(restore_lane(lane, engine, checkpoint.offset)?);
-                }
-                QsState::Hybrid { lanes: restored }
+                let lanes = lanes
+                    .iter()
+                    .zip(engines)
+                    .map(|(lane, engine)| thaw_lane(lane, engine, h.offset))
+                    .collect::<Result<_, _>>()?;
+                QsState::Hybrid { lanes }
             }
             _ => unreachable!("tier equality checked above"),
         };
-        let mut session = QuerySetSession::fresh(self, limits);
-        session.offset = checkpoint.offset as usize;
-        session.node = checkpoint.node as usize;
-        session.node_base = checkpoint.node as usize;
-        session.depth = checkpoint.depth;
-        session.lex = checkpoint.lex;
-        session.state = state;
-        if let Some(o) = &session.obs {
-            o.last_checkpoint_offset.set(checkpoint.offset);
-            o.obs.counter("session_resumed_total").incr();
-            o.obs.trace(TraceEvent::SessionResume {
-                session: o.id,
-                offset: checkpoint.offset,
-            });
-        }
-        Ok(session)
+        let core = SessionCore::resume(limits, h, checkpoint.lex, &self.lexer)?;
+        Ok(QuerySetSession::new(self, core, state))
     }
 
     /// Runs the whole document through a session in one call.
@@ -1581,9 +1272,8 @@ impl QuerySet {
         bytes: &[u8],
         limits: &Limits,
     ) -> Result<QuerySetOutcome, SessionError> {
-        let mut session = self.session(limits.clone());
-        session.feed(bytes)?;
-        session.finish()
+        self.run_with_checkpoints(bytes, &[], limits)
+            .map(|(o, _)| o)
     }
 
     /// Runs the document, freezing a checkpoint at each cut offset (out
@@ -1599,19 +1289,8 @@ impl QuerySet {
         cuts: &[usize],
         limits: &Limits,
     ) -> Result<(QuerySetOutcome, Vec<QuerySetCheckpoint>), SessionError> {
-        let mut session = self.session(limits.clone());
-        let mut checkpoints = Vec::new();
-        let mut prev = 0usize;
-        for &cut in cuts {
-            if cut < prev || cut > bytes.len() {
-                continue;
-            }
-            session.feed(&bytes[prev..cut])?;
-            checkpoints.push(session.checkpoint()?);
-            prev = cut;
-        }
-        session.feed(&bytes[prev..])?;
-        Ok((session.finish()?, checkpoints))
+        let s = self.session(limits.clone());
+        s.core.run_cuts(s.run, bytes, cuts)
     }
 
     /// Resumes from `checkpoint` and runs the remainder of the document.
@@ -1627,13 +1306,30 @@ impl QuerySet {
         rest: &[u8],
         limits: &Limits,
     ) -> Result<QuerySetOutcome, SessionError> {
-        let mut session = self.resume(checkpoint, limits.clone())?;
-        session.feed(rest)?;
-        session.finish()
+        let s = self.resume(checkpoint, limits.clone())?;
+        s.core.run_cuts(s.run, rest, &[]).map(|(o, _)| o)
     }
 }
 
-fn restore_lane(
+fn freeze_lane(lane: &LaneState) -> HybridLaneCheckpoint {
+    match lane {
+        LaneState::Markup { s } => HybridLaneCheckpoint::Markup { state: *s },
+        LaneState::Har { run } => {
+            let (current, dead, chain) = run.freeze();
+            HybridLaneCheckpoint::Har {
+                current: current as u32,
+                dead,
+                chain,
+            }
+        }
+        LaneState::Stack { s, frames } => HybridLaneCheckpoint::Stack {
+            current: *s,
+            frames: frames.clone(),
+        },
+    }
+}
+
+fn thaw_lane(
     lane: &HybridLaneCheckpoint,
     engine: &LaneEngine,
     offset: u64,
@@ -1652,36 +1348,13 @@ fn restore_lane(
                 chain,
             },
             LaneEngine::Har(program),
-        ) => {
-            let dfa = program.core().dfa();
-            if *current as usize >= dfa.n_states() || chain.len() > MAX_CHAIN {
-                return Err(corrupt("har lane state out of range"));
-            }
-            let mut run = HarRun::new(program.core());
-            run.current = *current as usize;
-            run.dead = *dead;
-            run.chain_len = chain.len();
-            for (i, (s, r)) in chain.iter().enumerate() {
-                run.chain[i] = *s;
-                run.regs[i] = *r;
-            }
-            LaneState::Har { run }
-        }
+        ) => LaneState::Har {
+            run: HarRun::thaw(program.core(), *current as usize, *dead, chain)?,
+        },
         (HybridLaneCheckpoint::Stack { current, frames }, LaneEngine::Stack(dfa)) => {
-            if *current as usize >= dfa.n_states() {
-                return Err(corrupt("stack lane state out of range"));
-            }
-            if frames.len() as u64 > offset {
-                return Err(corrupt("stack frames exceed bytes consumed"));
-            }
-            for &f in frames {
-                if f as usize >= dfa.n_states() {
-                    return Err(corrupt("stack frame out of range"));
-                }
-            }
             LaneState::Stack {
                 s: *current,
-                frames: frames.clone(),
+                frames: thaw_stack(dfa.n_states(), *current, frames, offset)?,
             }
         }
         _ => return Err(corrupt("lane kind does not match the member's engine")),
@@ -1692,6 +1365,7 @@ fn restore_lane(
 mod tests {
     use super::*;
     use crate::query::Query;
+    use crate::session::{LimitExceeded, LimitKind};
 
     fn g2() -> Alphabet {
         Alphabet::of_chars("ab")

@@ -36,7 +36,10 @@
 //!
 //! Every session window, guarded one-shot run and recovery restart is one
 //! `crate::engine::EngineStep::drive` call with an emit, select or count
-//! sink and a depth guard.
+//! sink and a depth guard.  Single-query sessions and query-set sessions
+//! ([`crate::queryset::QuerySetSession`]) share one shell, `SessionCore`:
+//! one window loop, one checkpoint header codec, one set of resume
+//! checks; each keeps only its engine state and its per-window drive.
 //!
 //! Error handling across the chunked engines is unified under
 //! [`SessionError`]; worker panics in the data-parallel path are caught
@@ -53,8 +56,9 @@ use st_trees::error::TreeError;
 
 use crate::emit::{EmissionCursor, StreamedMatch};
 use crate::engine::{
-    find_lt, record_scan_stats, rescan_error, CountSink, DepthGuard, EmitSink, EngineStep,
-    FusedBackend, FusedQuery, HarRun, HarStep, NoGuard, SelectSink, Sink, StackStep, TEXT,
+    find_lt, record_scan_stats, rescan_error, thaw_stack, CountSink, DepthGuard, EmitSink,
+    EngineStep, FusedBackend, FusedQuery, Guard, HarRun, HarStep, NoGuard, SelectSink, Sink,
+    StackStep, TagLexer, TEXT,
 };
 use crate::error::CoreError;
 use crate::har::MAX_CHAIN;
@@ -340,6 +344,14 @@ impl From<LimitExceeded> for SessionError {
     }
 }
 
+fn limit_error(kind: LimitKind, limit: u64, offset: usize) -> SessionError {
+    SessionError::Limit(LimitExceeded {
+        kind,
+        limit,
+        offset,
+    })
+}
+
 pub(crate) fn corrupt(detail: impl Into<String>) -> SessionError {
     SessionError::Checkpoint {
         detail: detail.into(),
@@ -365,30 +377,12 @@ pub fn check_event_limits(tags: &[Tag], limits: &Limits) -> Result<(), LimitExce
     if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
         return Ok(());
     }
-    let mut depth: i64 = 0;
+    // The byte engines' depth guard over a one-label event alphabet:
+    // event 1 opens, event 2 closes.
+    let mut guard = DepthGuard::new(1, 0, limits);
     for (i, t) in tags.iter().enumerate() {
-        if t.is_open() {
-            depth += 1;
-            if let Some(md) = limits.max_depth {
-                if depth > md as i64 {
-                    return Err(LimitExceeded {
-                        kind: LimitKind::Depth,
-                        limit: md as u64,
-                        offset: i,
-                    });
-                }
-            }
-        } else {
-            depth -= 1;
-            if let Some(mi) = limits.max_imbalance {
-                if depth < -(mi as i64) {
-                    return Err(LimitExceeded {
-                        kind: LimitKind::Imbalance,
-                        limit: mi as u64,
-                        offset: i,
-                    });
-                }
-            }
+        if !guard.admit(if t.is_open() { 1 } else { 2 }, i) {
+            return Err(guard.breach(0));
         }
     }
     Ok(())
@@ -446,25 +440,12 @@ pub enum CheckpointState {
 /// [`EngineCheckpoint::from_bytes`] + [`FusedQuery::resume`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineCheckpoint {
-    /// Fingerprint of the query automaton + alphabet the session ran;
-    /// resume refuses a checkpoint minted by a different query.
-    fingerprint: u64,
-    /// The alphabet symbols in letter order, so a consumer can recompile
-    /// the query without re-parsing any document prefix.
-    alphabet: Vec<String>,
-    /// Absolute byte offset the session had consumed.
-    offset: u64,
-    /// Document-order id the next opened node will get.
-    node: u64,
-    /// Current depth (opens minus closes; may be negative on unbalanced
-    /// but tokenizable inputs).
-    depth: i64,
-    /// Matches emitted (past the certainty frontier) before the
-    /// checkpoint was minted.
-    emit_count: u64,
-    /// Word-wise FNV-1a digest of the emitted prefix; see
-    /// [`crate::emit::EmissionCursor`].
-    emit_digest: u64,
+    /// Fingerprint, alphabet and position: the run both wire formats
+    /// share.
+    header: CheckpointHeader,
+    /// Count and word-wise digest of the matches emitted (past the
+    /// certainty frontier) before the checkpoint was minted.
+    cursor: EmissionCursor,
     /// Engine-specific state.
     state: CheckpointState,
 }
@@ -479,54 +460,21 @@ impl EngineCheckpoint {
         }
     }
 
-    /// Absolute byte offset at which the session was frozen.
-    pub fn offset(&self) -> usize {
-        self.offset as usize
-    }
-
-    /// Document-order id the next opened node will receive.
-    pub fn next_node(&self) -> usize {
-        self.node as usize
-    }
-
-    /// Depth (opens minus closes) at the checkpoint.
-    pub fn depth(&self) -> i64 {
-        self.depth
-    }
-
-    /// The alphabet symbols of the query, in letter order — enough to
-    /// recompile the query on the resuming side.
-    pub fn alphabet_symbols(&self) -> &[String] {
-        &self.alphabet
-    }
-
     /// The emission cursor at the checkpoint: how many matches had been
     /// emitted when it was minted, and the digest of that prefix.  A
     /// resuming consumer uses it to dedup the replay window — and to
     /// verify its own ledger against the digest before trusting either.
     pub fn emission_cursor(&self) -> EmissionCursor {
-        EmissionCursor {
-            count: self.emit_count,
-            digest: self.emit_digest,
-        }
+        self.cursor
     }
 
     /// Serializes the checkpoint (little-endian, versioned, magic-tagged).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(64);
-        w.extend_from_slice(&CHECKPOINT_MAGIC);
+        let mut w = CHECKPOINT_MAGIC.to_vec();
         put_u16(&mut w, CHECKPOINT_VERSION);
-        put_u64(&mut w, self.fingerprint);
-        put_u16(&mut w, self.alphabet.len() as u16);
-        for s in &self.alphabet {
-            put_u16(&mut w, s.len() as u16);
-            w.extend_from_slice(s.as_bytes());
-        }
-        put_u64(&mut w, self.offset);
-        put_u64(&mut w, self.node);
-        put_i64(&mut w, self.depth);
-        put_u64(&mut w, self.emit_count);
-        put_u64(&mut w, self.emit_digest);
+        self.header.write(&mut w);
+        put_u64(&mut w, self.cursor.count);
+        put_u64(&mut w, self.cursor.digest);
         match &self.state {
             CheckpointState::Registerless { composite } => {
                 w.push(0);
@@ -543,10 +491,7 @@ impl EngineCheckpoint {
                 put_u16(&mut w, *current);
                 w.push(*dead as u8);
                 w.push(chain.len() as u8);
-                for (s, r) in chain {
-                    put_u16(&mut w, *s);
-                    put_i64(&mut w, *r);
-                }
+                put_chain(&mut w, chain);
             }
             CheckpointState::Stack {
                 lex,
@@ -572,31 +517,13 @@ impl EngineCheckpoint {
     /// [`SessionError::Checkpoint`] on truncated, corrupt, or
     /// wrong-version input.
     pub fn from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, SessionError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = r.u16()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(corrupt(format!(
-                "version {version} (this build reads {CHECKPOINT_VERSION})"
-            )));
-        }
-        let fingerprint = r.u64()?;
-        let n_symbols = r.u16()? as usize;
-        let mut alphabet = Vec::with_capacity(n_symbols.min(256));
-        for _ in 0..n_symbols {
-            let len = r.u16()? as usize;
-            let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| corrupt("non-UTF-8 symbol"))?;
-            alphabet.push(s.to_owned());
-        }
-        let offset = r.u64()?;
-        let node = r.u64()?;
-        let depth = r.i64()?;
-        let emit_count = r.u64()?;
-        let emit_digest = r.u64()?;
+        let mut r = Reader::new(bytes);
+        r.preamble(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+        let header = CheckpointHeader::read(&mut r)?;
+        let cursor = EmissionCursor {
+            count: r.u64()?,
+            digest: r.u64()?,
+        };
         let state = match r.u8()? {
             0 => CheckpointState::Registerless {
                 composite: r.u16()?,
@@ -606,34 +533,18 @@ impl EngineCheckpoint {
                 let current = r.u16()?;
                 let dead = r.u8()? != 0;
                 let chain_len = r.u8()? as usize;
-                if chain_len > MAX_CHAIN {
-                    return Err(corrupt(format!("chain of {chain_len} registers")));
-                }
-                let mut chain = Vec::with_capacity(chain_len);
-                for _ in 0..chain_len {
-                    let s = r.u16()?;
-                    let reg = r.i64()?;
-                    chain.push((s, reg));
-                }
                 CheckpointState::Stackless {
                     lex,
                     current,
                     dead,
-                    chain,
+                    chain: r.chain(chain_len)?,
                 }
             }
             2 => {
                 let lex = r.u16()?;
                 let current = r.u16()?;
-                let n_frames = r.u32()? as usize;
-                // Sanity-bound the allocation before trusting the count.
-                if n_frames > bytes.len() {
-                    return Err(corrupt(format!("{n_frames} frames in a short buffer")));
-                }
-                let mut frames = Vec::with_capacity(n_frames);
-                for _ in 0..n_frames {
-                    frames.push(r.u16()?);
-                }
+                let n_frames = r.count(2)?;
+                let frames = (0..n_frames).map(|_| r.u16()).collect::<Result<_, _>>()?;
                 CheckpointState::Stack {
                     lex,
                     current,
@@ -642,19 +553,81 @@ impl EngineCheckpoint {
             }
             tag => return Err(corrupt(format!("unknown engine tag {tag}"))),
         };
-        if r.pos != bytes.len() {
+        if !r.at_end() {
             return Err(corrupt("trailing bytes"));
         }
         Ok(EngineCheckpoint {
+            header,
+            cursor,
+            state,
+        })
+    }
+}
+
+/// The positional run both checkpoint formats share — `fingerprint ·
+/// alphabet · offset · node · depth`, contiguous on the wire in STCK and
+/// STQS alike — with its one codec.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct CheckpointHeader {
+    /// Fingerprint of the query (or query set) and alphabet the session
+    /// ran; resume refuses a checkpoint minted by anything else.
+    pub(crate) fingerprint: u64,
+    /// The alphabet symbols in letter order, so a consumer can recompile
+    /// the query without re-parsing any document prefix.
+    pub(crate) alphabet: Vec<String>,
+    /// Absolute byte offset the session had consumed.
+    pub(crate) offset: u64,
+    /// Document-order id the next opened node will get.
+    pub(crate) node: u64,
+    /// Current depth (opens minus closes; may be negative on unbalanced
+    /// but tokenizable inputs).
+    pub(crate) depth: i64,
+}
+
+impl CheckpointHeader {
+    pub(crate) fn write(&self, w: &mut Vec<u8>) {
+        put_u64(w, self.fingerprint);
+        put_u16(w, self.alphabet.len() as u16);
+        for s in &self.alphabet {
+            put_u16(w, s.len() as u16);
+            w.extend_from_slice(s.as_bytes());
+        }
+        put_u64(w, self.offset);
+        put_u64(w, self.node);
+        put_i64(w, self.depth);
+    }
+
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<CheckpointHeader, SessionError> {
+        let fingerprint = r.u64()?;
+        let n_symbols = r.u16()? as usize;
+        // Each symbol costs at least its two length bytes, which bounds
+        // the allocation by the buffer, whatever the count claims.
+        let mut alphabet = Vec::with_capacity(n_symbols.min(r.remaining() / 2));
+        for _ in 0..n_symbols {
+            let len = r.u16()? as usize;
+            let raw = r.take(len)?;
+            let s = std::str::from_utf8(raw).map_err(|_| corrupt("non-UTF-8 symbol"))?;
+            alphabet.push(s.to_owned());
+        }
+        let offset = r.u64()?;
+        let node = r.u64()?;
+        let depth = r.i64()?;
+        Ok(CheckpointHeader {
             fingerprint,
             alphabet,
             offset,
             node,
             depth,
-            emit_count,
-            emit_digest,
-            state,
         })
+    }
+}
+
+/// The `(state, register)` pairs of a frozen HAR chain; each format
+/// writes the chain length itself, in its own width.
+pub(crate) fn put_chain(w: &mut Vec<u8>, chain: &[(u16, i64)]) {
+    for &(s, r) in chain {
+        put_u16(w, s);
+        put_i64(w, r);
     }
 }
 
@@ -685,6 +658,34 @@ impl<'a> Reader<'a> {
     }
     pub(crate) fn at_end(&self) -> bool {
         self.pos == self.buf.len()
+    }
+    /// Checks a format's magic and version.
+    pub(crate) fn preamble(&mut self, magic: [u8; 4], version: u16) -> Result<(), SessionError> {
+        if self.take(4)? != magic {
+            return Err(corrupt("bad magic"));
+        }
+        let v = self.u16()?;
+        if v != version {
+            return Err(corrupt(format!("version {v} (this build reads {version})")));
+        }
+        Ok(())
+    }
+    /// A `u32` element count, refused when that many elements of at least
+    /// `width` bytes each cannot fit in what remains: a lying count never
+    /// sizes an allocation.
+    pub(crate) fn count(&mut self, width: usize) -> Result<usize, SessionError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(width) > self.remaining() {
+            return Err(corrupt(format!("{n} elements in a short buffer")));
+        }
+        Ok(n)
+    }
+    /// `n` pairs of a frozen HAR chain (at most [`MAX_CHAIN`]).
+    pub(crate) fn chain(&mut self, n: usize) -> Result<Vec<(u16, i64)>, SessionError> {
+        if n > MAX_CHAIN {
+            return Err(corrupt(format!("chain of {n} registers")));
+        }
+        (0..n).map(|_| Ok((self.u16()?, self.i64()?))).collect()
     }
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SessionError> {
         // Hostile length fields can be anything up to `u32::MAX`;
@@ -844,7 +845,7 @@ pub(crate) struct SessObs {
 }
 
 impl SessObs {
-    pub(crate) fn attach(obs: &ObsHandle, offset: u64) -> Option<SessObs> {
+    pub(crate) fn attach(obs: &ObsHandle) -> Option<SessObs> {
         if !obs.is_enabled() {
             return None;
         }
@@ -864,115 +865,148 @@ impl SessObs {
             emissions: obs.counter("session_emissions_total"),
             emission_latency: obs.histogram("session_emission_latency_bytes"),
             frontier_depth: obs.gauge("session_frontier_depth"),
-            last_checkpoint_offset: std::cell::Cell::new(offset),
+            last_checkpoint_offset: std::cell::Cell::new(0),
         })
     }
 }
 
-/// An incremental, checkpointable run of a [`FusedQuery`] under a set of
-/// [`Limits`].  Feed the document in arbitrary segments; freeze at any
-/// byte boundary with [`Self::checkpoint`]; close with [`Self::finish`].
-pub struct EngineSession<'q> {
-    query: &'q FusedQuery,
-    limits: Limits,
+// ---------------------------------------------------------------------------
+// The session shell
+// ---------------------------------------------------------------------------
+
+/// The engine half of a session: its live state, the drive call one
+/// window makes, and how that state freezes and ends.  [`SessionCore`]
+/// is generic over it, so each implementor's per-event drive stays
+/// monomorphised; the shell itself runs once per window.
+pub(crate) trait WindowRun {
+    type Checkpoint;
+    type Outcome;
+
+    /// Scans window `w`, which starts at absolute offset `core.offset`,
+    /// from the core's lexer state, node counter and depth, advancing the
+    /// engine state and `core.node`; returns how the scan ended and the
+    /// depth guard that watched it.
+    fn drive(
+        &mut self,
+        core: &mut SessionCore,
+        w: &[u8],
+        stats: &mut ScanStats,
+    ) -> (ScanEnd, DepthGuard);
+
+    /// Runs after each window the scan completed, with `core.offset`
+    /// already past it: the single-query emission frontier's hook.
+    fn window_done(&mut self, _core: &SessionCore) {}
+
+    /// The checkpoint of this state at `core`'s position.
+    fn freeze(&self, core: &SessionCore) -> Self::Checkpoint;
+
+    /// Matches selected so far, for the finish metrics.
+    fn match_count(&self) -> u64;
+
+    /// The final tallies, `nodes` opened from document start.
+    fn outcome(self, nodes: usize) -> Self::Outcome;
+}
+
+/// What every session shares, whatever it evaluates: the budgets, the
+/// clock, the position in the document, the sticky error and the
+/// metrics.  It runs the window loop, the checkpoint preamble, the
+/// end-of-input checks and the resume plausibility checks — once for
+/// [`EngineSession`] and [`crate::queryset::QuerySetSession`] alike.
+pub(crate) struct SessionCore {
+    pub(crate) limits: Limits,
     /// Clock reading at session start (in the limits' clock).
     started: Duration,
-    offset: usize,
-    node: usize,
+    pub(crate) offset: usize,
+    pub(crate) node: usize,
     /// Node counter value at session start (0 fresh, the checkpoint's
     /// counter on resume) — so tallies reported to the metrics registry
     /// cover only what *this* session processed.
     node_base: usize,
-    depth: i64,
-    matches: Vec<usize>,
-    /// Absolute byte offset of the open event that decided each match —
-    /// parallel to `matches`.  Selection is decided *at the open* in all
-    /// three engine classes, so this is the earliest certain offset.
-    match_offsets: Vec<usize>,
-    /// Matches `[..flushed]` have crossed the certainty frontier (their
-    /// window completed) and are folded into `cursor`; the tail is still
-    /// tentative — a failing window retracts it invisibly.
-    flushed: usize,
-    /// Matches `[..drained]` were already handed out by
-    /// [`Self::drain_emitted`].
-    drained: usize,
-    /// Count + digest of everything emitted since document start
-    /// (resume restores the checkpoint's cursor and keeps folding).
-    cursor: EmissionCursor,
+    pub(crate) depth: i64,
     /// Lexer state (mid-tag cuts are legal).
-    lex: u16,
-    /// The engine's step state.
-    state: EngineStep<'q>,
+    pub(crate) lex: u16,
     failed: Option<SessionError>,
-    obs: Option<SessObs>,
+    pub(crate) obs: Option<SessObs>,
 }
 
-impl<'q> EngineSession<'q> {
-    fn fresh(query: &'q FusedQuery, limits: Limits) -> EngineSession<'q> {
-        let started = limits.now();
-        let obs = SessObs::attach(&limits.obs, 0);
-        EngineSession {
-            query,
+impl SessionCore {
+    fn new(limits: Limits) -> SessionCore {
+        SessionCore {
+            started: limits.now(),
+            obs: SessObs::attach(&limits.obs),
             limits,
-            started,
             offset: 0,
             node: 0,
             node_base: 0,
             depth: 0,
-            matches: Vec::new(),
-            match_offsets: Vec::new(),
-            flushed: 0,
-            drained: 0,
-            cursor: EmissionCursor::new(),
             lex: TEXT,
-            state: EngineStep::fresh(query),
             failed: None,
-            obs,
         }
     }
 
-    /// The id this session carries in its observability handle's trace
-    /// (0 when unobserved).  The serving runtime uses it to link a job
-    /// to the session driving it.
-    pub fn obs_session_id(&self) -> u64 {
-        self.obs.as_ref().map_or(0, |o| o.id)
+    /// A session at document start.
+    pub(crate) fn start(limits: Limits) -> SessionCore {
+        let core = SessionCore::new(limits);
+        if let Some(o) = &core.obs {
+            o.obs.counter("session_started_total").incr();
+            o.obs.trace(TraceEvent::SessionStart { session: o.id });
+        }
+        core
     }
 
-    /// Absolute byte offset consumed so far.
-    pub fn offset(&self) -> usize {
-        self.offset
+    /// A session at checkpoint header `h` in lexer state `lex`.  A
+    /// checkpoint is untrusted wire input: a lying `offset`/`node`/
+    /// `depth` would otherwise overflow the counters on the next feed.
+    /// Every node costs bytes and every depth change costs a tag, so both
+    /// are bounded by the bytes consumed; the offset itself is capped at
+    /// an exabyte-scale stream no real session reaches.
+    pub(crate) fn resume(
+        limits: Limits,
+        h: &CheckpointHeader,
+        lex: u16,
+        lexer: &TagLexer,
+    ) -> Result<SessionCore, SessionError> {
+        const MAX_STREAM_OFFSET: u64 = 1 << 60;
+        if h.offset > MAX_STREAM_OFFSET {
+            return Err(corrupt("stream offset implausibly large"));
+        }
+        if h.node > h.offset {
+            return Err(corrupt("node counter exceeds bytes consumed"));
+        }
+        if h.depth.unsigned_abs() > h.offset {
+            return Err(corrupt("depth exceeds bytes consumed"));
+        }
+        if lex as usize >= lexer.n_states() {
+            return Err(corrupt("lexer state out of range"));
+        }
+        let mut core = SessionCore::new(limits);
+        core.offset = h.offset as usize;
+        core.node = h.node as usize;
+        core.node_base = core.node;
+        core.depth = h.depth;
+        core.lex = lex;
+        if let Some(o) = &core.obs {
+            o.last_checkpoint_offset.set(h.offset);
+            o.obs.counter("session_resumed_total").incr();
+            o.obs.trace(TraceEvent::SessionResume {
+                session: o.id,
+                offset: h.offset,
+            });
+        }
+        Ok(core)
     }
 
-    /// Total nodes opened so far (document-order id of the next open).
-    pub fn node_count(&self) -> usize {
-        self.node
-    }
-
-    /// Current depth (opens minus closes).
-    pub fn depth(&self) -> i64 {
-        self.depth
-    }
-
-    /// Ids of selected nodes opened during this session so far.
-    pub fn matches(&self) -> &[usize] {
-        &self.matches
-    }
-
-    /// Feeds the next segment of the document.  Errors are sticky: once a
-    /// feed fails, the session stays failed.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Parse`] at the first malformed byte (absolute
-    /// offset; the message is the session layer's structural diagnostic,
-    /// since a mid-stream session cannot re-scan bytes it no longer
-    /// holds) or [`SessionError::Limit`] when a budget is crossed.
-    pub fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError> {
+    /// Feeds `segment` through `run` window by window; errors are sticky.
+    pub(crate) fn feed<R: WindowRun>(
+        &mut self,
+        run: &mut R,
+        segment: &[u8],
+    ) -> Result<(), SessionError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
         let feed_start = self.offset;
-        let res = self.feed_inner(segment);
+        let res = self.feed_windows(run, segment);
         if let Some(o) = &self.obs {
             let consumed = (self.offset - feed_start) as u64;
             o.feeds.incr();
@@ -986,88 +1020,47 @@ impl<'q> EngineSession<'q> {
         res
     }
 
-    fn feed_inner(&mut self, segment: &[u8]) -> Result<(), SessionError> {
+    fn feed_windows<R: WindowRun>(
+        &mut self,
+        run: &mut R,
+        segment: &[u8],
+    ) -> Result<(), SessionError> {
         let mut pos = 0usize;
         while pos < segment.len() {
             let mut end = (pos + WINDOW).min(segment.len());
             if let Some(mb) = self.limits.max_bytes {
                 if self.offset >= mb {
-                    return self.fail(SessionError::Limit(LimitExceeded {
-                        kind: LimitKind::Bytes,
-                        limit: mb as u64,
-                        offset: mb,
-                    }));
+                    return self.fail(limit_error(LimitKind::Bytes, mb as u64, mb));
                 }
                 end = end.min(pos + (mb - self.offset));
             }
             if let Some(tb) = self.limits.time_budget {
                 if self.limits.now().saturating_sub(self.started) > tb {
-                    return self.fail(SessionError::Limit(LimitExceeded {
-                        kind: LimitKind::Time,
-                        limit: tb.as_millis() as u64,
-                        offset: self.offset,
-                    }));
+                    let limit = tb.as_millis() as u64;
+                    return self.fail(limit_error(LimitKind::Time, limit, self.offset));
                 }
             }
-            if let Err(e) = self.run_window(&segment[pos..end]) {
-                return self.fail(e);
+            // `self.offset` is the absolute offset of the window's first
+            // byte until the window completes.
+            let mut stats = ScanStats::default();
+            let (scan_end, guard) = run.drive(self, &segment[pos..end], &mut stats);
+            self.depth = guard.depth;
+            if let Some(o) = &self.obs {
+                o.simd_windows.add(stats.simd_windows);
+                o.fallback_windows.add(stats.fallback_windows);
+            }
+            match scan_end {
+                ScanEnd::Complete { lex } => self.lex = lex,
+                ScanEnd::Error { pos } => return self.fail(parse_error(self.offset + pos)),
+                ScanEnd::Stopped => {
+                    return self.fail(SessionError::Limit(guard.breach(self.offset)))
+                }
             }
             self.offset += end - pos;
             pos = end;
-            self.flush_emitted();
+            run.window_done(self);
         }
         Ok(())
-    }
-
-    /// Advances the certainty frontier past every match decided in the
-    /// window that just completed: folds each into the emission cursor
-    /// and records its emission latency (bytes from the deciding open
-    /// event to this frontier).  A window that *failed* never reaches
-    /// here, so its tentative matches stay unemitted — exactly the
-    /// prefix every successful re-run of the same bytes would emit.
-    fn flush_emitted(&mut self) {
-        let nodes = &self.matches[self.flushed..];
-        let offsets = &self.match_offsets[self.flushed..];
-        for (&node, &offset) in nodes.iter().zip(offsets) {
-            self.cursor.push(StreamedMatch { node, offset });
-        }
-        if let Some(o) = &self.obs {
-            o.frontier_depth.set(offsets.len() as i64);
-            o.emissions.add(offsets.len() as u64);
-            for &offset in offsets {
-                o.emission_latency.record((self.offset - offset) as u64);
-            }
-        }
-        self.flushed = self.matches.len();
-    }
-
-    /// Hands out the matches that crossed the certainty frontier since
-    /// the previous drain, in emission order.  Calling this after every
-    /// [`Self::feed`] yields the full emitted stream incrementally; a
-    /// caller that never drains still gets everything in
-    /// [`Self::finish`]'s outcome.
-    pub fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
-        let out = (self.drained..self.flushed)
-            .map(|i| StreamedMatch {
-                node: self.matches[i],
-                offset: self.match_offsets[i],
-            })
-            .collect();
-        self.drained = self.flushed;
-        out
-    }
-
-    /// The emission cursor: count + FNV digest of every match emitted
-    /// since document start (a resumed session continues the
-    /// checkpoint's cursor rather than restarting it).
-    pub fn emission_cursor(&self) -> EmissionCursor {
-        self.cursor
-    }
-
-    /// Matches decided but still held back at the certainty frontier
-    /// (only ever nonzero transiently — every completed feed flushes).
-    pub fn frontier_pending(&self) -> usize {
-        self.matches.len() - self.flushed
     }
 
     fn fail(&mut self, e: SessionError) -> Result<(), SessionError> {
@@ -1085,70 +1078,12 @@ impl<'q> EngineSession<'q> {
         Err(e)
     }
 
-    /// Processes one window — one `EngineStep::drive` call, whatever
-    /// the engine class; `self.offset` is the absolute offset of `w[0]`
-    /// and is only advanced by the caller afterwards.
-    fn run_window(&mut self, w: &[u8]) -> Result<(), SessionError> {
-        let lexer = self.query.tag_lexer();
-        let certify = lexer.certify(self.limits.force_scalar);
-        let mut stats = ScanStats::default();
-        let sink = EmitSink::new(
-            self.node,
-            self.offset,
-            std::mem::take(&mut self.matches),
-            std::mem::take(&mut self.match_offsets),
-        );
-        let guard = DepthGuard::new(lexer.k(), self.depth, &self.limits);
-        let (end, sink, guard) = self
-            .state
-            .drive(lexer, w, self.lex, certify, &mut stats, sink, guard);
-        self.node = sink.node;
-        (self.matches, self.match_offsets) = sink.into_parts();
-        self.depth = guard.depth;
-        if let Some(o) = &self.obs {
-            o.simd_windows.add(stats.simd_windows);
-            o.fallback_windows.add(stats.fallback_windows);
-        }
-        match end {
-            ScanEnd::Complete { lex } => {
-                self.lex = lex;
-                Ok(())
-            }
-            ScanEnd::Error { pos } => Err(parse_error(self.offset + pos)),
-            ScanEnd::Stopped => Err(SessionError::Limit(guard.breach(self.offset))),
-        }
-    }
-
-    /// Freezes the session at the current byte boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Checkpoint`] if the session has already failed —
-    /// a failed run has no resumable state.
-    pub fn checkpoint(&self) -> Result<EngineCheckpoint, SessionError> {
+    /// Freezes `run` at the current byte boundary; a failed session has
+    /// no resumable state.
+    pub(crate) fn checkpoint<R: WindowRun>(&self, run: &R) -> Result<R::Checkpoint, SessionError> {
         if let Some(e) = &self.failed {
             return Err(corrupt(format!("session already failed: {e}")));
         }
-        let lex = self.lex;
-        let state = match (&self.state, &self.query.backend) {
-            (EngineStep::Har(st), _) => CheckpointState::Stackless {
-                lex,
-                current: st.run.current as u16,
-                dead: st.run.dead,
-                chain: (0..st.run.chain_len)
-                    .map(|i| (st.run.chain[i], st.run.regs[i]))
-                    .collect(),
-            },
-            (EngineStep::Stack(st), _) => CheckpointState::Stack {
-                lex,
-                current: st.current as u16,
-                frames: st.stack.clone(),
-            },
-            (step, FusedBackend::Registerless(b)) => CheckpointState::Registerless {
-                composite: (lex as usize * b.m + step.query_state(b)) as u16,
-            },
-            _ => unreachable!("state/backend agree by construction"),
-        };
         if let Some(o) = &self.obs {
             o.checkpoints.incr();
             let last = o.last_checkpoint_offset.replace(self.offset as u64);
@@ -1159,25 +1094,24 @@ impl<'q> EngineSession<'q> {
                 offset: self.offset as u64,
             });
         }
-        Ok(EngineCheckpoint {
-            fingerprint: self.query.fingerprint,
-            alphabet: alphabet_symbols(&self.query.alphabet),
+        Ok(run.freeze(self))
+    }
+
+    /// The shared header of a checkpoint of `fingerprint` over `alphabet`
+    /// at the current position.
+    pub(crate) fn header(&self, fingerprint: u64, alphabet: &Alphabet) -> CheckpointHeader {
+        CheckpointHeader {
+            fingerprint,
+            alphabet: alphabet_symbols(alphabet),
             offset: self.offset as u64,
             node: self.node as u64,
             depth: self.depth,
-            emit_count: self.cursor.count,
-            emit_digest: self.cursor.digest,
-            state,
-        })
+        }
     }
 
-    /// Declares end-of-input and returns the session's tallies.
-    ///
-    /// # Errors
-    ///
-    /// The sticky error if the session already failed, or
-    /// [`SessionError::Parse`] if the input ended inside markup.
-    pub fn finish(self) -> Result<SessionOutcome, SessionError> {
+    /// Declares end of input: the sticky error, or input that ended
+    /// inside markup, fails the session.
+    pub(crate) fn finish<R: WindowRun>(self, run: R) -> Result<R::Outcome, SessionError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -1190,13 +1124,310 @@ impl<'q> EngineSession<'q> {
         if let Some(o) = &self.obs {
             o.finished.incr();
             o.nodes.add((self.node - self.node_base) as u64);
-            o.matches.add(self.matches.len() as u64);
+            o.matches.add(run.match_count());
         }
-        Ok(SessionOutcome {
-            matches: self.matches,
-            nodes: self.node,
+        Ok(run.outcome(self.node))
+    }
+
+    /// Feeds `bytes` through `run`, freezing a checkpoint at each cut
+    /// offset (out of range or unordered cuts are ignored), then
+    /// finishes: the one body of every `run_session`,
+    /// `run_with_checkpoints` and `resume_from`.
+    pub(crate) fn run_cuts<R: WindowRun>(
+        mut self,
+        mut run: R,
+        bytes: &[u8],
+        cuts: &[usize],
+    ) -> Result<(R::Outcome, Vec<R::Checkpoint>), SessionError> {
+        let mut checkpoints = Vec::new();
+        let mut prev = 0usize;
+        for &cut in cuts {
+            if cut < prev || cut > bytes.len() {
+                continue;
+            }
+            self.feed(&mut run, &bytes[prev..cut])?;
+            checkpoints.push(self.checkpoint(&run)?);
+            prev = cut;
+        }
+        self.feed(&mut run, &bytes[prev..])?;
+        Ok((self.finish(run)?, checkpoints))
+    }
+}
+
+/// The methods [`EngineSession`] and [`crate::queryset::QuerySetSession`]
+/// share verbatim — each is a [`SessionCore`] in field `core` beside its
+/// engine half in field `run` — and the positional accessors of their
+/// checkpoints, which carry a [`CheckpointHeader`] in field `header`.
+macro_rules! session_methods {
+    ($session:ident, $matches:ty, $checkpoint:ty, $outcome:ty) => {
+        impl $session<'_> {
+            /// The id this session carries in its observability handle's
+            /// trace (0 when unobserved).  The serving runtime uses it to
+            /// link a job to the session driving it.
+            pub fn obs_session_id(&self) -> u64 {
+                self.core.obs.as_ref().map_or(0, |o| o.id)
+            }
+
+            /// Absolute byte offset consumed so far.
+            pub fn offset(&self) -> usize {
+                self.core.offset
+            }
+
+            /// Total nodes opened so far (document-order id of the next
+            /// open).
+            pub fn node_count(&self) -> usize {
+                self.core.node
+            }
+
+            /// Current depth (opens minus closes).
+            pub fn depth(&self) -> i64 {
+                self.core.depth
+            }
+
+            /// Ids of the nodes selected during this session so far (one
+            /// list per member for a query set).
+            pub fn matches(&self) -> &[$matches] {
+                &self.run.matches
+            }
+
+            /// Feeds the next segment of the document.  Errors are
+            /// sticky: once a feed fails, the session stays failed.
+            ///
+            /// # Errors
+            ///
+            /// [`SessionError::Parse`] at the first malformed byte
+            /// (absolute offset; the message is the session layer's
+            /// structural diagnostic, since a mid-stream session cannot
+            /// re-scan bytes it no longer holds) or
+            /// [`SessionError::Limit`] when a budget is crossed.
+            pub fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError> {
+                self.core.feed(&mut self.run, segment)
+            }
+
+            /// Freezes the session at the current byte boundary.
+            ///
+            /// # Errors
+            ///
+            /// [`SessionError::Checkpoint`] if the session has already
+            /// failed — a failed run has no resumable state.
+            pub fn checkpoint(&self) -> Result<$checkpoint, SessionError> {
+                self.core.checkpoint(&self.run)
+            }
+
+            /// Declares end-of-input and returns the session's tallies.
+            ///
+            /// # Errors
+            ///
+            /// The sticky error if the session already failed, or
+            /// [`SessionError::Parse`] if the input ended inside markup.
+            pub fn finish(self) -> Result<$outcome, SessionError> {
+                self.core.finish(self.run)
+            }
+        }
+
+        impl $checkpoint {
+            /// Absolute byte offset at which the session was frozen.
+            pub fn offset(&self) -> usize {
+                self.header.offset as usize
+            }
+
+            /// Document-order id the next opened node will receive.
+            pub fn next_node(&self) -> usize {
+                self.header.node as usize
+            }
+
+            /// Depth (opens minus closes) at the checkpoint.
+            pub fn depth(&self) -> i64 {
+                self.header.depth
+            }
+
+            /// The alphabet symbols, in letter order — enough to
+            /// recompile the query on the resuming side.
+            pub fn alphabet_symbols(&self) -> &[String] {
+                &self.header.alphabet
+            }
+        }
+    };
+}
+pub(crate) use session_methods;
+
+// ---------------------------------------------------------------------------
+// Single-query sessions
+// ---------------------------------------------------------------------------
+
+/// An incremental, checkpointable run of a [`FusedQuery`] under a set of
+/// [`Limits`].  Feed the document in arbitrary segments; freeze at any
+/// byte boundary with [`Self::checkpoint`]; close with [`Self::finish`].
+pub struct EngineSession<'q> {
+    core: SessionCore,
+    run: EngineRun<'q>,
+}
+
+session_methods!(EngineSession, usize, EngineCheckpoint, SessionOutcome);
+
+/// The engine half of an [`EngineSession`]: the step state and the
+/// emission frontier.
+struct EngineRun<'q> {
+    query: &'q FusedQuery,
+    step: EngineStep<'q>,
+    matches: Vec<usize>,
+    /// Absolute byte offset of the open event that decided each match —
+    /// parallel to `matches`.  Selection is decided *at the open* in all
+    /// three engine classes, so this is the earliest certain offset.
+    match_offsets: Vec<usize>,
+    /// Matches `[..flushed]` have crossed the certainty frontier (their
+    /// window completed) and are folded into `cursor`; the tail is still
+    /// tentative — a failing window retracts it invisibly.
+    flushed: usize,
+    /// Matches `[..drained]` were already handed out by
+    /// [`EngineSession::drain_emitted`].
+    drained: usize,
+    /// Count + digest of everything emitted since document start
+    /// (resume restores the checkpoint's cursor and keeps folding).
+    cursor: EmissionCursor,
+}
+
+impl WindowRun for EngineRun<'_> {
+    type Checkpoint = EngineCheckpoint;
+    type Outcome = SessionOutcome;
+
+    /// One `EngineStep::drive` call, whatever the engine class.
+    fn drive(
+        &mut self,
+        core: &mut SessionCore,
+        w: &[u8],
+        stats: &mut ScanStats,
+    ) -> (ScanEnd, DepthGuard) {
+        let lexer = self.query.tag_lexer();
+        let certify = lexer.certify(core.limits.force_scalar);
+        let guard = DepthGuard::new(lexer.k(), core.depth, &core.limits);
+        let sink = EmitSink::new(
+            core.node,
+            core.offset,
+            std::mem::take(&mut self.matches),
+            std::mem::take(&mut self.match_offsets),
+        );
+        let (end, sink, guard) = self
+            .step
+            .drive(lexer, w, core.lex, certify, stats, sink, guard);
+        core.node = sink.node;
+        (self.matches, self.match_offsets) = sink.into_parts();
+        (end, guard)
+    }
+
+    /// Advances the certainty frontier past every match decided in the
+    /// window that just completed: folds each into the emission cursor
+    /// and records its emission latency (bytes from the deciding open
+    /// event to this frontier).  A window that *failed* never reaches
+    /// here, so its tentative matches stay unemitted — exactly the
+    /// prefix every successful re-run of the same bytes would emit.
+    fn window_done(&mut self, core: &SessionCore) {
+        let nodes = &self.matches[self.flushed..];
+        let offsets = &self.match_offsets[self.flushed..];
+        for (&node, &offset) in nodes.iter().zip(offsets) {
+            self.cursor.push(StreamedMatch { node, offset });
+        }
+        if let Some(o) = &core.obs {
+            o.frontier_depth.set(offsets.len() as i64);
+            o.emissions.add(offsets.len() as u64);
+            for &offset in offsets {
+                o.emission_latency.record((core.offset - offset) as u64);
+            }
+        }
+        self.flushed = self.matches.len();
+    }
+
+    fn freeze(&self, core: &SessionCore) -> EngineCheckpoint {
+        let lex = core.lex;
+        let state = match (&self.step, &self.query.backend) {
+            (EngineStep::Har(st), _) => {
+                let (current, dead, chain) = st.run.freeze();
+                CheckpointState::Stackless {
+                    lex,
+                    current: current as u16,
+                    dead,
+                    chain,
+                }
+            }
+            (EngineStep::Stack(st), _) => CheckpointState::Stack {
+                lex,
+                current: st.current as u16,
+                frames: st.stack.clone(),
+            },
+            (step, FusedBackend::Registerless(b)) => CheckpointState::Registerless {
+                composite: (lex as usize * b.m + step.query_state(b)) as u16,
+            },
+            _ => unreachable!("state/backend agree by construction"),
+        };
+        EngineCheckpoint {
+            header: core.header(self.query.fingerprint, &self.query.alphabet),
             cursor: self.cursor,
-        })
+            state,
+        }
+    }
+
+    fn match_count(&self) -> u64 {
+        self.matches.len() as u64
+    }
+
+    fn outcome(self, nodes: usize) -> SessionOutcome {
+        SessionOutcome {
+            matches: self.matches,
+            nodes,
+            cursor: self.cursor,
+        }
+    }
+}
+
+impl<'q> EngineSession<'q> {
+    fn new(
+        query: &'q FusedQuery,
+        core: SessionCore,
+        step: EngineStep<'q>,
+        cursor: EmissionCursor,
+    ) -> EngineSession<'q> {
+        EngineSession {
+            core,
+            run: EngineRun {
+                query,
+                step,
+                matches: Vec::new(),
+                match_offsets: Vec::new(),
+                flushed: 0,
+                drained: 0,
+                cursor,
+            },
+        }
+    }
+
+    /// Hands out the matches that crossed the certainty frontier since
+    /// the previous drain, in emission order.  Calling this after every
+    /// [`Self::feed`] yields the full emitted stream incrementally; a
+    /// caller that never drains still gets everything in
+    /// [`Self::finish`]'s outcome.
+    pub fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
+        let run = &mut self.run;
+        let out = (run.drained..run.flushed)
+            .map(|i| StreamedMatch {
+                node: run.matches[i],
+                offset: run.match_offsets[i],
+            })
+            .collect();
+        run.drained = run.flushed;
+        out
+    }
+
+    /// The emission cursor: count + FNV digest of every match emitted
+    /// since document start (a resumed session continues the
+    /// checkpoint's cursor rather than restarting it).
+    pub fn emission_cursor(&self) -> EmissionCursor {
+        self.run.cursor
+    }
+
+    /// Matches decided but still held back at the certainty frontier
+    /// (only ever nonzero transiently — every completed feed flushes).
+    pub fn frontier_pending(&self) -> usize {
+        self.run.matches.len() - self.run.flushed
     }
 }
 
@@ -1265,12 +1496,13 @@ pub struct RecoveryOutcome {
 impl FusedQuery {
     /// Opens a fresh resilient session under `limits`.
     pub fn session(&self, limits: Limits) -> EngineSession<'_> {
-        let session = EngineSession::fresh(self, limits);
-        if let Some(o) = &session.obs {
-            o.obs.counter("session_started_total").incr();
-            o.obs.trace(TraceEvent::SessionStart { session: o.id });
-        }
-        session
+        let cursor = EmissionCursor::new();
+        EngineSession::new(
+            self,
+            SessionCore::start(limits),
+            EngineStep::fresh(self),
+            cursor,
+        )
     }
 
     /// Reopens a session from a checkpoint minted by the *same* query
@@ -1279,7 +1511,7 @@ impl FusedQuery {
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] on a strategy or fingerprint
-    /// mismatch.
+    /// mismatch, or any implausible or out-of-range frozen state.
     pub fn resume(
         &self,
         checkpoint: &EngineCheckpoint,
@@ -1292,49 +1524,20 @@ impl FusedQuery {
                 self.strategy()
             )));
         }
-        if checkpoint.fingerprint != self.fingerprint {
+        let h = &checkpoint.header;
+        if h.fingerprint != self.fingerprint {
             return Err(corrupt(
                 "checkpoint was minted by a different query or alphabet",
             ));
-        }
-        // Plausibility bounds on the positional fields.  A checkpoint is
-        // untrusted wire input: a lying `offset`/`node`/`depth` would
-        // otherwise overflow the session counters on the next feed.  Every
-        // node costs bytes and every depth change costs a tag, so both are
-        // bounded by the bytes consumed; the offset itself is capped at an
-        // exabyte-scale stream no real session reaches.
-        const MAX_STREAM_OFFSET: u64 = 1 << 60;
-        if checkpoint.offset > MAX_STREAM_OFFSET {
-            return Err(corrupt("stream offset implausibly large"));
-        }
-        if checkpoint.node > checkpoint.offset {
-            return Err(corrupt("node counter exceeds bytes consumed"));
-        }
-        if checkpoint.depth.unsigned_abs() > checkpoint.offset {
-            return Err(corrupt("depth exceeds bytes consumed"));
         }
         // Every emitted match is a selected *node*, so the emission
         // cursor can never claim more deliveries than nodes opened — a
         // forged count is rejected here rather than silently creating a
         // gap the replay dedup would never close.
-        if checkpoint.emit_count > checkpoint.node {
+        if checkpoint.cursor.count > h.node {
             return Err(corrupt("emission cursor exceeds nodes opened"));
         }
-        let mut session = EngineSession::fresh(self, limits);
-        session.offset = checkpoint.offset as usize;
-        session.node = checkpoint.node as usize;
-        session.node_base = checkpoint.node as usize;
-        session.depth = checkpoint.depth;
-        session.cursor = checkpoint.emission_cursor();
-        if let Some(o) = &session.obs {
-            o.last_checkpoint_offset.set(checkpoint.offset);
-            o.obs.counter("session_resumed_total").incr();
-            o.obs.trace(TraceEvent::SessionResume {
-                session: o.id,
-                offset: checkpoint.offset,
-            });
-        }
-        let (lex, state) = match (&checkpoint.state, &self.backend) {
+        let (lex, step) = match (&checkpoint.state, &self.backend) {
             (CheckpointState::Registerless { composite }, FusedBackend::Registerless(b)) => {
                 let s = *composite as usize;
                 if s >= b.n_states() {
@@ -1351,22 +1554,8 @@ impl FusedQuery {
                 },
                 FusedBackend::Stackless(e),
             ) => {
-                let n = e.program.core().dfa().n_states();
-                if *current as usize >= n
-                    || chain.len() > MAX_CHAIN
-                    || chain.iter().any(|&(s, _)| s as usize >= n)
-                {
-                    return Err(corrupt("stackless state out of range"));
-                }
-                let mut run = HarRun::new(e.program.core());
-                run.current = *current as usize;
-                run.dead = *dead;
-                run.chain_len = chain.len();
-                for (i, (s, r)) in chain.iter().enumerate() {
-                    run.chain[i] = *s;
-                    run.regs[i] = *r;
-                }
-                (*lex, HarStep::at(e, checkpoint.depth, run))
+                let run = HarRun::thaw(e.program.core(), *current as usize, *dead, chain)?;
+                (*lex, HarStep::at(e, h.depth, run))
             }
             (
                 CheckpointState::Stack {
@@ -1376,20 +1565,18 @@ impl FusedQuery {
                 },
                 FusedBackend::Stack(e),
             ) => {
-                let n = e.dfa.n_states();
-                if *current as usize >= n || frames.iter().any(|&f| f as usize >= n) {
-                    return Err(corrupt("stack state out of range"));
-                }
-                (*lex, StackStep::at(e, *current as usize, frames.clone()))
+                let frames = thaw_stack(e.dfa.n_states(), *current, frames, h.offset)?;
+                (*lex, StackStep::at(e, *current as usize, frames))
             }
             _ => unreachable!("strategy equality checked above"),
         };
-        if lex as usize >= self.tag_lexer().n_states() {
-            return Err(corrupt("lexer state out of range"));
-        }
-        session.lex = lex;
-        session.state = state;
-        Ok(session)
+        let core = SessionCore::resume(limits, h, lex, self.tag_lexer())?;
+        Ok(EngineSession::new(
+            self,
+            core,
+            step,
+            checkpoint.emission_cursor(),
+        ))
     }
 
     /// Runs the whole document through a session in one call.
@@ -1402,9 +1589,8 @@ impl FusedQuery {
         bytes: &[u8],
         limits: &Limits,
     ) -> Result<SessionOutcome, SessionError> {
-        let mut session = self.session(limits.clone());
-        session.feed(bytes)?;
-        session.finish()
+        self.run_with_checkpoints(bytes, &[], limits)
+            .map(|(o, _)| o)
     }
 
     /// Runs the document, freezing a checkpoint at each cut offset (out
@@ -1420,19 +1606,8 @@ impl FusedQuery {
         cuts: &[usize],
         limits: &Limits,
     ) -> Result<(SessionOutcome, Vec<EngineCheckpoint>), SessionError> {
-        let mut session = self.session(limits.clone());
-        let mut checkpoints = Vec::new();
-        let mut prev = 0usize;
-        for &cut in cuts {
-            if cut < prev || cut > bytes.len() {
-                continue;
-            }
-            session.feed(&bytes[prev..cut])?;
-            checkpoints.push(session.checkpoint()?);
-            prev = cut;
-        }
-        session.feed(&bytes[prev..])?;
-        Ok((session.finish()?, checkpoints))
+        let s = self.session(limits.clone());
+        s.core.run_cuts(s.run, bytes, cuts)
     }
 
     /// Resumes from `checkpoint` and runs the remainder of the document.
@@ -1448,9 +1623,8 @@ impl FusedQuery {
         rest: &[u8],
         limits: &Limits,
     ) -> Result<SessionOutcome, SessionError> {
-        let mut session = self.resume(checkpoint, limits.clone())?;
-        session.feed(rest)?;
-        session.finish()
+        let s = self.resume(checkpoint, limits.clone())?;
+        s.core.run_cuts(s.run, rest, &[]).map(|(o, _)| o)
     }
 
     /// Resource-guarded select over a whole in-memory document.  With
@@ -1524,11 +1698,7 @@ impl FusedQuery {
                 breach.expect("only a guard stops the scan").breach(0),
             )),
             ScanEnd::Complete { .. } if doc.len() < bytes.len() => {
-                Err(SessionError::Limit(LimitExceeded {
-                    kind: LimitKind::Bytes,
-                    limit: doc.len() as u64,
-                    offset: doc.len(),
-                }))
+                Err(limit_error(LimitKind::Bytes, doc.len() as u64, doc.len()))
             }
             ScanEnd::Complete { lex: TEXT } => Ok(sink),
             _ => Err(SessionError::Parse(rescan_error(bytes, &self.alphabet))),

@@ -1048,7 +1048,7 @@ mod tests {
         obs.counter("serve_shed_total").add(4);
         obs.counter("engine_bytes_total").add(123456);
         obs.gauge("serve_queue_depth").set(-2);
-        let h = obs.histogram("serve_request_latency_ms");
+        let h = obs.histogram("serve_request_latency_ns");
         for v in [0, 1, 7, 8, 300, 301, 99999] {
             h.record(v);
         }

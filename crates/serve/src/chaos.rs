@@ -69,21 +69,41 @@ impl ChaosConfig {
     /// Deterministic: same inputs, same fault, regardless of pool size
     /// or scheduling.
     pub fn roll(&self, job: u64, attempt: u32, segment: u64) -> Fault {
-        let h = mix(self.seed
-            ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ segment.wrapping_mul(0x1656_67B1_9E37_79F9));
-        let r = (h % 1000) as u16;
-        if r < self.panic_per_mille {
-            Fault::Panic
-        } else if r < self.panic_per_mille + self.stall_per_mille {
-            Fault::Stall
-        } else if r < self.panic_per_mille + self.stall_per_mille + self.corrupt_per_mille {
-            Fault::Corrupt
-        } else {
-            Fault::None
+        let bands = [
+            (self.panic_per_mille, Fault::Panic),
+            (self.stall_per_mille, Fault::Stall),
+            (self.corrupt_per_mille, Fault::Corrupt),
+        ];
+        let draw = per_mille(self.seed, 0, job, attempt as u64, segment);
+        pick(draw, &bands, Fault::None)
+    }
+}
+
+/// The per-mille draw (`0..1000`) of fault stream `seed` at coordinate
+/// `(a, b, c)` — every fault roll of the pool and network harnesses.
+/// `salt` separates harnesses that share a seed, so they do not inject
+/// in lockstep (the pool stream is unsalted).
+pub(crate) fn per_mille(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> u16 {
+    let h = mix(seed
+        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+        ^ c.wrapping_mul(0x1656_67B1_9E37_79F9)
+        ^ salt);
+    (h % 1000) as u16
+}
+
+/// The fault whose per-mille band holds `draw`: the `(rate, fault)`
+/// bands lie end to end from 0 in order, so at most one fault fires per
+/// draw, and a draw past every band is `none`.
+pub(crate) fn pick<F: Copy>(draw: u16, bands: &[(u16, F)], none: F) -> F {
+    let mut top = 0u32;
+    for &(rate, fault) in bands {
+        top += u32::from(rate);
+        if u32::from(draw) < top {
+            return fault;
         }
     }
+    none
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
@@ -95,7 +115,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -117,6 +137,51 @@ mod tests {
             }
         }
         assert!(cleared > 0, "retries never clear injected faults");
+    }
+
+    /// Draws of the pool stream, pinned from the generator as it stood
+    /// before the pool and network harnesses shared it: seeds 7 and 42
+    /// over the `(job, attempt, segment)` points of `GRID`.
+    pub(crate) const GRID: [(u64, u32, u64); 6] = [
+        (0, 1, 0),
+        (1, 1, 0),
+        (3, 2, 5),
+        (17, 1, 9),
+        (1000, 3, 2),
+        (u64::MAX, 7, 123_456),
+    ];
+    const POOL_DRAWS: [(u64, [u16; 6]); 2] = [
+        (7, [493, 386, 420, 9, 341, 842]),
+        (42, [531, 307, 356, 658, 927, 756]),
+    ];
+
+    #[test]
+    fn pool_draws_match_the_pinned_grid() {
+        for (seed, draws) in POOL_DRAWS {
+            for (&(job, attempt, segment), draw) in GRID.iter().zip(draws) {
+                assert_eq!(per_mille(seed, 0, job, attempt as u64, segment), draw);
+                // The roll fires exactly when the draw falls in a band.
+                let at = |rate: u16| ChaosConfig {
+                    seed,
+                    panic_per_mille: rate,
+                    stall_per_mille: 0,
+                    corrupt_per_mille: 0,
+                    stall_ms: 0,
+                };
+                assert_eq!(at(draw).roll(job, attempt, segment), Fault::None);
+                assert_eq!(at(draw + 1).roll(job, attempt, segment), Fault::Panic);
+            }
+        }
+    }
+
+    #[test]
+    fn bands_are_disjoint_and_ordered() {
+        let bands = [(20, 'p'), (10, 's'), (30, 'c')];
+        let picks: String = [0, 19, 20, 29, 30, 59, 60, 999]
+            .into_iter()
+            .map(|d| pick(d, &bands, '-'))
+            .collect();
+        assert_eq!(picks, "ppsscc--");
     }
 
     #[test]

@@ -28,13 +28,14 @@
 //!   Fault rolls are pure functions of `(seed, job, attempt, segment)`,
 //!   so soak outcomes are identical across pool sizes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chaos;
 pub mod config;
 pub mod error;
 pub mod frame;
+mod heap;
 pub mod net;
 #[cfg(feature = "chaos")]
 pub mod netchaos;

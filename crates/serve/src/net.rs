@@ -418,7 +418,9 @@ struct NetObs {
     rejected: Counter,
     bad_frames: Counter,
     checkpoints: Counter,
-    request_latency_ms: Histogram,
+    /// Clock nanoseconds from a request's first frame to its settled
+    /// reply (sub-millisecond requests land in their own log2 bucket).
+    request_latency_ns: Histogram,
     request_bytes: Histogram,
 }
 
@@ -438,7 +440,7 @@ impl NetObs {
             rejected: obs.counter("net_rejected_total"),
             bad_frames: obs.counter("net_bad_frames_total"),
             checkpoints: obs.counter("net_checkpoints_total"),
-            request_latency_ms: obs.histogram("net_request_latency_ms"),
+            request_latency_ns: obs.histogram("net_request_latency_ns"),
             request_bytes: obs.histogram("net_request_doc_bytes"),
         }
     }
@@ -466,7 +468,11 @@ struct NetInner {
 
 impl NetInner {
     fn now_ms(&self) -> u64 {
-        (self.clock)().as_millis() as u64
+        self.now_ns() / 1_000_000
+    }
+
+    fn now_ns(&self) -> u64 {
+        (self.clock)().as_nanos() as u64
     }
 
     fn release_bytes(&self, n: usize) {
@@ -931,7 +937,7 @@ struct Upload<'i> {
     held: usize,
     fed: u64,
     since_checkpoint: usize,
-    started_ms: u64,
+    started_ns: u64,
 }
 
 impl<'i> Upload<'i> {
@@ -941,7 +947,7 @@ impl<'i> Upload<'i> {
             held: 0,
             fed: 0,
             since_checkpoint: 0,
-            started_ms: inner.now_ms(),
+            started_ns: inner.now_ns(),
         }
     }
 
@@ -956,7 +962,10 @@ impl<'i> Upload<'i> {
         self.held += payload.len();
         self.fed += payload.len() as u64;
         if let Some(floor) = self.inner.cfg.min_throughput {
-            let elapsed_ms = self.inner.now_ms().saturating_sub(self.started_ms);
+            let elapsed_ms = self
+                .inner
+                .now_ms()
+                .saturating_sub(self.started_ns / 1_000_000);
             if elapsed_ms > self.inner.cfg.throughput_grace.as_millis() as u64
                 && self.fed.saturating_mul(1000) < floor.saturating_mul(elapsed_ms)
             {
@@ -983,9 +992,10 @@ impl<'i> Upload<'i> {
         }
     }
 
+    /// Bytes fed and nanoseconds since the upload started.
     fn finish(self) -> (u64, u64) {
-        let latency = self.inner.now_ms().saturating_sub(self.started_ms);
-        (self.fed, latency)
+        let latency_ns = self.inner.now_ns().saturating_sub(self.started_ns);
+        (self.fed, latency_ns)
     }
 }
 
@@ -1044,9 +1054,9 @@ fn serve_single(
                 // Settle the budget and the histograms before the reply
                 // goes out, so a client that has read it observes final
                 // stats (no in-flight residue, counters moved).
-                let (fed, latency) = upload.finish();
+                let (fed, latency_ns) = upload.finish();
                 inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ms.record(latency);
+                inner.o.request_latency_ns.record(latency_ns);
                 send_reply(
                     inner,
                     stream,
@@ -1109,9 +1119,9 @@ fn serve_single_stream(
             FrameKind::Finish => {
                 require_empty_finish(&frame)?;
                 let outcome = session.finish().map_err(NetError::Engine)?;
-                let (fed, latency) = upload.finish();
+                let (fed, latency_ns) = upload.finish();
                 inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ms.record(latency);
+                inner.o.request_latency_ns.record(latency_ns);
                 send_reply(
                     inner,
                     stream,
@@ -1153,9 +1163,9 @@ fn serve_multi(
             FrameKind::Finish => {
                 require_empty_finish(&frame)?;
                 let outcome = session.finish().map_err(NetError::Engine)?;
-                let (fed, latency) = upload.finish();
+                let (fed, latency_ns) = upload.finish();
                 inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ms.record(latency);
+                inner.o.request_latency_ns.record(latency_ns);
                 send_reply(
                     inner,
                     stream,

@@ -15,6 +15,8 @@
 //! not recur deterministically on the resend — the transient-fault
 //! shape the connection robustness machinery exists for.
 
+use crate::chaos::{per_mille, pick};
+
 /// The client-side fault (if any) injected at one `(request, attempt,
 /// segment)` boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,39 +76,29 @@ impl NetChaosConfig {
     /// boundary.  Deterministic: same inputs, same fault, regardless of
     /// connection capacity or scheduling.
     pub fn roll(&self, request: u64, attempt: u32, segment: u64) -> NetFault {
-        let h = mix(self.seed
-            ^ request.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ segment.wrapping_mul(0x1656_67B1_9E37_79F9)
-            ^ 0x5EED_0F0F_0F0F_5EED);
-        let r = (h % 1000) as u16;
-        if r < self.disconnect_per_mille {
-            NetFault::Disconnect
-        } else if r < self.disconnect_per_mille + self.torn_per_mille {
-            NetFault::Torn
-        } else if r < self.disconnect_per_mille + self.torn_per_mille + self.stall_per_mille {
-            NetFault::Stall
-        } else {
-            NetFault::None
-        }
+        let bands = [
+            (self.disconnect_per_mille, NetFault::Disconnect),
+            (self.torn_per_mille, NetFault::Torn),
+            (self.stall_per_mille, NetFault::Stall),
+        ];
+        let draw = per_mille(self.seed, NET_SALT, request, attempt as u64, segment);
+        pick(draw, &bands, NetFault::None)
     }
 
     /// Whether this request, once completed, is re-sent in full as a
     /// duplicate upload.
     pub fn roll_resend(&self, request: u64) -> bool {
-        let h =
-            mix(self.seed ^ request.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x00D0_71CA_7E00_0000);
-        ((h % 1000) as u16) < self.resend_per_mille
+        // Keyed on the request alone: its own multiplier folds into the
+        // salt, and the three coordinates stay zero.
+        let salt = RESEND_SALT ^ request.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        per_mille(self.seed, salt, 0, 0, 0) < self.resend_per_mille
     }
 }
 
-/// SplitMix64 finalizer (same permutation as [`crate::chaos`]).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Salts of the network fault streams, so they never inject in lockstep
+/// with the pool harness's (unsalted) stream under the same seed.
+const NET_SALT: u64 = 0x5EED_0F0F_0F0F_5EED;
+const RESEND_SALT: u64 = 0x00D0_71CA_7E00_0000;
 
 #[cfg(test)]
 mod tests {
@@ -129,6 +121,44 @@ mod tests {
             }
         }
         assert!(cleared > 0, "retries never clear injected faults");
+    }
+
+    /// Draws pinned from the generator as it stood before the pool and
+    /// network harnesses shared it: the network stream over the pool
+    /// tests' grid, and the resend stream over a few requests.
+    #[test]
+    fn net_and_resend_draws_match_the_pinned_grid() {
+        use crate::chaos::tests::GRID;
+        let pinned = [
+            (
+                7,
+                [274, 563, 582, 4, 460, 964],
+                [223, 264, 577, 599, 384, 695],
+            ),
+            (
+                42,
+                [968, 186, 776, 780, 38, 88],
+                [863, 365, 12, 273, 139, 43],
+            ),
+        ];
+        let requests = [0, 1, 2, 57, 1000, u64::MAX];
+        for (seed, net, resend) in pinned {
+            for (&(req, attempt, seg), draw) in GRID.iter().zip(net) {
+                assert_eq!(per_mille(seed, NET_SALT, req, attempt as u64, seg), draw);
+                let mut c = NetChaosConfig::with_seed(seed);
+                (c.disconnect_per_mille, c.torn_per_mille, c.stall_per_mille) = (draw, 0, 0);
+                assert_eq!(c.roll(req, attempt, seg), NetFault::None);
+                c.disconnect_per_mille = draw + 1;
+                assert_eq!(c.roll(req, attempt, seg), NetFault::Disconnect);
+            }
+            for (req, draw) in requests.into_iter().zip(resend) {
+                let mut c = NetChaosConfig::with_seed(seed);
+                c.resend_per_mille = draw;
+                assert!(!c.roll_resend(req));
+                c.resend_per_mille = draw + 1;
+                assert!(c.roll_resend(req));
+            }
+        }
     }
 
     #[test]

@@ -432,9 +432,9 @@ struct JobState {
     status: Status,
     path: PathTaken,
     degraded: bool,
-    /// Admission timestamp (ms since runtime epoch), for the terminal
+    /// Admission timestamp (ns since runtime epoch), for the terminal
     /// latency histogram.
-    submitted_ms: u64,
+    submitted_ns: u64,
     /// Absolute queueing deadline (ms since runtime epoch); a request
     /// still queued past it is dropped with
     /// [`ServeError::DeadlineExpired`].
@@ -535,9 +535,10 @@ struct ServeObs {
     /// Attempts each finished request consumed (recorded at terminal
     /// completion or failure).
     request_attempts: Histogram,
-    /// Wall-clock (runtime-clock) milliseconds from admission to
-    /// terminal state, per finished request.
-    request_latency_ms: Histogram,
+    /// Runtime-clock nanoseconds from admission to terminal state, per
+    /// finished request (a sub-millisecond request still lands in its
+    /// own log2 bucket).
+    request_latency_ns: Histogram,
 }
 
 impl ServeObs {
@@ -565,7 +566,7 @@ impl ServeObs {
             queue_depth: handle.gauge("serve_queue_depth"),
             in_flight_bytes: handle.gauge("serve_in_flight_bytes"),
             request_attempts: handle.histogram("serve_request_attempts"),
-            request_latency_ms: handle.histogram("serve_request_latency_ms"),
+            request_latency_ns: handle.histogram("serve_request_latency_ns"),
             handle: handle.clone(),
         }
     }
@@ -627,7 +628,11 @@ struct Inner {
 
 impl Inner {
     fn now_ms(&self) -> u64 {
-        (self.clock)().saturating_sub(self.epoch).as_millis() as u64
+        self.now_ns() / 1_000_000
+    }
+
+    fn now_ns(&self) -> u64 {
+        (self.clock)().saturating_sub(self.epoch).as_nanos() as u64
     }
 
     fn stats(&self) -> ServeStats {
@@ -687,7 +692,8 @@ impl Inner {
     /// typed terminal [`ServeError::DeadlineExpired`], no worker time
     /// spent.  Returns whether the request was expired (false when it is
     /// no longer queued, carries no deadline, or is not yet due).
-    fn expire_if_due(&self, job: u64, now_ms: u64) -> bool {
+    fn expire_if_due(&self, job: u64, now_ns: u64) -> bool {
+        let now_ms = now_ns / 1_000_000;
         let waited_ms;
         {
             let mut jobs = lock(&self.jobs);
@@ -701,14 +707,16 @@ impl Inner {
                 Some(d) if now_ms >= d => {}
                 _ => return false,
             }
-            waited_ms = now_ms.saturating_sub(st.submitted_ms);
+            waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
             let attempts = st.attempt;
             st.status = Status::Done(Err(ServeError::DeadlineExpired { waited_ms }));
             let bytes = st.work.doc_len();
             let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
             self.obs.in_flight_bytes.set((held - bytes) as i64);
             self.obs.request_attempts.record(attempts as u64);
-            self.obs.request_latency_ms.record(waited_ms);
+            self.obs
+                .request_latency_ns
+                .record(now_ns.saturating_sub(st.submitted_ns));
             self.obs.trace(TraceEvent::JobFailed {
                 job,
                 attempts,
@@ -745,7 +753,7 @@ impl Inner {
     fn complete(&self, job: u64, attempt: u32, matches: Vec<usize>, path: PathTaken) {
         let bytes;
         let n_matches = matches.len() as u64;
-        let submitted_ms;
+        let submitted_ns;
         {
             let mut jobs = lock(&self.jobs);
             let Some(st) = jobs.get_mut(&job) else { return };
@@ -756,7 +764,7 @@ impl Inner {
             st.path = path;
             st.drop_failover_state();
             bytes = st.work.doc_len();
-            submitted_ms = st.submitted_ms;
+            submitted_ns = st.submitted_ns;
         }
         let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
         self.completed.fetch_add(1, Ordering::SeqCst);
@@ -764,8 +772,8 @@ impl Inner {
         self.obs.in_flight_bytes.set((held - bytes) as i64);
         self.obs.request_attempts.record(attempt as u64);
         self.obs
-            .request_latency_ms
-            .record(self.now_ms().saturating_sub(submitted_ms));
+            .request_latency_ns
+            .record(self.now_ns().saturating_sub(submitted_ns));
         self.obs.trace(TraceEvent::JobCompleted {
             job,
             attempts: attempt,
@@ -787,7 +795,7 @@ impl Inner {
         group_size: usize,
     ) {
         let bytes;
-        let submitted_ms;
+        let submitted_ns;
         let n_matches: u64 = per_query.iter().map(|m| m.len() as u64).sum();
         {
             let mut jobs = lock(&self.jobs);
@@ -803,7 +811,7 @@ impl Inner {
             st.status = Status::Done(Ok(union));
             st.path = PathTaken::Shared;
             bytes = st.work.doc_len();
-            submitted_ms = st.submitted_ms;
+            submitted_ns = st.submitted_ns;
         }
         let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
         self.completed.fetch_add(1, Ordering::SeqCst);
@@ -811,8 +819,8 @@ impl Inner {
         self.obs.in_flight_bytes.set((held - bytes) as i64);
         self.obs.request_attempts.record(attempt as u64);
         self.obs
-            .request_latency_ms
-            .record(self.now_ms().saturating_sub(submitted_ms));
+            .request_latency_ns
+            .record(self.now_ns().saturating_sub(submitted_ns));
         self.obs.trace(TraceEvent::JobCompleted {
             job,
             attempts: attempt,
@@ -1100,8 +1108,8 @@ impl Inner {
                 self.obs.in_flight_bytes.set((held - bytes) as i64);
                 self.obs.request_attempts.record(attempts as u64);
                 self.obs
-                    .request_latency_ms
-                    .record(self.now_ms().saturating_sub(st.submitted_ms));
+                    .request_latency_ns
+                    .record(self.now_ns().saturating_sub(st.submitted_ns));
                 self.obs.trace(TraceEvent::JobFailed {
                     job,
                     attempts,
@@ -1575,12 +1583,13 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
 /// document fingerprint into its assignment, so one worker serves the
 /// whole batch with one shared pass.  Returns `false` if the work must
 /// go back to the queue (no healthy idle worker took it).
-fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ms: u64) -> bool {
+fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ns: u64) -> bool {
     // Deadline-aware admission: a queued request whose deadline already
     // passed is dropped here — typed error, no worker dispatch.
-    if inner.expire_if_due(p.id, now_ms) {
+    if inner.expire_if_due(p.id, now_ns) {
         return true;
     }
+    let now_ms = now_ns / 1_000_000;
     let mut group: Vec<(u64, u32)> = Vec::new();
     {
         let mut jobs = lock(&inner.jobs);
@@ -1682,7 +1691,8 @@ fn dispatcher_main(inner: Arc<Inner>) {
         .min(Duration::from_millis(10))
         .max(Duration::from_millis(1));
     loop {
-        let now_ms = inner.now_ms();
+        let now_ns = inner.now_ns();
+        let now_ms = now_ns / 1_000_000;
         reap_and_replace(&inner, &mut workers, now_ms);
 
         // Pull due entries (retries wait out their backoff).
@@ -1705,7 +1715,7 @@ fn dispatcher_main(inner: Arc<Inner>) {
         }
         let mut leftovers: Vec<Pending> = Vec::new();
         for p in due {
-            if !try_assign(&inner, &workers, &p, now_ms) {
+            if !try_assign(&inner, &workers, &p, now_ns) {
                 leftovers.push(p);
             }
         }
@@ -1765,7 +1775,12 @@ pub struct ServeRuntime {
 
 impl ServeRuntime {
     /// Starts the pool and the supervisor.
+    ///
+    /// On glibc the first start caps `malloc` at one arena
+    /// (process-wide), so every job reuses the pages earlier jobs freed
+    /// instead of inflating per-thread arenas.
     pub fn start(cfg: ServeConfig) -> ServeRuntime {
+        crate::heap::share_one_arena();
         if cfg.chaos.is_some() {
             silence_chaos_panics();
         }
@@ -1845,7 +1860,8 @@ impl ServeRuntime {
                         }
                     }
                     let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
-                    let submitted_ms = self.inner.now_ms();
+                    let submitted_ns = self.inner.now_ns();
+                    let submitted_ms = submitted_ns / 1_000_000;
                     jobs.insert(
                         id,
                         JobState {
@@ -1857,7 +1873,7 @@ impl ServeRuntime {
                             status: Status::Queued,
                             path: PathTaken::Session,
                             degraded: false,
-                            submitted_ms,
+                            submitted_ns,
                             deadline_ms: work
                                 .deadline()
                                 .map(|d| submitted_ms.saturating_add(d.as_millis() as u64)),

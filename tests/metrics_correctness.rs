@@ -13,11 +13,16 @@
 //!    [`ServeStats`] and the report's typed outcomes, number for number.
 //! 3. **Prometheus round-trip** — a populated snapshot must survive
 //!    `to_prometheus` → `parse_prometheus` exactly.
+//!
+//! Request latencies are recorded in nanoseconds on the injected clock,
+//! so a sub-millisecond request lands in a nonzero log2 bucket.
 
 use stackless_streamed_trees::baseline::dom;
 use stackless_streamed_trees::conform::gen::{case_rng, gen_case, GenConfig};
 use stackless_streamed_trees::prelude::*;
-use stackless_streamed_trees::serve::{run_soak, RequestOutcome, SoakConfig};
+use stackless_streamed_trees::serve::{
+    run_soak, JobSpec, RequestOutcome, ServeConfig, ServeRuntime, ServiceBudget, SoakConfig,
+};
 use stackless_streamed_trees::trees::xml::Scanner;
 
 const SEED: u64 = 0x0B5C0DE;
@@ -184,9 +189,53 @@ fn soak_snapshot_mirrors_typed_outcomes_exactly() {
         .expect("attempt histogram populated");
     assert_eq!(attempts.count, finished);
     let latency = snap
-        .histogram("serve_request_latency_ms")
+        .histogram("serve_request_latency_ns")
         .expect("latency histogram populated");
     assert_eq!(latency.count, finished);
+}
+
+/// A clock that moves 100 ns per read: a timed span is a count of clock
+/// reads, far below a millisecond for one small request.
+static STEPPED_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+fn stepped_clock() -> std::time::Duration {
+    let ns = STEPPED_NS.fetch_add(100, std::sync::atomic::Ordering::SeqCst);
+    std::time::Duration::from_nanos(ns)
+}
+
+#[test]
+fn sub_millisecond_requests_land_in_a_nonzero_latency_bucket() {
+    let obs = ObsHandle::new();
+    let limits = Limits::none().with_clock(stepped_clock);
+    let cfg = ServeConfig::default()
+        .with_workers(1)
+        .with_budget(ServiceBudget::default().with_session_limits(limits))
+        .with_obs(obs.clone());
+    let serve = ServeRuntime::start(cfg);
+    let g = Alphabet::of_chars("ab");
+    let dfa = compile_regex(".*a", &g).unwrap();
+    let fused = std::sync::Arc::new(CompiledQuery::compile(&dfa).fused(&g).unwrap());
+    let id = serve
+        .submit(JobSpec::new(fused, b"<a><b></b></a>".to_vec()))
+        .unwrap();
+    assert_eq!(serve.wait(id).unwrap().result.unwrap(), vec![0]);
+    serve.shutdown();
+
+    let latency = obs
+        .snapshot()
+        .histogram("serve_request_latency_ns")
+        .cloned()
+        .expect("latency histogram populated");
+    assert_eq!(latency.count, 1);
+    assert!(
+        latency.sum > 0 && latency.sum < 1_000_000,
+        "a handful of 100 ns clock steps, got {} ns",
+        latency.sum
+    );
+    assert_eq!(
+        latency.buckets[0], 0,
+        "a sub-millisecond request read as zero"
+    );
 }
 
 #[test]

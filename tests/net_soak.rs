@@ -8,8 +8,11 @@
 //! sequentially, so the per-request outcome vector must be bitwise
 //! identical whatever connection capacity the server runs with.
 
+use stackless_streamed_trees::core::session::Limits;
 use stackless_streamed_trees::obs::ObsHandle;
-use stackless_streamed_trees::serve::{run_net_soak, NetSoakConfig};
+use stackless_streamed_trees::serve::{
+    run_net_soak, NetClient, NetConfig, NetResponse, NetServer, NetSoakConfig, ServiceBudget,
+};
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -91,9 +94,51 @@ fn soak_counters_are_exported_through_obs() {
     assert!(snap.counters.contains_key("net_slow_clients_total"));
     assert!(snap.counters.contains_key("net_write_timeouts_total"));
     assert!(
-        snap.histograms.contains_key("net_request_latency_ms"),
+        snap.histograms.contains_key("net_request_latency_ns"),
         "latency histogram missing: {:?}",
         snap.histograms.keys()
     );
     assert!(snap.histograms.contains_key("net_request_doc_bytes"));
+}
+
+/// A clock that moves 100 ns per read: a timed span is a count of clock
+/// reads, far below a millisecond for one small request.
+static STEPPED_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+fn stepped_clock() -> std::time::Duration {
+    let ns = STEPPED_NS.fetch_add(100, std::sync::atomic::Ordering::SeqCst);
+    std::time::Duration::from_nanos(ns)
+}
+
+#[test]
+fn sub_millisecond_requests_land_in_a_nonzero_latency_bucket() {
+    let obs = ObsHandle::new();
+    let limits = Limits::none().with_clock(stepped_clock);
+    let cfg = NetConfig::default()
+        .with_budget(ServiceBudget::default().with_session_limits(limits))
+        .with_obs(obs.clone());
+    let server = NetServer::bind("127.0.0.1:0", cfg).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    match client.query(".*a", "a,b", b"<a><b></b></a>", 4).unwrap() {
+        NetResponse::Matches(ids) => assert_eq!(ids, vec![0]),
+        other => panic!("expected matches, got {other:?}"),
+    }
+    drop(client);
+    server.shutdown();
+
+    let latency = obs
+        .snapshot()
+        .histogram("net_request_latency_ns")
+        .cloned()
+        .expect("latency histogram populated");
+    assert_eq!(latency.count, 1);
+    assert!(
+        latency.sum > 0 && latency.sum < 1_000_000,
+        "a handful of 100 ns clock steps, got {} ns",
+        latency.sum
+    );
+    assert_eq!(
+        latency.buckets[0], 0,
+        "a sub-millisecond request read as zero"
+    );
 }

@@ -6,7 +6,7 @@
 //! `tests/chunk_boundaries.rs`.
 
 use stackless_streamed_trees::automata::Alphabet;
-use stackless_streamed_trees::core::session::Limits;
+use stackless_streamed_trees::core::session::{Limits, SessionError};
 use stackless_streamed_trees::core::structural::STRUCTURAL_WINDOW;
 use stackless_streamed_trees::core::{QuerySet, QuerySetCheckpoint, SetStrategy};
 
@@ -200,4 +200,71 @@ fn checkpoints_are_refused_by_foreign_sets_tiers_and_corruption() {
             let _ = product.resume(&parsed, limits.clone());
         }
     }
+}
+
+/// Byte offsets of every HAR lane's first chain state in a hybrid-tier
+/// wire checkpoint.  Layout after the shared header run (magic, version,
+/// tier tag, fingerprint, alphabet, offset, node, depth): lexer state
+/// (u16), lane count (u32), then per lane a tag byte and its payload.
+fn har_chain_positions(wire: &[u8]) -> Vec<usize> {
+    let u16_at = |p: usize| u16::from_le_bytes([wire[p], wire[p + 1]]) as usize;
+    let u32_at = |p: usize| u32::from_le_bytes(wire[p..p + 4].try_into().unwrap()) as usize;
+    let mut pos = 4 + 2 + 1 + 8;
+    let n_syms = u16_at(pos);
+    pos += 2;
+    for _ in 0..n_syms {
+        pos += 2 + u16_at(pos);
+    }
+    pos += 8 + 8 + 8 + 2;
+    let n_lanes = u32_at(pos);
+    pos += 4;
+    let mut out = Vec::new();
+    for _ in 0..n_lanes {
+        let tag = wire[pos];
+        pos += 1;
+        match tag {
+            0 => pos += 4,
+            1 => {
+                let chain_len = u16_at(pos + 5);
+                if chain_len > 0 {
+                    out.push(pos + 7);
+                }
+                pos += 7 + chain_len * 10;
+            }
+            _ => pos += 8 + 4 * u32_at(pos + 4),
+        }
+    }
+    assert_eq!(pos, wire.len(), "walked the whole hybrid payload");
+    out
+}
+
+#[test]
+fn forged_hybrid_har_chain_states_are_refused_at_resume() {
+    let g = Alphabet::of_chars("ab");
+    let set = QuerySet::compile(&MIXED_SET, &g).unwrap();
+    assert_eq!(set.strategy(), SetStrategy::Hybrid);
+    let doc: &[u8] = b"<a><a><b><a></a></b></a></a>";
+    let mut forged_cuts = 0;
+    for cut in 0..=doc.len() {
+        let mut session = set.session(Limits::none());
+        session.feed(&doc[..cut]).unwrap();
+        let wire = session.checkpoint().unwrap().to_bytes();
+        for pos in har_chain_positions(&wire) {
+            let mut forged = wire.clone();
+            forged[pos..pos + 2].copy_from_slice(&60000u16.to_le_bytes());
+            // The shape is intact, so the lie is semantic: resume must
+            // refuse it rather than let the next feed index past the
+            // member DFA.
+            let cp = QuerySetCheckpoint::from_bytes(&forged).expect("shape is untouched");
+            match set.resume(&cp, Limits::none()) {
+                Err(SessionError::Checkpoint { .. }) => forged_cuts += 1,
+                Err(other) => panic!("cut {cut}: wrong error kind {other:?}"),
+                Ok(mut resumed) => {
+                    let fed = resumed.feed(&doc[cut..]);
+                    panic!("cut {cut}: forged chain state resumed (feed: {fed:?})");
+                }
+            }
+        }
+    }
+    assert!(forged_cuts > 0, "no cut carried a HAR chain to forge");
 }

@@ -423,6 +423,23 @@ fn event_level_guarded_select() {
         }
         other => panic!("expected depth limit, got {other:?}"),
     }
+    // Stray closes drift below zero: the imbalance budget stops the
+    // event that crosses it.
+    use stackless_streamed_trees::automata::Tag;
+    let a = g.letter("a").unwrap();
+    let drift = [
+        Tag::Close(a),
+        Tag::Close(a),
+        Tag::Open(a),
+        Tag::Close(a),
+        Tag::Close(a),
+    ];
+    match plan.select_guarded(&drift, &Limits::none().with_max_imbalance(2)) {
+        Err(SessionError::Limit(e)) => {
+            assert_eq!((e.kind, e.limit, e.offset), (LimitKind::Imbalance, 2, 4));
+        }
+        other => panic!("expected imbalance limit, got {other:?}"),
+    }
 }
 
 // --- Structural-index window/feed adversaries -----------------------------
