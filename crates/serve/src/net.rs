@@ -47,6 +47,7 @@ use st_automata::Alphabet;
 use st_core::plancache::PlanCache;
 use st_core::queryset::{QuerySet, DEFAULT_PRODUCT_BUDGET};
 use st_core::session::{monotonic_clock, ClockFn, SessionError};
+use st_core::Query;
 use st_obs::{Counter, Gauge, Histogram, ObsHandle, TraceEvent};
 
 use st_core::emit::{EmissionCursor, StreamedMatch};
@@ -60,6 +61,7 @@ use crate::frame::{
     encode_query, read_frame, read_frame_or_eof, read_preamble, write_frame, write_preamble, Frame,
     FrameError, FrameKind, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
 };
+use crate::runtime::PassSession;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -781,7 +783,7 @@ fn handle_conn(inner: &Arc<NetInner>, mut stream: TcpStream, conn: u64) {
     let _ = stream.set_nodelay(true);
     inner.o.conns_open.add(1);
     inner.cfg.obs.trace(TraceEvent::ConnOpened { conn });
-    let reason = match conn_loop(inner, &mut stream, conn) {
+    let reason = match conn_loop(inner, &mut stream) {
         Ok(reason) => reason,
         Err(e) => {
             inner.count_failure(&e);
@@ -804,15 +806,33 @@ fn handle_conn(inner: &Arc<NetInner>, mut stream: TcpStream, conn: u64) {
         .remove(&conn);
 }
 
+/// What one request runs, compiled from the frame that opens it.
+enum Request {
+    /// QUERY, or STREAMQUERY when `parts` (one MATCH_PART per chunk).
+    Single { query: Arc<Query>, parts: bool },
+    /// MULTIQUERY.
+    Multi(Box<QuerySet>),
+}
+
+impl Request {
+    /// The success reply to a finished upload: its kind and payload.
+    fn reply(&self, lists: &[Vec<usize>], cursor: EmissionCursor) -> (FrameKind, Vec<u8>) {
+        match self {
+            Request::Single { parts: false, .. } => (FrameKind::Matches, encode_matches(&lists[0])),
+            Request::Single { parts: true, .. } => (
+                FrameKind::Matches,
+                encode_matches_with_cursor(&lists[0], cursor),
+            ),
+            Request::Multi(_) => (FrameKind::MultiMatches, encode_multi_matches(lists)),
+        }
+    }
+}
+
 /// The per-connection protocol loop.  `Ok` carries the close reason of
 /// a polite shutdown; `Err` closes the connection after a typed error
 /// frame.  Any request-level error closes the connection — a client
 /// whose stream position is ambiguous cannot be safely resynchronized.
-fn conn_loop(
-    inner: &Arc<NetInner>,
-    stream: &mut TcpStream,
-    conn: u64,
-) -> Result<&'static str, NetError> {
+fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static str, NetError> {
     read_preamble(stream)?;
     loop {
         if inner.draining.load(Ordering::SeqCst) {
@@ -827,72 +847,54 @@ fn conn_loop(
         if inner.draining.load(Ordering::SeqCst) {
             return Err(NetError::ShuttingDown);
         }
-        match frame.kind {
-            FrameKind::Query => {
+        let compiled = match frame.kind {
+            FrameKind::Query | FrameKind::StreamQuery => {
                 let (csv, pattern) = decode_query(&frame.payload)?;
-                let compiled = parse_alphabet(&csv).and_then(|alphabet| {
-                    inner
-                        .cache
-                        .get_or_compile(&pattern, &alphabet)
-                        .map_err(|e| NetError::BadQuery {
-                            detail: e.to_string(),
-                        })
-                });
-                let query = match compiled {
-                    Ok(q) => q,
-                    Err(e) => return Err(drain_then_fail(inner, stream, e)),
-                };
-                inner.c.requests.fetch_add(1, Ordering::SeqCst);
-                inner.o.requests.incr();
-                serve_single(inner, stream, conn, &query)?;
-            }
-            FrameKind::StreamQuery => {
-                let (csv, pattern) = decode_query(&frame.payload)?;
-                let compiled = parse_alphabet(&csv).and_then(|alphabet| {
-                    inner
-                        .cache
-                        .get_or_compile(&pattern, &alphabet)
-                        .map_err(|e| NetError::BadQuery {
-                            detail: e.to_string(),
-                        })
-                });
-                let query = match compiled {
-                    Ok(q) => q,
-                    Err(e) => return Err(drain_then_fail(inner, stream, e)),
-                };
-                inner.c.requests.fetch_add(1, Ordering::SeqCst);
-                inner.o.requests.incr();
-                serve_single_stream(inner, stream, conn, &query)?;
+                let parts = frame.kind == FrameKind::StreamQuery;
+                parse_alphabet(&csv).and_then(|alphabet| {
+                    let query = inner.cache.get_or_compile(&pattern, &alphabet);
+                    Ok(Request::Single {
+                        query: query.map_err(bad_query)?,
+                        parts,
+                    })
+                })
             }
             FrameKind::MultiQuery => {
                 let (csv, patterns) = decode_multi_query(&frame.payload)?;
-                let compiled = parse_alphabet(&csv).and_then(|alphabet| {
-                    QuerySet::compile_with_budget(&patterns, &alphabet, inner.cfg.product_budget)
-                        .map_err(|e| NetError::BadQuery {
-                            detail: e.to_string(),
-                        })
-                });
-                let set = match compiled {
-                    Ok(s) => s,
-                    Err(e) => return Err(drain_then_fail(inner, stream, e)),
-                };
-                inner.c.requests.fetch_add(1, Ordering::SeqCst);
-                inner.o.requests.incr();
-                serve_multi(inner, stream, conn, &set)?;
+                parse_alphabet(&csv).and_then(|alphabet| {
+                    let budget = inner.cfg.product_budget;
+                    let set = QuerySet::compile_with_budget(&patterns, &alphabet, budget);
+                    Ok(Request::Multi(Box::new(set.map_err(bad_query)?)))
+                })
             }
             other => {
                 return Err(NetError::Protocol {
                     detail: format!("unexpected {other:?} frame outside a request"),
                 })
             }
-        }
+        };
+        let request = match compiled {
+            Ok(r) => r,
+            Err(e) => return Err(drain_then_fail(inner, stream, e)),
+        };
+        inner.c.requests.fetch_add(1, Ordering::SeqCst);
+        inner.o.requests.incr();
+        let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
+        match &request {
+            Request::Single { query, .. } => serve(inner, stream, &request, query.session(limits)),
+            Request::Multi(set) => serve(inner, stream, &request, set.session(limits)),
+        }?;
     }
 }
 
 fn parse_alphabet(csv: &str) -> Result<Alphabet, NetError> {
-    Alphabet::from_symbols(csv.split(',')).map_err(|e| NetError::BadQuery {
-        detail: format!("bad alphabet: {e}"),
-    })
+    Alphabet::from_symbols(csv.split(',')).map_err(|e| bad_query(format!("bad alphabet: {e}")))
+}
+
+fn bad_query(e: impl fmt::Display) -> NetError {
+    NetError::BadQuery {
+        detail: e.to_string(),
+    }
 }
 
 /// Consumes the rest of a doomed request's upload (unbudgeted, frames
@@ -1018,20 +1020,39 @@ fn send_reply(
 ) -> Result<(), NetError> {
     inner.c.completed.fetch_add(1, Ordering::SeqCst);
     inner.o.completed.incr();
+    write_reply(stream, kind, payload)
+}
+
+/// Writes one frame to the client; an expired write deadline is a typed
+/// [`NetError::WriteTimeout`].
+fn write_reply(stream: &mut TcpStream, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
     write_frame(stream, kind, payload).map_err(|e| match e {
         FrameError::Timeout => NetError::WriteTimeout,
         other => NetError::Frame(other),
     })
 }
 
-fn serve_single(
+/// The upload loop of every request kind: each `Chunk` is admitted
+/// against the budget and the throughput watchdog, fed to the session
+/// and checkpointed on cadence; `Finish` settles the upload and sends
+/// the request's reply.
+///
+/// A streaming request answers every `Chunk` with exactly one
+/// `MatchPart` carrying the matches that crossed the certainty frontier
+/// during it (possibly zero), and its final `Matches` reply carries the
+/// emission cursor so the client can verify that the parts it
+/// accumulated are bitwise the stream the server delivered.  The strict
+/// lock step — the client must read each part before sending its next
+/// chunk — is what makes the path deadlock-free under every
+/// deadline/backpressure interaction: neither side ever has more than
+/// one frame in flight toward a peer that is not reading.
+fn serve<S: PassSession>(
     inner: &NetInner,
     stream: &mut TcpStream,
-    _conn: u64,
-    query: &st_core::Query,
+    request: &Request,
+    mut session: S,
 ) -> Result<(), NetError> {
-    let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
-    let mut session = query.session(limits);
+    let parts = matches!(request, Request::Single { parts: true, .. });
     let mut upload = Upload::new(inner);
     loop {
         let frame = read_frame(stream, inner.cfg.max_frame_len)?;
@@ -1047,132 +1068,25 @@ fn serve_single(
                 if upload.checkpoint_due(frame.payload.len()) {
                     let _ = session.checkpoint();
                 }
+                if parts {
+                    let batch = session.drain_emitted();
+                    let start = session.emission_cursor().count - batch.len() as u64;
+                    let part = encode_match_part(start, &batch);
+                    write_reply(stream, FrameKind::MatchPart, &part)?;
+                }
             }
             FrameKind::Finish => {
                 require_empty_finish(&frame)?;
-                let outcome = session.finish().map_err(NetError::Engine)?;
+                let cursor = session.emission_cursor();
+                let lists = session.finish().map_err(NetError::Engine)?;
                 // Settle the budget and the histograms before the reply
                 // goes out, so a client that has read it observes final
                 // stats (no in-flight residue, counters moved).
                 let (fed, latency_ns) = upload.finish();
                 inner.o.request_bytes.record(fed);
                 inner.o.request_latency_ns.record(latency_ns);
-                send_reply(
-                    inner,
-                    stream,
-                    FrameKind::Matches,
-                    &encode_matches(&outcome.matches),
-                )?;
-                return Ok(());
-            }
-            other => {
-                return Err(NetError::Protocol {
-                    detail: format!("unexpected {other:?} frame inside a request"),
-                })
-            }
-        }
-    }
-}
-
-/// The streaming variant of [`serve_single`]: every `Chunk` is answered
-/// with exactly one `MatchPart` carrying the matches that crossed the
-/// certainty frontier during it (possibly zero), and the final `Matches`
-/// reply carries the emission cursor so the client can verify that the
-/// parts it accumulated are bitwise the stream the server delivered.
-///
-/// The strict lock step — the client must read each part before sending
-/// its next chunk — is what makes the path deadlock-free under every
-/// deadline/backpressure interaction: neither side ever has more than
-/// one frame in flight toward a peer that is not reading.
-fn serve_single_stream(
-    inner: &NetInner,
-    stream: &mut TcpStream,
-    _conn: u64,
-    query: &st_core::Query,
-) -> Result<(), NetError> {
-    let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
-    let mut session = query.session(limits);
-    let mut upload = Upload::new(inner);
-    loop {
-        let frame = read_frame(stream, inner.cfg.max_frame_len)?;
-        match frame.kind {
-            FrameKind::Chunk => {
-                upload.admit_chunk(&frame.payload)?;
-                if let Err(e) = session.feed(&frame.payload) {
-                    return Err(drain_then_fail(inner, stream, NetError::Engine(e)));
-                }
-                if upload.checkpoint_due(frame.payload.len()) {
-                    let _ = session.checkpoint();
-                }
-                let batch = session.drain_emitted();
-                let start = session.emission_cursor().count - batch.len() as u64;
-                write_frame(
-                    stream,
-                    FrameKind::MatchPart,
-                    &encode_match_part(start, &batch),
-                )
-                .map_err(|e| match e {
-                    FrameError::Timeout => NetError::WriteTimeout,
-                    other => NetError::Frame(other),
-                })?;
-            }
-            FrameKind::Finish => {
-                require_empty_finish(&frame)?;
-                let outcome = session.finish().map_err(NetError::Engine)?;
-                let (fed, latency_ns) = upload.finish();
-                inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ns.record(latency_ns);
-                send_reply(
-                    inner,
-                    stream,
-                    FrameKind::Matches,
-                    &encode_matches_with_cursor(&outcome.matches, outcome.cursor),
-                )?;
-                return Ok(());
-            }
-            other => {
-                return Err(NetError::Protocol {
-                    detail: format!("unexpected {other:?} frame inside a request"),
-                })
-            }
-        }
-    }
-}
-
-fn serve_multi(
-    inner: &NetInner,
-    stream: &mut TcpStream,
-    _conn: u64,
-    set: &QuerySet,
-) -> Result<(), NetError> {
-    let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
-    let mut session = set.session(limits);
-    let mut upload = Upload::new(inner);
-    loop {
-        let frame = read_frame(stream, inner.cfg.max_frame_len)?;
-        match frame.kind {
-            FrameKind::Chunk => {
-                upload.admit_chunk(&frame.payload)?;
-                if let Err(e) = session.feed(&frame.payload) {
-                    return Err(drain_then_fail(inner, stream, NetError::Engine(e)));
-                }
-                if upload.checkpoint_due(frame.payload.len()) {
-                    let _ = session.checkpoint();
-                }
-            }
-            FrameKind::Finish => {
-                require_empty_finish(&frame)?;
-                let outcome = session.finish().map_err(NetError::Engine)?;
-                let (fed, latency_ns) = upload.finish();
-                inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ns.record(latency_ns);
-                send_reply(
-                    inner,
-                    stream,
-                    FrameKind::MultiMatches,
-                    &encode_multi_matches(&outcome.matches),
-                )?;
-                return Ok(());
+                let (kind, payload) = request.reply(&lists, cursor);
+                return send_reply(inner, stream, kind, &payload);
             }
             other => {
                 return Err(NetError::Protocol {

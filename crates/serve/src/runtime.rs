@@ -25,13 +25,14 @@
 //!                        └────┘└────┘└────┘
 //! ```
 //!
-//! Workers feed each document through an
-//! [`EngineSession`](st_core::session::EngineSession) in
-//! cadence-sized segments, minting an [`EngineCheckpoint`] after each —
-//! the O(1)/O(depth) snapshot of Theorems 3.1/3.2 is exactly what makes
-//! a session *migratable*: when a worker panics or stalls, the
-//! supervisor requeues the victim's request with its last checkpoint and
-//! a healthy worker resumes from that byte offset, not from zero.
+//! Workers run every assignment as one *pass*: a single request, or a
+//! batch of query-set requests over one document, fed through one
+//! session — an [`EngineSession`] or a [`QuerySetSession`] — in
+//! cadence-sized segments, minting a checkpoint after each.  The
+//! O(1)/O(depth) snapshot of Theorems 3.1/3.2 is exactly what makes a
+//! session *migratable*: when a worker panics or stalls, the supervisor
+//! requeues the victims with their pass's last checkpoint and a healthy
+//! worker resumes from that byte offset, not from zero.
 //! Retries back off exponentially and are bounded; the terminal error is
 //! typed ([`ServeError::Failed`]) and carries the full failure history.
 //!
@@ -50,8 +51,10 @@ use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
 use st_core::planner::Strategy;
-use st_core::queryset::QuerySet;
-use st_core::session::{monotonic_clock, ClockFn, EngineCheckpoint, Limits};
+use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession};
+use st_core::session::{
+    monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
+};
 use st_obs::{Counter, Gauge, Histogram, ObsHandle, TraceEvent};
 
 use crate::chaos::Fault;
@@ -141,9 +144,9 @@ impl JobSpec {
 /// limits are claimed as one group and served by a single shared
 /// [`QuerySet`] pass; per-query results are split back out to each
 /// request ([`ServeRuntime::wait_multi`]).  A request that carries its
-/// own [`Limits`] always runs alone.  Multi-query requests take the
-/// shared-session path unconditionally — the chunked fast path and
-/// chaos injection apply only to single-query requests.
+/// own [`Limits`] always runs alone.  Multi-query requests never take
+/// the chunked fast path; like single-query requests they checkpoint,
+/// resume mid-document after a fault, and take injected chaos.
 #[derive(Clone)]
 pub struct MultiJobSpec {
     /// The path patterns to evaluate (the per-query result order).
@@ -345,54 +348,67 @@ impl std::fmt::Display for ServeStats {
 enum Status {
     Queued,
     Running,
-    Done(Result<Vec<usize>, ServeError>),
+    /// One match list per query of the job (a single-query job has one).
+    Done(Result<Vec<Vec<usize>>, ServeError>),
 }
 
-/// The last good checkpoint of a request, with how many of the job's
-/// stored matches (`JobState::resume_matches`) precede it (node ids are
-/// global, so prefix + tail concatenation reproduces the uninterrupted
-/// run — the session layer's contract).
-#[derive(Clone)]
-struct ResumePoint {
-    checkpoint: EngineCheckpoint,
-    matches: usize,
+/// What a job evaluates.
+enum Plan {
+    /// One fused query.
+    Query(Arc<FusedQuery>),
+    /// A validated set of path patterns.
+    Set {
+        patterns: Vec<String>,
+        alphabet: Alphabet,
+        /// Resolved product-DFA state budget.
+        budget: usize,
+    },
 }
 
-/// A validated multi-query request as the runtime holds it.
-struct MultiWork {
-    patterns: Vec<String>,
-    alphabet: Alphabet,
+/// A request as the runtime holds it; [`JobSpec`] and [`MultiJobSpec`]
+/// build it.
+struct Job {
+    plan: Plan,
     doc: Arc<Vec<u8>>,
     limits: Option<Limits>,
     deadline: Option<Duration>,
-    /// Resolved product-DFA state budget.
-    budget: usize,
-    /// Grouping key: fingerprint of (doc bytes, alphabet, budget).
-    fp: u64,
+    stream: bool,
+    /// Query sets that inherit the service limits: the fingerprint of
+    /// (doc bytes, alphabet, budget) that jobs sharing a pass agree on.
+    group_key: Option<u64>,
 }
 
-/// What a job evaluates: one fused query, or a query set eligible for
-/// batch-by-document grouping.
+impl From<JobSpec> for Job {
+    fn from(spec: JobSpec) -> Job {
+        Job {
+            plan: Plan::Query(spec.query),
+            doc: spec.doc,
+            limits: spec.limits,
+            deadline: spec.deadline,
+            stream: spec.stream,
+            group_key: None,
+        }
+    }
+}
+
+/// A checkpoint of either session kind.
 #[derive(Clone)]
-enum Work {
-    Single(Arc<JobSpec>),
-    Multi(Arc<MultiWork>),
+pub(crate) enum PassCheckpoint {
+    Query(EngineCheckpoint),
+    Set(QuerySetCheckpoint),
 }
 
-impl Work {
-    fn doc_len(&self) -> usize {
-        match self {
-            Work::Single(s) => s.doc.len(),
-            Work::Multi(m) => m.doc.len(),
-        }
-    }
-
-    fn deadline(&self) -> Option<Duration> {
-        match self {
-            Work::Single(s) => s.deadline,
-            Work::Multi(m) => m.deadline,
-        }
-    }
+/// The last good checkpoint of a pass, kept by its lead job.
+#[derive(Clone)]
+struct ResumePoint {
+    checkpoint: PassCheckpoint,
+    /// Per query of the pass, the matches found before the checkpoint
+    /// (node ids are global, so prefix + a resumed session's matches
+    /// reproduce the uninterrupted run).
+    matches: Vec<Vec<usize>>,
+    /// The pass's member list: the matches belong to these members'
+    /// queries, so only a pass over the same members resumes here.
+    members: Arc<[u64]>,
 }
 
 /// FNV-1a grouping fingerprint of a multi-query request's shared-pass
@@ -417,16 +433,11 @@ fn group_fingerprint(doc: &[u8], alphabet: &Alphabet, budget: usize) -> u64 {
 }
 
 struct JobState {
-    work: Work,
-    /// Current attempt number (1-based).  Writes from older attempts —
-    /// a stalled worker waking up, a panicking worker's final report
-    /// racing the supervisor — are discarded by comparing against this.
+    job: Arc<Job>,
+    /// Current attempt number (1-based); see [`live`].
     attempt: u32,
+    /// Pass leads: where a failover resumes; freed once the job ends.
     resume: Option<ResumePoint>,
-    /// Single jobs: the matches found before the stored checkpoint,
-    /// appended one checkpoint segment at a time.  Append-only: a
-    /// resumed attempt's prefix is the whole vector, which it extends.
-    resume_matches: Vec<usize>,
     resumes: u32,
     failures: Vec<FailureCause>,
     status: Status,
@@ -439,8 +450,6 @@ struct JobState {
     /// still queued past it is dropped with
     /// [`ServeError::DeadlineExpired`].
     deadline_ms: Option<u64>,
-    /// Multi jobs: per-pattern match sets, set at completion.
-    multi_results: Option<Vec<Vec<usize>>>,
     /// Multi jobs: how many requests the completing shared pass served.
     group_size: usize,
     /// Streamed jobs: every match delivered so far, in emission order.
@@ -453,12 +462,55 @@ struct JobState {
 }
 
 impl JobState {
-    /// Frees the resume point and its stored matches once the job is
-    /// finished: no further attempt can resume from them.
-    fn drop_failover_state(&mut self) {
-        self.resume = None;
-        self.resume_matches = Vec::new();
+    /// The one stored result as a [`JobReport`]: a query set's plain
+    /// match set is the union of its lists (document order, deduped).
+    fn report(&self, id: u64) -> Option<JobReport> {
+        let Status::Done(result) = &self.status else {
+            return None;
+        };
+        Some(JobReport {
+            id: JobId(id),
+            result: result.as_ref().map_err(Clone::clone).map(|lists| {
+                if let [one] = lists.as_slice() {
+                    return one.clone();
+                }
+                let mut union = lists.concat();
+                union.sort_unstable();
+                union.dedup();
+                union
+            }),
+            attempts: self.attempt,
+            resumes: self.resumes,
+            path: self.path,
+            degraded: self.degraded,
+            failures: self.failures.clone(),
+            emitted: self.ledger.clone(),
+            suppressed: self.suppressed,
+        })
     }
+
+    /// The one stored result as a [`MultiJobReport`].
+    fn multi_report(&self, id: u64) -> Option<MultiJobReport> {
+        let Status::Done(result) = &self.status else {
+            return None;
+        };
+        Some(MultiJobReport {
+            id: JobId(id),
+            results: result.clone(),
+            attempts: self.attempt,
+            group_size: self.group_size,
+            failures: self.failures.clone(),
+        })
+    }
+}
+
+/// The state of `(job, attempt)` while that attempt is the live one.
+/// Writes from older attempts — a stalled worker waking up, a panicking
+/// worker's final report racing the supervisor — and writes to a
+/// finished job get `None` and are discarded.
+fn live(jobs: &mut HashMap<u64, JobState>, job: u64, attempt: u32) -> Option<&mut JobState> {
+    jobs.get_mut(&job)
+        .filter(|st| st.attempt == attempt && !matches!(st.status, Status::Done(_)))
 }
 
 struct Pending {
@@ -468,9 +520,13 @@ struct Pending {
     not_before_ms: u64,
 }
 
+#[derive(Default)]
 struct QueueState {
     q: VecDeque<Pending>,
     shutdown: bool,
+    /// Bumped with every `queue_cv` notify, so the dispatcher sleeps
+    /// only if nothing changed since it last read the queue.
+    wakes: u64,
 }
 
 struct WorkerSlot {
@@ -489,10 +545,7 @@ struct WorkerSlot {
 /// One unit of worker work: a single job, or a whole multi-query group
 /// claimed for one shared pass (every `(job, attempt)` pair is already
 /// marked Running).
-#[derive(Clone)]
-struct Assignment {
-    group: Vec<(u64, u32)>,
-}
+type Assignment = Vec<(u64, u32)>;
 
 struct WorkerHandle {
     slot: Arc<WorkerSlot>,
@@ -694,42 +747,72 @@ impl Inner {
     /// no longer queued, carries no deadline, or is not yet due).
     fn expire_if_due(&self, job: u64, now_ns: u64) -> bool {
         let now_ms = now_ns / 1_000_000;
-        let waited_ms;
-        {
-            let mut jobs = lock(&self.jobs);
-            let Some(st) = jobs.get_mut(&job) else {
-                return false;
-            };
-            if !matches!(st.status, Status::Queued) {
-                return false;
-            }
-            match st.deadline_ms {
-                Some(d) if now_ms >= d => {}
-                _ => return false,
-            }
-            waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
-            let attempts = st.attempt;
-            st.status = Status::Done(Err(ServeError::DeadlineExpired { waited_ms }));
-            let bytes = st.work.doc_len();
-            let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
-            self.obs.in_flight_bytes.set((held - bytes) as i64);
-            self.obs.request_attempts.record(attempts as u64);
-            self.obs
-                .request_latency_ns
-                .record(now_ns.saturating_sub(st.submitted_ns));
-            self.obs.trace(TraceEvent::JobFailed {
-                job,
-                attempts,
-                cause: "deadline_expired",
-            });
-        }
-        self.failed.fetch_add(1, Ordering::SeqCst);
-        self.obs.failed.incr();
+        let mut jobs = lock(&self.jobs);
+        let due = |st: &&mut JobState| {
+            matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d)
+        };
+        let Some(st) = jobs.get_mut(&job).filter(due) else {
+            return false;
+        };
+        let waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
+        let expired = Err(ServeError::DeadlineExpired { waited_ms });
+        self.conclude(job, st, expired);
         self.deadline_expired.fetch_add(1, Ordering::SeqCst);
         self.obs.deadline_expired.incr();
-        self.jobs_cv.notify_all();
-        self.queue_cv.notify_all();
         true
+    }
+
+    /// Ends a job with its one stored result — a completion, a
+    /// [`ServeError::Failed`] or a [`ServeError::DeadlineExpired`]: frees
+    /// its resume point and in-flight bytes, records the terminal
+    /// counters, histograms and trace, and wakes its waiters and the
+    /// dispatcher.
+    fn conclude(&self, job: u64, st: &mut JobState, result: Result<Vec<Vec<usize>>, ServeError>) {
+        let attempts = st.attempt;
+        match &result {
+            Ok(lists) => {
+                self.completed.fetch_add(1, Ordering::SeqCst);
+                self.obs.completed.incr();
+                let matches = lists.iter().map(|m| m.len() as u64).sum();
+                self.obs.trace(TraceEvent::JobCompleted {
+                    job,
+                    attempts,
+                    matches,
+                });
+            }
+            Err(e) => {
+                self.failed.fetch_add(1, Ordering::SeqCst);
+                self.obs.failed.incr();
+                let cause = match e {
+                    ServeError::Failed { last, .. } => cause_label(last),
+                    _ => "deadline_expired",
+                };
+                self.obs.trace(TraceEvent::JobFailed {
+                    job,
+                    attempts,
+                    cause,
+                });
+            }
+        }
+        st.status = Status::Done(result);
+        st.resume = None;
+        let bytes = st.job.doc.len();
+        let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
+        self.obs.in_flight_bytes.set((held - bytes) as i64);
+        self.obs.request_attempts.record(attempts as u64);
+        self.obs
+            .request_latency_ns
+            .record(self.now_ns().saturating_sub(st.submitted_ns));
+        self.jobs_cv.notify_all();
+        self.wake_dispatcher();
+    }
+
+    /// Notifies the dispatcher that the queue or the pool changed.  The
+    /// bumped generation is seen even by a dispatcher that is between
+    /// reading the queue and going to sleep, where a bare notify is lost.
+    fn wake_dispatcher(&self) {
+        lock(&self.queue).wakes += 1;
+        self.queue_cv.notify_all();
     }
 
     /// Whether the degradation ladder should step down from the chunked
@@ -748,112 +831,57 @@ impl Inner {
         false
     }
 
-    /// Records a successful completion for `(job, attempt)`.  A stale
-    /// attempt (superseded by failover) is discarded.
-    fn complete(&self, job: u64, attempt: u32, matches: Vec<usize>, path: PathTaken) {
-        let bytes;
-        let n_matches = matches.len() as u64;
-        let submitted_ns;
-        {
-            let mut jobs = lock(&self.jobs);
-            let Some(st) = jobs.get_mut(&job) else { return };
-            if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
-                return;
-            }
-            st.status = Status::Done(Ok(matches));
-            st.path = path;
-            st.drop_failover_state();
-            bytes = st.work.doc_len();
-            submitted_ns = st.submitted_ns;
-        }
-        let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        self.obs.completed.incr();
-        self.obs.in_flight_bytes.set((held - bytes) as i64);
-        self.obs.request_attempts.record(attempt as u64);
-        self.obs
-            .request_latency_ns
-            .record(self.now_ns().saturating_sub(submitted_ns));
-        self.obs.trace(TraceEvent::JobCompleted {
-            job,
-            attempts: attempt,
-            matches: n_matches,
-        });
-        self.jobs_cv.notify_all();
-        self.queue_cv.notify_all();
-    }
-
-    /// Records a multi-query completion for `(job, attempt)`: the
-    /// per-pattern attribution plus, in the plain report, the union of
-    /// the per-query match sets (document order, deduped).  A stale
-    /// attempt is discarded.
-    fn complete_multi(
+    /// Records a successful completion for `(job, attempt)`: one match
+    /// list per query of the job.  A stale attempt (superseded by
+    /// failover) is discarded.
+    fn complete(
         &self,
         job: u64,
         attempt: u32,
-        per_query: Vec<Vec<usize>>,
+        lists: Vec<Vec<usize>>,
+        path: PathTaken,
         group_size: usize,
     ) {
-        let bytes;
-        let submitted_ns;
-        let n_matches: u64 = per_query.iter().map(|m| m.len() as u64).sum();
-        {
-            let mut jobs = lock(&self.jobs);
-            let Some(st) = jobs.get_mut(&job) else { return };
-            if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
-                return;
-            }
-            let mut union: Vec<usize> = per_query.iter().flatten().copied().collect();
-            union.sort_unstable();
-            union.dedup();
-            st.multi_results = Some(per_query);
+        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+            st.path = path;
             st.group_size = group_size;
-            st.status = Status::Done(Ok(union));
-            st.path = PathTaken::Shared;
-            bytes = st.work.doc_len();
-            submitted_ns = st.submitted_ns;
+            self.conclude(job, st, Ok(lists));
         }
-        let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        self.obs.completed.incr();
-        self.obs.in_flight_bytes.set((held - bytes) as i64);
-        self.obs.request_attempts.record(attempt as u64);
-        self.obs
-            .request_latency_ns
-            .record(self.now_ns().saturating_sub(submitted_ns));
-        self.obs.trace(TraceEvent::JobCompleted {
-            job,
-            attempts: attempt,
-            matches: n_matches,
-        });
-        self.jobs_cv.notify_all();
-        self.queue_cv.notify_all();
     }
 
-    /// Stores the latest good checkpoint, with the matches found since
-    /// the previous one, so a failover can resume mid-document.
-    fn store_resume(&self, job: u64, attempt: u32, cp: EngineCheckpoint, new_matches: &[usize]) {
+    /// Stores a pass's latest good checkpoint on its lead, with the
+    /// matches each query found since the previous one (`stored[q]` of
+    /// query `q` already went out), so a failover over the same members
+    /// can resume mid-document.
+    fn store_resume<S: PassSession>(
+        &self,
+        lead: u64,
+        attempt: u32,
+        checkpoint: PassCheckpoint,
+        members: &Arc<[u64]>,
+        session: &S,
+        stored: &mut [usize],
+    ) {
         let mut jobs = lock(&self.jobs);
-        let Some(st) = jobs.get_mut(&job) else { return };
-        if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
+        let Some(st) = live(&mut jobs, lead, attempt) else {
             return;
+        };
+        let mut matches = st
+            .resume
+            .take()
+            .map_or_else(|| vec![Vec::new(); stored.len()], |r| r.matches);
+        for (q, (kept, done)) in matches.iter_mut().zip(stored).enumerate() {
+            let found = session.matches_of(q);
+            kept.extend_from_slice(&found[*done..]);
+            *done = found.len();
         }
-        st.resume_matches.extend_from_slice(new_matches);
         st.resume = Some(ResumePoint {
-            checkpoint: cp,
-            matches: st.resume_matches.len(),
+            checkpoint,
+            matches,
+            members: members.clone(),
         });
         self.checkpoints.fetch_add(1, Ordering::SeqCst);
         self.obs.checkpoints.incr();
-    }
-
-    /// The first `len` stored matches of a job: a resumed attempt's
-    /// prefix.
-    fn resume_prefix(&self, job: u64, len: usize) -> Vec<usize> {
-        let jobs = lock(&self.jobs);
-        jobs.get(&job)
-            .and_then(|st| st.resume_matches.get(..len))
-            .map_or_else(Vec::new, <[usize]>::to_vec)
     }
 
     /// Records a batch of matches a worker claims to have emitted
@@ -881,12 +909,9 @@ impl Inner {
         let replayed;
         {
             let mut jobs = lock(&self.jobs);
-            let Some(st) = jobs.get_mut(&job) else {
+            let Some(st) = live(&mut jobs, job, attempt) else {
                 return Ok(());
             };
-            if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
-                return Ok(());
-            }
             if start > st.ledger.len() {
                 return Err(FailureCause::EmissionLedger {
                     detail: format!(
@@ -932,111 +957,78 @@ impl Inner {
         Ok(())
     }
 
-    /// Verifies a resumed attempt's emission cursor against the ledger
+    /// Verifies a streamed attempt's emission cursor against the ledger
     /// before any of its output is accepted: the cursor must not claim
     /// more deliveries than the ledger holds, and its digest must equal
     /// the digest of the delivered prefix it claims.  A hostile or
     /// corrupted checkpoint fails here with a typed error instead of
-    /// poisoning the stream.
-    fn verify_resume_cursor(
+    /// poisoning the stream.  At completion (`last` is the final match
+    /// list) the cursor must cover the whole ledger, whose node ids must
+    /// equal the list, in order.
+    fn verify_cursor(
         &self,
         job: u64,
         attempt: u32,
         cursor: EmissionCursor,
+        last: Option<&[usize]>,
     ) -> Result<(), FailureCause> {
-        let jobs = lock(&self.jobs);
-        let Some(st) = jobs.get(&job) else {
+        let mut jobs = lock(&self.jobs);
+        let Some(st) = live(&mut jobs, job, attempt) else {
             return Ok(());
         };
-        if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
-            return Ok(());
-        }
-        let count = cursor.count as usize;
-        if count > st.ledger.len() {
-            return Err(FailureCause::EmissionLedger {
-                detail: format!(
-                    "resume cursor claims {count} deliveries but only {} \
-                     matches were ever delivered",
-                    st.ledger.len()
-                ),
-            });
+        let (count, delivered) = (cursor.count as usize, st.ledger.len());
+        let fail = |detail| Err(FailureCause::EmissionLedger { detail });
+        if count > delivered || (last.is_some() && count != delivered) {
+            return fail(format!(
+                "cursor claims {count} deliveries but {delivered} matches \
+                 were delivered"
+            ));
         }
         let reference = EmissionCursor::over(&st.ledger[..count]);
         if reference.digest != cursor.digest {
-            return Err(FailureCause::EmissionLedger {
-                detail: format!(
-                    "resume cursor digest {:#018x} does not match the \
-                     delivered prefix of {count} matches ({:#018x})",
-                    cursor.digest, reference.digest
-                ),
-            });
+            return fail(format!(
+                "cursor digest {:#018x} does not match the delivered prefix \
+                 of {count} matches ({:#018x})",
+                cursor.digest, reference.digest
+            ));
+        }
+        if last.is_some_and(|m| st.ledger.iter().map(|d| d.node).ne(m.iter().copied())) {
+            return fail(format!(
+                "delivered stream ({delivered} matches) does not equal the \
+                 final match list"
+            ));
         }
         Ok(())
     }
 
-    /// Verifies, at completion time, that a streamed request's delivered
-    /// stream equals its final match list — same node ids, same order —
-    /// and that the session's final cursor equals the ledger's.
-    fn verify_final_emissions(
-        &self,
-        job: u64,
-        attempt: u32,
-        matches: &[usize],
-        cursor: EmissionCursor,
-    ) -> Result<(), FailureCause> {
-        let jobs = lock(&self.jobs);
-        let Some(st) = jobs.get(&job) else {
-            return Ok(());
-        };
-        if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
-            return Ok(());
-        }
-        if st.ledger.len() != matches.len()
-            || st.ledger.iter().map(|m| m.node).ne(matches.iter().copied())
-        {
-            return Err(FailureCause::EmissionLedger {
-                detail: format!(
-                    "delivered stream ({} matches) does not equal the final \
-                     match list ({} matches)",
-                    st.ledger.len(),
-                    matches.len()
-                ),
-            });
-        }
-        let reference = EmissionCursor::over(&st.ledger);
-        if reference != cursor {
-            return Err(FailureCause::EmissionLedger {
-                detail: format!(
-                    "final cursor (count {}, digest {:#018x}) does not match \
-                     the delivered stream (count {}, digest {:#018x})",
-                    cursor.count, cursor.digest, reference.count, reference.digest
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn note_resume(&self, job: u64, attempt: u32) {
-        let mut jobs = lock(&self.jobs);
-        if let Some(st) = jobs.get_mut(&job) {
-            if st.attempt == attempt {
-                st.resumes += 1;
-            }
+    fn note_resume(&self, job: u64, attempt: u32, offset: usize) {
+        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+            st.resumes += 1;
         }
         self.resumes.fetch_add(1, Ordering::SeqCst);
         self.obs.resumes.incr();
+        let offset = offset as u64;
+        self.obs.trace(TraceEvent::Failover {
+            job,
+            attempt,
+            offset,
+        });
     }
 
     fn mark_degraded(&self, job: u64, attempt: u32) {
-        let mut jobs = lock(&self.jobs);
-        if let Some(st) = jobs.get_mut(&job) {
-            if st.attempt == attempt {
-                st.degraded = true;
-            }
+        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+            st.degraded = true;
         }
         self.degraded.fetch_add(1, Ordering::SeqCst);
         self.obs.degraded.incr();
         self.obs.trace(TraceEvent::Degraded { job });
+    }
+
+    /// Records one failure against every `(job, attempt)` of a pass.
+    fn fail_all(&self, group: &[(u64, u32)], cause: FailureCause) {
+        for &(job, attempt) in group {
+            self.record_attempt_failure(job, attempt, cause.clone());
+        }
     }
 
     /// Records a failed attempt: requeues with exponential backoff when
@@ -1046,10 +1038,9 @@ impl Inner {
         let mut requeue_backoff = None;
         {
             let mut jobs = lock(&self.jobs);
-            let Some(st) = jobs.get_mut(&job) else { return };
-            if st.attempt != attempt || matches!(st.status, Status::Done(_)) {
+            let Some(st) = live(&mut jobs, job, attempt) else {
                 return;
-            }
+            };
             // Count the fault only once it is attributed to the live
             // attempt; stale duplicates (the reap backstop re-reporting a
             // death the worker already recorded, a zombie's late fault)
@@ -1095,80 +1086,24 @@ impl Inner {
                 });
             } else {
                 let attempts = st.attempt;
-                let label = cause_label(&cause);
-                st.status = Status::Done(Err(ServeError::Failed {
-                    attempts: st.attempt,
-                    last: cause,
-                }));
-                st.drop_failover_state();
-                let bytes = st.work.doc_len();
-                let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
-                self.failed.fetch_add(1, Ordering::SeqCst);
-                self.obs.failed.incr();
-                self.obs.in_flight_bytes.set((held - bytes) as i64);
-                self.obs.request_attempts.record(attempts as u64);
-                self.obs
-                    .request_latency_ns
-                    .record(self.now_ns().saturating_sub(st.submitted_ns));
-                self.obs.trace(TraceEvent::JobFailed {
-                    job,
+                let failed = Err(ServeError::Failed {
                     attempts,
-                    cause: label,
+                    last: cause,
                 });
+                self.conclude(job, st, failed);
             }
         }
-        match requeue_backoff {
-            Some(backoff) => {
-                let due = self.now_ms() + backoff.as_millis() as u64;
-                let mut q = lock(&self.queue);
-                q.q.push_back(Pending {
-                    id: job,
-                    not_before_ms: due,
-                });
-                self.obs.queue_depth.set(q.q.len() as i64);
-                drop(q);
-                self.queue_cv.notify_all();
-            }
-            None => {
-                self.jobs_cv.notify_all();
-                self.queue_cv.notify_all();
-            }
-        }
-    }
-
-    fn report_of(&self, id: u64, st: &JobState) -> Option<JobReport> {
-        match &st.status {
-            Status::Done(result) => Some(JobReport {
-                id: JobId(id),
-                result: result.clone(),
-                attempts: st.attempt,
-                resumes: st.resumes,
-                path: st.path,
-                degraded: st.degraded,
-                failures: st.failures.clone(),
-                emitted: st.ledger.clone(),
-                suppressed: st.suppressed,
-            }),
-            _ => None,
-        }
-    }
-
-    fn multi_report_of(&self, id: u64, st: &JobState) -> Option<MultiJobReport> {
-        match &st.status {
-            Status::Done(result) => Some(MultiJobReport {
-                id: JobId(id),
-                results: match (result, &st.multi_results) {
-                    (Ok(_), Some(per)) => Ok(per.clone()),
-                    // A single-query job queried through the multi API
-                    // reports its one match set as a one-entry list.
-                    (Ok(union), None) => Ok(vec![union.clone()]),
-                    (Err(e), _) => Err(e.clone()),
-                },
-                attempts: st.attempt,
-                group_size: st.group_size,
-                failures: st.failures.clone(),
-            }),
-            _ => None,
+        if let Some(backoff) = requeue_backoff {
+            let due = self.now_ms() + backoff.as_millis() as u64;
+            let mut q = lock(&self.queue);
+            q.q.push_back(Pending {
+                id: job,
+                not_before_ms: due,
+            });
+            q.wakes += 1;
+            self.obs.queue_depth.set(q.q.len() as i64);
+            drop(q);
+            self.queue_cv.notify_all();
         }
     }
 }
@@ -1200,8 +1135,11 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>, rx: Receiver<Assignment>) {
     let _sentinel = Sentinel(slot.clone());
     while let Ok(a) = rx.recv() {
-        match catch_unwind(AssertUnwindSafe(|| run_group(&inner, &slot, &a.group))) {
-            Ok(()) => *lock(&slot.busy) = None,
+        match catch_unwind(AssertUnwindSafe(|| run_pass(&inner, &slot, &a))) {
+            Ok(()) => {
+                *lock(&slot.busy) = None;
+                inner.wake_dispatcher();
+            }
             Err(payload) => {
                 // Report the death against every request of the group
                 // (so failover starts immediately instead of waiting
@@ -1212,245 +1150,239 @@ fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>, rx: Receiver<Assignment
                 // still-`alive`, already-unwinding thread, burning one
                 // of its attempts on a worker that will never run it.
                 let detail = payload_message(payload.as_ref());
-                for &(job, attempt) in &a.group {
-                    inner.record_attempt_failure(
-                        job,
-                        attempt,
-                        FailureCause::WorkerPanic {
-                            detail: detail.clone(),
-                        },
-                    );
-                }
+                inner.fail_all(&a, FailureCause::WorkerPanic { detail });
                 resume_unwind(payload);
             }
         }
     }
 }
 
-/// Runs one assignment: a lone single-query job takes the existing
-/// chunked/session ladder; everything else is a multi-query group
-/// served by one shared pass.
-fn run_group(inner: &Arc<Inner>, slot: &WorkerSlot, group: &[(u64, u32)]) {
-    if let [(job, attempt)] = group {
-        let is_single = {
-            let jobs = lock(&inner.jobs);
-            matches!(jobs.get(job).map(|st| &st.work), Some(Work::Single(_)))
-        };
-        if is_single {
-            return run_job(inner, slot, *job, *attempt);
-        }
+/// What the pass loop needs of a session, so one loop drives both
+/// session kinds (statically dispatched); the TCP edge's upload loop
+/// drives its sessions through it too.
+pub(crate) trait PassSession: Sized {
+    fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError>;
+    fn checkpoint(&self) -> Result<PassCheckpoint, SessionError>;
+    fn offset(&self) -> usize;
+    fn obs_session_id(&self) -> u64;
+    /// The matches of the pass's `q`-th query found by this session.
+    fn matches_of(&self, q: usize) -> &[usize];
+    /// Declares end-of-input: one match list per query.
+    fn finish(self) -> Result<Vec<Vec<usize>>, SessionError>;
+    /// Count and digest of every match emitted since document start.
+    fn emission_cursor(&self) -> EmissionCursor {
+        EmissionCursor::default()
     }
-    run_multi_group(inner, slot, group);
+    /// The matches that crossed the certainty frontier since the last
+    /// drain.  A query set streams nothing, so it keeps this empty.
+    fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
+        Vec::new()
+    }
 }
 
-/// Serves one batch-by-document group with a single shared
-/// [`QuerySet`] pass and splits per-query results back to each member.
-fn run_multi_group(inner: &Arc<Inner>, slot: &WorkerSlot, group: &[(u64, u32)]) {
-    // Re-validate each member against its live attempt; stale members
-    // (superseded while queued for this worker) drop out of the pass.
-    let mut members: Vec<(u64, u32, Arc<MultiWork>)> = Vec::with_capacity(group.len());
-    {
-        let jobs = lock(&inner.jobs);
-        for &(job, attempt) in group {
-            if let Some(st) = jobs.get(&job) {
-                if st.attempt == attempt && matches!(st.status, Status::Running) {
-                    if let Work::Multi(w) = &st.work {
-                        members.push((job, attempt, w.clone()));
-                    }
+/// Implements [`PassSession`] for a session kind: the methods both
+/// kinds share by name, plus the kind's own `$rest`.
+macro_rules! pass_session {
+    ($session:ident, $checkpoint:path, { $($rest:tt)* }) => {
+        impl PassSession for $session<'_> {
+            fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError> {
+                $session::feed(self, segment)
+            }
+            fn checkpoint(&self) -> Result<PassCheckpoint, SessionError> {
+                $session::checkpoint(self).map($checkpoint)
+            }
+            fn offset(&self) -> usize {
+                $session::offset(self)
+            }
+            fn obs_session_id(&self) -> u64 {
+                $session::obs_session_id(self)
+            }
+            $($rest)*
+        }
+    };
+}
+
+pass_session! { EngineSession, PassCheckpoint::Query, {
+    fn matches_of(&self, _q: usize) -> &[usize] {
+        self.matches()
+    }
+    fn finish(self) -> Result<Vec<Vec<usize>>, SessionError> {
+        EngineSession::finish(self).map(|out| vec![out.matches])
+    }
+    fn emission_cursor(&self) -> EmissionCursor {
+        EngineSession::emission_cursor(self)
+    }
+    fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
+        EngineSession::drain_emitted(self)
+    }
+}}
+
+pass_session! { QuerySetSession, PassCheckpoint::Set, {
+    fn matches_of(&self, q: usize) -> &[usize] {
+        &self.matches()[q]
+    }
+    fn finish(self) -> Result<Vec<Vec<usize>>, SessionError> {
+        QuerySetSession::finish(self).map(|out| out.matches)
+    }
+}}
+
+/// Runs one assignment as one pass over its still-live members, lead
+/// first: a single job alone (on the chunked fast path or a session), or
+/// a batch-by-document group whose shared [`QuerySet`] session runs the
+/// union of its members' patterns.
+fn run_pass(inner: &Inner, slot: &WorkerSlot, group: &[(u64, u32)]) {
+    let (mut members, mut jobs) = (Vec::new(), Vec::<Arc<Job>>::new());
+    let resume = {
+        let mut states = lock(&inner.jobs);
+        // Members superseded while queued for this worker drop out.
+        for &(id, attempt) in group {
+            if let Some(st) = live(&mut states, id, attempt) {
+                if matches!(st.status, Status::Running) {
+                    members.push((id, attempt));
+                    jobs.push(st.job.clone());
                 }
             }
         }
-    }
-    if members.is_empty() {
-        return;
-    }
-    let lead = members[0].0;
-    let lead_work = members[0].2.clone();
-    let cfg = &inner.cfg;
-    let doc: &[u8] = lead_work.doc.as_slice();
-
-    // One shared compile over the union of every member's patterns;
-    // spans remember which slice of the union belongs to which member.
-    let mut all_patterns: Vec<&str> = Vec::new();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(members.len());
-    for (_, _, w) in &members {
-        spans.push((all_patterns.len(), w.patterns.len()));
-        all_patterns.extend(w.patterns.iter().map(String::as_str));
-    }
-    let set = QuerySet::compile_with_budget(&all_patterns, &lead_work.alphabet, lead_work.budget)
-        .expect("multi-query patterns were validated at admission");
-
-    // A singleton group honors the request's own limits; grouping only
-    // ever batches requests that inherit the service defaults.
-    let requested = if members.len() == 1 {
-        members[0].2.limits.as_ref()
-    } else {
-        None
-    };
-    let limits = cfg.budget.session_limits_for(requested, &cfg.obs);
-    let mut session = set.session(limits);
-    if inner.obs.handle.is_enabled() {
-        for (job, _, _) in &members {
-            inner.obs.trace(TraceEvent::JobSession {
-                job: *job,
-                session: session.obs_session_id(),
-            });
-        }
-    }
-    let cadence = cfg.checkpoint_every.max(1);
-    let pass_start_ms = inner.now_ms();
-    let mut off = 0usize;
-    while off < doc.len() {
-        let end = (off + cadence).min(doc.len());
-        if let Err(e) = session.feed(&doc[off..end]) {
-            for (job, attempt, _) in &members {
-                inner.record_attempt_failure(*job, *attempt, FailureCause::Engine(e.clone()));
-            }
+        let Some(st) = members.first().and_then(|m| states.get_mut(&m.0)) else {
             return;
-        }
-        off = end;
-        slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
-    }
-    match session.finish() {
-        Ok(out) => {
-            inner.observe_group_rate(doc.len(), inner.now_ms().saturating_sub(pass_start_ms));
-            let n = members.len();
-            for ((job, attempt, _), &(start, len)) in members.iter().zip(&spans) {
-                let per_query = out.matches[start..start + len].to_vec();
-                inner.complete_multi(*job, *attempt, per_query, n);
+        };
+        // Matches stored over another member list belong to other
+        // queries: this pass starts over at byte 0.
+        if let Some(r) = &st.resume {
+            if !r.members.iter().eq(members.iter().map(|m| &m.0)) {
+                st.resume = None;
             }
-            inner.multi_groups.fetch_add(1, Ordering::SeqCst);
-            inner
-                .multi_group_members
-                .fetch_add(n as u64, Ordering::SeqCst);
-            inner.obs.multi_groups.incr();
-            inner.obs.multi_group_members.add(n as u64);
-            inner.obs.multi_group_size.record(n as u64);
-            inner.obs.trace(TraceEvent::SharedPass {
-                job: lead,
-                members: n as u64,
-                queries: all_patterns.len() as u64,
-            });
         }
-        Err(e) => {
-            for (job, attempt, _) in &members {
-                inner.record_attempt_failure(*job, *attempt, FailureCause::Engine(e.clone()));
+        st.resume.clone().map(|r| (r.checkpoint, r.matches))
+    };
+    let ((lead, attempt), job) = (members[0], &jobs[0]);
+    let cfg = &inner.cfg;
+    // Only requests without limits of their own group, so the lead's
+    // limits are the pass's.
+    let limits = cfg.budget.session_limits_for(job.limits.as_ref(), &cfg.obs);
+    let (checkpoint, prefix) = resume.unzip();
+    match &job.plan {
+        Plan::Query(query) => {
+            // Fast path: the data-parallel chunked engine, for large
+            // registerless documents on a fresh, guard-free, chaos-free
+            // attempt.  Under pressure the degradation ladder steps down
+            // to the session path.  Streamed requests never take the
+            // chunked path: it reports only at end-of-document, and the
+            // whole point of streaming is delivery at the certainty
+            // frontier.
+            let chunk_eligible = cfg.chaos.is_none()
+                && attempt == 1
+                && checkpoint.is_none()
+                && !job.stream
+                && job.doc.len() >= cfg.parallel_threshold
+                && query.strategy() == Strategy::Registerless
+                && limits.is_unbounded();
+            if chunk_eligible {
+                if inner.pressure_high() {
+                    inner.mark_degraded(lead, attempt);
+                } else {
+                    slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
+                    return match query.select_bytes_parallel(&job.doc, cfg.chunk_threads) {
+                        Ok(m) => inner.complete(lead, attempt, vec![m], PathTaken::Chunked, 0),
+                        Err(e) => inner.fail_all(&[(lead, attempt)], FailureCause::Engine(e)),
+                    };
+                }
             }
+            let session = match checkpoint {
+                None => Ok(query.session(limits)),
+                Some(PassCheckpoint::Query(cp)) => query.resume(&cp, limits),
+                Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
+            };
+            drive(inner, slot, job, &members, &[1], session, prefix);
+        }
+        Plan::Set {
+            alphabet, budget, ..
+        } => {
+            let (mut patterns, mut spans) = (Vec::new(), Vec::new());
+            for member in &jobs {
+                if let Plan::Set { patterns: p, .. } = &member.plan {
+                    patterns.extend(p.iter().map(String::as_str));
+                    spans.push(p.len());
+                }
+            }
+            let set = QuerySet::compile_with_budget(&patterns, alphabet, *budget)
+                .expect("multi-query patterns were validated at admission");
+            let session = match checkpoint {
+                None => Ok(set.session(limits)),
+                Some(PassCheckpoint::Set(cp)) => set.resume(&cp, limits),
+                Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
+            };
+            drive(inner, slot, job, &members, &spans, session, prefix);
         }
     }
 }
 
-/// Runs one attempt of one request on this worker.
-fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
-    let (spec, resume) = {
-        let jobs = lock(&inner.jobs);
-        match jobs.get(&job) {
-            Some(st) if st.attempt == attempt && matches!(st.status, Status::Running) => {
-                match &st.work {
-                    Work::Single(spec) => (spec.clone(), st.resume.clone()),
-                    Work::Multi(_) => return,
-                }
-            }
-            _ => return,
-        }
+/// The pass loop: feeds the lead's document in cadence-sized segments,
+/// each behind a chaos roll keyed by the lead's `(job, attempt,
+/// segment)` and followed by a heartbeat, the streamed emissions and a
+/// stored resume point; then hands member `i` the next `spans[i]` match
+/// lists.  `prefix` holds, per query, the matches stored before the
+/// checkpoint a resumed session started from.
+fn drive<S: PassSession>(
+    inner: &Inner,
+    slot: &WorkerSlot,
+    job: &Job,
+    group: &[(u64, u32)],
+    spans: &[usize],
+    session: Result<S, SessionError>,
+    prefix: Option<Vec<Vec<usize>>>,
+) {
+    let (lead, attempt) = group[0];
+    let fail = |cause| inner.fail_all(group, cause);
+    let mut session = match session {
+        Ok(s) => s,
+        Err(e) => return fail(FailureCause::Engine(e)),
     };
-    let cfg = &inner.cfg;
-    let doc: &[u8] = spec.doc.as_slice();
-    let limits = cfg
-        .budget
-        .session_limits_for(spec.limits.as_ref(), &cfg.obs);
-
-    // Fast path: the data-parallel chunked engine, for large registerless
-    // documents on a fresh, guard-free, chaos-free attempt.  Under
-    // pressure the degradation ladder steps down to the session path.
-    // Streamed requests never take the chunked path: it reports only at
-    // end-of-document, and the whole point of streaming is delivery at
-    // the certainty frontier.
-    let chunk_eligible = cfg.chaos.is_none()
-        && attempt == 1
-        && resume.is_none()
-        && !spec.stream
-        && doc.len() >= cfg.parallel_threshold
-        && spec.query.strategy() == Strategy::Registerless
-        && limits.is_unbounded();
-    if chunk_eligible {
-        if inner.pressure_high() {
-            inner.mark_degraded(job, attempt);
-        } else {
-            slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
-            match spec.query.select_bytes_parallel(doc, cfg.chunk_threads) {
-                Ok(m) => return inner.complete(job, attempt, m, PathTaken::Chunked),
-                Err(e) => {
-                    return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e))
-                }
-            }
+    let start = session.offset();
+    for &(id, attempt) in group {
+        if prefix.is_some() {
+            inner.note_resume(id, attempt, start);
         }
+        let session = session.obs_session_id();
+        inner.obs.trace(TraceEvent::JobSession { job: id, session });
     }
-
-    // Guarded session path with checkpoint cadence.
-    let prefix_len = resume.as_ref().map_or(0, |r| r.matches);
-    let mut session = match &resume {
-        Some(r) => match spec.query.resume(&r.checkpoint, limits) {
-            Ok(s) => {
-                inner.note_resume(job, attempt);
-                inner.obs.trace(TraceEvent::Failover {
-                    job,
-                    attempt,
-                    offset: r.checkpoint.offset() as u64,
-                });
-                s
-            }
-            Err(e) => return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e)),
-        },
-        None => spec.query.session(limits),
-    };
     // A resumed streamed attempt's cursor is verified against the ledger
     // before any of its output is accepted: a hostile checkpoint (forged
     // count, tampered digest) dies here with a typed error instead of
     // letting replay dedup silently mis-align.
-    if spec.stream {
-        if let Err(cause) = inner.verify_resume_cursor(job, attempt, session.emission_cursor()) {
-            return inner.record_attempt_failure(job, attempt, cause);
+    if job.stream {
+        if let Err(cause) = inner.verify_cursor(lead, attempt, session.emission_cursor(), None) {
+            return fail(cause);
         }
     }
-    if inner.obs.handle.is_enabled() {
-        inner.obs.trace(TraceEvent::JobSession {
-            job,
-            session: session.obs_session_id(),
-        });
-    }
-    let cadence = cfg.checkpoint_every.max(1);
-    let mut off = session.offset();
-    // `session.matches()[..stored]` already went out with a checkpoint.
-    let mut stored = 0usize;
+    let ids: Arc<[u64]> = group.iter().map(|m| m.0).collect();
+    let doc = job.doc.as_slice();
+    let chaos = inner.cfg.chaos.as_ref();
+    let cadence = inner.cfg.checkpoint_every.max(1);
+    let start_ms = inner.now_ms();
+    let mut off = start;
+    // `session.matches_of(q)[..stored[q]]` already went out with a
+    // checkpoint.
+    let mut stored = vec![0usize; spans.iter().sum()];
     while off < doc.len() {
         let end = (off + cadence).min(doc.len());
-        let fault = cfg.chaos.as_ref().map_or(Fault::None, |c| {
-            c.roll(job, attempt, (off / cadence) as u64)
-        });
-        match fault {
+        match chaos.map_or(Fault::None, |c| {
+            c.roll(lead, attempt, (off / cadence) as u64)
+        }) {
             Fault::Panic => {
-                panic!("chaos: injected worker panic (job {job}, attempt {attempt}, offset {off})")
+                panic!("chaos: injected worker panic (job {lead}, attempt {attempt}, offset {off})")
             }
-            Fault::Corrupt => {
-                return inner.record_attempt_failure(
-                    job,
-                    attempt,
-                    FailureCause::SegmentCorrupted { offset: off },
-                );
-            }
+            Fault::Corrupt => return fail(FailureCause::SegmentCorrupted { offset: off }),
+            // Sleep through the supervisor's deadline; by the time this
+            // worker wakes, it has been abandoned and all its further
+            // writes are stale no-ops.
             Fault::Stall => {
-                // Sleep through the supervisor's deadline; by the time
-                // this worker wakes, it has been abandoned and all its
-                // further writes are stale no-ops.
-                std::thread::sleep(Duration::from_millis(
-                    cfg.chaos.as_ref().map_or(0, |c| c.stall_ms),
-                ));
+                std::thread::sleep(Duration::from_millis(chaos.map_or(0, |c| c.stall_ms)))
             }
             Fault::None => {}
         }
         if let Err(e) = session.feed(&doc[off..end]) {
-            return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e));
+            return fail(FailureCause::Engine(e));
         }
         off = end;
         slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
@@ -1458,43 +1390,57 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
         // the checkpoint: the ledger may then run ahead of the stored
         // cursor (matches recorded after the last stored checkpoint),
         // which is exactly the replay window failover dedup suppresses.
-        if spec.stream {
+        if job.stream {
             let batch = session.drain_emitted();
-            let start = session.emission_cursor().count as usize - batch.len();
-            if let Err(cause) = inner.record_emissions(job, attempt, start, &batch) {
-                return inner.record_attempt_failure(job, attempt, cause);
+            let first = session.emission_cursor().count as usize - batch.len();
+            if let Err(cause) = inner.record_emissions(lead, attempt, first, &batch) {
+                return fail(cause);
             }
         }
         match session.checkpoint() {
-            Ok(cp) => {
-                inner.store_resume(job, attempt, cp, &session.matches()[stored..]);
-                stored = session.matches().len();
-            }
-            Err(e) => return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e)),
+            Ok(cp) => inner.store_resume(lead, attempt, cp, &ids, &session, &mut stored),
+            Err(e) => return fail(FailureCause::Engine(e)),
         }
     }
-    let stream_cursor = spec.stream.then(|| session.emission_cursor());
-    match session.finish() {
-        Ok(out) => {
-            let all = if prefix_len == 0 {
-                out.matches
-            } else {
-                let mut all = inner.resume_prefix(job, prefix_len);
-                all.extend_from_slice(&out.matches);
-                all
-            };
-            // A streamed request completes only if the delivered stream
-            // equals the final match list and the cursors agree — a gap
-            // or duplicate that survived this far is a typed failure,
-            // never a silently wrong answer.
-            if let Some(cursor) = stream_cursor {
-                if let Err(cause) = inner.verify_final_emissions(job, attempt, &all, cursor) {
-                    return inner.record_attempt_failure(job, attempt, cause);
-                }
-            }
-            inner.complete(job, attempt, all, PathTaken::Session);
+    let cursor = session.emission_cursor();
+    let mut lists = match (session.finish(), prefix) {
+        (Ok(tails), Some(mut prefix)) => {
+            prefix.iter_mut().zip(tails).for_each(|(p, t)| p.extend(t));
+            prefix
         }
-        Err(e) => inner.record_attempt_failure(job, attempt, FailureCause::Engine(e)),
+        (Ok(lists), None) => lists,
+        (Err(e), _) => return fail(FailureCause::Engine(e)),
+    };
+    // A streamed request completes only if the delivered stream equals
+    // the final match list and the cursors agree — a gap or duplicate
+    // that survived this far is a typed failure, never a silently wrong
+    // answer.
+    if job.stream {
+        if let Err(cause) = inner.verify_cursor(lead, attempt, cursor, Some(&lists[0])) {
+            return fail(cause);
+        }
+    }
+    let (path, group_size) = if matches!(job.plan, Plan::Set { .. }) {
+        let n = group.len() as u64;
+        inner.observe_group_rate(off - start, inner.now_ms().saturating_sub(start_ms));
+        inner.multi_groups.fetch_add(1, Ordering::SeqCst);
+        inner.multi_group_members.fetch_add(n, Ordering::SeqCst);
+        inner.obs.multi_groups.incr();
+        inner.obs.multi_group_members.add(n);
+        inner.obs.multi_group_size.record(n);
+        let queries = lists.len() as u64;
+        inner.obs.trace(TraceEvent::SharedPass {
+            job: lead,
+            members: n,
+            queries,
+        });
+        (PathTaken::Shared, group.len())
+    } else {
+        (PathTaken::Session, 0)
+    };
+    for (&(id, attempt), &n) in group.iter().zip(spans) {
+        let own = lists.drain(..n).collect();
+        inner.complete(id, attempt, own, path, group_size);
     }
 }
 
@@ -1534,17 +1480,9 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
             // Dead (panic).  The panic path normally reported already;
             // this sweep is the backstop for a worker that died without
             // reporting.
-            let victim = lock(&worker.slot.busy).take();
-            if let Some(a) = victim {
-                for (job, attempt) in a.group {
-                    inner.record_attempt_failure(
-                        job,
-                        attempt,
-                        FailureCause::WorkerPanic {
-                            detail: "worker thread died".to_owned(),
-                        },
-                    );
-                }
+            if let Some(a) = lock(&worker.slot.busy).take() {
+                let detail = "worker thread died".to_owned();
+                inner.fail_all(&a, FailureCause::WorkerPanic { detail });
             }
             if let Some(h) = worker.join.take() {
                 let _ = h.join(); // reap; Err(panic payload) is expected
@@ -1560,13 +1498,7 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
             if silent > stall_ms {
                 worker.slot.abandoned.store(true, Ordering::SeqCst);
                 *lock(&worker.slot.busy) = None;
-                for &(job, attempt) in &a.group {
-                    inner.record_attempt_failure(
-                        job,
-                        attempt,
-                        FailureCause::WorkerStall { stalled_ms: silent },
-                    );
-                }
+                inner.fail_all(&a, FailureCause::WorkerStall { stalled_ms: silent });
                 // Replace the slot; dropping the old sender lets the
                 // zombie exit once it wakes, and dropping the handle
                 // detaches it (joining a sleeping zombie would block
@@ -1597,10 +1529,7 @@ fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ns:
             Some(st) if matches!(st.status, Status::Queued) => {
                 st.status = Status::Running;
                 group.push((p.id, st.attempt));
-                match &st.work {
-                    Work::Multi(w) if w.limits.is_none() => Some(w.fp),
-                    _ => None,
-                }
+                st.job.group_key
             }
             // Vanished or already terminal: the entry is stale; drop it.
             _ => return true,
@@ -1610,60 +1539,43 @@ fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ns:
             // their own queue entries surface later as stale no-ops;
             // deterministic ascending-id order keeps result splitting
             // independent of queue arrival order.
-            let mut peers: Vec<u64> = jobs
-                .iter()
-                .filter(|(id, st)| {
-                    **id != p.id
-                        && matches!(st.status, Status::Queued)
-                        // Deadline-aware grouping: never adopt a member
-                        // whose deadline is projected to expire before
-                        // the shared pass finishes — it would ride along
-                        // only to receive an answer nobody is waiting
-                        // for.  The projection uses the measured EWMA
-                        // throughput of completed shared passes (the
-                        // configured hint until one completes).
-                        && st.deadline_ms.is_none_or(|d| {
-                            let projected_ms =
-                                st.work.doc_len() as u64 / inner.group_rate() + 1;
-                            now_ms + projected_ms <= d
-                        })
-                        && matches!(&st.work,
-                            Work::Multi(w) if w.limits.is_none() && w.fp == fp)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            peers.sort_unstable();
-            for id in peers {
-                if let Some(st) = jobs.get_mut(&id) {
-                    st.status = Status::Running;
-                    group.push((id, st.attempt));
-                }
+            let peers = jobs.iter_mut().filter(|(_, st)| {
+                // The lead is Running already.
+                matches!(st.status, Status::Queued)
+                    // Deadline-aware grouping: never adopt a member
+                    // whose deadline is projected to expire before the
+                    // shared pass finishes — it would ride along only to
+                    // receive an answer nobody is waiting for.  The
+                    // projection uses the measured EWMA throughput of
+                    // completed shared passes (the configured hint until
+                    // one completes).
+                    && st.deadline_ms.is_none_or(|d| {
+                        let projected_ms = st.job.doc.len() as u64 / inner.group_rate() + 1;
+                        now_ms + projected_ms <= d
+                    })
+                    && st.job.group_key == Some(fp)
+            });
+            for (id, st) in peers {
+                st.status = Status::Running;
+                group.push((*id, st.attempt));
             }
+            group[1..].sort_unstable();
         }
     }
     for w in workers {
-        let healthy = w.slot.alive.load(Ordering::SeqCst)
-            && !w.slot.abandoned.load(Ordering::SeqCst)
-            && w.tx.is_some();
-        if !healthy {
+        let healthy =
+            w.slot.alive.load(Ordering::SeqCst) && !w.slot.abandoned.load(Ordering::SeqCst);
+        let Some(tx) = w.tx.as_ref().filter(|_| healthy) else {
             continue;
-        }
+        };
         let mut busy = lock(&w.slot.busy);
         if busy.is_some() {
             continue;
         }
-        *busy = Some(Assignment {
-            group: group.clone(),
-        });
+        *busy = Some(group.clone());
         drop(busy);
         w.slot.heartbeat_ms.store(now_ms, Ordering::SeqCst);
-        let sent =
-            w.tx.as_ref()
-                .expect("healthy worker has a sender")
-                .send(Assignment {
-                    group: group.clone(),
-                });
-        if sent.is_ok() {
+        if tx.send(group.clone()).is_ok() {
             return true;
         }
         // The worker died between the liveness check and the send; the
@@ -1674,10 +1586,8 @@ fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ns:
     // queue (non-lead members' queue entries are still there).
     let mut jobs = lock(&inner.jobs);
     for &(id, attempt) in &group {
-        if let Some(st) = jobs.get_mut(&id) {
-            if st.attempt == attempt && matches!(st.status, Status::Running) {
-                st.status = Status::Queued;
-            }
+        if let Some(st) = live(&mut jobs, id, attempt) {
+            st.status = Status::Queued;
         }
     }
     false
@@ -1698,7 +1608,7 @@ fn dispatcher_main(inner: Arc<Inner>) {
         // Pull due entries (retries wait out their backoff).
         let mut due: Vec<Pending> = Vec::new();
         let mut next_due_ms: Option<u64> = None;
-        {
+        let seen = {
             let mut q = lock(&inner.queue);
             let mut keep = VecDeque::with_capacity(q.q.len());
             while let Some(p) = q.q.pop_front() {
@@ -1712,42 +1622,36 @@ fn dispatcher_main(inner: Arc<Inner>) {
             }
             q.q = keep;
             inner.obs.queue_depth.set(q.q.len() as i64);
-        }
-        let mut leftovers: Vec<Pending> = Vec::new();
-        for p in due {
-            if !try_assign(&inner, &workers, &p, now_ns) {
-                leftovers.push(p);
-            }
-        }
-        if !leftovers.is_empty() {
+            q.wakes
+        };
+        due.retain(|p| !try_assign(&inner, &workers, p, now_ns));
+        if !due.is_empty() {
             let mut q = lock(&inner.queue);
-            for p in leftovers.into_iter().rev() {
+            for p in due.into_iter().rev() {
                 q.q.push_front(p);
             }
             inner.obs.queue_depth.set(q.q.len() as i64);
-            drop(q);
         }
 
         // Graceful drain: exit only when no request is still open.
         let open = inner.submitted.load(Ordering::SeqCst)
             - inner.completed.load(Ordering::SeqCst)
             - inner.failed.load(Ordering::SeqCst);
-        let shutting_down = lock(&inner.queue).shutdown;
-        if shutting_down && open == 0 {
+        let q = lock(&inner.queue);
+        if q.shutdown && open == 0 {
             break;
         }
-
-        let mut timeout = poll;
-        if let Some(nd) = next_due_ms {
-            timeout = timeout.min(
-                Duration::from_millis(nd.saturating_sub(now_ms)).max(Duration::from_millis(1)),
-            );
+        // Sleep only under the guard that sees no wake since the queue
+        // was read: a notify that landed in between is not lost.
+        if q.wakes == seen {
+            let mut timeout = poll;
+            if let Some(nd) = next_due_ms {
+                timeout = timeout.min(
+                    Duration::from_millis(nd.saturating_sub(now_ms)).max(Duration::from_millis(1)),
+                );
+            }
+            let _ = inner.queue_cv.wait_timeout(q, timeout);
         }
-        let guard = lock(&inner.queue);
-        let _ = inner
-            .queue_cv
-            .wait_timeout(guard, timeout)
-            .map(|(g, _)| drop(g));
     }
     // Drop senders so idle workers exit, then join the live ones.
     for w in &mut workers {
@@ -1791,10 +1695,7 @@ impl ServeRuntime {
             clock,
             epoch: clock(),
             obs,
-            queue: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                shutdown: false,
-            }),
+            queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             jobs_cv: Condvar::new(),
@@ -1831,8 +1732,9 @@ impl ServeRuntime {
         }
     }
 
-    fn admit(&self, work: Work, block: bool) -> Result<JobId, ServeError> {
-        let doc_len = work.doc_len();
+    fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
+        let doc_len = job.doc.len();
+        let job = Arc::new(job);
         loop {
             {
                 // Lock order everywhere: jobs before queue.
@@ -1867,21 +1769,19 @@ impl ServeRuntime {
                         JobState {
                             attempt: 1,
                             resume: None,
-                            resume_matches: Vec::new(),
                             resumes: 0,
                             failures: Vec::new(),
                             status: Status::Queued,
                             path: PathTaken::Session,
                             degraded: false,
                             submitted_ns,
-                            deadline_ms: work
-                                .deadline()
+                            deadline_ms: job
+                                .deadline
                                 .map(|d| submitted_ms.saturating_add(d.as_millis() as u64)),
-                            multi_results: None,
                             group_size: 0,
                             ledger: Vec::new(),
                             suppressed: 0,
-                            work: work.clone(),
+                            job: job.clone(),
                         },
                     );
                     let held = self
@@ -1892,6 +1792,7 @@ impl ServeRuntime {
                         id,
                         not_before_ms: 0,
                     });
+                    q.wakes += 1;
                     self.inner.submitted.fetch_add(1, Ordering::SeqCst);
                     self.inner.obs.submitted.incr();
                     self.inner.obs.in_flight_bytes.set((held + doc_len) as i64);
@@ -1940,7 +1841,7 @@ impl ServeRuntime {
     /// [`ServeError::Overloaded`], [`ServeError::Rejected`], or
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.admit(Work::Single(Arc::new(spec)), false)
+        self.admit(spec.into(), false)
     }
 
     /// Like [`Self::submit`] but waits for queue space instead of
@@ -1950,7 +1851,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::Rejected`] or [`ServeError::ShuttingDown`].
     pub fn submit_blocking(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.admit(Work::Single(Arc::new(spec)), true)
+        self.admit(spec.into(), true)
     }
 
     /// Submits a multi-query request.  Every pattern is validated at
@@ -1990,15 +1891,18 @@ impl ServeRuntime {
         let budget = spec.product_budget.unwrap_or(self.inner.cfg.product_budget);
         let fp = group_fingerprint(&spec.doc, &spec.alphabet, budget);
         self.admit(
-            Work::Multi(Arc::new(MultiWork {
-                patterns: spec.patterns,
-                alphabet: spec.alphabet,
+            Job {
+                plan: Plan::Set {
+                    patterns: spec.patterns,
+                    alphabet: spec.alphabet,
+                    budget,
+                },
                 doc: spec.doc,
+                group_key: spec.limits.is_none().then_some(fp),
                 limits: spec.limits,
                 deadline: spec.deadline,
-                budget,
-                fp,
-            })),
+                stream: false,
+            },
             block,
         )
     }
@@ -2010,12 +1914,28 @@ impl ServeRuntime {
     ///
     /// [`ServeError::UnknownJob`] for an id this runtime never issued.
     pub fn wait(&self, id: JobId) -> Result<JobReport, ServeError> {
+        self.wait_for(id, JobState::report)
+    }
+
+    /// The report of a finished request, or `None` while it is still
+    /// queued or running.
+    pub fn try_report(&self, id: JobId) -> Option<JobReport> {
+        lock(&self.inner.jobs).get(&id.0)?.report(id.0)
+    }
+
+    /// Blocks until `project` reads a report off the request's state,
+    /// which it does once the request finished.
+    fn wait_for<R>(
+        &self,
+        id: JobId,
+        project: impl Fn(&JobState, u64) -> Option<R>,
+    ) -> Result<R, ServeError> {
         let mut jobs = lock(&self.inner.jobs);
         loop {
             let Some(st) = jobs.get(&id.0) else {
                 return Err(ServeError::UnknownJob { id: id.0 });
             };
-            if let Some(report) = self.inner.report_of(id.0, st) {
+            if let Some(report) = project(st, id.0) {
                 return Ok(report);
             }
             jobs = self
@@ -2025,14 +1945,6 @@ impl ServeRuntime {
                 .unwrap_or_else(|p| p.into_inner())
                 .0;
         }
-    }
-
-    /// The report of a finished request, or `None` while it is still
-    /// queued or running.
-    pub fn try_report(&self, id: JobId) -> Option<JobReport> {
-        let jobs = lock(&self.inner.jobs);
-        jobs.get(&id.0)
-            .and_then(|st| self.inner.report_of(id.0, st))
     }
 
     /// The matches delivered so far to a streamed request, from stream
@@ -2065,29 +1977,13 @@ impl ServeRuntime {
     ///
     /// [`ServeError::UnknownJob`] for an id this runtime never issued.
     pub fn wait_multi(&self, id: JobId) -> Result<MultiJobReport, ServeError> {
-        let mut jobs = lock(&self.inner.jobs);
-        loop {
-            let Some(st) = jobs.get(&id.0) else {
-                return Err(ServeError::UnknownJob { id: id.0 });
-            };
-            if let Some(report) = self.inner.multi_report_of(id.0, st) {
-                return Ok(report);
-            }
-            jobs = self
-                .inner
-                .jobs_cv
-                .wait_timeout(jobs, Duration::from_millis(50))
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-        }
+        self.wait_for(id, JobState::multi_report)
     }
 
     /// The per-query report of a finished request, or `None` while it is
     /// still queued or running.
     pub fn try_multi_report(&self, id: JobId) -> Option<MultiJobReport> {
-        let jobs = lock(&self.inner.jobs);
-        jobs.get(&id.0)
-            .and_then(|st| self.inner.multi_report_of(id.0, st))
+        lock(&self.inner.jobs).get(&id.0)?.multi_report(id.0)
     }
 
     /// A snapshot of the runtime counters.
@@ -2116,7 +2012,7 @@ impl ServeRuntime {
 
     fn begin_shutdown(&self) {
         lock(&self.inner.queue).shutdown = true;
-        self.inner.queue_cv.notify_all();
+        self.inner.wake_dispatcher();
     }
 }
 

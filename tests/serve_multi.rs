@@ -40,10 +40,10 @@ fn oracle(patterns: &[&str], alphabet: &Alphabet, doc: &[u8]) -> Vec<Vec<usize>>
         .collect()
 }
 
-/// Chaos that stalls (never kills) every single-query segment, used to
-/// hold the one worker busy while multi-query requests pile up behind
-/// it.  Multi-query shared passes skip chaos injection, so the grouped
-/// work itself runs clean.
+/// Chaos that stalls (never kills) every segment, used to hold the one
+/// worker busy while multi-query requests pile up behind it.  The stall
+/// stays below the stall timeout, so the grouped work, which takes the
+/// same stalls, is slowed but never failed over.
 fn stall_only(ms: u64) -> ChaosConfig {
     ChaosConfig {
         seed: 7,
@@ -300,4 +300,48 @@ fn grouping_never_adopts_a_member_that_would_miss_its_deadline() {
         stats.deadline_expired, 0,
         "nobody actually missed a deadline"
     );
+}
+
+#[test]
+fn query_set_passes_resume_mid_document_after_a_worker_panic() {
+    let g = Alphabet::of_chars("ab");
+    let doc = Arc::new(mixed_doc(60));
+    let patterns = [".*a.*b", "a.*", ".*b", "b.*a"];
+    // 1 120 bytes in 64-byte segments: 18 chaos rolls per attempt.  Seed
+    // 3 panics job 1's first attempt at segment 6 and its second at
+    // segment 11, then lets the third finish: two failovers, each after
+    // a stored checkpoint, well inside the retry budget.
+    let chaos = ChaosConfig {
+        seed: 3,
+        panic_per_mille: 60,
+        stall_per_mille: 0,
+        corrupt_per_mille: 0,
+        stall_ms: 0,
+    };
+    let serve = ServeRuntime::start(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_checkpoint_every(64)
+            .with_chaos(chaos),
+    );
+    // Custom limits keep the request out of any group: it always runs
+    // alone, so every retry resumes over the same member list.
+    let spec = MultiJobSpec::new(
+        patterns.iter().map(|p| p.to_string()).collect(),
+        g.clone(),
+        doc.clone(),
+    )
+    .with_limits(Limits::default().with_max_bytes(1 << 20));
+    let id = serve.submit_multi(spec).expect("admitted");
+    let report = serve.wait_multi(id).expect("known job");
+    assert_eq!(
+        report.results.expect("finishes within its retries"),
+        oracle(&patterns, &g, &doc),
+        "prefix before the checkpoint + resumed tail = the clean run"
+    );
+    assert!(report.attempts >= 2, "the pass met a panic");
+    let stats = serve.shutdown();
+    assert!(stats.panics >= 1);
+    assert!(stats.resumes >= 1, "a failover resumed mid-document");
+    assert_eq!(stats.completed, 1);
 }
