@@ -27,6 +27,13 @@ pub enum AutomataError {
         /// What went wrong.
         message: String,
     },
+    /// A pattern's automaton needs more states than
+    /// [`crate::regex::MAX_PATTERN_STATES`] (or its subset construction
+    /// more than [`crate::regex::MAX_SUBSET_STATES`]).
+    TooManyStates {
+        /// The bound that was exceeded.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for AutomataError {
@@ -42,6 +49,9 @@ impl fmt::Display for AutomataError {
             }
             AutomataError::RegexParse { position, message } => {
                 write!(f, "regex parse error at byte {position}: {message}")
+            }
+            AutomataError::TooManyStates { limit } => {
+                write!(f, "pattern needs more than {limit} automaton states")
             }
         }
     }

@@ -106,6 +106,14 @@ impl Nfa {
     /// Determinizes via the subset construction; the result is complete
     /// (the empty subset acts as the rejecting sink).
     pub fn determinize(&self) -> Dfa {
+        self.determinize_within(usize::MAX)
+            .expect("an unbounded subset construction always finishes")
+    }
+
+    /// [`Self::determinize`] that gives up, with `None`, once more than
+    /// `max_states` subsets are reachable — so a hostile pattern cannot
+    /// make the (exponential) construction exhaust time or memory.
+    pub fn determinize_within(&self, max_states: usize) -> Option<Dfa> {
         let k = self.n_letters;
         // Letter-indexed adjacency.
         let mut by_letter: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
@@ -133,10 +141,15 @@ impl Nfa {
                     }
                 }
                 self.epsilon_closure(&mut succ);
-                let id = *ids.entry(succ.clone()).or_insert_with(|| {
-                    subsets.push(succ);
-                    subsets.len() - 1
-                });
+                let id = match ids.get(&succ) {
+                    Some(&id) => id,
+                    None if subsets.len() >= max_states => return None,
+                    None => {
+                        ids.insert(succ.clone(), subsets.len());
+                        subsets.push(succ);
+                        subsets.len() - 1
+                    }
+                };
                 row.push(id);
             }
             rows.push(row);
@@ -146,7 +159,7 @@ impl Nfa {
             .iter()
             .map(|set| set.iter().any(|&s| self.accepting[s]))
             .collect();
-        Dfa::from_rows(k, 0, accepting, rows).expect("subset construction is well-formed")
+        Some(Dfa::from_rows(k, 0, accepting, rows).expect("subset construction is well-formed"))
     }
 }
 

@@ -83,6 +83,68 @@ fn multi_patterns() -> Vec<String> {
     out
 }
 
+/// The mixed-class 8-query set over Γ = {a,b,c}: three registerless
+/// (`x.*y`, `c.*`), three stackless (`ab`, `ba`, `.*a.*b`) and two stack
+/// members (`.*ab`, `.*bc`), so the set compiler lands on the hybrid tier.
+const HYBRID_PATTERNS: [&str; 8] = ["a.*b", "b.*c", "c.*", "ab", "ba", ".*a.*b", ".*ab", ".*bc"];
+
+/// Median wall time of `f` in microseconds over 200 runs after one warm
+/// run: compiles are sub-millisecond and one-off, so the median (not a
+/// best batch) is the honest price of one.
+fn median_us(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..200)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// The compile ledger, in µs: one fresh [`Query::compile`] per planner
+/// class (regex → DFA → plan → fuse, with the alphabet's lexer live, as
+/// on a serving edge), and the 8-query hybrid set compiled fresh from
+/// its patterns vs built from plan-cache hits.
+fn compile_series(g: &Alphabet) -> Vec<(String, f64)> {
+    let _live_lexer = Query::compile("a", g).unwrap();
+    let mut series = Vec::new();
+    for pattern in ["a.*b", ".*a.*b", ".*ab"] {
+        let slug = strategy_slug(Query::compile(pattern, g).unwrap().strategy());
+        series.push((
+            format!("compile_query/{slug}"),
+            median_us(|| {
+                black_box(Query::compile(black_box(pattern), g).unwrap());
+            }),
+        ));
+    }
+    series.push((
+        "compile_set_fresh/8q".to_owned(),
+        median_us(|| {
+            black_box(st_core::QuerySet::compile(&HYBRID_PATTERNS, g).unwrap());
+        }),
+    ));
+    let cache = st_core::PlanCache::new(64);
+    series.push((
+        "compile_set_plans/8q".to_owned(),
+        median_us(|| {
+            let plans: Vec<_> = HYBRID_PATTERNS
+                .iter()
+                .map(|p| cache.get_or_plan(p, g).unwrap())
+                .collect();
+            let members = HYBRID_PATTERNS
+                .iter()
+                .map(|p| Some(*p))
+                .zip(plans.iter().map(|p| &**p));
+            let set = st_core::QuerySet::from_plans(members, g, st_core::DEFAULT_PRODUCT_BUDGET);
+            black_box(set);
+        }),
+    ));
+    series
+}
+
 /// Throughput of one operation in gigabits per second over `bytes` of
 /// input: warm once, then take the best of twenty 25 ms batches.  A
 /// single long window under-reports badly on shared machines (one
@@ -258,7 +320,9 @@ fn write_throughput_json(path: &str) {
         .with_max_imbalance(1 << 20);
 
     let mut workload_objects: Vec<String> = Vec::new();
-    let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8]| {
+    // `ledger`: the ~40 KB shapes also record the compile ledger and the
+    // hybrid-tier series.
+    let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8], ledger: bool| {
         let mut series: Vec<(String, f64)> = Vec::new();
         series.push((
             "scan".to_owned(),
@@ -370,6 +434,23 @@ fn write_throughput_json(path: &str) {
                 }
             }),
         ));
+        let mut compile = String::new();
+        if ledger {
+            let hybrid_set = st_core::QuerySet::compile(&HYBRID_PATTERNS, &g).unwrap();
+            assert_eq!(hybrid_set.strategy(), st_core::SetStrategy::Hybrid);
+            series.push((
+                "multi_hybrid/8q".to_owned(),
+                gbit_per_s(xml.len(), || {
+                    black_box(hybrid_set.count_all(black_box(xml)).unwrap());
+                }),
+            ));
+            let times = compile_series(&g)
+                .iter()
+                .map(|(k, v)| format!("        \"{k}\": {v:.2}"))
+                .collect::<Vec<_>>()
+                .join(",\n");
+            compile = format!(",\n      \"compile_us\": {{\n{times}\n      }}");
+        }
         let rates = series
             .iter()
             .map(|(k, v)| format!("        \"{k}\": {v:.4}"))
@@ -377,23 +458,23 @@ fn write_throughput_json(path: &str) {
             .join(",\n");
         let gbit = format!("      \"gbit_per_s\": {{\n{rates}\n      }}");
         workload_objects.push(format!(
-            "    {{\n      \"workload\": \"{name}\",\n      \"bytes\": {bytes},\n      \"nodes\": {nodes},\n      \"depth\": {depth},\n{gbit}\n    }}",
+            "    {{\n      \"workload\": \"{name}\",\n      \"bytes\": {bytes},\n      \"nodes\": {nodes},\n      \"depth\": {depth},\n{gbit}{compile}\n    }}",
             bytes = xml.len(),
         ));
     };
 
     // ~40 KB standard shapes (fixed seeds 101/202/303 in st-bench).
     for w in standard_workloads(6_000) {
-        measure_workload(w.name, w.nodes, w.depth, &w.xml);
+        measure_workload(w.name, w.nodes, w.depth, &w.xml, true);
     }
     // A ~4 MiB document of the mixed shape, beyond the caches the
     // ~40 KB shapes fit in.
     let large = st_trees::generate::random_attachment(&g, 600_000, 0.5, 202);
     let large_xml = st_trees::xml::write_document(&large, &g).into_bytes();
-    measure_workload("mixed_4mib", large.len(), large.height(), &large_xml);
+    measure_workload("mixed_4mib", large.len(), large.height(), &large_xml, false);
     // The deep chain where stack memory hurts; fused DRA stays constant.
     let chain = chain_workload(100_000);
-    measure_workload("deep_chain", chain.nodes, chain.depth, &chain.xml);
+    measure_workload("deep_chain", chain.nodes, chain.depth, &chain.xml, false);
 
     // E24: the same artifact records the network front-end on loopback
     // (one ~40 KB standard workload; Gb/s of document bytes uploaded
@@ -969,6 +1050,41 @@ fn e23_multi_query() {
     println!(
         "(rates are per document byte: the sequential series reads the same bytes 16 \
          times, the shared series once; speedup is wall-clock one-pass vs 16-pass)"
+    );
+    // The hybrid tier: the mixed-class 8-query set with its registerless
+    // and stack members grouped (default budget) vs one lane per member
+    // (budget 0).
+    let grouped = QuerySet::compile(&HYBRID_PATTERNS, &g).unwrap();
+    let per_member = QuerySet::compile_with_budget(&HYBRID_PATTERNS, &g, 0).unwrap();
+    assert_eq!(grouped.strategy(), SetStrategy::Hybrid);
+    for w in standard_workloads(6_000) {
+        let counts = grouped.count_all(&w.xml).unwrap();
+        assert_eq!(counts, per_member.count_all(&w.xml).unwrap());
+        let rate = |set: &QuerySet| {
+            gbit_per_s(w.xml.len(), || {
+                black_box(set.count_all(black_box(&w.xml)).unwrap());
+            })
+        };
+        let (fast, slow) = (rate(&grouped), rate(&per_member));
+        println!(
+            "{:<6}: hybrid 8q grouped {:>5.2} | per-member lanes {:>5.2} | {:>4.2}x",
+            w.name,
+            fast,
+            slow,
+            fast / slow
+        );
+    }
+    let ledger = compile_series(&g);
+    let us = |key: &str| {
+        ledger
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0.0, |(_, v)| *v)
+    };
+    println!(
+        "8q hybrid set build: {:.0} µs compiled fresh, {:.0} µs from plan-cache hits",
+        us("compile_set_fresh/8q"),
+        us("compile_set_plans/8q"),
     );
     println!();
 }

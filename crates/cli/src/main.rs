@@ -776,7 +776,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             report.iters_run
         );
         if report.clean() {
-            println!("agreement: zero divergences across both tiers and byte paths");
+            println!("agreement: zero divergences across both tiers, byte paths and set builds");
             return Ok(());
         }
         for f in &report.failures {

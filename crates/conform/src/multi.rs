@@ -7,8 +7,14 @@
 //! identical error verdict to running each query alone — on the shared
 //! product-DFA tier **and** on the lane-simulation fallback (forced via
 //! the state-budget knob), each under both the SIMD-indexed and the
-//! forced-scalar byte paths.  Four shared-pass variants per case, all
-//! compared against the same single-query oracle.
+//! forced-scalar byte paths.  Each of those four runs three ways: the
+//! set compiled from its patterns, the same set built from individually
+//! compiled [`Query`] plans ([`QuerySet::from_plans`], the serving
+//! edge's plan-cache path), and a session checkpointed at a pseudo-random
+//! cut, serialized and resumed (which puts the hybrid tier's projection
+//! onto per-member lanes, and the lift back, under the fuzzer).  Twelve
+//! shared-pass variants per case, all compared against the same
+//! single-query oracle.
 //!
 //! Divergences shrink along three axes (drop patterns, delete byte
 //! windows, structurally shrink pattern ASTs) and persist as `.mcase`
@@ -18,7 +24,8 @@ use std::path::{Path, PathBuf};
 
 use rand::prelude::*;
 use st_automata::{compile_regex, Alphabet};
-use st_core::{Query, QuerySet};
+use st_core::session::{Limits, SessionError};
+use st_core::{Query, QuerySet, QuerySetCheckpoint};
 
 use crate::corpus;
 use crate::gen::{case_rng, gen_case, GenConfig};
@@ -88,18 +95,88 @@ fn independent_runs(
     Some(out)
 }
 
-/// One shared pass at the given budget/byte-path, with the fault knob
-/// applied to its answer.
+/// How a shared-pass variant builds and runs its set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Build {
+    /// Compiled from the patterns, one-shot pass.
+    Compiled,
+    /// Built from individually compiled queries' plans, one-shot pass.
+    FromPlans,
+    /// Compiled from the patterns; a session checkpointed at
+    /// [`resume_cut`], serialized, and resumed for the rest.
+    Resumed,
+}
+
+/// The variant's cut for [`Build::Resumed`]: a hash of the case, so a
+/// replay or a shrink step re-derives it.
+fn resume_cut(case: &MultiCase) -> usize {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in case
+        .patterns
+        .iter()
+        .flat_map(|p| p.bytes())
+        .chain(case.doc.iter().copied())
+    {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h % (case.doc.len() as u64 + 1)) as usize
+}
+
+/// Runs `doc[..cut]` through a session, freezes it, round-trips the
+/// checkpoint through its wire form and resumes for `doc[cut..]`;
+/// prefix and tail matches stitched per query.  A refused checkpoint is
+/// an error of its own kind: a real run's checkpoint always resumes.
+fn resumed_select(set: &QuerySet, doc: &[u8], cut: usize) -> Result<Vec<Vec<usize>>, SessionError> {
+    let mut session = set.session(Limits::none());
+    session.feed(&doc[..cut])?;
+    let prefix = session.matches().to_vec();
+    let wire = session.checkpoint()?.to_bytes();
+    let cp = QuerySetCheckpoint::from_bytes(&wire)?;
+    let tail = set.resume_from(&cp, &doc[cut..], &Limits::none())?;
+    Ok(prefix
+        .into_iter()
+        .zip(tail.matches)
+        .map(|(mut p, t)| {
+            p.extend(t);
+            p
+        })
+        .collect())
+}
+
+/// One shared pass at the given budget/byte-path/build, with the fault
+/// knob applied to its answer.  Errors of a [`Build::Resumed`] pass
+/// render as `checkpoint: …` when the checkpoint was refused and as
+/// `session error` otherwise (a session cannot re-scan bytes it no
+/// longer holds, so its diagnostic differs from the one-shot's).
 fn shared_pass(
     case: &MultiCase,
     g: &Alphabet,
     budget: usize,
     force_scalar: bool,
+    build: Build,
     mutation: MultiMutation,
 ) -> Option<Result<Vec<Vec<usize>>, String>> {
-    let mut set = QuerySet::compile_with_budget(&case.patterns, g, budget).ok()?;
+    let mut set = if build == Build::FromPlans {
+        let queries: Vec<Query> = case
+            .patterns
+            .iter()
+            .map(|p| Query::compile(p, g))
+            .collect::<Result<_, _>>()
+            .ok()?;
+        let names = case.patterns.iter().map(|p| Some(p.as_str()));
+        QuerySet::from_plans(names.zip(queries.iter().map(Query::plan)), g, budget)
+    } else {
+        QuerySet::compile_with_budget(&case.patterns, g, budget).ok()?
+    };
     set.set_force_scalar(force_scalar);
-    let mut result = set.select_all(&case.doc).map_err(|e| e.to_string());
+    let mut result = if build == Build::Resumed {
+        resumed_select(&set, &case.doc, resume_cut(case)).map_err(|e| match e {
+            SessionError::Checkpoint { detail } => format!("checkpoint: {detail}"),
+            _ => "session error".to_owned(),
+        })
+    } else {
+        set.select_all(&case.doc).map_err(|e| e.to_string())
+    };
     if mutation == MultiMutation::DropLastMatch {
         if let Ok(per) = result.as_mut() {
             if let Some(last) = per.iter_mut().rev().find(|ids| !ids.is_empty()) {
@@ -121,19 +198,24 @@ pub fn run_multi_case(case: &MultiCase, mutation: MultiMutation) -> Option<Strin
     let g = Alphabet::of_chars(&case.alphabet);
     for force_scalar in [false, true] {
         let singles = independent_runs(case, &g, force_scalar)?;
-        for budget in [st_core::DEFAULT_PRODUCT_BUDGET, 0] {
-            let shared = shared_pass(case, &g, budget, force_scalar, mutation)?;
+        let runs = [st_core::DEFAULT_PRODUCT_BUDGET, 0]
+            .into_iter()
+            .flat_map(|b| [Build::Compiled, Build::FromPlans, Build::Resumed].map(|m| (b, m)));
+        for (budget, build) in runs {
+            let shared = shared_pass(case, &g, budget, force_scalar, build, mutation)?;
             let variant = format!(
-                "budget={budget} {}",
+                "budget={budget} {} {build:?}",
                 if force_scalar { "scalar" } else { "indexed" }
             );
             match &shared {
                 Err(set_err) => {
                     // A document-level error must hit every independent
-                    // run with the identical rendering.
+                    // run with the identical rendering (a resumed
+                    // session's with an error of its own).
                     for (i, s) in singles.iter().enumerate() {
                         match s {
                             Err(e) if e == set_err => {}
+                            Err(_) if build == Build::Resumed && set_err == "session error" => {}
                             Err(e) => {
                                 return Some(format!(
                                     "[{variant}] query {i}: shared error {set_err:?} \

@@ -46,7 +46,8 @@
 //! `Scanner` cold to reproduce its exact diagnostic, so fused evaluation
 //! reports byte-identical errors to the event pipeline.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use st_automata::{Alphabet, Dfa};
 use st_trees::error::TreeError;
@@ -54,7 +55,9 @@ use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
 use crate::har::{HarCore, HarMarkupProgram, MAX_CHAIN};
-use crate::session::{corrupt, query_fingerprint, LimitExceeded, LimitKind, Limits, SessionError};
+use crate::session::{
+    alphabet_symbols, corrupt, query_fingerprint, LimitExceeded, LimitKind, Limits, SessionError,
+};
 use crate::structural::{
     force_scalar_env, structural_scan, EventSink, NameTable, ScanEnd, ScanStats,
 };
@@ -424,8 +427,33 @@ impl TagLexer {
         self.force_scalar
     }
 
-    pub(crate) fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
+    /// Forces (or re-enables) the scalar path on a shared lexer: the
+    /// owner gets its own copy on the first change (copy on write), so
+    /// the interned lexer every other engine shares never moves.
+    pub(crate) fn set_force_scalar(lexer: &mut Arc<TagLexer>, on: bool) {
+        if lexer.force_scalar != on {
+            Arc::make_mut(lexer).force_scalar = on;
+        }
+    }
+
+    /// The one lexer of `alphabet`, shared by every engine and query set
+    /// over it: interned by the full symbol list and held weakly, so
+    /// [`TagLexer::new`] runs once per live alphabet.
+    pub(crate) fn shared(alphabet: &Alphabet) -> Arc<TagLexer> {
+        type Interner = Mutex<HashMap<Vec<String>, Weak<TagLexer>>>;
+        static LEXERS: OnceLock<Interner> = OnceLock::new();
+        let key = alphabet_symbols(alphabet);
+        let mut lexers = LEXERS
+            .get_or_init(Interner::default)
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        if let Some(lexer) = lexers.get(&key).and_then(Weak::upgrade) {
+            return lexer;
+        }
+        lexers.retain(|_, w| w.strong_count() > 0);
+        let lexer = Arc::new(TagLexer::new(alphabet));
+        lexers.insert(key, Arc::downgrade(&lexer));
+        lexer
     }
 
     /// Whether a scan certifies tags from the structural index: unless
@@ -492,7 +520,7 @@ pub struct ByteDfa {
     pub(crate) m: usize,
     k: usize,
     pub(crate) start: u16,
-    lexer: TagLexer,
+    lexer: Arc<TagLexer>,
     /// Query transitions `qnext[q * 2k + t]`, kept factored for the
     /// chunk-summary (all-states) pass.
     pub(crate) qnext: Vec<u16>,
@@ -550,7 +578,7 @@ impl ByteDfa {
                 ),
             });
         }
-        let lexer = TagLexer::new(alphabet);
+        let lexer = TagLexer::shared(alphabet);
         let m = dfa.n_states();
         let n_composite = lexer.n_states() * m;
         if n_composite > u16::MAX as usize + 1 {
@@ -650,7 +678,7 @@ impl ByteDfa {
     /// Forces (or re-enables) the scalar byte path for this engine; see
     /// [`FusedQuery::set_force_scalar`].
     pub fn set_force_scalar(&mut self, on: bool) {
-        self.lexer.set_force_scalar(on);
+        TagLexer::set_force_scalar(&mut self.lexer, on);
     }
 
     /// Counts selected nodes in a single pass over `bytes`.
@@ -1634,7 +1662,7 @@ fn one_shot<Sk: Sink>(
 /// comparison — the paper's "transitions at very low CPU cost", now
 /// starting from bytes.
 pub(crate) struct FusedHar {
-    pub(crate) lexer: TagLexer,
+    pub(crate) lexer: Arc<TagLexer>,
     pub(crate) program: HarMarkupProgram,
 }
 
@@ -1643,7 +1671,7 @@ pub(crate) struct FusedHar {
 /// `st_baseline::stack::StackEvaluator` over scanned events, minus the
 /// event stream.
 pub(crate) struct FusedStack {
-    pub(crate) lexer: TagLexer,
+    pub(crate) lexer: Arc<TagLexer>,
     /// The minimal automaton of L (over Γ, `k` letters).
     pub(crate) dfa: Dfa,
 }
@@ -1700,7 +1728,7 @@ impl FusedQuery {
         FusedQuery::new(
             alphabet,
             FusedBackend::Stackless(FusedHar {
-                lexer: TagLexer::new(alphabet),
+                lexer: TagLexer::shared(alphabet),
                 program,
             }),
         )
@@ -1713,7 +1741,7 @@ impl FusedQuery {
         FusedQuery::new(
             alphabet,
             FusedBackend::Stack(FusedStack {
-                lexer: TagLexer::new(alphabet),
+                lexer: TagLexer::shared(alphabet),
                 dfa: dfa.clone(),
             }),
         )
@@ -1738,9 +1766,9 @@ impl FusedQuery {
     }
 
     /// The tag lexer of the chosen backend.
-    pub(crate) fn tag_lexer(&self) -> &TagLexer {
+    pub(crate) fn tag_lexer(&self) -> &Arc<TagLexer> {
         match &self.backend {
-            FusedBackend::Registerless(b) => b.lexer(),
+            FusedBackend::Registerless(b) => &b.lexer,
             FusedBackend::Stackless(e) => &e.lexer,
             FusedBackend::Stack(e) => &e.lexer,
         }
@@ -1756,8 +1784,8 @@ impl FusedQuery {
     pub fn set_force_scalar(&mut self, on: bool) {
         match &mut self.backend {
             FusedBackend::Registerless(b) => b.set_force_scalar(on),
-            FusedBackend::Stackless(e) => e.lexer.set_force_scalar(on),
-            FusedBackend::Stack(e) => e.lexer.set_force_scalar(on),
+            FusedBackend::Stackless(e) => TagLexer::set_force_scalar(&mut e.lexer, on),
+            FusedBackend::Stack(e) => TagLexer::set_force_scalar(&mut e.lexer, on),
         }
     }
 

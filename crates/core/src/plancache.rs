@@ -33,9 +33,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use st_automata::Alphabet;
+use st_automata::{compile_regex, Alphabet};
 use st_obs::{Counter, Gauge, ObsHandle};
 
+use crate::planner::CompiledQuery;
 use crate::query::{Query, QueryError};
 use crate::session::{alphabet_symbols, fnv_bytes, fnv_usize};
 
@@ -168,6 +169,31 @@ impl PlanCache {
             evictions: self.evictions.load(Ordering::SeqCst),
             collisions: self.collisions.load(Ordering::SeqCst),
             entries: self.len(),
+        }
+    }
+
+    /// The plan of `pattern` as a query-set member
+    /// ([`crate::queryset::QuerySet::from_plans`]): the plan of the
+    /// cached [`Query`], looked up (and on a miss compiled and cached)
+    /// exactly as [`Self::get_or_compile`] does.  A pattern whose query
+    /// cannot fuse ([`QueryError::Engine`]) still makes a member — a set
+    /// never fuses its members — so it is planned directly, uncached.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Pattern`] when the pattern does not compile.
+    pub fn get_or_plan(
+        &self,
+        pattern: &str,
+        alphabet: &Alphabet,
+    ) -> Result<Arc<CompiledQuery>, QueryError> {
+        match self.get_or_compile(pattern, alphabet) {
+            Ok(query) => Ok(query.shared_plan()),
+            Err(QueryError::Engine(_)) => {
+                let dfa = compile_regex(pattern, alphabet)?;
+                Ok(Arc::new(CompiledQuery::compile(&dfa)))
+            }
+            Err(e) => Err(e),
         }
     }
 

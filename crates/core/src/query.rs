@@ -21,6 +21,8 @@
 //! assert_eq!(n, 1);
 //! ```
 
+use std::sync::Arc;
+
 use st_automata::{compile_regex, Alphabet, AutomataError, Dfa};
 use st_trees::error::TreeError;
 
@@ -75,7 +77,9 @@ impl From<CoreError> for QueryError {
 /// [`Query::session`].
 pub struct Query {
     alphabet: Alphabet,
-    plan: CompiledQuery,
+    /// Shared with the query sets built from it
+    /// ([`crate::plancache::PlanCache::get_or_plan`]).
+    plan: Arc<CompiledQuery>,
     fused: FusedQuery,
 }
 
@@ -122,7 +126,7 @@ impl Query {
         let fused = plan.fused(alphabet)?;
         Ok(Query {
             alphabet: alphabet.clone(),
-            plan,
+            plan: Arc::new(plan),
             fused,
         })
     }
@@ -155,6 +159,11 @@ impl Query {
     /// or inspect the classification report.
     pub fn plan(&self) -> &CompiledQuery {
         &self.plan
+    }
+
+    /// A shared handle on [`Self::plan`].
+    pub(crate) fn shared_plan(&self) -> Arc<CompiledQuery> {
+        Arc::clone(&self.plan)
     }
 
     /// The fused byte engine (for the data-parallel chunked entry

@@ -29,9 +29,18 @@
 //! * **Hybrid** — the set contains a member the planner would not run
 //!   registerless: every member keeps its *native* event-level engine
 //!   (markup DFA, HAR depth-register run, or DFA + explicit stack) and
-//!   all of them step in lockstep off the shared event stream.  This
-//!   is bitwise identical to N independent runs by construction — the
-//!   per-event logic is the same as each member's own session backend.
+//!   all of them step in lockstep off the shared event stream.  Members
+//!   of one class share work where the class allows it: the registerless
+//!   members step as one markup product (they are plain markup DFAs,
+//!   Lemma 3.5), and the stack members — which all push at opens and pop
+//!   at closes — as one product over Γ with one shared frame stack.  HAR
+//!   members, and any group whose product would pass the state budget,
+//!   keep one lane each.  Checkpoints project the groups back onto one
+//!   lane per member, so the wire form does not depend on the grouping.
+//!
+//! Sets are built from planned members ([`QuerySet::from_plans`]): a
+//! serving edge assembles them from plan-cache hits, and the pattern
+//! and DFA constructors plan their members and call it.
 //!
 //! All three tiers share the byte pass: the structural scan, with
 //! certification off under `ST_FORCE_SCALAR` or
@@ -45,6 +54,9 @@
 //! around the tier state: windowed feeds under [`Limits`], and
 //! checkpoint/resume at any byte boundary ([`QuerySetCheckpoint`], magic
 //! `STQS`), with resume ≡ whole-run at every cut.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use st_automata::ops::{letter_classes, product_many, MultiProduct};
 use st_automata::{compile_regex, Alphabet, Dfa};
@@ -63,9 +75,9 @@ use crate::session::{
 use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
 
 /// Default cap on the shared product DFA's state count.  Past this the
-/// compiler falls back to lane-wise simulation; `0` disables the
-/// product tier entirely (useful for forcing the lanes path in
-/// differential tests).
+/// compiler falls back to lane-wise simulation (and a hybrid group to
+/// one lane per member); `0` disables every product (useful for forcing
+/// the lanes paths in differential tests).
 pub const DEFAULT_PRODUCT_BUDGET: usize = 4096;
 
 /// Version tag of the [`QuerySetCheckpoint`] wire format.
@@ -95,13 +107,66 @@ struct ProductTable {
     words: usize,
     /// Initial product state.
     init: u32,
-    /// Markup letter (`0..2k`) → class id.
+    /// Letter → class id (markup letters `0..2k`; Γ letters `0..k` in
+    /// the hybrid tier's stack group).
     class_of: Vec<u16>,
     /// Row-major transitions over classes: `delta[s * n_classes + c]`.
     delta: Vec<u32>,
     /// Per-state accepting masks: `accept[s * words .. (s+1) * words]`,
-    /// bit `q` set iff member `q`'s markup DFA accepts in state `s`.
+    /// bit `q` set iff member `q`'s DFA accepts in state `s`.
     accept: Vec<u64>,
+}
+
+impl ProductTable {
+    /// Builds the table of `mp`, the product of `dfas`; `members[j]` is
+    /// the set-wide index of `dfas[j]`, the bit its acceptance sets in
+    /// masks of `words` words.
+    fn from_product(
+        mp: &MultiProduct,
+        dfas: &[&Dfa],
+        members: &[usize],
+        words: usize,
+        class_of: &[usize],
+    ) -> ProductTable {
+        let n_states = mp.tuples.len();
+        let delta = mp
+            .delta
+            .iter()
+            .map(|&d| u32::try_from(d).expect("product states fit u32"))
+            .collect();
+        let mut accept = vec![0u64; n_states * words];
+        for (s, tuple) in mp.tuples.iter().enumerate() {
+            for ((&st, d), &i) in tuple.iter().zip(dfas).zip(members) {
+                if d.is_accepting(st) {
+                    accept[s * words + (i >> 6)] |= 1 << (i & 63);
+                }
+            }
+        }
+        ProductTable {
+            n_classes: mp.n_classes,
+            n_states,
+            words,
+            init: 0,
+            class_of: class_of
+                .iter()
+                .map(|&c| u16::try_from(c).expect("letter classes fit u16"))
+                .collect(),
+            delta,
+            accept,
+        }
+    }
+
+    /// The successor of product state `s` on letter `a`.
+    #[inline]
+    fn step(&self, s: u32, a: usize) -> u32 {
+        self.delta[s as usize * self.n_classes + self.class_of[a] as usize]
+    }
+
+    /// The accepting mask of product state `s`.
+    #[inline]
+    fn masks(&self, s: u32) -> &[u64] {
+        &self.accept[s as usize * self.words..][..self.words]
+    }
 }
 
 /// A family of member DFAs flattened into one global state space: member
@@ -239,10 +304,250 @@ fn lane_close(engine: &LaneEngine, state: &mut LaneState, k: usize, l: usize, de
     }
 }
 
+/// Members stepping as one product — the Product tier's whole set, or
+/// one class of the hybrid tier's members: the table (its masks over
+/// the whole set's members) and each product state's component tuple,
+/// which projects the group onto per-member lanes and lifts lanes back.
+struct Group {
+    table: ProductTable,
+    /// Group members (their set-wide indices), in set order.
+    members: Vec<usize>,
+    /// `tuples[s * members.len() + j]`: member `j`'s state in product
+    /// state `s`.
+    tuples: Vec<u32>,
+}
+
+impl Group {
+    /// The product of the members `ids` (with DFAs `dfas`) over letter
+    /// classes (compressed, or the identity map), or `None` when there
+    /// are no members, the budget is 0, or the product would pass
+    /// `budget` states.
+    fn build(
+        dfas: &[&Dfa],
+        ids: Vec<usize>,
+        words: usize,
+        budget: usize,
+        compress: bool,
+    ) -> Option<Group> {
+        if ids.is_empty() || budget == 0 {
+            return None;
+        }
+        let (class_of, n_classes) = if compress {
+            letter_classes(dfas)
+        } else {
+            let n = dfas[0].n_letters();
+            ((0..n).collect(), n)
+        };
+        let mp = product_many(dfas, &class_of, n_classes, budget)?;
+        let table = ProductTable::from_product(&mp, dfas, &ids, words, &class_of);
+        let tuples = mp.tuples.iter().flatten().map(|&q| q as u32).collect();
+        Some(Group {
+            table,
+            members: ids,
+            tuples,
+        })
+    }
+
+    /// Member `j`'s state in product state `s`.
+    #[inline]
+    fn project(&self, s: u32, j: usize) -> u32 {
+        self.tuples[s as usize * self.members.len() + j]
+    }
+
+    /// Lifts per-member states back to product states: the returned
+    /// closure maps a tuple to its product state, or refuses a tuple no
+    /// run reaches.
+    fn lifter(&self) -> impl Fn(&[u32]) -> Result<u32, SessionError> + '_ {
+        let index: HashMap<&[u32], u32> =
+            self.tuples.chunks(self.members.len()).zip(0u32..).collect();
+        move |tuple| {
+            index
+                .get(tuple)
+                .copied()
+                .ok_or_else(|| corrupt("lane states are not a combination any run reaches"))
+        }
+    }
+}
+
+/// Where a hybrid member's state lives.
+#[derive(Clone, Copy)]
+enum Seat {
+    /// Component `j` of the registerless group.
+    Markup(usize),
+    /// Component `j` of the stack group.
+    Stack(usize),
+    /// Lane `i` of the ungrouped members.
+    Lane(usize),
+}
+
+/// The hybrid tier's machine: the two class groups and the ungrouped
+/// lanes.
+struct HybridTable {
+    /// `u64` words per member mask.
+    words: usize,
+    /// Registerless members as one markup product (closes are real
+    /// transitions).
+    markup: Option<Group>,
+    /// Stack members as one product over Γ; opens push its state on one
+    /// shared frame stack, closes pop it.
+    stack: Option<Group>,
+    /// Every other member's native engine, with its set-wide index.
+    lanes: Vec<(usize, LaneEngine)>,
+    /// Per member, in set order.
+    seats: Vec<Seat>,
+}
+
+impl HybridTable {
+    fn build(plans: &[&CompiledQuery], budget: usize, compress: bool) -> HybridTable {
+        let words = plans.len().div_ceil(64);
+        let (mut markup_ids, mut markups) = (Vec::new(), Vec::new());
+        let (mut stack_ids, mut stacks) = (Vec::new(), Vec::new());
+        for (i, p) in plans.iter().enumerate() {
+            if let Some(m) = p.markup_dfa() {
+                markup_ids.push(i);
+                markups.push(m);
+            } else if p.har_program().is_none() {
+                stack_ids.push(i);
+                stacks.push(p.minimal_dfa());
+            }
+        }
+        let markup = Group::build(&markups, markup_ids, words, budget, compress);
+        let stack = Group::build(&stacks, stack_ids, words, budget, compress);
+        let grouped = |g: &Option<Group>, i: usize| {
+            g.as_ref()
+                .and_then(|g| g.members.iter().position(|&m| m == i))
+        };
+        let (mut lanes, mut seats) = (Vec::new(), Vec::with_capacity(plans.len()));
+        for (i, p) in plans.iter().enumerate() {
+            seats.push(if let Some(j) = grouped(&markup, i) {
+                Seat::Markup(j)
+            } else if let Some(j) = grouped(&stack, i) {
+                Seat::Stack(j)
+            } else {
+                lanes.push((i, lane_engine(p)));
+                Seat::Lane(lanes.len() - 1)
+            });
+        }
+        HybridTable {
+            words,
+            markup,
+            stack,
+            lanes,
+            seats,
+        }
+    }
+
+    /// The state at document start (a product's initial state is 0).
+    fn fresh(&self) -> HybridState {
+        HybridState {
+            lanes: self.lanes.iter().map(|(_, e)| fresh_lane(e)).collect(),
+            ..HybridState::default()
+        }
+    }
+
+    /// Projects the state onto one checkpoint lane per member.
+    fn freeze(&self, st: &HybridState) -> Vec<HybridLaneCheckpoint> {
+        let (markup, stack) = (self.markup.as_ref(), self.stack.as_ref());
+        let seated = "seated members have a group";
+        self.seats
+            .iter()
+            .map(|seat| match *seat {
+                Seat::Markup(j) => HybridLaneCheckpoint::Markup {
+                    state: markup.expect(seated).project(st.markup, j),
+                },
+                Seat::Stack(j) => {
+                    let g = stack.expect(seated);
+                    HybridLaneCheckpoint::Stack {
+                        current: g.project(st.stack, j),
+                        frames: st.frames.iter().map(|&f| g.project(f, j)).collect(),
+                    }
+                }
+                Seat::Lane(i) => freeze_lane(&st.lanes[i]),
+            })
+            .collect()
+    }
+
+    /// Lifts one checkpoint lane per member back into the tier state,
+    /// refusing what no run produces: a lane of the wrong kind, grouped
+    /// stack lanes with unequal frame counts, or a combination of lane
+    /// states outside a group's product.
+    fn thaw(
+        &self,
+        lanes: &[HybridLaneCheckpoint],
+        offset: u64,
+    ) -> Result<HybridState, SessionError> {
+        if lanes.len() != self.seats.len() {
+            return Err(corrupt("lane count does not match the query set"));
+        }
+        let (mut markup, mut current, mut frames) = (Vec::new(), Vec::new(), Vec::new());
+        let mut thawed = Vec::with_capacity(self.lanes.len());
+        for (lane, seat) in lanes.iter().zip(&self.seats) {
+            match (seat, lane) {
+                (Seat::Markup(_), HybridLaneCheckpoint::Markup { state }) => markup.push(*state),
+                (
+                    Seat::Stack(_),
+                    HybridLaneCheckpoint::Stack {
+                        current: c,
+                        frames: f,
+                    },
+                ) => {
+                    current.push(*c);
+                    frames.push(f.as_slice());
+                }
+                (Seat::Lane(i), lane) => thawed.push(thaw_lane(lane, &self.lanes[*i].1, offset)?),
+                _ => return Err(corrupt("lane kind does not match the member's engine")),
+            }
+        }
+        let mut st = HybridState {
+            lanes: thawed,
+            ..HybridState::default()
+        };
+        if let Some(g) = &self.markup {
+            st.markup = g.lifter()(&markup)?;
+        }
+        if let Some(g) = &self.stack {
+            let depth = frames[0].len();
+            if frames.iter().any(|f| f.len() != depth) {
+                return Err(corrupt("stack lanes disagree on their frame count"));
+            }
+            if depth as u64 > offset {
+                return Err(corrupt("stack frames exceed bytes consumed"));
+            }
+            let lift = g.lifter();
+            st.stack = lift(&current)?;
+            st.frames = (0..depth)
+                .map(|d| lift(&frames.iter().map(|f| f[d]).collect::<Vec<_>>()))
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(st)
+    }
+}
+
+/// The hybrid tier's live state: the groups' product states, the stack
+/// group's frames, and the ungrouped lanes.
+#[derive(Default)]
+struct HybridState {
+    markup: u32,
+    stack: u32,
+    frames: Vec<u32>,
+    lanes: Vec<LaneState>,
+}
+
+/// A member's native engine, as its own lane.
+fn lane_engine(plan: &CompiledQuery) -> LaneEngine {
+    if let Some(m) = plan.markup_dfa() {
+        LaneEngine::Markup(m.clone())
+    } else if let Some(h) = plan.har_program() {
+        LaneEngine::Har(h.clone())
+    } else {
+        LaneEngine::Stack(plan.minimal_dfa().clone())
+    }
+}
+
 enum SetBackend {
     Product(ProductTable),
     Lanes(FamilyTable),
-    Hybrid(Vec<LaneEngine>),
+    Hybrid(Box<HybridTable>),
 }
 
 /// Which evaluation tier the set compiler picked.
@@ -269,8 +574,6 @@ pub enum SetStrategy {
 struct SetMember {
     pattern: Option<String>,
     strategy: Strategy,
-    /// The planner's minimal DFA over Γ (fingerprint + re-planning).
-    dfa: Dfa,
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +593,7 @@ struct SetMember {
 /// ```
 pub struct QuerySet {
     alphabet: Alphabet,
-    lexer: TagLexer,
+    lexer: Arc<TagLexer>,
     members: Vec<SetMember>,
     backend: SetBackend,
     /// Whether the product tier used letter-class compression (affects
@@ -346,8 +649,27 @@ impl QuerySet {
     ///
     /// Panics if any DFA's alphabet size differs from `alphabet`.
     pub fn from_dfas_with_budget(dfas: Vec<Dfa>, alphabet: &Alphabet, budget: usize) -> QuerySet {
-        let names = vec![None; dfas.len()];
-        Self::build(dfas, names, alphabet, budget, true)
+        let plans: Vec<CompiledQuery> = dfas.iter().map(CompiledQuery::compile).collect();
+        Self::from_plans(plans.iter().map(|p| (None, p)), alphabet, budget)
+    }
+
+    /// Builds a set from already planned members — each an optional
+    /// source pattern and its plan, e.g. [`crate::Query::plan`] of a
+    /// plan-cache hit — with an explicit product state budget (see
+    /// [`Self::compile_with_budget`]).  Nothing is re-planned: the set
+    /// costs its tier's tables only.  Every other constructor plans its
+    /// members and calls this one, so equal plans give equal sets
+    /// (tier, fingerprint, answers and checkpoints).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any plan's alphabet size differs from `alphabet`.
+    pub fn from_plans<'p>(
+        members: impl IntoIterator<Item = (Option<&'p str>, &'p CompiledQuery)>,
+        alphabet: &Alphabet,
+        budget: usize,
+    ) -> QuerySet {
+        Self::build(members, alphabet, budget, true)
     }
 
     /// Like [`Self::compile_with_budget`] but with letter-class
@@ -373,84 +695,59 @@ impl QuerySet {
         budget: usize,
         compress: bool,
     ) -> Result<QuerySet, QueryError> {
-        let dfas = patterns
+        let dfas: Vec<Dfa> = patterns
             .iter()
             .map(|p| compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern))
             .collect::<Result<_, _>>()?;
-        let names = patterns
-            .iter()
-            .map(|p| Some(p.as_ref().to_owned()))
-            .collect();
-        Ok(Self::build(dfas, names, alphabet, budget, compress))
+        let plans: Vec<CompiledQuery> = dfas.iter().map(CompiledQuery::compile).collect();
+        let names = patterns.iter().map(|p| Some(p.as_ref()));
+        Ok(Self::build(names.zip(&plans), alphabet, budget, compress))
     }
 
-    fn build(
-        dfas: Vec<Dfa>,
-        patterns: Vec<Option<String>>,
+    fn build<'p>(
+        members: impl IntoIterator<Item = (Option<&'p str>, &'p CompiledQuery)>,
         alphabet: &Alphabet,
         budget: usize,
         compress: bool,
     ) -> QuerySet {
+        let (names, plans): (Vec<Option<&str>>, Vec<&CompiledQuery>) = members.into_iter().unzip();
         let k = alphabet.len();
-        for d in &dfas {
-            assert_eq!(d.n_letters(), k, "query-set DFA over a different alphabet");
+        for p in &plans {
+            assert_eq!(
+                p.minimal_dfa().n_letters(),
+                k,
+                "query-set DFA over a different alphabet"
+            );
         }
-        let lexer = TagLexer::new(alphabet);
-        let mut members = Vec::with_capacity(dfas.len());
-        let mut plans = Vec::with_capacity(dfas.len());
-        for (d, pattern) in dfas.iter().zip(patterns) {
-            let plan = CompiledQuery::compile(d);
-            members.push(SetMember {
-                pattern,
-                strategy: plan.strategy(),
-                dfa: plan.minimal_dfa().clone(),
-            });
-            plans.push(plan);
-        }
-        let all_registerless = !plans.is_empty() && plans.iter().all(|p| p.markup_dfa().is_some());
-        let backend = if all_registerless {
-            let markups: Vec<&Dfa> = plans.iter().map(|p| p.markup_dfa().unwrap()).collect();
-            let product = if budget == 0 {
-                None
-            } else {
-                let (class_of, n_classes) = if compress {
-                    letter_classes(&markups)
-                } else {
-                    ((0..2 * k).collect(), 2 * k)
-                };
-                product_many(&markups, &class_of, n_classes, budget)
-                    .map(|mp| ProductTable::from_product(mp, &markups, &class_of))
-            };
-            match product {
-                Some(table) => SetBackend::Product(table),
-                None => SetBackend::Lanes(FamilyTable::build(&markups)),
+        let markups: Option<Vec<&Dfa>> = plans.iter().map(|p| p.markup_dfa()).collect();
+        let backend = match markups {
+            Some(markups) if !markups.is_empty() => {
+                let (ids, words) = ((0..markups.len()).collect(), markups.len().div_ceil(64));
+                match Group::build(&markups, ids, words, budget, compress) {
+                    Some(group) => SetBackend::Product(group.table),
+                    None => SetBackend::Lanes(FamilyTable::build(&markups)),
+                }
             }
-        } else if plans.is_empty() {
-            SetBackend::Lanes(FamilyTable::build(&[]))
-        } else {
-            let engines = plans
-                .iter()
-                .map(|p| {
-                    if let Some(m) = p.markup_dfa() {
-                        LaneEngine::Markup(m.clone())
-                    } else if let Some(h) = p.har_program() {
-                        LaneEngine::Har(h.clone())
-                    } else {
-                        LaneEngine::Stack(p.minimal_dfa().clone())
-                    }
-                })
-                .collect();
-            SetBackend::Hybrid(engines)
+            Some(_) => SetBackend::Lanes(FamilyTable::build(&[])),
+            None => SetBackend::Hybrid(Box::new(HybridTable::build(&plans, budget, compress))),
         };
+        let members = names
+            .iter()
+            .zip(&plans)
+            .map(|(name, p)| SetMember {
+                pattern: name.map(str::to_owned),
+                strategy: p.strategy(),
+            })
+            .collect();
         let mut set = QuerySet {
             alphabet: alphabet.clone(),
-            lexer,
+            lexer: TagLexer::shared(alphabet),
             members,
             backend,
             compressed: compress,
             fingerprint: 0,
         };
-        set.fingerprint = set_fingerprint(&set);
+        set.fingerprint = set_fingerprint(&set, plans.iter().map(|p| p.minimal_dfa()));
         set
     }
 
@@ -525,7 +822,7 @@ impl QuerySet {
     /// the per-set twin of the process-wide `ST_FORCE_SCALAR` escape
     /// hatch.  Results are bitwise identical either way.
     pub fn set_force_scalar(&mut self, on: bool) {
-        self.lexer.set_force_scalar(on);
+        TagLexer::set_force_scalar(&mut self.lexer, on);
     }
 
     /// Whether the scalar byte path is forced for this set.
@@ -607,9 +904,7 @@ impl QuerySet {
             SetBackend::Lanes(t) => QsState::Lanes {
                 cur: t.init.clone(),
             },
-            SetBackend::Hybrid(engines) => QsState::Hybrid {
-                lanes: engines.iter().map(fresh_lane).collect(),
-            },
+            SetBackend::Hybrid(t) => QsState::Hybrid(t.fresh()),
         }
     }
 
@@ -657,17 +952,17 @@ impl QuerySet {
                 *walk = sink.walk;
                 end
             }
-            (QsState::Hybrid { lanes }, SetBackend::Hybrid(engines)) => {
+            (QsState::Hybrid(st), SetBackend::Hybrid(t)) => {
                 let mut sink = HybridSink {
                     k,
-                    engines,
-                    lanes: std::mem::take(lanes),
-                    buf: vec![0; engines.len().div_ceil(64)],
+                    t,
+                    st: std::mem::take(st),
+                    buf: vec![0; t.words],
                     walk: *walk,
                     emit,
                 };
                 let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
-                *lanes = sink.lanes;
+                *st = sink.st;
                 *walk = sink.walk;
                 end
             }
@@ -676,7 +971,8 @@ impl QuerySet {
     }
 }
 
-fn set_fingerprint(set: &QuerySet) -> u64 {
+/// The set's identity over its members' minimal DFAs (in set order).
+fn set_fingerprint<'d>(set: &QuerySet, dfas: impl Iterator<Item = &'d Dfa>) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     fnv_bytes(&mut h, &QS_MAGIC);
     fnv_usize(&mut h, set.strategy() as usize);
@@ -685,42 +981,10 @@ fn set_fingerprint(set: &QuerySet) -> u64 {
     for sym in alphabet_symbols(&set.alphabet) {
         fnv_bytes(&mut h, sym.as_bytes());
     }
-    for m in &set.members {
-        fnv_dfa(&mut h, &m.dfa);
+    for dfa in dfas {
+        fnv_dfa(&mut h, dfa);
     }
     h
-}
-
-impl ProductTable {
-    fn from_product(mp: MultiProduct, markups: &[&Dfa], class_of: &[usize]) -> ProductTable {
-        let n_states = mp.tuples.len();
-        let words = markups.len().div_ceil(64);
-        let delta = mp
-            .delta
-            .iter()
-            .map(|&d| u32::try_from(d).expect("product states fit u32"))
-            .collect();
-        let mut accept = vec![0u64; n_states * words];
-        for (s, tuple) in mp.tuples.iter().enumerate() {
-            for (i, (&st, d)) in tuple.iter().zip(markups).enumerate() {
-                if d.is_accepting(st) {
-                    accept[s * words + (i >> 6)] |= 1 << (i & 63);
-                }
-            }
-        }
-        ProductTable {
-            n_classes: mp.n_classes,
-            n_states,
-            words,
-            init: 0,
-            class_of: class_of
-                .iter()
-                .map(|&c| u16::try_from(c).expect("letter classes fit u16"))
-                .collect(),
-            delta,
-            accept,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -793,15 +1057,15 @@ impl<E: Emit, G: Guard> EventSink for ProductSink<'_, E, G> {
         let t = self.t;
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
-            self.s = t.delta[self.s as usize * t.n_classes + t.class_of[l] as usize];
-            let masks = &t.accept[self.s as usize * t.words..][..t.words];
+            self.s = t.step(self.s, l);
+            let masks = t.masks(self.s);
             if masks.iter().any(|&w| w != 0) {
                 self.emit.hit(masks, self.walk.node);
             }
             self.walk.node += 1;
         }
         if let Some(l) = close_l {
-            self.s = t.delta[self.s as usize * t.n_classes + t.class_of[self.k + l] as usize];
+            self.s = t.step(self.s, self.k + l);
         }
         true
     }
@@ -851,11 +1115,22 @@ impl<E: Emit, G: Guard> EventSink for LaneSink<'_, E, G> {
 
 struct HybridSink<'a, E: Emit, G> {
     k: usize,
-    engines: &'a [LaneEngine],
-    lanes: Vec<LaneState>,
+    t: &'a HybridTable,
+    st: HybridState,
     buf: Vec<u64>,
     walk: Walk<G>,
     emit: &'a mut E,
+}
+
+/// ORs a group's accepting mask into `buf`; whether any bit was set.
+#[inline]
+fn or_masks(buf: &mut [u64], masks: &[u64]) -> bool {
+    let mut any = 0;
+    for (b, &m) in buf.iter_mut().zip(masks) {
+        *b |= m;
+        any |= m;
+    }
+    any != 0
 }
 
 impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
@@ -864,12 +1139,22 @@ impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
         if !self.walk.guard.admit(ev, pos) {
             return false;
         }
+        let (t, st) = (self.t, &mut self.st);
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
             self.walk.depth += 1;
             self.buf.fill(0);
             let mut any = false;
-            for (i, (engine, lane)) in self.engines.iter().zip(&mut self.lanes).enumerate() {
+            if let Some(g) = &t.markup {
+                st.markup = g.table.step(st.markup, l);
+                any |= or_masks(&mut self.buf, g.table.masks(st.markup));
+            }
+            if let Some(g) = &t.stack {
+                st.frames.push(st.stack);
+                st.stack = g.table.step(st.stack, l);
+                any |= or_masks(&mut self.buf, g.table.masks(st.stack));
+            }
+            for ((i, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
                 if lane_open(engine, lane, l, self.walk.depth) {
                     self.buf[i >> 6] |= 1 << (i & 63);
                     any = true;
@@ -882,7 +1167,14 @@ impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
         }
         if let Some(l) = close_l {
             self.walk.depth -= 1;
-            for (engine, lane) in self.engines.iter().zip(&mut self.lanes) {
+            if let Some(g) = &t.markup {
+                st.markup = g.table.step(st.markup, self.k + l);
+            }
+            // Underflowing pop keeps the state, like the per-member lane.
+            if let Some(p) = st.frames.pop() {
+                st.stack = p;
+            }
+            for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
                 lane_close(engine, lane, self.k, l, self.walk.depth);
             }
         }
@@ -1099,7 +1391,7 @@ impl QuerySetOutcome {
 enum QsState {
     Product { s: u32 },
     Lanes { cur: Vec<u32> },
-    Hybrid { lanes: Vec<LaneState> },
+    Hybrid(HybridState),
 }
 
 /// An incremental, checkpointable run of a [`QuerySet`] under a set of
@@ -1161,12 +1453,13 @@ impl WindowRun for SetRun<'_> {
     }
 
     fn freeze(&self, core: &SessionCore) -> QuerySetCheckpoint {
-        let state = match &self.state {
-            QsState::Product { s } => QuerySetCheckpointState::Product { state: *s },
-            QsState::Lanes { cur } => QuerySetCheckpointState::Lanes { lanes: cur.clone() },
-            QsState::Hybrid { lanes } => QuerySetCheckpointState::Hybrid {
-                lanes: lanes.iter().map(freeze_lane).collect(),
+        let state = match (&self.state, &self.set.backend) {
+            (QsState::Product { s }, _) => QuerySetCheckpointState::Product { state: *s },
+            (QsState::Lanes { cur }, _) => QuerySetCheckpointState::Lanes { lanes: cur.clone() },
+            (QsState::Hybrid(st), SetBackend::Hybrid(t)) => QuerySetCheckpointState::Hybrid {
+                lanes: t.freeze(st),
             },
+            _ => unreachable!("state/backend agree by construction"),
         };
         QuerySetCheckpoint {
             header: core.header(self.set.fingerprint, &self.set.alphabet),
@@ -1245,16 +1538,8 @@ impl QuerySet {
                 }
                 QsState::Lanes { cur: lanes.clone() }
             }
-            (QuerySetCheckpointState::Hybrid { lanes }, SetBackend::Hybrid(engines)) => {
-                if lanes.len() != engines.len() {
-                    return Err(corrupt("lane count does not match the query set"));
-                }
-                let lanes = lanes
-                    .iter()
-                    .zip(engines)
-                    .map(|(lane, engine)| thaw_lane(lane, engine, h.offset))
-                    .collect::<Result<_, _>>()?;
-                QsState::Hybrid { lanes }
+            (QuerySetCheckpointState::Hybrid { lanes }, SetBackend::Hybrid(t)) => {
+                QsState::Hybrid(t.thaw(lanes, h.offset)?)
             }
             _ => unreachable!("tier equality checked above"),
         };
@@ -1596,6 +1881,51 @@ mod tests {
         let other = QuerySet::compile(AR_ONLY, &g2()).unwrap();
         let cp = QuerySetCheckpoint::from_bytes(&wire).unwrap();
         assert!(other.resume(&cp, Limits::none()).is_err());
+    }
+
+    #[test]
+    fn queries_and_sets_over_one_alphabet_share_one_lexer() {
+        let g = g2();
+        let mut registerless = Query::compile("a.*b", &g).unwrap();
+        let stack = Query::compile(".*ab", &g).unwrap();
+        let set = QuerySet::compile(MIXED, &g).unwrap();
+        let lexer = registerless.fused().tag_lexer().clone();
+        assert!(Arc::ptr_eq(&lexer, stack.fused().tag_lexer()));
+        assert!(Arc::ptr_eq(&lexer, &set.lexer));
+        // Forcing the scalar path copies the lexer for that query alone.
+        registerless = registerless.with_force_scalar(!lexer.force_scalar());
+        assert!(!Arc::ptr_eq(&lexer, registerless.fused().tag_lexer()));
+        assert!(Arc::ptr_eq(&lexer, stack.fused().tag_lexer()));
+        // Another alphabet gets its own lexer.
+        let other = QuerySet::compile(&["a.*"], &g3()).unwrap();
+        assert!(!Arc::ptr_eq(&lexer, &other.lexer));
+    }
+
+    #[test]
+    fn hybrid_members_group_by_class_within_the_budget() {
+        // Two registerless, two stackless, two stack members.
+        let patterns = ["a.*b", "a.*", "ab", "ba", ".*ab", ".*ba"];
+        let grouped = QuerySet::compile(&patterns, &g2()).unwrap();
+        let SetBackend::Hybrid(t) = &grouped.backend else {
+            panic!("mixed set plans the hybrid tier");
+        };
+        assert_eq!(
+            t.markup.as_ref().map(|g| g.members.clone()),
+            Some(vec![0, 1])
+        );
+        assert_eq!(
+            t.stack.as_ref().map(|g| g.members.clone()),
+            Some(vec![4, 5])
+        );
+        assert_eq!(t.lanes.iter().map(|l| l.0).collect::<Vec<_>>(), [2, 3]);
+        // Budget 0 keeps one lane per member.
+        let per_member = QuerySet::compile_with_budget(&patterns, &g2(), 0).unwrap();
+        let SetBackend::Hybrid(t) = &per_member.backend else {
+            panic!("mixed set plans the hybrid tier");
+        };
+        assert!(t.markup.is_none() && t.stack.is_none());
+        assert_eq!(t.lanes.len(), patterns.len());
+        assert_eq!(grouped.fingerprint, per_member.fingerprint);
     }
 
     #[test]

@@ -862,9 +862,16 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
             FrameKind::MultiQuery => {
                 let (csv, patterns) = decode_multi_query(&frame.payload)?;
                 parse_alphabet(&csv).and_then(|alphabet| {
+                    let plans = patterns
+                        .iter()
+                        .map(|p| inner.cache.get_or_plan(p, &alphabet))
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(bad_query)?;
+                    let members =
+                        (patterns.iter().zip(&plans)).map(|(p, plan)| (Some(p.as_str()), &**plan));
                     let budget = inner.cfg.product_budget;
-                    let set = QuerySet::compile_with_budget(&patterns, &alphabet, budget);
-                    Ok(Request::Multi(Box::new(set.map_err(bad_query)?)))
+                    let set = QuerySet::from_plans(members, &alphabet, budget);
+                    Ok(Request::Multi(Box::new(set)))
                 })
             }
             other => {

@@ -50,7 +50,7 @@ use std::time::Duration;
 use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
-use st_core::planner::Strategy;
+use st_core::planner::{CompiledQuery, Strategy};
 use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession};
 use st_core::session::{
     monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
@@ -356,9 +356,10 @@ enum Status {
 enum Plan {
     /// One fused query.
     Query(Arc<FusedQuery>),
-    /// A validated set of path patterns.
+    /// A set of path patterns with the plans admission made of them.
     Set {
         patterns: Vec<String>,
+        plans: Vec<CompiledQuery>,
         alphabet: Alphabet,
         /// Resolved product-DFA state budget.
         budget: usize,
@@ -1298,15 +1299,17 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, group: &[(u64, u32)]) {
         Plan::Set {
             alphabet, budget, ..
         } => {
-            let (mut patterns, mut spans) = (Vec::new(), Vec::new());
+            let (mut planned, mut spans) = (Vec::new(), Vec::new());
             for member in &jobs {
-                if let Plan::Set { patterns: p, .. } = &member.plan {
-                    patterns.extend(p.iter().map(String::as_str));
-                    spans.push(p.len());
+                if let Plan::Set {
+                    patterns, plans, ..
+                } = &member.plan
+                {
+                    planned.extend(patterns.iter().map(|p| Some(p.as_str())).zip(plans));
+                    spans.push(plans.len());
                 }
             }
-            let set = QuerySet::compile_with_budget(&patterns, alphabet, *budget)
-                .expect("multi-query patterns were validated at admission");
+            let set = QuerySet::from_plans(planned, alphabet, *budget);
             let session = match checkpoint {
                 None => Ok(set.session(limits)),
                 Some(PassCheckpoint::Set(cp)) => set.resume(&cp, limits),
@@ -1879,13 +1882,17 @@ impl ServeRuntime {
     }
 
     fn admit_multi(&self, spec: MultiJobSpec, block: bool) -> Result<JobId, ServeError> {
+        let mut plans = Vec::with_capacity(spec.patterns.len());
         for (i, p) in spec.patterns.iter().enumerate() {
-            if let Err(e) = compile_regex(p, &spec.alphabet) {
-                self.inner.rejected.fetch_add(1, Ordering::SeqCst);
-                self.inner.obs.rejected.incr();
-                return Err(ServeError::Rejected {
-                    reason: format!("pattern {i} ({p:?}) failed to compile: {e}"),
-                });
+            match compile_regex(p, &spec.alphabet) {
+                Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
+                Err(e) => {
+                    self.inner.rejected.fetch_add(1, Ordering::SeqCst);
+                    self.inner.obs.rejected.incr();
+                    return Err(ServeError::Rejected {
+                        reason: format!("pattern {i} ({p:?}) failed to compile: {e}"),
+                    });
+                }
             }
         }
         let budget = spec.product_budget.unwrap_or(self.inner.cfg.product_budget);
@@ -1894,6 +1901,7 @@ impl ServeRuntime {
             Job {
                 plan: Plan::Set {
                     patterns: spec.patterns,
+                    plans,
                     alphabet: spec.alphabet,
                     budget,
                 },

@@ -77,6 +77,45 @@ fn keep_alive_connection_serves_many_requests_and_hits_the_plan_cache() {
 }
 
 #[test]
+fn multi_query_members_compile_through_the_plan_cache() {
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let doc = b"<a><b></b><a></a></a>";
+    let mut c = NetClient::connect(&addr).unwrap();
+    c.query(".*a", "a,b", doc, 4).unwrap();
+    let patterns = [".*a", "b"];
+    let want: Vec<Vec<usize>> = patterns.iter().map(|p| clean(p, "ab", doc)).collect();
+    let got = c.multi_query(&patterns, "a,b", doc, 4).unwrap();
+    assert_eq!(got, NetResponse::MultiMatches(want));
+    // `.*a` is planned once for both requests; only `b` is new.
+    let cache = server.plan_cache().stats();
+    assert_eq!((cache.hits, cache.misses), (1, 2), "{cache:?}");
+}
+
+#[test]
+fn hostile_patterns_are_refused_before_planning() {
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    // 2^11 DFA states: planning it would stall the connection's thread
+    // for far longer than a second.
+    let hostile = format!(".*a{}", ".".repeat(10));
+    let doc = b"<a><b></b></a>";
+    let started = std::time::Instant::now();
+    let mut c = NetClient::connect(&addr).unwrap();
+    match c.query(&hostile, "a,b", doc, 4).unwrap() {
+        NetResponse::ServerError { code, .. } => assert_eq!(code, codes::BAD_QUERY),
+        other => panic!("expected BAD_QUERY, got {other:?}"),
+    }
+    let mut c = NetClient::connect(&addr).unwrap();
+    match c.multi_query(&[".*a", &hostile], "a,b", doc, 4).unwrap() {
+        NetResponse::ServerError { code, .. } => assert_eq!(code, codes::BAD_QUERY),
+        other => panic!("expected BAD_QUERY, got {other:?}"),
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "refusals took {took:?}");
+}
+
+#[test]
 fn read_deadline_kills_a_silent_request_with_a_typed_code() {
     let server = NetServer::bind(
         "127.0.0.1:0",

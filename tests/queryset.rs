@@ -3,12 +3,18 @@
 //! indexed-vs-forced-scalar lockstep across structural window edges,
 //! hostile checkpoint rejection, and segment-size independence — the
 //! multi-query mirrors of `tests/session.rs` and
-//! `tests/chunk_boundaries.rs`.
+//! `tests/chunk_boundaries.rs` — plus the equivalence of plan-built and
+//! pattern-compiled sets, and the grouped hybrid tier's projection onto
+//! per-member checkpoint lanes.
+
+use std::ops::Range;
 
 use stackless_streamed_trees::automata::Alphabet;
 use stackless_streamed_trees::core::session::{Limits, SessionError};
 use stackless_streamed_trees::core::structural::STRUCTURAL_WINDOW;
-use stackless_streamed_trees::core::{QuerySet, QuerySetCheckpoint, SetStrategy};
+use stackless_streamed_trees::core::{
+    Query, QuerySet, QuerySetCheckpoint, SetStrategy, Strategy, DEFAULT_PRODUCT_BUDGET,
+};
 
 /// All-almost-reversible members: the shared product DFA at the default
 /// budget, lane-wise simulation at budget 0.
@@ -16,6 +22,11 @@ const AR_SET: [&str; 4] = ["a.*b", "a.*", "b.*a", ".*"];
 /// Mixed strategies (registerless, stackless, stack): the per-query
 /// native-engine tier at every budget.
 const MIXED_SET: [&str; 4] = ["a.*b", "ab", ".*a.*b", ".*ab"];
+
+/// Two members of every engine class: registerless (`a.*b`, `a.*`),
+/// stackless (`ab`, `ba`) and stack (`.*ab`, `.*ba`), plus one more
+/// stackless and one more registerless member.
+const HYBRID_SET: [&str; 8] = ["a.*b", "a.*", "ab", "ba", ".*ab", ".*ba", ".*a.*b", ".*"];
 
 /// The three tier-forcing compilations of one pattern set each.
 fn tiered_sets(g: &Alphabet) -> Vec<QuerySet> {
@@ -202,42 +213,6 @@ fn checkpoints_are_refused_by_foreign_sets_tiers_and_corruption() {
     }
 }
 
-/// Byte offsets of every HAR lane's first chain state in a hybrid-tier
-/// wire checkpoint.  Layout after the shared header run (magic, version,
-/// tier tag, fingerprint, alphabet, offset, node, depth): lexer state
-/// (u16), lane count (u32), then per lane a tag byte and its payload.
-fn har_chain_positions(wire: &[u8]) -> Vec<usize> {
-    let u16_at = |p: usize| u16::from_le_bytes([wire[p], wire[p + 1]]) as usize;
-    let u32_at = |p: usize| u32::from_le_bytes(wire[p..p + 4].try_into().unwrap()) as usize;
-    let mut pos = 4 + 2 + 1 + 8;
-    let n_syms = u16_at(pos);
-    pos += 2;
-    for _ in 0..n_syms {
-        pos += 2 + u16_at(pos);
-    }
-    pos += 8 + 8 + 8 + 2;
-    let n_lanes = u32_at(pos);
-    pos += 4;
-    let mut out = Vec::new();
-    for _ in 0..n_lanes {
-        let tag = wire[pos];
-        pos += 1;
-        match tag {
-            0 => pos += 4,
-            1 => {
-                let chain_len = u16_at(pos + 5);
-                if chain_len > 0 {
-                    out.push(pos + 7);
-                }
-                pos += 7 + chain_len * 10;
-            }
-            _ => pos += 8 + 4 * u32_at(pos + 4),
-        }
-    }
-    assert_eq!(pos, wire.len(), "walked the whole hybrid payload");
-    out
-}
-
 #[test]
 fn forged_hybrid_har_chain_states_are_refused_at_resume() {
     let g = Alphabet::of_chars("ab");
@@ -267,4 +242,259 @@ fn forged_hybrid_har_chain_states_are_refused_at_resume() {
         }
     }
     assert!(forged_cuts > 0, "no cut carried a HAR chain to forge");
+}
+
+/// A set whose members were compiled one by one, as a plan cache hands
+/// them out.
+fn plan_built(patterns: &[&str], g: &Alphabet, budget: usize) -> QuerySet {
+    let queries: Vec<Query> = patterns
+        .iter()
+        .map(|p| Query::compile(p, g).unwrap())
+        .collect();
+    let members = patterns
+        .iter()
+        .map(|p| Some(*p))
+        .zip(queries.iter().map(Query::plan));
+    QuerySet::from_plans(members, g, budget)
+}
+
+/// A few kilobytes of nested markup over `a`/`b` with text, attributes
+/// and self-closing leaves, from a fixed-seed generator.
+fn long_doc() -> Vec<u8> {
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let (mut doc, mut open) = (Vec::new(), Vec::new());
+    while doc.len() < 4000 {
+        let label = if next(2) == 0 { "a" } else { "b" };
+        match next(6) {
+            0 | 1 if open.len() < 12 => {
+                doc.extend_from_slice(format!("<{label}>").as_bytes());
+                open.push(label);
+            }
+            2 => doc.extend_from_slice(format!("<{label} k='v'/>").as_bytes()),
+            3 => doc.extend_from_slice(b"text "),
+            _ => {
+                if let Some(l) = open.pop() {
+                    doc.extend_from_slice(format!("</{l}>").as_bytes());
+                }
+            }
+        }
+    }
+    while let Some(l) = open.pop() {
+        doc.extend_from_slice(format!("</{l}>").as_bytes());
+    }
+    doc
+}
+
+#[test]
+fn hybrid_set_has_two_members_of_every_engine_class() {
+    let set = QuerySet::compile(&HYBRID_SET, &Alphabet::of_chars("ab")).unwrap();
+    for class in [Strategy::Registerless, Strategy::Stackless, Strategy::Stack] {
+        let n = (0..set.len())
+            .filter(|&i| set.member_strategy(i) == class)
+            .count();
+        assert!(n >= 2, "{n} {class:?} member(s)");
+    }
+}
+
+#[test]
+fn plan_built_sets_equal_pattern_compiled_sets() {
+    let g = Alphabet::of_chars("ab");
+    let doc = long_doc();
+    let limits = Limits::none();
+    let cuts: Vec<usize> = (0..=doc.len()).step_by(97).collect();
+    let cases: [(&[&str], usize, SetStrategy); 4] = [
+        (&AR_SET, DEFAULT_PRODUCT_BUDGET, SetStrategy::Product),
+        (&AR_SET, 0, SetStrategy::Lanes),
+        (&HYBRID_SET, DEFAULT_PRODUCT_BUDGET, SetStrategy::Hybrid),
+        (&HYBRID_SET, 0, SetStrategy::Hybrid),
+    ];
+    for (patterns, budget, tier) in cases {
+        let compiled = QuerySet::compile_with_budget(patterns, &g, budget).unwrap();
+        let planned = plan_built(patterns, &g, budget);
+        assert_eq!(compiled.strategy(), tier);
+        assert_eq!(planned.strategy(), tier);
+        let want = compiled.select_all(&doc).unwrap();
+        assert_eq!(planned.select_all(&doc).unwrap(), want, "{tier:?} {budget}");
+        let (whole, cps) = compiled.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
+        let (planned_whole, planned_cps) =
+            planned.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
+        assert_eq!(whole.matches, want);
+        assert_eq!(planned_whole, whole);
+        assert_eq!(cps.len(), cuts.len());
+        for ((cp, planned_cp), &cut) in cps.iter().zip(&planned_cps).zip(&cuts) {
+            // The header carries the set fingerprint: equal bytes mean
+            // equal fingerprints too.
+            let wire = cp.to_bytes();
+            assert_eq!(planned_cp.to_bytes(), wire, "{tier:?} {budget}: cut {cut}");
+            let cp = QuerySetCheckpoint::from_bytes(&wire).unwrap();
+            for set in [&compiled, &planned] {
+                let tail = set.resume_from(&cp, &doc[cut..], &limits).unwrap();
+                let stitched: Vec<Vec<usize>> = (whole.matches.iter().zip(&tail.matches))
+                    .map(|(w, t)| {
+                        let prefix = w.iter().filter(|&&n| n < cp.next_node());
+                        prefix.chain(t).copied().collect()
+                    })
+                    .collect();
+                assert_eq!(stitched, whole.matches, "{tier:?} {budget}: cut {cut}");
+                assert_eq!(tail.nodes, whole.nodes);
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_and_per_member_hybrid_checkpoints_are_byte_identical() {
+    let g = Alphabet::of_chars("ab");
+    let doc = long_doc();
+    let limits = Limits::none();
+    let cuts: Vec<usize> = (0..=doc.len()).step_by(31).collect();
+    let grouped = QuerySet::compile(&HYBRID_SET, &g).unwrap();
+    let per_member = QuerySet::compile_with_budget(&HYBRID_SET, &g, 0).unwrap();
+    let (whole, cps) = grouped.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
+    let (reference, reference_cps) = per_member
+        .run_with_checkpoints(&doc, &cuts, &limits)
+        .unwrap();
+    assert_eq!(whole, reference);
+    for ((cp, reference_cp), &cut) in cps.iter().zip(&reference_cps).zip(&cuts) {
+        assert_eq!(cp.to_bytes(), reference_cp.to_bytes(), "cut {cut}");
+        // Either machine resumes the other's checkpoint.
+        let tail = grouped
+            .resume_from(reference_cp, &doc[cut..], &limits)
+            .unwrap();
+        assert_eq!(tail.nodes, whole.nodes);
+        let tail = per_member.resume_from(cp, &doc[cut..], &limits).unwrap();
+        assert_eq!(tail.nodes, whole.nodes);
+    }
+}
+
+/// The lane list of a hybrid-tier wire checkpoint: where the lane count
+/// sits, and each lane's tag and payload range (after its tag byte).
+/// Layout after the shared header run (magic, version, tier tag,
+/// fingerprint, alphabet, offset, node, depth): lexer state (u16), lane
+/// count (u32), then per lane a tag byte and its payload.
+fn hybrid_lanes(wire: &[u8]) -> (usize, Vec<(u8, Range<usize>)>) {
+    let u16_at = |p: usize| u16::from_le_bytes([wire[p], wire[p + 1]]) as usize;
+    let u32_at = |p: usize| u32::from_le_bytes(wire[p..p + 4].try_into().unwrap()) as usize;
+    let mut pos = 4 + 2 + 1 + 8;
+    let n_syms = u16_at(pos);
+    pos += 2;
+    for _ in 0..n_syms {
+        pos += 2 + u16_at(pos);
+    }
+    pos += 8 + 8 + 8 + 2;
+    let count_at = pos;
+    pos += 4;
+    let mut lanes = Vec::new();
+    for _ in 0..u32_at(count_at) {
+        let tag = wire[pos];
+        let start = pos + 1;
+        pos = start
+            + match tag {
+                0 => 4,
+                1 => 7 + u16_at(start + 5) * 10,
+                _ => 8 + 4 * u32_at(start + 4),
+            };
+        lanes.push((tag, start..pos));
+    }
+    assert_eq!(pos, wire.len(), "walked the whole hybrid payload");
+    (count_at, lanes)
+}
+
+/// Byte offsets of every HAR lane's first chain state in a hybrid-tier
+/// wire checkpoint.
+fn har_chain_positions(wire: &[u8]) -> Vec<usize> {
+    let (_, lanes) = hybrid_lanes(wire);
+    lanes
+        .into_iter()
+        .filter(|(tag, r)| {
+            *tag == 1 && u16::from_le_bytes([wire[r.start + 5], wire[r.start + 6]]) > 0
+        })
+        .map(|(_, r)| r.start + 7)
+        .collect()
+}
+
+/// Resumes a forged checkpoint on the per-member machine (which checks
+/// each lane alone) and the grouped one; returns whether the per-member
+/// machine accepted it while the grouped one refused it with a typed
+/// checkpoint error.  The grouped machine never accepts what the
+/// per-member one refuses.
+fn refused_by_grouping(grouped: &QuerySet, per_member: &QuerySet, forged: &[u8]) -> bool {
+    let cp = QuerySetCheckpoint::from_bytes(forged).expect("shape is untouched");
+    let lone = per_member.resume(&cp, Limits::none());
+    match grouped.resume(&cp, Limits::none()) {
+        Ok(_) => {
+            assert!(lone.is_ok(), "grouped machine accepted a refused lane");
+            false
+        }
+        Err(SessionError::Checkpoint { .. }) => lone.is_ok(),
+        Err(other) => panic!("wrong error kind {other:?}"),
+    }
+}
+
+#[test]
+fn forged_stack_lanes_with_unequal_frame_counts_are_refused() {
+    let g = Alphabet::of_chars("ab");
+    let grouped = QuerySet::compile(&HYBRID_SET, &g).unwrap();
+    let per_member = QuerySet::compile_with_budget(&HYBRID_SET, &g, 0).unwrap();
+    let doc: &[u8] = b"<a><b><a><b></b></a></b><a/></a>";
+    let mut refused = 0;
+    for cut in 0..=doc.len() {
+        let mut session = grouped.session(Limits::none());
+        session.feed(&doc[..cut]).unwrap();
+        let wire = session.checkpoint().unwrap().to_bytes();
+        let (_, lanes) = hybrid_lanes(&wire);
+        // The first stack lane holding a frame drops its innermost one.
+        let Some((_, r)) = lanes
+            .iter()
+            .find(|(tag, r)| *tag == 2 && wire[r.start + 4..r.start + 8] != [0; 4])
+        else {
+            continue;
+        };
+        let n_frames = u32::from_le_bytes(wire[r.start + 4..r.start + 8].try_into().unwrap());
+        let mut forged = wire[..r.start + 4].to_vec();
+        forged.extend_from_slice(&(n_frames - 1).to_le_bytes());
+        forged.extend_from_slice(&wire[r.start + 8..r.end - 4]);
+        forged.extend_from_slice(&wire[r.end..]);
+        assert!(
+            refused_by_grouping(&grouped, &per_member, &forged),
+            "cut {cut}"
+        );
+        refused += 1;
+    }
+    assert!(refused > 0, "no cut held a stack frame to drop");
+}
+
+#[test]
+fn forged_unreachable_lane_state_combinations_are_refused() {
+    let g = Alphabet::of_chars("ab");
+    let grouped = QuerySet::compile(&HYBRID_SET, &g).unwrap();
+    let per_member = QuerySet::compile_with_budget(&HYBRID_SET, &g, 0).unwrap();
+    let doc: &[u8] = b"<a><b></b></a><b><a></a></b>";
+    let mut refused = 0;
+    for cut in 0..=doc.len() {
+        let mut session = grouped.session(Limits::none());
+        session.feed(&doc[..cut]).unwrap();
+        let wire = session.checkpoint().unwrap().to_bytes();
+        let (_, lanes) = hybrid_lanes(&wire);
+        // Rewrite the first registerless member's state, leaving the
+        // second one's: each value alone is in range, not every pair is.
+        let (_, r) = lanes
+            .iter()
+            .find(|(tag, _)| *tag == 0)
+            .expect("a markup lane");
+        for state in 0u32..8 {
+            let mut forged = wire.clone();
+            forged[r.start..r.start + 4].copy_from_slice(&state.to_le_bytes());
+            if refused_by_grouping(&grouped, &per_member, &forged) {
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused > 0, "every forged pair was reachable");
 }
