@@ -153,7 +153,7 @@ pub struct MultiProduct {
 /// [`letter_classes`]; pass the identity map for an uncompressed
 /// product).  Exploration is breadth-first from the tuple of initial
 /// states; `None` when more than `max_states` product states are
-/// reachable — the caller's cue to fall back to lane-wise simulation.
+/// reachable — the caller's cue to step the automata one by one.
 ///
 /// # Panics
 ///

@@ -63,8 +63,9 @@ fn main() {
 
 /// The E23 query mix: 16 almost-reversible patterns over Γ = {a,b,c}
 /// (every `x.*y` pair, the three `x.*` prefixes, `.*`, and three
-/// repeats — realistic workloads re-ask popular queries), so the set
-/// compiler lands on the shared product DFA at the default budget.
+/// repeats — realistic workloads re-ask popular queries): all
+/// registerless, so at the default budget they step as one markup
+/// product.
 fn multi_patterns() -> Vec<String> {
     let mut out = Vec::new();
     for x in ["a", "b", "c"] {
@@ -85,7 +86,7 @@ fn multi_patterns() -> Vec<String> {
 
 /// The mixed-class 8-query set over Γ = {a,b,c}: three registerless
 /// (`x.*y`, `c.*`), three stackless (`ab`, `ba`, `.*a.*b`) and two stack
-/// members (`.*ab`, `.*bc`), so the set compiler lands on the hybrid tier.
+/// members (`.*ab`, `.*bc`), so the set groups every engine class.
 const HYBRID_PATTERNS: [&str; 8] = ["a.*b", "b.*c", "c.*", "ab", "ba", ".*a.*b", ".*ab", ".*bc"];
 
 /// Median wall time of `f` in microseconds over 200 runs after one warm
@@ -321,7 +322,7 @@ fn write_throughput_json(path: &str) {
 
     let mut workload_objects: Vec<String> = Vec::new();
     // `ledger`: the ~40 KB shapes also record the compile ledger and the
-    // hybrid-tier series.
+    // mixed-class 8-query series.
     let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8], ledger: bool| {
         let mut series: Vec<(String, f64)> = Vec::new();
         series.push((
@@ -406,7 +407,8 @@ fn write_throughput_json(path: &str) {
             }
         }
         // E23: one shared pass answering 16 queries vs 16 sequential
-        // fused passes, on both query-set tiers.
+        // fused passes, at the default budget (one markup product) and
+        // at budget 0 (the family table); the series keep their names.
         let multi = multi_patterns();
         let product_set = st_core::QuerySet::compile(&multi, &g).unwrap();
         let lanes_set = st_core::QuerySet::compile_with_budget(&multi, &g, 0).unwrap();
@@ -437,7 +439,6 @@ fn write_throughput_json(path: &str) {
         let mut compile = String::new();
         if ledger {
             let hybrid_set = st_core::QuerySet::compile(&HYBRID_PATTERNS, &g).unwrap();
-            assert_eq!(hybrid_set.strategy(), st_core::SetStrategy::Hybrid);
             series.push((
                 "multi_hybrid/8q".to_owned(),
                 gbit_per_s(xml.len(), || {
@@ -989,31 +990,26 @@ fn e22_structural_index() {
 
 /// E23: shared multi-query evaluation — one byte pass answering N=16
 /// queries vs 16 sequential fused passes over the same document, on the
-/// standard workloads.  Reports both compiler tiers (the shared product
-/// DFA at the default budget and lane-wise simulation at budget 0);
-/// the acceptance bar is shared-product ≥ 4× sequential.
+/// standard workloads.  Reports the set at the default budget (its
+/// members step as one markup product) and at budget 0 (they step
+/// through the family table); the acceptance bar is shared-product ≥ 4×
+/// sequential.
 fn e23_multi_query() {
-    use st_core::{QuerySet, SetStrategy};
+    use st_core::QuerySet;
     println!("## E23 — shared multi-query pass vs 16 sequential passes (Gb/s)");
     let g = gamma();
     let patterns = multi_patterns();
     let product = QuerySet::compile(&patterns, &g).unwrap();
-    assert_eq!(
-        product.strategy(),
-        SetStrategy::Product,
-        "E23 query mix must land on the product tier"
-    );
     let lanes = QuerySet::compile_with_budget(&patterns, &g, 0).unwrap();
-    assert_eq!(lanes.strategy(), SetStrategy::Lanes);
     let singles: Vec<Query> = patterns
         .iter()
         .map(|p| Query::compile(p, &g).unwrap())
         .collect();
     println!(
-        "product: {} states over {} letter classes (compressed from {})",
-        product.product_states().unwrap_or(0),
-        product.product_classes().unwrap_or(0),
+        "{} markup letters; default budget: {}; budget 0: {}",
         2 * g.len(),
+        product.grouping(),
+        lanes.grouping(),
     );
     for w in standard_workloads(6_000) {
         // Correctness cross-check before timing anything.
@@ -1051,12 +1047,10 @@ fn e23_multi_query() {
         "(rates are per document byte: the sequential series reads the same bytes 16 \
          times, the shared series once; speedup is wall-clock one-pass vs 16-pass)"
     );
-    // The hybrid tier: the mixed-class 8-query set with its registerless
-    // and stack members grouped (default budget) vs one lane per member
-    // (budget 0).
+    // The mixed-class 8-query set with its registerless and stack
+    // members grouped (default budget) vs no products (budget 0).
     let grouped = QuerySet::compile(&HYBRID_PATTERNS, &g).unwrap();
     let per_member = QuerySet::compile_with_budget(&HYBRID_PATTERNS, &g, 0).unwrap();
-    assert_eq!(grouped.strategy(), SetStrategy::Hybrid);
     for w in standard_workloads(6_000) {
         let counts = grouped.count_all(&w.xml).unwrap();
         assert_eq!(counts, per_member.count_all(&w.xml).unwrap());
@@ -1067,7 +1061,7 @@ fn e23_multi_query() {
         };
         let (fast, slow) = (rate(&grouped), rate(&per_member));
         println!(
-            "{:<6}: hybrid 8q grouped {:>5.2} | per-member lanes {:>5.2} | {:>4.2}x",
+            "{:<6}: hybrid 8q grouped {:>5.2} | budget 0 {:>5.2} | {:>4.2}x",
             w.name,
             fast,
             slow,

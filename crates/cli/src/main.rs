@@ -116,10 +116,13 @@ ask streams a local .xml document to a listener in --chunk-byte frames
 (path-regex queries; several queries share one upload) and prints
 match ids like a local select.
 
-multi evaluates every query in one shared byte pass (a QuerySet: a
-product DFA with alphabet compression when the combined automaton fits
-the --budget state budget, lane-wise simulation otherwise; --budget 0
-forces lanes) and prints one `count-or-ids<TAB>query` line per query.";
+multi evaluates every query in one shared byte pass (a QuerySet:
+registerless queries step as one product DFA over compressed letter
+classes, stack queries as one product over a shared frame stack, each
+while it fits the --budget state budget; past it, registerless queries
+step through one flat family table and the others keep a native lane
+each, as stackless queries always do; --budget 0 forces that) and prints
+the grouping on stderr and one `count-or-ids<TAB>query` line per query.";
 
 /// Parses a query in whichever of the three syntaxes it is written.
 fn parse_query(query: &str, alphabet: &Alphabet) -> Result<PathQuery, String> {
@@ -542,21 +545,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
         .map(|q| parse_query(q, &alphabet).map(|p| p.dfa))
         .collect::<Result<_, _>>()?;
     let set = st_core::QuerySet::from_dfas_with_budget(dfas, &alphabet, budget);
-    let tier = match set.strategy() {
-        st_core::SetStrategy::Product => format!(
-            "shared product DFA ({} states, {} letter classes{})",
-            set.product_states().unwrap_or(0),
-            set.product_classes().unwrap_or(0),
-            if set.is_compressed() {
-                ", compressed"
-            } else {
-                ""
-            },
-        ),
-        st_core::SetStrategy::Lanes => "lane-wise DFA simulation".to_owned(),
-        st_core::SetStrategy::Hybrid => "per-query native engines".to_owned(),
-    };
-    eprintln!("{} query(ies) in one pass: {tier}", set.len());
+    eprintln!("{} query(ies) in one pass: {}", set.len(), set.grouping());
     let results = set.select_all(&bytes).map_err(|e| e.to_string())?;
     for (q, ids) in queries.iter().zip(&results) {
         if count_only {
@@ -776,7 +765,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             report.iters_run
         );
         if report.clean() {
-            println!("agreement: zero divergences across both tiers, byte paths and set builds");
+            println!("agreement: zero divergences across budgets, byte paths and set builds");
             return Ok(());
         }
         for f in &report.failures {

@@ -26,8 +26,9 @@
 //!   test on every run;
 //! * [`multi`] — the multi-query oracle: every 2–8 pattern set evaluated
 //!   by one shared [`st_core::QuerySet`] pass must agree bitwise with N
-//!   independent single-query runs, on both the product-DFA tier and the
-//!   lane fallback (state-budget knob), indexed and forced-scalar alike.
+//!   independent single-query runs at three product budgets (every
+//!   product, none, and a small one that mixes them), indexed and
+//!   forced-scalar alike.
 //!
 //! Deliberate engine faults ([`engines::Mutation`]) let the harness test
 //! itself: a fault must be caught *and* shrunk to a small reproducer,

@@ -4,17 +4,19 @@
 //! The property under test is the query-set compiler's whole contract:
 //! for every generated document and every 2–8 pattern set, the shared
 //! pass must produce *bitwise identical* per-query match sets and the
-//! identical error verdict to running each query alone — on the shared
-//! product-DFA tier **and** on the lane-simulation fallback (forced via
-//! the state-budget knob), each under both the SIMD-indexed and the
-//! forced-scalar byte paths.  Each of those four runs three ways: the
-//! set compiled from its patterns, the same set built from individually
-//! compiled [`Query`] plans ([`QuerySet::from_plans`], the serving
-//! edge's plan-cache path), and a session checkpointed at a pseudo-random
-//! cut, serialized and resumed (which puts the hybrid tier's projection
-//! onto per-member lanes, and the lift back, under the fuzzer).  Twelve
-//! shared-pass variants per case, all compared against the same
-//! single-query oracle.
+//! identical error verdict to running each query alone — at three
+//! product budgets: the default (every class group is a product), 0 (no
+//! products: the family table and one lane per other member) and a
+//! small one ([`SMALL_BUDGET`], where small groups stay products and
+//! large ones fall back, so one set mixes groups, the family table and
+//! lanes), each under both the SIMD-indexed and the forced-scalar byte
+//! paths.  Each of those six runs three ways: the set compiled from its
+//! patterns, the same set built from individually compiled [`Query`]
+//! plans ([`QuerySet::from_plans`], the serving edge's plan-cache path),
+//! and a session checkpointed at a pseudo-random cut, serialized and
+//! resumed (which puts the groups' projection onto per-member lanes,
+//! and the lift back, under the fuzzer).  Eighteen shared-pass variants
+//! per case, all compared against the same single-query oracle.
 //!
 //! Divergences shrink along three axes (drop patterns, delete byte
 //! windows, structurally shrink pattern ASTs) and persist as `.mcase`
@@ -31,6 +33,10 @@ use crate::corpus;
 use crate::gen::{case_rng, gen_case, GenConfig};
 use crate::pattern::Pat;
 use crate::runner::FuzzConfig;
+
+/// The small product budget of the oracle's budget axis: enough states
+/// for small groups' products, too few for most large ones.
+pub const SMALL_BUDGET: usize = 8;
 
 /// One self-contained multi-query differential case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -198,7 +204,7 @@ pub fn run_multi_case(case: &MultiCase, mutation: MultiMutation) -> Option<Strin
     let g = Alphabet::of_chars(&case.alphabet);
     for force_scalar in [false, true] {
         let singles = independent_runs(case, &g, force_scalar)?;
-        let runs = [st_core::DEFAULT_PRODUCT_BUDGET, 0]
+        let runs = [st_core::DEFAULT_PRODUCT_BUDGET, 0, SMALL_BUDGET]
             .into_iter()
             .flat_map(|b| [Build::Compiled, Build::FromPlans, Build::Resumed].map(|m| (b, m)));
         for (budget, build) in runs {

@@ -101,7 +101,7 @@ pub use plancache::{plan_fingerprint, PlanCache, PlanCacheStats};
 pub use planner::{CompiledQuery, CompiledTermQuery, Strategy};
 pub use query::{Query, QueryError};
 pub use queryset::{
-    QuerySet, QuerySetCheckpoint, QuerySetOutcome, QuerySetSession, SetStrategy,
+    ProductShape, QuerySet, QuerySetCheckpoint, QuerySetOutcome, QuerySetSession, SetGrouping,
     DEFAULT_PRODUCT_BUDGET,
 };
 pub use session::{
@@ -127,7 +127,7 @@ pub mod prelude {
     pub use crate::planner::{CompiledQuery, Strategy};
     pub use crate::query::{Query, QueryError};
     pub use crate::queryset::{
-        QuerySet, QuerySetCheckpoint, QuerySetOutcome, QuerySetSession, SetStrategy,
+        QuerySet, QuerySetCheckpoint, QuerySetOutcome, QuerySetSession, SetGrouping,
     };
     pub use crate::session::{
         monotonic_clock, ClockFn, Diagnostic, EngineCheckpoint, EngineSession, ErrorClass,

@@ -8,54 +8,51 @@
 //! single-query engines use) and attributes every match back to the
 //! member query that selected it.
 //!
-//! # The three tiers
+//! # One machine
 //!
-//! The set compiler picks the cheapest exact evaluation scheme:
+//! Every member keeps the event-level engine its plan names, and the
+//! set groups the members by engine class so that one class steps as
+//! one machine where the class allows it:
 //!
-//! * **Product** — when every member is almost-reversible (the planner
-//!   chose its Lemma 3.5 registerless markup DFA), the member DFAs are
-//!   combined into one synchronous product over *compressed letter
-//!   classes* (letters indistinguishable to the whole family share a
-//!   transition column, [`st_automata::ops::letter_classes`]).  Each
-//!   product state carries a per-query accepting bitmask, so an open
-//!   event costs one table step plus one mask test for all N queries.
-//!   The product is only kept while it stays under a configurable
-//!   state budget ([`QuerySet::compile_with_budget`]).
-//! * **Lanes** — all members almost-reversible but the product blows
-//!   the budget: the member markup DFAs run as N one-hot lanes of a
-//!   union-NFA simulation (each lane is deterministic, so the "set of
-//!   live states" is exactly one state per lane).  Attribution flows
-//!   through per-query accepting masks assembled in 64-query words.
-//! * **Hybrid** — the set contains a member the planner would not run
-//!   registerless: every member keeps its *native* event-level engine
-//!   (markup DFA, HAR depth-register run, or DFA + explicit stack) and
-//!   all of them step in lockstep off the shared event stream.  Members
-//!   of one class share work where the class allows it: the registerless
-//!   members step as one markup product (they are plain markup DFAs,
-//!   Lemma 3.5), and the stack members — which all push at opens and pop
-//!   at closes — as one product over Γ with one shared frame stack.  HAR
-//!   members, and any group whose product would pass the state budget,
-//!   keep one lane each.  Checkpoints project the groups back onto one
-//!   lane per member, so the wire form does not depend on the grouping.
+//! * **registerless** members are plain markup DFAs (Lemma 3.5), so
+//!   they step as one synchronous **markup product** over *compressed
+//!   letter classes* (letters indistinguishable to the whole group share
+//!   a transition column, [`st_automata::ops::letter_classes`]).  Each
+//!   product state carries an accepting mask over the set's members, so
+//!   an open costs one table step plus one mask test for the whole
+//!   group.  Past the state budget ([`QuerySet::compile_with_budget`])
+//!   they step through one **family table** instead: the member DFAs
+//!   flattened into one global state space, one load per member per
+//!   event;
+//! * **stack** members all push at opens and pop at closes, so they step
+//!   as one product over Γ with **one shared frame stack**;
+//! * **HAR** members, and stack members whose product would pass the
+//!   budget, keep a native **lane** each (a depth-register run, or a
+//!   DFA with its own stack).
+//!
+//! Checkpoints project the groups onto one lane per member, so the wire
+//! form does not depend on the grouping: a set resumes a checkpoint
+//! minted under any budget.
 //!
 //! Sets are built from planned members ([`QuerySet::from_plans`]): a
 //! serving edge assembles them from plan-cache hits, and the pattern
 //! and DFA constructors plan their members and call it.
 //!
-//! All three tiers share the byte pass: the structural scan, with
-//! certification off under `ST_FORCE_SCALAR` or
-//! [`Limits::force_scalar`].  Each tier is one sink type, parameterized
-//! by what it collects (counts or node ids) and by its guard (none for
-//! one-shot runs, the depth/imbalance budgets for sessions).
+//! The byte pass is the structural scan, with certification off under
+//! `ST_FORCE_SCALAR` or [`Limits::force_scalar`].  The machine is one
+//! sink type, parameterized by what it collects (counts or node ids)
+//! and by its guard (none for one-shot runs, the depth/imbalance
+//! budgets for sessions).
 //!
 //! # Sessions
 //!
 //! [`QuerySetSession`] is [`crate::session::EngineSession`]'s shell
-//! around the tier state: windowed feeds under [`Limits`], and
+//! around the machine state: windowed feeds under [`Limits`], and
 //! checkpoint/resume at any byte boundary ([`QuerySetCheckpoint`], magic
 //! `STQS`), with resume ≡ whole-run at every cut.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use st_automata::ops::{letter_classes, product_many, MultiProduct};
@@ -74,10 +71,10 @@ use crate::session::{
 };
 use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
 
-/// Default cap on the shared product DFA's state count.  Past this the
-/// compiler falls back to lane-wise simulation (and a hybrid group to
-/// one lane per member); `0` disables every product (useful for forcing
-/// the lanes paths in differential tests).
+/// Default cap on each product's state count.  Past this the
+/// registerless members step through the family table and the stack
+/// members keep one lane each; `0` disables every product (useful for
+/// forcing those paths in differential tests).
 pub const DEFAULT_PRODUCT_BUDGET: usize = 4096;
 
 /// Version tag of the [`QuerySetCheckpoint`] wire format.
@@ -85,9 +82,11 @@ pub const QUERYSET_CHECKPOINT_VERSION: u16 = 1;
 
 const QS_MAGIC: [u8; 4] = *b"STQS";
 
-const TAG_PRODUCT: u8 = SetStrategy::Product as u8;
-const TAG_LANES: u8 = SetStrategy::Lanes as u8;
-const TAG_HYBRID: u8 = SetStrategy::Hybrid as u8;
+/// The payload layout byte after the version: one lane per member.
+/// Earlier builds also wrote layouts `0` and `1` (one product state, one
+/// family state per member) for all-registerless sets; those are
+/// refused.
+const LAYOUT_LANES: u8 = 2;
 
 const LANE_MARKUP: u8 = 0;
 const LANE_HAR: u8 = 1;
@@ -101,16 +100,13 @@ const LANE_STACK: u8 = 2;
 struct ProductTable {
     /// Number of letter classes (compressed alphabet size).
     n_classes: usize,
-    /// Product state count (≤ the budget).
-    n_states: usize,
     /// `u64` words per accepting mask (`ceil(n_members / 64)`).
     words: usize,
-    /// Initial product state.
-    init: u32,
-    /// Letter → class id (markup letters `0..2k`; Γ letters `0..k` in
-    /// the hybrid tier's stack group).
+    /// Letter → class id (markup letters `0..2k` in the markup group,
+    /// Γ letters `0..k` in the stack group).
     class_of: Vec<u16>,
-    /// Row-major transitions over classes: `delta[s * n_classes + c]`.
+    /// Row-major transitions over classes: `delta[s * n_classes + c]`;
+    /// the initial state is 0.
     delta: Vec<u32>,
     /// Per-state accepting masks: `accept[s * words .. (s+1) * words]`,
     /// bit `q` set iff member `q`'s DFA accepts in state `s`.
@@ -128,13 +124,12 @@ impl ProductTable {
         words: usize,
         class_of: &[usize],
     ) -> ProductTable {
-        let n_states = mp.tuples.len();
         let delta = mp
             .delta
             .iter()
             .map(|&d| u32::try_from(d).expect("product states fit u32"))
             .collect();
-        let mut accept = vec![0u64; n_states * words];
+        let mut accept = vec![0u64; mp.tuples.len() * words];
         for (s, tuple) in mp.tuples.iter().enumerate() {
             for ((&st, d), &i) in tuple.iter().zip(dfas).zip(members) {
                 if d.is_accepting(st) {
@@ -144,9 +139,7 @@ impl ProductTable {
         }
         ProductTable {
             n_classes: mp.n_classes,
-            n_states,
             words,
-            init: 0,
             class_of: class_of
                 .iter()
                 .map(|&c| u16::try_from(c).expect("letter classes fit u16"))
@@ -169,16 +162,19 @@ impl ProductTable {
     }
 }
 
-/// A family of member DFAs flattened into one global state space: member
-/// `i`'s states occupy the block `starts[i]..starts[i+1]` and transition
-/// rows are stored at their global ids, so stepping lane `i` is one load
-/// from a shared table.
+/// The registerless members past the budget, their markup DFAs
+/// flattened into one global state space: member `j`'s states occupy
+/// the block `starts[j]..starts[j+1]` and transition rows are stored at
+/// their global ids, so stepping member `j` is one load from a shared
+/// table.
 struct FamilyTable {
     /// Letters per member DFA (2k for markup DFAs).
     n_letters: usize,
+    /// Set-wide index per member.
+    members: Vec<usize>,
     /// Global initial state per member.
     init: Vec<u32>,
-    /// Block boundaries, `len == n_members + 1`.
+    /// Block boundaries, `len == members.len() + 1`.
     starts: Vec<u32>,
     /// Global row-major transitions: `delta[s * n_letters + a]`.
     delta: Vec<u32>,
@@ -187,7 +183,7 @@ struct FamilyTable {
 }
 
 impl FamilyTable {
-    fn build(dfas: &[&Dfa]) -> FamilyTable {
+    fn build(dfas: &[&Dfa], members: Vec<usize>) -> FamilyTable {
         let n_letters = dfas.first().map_or(0, |d| d.n_letters());
         let mut starts = Vec::with_capacity(dfas.len() + 1);
         let mut total = 0usize;
@@ -198,8 +194,8 @@ impl FamilyTable {
         starts.push(u32::try_from(total).expect("family state space fits u32"));
         let mut delta = Vec::with_capacity(total * n_letters);
         let mut accepting = vec![0u64; total.div_ceil(64)];
-        for (i, d) in dfas.iter().enumerate() {
-            let base = starts[i] as usize;
+        for (j, d) in dfas.iter().enumerate() {
+            let base = starts[j] as usize;
             for s in 0..d.n_states() {
                 for a in 0..n_letters {
                     delta.push((base + d.step(s, a)) as u32);
@@ -211,11 +207,12 @@ impl FamilyTable {
         }
         let init = dfas
             .iter()
-            .enumerate()
-            .map(|(i, d)| starts[i] + d.init() as u32)
+            .zip(&starts)
+            .map(|(d, &start)| start + d.init() as u32)
             .collect();
         FamilyTable {
             n_letters,
+            members,
             init,
             starts,
             delta,
@@ -223,38 +220,46 @@ impl FamilyTable {
         }
     }
 
-    fn n_members(&self) -> usize {
-        self.init.len()
+    /// The global id of member `j`'s state `s`, or `None` when `s` is
+    /// not one of its states.
+    fn global(&self, j: usize, s: u32) -> Option<u32> {
+        let (start, end) = (self.starts[j], self.starts[j + 1]);
+        s.checked_add(start).filter(|&g| g < end)
     }
 
-    fn in_block(&self, i: usize, s: u32) -> bool {
-        self.starts[i] <= s && s < self.starts[i + 1]
+    /// Member `j`'s own state for global state `g`.
+    fn local(&self, j: usize, g: u32) -> u32 {
+        g - self.starts[j]
+    }
+
+    #[inline]
+    fn step(&self, s: u32, a: usize) -> u32 {
+        self.delta[s as usize * self.n_letters + a]
+    }
+
+    /// 1 if global state `s` accepts, else 0.
+    #[inline]
+    fn accepts(&self, s: u32) -> u64 {
+        (self.accepting[s as usize >> 6] >> (s & 63)) & 1
     }
 }
 
-/// One member's native event-level engine in the hybrid tier.
+/// One member's native event-level engine, as its own lane.
 enum LaneEngine {
-    /// Registerless member: its Lemma 3.5 markup DFA (closes are real
-    /// transitions).
-    Markup(Dfa),
     /// Stackless member: its Lemma 3.8 HAR markup program.
     Har(HarMarkupProgram),
     /// General member: minimal DFA over Γ plus an explicit stack.
     Stack(Dfa),
 }
 
-/// One member's live state in the hybrid tier.
+/// One lane's live state.
 enum LaneState {
-    Markup { s: u32 },
     Har { run: HarRun },
     Stack { s: u32, frames: Vec<u32> },
 }
 
 fn fresh_lane(engine: &LaneEngine) -> LaneState {
     match engine {
-        LaneEngine::Markup(dfa) => LaneState::Markup {
-            s: dfa.init() as u32,
-        },
         LaneEngine::Har(program) => LaneState::Har {
             run: HarRun::new(program.core()),
         },
@@ -265,15 +270,11 @@ fn fresh_lane(engine: &LaneEngine) -> LaneState {
     }
 }
 
-/// Applies an open event to one hybrid lane; `depth` is the depth
-/// *after* the open.  Returns whether the member selects the node.
+/// Applies an open event to one lane; `depth` is the depth *after* the
+/// open.  Returns whether the member selects the node.
 #[inline]
 fn lane_open(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) -> bool {
     match (engine, state) {
-        (LaneEngine::Markup(dfa), LaneState::Markup { s }) => {
-            *s = dfa.step(*s as usize, l) as u32;
-            dfa.is_accepting(*s as usize)
-        }
         (LaneEngine::Har(program), LaneState::Har { run }) => run.open(program.core(), l, depth),
         (LaneEngine::Stack(dfa), LaneState::Stack { s, frames }) => {
             frames.push(*s);
@@ -284,14 +285,11 @@ fn lane_open(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) -
     }
 }
 
-/// Applies a close event to one hybrid lane; `depth` is the depth
-/// *after* the close, `k` the label-alphabet size.
+/// Applies a close event to one lane; `depth` is the depth *after* the
+/// close.
 #[inline]
-fn lane_close(engine: &LaneEngine, state: &mut LaneState, k: usize, l: usize, depth: i64) {
+fn lane_close(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) {
     match (engine, state) {
-        (LaneEngine::Markup(dfa), LaneState::Markup { s }) => {
-            *s = dfa.step(*s as usize, k + l) as u32;
-        }
         (LaneEngine::Har(program), LaneState::Har { run }) => run.close(program.core(), l, depth),
         (LaneEngine::Stack(_), LaneState::Stack { frames, s }) => {
             // Underflowing pop keeps the state, like the baseline
@@ -304,10 +302,10 @@ fn lane_close(engine: &LaneEngine, state: &mut LaneState, k: usize, l: usize, de
     }
 }
 
-/// Members stepping as one product — the Product tier's whole set, or
-/// one class of the hybrid tier's members: the table (its masks over
-/// the whole set's members) and each product state's component tuple,
-/// which projects the group onto per-member lanes and lifts lanes back.
+/// Members of one class stepping as one product: the table (its masks
+/// over the whole set's members) and each product state's component
+/// tuple, which projects the group onto per-member lanes and lifts lanes
+/// back.
 struct Group {
     table: ProductTable,
     /// Group members (their set-wide indices), in set order.
@@ -318,32 +316,20 @@ struct Group {
 }
 
 impl Group {
-    /// The product of the members `ids` (with DFAs `dfas`) over letter
-    /// classes (compressed, or the identity map), or `None` when there
-    /// are no members, the budget is 0, or the product would pass
-    /// `budget` states.
-    fn build(
-        dfas: &[&Dfa],
-        ids: Vec<usize>,
-        words: usize,
-        budget: usize,
-        compress: bool,
-    ) -> Option<Group> {
+    /// The product of the members `ids` (with DFAs `dfas`) over their
+    /// letter classes, or `None` when there are no members, the budget
+    /// is 0, or the product would pass `budget` states.
+    fn build(dfas: &[&Dfa], ids: &[usize], words: usize, budget: usize) -> Option<Group> {
         if ids.is_empty() || budget == 0 {
             return None;
         }
-        let (class_of, n_classes) = if compress {
-            letter_classes(dfas)
-        } else {
-            let n = dfas[0].n_letters();
-            ((0..n).collect(), n)
-        };
+        let (class_of, n_classes) = letter_classes(dfas);
         let mp = product_many(dfas, &class_of, n_classes, budget)?;
-        let table = ProductTable::from_product(&mp, dfas, &ids, words, &class_of);
+        let table = ProductTable::from_product(&mp, dfas, ids, words, &class_of);
         let tuples = mp.tuples.iter().flatten().map(|&q| q as u32).collect();
         Some(Group {
             table,
-            members: ids,
+            members: ids.to_vec(),
             tuples,
         })
     }
@@ -367,38 +353,66 @@ impl Group {
                 .ok_or_else(|| corrupt("lane states are not a combination any run reaches"))
         }
     }
+
+    fn shape(&self) -> ProductShape {
+        ProductShape {
+            members: self.members.clone(),
+            states: self.tuples.len() / self.members.len(),
+            classes: self.table.n_classes,
+        }
+    }
 }
 
-/// Where a hybrid member's state lives.
+/// Where a member's state lives.
 #[derive(Clone, Copy)]
 enum Seat {
-    /// Component `j` of the registerless group.
+    /// Component `j` of the markup group.
     Markup(usize),
+    /// Member `j` of the family table.
+    Family(usize),
     /// Component `j` of the stack group.
     Stack(usize),
-    /// Lane `i` of the ungrouped members.
+    /// Lane `i`.
     Lane(usize),
 }
 
-/// The hybrid tier's machine: the two class groups and the ungrouped
-/// lanes.
-struct HybridTable {
-    /// `u64` words per member mask.
-    words: usize,
-    /// Registerless members as one markup product (closes are real
-    /// transitions).
-    markup: Option<Group>,
+/// What the set steps past its markup group: the family table, the
+/// stack group and the lanes.  Whether a set has a tail is the one
+/// branch past the markup group, taken once per scan (see
+/// [`QuerySet::drive`]).
+struct Tail {
+    /// Registerless members past the budget (possibly none).
+    family: FamilyTable,
     /// Stack members as one product over Γ; opens push its state on one
     /// shared frame stack, closes pop it.
     stack: Option<Group>,
     /// Every other member's native engine, with its set-wide index.
     lanes: Vec<(usize, LaneEngine)>,
+}
+
+/// The set's machine: the class groups and the lanes.
+struct SetMachine {
+    /// Registerless members as one markup product (closes are real
+    /// transitions).
+    markup: Option<Group>,
+    tail: Option<Box<Tail>>,
     /// Per member, in set order.
     seats: Vec<Seat>,
 }
 
-impl HybridTable {
-    fn build(plans: &[&CompiledQuery], budget: usize, compress: bool) -> HybridTable {
+/// The machine's live state: the groups' product states, the family
+/// table's states, the stack group's frames, and the lanes.
+#[derive(Default)]
+struct SetState {
+    markup: u32,
+    family: Vec<u32>,
+    stack: u32,
+    frames: Vec<u32>,
+    lanes: Vec<LaneState>,
+}
+
+impl SetMachine {
+    fn build(plans: &[&CompiledQuery], budget: usize) -> SetMachine {
         let words = plans.len().div_ceil(64);
         let (mut markup_ids, mut markups) = (Vec::new(), Vec::new());
         let (mut stack_ids, mut stacks) = (Vec::new(), Vec::new());
@@ -411,52 +425,76 @@ impl HybridTable {
                 stacks.push(p.minimal_dfa());
             }
         }
-        let markup = Group::build(&markups, markup_ids, words, budget, compress);
-        let stack = Group::build(&stacks, stack_ids, words, budget, compress);
-        let grouped = |g: &Option<Group>, i: usize| {
-            g.as_ref()
-                .and_then(|g| g.members.iter().position(|&m| m == i))
+        let markup = Group::build(&markups, &markup_ids, words, budget);
+        let family = match markup {
+            Some(_) => FamilyTable::build(&[], Vec::new()),
+            None => FamilyTable::build(&markups, markup_ids),
         };
-        let (mut lanes, mut seats) = (Vec::new(), Vec::with_capacity(plans.len()));
-        for (i, p) in plans.iter().enumerate() {
-            seats.push(if let Some(j) = grouped(&markup, i) {
-                Seat::Markup(j)
-            } else if let Some(j) = grouped(&stack, i) {
-                Seat::Stack(j)
-            } else {
-                lanes.push((i, lane_engine(p)));
-                Seat::Lane(lanes.len() - 1)
-            });
+        let stack = Group::build(&stacks, &stack_ids, words, budget);
+        let mut seats = vec![None; plans.len()];
+        let mut seat = |members: &[usize], at: fn(usize) -> Seat| {
+            for (j, &i) in members.iter().enumerate() {
+                seats[i] = Some(at(j));
+            }
+        };
+        if let Some(g) = &markup {
+            seat(&g.members, Seat::Markup);
         }
-        HybridTable {
-            words,
+        seat(&family.members, Seat::Family);
+        if let Some(g) = &stack {
+            seat(&g.members, Seat::Stack);
+        }
+        let mut lanes = Vec::new();
+        let seats = (seats.into_iter().zip(plans).enumerate())
+            .map(|(i, (seat, p))| {
+                seat.unwrap_or_else(|| {
+                    lanes.push((i, lane_engine(p)));
+                    Seat::Lane(lanes.len() - 1)
+                })
+            })
+            .collect();
+        let tail =
+            (!family.members.is_empty() || stack.is_some() || !lanes.is_empty()).then(|| {
+                Box::new(Tail {
+                    family,
+                    stack,
+                    lanes,
+                })
+            });
+        SetMachine {
             markup,
-            stack,
-            lanes,
+            tail,
             seats,
         }
     }
 
     /// The state at document start (a product's initial state is 0).
-    fn fresh(&self) -> HybridState {
-        HybridState {
-            lanes: self.lanes.iter().map(|(_, e)| fresh_lane(e)).collect(),
-            ..HybridState::default()
+    fn fresh(&self) -> SetState {
+        match &self.tail {
+            Some(t) => SetState {
+                family: t.family.init.clone(),
+                lanes: t.lanes.iter().map(|(_, e)| fresh_lane(e)).collect(),
+                ..SetState::default()
+            },
+            None => SetState::default(),
         }
     }
 
     /// Projects the state onto one checkpoint lane per member.
-    fn freeze(&self, st: &HybridState) -> Vec<HybridLaneCheckpoint> {
-        let (markup, stack) = (self.markup.as_ref(), self.stack.as_ref());
+    fn freeze(&self, st: &SetState) -> Vec<HybridLaneCheckpoint> {
         let seated = "seated members have a group";
+        let (markup, tail) = (self.markup.as_ref(), self.tail.as_ref());
         self.seats
             .iter()
             .map(|seat| match *seat {
                 Seat::Markup(j) => HybridLaneCheckpoint::Markup {
                     state: markup.expect(seated).project(st.markup, j),
                 },
+                Seat::Family(j) => HybridLaneCheckpoint::Markup {
+                    state: tail.expect(seated).family.local(j, st.family[j]),
+                },
                 Seat::Stack(j) => {
-                    let g = stack.expect(seated);
+                    let g = tail.and_then(|t| t.stack.as_ref()).expect(seated);
                     HybridLaneCheckpoint::Stack {
                         current: g.project(st.stack, j),
                         frames: st.frames.iter().map(|&f| g.project(f, j)).collect(),
@@ -467,23 +505,28 @@ impl HybridTable {
             .collect()
     }
 
-    /// Lifts one checkpoint lane per member back into the tier state,
-    /// refusing what no run produces: a lane of the wrong kind, grouped
-    /// stack lanes with unequal frame counts, or a combination of lane
-    /// states outside a group's product.
-    fn thaw(
-        &self,
-        lanes: &[HybridLaneCheckpoint],
-        offset: u64,
-    ) -> Result<HybridState, SessionError> {
+    /// Lifts one checkpoint lane per member back into the machine state,
+    /// refusing what no run produces: a lane count other than the set's,
+    /// a lane of the wrong kind, a state out of its member's range,
+    /// grouped stack lanes with unequal frame counts, or a combination
+    /// of lane states outside a group's product.
+    fn thaw(&self, lanes: &[HybridLaneCheckpoint], offset: u64) -> Result<SetState, SessionError> {
         if lanes.len() != self.seats.len() {
             return Err(corrupt("lane count does not match the query set"));
         }
+        let mut st = self.fresh();
         let (mut markup, mut current, mut frames) = (Vec::new(), Vec::new(), Vec::new());
-        let mut thawed = Vec::with_capacity(self.lanes.len());
+        // A seat other than `Markup` exists only with a tail.
+        let tail = || self.tail.as_ref().expect("seated members have a group");
         for (lane, seat) in lanes.iter().zip(&self.seats) {
             match (seat, lane) {
                 (Seat::Markup(_), HybridLaneCheckpoint::Markup { state }) => markup.push(*state),
+                (Seat::Family(j), HybridLaneCheckpoint::Markup { state }) => {
+                    st.family[*j] = tail()
+                        .family
+                        .global(*j, *state)
+                        .ok_or_else(|| corrupt("markup lane state out of range"))?;
+                }
                 (
                     Seat::Stack(_),
                     HybridLaneCheckpoint::Stack {
@@ -494,18 +537,16 @@ impl HybridTable {
                     current.push(*c);
                     frames.push(f.as_slice());
                 }
-                (Seat::Lane(i), lane) => thawed.push(thaw_lane(lane, &self.lanes[*i].1, offset)?),
+                (Seat::Lane(i), lane) => {
+                    st.lanes[*i] = thaw_lane(lane, &tail().lanes[*i].1, offset)?
+                }
                 _ => return Err(corrupt("lane kind does not match the member's engine")),
             }
         }
-        let mut st = HybridState {
-            lanes: thawed,
-            ..HybridState::default()
-        };
         if let Some(g) = &self.markup {
             st.markup = g.lifter()(&markup)?;
         }
-        if let Some(g) = &self.stack {
+        if let Some(g) = self.tail.as_ref().and_then(|t| t.stack.as_ref()) {
             let depth = frames[0].len();
             if frames.iter().any(|f| f.len() != depth) {
                 return Err(corrupt("stack lanes disagree on their frame count"));
@@ -523,48 +564,68 @@ impl HybridTable {
     }
 }
 
-/// The hybrid tier's live state: the groups' product states, the stack
-/// group's frames, and the ungrouped lanes.
-#[derive(Default)]
-struct HybridState {
-    markup: u32,
-    stack: u32,
-    frames: Vec<u32>,
-    lanes: Vec<LaneState>,
-}
-
-/// A member's native engine, as its own lane.
+/// A member's native engine, as its own lane (its plan has no markup
+/// DFA).
 fn lane_engine(plan: &CompiledQuery) -> LaneEngine {
-    if let Some(m) = plan.markup_dfa() {
-        LaneEngine::Markup(m.clone())
-    } else if let Some(h) = plan.har_program() {
-        LaneEngine::Har(h.clone())
-    } else {
-        LaneEngine::Stack(plan.minimal_dfa().clone())
+    match plan.har_program() {
+        Some(h) => LaneEngine::Har(h.clone()),
+        None => LaneEngine::Stack(plan.minimal_dfa().clone()),
     }
 }
 
-enum SetBackend {
-    Product(ProductTable),
-    Lanes(FamilyTable),
-    Hybrid(Box<HybridTable>),
+/// One product group's shape in a [`SetGrouping`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProductShape {
+    /// The grouped members' set-wide indices, in set order.
+    pub members: Vec<usize>,
+    /// Product state count (at most the set's budget).
+    pub states: usize,
+    /// Letter classes the product's columns range over.
+    pub classes: usize,
 }
 
-/// Which evaluation tier the set compiler picked.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SetStrategy {
-    /// One shared product DFA over compressed letter classes, with
-    /// per-state accepting masks (all members almost-reversible, product
-    /// within the state budget).
-    Product,
-    /// Bitset union-NFA simulation: one deterministic markup-DFA lane
-    /// per member, per-query accepting masks (all members
-    /// almost-reversible, product over budget).
-    Lanes,
-    /// Per-member native engines (markup DFA / HAR run / DFA + stack)
-    /// stepping in lockstep off the shared event stream (at least one
-    /// member is not almost-reversible).
-    Hybrid,
+/// How a [`QuerySet`] steps its members (see the module docs): which
+/// members share the markup product, the family table or the stack
+/// product, and which keep a lane each.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SetGrouping {
+    /// Registerless members stepping as one markup product.
+    pub markup: Option<ProductShape>,
+    /// Registerless members stepping through the family table (their
+    /// product would pass the budget).
+    pub family: Vec<usize>,
+    /// Stack members stepping as one product over one frame stack.
+    pub stack: Option<ProductShape>,
+    /// Members keeping a native lane each: HAR members, and stack
+    /// members whose product would pass the budget.
+    pub lanes: Vec<usize>,
+}
+
+impl fmt::Display for SetGrouping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let product = |name: &str, g: &ProductShape| {
+            format!(
+                "{name} product of {} ({} states, {} letter classes)",
+                g.members.len(),
+                g.states,
+                g.classes
+            )
+        };
+        let parts: Vec<String> = [
+            self.markup.as_ref().map(|g| product("markup", g)),
+            (!self.family.is_empty()).then(|| format!("family table of {}", self.family.len())),
+            self.stack.as_ref().map(|g| product("stack", g)),
+            (!self.lanes.is_empty()).then(|| format!("{} native lane(s)", self.lanes.len())),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if parts.is_empty() {
+            f.write_str("no members")
+        } else {
+            f.write_str(&parts.join(", "))
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -595,10 +656,7 @@ pub struct QuerySet {
     alphabet: Alphabet,
     lexer: Arc<TagLexer>,
     members: Vec<SetMember>,
-    backend: SetBackend,
-    /// Whether the product tier used letter-class compression (affects
-    /// product state numbering, hence the checkpoint fingerprint).
-    compressed: bool,
+    machine: SetMachine,
     fingerprint: u64,
 }
 
@@ -617,9 +675,11 @@ impl QuerySet {
     }
 
     /// Compiles a set of path patterns with an explicit product-DFA
-    /// state budget.  `budget == 0` disables the product tier (all-AR
-    /// sets then take the lanes path — the knob differential tests use
-    /// to force it).
+    /// state budget.  `budget == 0` disables every product (registerless
+    /// members then step through the family table and stack members
+    /// keep a lane each — the knob differential tests use to force
+    /// those paths).  The budget changes how the set steps, never its
+    /// answers or checkpoints.
     ///
     /// # Errors
     ///
@@ -629,7 +689,13 @@ impl QuerySet {
         alphabet: &Alphabet,
         budget: usize,
     ) -> Result<QuerySet, QueryError> {
-        Self::compile_patterns(patterns, alphabet, budget, true)
+        let dfas: Vec<Dfa> = patterns
+            .iter()
+            .map(|p| compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern))
+            .collect::<Result<_, _>>()?;
+        let plans: Vec<CompiledQuery> = dfas.iter().map(CompiledQuery::compile).collect();
+        let names = patterns.iter().map(|p| Some(p.as_ref()));
+        Ok(Self::from_plans(names.zip(&plans), alphabet, budget))
     }
 
     /// Compiles a set from pre-built query DFAs over `alphabet` with the
@@ -657,9 +723,9 @@ impl QuerySet {
     /// source pattern and its plan, e.g. [`crate::Query::plan`] of a
     /// plan-cache hit — with an explicit product state budget (see
     /// [`Self::compile_with_budget`]).  Nothing is re-planned: the set
-    /// costs its tier's tables only.  Every other constructor plans its
-    /// members and calls this one, so equal plans give equal sets
-    /// (tier, fingerprint, answers and checkpoints).
+    /// costs its machine's tables only.  Every other constructor plans
+    /// its members and calls this one, so equal plans give equal sets
+    /// (fingerprint, answers and checkpoints).
     ///
     /// # Panics
     ///
@@ -668,47 +734,6 @@ impl QuerySet {
         members: impl IntoIterator<Item = (Option<&'p str>, &'p CompiledQuery)>,
         alphabet: &Alphabet,
         budget: usize,
-    ) -> QuerySet {
-        Self::build(members, alphabet, budget, true)
-    }
-
-    /// Like [`Self::compile_with_budget`] but with letter-class
-    /// compression disabled in the product tier, so the product runs
-    /// over the raw 2k-letter markup alphabet.  Exists for the property
-    /// tests that check compression preserves per-query semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::Pattern`] if any pattern fails to parse.
-    #[doc(hidden)]
-    pub fn compile_uncompressed<S: AsRef<str>>(
-        patterns: &[S],
-        alphabet: &Alphabet,
-        budget: usize,
-    ) -> Result<QuerySet, QueryError> {
-        Self::compile_patterns(patterns, alphabet, budget, false)
-    }
-
-    fn compile_patterns<S: AsRef<str>>(
-        patterns: &[S],
-        alphabet: &Alphabet,
-        budget: usize,
-        compress: bool,
-    ) -> Result<QuerySet, QueryError> {
-        let dfas: Vec<Dfa> = patterns
-            .iter()
-            .map(|p| compile_regex(p.as_ref(), alphabet).map_err(QueryError::Pattern))
-            .collect::<Result<_, _>>()?;
-        let plans: Vec<CompiledQuery> = dfas.iter().map(CompiledQuery::compile).collect();
-        let names = patterns.iter().map(|p| Some(p.as_ref()));
-        Ok(Self::build(names.zip(&plans), alphabet, budget, compress))
-    }
-
-    fn build<'p>(
-        members: impl IntoIterator<Item = (Option<&'p str>, &'p CompiledQuery)>,
-        alphabet: &Alphabet,
-        budget: usize,
-        compress: bool,
     ) -> QuerySet {
         let (names, plans): (Vec<Option<&str>>, Vec<&CompiledQuery>) = members.into_iter().unzip();
         let k = alphabet.len();
@@ -719,18 +744,6 @@ impl QuerySet {
                 "query-set DFA over a different alphabet"
             );
         }
-        let markups: Option<Vec<&Dfa>> = plans.iter().map(|p| p.markup_dfa()).collect();
-        let backend = match markups {
-            Some(markups) if !markups.is_empty() => {
-                let (ids, words) = ((0..markups.len()).collect(), markups.len().div_ceil(64));
-                match Group::build(&markups, ids, words, budget, compress) {
-                    Some(group) => SetBackend::Product(group.table),
-                    None => SetBackend::Lanes(FamilyTable::build(&markups)),
-                }
-            }
-            Some(_) => SetBackend::Lanes(FamilyTable::build(&[])),
-            None => SetBackend::Hybrid(Box::new(HybridTable::build(&plans, budget, compress))),
-        };
         let members = names
             .iter()
             .zip(&plans)
@@ -739,16 +752,13 @@ impl QuerySet {
                 strategy: p.strategy(),
             })
             .collect();
-        let mut set = QuerySet {
+        QuerySet {
             alphabet: alphabet.clone(),
             lexer: TagLexer::shared(alphabet),
             members,
-            backend,
-            compressed: compress,
-            fingerprint: 0,
-        };
-        set.fingerprint = set_fingerprint(&set, plans.iter().map(|p| p.minimal_dfa()));
-        set
+            machine: SetMachine::build(&plans, budget),
+            fingerprint: set_fingerprint(alphabet, plans.iter().map(|p| p.minimal_dfa())),
+        }
     }
 
     /// Number of member queries.
@@ -767,12 +777,15 @@ impl QuerySet {
         &self.alphabet
     }
 
-    /// The evaluation tier the compiler picked.
-    pub fn strategy(&self) -> SetStrategy {
-        match &self.backend {
-            SetBackend::Product(_) => SetStrategy::Product,
-            SetBackend::Lanes(_) => SetStrategy::Lanes,
-            SetBackend::Hybrid(_) => SetStrategy::Hybrid,
+    /// How the set steps its members.
+    pub fn grouping(&self) -> SetGrouping {
+        let m = &self.machine;
+        let tail = m.tail.as_ref();
+        SetGrouping {
+            markup: m.markup.as_ref().map(Group::shape),
+            family: tail.map_or_else(Vec::new, |t| t.family.members.clone()),
+            stack: tail.and_then(|t| t.stack.as_ref()).map(Group::shape),
+            lanes: tail.map_or_else(Vec::new, |t| t.lanes.iter().map(|l| l.0).collect()),
         }
     }
 
@@ -793,29 +806,6 @@ impl QuerySet {
     /// Panics if `i` is out of range.
     pub fn member_pattern(&self, i: usize) -> Option<&str> {
         self.members[i].pattern.as_deref()
-    }
-
-    /// Product tier only: the shared DFA's state count.
-    pub fn product_states(&self) -> Option<usize> {
-        match &self.backend {
-            SetBackend::Product(t) => Some(t.n_states),
-            _ => None,
-        }
-    }
-
-    /// Product tier only: the number of compressed letter classes (out
-    /// of the raw `2k` markup letters).
-    pub fn product_classes(&self) -> Option<usize> {
-        match &self.backend {
-            SetBackend::Product(t) => Some(t.n_classes),
-            _ => None,
-        }
-    }
-
-    /// Whether the product tier was built with letter-class compression
-    /// (always true outside [`Self::compile_uncompressed`]).
-    pub fn is_compressed(&self) -> bool {
-        self.compressed
     }
 
     /// Forces (or re-enables) the scalar byte path for this set's runs;
@@ -886,7 +876,7 @@ impl QuerySet {
         };
         let certify = self.lexer.certify(false);
         let mut stats = ScanStats::default();
-        let mut state = self.fresh_state();
+        let mut state = self.machine.fresh();
         match self.drive(
             &mut state, bytes, TEXT, certify, &mut walk, &mut emit, &mut stats,
         ) {
@@ -897,24 +887,15 @@ impl QuerySet {
         }
     }
 
-    /// The tier state at document start.
-    fn fresh_state(&self) -> QsState {
-        match &self.backend {
-            SetBackend::Product(t) => QsState::Product { s: t.init },
-            SetBackend::Lanes(t) => QsState::Lanes {
-                cur: t.init.clone(),
-            },
-            SetBackend::Hybrid(t) => QsState::Hybrid(t.fresh()),
-        }
-    }
-
-    /// Scans `bytes` from lexer state `lex` through the tier's sink,
+    /// Scans `bytes` from lexer state `lex` through the machine's sink,
     /// advancing `state` and `walk` — the one byte pass of every
-    /// one-shot run and session window.
+    /// one-shot run and session window.  A set without a tail scans
+    /// with a sink compiled without it, whose per-event step is a lone
+    /// markup product's.
     #[allow(clippy::too_many_arguments)]
     fn drive<E: Emit, G: Guard + Copy>(
         &self,
-        state: &mut QsState,
+        state: &mut SetState,
         bytes: &[u8],
         lex: u16,
         certify: bool,
@@ -922,63 +903,54 @@ impl QuerySet {
         emit: &mut E,
         stats: &mut ScanStats,
     ) -> ScanEnd {
-        let k = self.lexer.k();
-        let lexer = &self.lexer;
-        match (state, &self.backend) {
-            (QsState::Product { s }, SetBackend::Product(t)) => {
-                let mut sink = ProductSink {
-                    k,
-                    t,
-                    s: *s,
-                    walk: *walk,
-                    emit,
-                };
-                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
-                *s = sink.s;
-                *walk = sink.walk;
-                end
-            }
-            (QsState::Lanes { cur }, SetBackend::Lanes(t)) => {
-                let mut sink = LaneSink {
-                    k,
-                    t,
-                    cur: std::mem::take(cur),
-                    buf: vec![0; t.n_members().div_ceil(64)],
-                    walk: *walk,
-                    emit,
-                };
-                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
-                *cur = sink.cur;
-                *walk = sink.walk;
-                end
-            }
-            (QsState::Hybrid(st), SetBackend::Hybrid(t)) => {
-                let mut sink = HybridSink {
-                    k,
-                    t,
-                    st: std::mem::take(st),
-                    buf: vec![0; t.words],
-                    walk: *walk,
-                    emit,
-                };
-                let end = structural_scan(lexer, bytes, lex, certify, stats, &mut sink);
-                *st = sink.st;
-                *walk = sink.walk;
-                end
-            }
-            _ => unreachable!("state/backend agree by construction"),
+        if self.machine.tail.is_some() {
+            self.scan::<E, G, true>(state, bytes, lex, certify, walk, emit, stats)
+        } else {
+            self.scan::<E, G, false>(state, bytes, lex, certify, walk, emit, stats)
         }
+    }
+
+    /// [`Self::drive`] with the sink that steps the tail iff `TAIL`.
+    #[allow(clippy::too_many_arguments)]
+    fn scan<E: Emit, G: Guard + Copy, const TAIL: bool>(
+        &self,
+        state: &mut SetState,
+        bytes: &[u8],
+        lex: u16,
+        certify: bool,
+        walk: &mut Walk<G>,
+        emit: &mut E,
+        stats: &mut ScanStats,
+    ) -> ScanEnd {
+        let (markup, tail) = (self.machine.markup.as_ref(), self.machine.tail.as_deref());
+        let mut sink = SetSink::<E, G, TAIL> {
+            k: self.lexer.k(),
+            markup: markup.map(|g| &g.table),
+            tail,
+            st: std::mem::take(state),
+            buf: vec![0; if TAIL { self.len().div_ceil(64) } else { 0 }],
+            walk: *walk,
+            emit,
+        };
+        let end = structural_scan(&self.lexer, bytes, lex, certify, stats, &mut sink);
+        *state = sink.st;
+        *walk = sink.walk;
+        end
     }
 }
 
-/// The set's identity over its members' minimal DFAs (in set order).
-fn set_fingerprint<'d>(set: &QuerySet, dfas: impl Iterator<Item = &'d Dfa>) -> u64 {
+/// The set's identity over its alphabet and its members' minimal DFAs
+/// (in set order).  The layout byte and a compression flag of 1 are
+/// folded in as earlier builds folded their tier byte and flag, so
+/// every checkpoint those builds minted in the lanes layout still
+/// resumes.
+fn set_fingerprint<'d>(alphabet: &Alphabet, dfas: impl ExactSizeIterator<Item = &'d Dfa>) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     fnv_bytes(&mut h, &QS_MAGIC);
-    fnv_usize(&mut h, set.strategy() as usize);
-    fnv_usize(&mut h, set.compressed as usize);
-    fnv_usize(&mut h, set.members.len());
-    for sym in alphabet_symbols(&set.alphabet) {
+    fnv_usize(&mut h, LAYOUT_LANES as usize);
+    fnv_usize(&mut h, 1);
+    fnv_usize(&mut h, dfas.len());
+    for sym in alphabet_symbols(alphabet) {
         fnv_bytes(&mut h, sym.as_bytes());
     }
     for dfa in dfas {
@@ -988,11 +960,12 @@ fn set_fingerprint<'d>(set: &QuerySet, dfas: impl Iterator<Item = &'d Dfa>) -> u
 }
 
 // ---------------------------------------------------------------------------
-// Tier sinks (monomorphized per tier × collector × guard)
+// The sink (monomorphized per collector × guard × tail)
 // ---------------------------------------------------------------------------
 
 /// Where a pass stands between scans: the id of the next opened node,
-/// the depth (the hybrid tier's HAR lanes register it), and the guard.
+/// the depth (HAR lanes register it; kept only while a tail steps), and
+/// the guard.
 #[derive(Clone, Copy)]
 struct Walk<G> {
     node: usize,
@@ -1001,7 +974,8 @@ struct Walk<G> {
 }
 
 /// What a multi-query sink does with an attributed match: bit `q` of
-/// `masks` set means member `q` selected node `node`.
+/// `masks` set means member `q` selected node `node`.  One node may
+/// reach it several times, with disjoint masks.
 trait Emit {
     fn hit(&mut self, masks: &[u64], node: usize);
 }
@@ -1040,142 +1014,107 @@ impl Emit for SelectEmit {
     }
 }
 
-struct ProductSink<'a, E: Emit, G> {
-    k: usize,
-    t: &'a ProductTable,
-    s: u32,
-    walk: Walk<G>,
-    emit: &'a mut E,
-}
-
-impl<E: Emit, G: Guard> EventSink for ProductSink<'_, E, G> {
-    #[inline]
-    fn event(&mut self, ev: u16, pos: usize) -> bool {
-        if !self.walk.guard.admit(ev, pos) {
-            return false;
-        }
-        let t = self.t;
-        let (open_l, close_l) = decode_event(ev, self.k);
-        if let Some(l) = open_l {
-            self.s = t.step(self.s, l);
-            let masks = t.masks(self.s);
-            if masks.iter().any(|&w| w != 0) {
-                self.emit.hit(masks, self.walk.node);
-            }
-            self.walk.node += 1;
-        }
-        if let Some(l) = close_l {
-            self.s = t.step(self.s, self.k + l);
-        }
-        true
-    }
-}
-
-struct LaneSink<'a, E: Emit, G> {
-    k: usize,
-    t: &'a FamilyTable,
-    cur: Vec<u32>,
-    buf: Vec<u64>,
-    walk: Walk<G>,
-    emit: &'a mut E,
-}
-
-impl<E: Emit, G: Guard> EventSink for LaneSink<'_, E, G> {
-    #[inline]
-    fn event(&mut self, ev: u16, pos: usize) -> bool {
-        if !self.walk.guard.admit(ev, pos) {
-            return false;
-        }
-        let t = self.t;
-        let nl = t.n_letters;
-        let (open_l, close_l) = decode_event(ev, self.k);
-        if let Some(l) = open_l {
-            self.buf.fill(0);
-            let mut any = 0u64;
-            for (i, s) in self.cur.iter_mut().enumerate() {
-                let ns = t.delta[*s as usize * nl + l];
-                *s = ns;
-                let bit = (t.accepting[ns as usize >> 6] >> (ns as usize & 63)) & 1;
-                self.buf[i >> 6] |= bit << (i & 63);
-                any |= bit;
-            }
-            if any != 0 {
-                self.emit.hit(&self.buf, self.walk.node);
-            }
-            self.walk.node += 1;
-        }
-        if let Some(l) = close_l {
-            for s in self.cur.iter_mut() {
-                *s = t.delta[*s as usize * nl + self.k + l];
-            }
-        }
-        true
-    }
-}
-
-struct HybridSink<'a, E: Emit, G> {
-    k: usize,
-    t: &'a HybridTable,
-    st: HybridState,
-    buf: Vec<u64>,
-    walk: Walk<G>,
-    emit: &'a mut E,
-}
-
-/// ORs a group's accepting mask into `buf`; whether any bit was set.
+/// Passes a product's accepting mask on when any bit is set.
 #[inline]
-fn or_masks(buf: &mut [u64], masks: &[u64]) -> bool {
-    let mut any = 0;
-    for (b, &m) in buf.iter_mut().zip(masks) {
-        *b |= m;
-        any |= m;
+fn hit_masks<E: Emit>(emit: &mut E, masks: &[u64], node: usize) {
+    if masks.iter().any(|&w| w != 0) {
+        emit.hit(masks, node);
     }
-    any != 0
 }
 
-impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
+/// The machine's event sink; `TAIL` is whether the set has a tail, so
+/// a set without one compiles its tail steps away.
+struct SetSink<'a, E: Emit, G, const TAIL: bool> {
+    k: usize,
+    markup: Option<&'a ProductTable>,
+    tail: Option<&'a Tail>,
+    st: SetState,
+    /// The family's and the lanes' accepting bits of one open, all zero
+    /// between events.
+    buf: Vec<u64>,
+    walk: Walk<G>,
+    emit: &'a mut E,
+}
+
+impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
+    #[inline]
+    fn tail_open(&mut self, t: &Tail, l: usize) {
+        self.walk.depth += 1;
+        let (st, buf, node) = (&mut self.st, &mut self.buf, self.walk.node);
+        let f = &t.family;
+        let mut any = 0u64;
+        // Accepting bits gather per 64 family members in a register, then
+        // scatter to their set-wide bits.
+        for (states, ids) in st.family.chunks_mut(64).zip(f.members.chunks(64)) {
+            let mut word = 0u64;
+            for (j, s) in states.iter_mut().enumerate() {
+                *s = f.step(*s, l);
+                word |= f.accepts(*s) << j;
+            }
+            any |= word;
+            while word != 0 {
+                let i = ids[word.trailing_zeros() as usize];
+                buf[i >> 6] |= 1 << (i & 63);
+                word &= word - 1;
+            }
+        }
+        if let Some(g) = &t.stack {
+            st.frames.push(st.stack);
+            st.stack = g.table.step(st.stack, l);
+            hit_masks(self.emit, g.table.masks(st.stack), node);
+        }
+        for ((i, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
+            let bit = u64::from(lane_open(engine, lane, l, self.walk.depth));
+            buf[i >> 6] |= bit << (i & 63);
+            any |= bit;
+        }
+        if any != 0 {
+            self.emit.hit(&buf[..], node);
+            buf.fill(0);
+        }
+    }
+
+    #[inline]
+    fn tail_close(&mut self, t: &Tail, l: usize) {
+        self.walk.depth -= 1;
+        let st = &mut self.st;
+        let f = &t.family;
+        for s in st.family.iter_mut() {
+            *s = f.step(*s, self.k + l);
+        }
+        // Underflowing pop keeps the state, like a stack lane.
+        if let Some(p) = st.frames.pop() {
+            st.stack = p;
+        }
+        for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
+            lane_close(engine, lane, l, self.walk.depth);
+        }
+    }
+}
+
+impl<E: Emit, G: Guard, const TAIL: bool> EventSink for SetSink<'_, E, G, TAIL> {
     #[inline]
     fn event(&mut self, ev: u16, pos: usize) -> bool {
         if !self.walk.guard.admit(ev, pos) {
             return false;
         }
-        let (t, st) = (self.t, &mut self.st);
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
-            self.walk.depth += 1;
-            self.buf.fill(0);
-            let mut any = false;
-            if let Some(g) = &t.markup {
-                st.markup = g.table.step(st.markup, l);
-                any |= or_masks(&mut self.buf, g.table.masks(st.markup));
+            if let Some(m) = self.markup {
+                self.st.markup = m.step(self.st.markup, l);
+                hit_masks(self.emit, m.masks(self.st.markup), self.walk.node);
             }
-            if let Some(g) = &t.stack {
-                st.frames.push(st.stack);
-                st.stack = g.table.step(st.stack, l);
-                any |= or_masks(&mut self.buf, g.table.masks(st.stack));
-            }
-            for ((i, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-                if lane_open(engine, lane, l, self.walk.depth) {
-                    self.buf[i >> 6] |= 1 << (i & 63);
-                    any = true;
-                }
-            }
-            if any {
-                self.emit.hit(&self.buf, self.walk.node);
+            if let (true, Some(tail)) = (TAIL, self.tail) {
+                self.tail_open(tail, l);
             }
             self.walk.node += 1;
         }
         if let Some(l) = close_l {
-            self.walk.depth -= 1;
-            if let Some(g) = &t.markup {
-                st.markup = g.table.step(st.markup, self.k + l);
+            if let Some(m) = self.markup {
+                self.st.markup = m.step(self.st.markup, self.k + l);
             }
-            // Underflowing pop keeps the state, like the per-member lane.
-            if let Some(p) = st.frames.pop() {
-                st.stack = p;
-            }
-            for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-                lane_close(engine, lane, self.k, l, self.walk.depth);
+            if let (true, Some(tail)) = (TAIL, self.tail) {
+                self.tail_close(tail, l);
             }
         }
         true
@@ -1186,27 +1125,7 @@ impl<E: Emit, G: Guard> EventSink for HybridSink<'_, E, G> {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// Tier-specific frozen state inside a [`QuerySetCheckpoint`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum QuerySetCheckpointState {
-    /// Product tier: the shared product DFA state.
-    Product {
-        /// Current product state.
-        state: u32,
-    },
-    /// Lanes tier: one global family-table state per member.
-    Lanes {
-        /// Current lane states.
-        lanes: Vec<u32>,
-    },
-    /// Hybrid tier: one native engine state per member.
-    Hybrid {
-        /// Current lane states, one per member.
-        lanes: Vec<HybridLaneCheckpoint>,
-    },
-}
-
-/// One hybrid member's frozen state.
+/// One member's frozen state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HybridLaneCheckpoint {
     /// Registerless member: markup DFA state.
@@ -1241,61 +1160,42 @@ pub struct QuerySetCheckpoint {
     /// share.
     header: CheckpointHeader,
     lex: u16,
-    state: QuerySetCheckpointState,
+    /// One frozen state per member, in set order.
+    lanes: Vec<HybridLaneCheckpoint>,
 }
 
 impl QuerySetCheckpoint {
-    /// The tier that minted this checkpoint.
-    pub fn strategy(&self) -> SetStrategy {
-        match &self.state {
-            QuerySetCheckpointState::Product { .. } => SetStrategy::Product,
-            QuerySetCheckpointState::Lanes { .. } => SetStrategy::Lanes,
-            QuerySetCheckpointState::Hybrid { .. } => SetStrategy::Hybrid,
-        }
-    }
-
     /// Serializes to the versioned little-endian wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = QS_MAGIC.to_vec();
         put_u16(&mut w, QUERYSET_CHECKPOINT_VERSION);
-        w.push(self.strategy() as u8);
+        w.push(LAYOUT_LANES);
         self.header.write(&mut w);
         put_u16(&mut w, self.lex);
-        match &self.state {
-            QuerySetCheckpointState::Product { state } => put_u32(&mut w, *state),
-            QuerySetCheckpointState::Lanes { lanes } => {
-                put_u32(&mut w, lanes.len() as u32);
-                for &s in lanes {
-                    put_u32(&mut w, s);
+        put_u32(&mut w, self.lanes.len() as u32);
+        for lane in &self.lanes {
+            match lane {
+                HybridLaneCheckpoint::Markup { state } => {
+                    w.push(LANE_MARKUP);
+                    put_u32(&mut w, *state);
                 }
-            }
-            QuerySetCheckpointState::Hybrid { lanes } => {
-                put_u32(&mut w, lanes.len() as u32);
-                for lane in lanes {
-                    match lane {
-                        HybridLaneCheckpoint::Markup { state } => {
-                            w.push(LANE_MARKUP);
-                            put_u32(&mut w, *state);
-                        }
-                        HybridLaneCheckpoint::Har {
-                            current,
-                            dead,
-                            chain,
-                        } => {
-                            w.push(LANE_HAR);
-                            put_u32(&mut w, *current);
-                            w.push(u8::from(*dead));
-                            put_u16(&mut w, chain.len() as u16);
-                            put_chain(&mut w, chain);
-                        }
-                        HybridLaneCheckpoint::Stack { current, frames } => {
-                            w.push(LANE_STACK);
-                            put_u32(&mut w, *current);
-                            put_u32(&mut w, frames.len() as u32);
-                            for &f in frames {
-                                put_u32(&mut w, f);
-                            }
-                        }
+                HybridLaneCheckpoint::Har {
+                    current,
+                    dead,
+                    chain,
+                } => {
+                    w.push(LANE_HAR);
+                    put_u32(&mut w, *current);
+                    w.push(u8::from(*dead));
+                    put_u16(&mut w, chain.len() as u16);
+                    put_chain(&mut w, chain);
+                }
+                HybridLaneCheckpoint::Stack { current, frames } => {
+                    w.push(LANE_STACK);
+                    put_u32(&mut w, *current);
+                    put_u32(&mut w, frames.len() as u32);
+                    for &f in frames {
+                        put_u32(&mut w, f);
                     }
                 }
             }
@@ -1310,59 +1210,52 @@ impl QuerySetCheckpoint {
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] on any malformed, truncated, or
-    /// trailing-garbage input.
+    /// trailing-garbage input, or a payload layout other than one lane
+    /// per member.
     pub fn from_bytes(bytes: &[u8]) -> Result<QuerySetCheckpoint, SessionError> {
         let mut r = Reader::new(bytes);
         r.preamble(QS_MAGIC, QUERYSET_CHECKPOINT_VERSION)?;
-        let tag = r.u8()?;
+        let layout = r.u8()?;
+        if layout != LAYOUT_LANES {
+            return Err(corrupt(format!(
+                "payload layout {layout} (this build reads {LAYOUT_LANES})"
+            )));
+        }
         let header = CheckpointHeader::read(&mut r)?;
         let lex = r.u16()?;
-        let state = match tag {
-            TAG_PRODUCT => QuerySetCheckpointState::Product { state: r.u32()? },
-            TAG_LANES => {
-                let n = r.count(4)?;
-                let lanes = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                QuerySetCheckpointState::Lanes { lanes }
-            }
-            TAG_HYBRID => {
-                // The shortest lane is a tag byte and one state.
-                let n = r.count(5)?;
-                let mut lanes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lanes.push(match r.u8()? {
-                        LANE_MARKUP => HybridLaneCheckpoint::Markup { state: r.u32()? },
-                        LANE_HAR => {
-                            let current = r.u32()?;
-                            let dead = match r.u8()? {
-                                0 => false,
-                                1 => true,
-                                _ => return Err(corrupt("har dead flag is not a boolean")),
-                            };
-                            let chain_len = r.u16()? as usize;
-                            HybridLaneCheckpoint::Har {
-                                current,
-                                dead,
-                                chain: r.chain(chain_len)?,
-                            }
-                        }
-                        LANE_STACK => {
-                            let current = r.u32()?;
-                            let n_frames = r.count(4)?;
-                            let frames =
-                                (0..n_frames).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                            HybridLaneCheckpoint::Stack { current, frames }
-                        }
-                        _ => return Err(corrupt("unknown hybrid lane tag")),
-                    });
+        // The shortest lane is a tag byte and one state.
+        let n = r.count(5)?;
+        let mut lanes = Vec::with_capacity(n);
+        for _ in 0..n {
+            lanes.push(match r.u8()? {
+                LANE_MARKUP => HybridLaneCheckpoint::Markup { state: r.u32()? },
+                LANE_HAR => {
+                    let current = r.u32()?;
+                    let dead = match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(corrupt("har dead flag is not a boolean")),
+                    };
+                    let chain_len = r.u16()? as usize;
+                    HybridLaneCheckpoint::Har {
+                        current,
+                        dead,
+                        chain: r.chain(chain_len)?,
+                    }
                 }
-                QuerySetCheckpointState::Hybrid { lanes }
-            }
-            _ => return Err(corrupt("unknown query-set tier tag")),
-        };
+                LANE_STACK => {
+                    let current = r.u32()?;
+                    let n_frames = r.count(4)?;
+                    let frames = (0..n_frames).map(|_| r.u32()).collect::<Result<_, _>>()?;
+                    HybridLaneCheckpoint::Stack { current, frames }
+                }
+                _ => return Err(corrupt("unknown lane tag")),
+            });
+        }
         if !r.at_end() {
             return Err(corrupt("trailing bytes after checkpoint"));
         }
-        Ok(QuerySetCheckpoint { header, lex, state })
+        Ok(QuerySetCheckpoint { header, lex, lanes })
     }
 }
 
@@ -1388,12 +1281,6 @@ impl QuerySetOutcome {
     }
 }
 
-enum QsState {
-    Product { s: u32 },
-    Lanes { cur: Vec<u32> },
-    Hybrid(HybridState),
-}
-
 /// An incremental, checkpointable run of a [`QuerySet`] under a set of
 /// [`Limits`].  Feed the document in arbitrary segments; freeze at any
 /// byte boundary with [`Self::checkpoint`]; close with [`Self::finish`].
@@ -1409,11 +1296,11 @@ session_methods!(
     QuerySetOutcome
 );
 
-/// The engine half of a [`QuerySetSession`]: the tier state and the
+/// The engine half of a [`QuerySetSession`]: the machine state and the
 /// per-member matches.
 struct SetRun<'q> {
     set: &'q QuerySet,
-    state: QsState,
+    state: SetState,
     matches: Vec<Vec<usize>>,
 }
 
@@ -1421,7 +1308,7 @@ impl WindowRun for SetRun<'_> {
     type Checkpoint = QuerySetCheckpoint;
     type Outcome = QuerySetOutcome;
 
-    /// One [`QuerySet::drive`] call, whatever the tier.
+    /// One [`QuerySet::drive`] call.
     fn drive(
         &mut self,
         core: &mut SessionCore,
@@ -1453,18 +1340,10 @@ impl WindowRun for SetRun<'_> {
     }
 
     fn freeze(&self, core: &SessionCore) -> QuerySetCheckpoint {
-        let state = match (&self.state, &self.set.backend) {
-            (QsState::Product { s }, _) => QuerySetCheckpointState::Product { state: *s },
-            (QsState::Lanes { cur }, _) => QuerySetCheckpointState::Lanes { lanes: cur.clone() },
-            (QsState::Hybrid(st), SetBackend::Hybrid(t)) => QuerySetCheckpointState::Hybrid {
-                lanes: t.freeze(st),
-            },
-            _ => unreachable!("state/backend agree by construction"),
-        };
         QuerySetCheckpoint {
             header: core.header(self.set.fingerprint, &self.set.alphabet),
             lex: core.lex,
-            state,
+            lanes: self.set.machine.freeze(&self.state),
         }
     }
 
@@ -1481,7 +1360,7 @@ impl WindowRun for SetRun<'_> {
 }
 
 impl<'q> QuerySetSession<'q> {
-    fn new(set: &'q QuerySet, core: SessionCore, state: QsState) -> QuerySetSession<'q> {
+    fn new(set: &'q QuerySet, core: SessionCore, state: SetState) -> QuerySetSession<'q> {
         QuerySetSession {
             core,
             run: SetRun {
@@ -1496,53 +1375,28 @@ impl<'q> QuerySetSession<'q> {
 impl QuerySet {
     /// Opens a fresh resilient multi-query session under `limits`.
     pub fn session(&self, limits: Limits) -> QuerySetSession<'_> {
-        QuerySetSession::new(self, SessionCore::start(limits), self.fresh_state())
+        QuerySetSession::new(self, SessionCore::start(limits), self.machine.fresh())
     }
 
-    /// Reopens a session from a checkpoint minted by the *same* query
-    /// set (verified by fingerprint).
+    /// Reopens a session from a checkpoint minted by an equal query set
+    /// (verified by fingerprint), under any product budget.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Checkpoint`] on a tier or fingerprint mismatch,
-    /// or any implausible or out-of-range frozen state.
+    /// [`SessionError::Checkpoint`] on a fingerprint mismatch, or any
+    /// implausible or out-of-range frozen state.
     pub fn resume(
         &self,
         checkpoint: &QuerySetCheckpoint,
         limits: Limits,
     ) -> Result<QuerySetSession<'_>, SessionError> {
-        if checkpoint.strategy() != self.strategy() {
-            return Err(corrupt(format!(
-                "checkpoint is for a {:?} tier; this set plans {:?}",
-                checkpoint.strategy(),
-                self.strategy()
-            )));
-        }
         let h = &checkpoint.header;
         if h.fingerprint != self.fingerprint {
             return Err(corrupt(
                 "checkpoint was minted by a different query set or alphabet",
             ));
         }
-        let state = match (&checkpoint.state, &self.backend) {
-            (QuerySetCheckpointState::Product { state }, SetBackend::Product(t)) => {
-                if *state as usize >= t.n_states {
-                    return Err(corrupt("product state out of range"));
-                }
-                QsState::Product { s: *state }
-            }
-            (QuerySetCheckpointState::Lanes { lanes }, SetBackend::Lanes(t)) => {
-                let in_range = lanes.iter().enumerate().all(|(i, &s)| t.in_block(i, s));
-                if lanes.len() != t.n_members() || !in_range {
-                    return Err(corrupt("lane states do not match the query set"));
-                }
-                QsState::Lanes { cur: lanes.clone() }
-            }
-            (QuerySetCheckpointState::Hybrid { lanes }, SetBackend::Hybrid(t)) => {
-                QsState::Hybrid(t.thaw(lanes, h.offset)?)
-            }
-            _ => unreachable!("tier equality checked above"),
-        };
+        let state = self.machine.thaw(&checkpoint.lanes, h.offset)?;
         let core = SessionCore::resume(limits, h, checkpoint.lex, &self.lexer)?;
         Ok(QuerySetSession::new(self, core, state))
     }
@@ -1598,7 +1452,6 @@ impl QuerySet {
 
 fn freeze_lane(lane: &LaneState) -> HybridLaneCheckpoint {
     match lane {
-        LaneState::Markup { s } => HybridLaneCheckpoint::Markup { state: *s },
         LaneState::Har { run } => {
             let (current, dead, chain) = run.freeze();
             HybridLaneCheckpoint::Har {
@@ -1620,12 +1473,6 @@ fn thaw_lane(
     offset: u64,
 ) -> Result<LaneState, SessionError> {
     Ok(match (lane, engine) {
-        (HybridLaneCheckpoint::Markup { state }, LaneEngine::Markup(dfa)) => {
-            if *state as usize >= dfa.n_states() {
-                return Err(corrupt("markup lane state out of range"));
-            }
-            LaneState::Markup { s: *state }
-        }
         (
             HybridLaneCheckpoint::Har {
                 current,
@@ -1663,6 +1510,13 @@ mod tests {
     /// Every strategy class from the paper's table, plus overlaps.
     const MIXED: &[&str] = &["a.*b", "ab", ".*a.*b", ".*ab", "a.*", ".*"];
     const AR_ONLY: &[&str] = &["a.*b", "a.*", "b.*a", ".*"];
+    /// Both sets with every product, and with none.
+    const BUDGETED: [(&[&str], usize); 4] = [
+        (AR_ONLY, DEFAULT_PRODUCT_BUDGET),
+        (AR_ONLY, 0),
+        (MIXED, DEFAULT_PRODUCT_BUDGET),
+        (MIXED, 0),
+    ];
 
     const DOCS: &[&[u8]] = &[
         b"",
@@ -1690,30 +1544,32 @@ mod tests {
 
     #[test]
     fn tier_selection_follows_the_decision_rule() {
+        let product = |members: Vec<usize>| Some(members);
+        let markup = |set: &QuerySet| set.grouping().markup.map(|g| g.members);
         let set = QuerySet::compile(AR_ONLY, &g2()).unwrap();
-        assert_eq!(set.strategy(), SetStrategy::Product);
-        assert!(set.product_states().is_some());
+        assert_eq!(markup(&set), product(vec![0, 1, 2, 3]));
+        assert_eq!(set.grouping().family, Vec::<usize>::new());
         let forced = QuerySet::compile_with_budget(AR_ONLY, &g2(), 0).unwrap();
-        assert_eq!(forced.strategy(), SetStrategy::Lanes);
+        assert_eq!(markup(&forced), None);
+        assert_eq!(forced.grouping().family, [0, 1, 2, 3]);
         let mixed = QuerySet::compile(MIXED, &g2()).unwrap();
-        assert_eq!(mixed.strategy(), SetStrategy::Hybrid);
+        let grouping = mixed.grouping();
+        assert_eq!(markup(&mixed), product(vec![0, 4, 5]));
+        assert_eq!(grouping.stack.map(|g| g.members), product(vec![3]));
+        assert_eq!(grouping.lanes, [1, 2]);
     }
 
     #[test]
     fn every_tier_matches_independent_runs() {
-        for (patterns, budget) in [
-            (AR_ONLY, DEFAULT_PRODUCT_BUDGET),
-            (AR_ONLY, 0),
-            (MIXED, DEFAULT_PRODUCT_BUDGET),
-        ] {
+        for (patterns, budget) in BUDGETED {
             let set = QuerySet::compile_with_budget(patterns, &g2(), budget).unwrap();
             for doc in DOCS {
                 let expected = independent(patterns, &g2(), doc);
                 assert_eq!(
                     set.select_all(doc).unwrap(),
                     expected,
-                    "select_all diverged ({:?}, budget {budget}) on {:?}",
-                    set.strategy(),
+                    "select_all diverged ({}, budget {budget}) on {:?}",
+                    set.grouping(),
                     String::from_utf8_lossy(doc)
                 );
                 let counts: Vec<usize> = expected.iter().map(Vec::len).collect();
@@ -1737,13 +1593,20 @@ mod tests {
 
     #[test]
     fn compression_preserves_per_query_semantics() {
-        let compressed = QuerySet::compile(AR_ONLY, &g3()).unwrap();
-        let raw = QuerySet::compile_uncompressed(AR_ONLY, &g3(), DEFAULT_PRODUCT_BUDGET).unwrap();
-        assert_eq!(compressed.strategy(), SetStrategy::Product);
-        assert_eq!(raw.strategy(), SetStrategy::Product);
-        assert!(compressed.product_classes().unwrap() <= raw.product_classes().unwrap());
-        for doc in DOCS {
-            assert_eq!(compressed.select_all(doc), raw.select_all(doc));
+        let set = QuerySet::compile(AR_ONLY, &g3()).unwrap();
+        let markup = set.grouping().markup.expect("all-registerless set");
+        assert!(markup.classes < 2 * g3().len(), "{markup:?}");
+        for doc in [
+            &b"<c><a><b></b></a><c/></c>"[..],
+            b"<a><c></c><b><c/></b></a>",
+        ]
+        .into_iter()
+        .chain(DOCS.iter().copied())
+        {
+            assert_eq!(
+                set.select_all(doc).unwrap(),
+                independent(AR_ONLY, &g3(), doc)
+            );
         }
     }
 
@@ -1773,11 +1636,7 @@ mod tests {
     #[test]
     fn resume_equals_whole_run_at_every_cut() {
         let doc: &[u8] = b"<a><b><a></a></b><a/></a><b>x</b>";
-        for (patterns, budget) in [
-            (AR_ONLY, DEFAULT_PRODUCT_BUDGET),
-            (AR_ONLY, 0),
-            (MIXED, DEFAULT_PRODUCT_BUDGET),
-        ] {
+        for (patterns, budget) in BUDGETED {
             let set = QuerySet::compile_with_budget(patterns, &g2(), budget).unwrap();
             let whole = set.run_session(doc, &Limits::none()).unwrap();
             for cut in 0..=doc.len() {
@@ -1804,10 +1663,8 @@ mod tests {
                         .collect();
                     prefix.extend_from_slice(tail_m);
                     assert_eq!(
-                        prefix,
-                        whole.matches[q],
-                        "resume diverged at cut {cut} (tier {:?}, member {q})",
-                        set.strategy()
+                        prefix, whole.matches[q],
+                        "resume diverged at cut {cut} (budget {budget}, member {q})"
                     );
                 }
                 assert_eq!(tail.nodes, whole.nodes, "node tally at cut {cut}");
@@ -1818,11 +1675,7 @@ mod tests {
 
     #[test]
     fn session_agrees_with_one_shot() {
-        for (patterns, budget) in [
-            (AR_ONLY, DEFAULT_PRODUCT_BUDGET),
-            (AR_ONLY, 0),
-            (MIXED, DEFAULT_PRODUCT_BUDGET),
-        ] {
+        for (patterns, budget) in BUDGETED {
             let set = QuerySet::compile_with_budget(patterns, &g2(), budget).unwrap();
             for doc in DOCS {
                 let one_shot = set.select_all(doc);
@@ -1906,25 +1759,16 @@ mod tests {
         // Two registerless, two stackless, two stack members.
         let patterns = ["a.*b", "a.*", "ab", "ba", ".*ab", ".*ba"];
         let grouped = QuerySet::compile(&patterns, &g2()).unwrap();
-        let SetBackend::Hybrid(t) = &grouped.backend else {
-            panic!("mixed set plans the hybrid tier");
-        };
-        assert_eq!(
-            t.markup.as_ref().map(|g| g.members.clone()),
-            Some(vec![0, 1])
-        );
-        assert_eq!(
-            t.stack.as_ref().map(|g| g.members.clone()),
-            Some(vec![4, 5])
-        );
-        assert_eq!(t.lanes.iter().map(|l| l.0).collect::<Vec<_>>(), [2, 3]);
-        // Budget 0 keeps one lane per member.
+        let g = grouped.grouping();
+        assert_eq!(g.markup.map(|g| g.members), Some(vec![0, 1]));
+        assert_eq!(g.stack.map(|g| g.members), Some(vec![4, 5]));
+        assert_eq!((g.family, g.lanes), (vec![], vec![2, 3]));
+        // Budget 0: the registerless members step through the family
+        // table, every other member keeps a lane.
         let per_member = QuerySet::compile_with_budget(&patterns, &g2(), 0).unwrap();
-        let SetBackend::Hybrid(t) = &per_member.backend else {
-            panic!("mixed set plans the hybrid tier");
-        };
-        assert!(t.markup.is_none() && t.stack.is_none());
-        assert_eq!(t.lanes.len(), patterns.len());
+        let g = per_member.grouping();
+        assert!(g.markup.is_none() && g.stack.is_none());
+        assert_eq!((g.family, g.lanes), (vec![0, 1], vec![2, 3, 4, 5]));
         assert_eq!(grouped.fingerprint, per_member.fingerprint);
     }
 

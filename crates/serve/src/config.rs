@@ -96,10 +96,10 @@ pub struct ServeConfig {
     pub parallel_threshold: usize,
     /// Threads given to one chunked evaluation.
     pub chunk_threads: usize,
-    /// State budget for the shared product DFA of grouped multi-query
-    /// requests (see [`st_core::queryset::QuerySet::compile_with_budget`]):
-    /// past it the set compiler falls back to lane-wise simulation, and
-    /// `0` disables the product tier outright.  A
+    /// State budget for each product of grouped multi-query requests
+    /// (see [`st_core::queryset::QuerySet::compile_with_budget`]): past
+    /// it a query set steps its members through the family table and
+    /// per-member lanes, and `0` disables every product.  A
     /// [`crate::MultiJobSpec`] can override it per request.
     pub product_budget: usize,
     /// Assumed shared-pass throughput, in bytes per runtime-clock
@@ -201,7 +201,7 @@ impl ServeConfig {
     }
 
     /// Sets the shared product-DFA state budget for grouped multi-query
-    /// requests (`0` forces lane-wise simulation).
+    /// requests (`0` disables every product).
     pub fn with_product_budget(mut self, budget: usize) -> ServeConfig {
         self.product_budget = budget;
         self

@@ -1,7 +1,7 @@
 //! Hostile-input hardening of both checkpoint wire formats: the
 //! single-query `EngineCheckpoint` (magic `STCK`) and the query-set
-//! `QuerySetCheckpoint` (magic `STQS`), on every engine class and every
-//! query-set tier.
+//! `QuerySetCheckpoint` (magic `STQS`), on every engine class and on
+//! query sets with and without products.
 //!
 //! A serving runtime migrates sessions between workers by shipping
 //! serialized checkpoints, so the deserializer must treat its input as
@@ -15,7 +15,8 @@
 //! Valid checkpoints, by contrast, must round-trip exactly: parse,
 //! resume, and reproduce the uninterrupted run byte for byte — and the
 //! bytes themselves are pinned, one golden checkpoint per engine class
-//! and per tier, so a codec change cannot move a wire byte unnoticed.
+//! and per query set, so a codec change cannot move a wire byte
+//! unnoticed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -25,7 +26,7 @@ use stackless_streamed_trees::automata::{compile_regex, Alphabet};
 use stackless_streamed_trees::core::engine::FusedQuery;
 use stackless_streamed_trees::core::planner::{CompiledQuery, Strategy};
 use stackless_streamed_trees::core::session::{EngineCheckpoint, Limits, SessionError};
-use stackless_streamed_trees::core::{QuerySet, QuerySetCheckpoint, SetStrategy};
+use stackless_streamed_trees::core::{QuerySet, QuerySetCheckpoint};
 
 /// Tracks the largest single allocation while `WATCHING` is set.  The
 /// checkpoint parser must never allocate anywhere near this bound no
@@ -59,14 +60,15 @@ const OVER_ALLOCATION_BOUND: usize = 16 << 20;
 /// unchanged over both wire formats.
 enum Subject {
     Query(FusedQuery),
-    Set(QuerySet),
+    /// A set and its label.
+    Set(&'static str, QuerySet),
 }
 
 impl Subject {
     fn label(&self) -> String {
         match self {
             Subject::Query(q) => format!("STCK {:?}", q.strategy()),
-            Subject::Set(s) => format!("STQS {:?}", s.strategy()),
+            Subject::Set(label, _) => format!("STQS {label}"),
         }
     }
 
@@ -75,7 +77,7 @@ impl Subject {
     fn whole(&self, doc: &[u8]) -> Vec<Vec<usize>> {
         match self {
             Subject::Query(q) => vec![q.run_session(doc, &Limits::none()).unwrap().matches],
-            Subject::Set(s) => s.run_session(doc, &Limits::none()).unwrap().matches,
+            Subject::Set(_, s) => s.run_session(doc, &Limits::none()).unwrap().matches,
         }
     }
 
@@ -89,7 +91,7 @@ impl Subject {
                 let wire = session.checkpoint().expect("healthy snapshot").to_bytes();
                 (vec![session.matches().to_vec()], wire)
             }
-            Subject::Set(s) => {
+            Subject::Set(_, s) => {
                 let mut session = s.session(Limits::none());
                 session.feed(&doc[..cut]).expect("corpus docs are clean");
                 let wire = session.checkpoint().expect("healthy snapshot").to_bytes();
@@ -102,7 +104,7 @@ impl Subject {
     fn reserialize(&self, wire: &[u8]) -> Result<Vec<u8>, SessionError> {
         match self {
             Subject::Query(_) => EngineCheckpoint::from_bytes(wire).map(|cp| cp.to_bytes()),
-            Subject::Set(_) => QuerySetCheckpoint::from_bytes(wire).map(|cp| cp.to_bytes()),
+            Subject::Set(..) => QuerySetCheckpoint::from_bytes(wire).map(|cp| cp.to_bytes()),
         }
     }
 
@@ -116,7 +118,7 @@ impl Subject {
                 session.feed(rest)?;
                 Ok(vec![session.finish()?.matches])
             }
-            Subject::Set(s) => {
+            Subject::Set(_, s) => {
                 let cp = QuerySetCheckpoint::from_bytes(wire)?;
                 let mut session = s.resume(&cp, Limits::none())?;
                 session.feed(rest)?;
@@ -174,36 +176,33 @@ fn engine_corpus() -> Vec<FusedQuery> {
         .collect()
 }
 
-/// All-almost-reversible members (product DFA, or lanes at budget 0) and
-/// mixed strategies (hybrid: markup, HAR and stack lanes).
+/// All-almost-reversible members (one markup product, or the family
+/// table at budget 0) and mixed strategies (markup, HAR and stack
+/// lanes).
 const AR_SET: [&str; 4] = ["a.*b", "a.*", "b.*a", ".*"];
 const MIXED_SET: [&str; 4] = ["a.*b", "ab", ".*a.*b", ".*ab"];
 
-/// One query set per tier: the query-set format has three tier payloads.
-fn set_corpus() -> Vec<QuerySet> {
+/// One query set per way of stepping registerless members, labelled by
+/// the tier that earlier builds picked for it: "Product" and "Lanes"
+/// step `AR_SET` as one markup product and through the family table,
+/// "Hybrid" is the mixed set.
+fn set_corpus() -> Vec<(&'static str, QuerySet)> {
     let g = Alphabet::of_chars("ab");
-    let sets = vec![
-        QuerySet::compile(&AR_SET, &g).unwrap(),
-        QuerySet::compile_with_budget(&AR_SET, &g, 0).unwrap(),
-        QuerySet::compile(&MIXED_SET, &g).unwrap(),
-    ];
-    let tiers: Vec<SetStrategy> = sets.iter().map(QuerySet::strategy).collect();
-    assert_eq!(
-        tiers,
-        [
-            SetStrategy::Product,
-            SetStrategy::Lanes,
-            SetStrategy::Hybrid
-        ]
-    );
-    sets
+    vec![
+        ("Product", QuerySet::compile(&AR_SET, &g).unwrap()),
+        (
+            "Lanes",
+            QuerySet::compile_with_budget(&AR_SET, &g, 0).unwrap(),
+        ),
+        ("Hybrid", QuerySet::compile(&MIXED_SET, &g).unwrap()),
+    ]
 }
 
 /// Every engine class and every tier, each with a document its sessions
 /// accept.
 fn corpus() -> Vec<(Subject, Vec<u8>)> {
     let queries = engine_corpus().into_iter().map(Subject::Query);
-    let sets = set_corpus().into_iter().map(Subject::Set);
+    let sets = set_corpus().into_iter().map(|(l, s)| Subject::Set(l, s));
     queries.chain(sets).map(|s| (s, corpus_doc())).collect()
 }
 
@@ -323,9 +322,16 @@ proptest! {
     }
 }
 
-/// One checkpoint per engine class and per tier, at a mid-tag cut (the
-/// lexer state is nonzero) with nonempty HAR chains and stack frames,
-/// pinned byte for byte: the shared header codec moves no wire byte.
+/// The `AR_SET` checkpoint at the golden cut, in the one-lane-per-member
+/// layout: the same bytes at every budget.
+const AR_SET_GOLDEN: &str =
+    "535451530100024f5eb0ce1fd33b3602000100610100620e0000000000000004000000000000\
+     0004000000000000000b00040000000001000000000100000000010000000000000000";
+
+/// One checkpoint per engine class and per query set, at a mid-tag cut
+/// (the lexer state is nonzero) with nonempty HAR chains and stack
+/// frames, pinned byte for byte: the shared header codec moves no wire
+/// byte.
 #[test]
 fn golden_wire_bytes_are_pinned() {
     const GOLDEN: [(&str, &str); 6] = [
@@ -346,16 +352,8 @@ fn golden_wire_bytes_are_pinned() {
              04000000000000000100000000000000d743f1b4075c3908020b000100040000000000010001\
              000200",
         ),
-        (
-            "STQS Product",
-            "53545153010000553c5632a1671e2e02000100610100620e0000000000000004000000000000\
-             0004000000000000000b0001000000",
-        ),
-        (
-            "STQS Lanes",
-            "5354515301000168cdfdda11f89d3d02000100610100620e0000000000000004000000000000\
-             0004000000000000000b000400000001000000060000000a0000000e000000",
-        ),
+        ("STQS Product", AR_SET_GOLDEN),
+        ("STQS Lanes", AR_SET_GOLDEN),
         (
             "STQS Hybrid",
             "53545153010002cdfafc10691df68302000100610100620e0000000000000004000000000000\
@@ -368,7 +366,7 @@ fn golden_wire_bytes_are_pinned() {
     let subjects = engine_corpus()
         .into_iter()
         .map(Subject::Query)
-        .chain(set_corpus().into_iter().map(Subject::Set));
+        .chain(set_corpus().into_iter().map(|(l, s)| Subject::Set(l, s)));
     for (subject, (label, hex)) in subjects.zip(GOLDEN) {
         assert_eq!(subject.label(), label);
         let (prefix, wire) = subject.cut(doc, 14);
@@ -380,6 +378,78 @@ fn golden_wire_bytes_are_pinned() {
             assert_eq!(&[p.as_slice(), t].concat(), w, "{label}: golden resume");
         }
     }
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+fn refused(wire: &[u8], set: &QuerySet) -> String {
+    let resumed = QuerySetCheckpoint::from_bytes(wire).and_then(|cp| {
+        set.resume(&cp, Limits::none())?;
+        Ok(())
+    });
+    match resumed {
+        Err(SessionError::Checkpoint { detail }) => detail,
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+}
+
+#[test]
+fn product_and_lanes_layouts_of_earlier_builds_are_refused() {
+    // `AR_SET`'s checkpoints at the golden cut from builds that stepped
+    // all-registerless sets as a Product tier (layout 0, one product
+    // state) or a Lanes tier (layout 1, one family state per member).
+    let product = "53545153010000553c5632a1671e2e02000100610100620e0000000000000004000000000000\
+                   0004000000000000000b0001000000";
+    let lanes = "5354515301000168cdfdda11f89d3d02000100610100620e0000000000000004000000000000\
+                 0004000000000000000b000400000001000000060000000a0000000e000000";
+    let set = QuerySet::compile(&AR_SET, &Alphabet::of_chars("ab")).unwrap();
+    for (hex, layout) in [(product, 0), (lanes, 1)] {
+        assert_eq!(
+            refused(&unhex(hex), &set),
+            format!("payload layout {layout} (this build reads 2)")
+        );
+    }
+}
+
+#[test]
+fn a_forged_extra_lane_is_refused_without_a_panic() {
+    let g = Alphabet::of_chars("ab");
+    let set = QuerySet::compile_with_budget(&["a.*", ".*b"], &g, 0).unwrap();
+    assert_eq!(set.grouping().family, [0, 1]);
+    // The Lanes-tier checkpoint of this set after `<a><b>`, as earlier
+    // builds wrote it, with the lane count raised to 3 and an extra lane
+    // in state 1000: those builds indexed past the family's blocks.
+    let lanes = "535451530100012d9e6e8b4d699e8a02000100610100620600000000000000020000000000\
+                 000002000000000000000000030000000100000005000000e8030000";
+    assert_eq!(
+        refused(&unhex(lanes), &set),
+        "payload layout 1 (this build reads 2)"
+    );
+    // The same forgery in the lane layout: the shape parses, the lane
+    // count is refused before any state is looked up.
+    let mut session = set.session(Limits::none());
+    session.feed(b"<a><b>").unwrap();
+    let wire = session.checkpoint().unwrap().to_bytes();
+    let count_at = wire.len() - 14;
+    assert_eq!(wire[count_at..count_at + 4], 2u32.to_le_bytes());
+    let mut forged = wire.clone();
+    forged[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+    forged.push(0);
+    forged.extend_from_slice(&1000u32.to_le_bytes());
+    assert_eq!(
+        refused(&forged, &set),
+        "lane count does not match the query set"
+    );
+    // A family member's state past its block is refused too.
+    let mut forged = wire;
+    let last = forged.len() - 4;
+    forged[last..].copy_from_slice(&1000u32.to_le_bytes());
+    assert_eq!(refused(&forged, &set), "markup lane state out of range");
 }
 
 #[test]
@@ -428,7 +498,7 @@ fn older_checkpoint_versions_are_refused_with_the_version_error() {
         let current = u16::from_le_bytes([wire[4], wire[5]]);
         let (expected, others) = match subject {
             Subject::Query(_) => (3, [1u16, 2]),
-            Subject::Set(_) => (1, [0u16, 2]),
+            Subject::Set(..) => (1, [0u16, 2]),
         };
         assert_eq!(current, expected, "{}: current version", subject.label());
         for old in others {

@@ -141,7 +141,7 @@ fn truncation_at_every_prefix_is_deterministic() {
 
 /// Every committed multi-query reproducer must replay cleanly: the
 /// shared pass must agree with N independent runs on every pinned
-/// pattern set, on both compiler tiers and both byte paths.
+/// pattern set, at every budget of the oracle and both byte paths.
 #[test]
 fn multi_corpus_replays_without_divergence() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/corpus");

@@ -1,11 +1,11 @@
 //! Integration tests of the shared multi-query evaluator: checkpoint /
-//! resume equivalence at every byte cut on every compiler tier,
+//! resume equivalence at every byte cut with and without products,
 //! indexed-vs-forced-scalar lockstep across structural window edges,
 //! hostile checkpoint rejection, and segment-size independence — the
 //! multi-query mirrors of `tests/session.rs` and
 //! `tests/chunk_boundaries.rs` — plus the equivalence of plan-built and
-//! pattern-compiled sets, and the grouped hybrid tier's projection onto
-//! per-member checkpoint lanes.
+//! pattern-compiled sets, and the groups' projection onto per-member
+//! checkpoint lanes, which makes checkpoints independent of the budget.
 
 use std::ops::Range;
 
@@ -13,14 +13,14 @@ use stackless_streamed_trees::automata::Alphabet;
 use stackless_streamed_trees::core::session::{Limits, SessionError};
 use stackless_streamed_trees::core::structural::STRUCTURAL_WINDOW;
 use stackless_streamed_trees::core::{
-    Query, QuerySet, QuerySetCheckpoint, SetStrategy, Strategy, DEFAULT_PRODUCT_BUDGET,
+    Query, QuerySet, QuerySetCheckpoint, Strategy, DEFAULT_PRODUCT_BUDGET,
 };
 
-/// All-almost-reversible members: the shared product DFA at the default
-/// budget, lane-wise simulation at budget 0.
+/// All-almost-reversible members: one markup product at the default
+/// budget, the family table at budget 0.
 const AR_SET: [&str; 4] = ["a.*b", "a.*", "b.*a", ".*"];
-/// Mixed strategies (registerless, stackless, stack): the per-query
-/// native-engine tier at every budget.
+/// Mixed strategies (registerless, stackless, stack): groups, lanes and
+/// (at budget 0) the family table in one set.
 const MIXED_SET: [&str; 4] = ["a.*b", "ab", ".*a.*b", ".*ab"];
 
 /// Two members of every engine class: registerless (`a.*b`, `a.*`),
@@ -28,15 +28,13 @@ const MIXED_SET: [&str; 4] = ["a.*b", "ab", ".*a.*b", ".*ab"];
 /// stackless and one more registerless member.
 const HYBRID_SET: [&str; 8] = ["a.*b", "a.*", "ab", "ba", ".*ab", ".*ba", ".*a.*b", ".*"];
 
-/// The three tier-forcing compilations of one pattern set each.
-fn tiered_sets(g: &Alphabet) -> Vec<QuerySet> {
-    let product = QuerySet::compile(&AR_SET, g).unwrap();
-    assert_eq!(product.strategy(), SetStrategy::Product);
-    let lanes = QuerySet::compile_with_budget(&AR_SET, g, 0).unwrap();
-    assert_eq!(lanes.strategy(), SetStrategy::Lanes);
-    let hybrid = QuerySet::compile(&MIXED_SET, g).unwrap();
-    assert_eq!(hybrid.strategy(), SetStrategy::Hybrid);
-    vec![product, lanes, hybrid]
+/// Both pattern sets at the default budget and at budget 0.
+fn budgeted_sets(g: &Alphabet) -> Vec<QuerySet> {
+    [AR_SET, MIXED_SET]
+        .iter()
+        .flat_map(|p| [DEFAULT_PRODUCT_BUDGET, 0].map(|b| QuerySet::compile_with_budget(p, g, b)))
+        .map(Result::unwrap)
+        .collect()
 }
 
 /// A decorated document: attributes in both quote styles, a comment, a
@@ -51,7 +49,7 @@ fn resume_equals_whole_run_at_every_cut_on_every_tier() {
     let g = Alphabet::of_chars("ab");
     let doc = decorated_doc();
     let limits = Limits::none();
-    for set in tiered_sets(&g) {
+    for set in budgeted_sets(&g) {
         let whole = set.run_session(&doc, &limits).unwrap();
         for cut in 0..=doc.len() {
             let mut session = set.session(limits.clone());
@@ -69,8 +67,8 @@ fn resume_equals_whole_run_at_every_cut_on_every_tier() {
             assert_eq!(
                 stitched,
                 whole.matches,
-                "{:?} tier diverged at cut {cut}",
-                set.strategy()
+                "{} diverged at cut {cut}",
+                set.grouping()
             );
             assert_eq!(tail.nodes, whole.nodes);
         }
@@ -82,7 +80,7 @@ fn segment_feeds_at_every_size_match_the_one_shot_engines() {
     let g = Alphabet::of_chars("ab");
     let doc = decorated_doc();
     let limits = Limits::none();
-    for set in tiered_sets(&g) {
+    for set in budgeted_sets(&g) {
         let oracle = set.select_all(&doc).unwrap();
         for size in 1..=doc.len() {
             let mut session = set.session(limits.clone());
@@ -93,8 +91,8 @@ fn segment_feeds_at_every_size_match_the_one_shot_engines() {
             assert_eq!(
                 out.matches,
                 oracle,
-                "{:?} tier diverged at segment size {size}",
-                set.strategy()
+                "{} diverged at segment size {size}",
+                set.grouping()
             );
         }
     }
@@ -119,7 +117,7 @@ fn indexed_and_forced_scalar_paths_agree_across_window_edges() {
     // the SIMD certify-or-fallback seam is crossed in every phase.
     for offset in 0..8usize {
         let doc = doc_with_structure_at(STRUCTURAL_WINDOW + offset);
-        for mut set in tiered_sets(&g) {
+        for mut set in budgeted_sets(&g) {
             let indexed = set.select_all(&doc);
             set.set_force_scalar(true);
             let scalar = set.select_all(&doc);
@@ -139,7 +137,7 @@ fn truncation_at_the_window_edge_errors_identically_on_both_paths() {
     // Truncate inside the tag that straddles the window edge.
     for cut in STRUCTURAL_WINDOW.saturating_sub(4)..full.len().min(STRUCTURAL_WINDOW + 8) {
         let doc = &full[..cut];
-        for mut set in tiered_sets(&g) {
+        for mut set in budgeted_sets(&g) {
             let indexed = set.count_all(doc).map_err(|e| e.to_string());
             set.set_force_scalar(true);
             let scalar = set.count_all(doc).map_err(|e| e.to_string());
@@ -153,7 +151,7 @@ fn run_with_checkpoints_and_resume_from_round_trip() {
     let g = Alphabet::of_chars("ab");
     let doc = decorated_doc();
     let limits = Limits::none();
-    for set in tiered_sets(&g) {
+    for set in budgeted_sets(&g) {
         let cuts: Vec<usize> = (0..=doc.len()).step_by(7).collect();
         let (whole, cps) = set.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
         assert_eq!(cps.len(), cuts.iter().filter(|&&c| c <= doc.len()).count());
@@ -190,8 +188,11 @@ fn checkpoints_are_refused_by_foreign_sets_tiers_and_corruption() {
     session.feed(&doc[..20]).unwrap();
     let cp = session.checkpoint().unwrap();
 
-    // Same members, different tier: refused before fingerprinting.
-    assert!(lanes.resume(&cp, limits.clone()).is_err());
+    // Same members under another budget: the same checkpoint.
+    let mut lanes_session = lanes.session(limits.clone());
+    lanes_session.feed(&doc[..20]).unwrap();
+    assert_eq!(lanes_session.checkpoint().unwrap(), cp);
+    assert!(lanes.resume(&cp, limits.clone()).is_ok());
     // Different member set: fingerprint mismatch.
     let mut other_session = other.session(limits.clone());
     other_session.feed(&doc[..20]).unwrap();
@@ -217,7 +218,6 @@ fn checkpoints_are_refused_by_foreign_sets_tiers_and_corruption() {
 fn forged_hybrid_har_chain_states_are_refused_at_resume() {
     let g = Alphabet::of_chars("ab");
     let set = QuerySet::compile(&MIXED_SET, &g).unwrap();
-    assert_eq!(set.strategy(), SetStrategy::Hybrid);
     let doc: &[u8] = b"<a><a><b><a></a></b></a></a>";
     let mut forged_cuts = 0;
     for cut in 0..=doc.len() {
@@ -308,19 +308,23 @@ fn plan_built_sets_equal_pattern_compiled_sets() {
     let doc = long_doc();
     let limits = Limits::none();
     let cuts: Vec<usize> = (0..=doc.len()).step_by(97).collect();
-    let cases: [(&[&str], usize, SetStrategy); 4] = [
-        (&AR_SET, DEFAULT_PRODUCT_BUDGET, SetStrategy::Product),
-        (&AR_SET, 0, SetStrategy::Lanes),
-        (&HYBRID_SET, DEFAULT_PRODUCT_BUDGET, SetStrategy::Hybrid),
-        (&HYBRID_SET, 0, SetStrategy::Hybrid),
+    let cases: [(&[&str], usize); 4] = [
+        (&AR_SET, DEFAULT_PRODUCT_BUDGET),
+        (&AR_SET, 0),
+        (&HYBRID_SET, DEFAULT_PRODUCT_BUDGET),
+        (&HYBRID_SET, 0),
     ];
-    for (patterns, budget, tier) in cases {
+    for (patterns, budget) in cases {
         let compiled = QuerySet::compile_with_budget(patterns, &g, budget).unwrap();
         let planned = plan_built(patterns, &g, budget);
-        assert_eq!(compiled.strategy(), tier);
-        assert_eq!(planned.strategy(), tier);
+        assert_eq!(planned.grouping(), compiled.grouping());
+        let grouping = compiled.grouping();
         let want = compiled.select_all(&doc).unwrap();
-        assert_eq!(planned.select_all(&doc).unwrap(), want, "{tier:?} {budget}");
+        assert_eq!(
+            planned.select_all(&doc).unwrap(),
+            want,
+            "{grouping} {budget}"
+        );
         let (whole, cps) = compiled.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
         let (planned_whole, planned_cps) =
             planned.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
@@ -331,7 +335,11 @@ fn plan_built_sets_equal_pattern_compiled_sets() {
             // The header carries the set fingerprint: equal bytes mean
             // equal fingerprints too.
             let wire = cp.to_bytes();
-            assert_eq!(planned_cp.to_bytes(), wire, "{tier:?} {budget}: cut {cut}");
+            assert_eq!(
+                planned_cp.to_bytes(),
+                wire,
+                "{grouping} {budget}: cut {cut}"
+            );
             let cp = QuerySetCheckpoint::from_bytes(&wire).unwrap();
             for set in [&compiled, &planned] {
                 let tail = set.resume_from(&cp, &doc[cut..], &limits).unwrap();
@@ -341,7 +349,7 @@ fn plan_built_sets_equal_pattern_compiled_sets() {
                         prefix.chain(t).copied().collect()
                     })
                     .collect();
-                assert_eq!(stitched, whole.matches, "{tier:?} {budget}: cut {cut}");
+                assert_eq!(stitched, whole.matches, "{grouping} {budget}: cut {cut}");
                 assert_eq!(tail.nodes, whole.nodes);
             }
         }
@@ -354,31 +362,37 @@ fn grouped_and_per_member_hybrid_checkpoints_are_byte_identical() {
     let doc = long_doc();
     let limits = Limits::none();
     let cuts: Vec<usize> = (0..=doc.len()).step_by(31).collect();
-    let grouped = QuerySet::compile(&HYBRID_SET, &g).unwrap();
-    let per_member = QuerySet::compile_with_budget(&HYBRID_SET, &g, 0).unwrap();
-    let (whole, cps) = grouped.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
-    let (reference, reference_cps) = per_member
-        .run_with_checkpoints(&doc, &cuts, &limits)
-        .unwrap();
-    assert_eq!(whole, reference);
-    for ((cp, reference_cp), &cut) in cps.iter().zip(&reference_cps).zip(&cuts) {
-        assert_eq!(cp.to_bytes(), reference_cp.to_bytes(), "cut {cut}");
-        // Either machine resumes the other's checkpoint.
-        let tail = grouped
-            .resume_from(reference_cp, &doc[cut..], &limits)
+    for patterns in [&HYBRID_SET[..], &AR_SET] {
+        let grouped = QuerySet::compile(patterns, &g).unwrap();
+        let per_member = QuerySet::compile_with_budget(patterns, &g, 0).unwrap();
+        let (whole, cps) = grouped.run_with_checkpoints(&doc, &cuts, &limits).unwrap();
+        let (reference, reference_cps) = per_member
+            .run_with_checkpoints(&doc, &cuts, &limits)
             .unwrap();
-        assert_eq!(tail.nodes, whole.nodes);
-        let tail = per_member.resume_from(cp, &doc[cut..], &limits).unwrap();
-        assert_eq!(tail.nodes, whole.nodes);
+        assert_eq!(whole, reference);
+        for ((cp, reference_cp), &cut) in cps.iter().zip(&reference_cps).zip(&cuts) {
+            assert_eq!(
+                cp.to_bytes(),
+                reference_cp.to_bytes(),
+                "{patterns:?}: cut {cut}"
+            );
+            // Either machine resumes the other's checkpoint.
+            let tail = grouped
+                .resume_from(reference_cp, &doc[cut..], &limits)
+                .unwrap();
+            assert_eq!(tail.nodes, whole.nodes);
+            let tail = per_member.resume_from(cp, &doc[cut..], &limits).unwrap();
+            assert_eq!(tail.nodes, whole.nodes);
+        }
     }
 }
 
-/// The lane list of a hybrid-tier wire checkpoint: where the lane count
-/// sits, and each lane's tag and payload range (after its tag byte).
-/// Layout after the shared header run (magic, version, tier tag,
+/// The lane list of a wire checkpoint: where the lane count sits, and
+/// each lane's tag and payload range (after its tag byte).  Layout
+/// after the shared header run (magic, version, layout byte,
 /// fingerprint, alphabet, offset, node, depth): lexer state (u16), lane
 /// count (u32), then per lane a tag byte and its payload.
-fn hybrid_lanes(wire: &[u8]) -> (usize, Vec<(u8, Range<usize>)>) {
+fn wire_lanes(wire: &[u8]) -> (usize, Vec<(u8, Range<usize>)>) {
     let u16_at = |p: usize| u16::from_le_bytes([wire[p], wire[p + 1]]) as usize;
     let u32_at = |p: usize| u32::from_le_bytes(wire[p..p + 4].try_into().unwrap()) as usize;
     let mut pos = 4 + 2 + 1 + 8;
@@ -402,14 +416,14 @@ fn hybrid_lanes(wire: &[u8]) -> (usize, Vec<(u8, Range<usize>)>) {
             };
         lanes.push((tag, start..pos));
     }
-    assert_eq!(pos, wire.len(), "walked the whole hybrid payload");
+    assert_eq!(pos, wire.len(), "walked the whole lane payload");
     (count_at, lanes)
 }
 
-/// Byte offsets of every HAR lane's first chain state in a hybrid-tier
-/// wire checkpoint.
+/// Byte offsets of every HAR lane's first chain state in a wire
+/// checkpoint.
 fn har_chain_positions(wire: &[u8]) -> Vec<usize> {
-    let (_, lanes) = hybrid_lanes(wire);
+    let (_, lanes) = wire_lanes(wire);
     lanes
         .into_iter()
         .filter(|(tag, r)| {
@@ -448,7 +462,7 @@ fn forged_stack_lanes_with_unequal_frame_counts_are_refused() {
         let mut session = grouped.session(Limits::none());
         session.feed(&doc[..cut]).unwrap();
         let wire = session.checkpoint().unwrap().to_bytes();
-        let (_, lanes) = hybrid_lanes(&wire);
+        let (_, lanes) = wire_lanes(&wire);
         // The first stack lane holding a frame drops its innermost one.
         let Some((_, r)) = lanes
             .iter()
@@ -481,7 +495,7 @@ fn forged_unreachable_lane_state_combinations_are_refused() {
         let mut session = grouped.session(Limits::none());
         session.feed(&doc[..cut]).unwrap();
         let wire = session.checkpoint().unwrap().to_bytes();
-        let (_, lanes) = hybrid_lanes(&wire);
+        let (_, lanes) = wire_lanes(&wire);
         // Rewrite the first registerless member's state, leaving the
         // second one's: each value alone is in range, not every pair is.
         let (_, r) = lanes
