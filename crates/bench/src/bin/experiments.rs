@@ -19,7 +19,9 @@ use st_core::planner::{CompiledQuery, Strategy};
 use st_core::{classify, dtd, fooling, har, papers, registerless, term};
 use st_trees::xml::Scanner;
 use stackless_streamed_trees::prelude::{Limits, ObsHandle, Query};
-use stackless_streamed_trees::serve::{NetClient, NetConfig, NetResponse, NetServer};
+use stackless_streamed_trees::serve::{
+    JobSpec, NetClient, NetConfig, NetResponse, NetServer, ServeConfig, ServeRuntime,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -143,6 +145,45 @@ fn compile_series(g: &Alphabet) -> Vec<(String, f64)> {
             black_box(set);
         }),
     ));
+    series
+}
+
+/// The pool ledger, in µs: submit→wait latency through a quiet 1-worker
+/// [`ServeRuntime`], p50 and p99, for plain jobs (depth-guarded, so the
+/// session path, not the chunked one) and for streamed jobs, over the
+/// one `.*a.*b` query.  Each mode runs on its own runtime: 8 warm-up
+/// jobs, then 128 MiB of document's worth of jobs, clamped to 64–1 000.
+fn pool_series(g: &Alphabet, xml: &[u8]) -> Vec<(String, f64)> {
+    let plan = CompiledQuery::compile(&compile_regex(".*a.*b", g).unwrap());
+    let query = std::sync::Arc::new(plan.fused(g).unwrap());
+    let doc = std::sync::Arc::new(xml.to_vec());
+    let runs = ((128 << 20) / xml.len()).clamp(64, 1000);
+    let mut series = Vec::new();
+    for stream in [false, true] {
+        let pool = ServeRuntime::start(ServeConfig::default().with_workers(1));
+        let job = || {
+            let spec = JobSpec::new(query.clone(), doc.clone());
+            if stream {
+                spec.with_stream()
+            } else {
+                spec.with_limits(Limits::none().with_max_depth(1 << 20))
+            }
+        };
+        let mut times: Vec<f64> = (0..runs + 8)
+            .map(|_| {
+                let start = Instant::now();
+                let id = pool.submit(job()).unwrap();
+                black_box(pool.wait(id).unwrap().result.unwrap());
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .skip(8)
+            .collect();
+        pool.shutdown();
+        times.sort_by(f64::total_cmp);
+        let mode = if stream { "streamed" } else { "plain" };
+        series.push((format!("{mode}_p50"), times[times.len() / 2]));
+        series.push((format!("{mode}_p99"), times[times.len() * 99 / 100]));
+    }
     series
 }
 
@@ -322,7 +363,8 @@ fn write_throughput_json(path: &str) {
 
     let mut workload_objects: Vec<String> = Vec::new();
     // `ledger`: the ~40 KB shapes also record the compile ledger and the
-    // mixed-class 8-query series.
+    // mixed-class 8-query series.  The mixed shapes also record the pool
+    // ledger.
     let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8], ledger: bool| {
         let mut series: Vec<(String, f64)> = Vec::new();
         series.push((
@@ -436,7 +478,7 @@ fn write_throughput_json(path: &str) {
                 }
             }),
         ));
-        let mut compile = String::new();
+        let mut ledgers = String::new();
         if ledger {
             let hybrid_set = st_core::QuerySet::compile(&HYBRID_PATTERNS, &g).unwrap();
             series.push((
@@ -450,7 +492,15 @@ fn write_throughput_json(path: &str) {
                 .map(|(k, v)| format!("        \"{k}\": {v:.2}"))
                 .collect::<Vec<_>>()
                 .join(",\n");
-            compile = format!(",\n      \"compile_us\": {{\n{times}\n      }}");
+            ledgers = format!(",\n      \"compile_us\": {{\n{times}\n      }}");
+        }
+        if matches!(name, "mixed" | "mixed_4mib") {
+            let times = pool_series(&g, xml)
+                .iter()
+                .map(|(k, v)| format!("        \"{k}\": {v:.1}"))
+                .collect::<Vec<_>>()
+                .join(",\n");
+            ledgers += &format!(",\n      \"pool_us\": {{\n{times}\n      }}");
         }
         let rates = series
             .iter()
@@ -459,7 +509,7 @@ fn write_throughput_json(path: &str) {
             .join(",\n");
         let gbit = format!("      \"gbit_per_s\": {{\n{rates}\n      }}");
         workload_objects.push(format!(
-            "    {{\n      \"workload\": \"{name}\",\n      \"bytes\": {bytes},\n      \"nodes\": {nodes},\n      \"depth\": {depth},\n{gbit}{compile}\n    }}",
+            "    {{\n      \"workload\": \"{name}\",\n      \"bytes\": {bytes},\n      \"nodes\": {nodes},\n      \"depth\": {depth},\n{gbit}{ledgers}\n    }}",
             bytes = xml.len(),
         ));
     };

@@ -164,7 +164,7 @@ impl<'q> MatchStream<'q> {
     /// As for [`EngineSession::feed`]; on error nothing new is emitted.
     pub fn feed(&mut self, segment: &[u8]) -> Result<Vec<StreamedMatch>, SessionError> {
         self.session.feed(segment)?;
-        Ok(self.session.drain_emitted())
+        Ok(self.session.drain_emitted().collect())
     }
 
     /// The session's emission cursor (count + digest of everything

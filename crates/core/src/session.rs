@@ -1401,20 +1401,20 @@ impl<'q> EngineSession<'q> {
     }
 
     /// Hands out the matches that crossed the certainty frontier since
-    /// the previous drain, in emission order.  Calling this after every
+    /// the previous drain, in emission order, as an iterator over the
+    /// session's own match lists (nothing is copied; the matches count as
+    /// handed out even if the iterator is dropped).  Calling this after every
     /// [`Self::feed`] yields the full emitted stream incrementally; a
     /// caller that never drains still gets everything in
     /// [`Self::finish`]'s outcome.
-    pub fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
-        let run = &mut self.run;
-        let out = (run.drained..run.flushed)
-            .map(|i| StreamedMatch {
-                node: run.matches[i],
-                offset: run.match_offsets[i],
-            })
-            .collect();
-        run.drained = run.flushed;
-        out
+    pub fn drain_emitted(&mut self) -> impl ExactSizeIterator<Item = StreamedMatch> + '_ {
+        let from = std::mem::replace(&mut self.run.drained, self.run.flushed);
+        let run = &self.run;
+        let span = from..run.flushed;
+        run.matches[span.clone()]
+            .iter()
+            .zip(&run.match_offsets[span])
+            .map(|(&node, &offset)| StreamedMatch { node, offset })
     }
 
     /// The emission cursor: count + FNV digest of every match emitted

@@ -78,7 +78,7 @@ pub struct ServeConfig {
     /// [`crate::ServeError::Failed`].
     pub max_retries: u32,
     /// Base of the exponential retry backoff: attempt `n` waits
-    /// `backoff_base * 2^(n-1)` before redispatch.
+    /// `backoff_base * 2^(n-1)` before a worker may claim it again.
     pub backoff_base: Duration,
     /// A busy worker that has not heartbeated for this long is declared
     /// stalled: it is abandoned (its late writes are ignored), a
@@ -108,7 +108,7 @@ pub struct ServeConfig {
     /// Once passes complete, a measured moving average replaces it.  A
     /// member whose deadline is projected to expire before the shared
     /// pass finishes is not adopted into the group (it runs its own pass
-    /// or expires at dispatch as before).
+    /// or expires as a worker claims it).
     pub group_rate_hint: u64,
     /// Service-level budget (admission control + inherited limits).
     pub budget: ServiceBudget,

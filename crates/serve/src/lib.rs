@@ -8,7 +8,7 @@
 //! builds the serving layer that exploits that:
 //!
 //! * [`ServeRuntime`] — a fixed worker pool plus a supervisor.  Requests
-//!   ([`JobSpec`]) are admitted through a bounded queue, dispatched to
+//!   ([`JobSpec`]) are admitted through a bounded queue, claimed by
 //!   workers, and processed through checkpointed
 //!   [`st_core::session::EngineSession`]s.  When a worker panics or
 //!   stalls, the supervisor replaces it and the victim's request resumes

@@ -1076,7 +1076,7 @@ fn serve<S: PassSession>(
                     let _ = session.checkpoint();
                 }
                 if parts {
-                    let batch = session.drain_emitted();
+                    let batch: Vec<_> = session.drain_emitted().collect();
                     let start = session.emission_cursor().count - batch.len() as u64;
                     let part = encode_match_part(start, &batch);
                     write_reply(stream, FrameKind::MatchPart, &part)?;

@@ -9,32 +9,35 @@
 //!                   │    bounded queue, byte       │ JobReport
 //!                   ▼    budget → shed/reject)     │
 //!            ┌─────────────┐                ┌──────┴──────┐
-//!            │ submission  │   dispatch     │  jobs map   │
-//!            │ queue (VecD)│──────────────▶ │ id → state  │
-//!            └─────────────┘                └─────────────┘
-//!                   ▲                               ▲
-//!        requeue    │        ┌──────────┐           │ complete /
-//!        (backoff,  └────────│supervisor│           │ checkpoint /
-//!         from last          │(dispatch,│           │ fail
-//!         checkpoint)        │ monitor) │           │
-//!                            └──────────┘           │
-//!                             │  │  │  respawn      │
-//!                             ▼  ▼  ▼               │
-//!                        ┌────┐┌────┐┌────┐         │
-//!                        │ w0 ││ w1 ││ w2 │─────────┘
-//!                        └────┘└────┘└────┘
+//!            │ submission  │                │  jobs map:  │
+//!            │ queue (VecD)│                │  state and  │
+//!            └─────────────┘                │ match store │
+//!               │       ▲                   └─────────────┘
+//!         claim │       │ requeue                  ▲
+//!    (due entry,│       │ (backoff; resumes        │ per segment: new
+//!   whole group)│       │  from last checkpoint)   │ matches + checkpoint;
+//!               ▼       │                          │ complete / fail
+//!            ┌────┐┌────┐┌────┐                    │
+//!            │ w0 ││ w1 ││ w2 │────────────────────┘
+//!            └────┘└────┘└────┘
+//!               ▲  ▲  ▲   spawn, reap, abandon stalled workers;
+//!            ┌──┴──┴──┴──┐ expire queued deadlines
+//!            │supervisor │
+//!            └───────────┘
 //! ```
 //!
-//! Workers run every assignment as one *pass*: a single request, or a
-//! batch of query-set requests over one document, fed through one
-//! session — an [`EngineSession`] or a [`QuerySetSession`] — in
-//! cadence-sized segments, minting a checkpoint after each.  The
-//! O(1)/O(depth) snapshot of Theorems 3.1/3.2 is exactly what makes a
-//! session *migratable*: when a worker panics or stalls, the supervisor
-//! requeues the victims with their pass's last checkpoint and a healthy
-//! worker resumes from that byte offset, not from zero.
-//! Retries back off exponentially and are bounded; the terminal error is
-//! typed ([`ServeError::Failed`]) and carries the full failure history.
+//! Each worker claims its next *pass* straight from the queue: a single
+//! request, or a batch of query-set requests over one document, fed
+//! through one session — an [`EngineSession`] or a [`QuerySetSession`] —
+//! in cadence-sized segments.  After each segment the pass appends the
+//! session's new matches, once, to the lead request's one match store and
+//! records the checkpoint it minted there.  The O(1)/O(depth) snapshot of
+//! Theorems 3.1/3.2 is exactly what makes a session *migratable*: when a
+//! worker panics or stalls, its requests go back to the queue, and the
+//! next pass resumes from the last checkpoint and the store entries it
+//! covers, not from zero.  Retries back off exponentially and are
+//! bounded; the terminal error is typed ([`ServeError::Failed`]) and
+//! carries the full failure history.
 //!
 //! The degradation ladder under pressure: data-parallel chunked path →
 //! sequential guarded session path → load shedding at the queue.
@@ -42,7 +45,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -92,9 +94,9 @@ pub struct JobSpec {
     /// the request is admitted.  A request still *queued* when its
     /// deadline passes is dropped with a typed
     /// [`ServeError::DeadlineExpired`] instead of burning a worker on an
-    /// answer nobody is waiting for.  A request already dispatched runs
-    /// to completion — mid-flight work is governed by [`Limits`], not
-    /// the queue deadline.  `None` means no deadline.
+    /// answer nobody is waiting for.  A request a worker already claimed
+    /// runs to completion — mid-flight work is governed by [`Limits`],
+    /// not the queue deadline.  `None` means no deadline.
     pub deadline: Option<Duration>,
     /// Whether the submitter consumes the match stream incrementally
     /// (polling [`ServeRuntime::emitted_prefix`] while the request
@@ -138,7 +140,7 @@ impl JobSpec {
 /// One multi-query request: a set of path patterns over one alphabet,
 /// plus the document to run them all over.
 ///
-/// The dispatcher *batches by document*: queued multi-query requests
+/// The runtime *batches by document*: queued multi-query requests
 /// that target the same document (same bytes, alphabet, and product
 /// budget — compared by fingerprint) and inherit the service-level
 /// limits are claimed as one group and served by a single shared
@@ -348,8 +350,8 @@ impl std::fmt::Display for ServeStats {
 enum Status {
     Queued,
     Running,
-    /// One match list per query of the job (a single-query job has one).
-    Done(Result<Vec<Vec<usize>>, ServeError>),
+    /// The job ended; a completed job's answer is its [`Store`].
+    Done(Result<(), ServeError>),
 }
 
 /// What a job evaluates.
@@ -364,6 +366,16 @@ enum Plan {
         /// Resolved product-DFA state budget.
         budget: usize,
     },
+}
+
+impl Plan {
+    /// How many match lists the plan yields.
+    fn queries(&self) -> usize {
+        match self {
+            Plan::Query(_) => 1,
+            Plan::Set { plans, .. } => plans.len(),
+        }
+    }
 }
 
 /// A request as the runtime holds it; [`JobSpec`] and [`MultiJobSpec`]
@@ -399,16 +411,70 @@ pub(crate) enum PassCheckpoint {
     Set(QuerySetCheckpoint),
 }
 
-/// The last good checkpoint of a pass, kept by its lead job.
-#[derive(Clone)]
+/// A job's one match store.  The pass that runs the job's live attempt
+/// appends each segment's new matches to it once; reports read the job's
+/// answer off it.
+enum Store {
+    /// A streamed single-query job: the emission ledger, every match
+    /// delivered so far with the byte offset that decided it, in
+    /// emission order.  Append-only — the delivery point of
+    /// exactly-once: replays after a failover are verified against it
+    /// and suppressed, never re-appended, and entries survive retries
+    /// and resumes untouched.
+    Ledger(Vec<StreamedMatch>),
+    /// Every other job: one node list per query.  A pass lead holds the
+    /// lists of every query of its pass until completion hands each
+    /// member its own.
+    Lists(Vec<Vec<usize>>),
+}
+
+impl Store {
+    /// The delivered stream (empty for a list store).
+    fn ledger(&self) -> &[StreamedMatch] {
+        match self {
+            Store::Ledger(ledger) => ledger,
+            Store::Lists(_) => &[],
+        }
+    }
+
+    /// One match list per query.
+    fn lists(&self) -> Vec<Vec<usize>> {
+        match self {
+            Store::Ledger(ledger) => vec![ledger.iter().map(|m| m.node).collect()],
+            Store::Lists(lists) => lists.clone(),
+        }
+    }
+
+    /// The plain match set: a query set's is the union of its lists
+    /// (document order, deduped).
+    fn matches(&self) -> Vec<usize> {
+        let mut lists = self.lists();
+        if lists.len() == 1 {
+            return lists.remove(0);
+        }
+        let mut union = lists.concat();
+        union.sort_unstable();
+        union.dedup();
+        union
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Store::Ledger(ledger) => ledger.len(),
+            Store::Lists(lists) => lists.iter().map(Vec::len).sum(),
+        }
+    }
+}
+
+/// The last good checkpoint of a pass, kept by its lead job.  The
+/// lead's store says how much of the run it covers: a list store grows
+/// only together with a new resume point, so the checkpoint covers every
+/// entry, and of a ledger it covers as many entries as its emission
+/// cursor counts.
 struct ResumePoint {
     checkpoint: PassCheckpoint,
-    /// Per query of the pass, the matches found before the checkpoint
-    /// (node ids are global, so prefix + a resumed session's matches
-    /// reproduce the uninterrupted run).
-    matches: Vec<Vec<usize>>,
-    /// The pass's member list: the matches belong to these members'
-    /// queries, so only a pass over the same members resumes here.
+    /// The pass's member list: the store holds these members' queries,
+    /// so only a pass over the same members resumes here.
     members: Arc<[u64]>,
 }
 
@@ -442,6 +508,7 @@ struct JobState {
     resumes: u32,
     failures: Vec<FailureCause>,
     status: Status,
+    store: Store,
     path: PathTaken,
     degraded: bool,
     /// Admission timestamp (ns since runtime epoch), for the terminal
@@ -453,51 +520,37 @@ struct JobState {
     deadline_ms: Option<u64>,
     /// Multi jobs: how many requests the completing shared pass served.
     group_size: usize,
-    /// Streamed jobs: every match delivered so far, in emission order.
-    /// Append-only — the delivery point of exactly-once.  Replays after
-    /// a failover are verified against it and suppressed, never
-    /// re-appended; entries survive retries and resumes untouched.
-    ledger: Vec<StreamedMatch>,
     /// Streamed jobs: replayed matches the ledger suppressed.
     suppressed: u64,
 }
 
 impl JobState {
-    /// The one stored result as a [`JobReport`]: a query set's plain
-    /// match set is the union of its lists (document order, deduped).
+    /// The stored answer as a [`JobReport`].
     fn report(&self, id: u64) -> Option<JobReport> {
         let Status::Done(result) = &self.status else {
             return None;
         };
         Some(JobReport {
             id: JobId(id),
-            result: result.as_ref().map_err(Clone::clone).map(|lists| {
-                if let [one] = lists.as_slice() {
-                    return one.clone();
-                }
-                let mut union = lists.concat();
-                union.sort_unstable();
-                union.dedup();
-                union
-            }),
+            result: result.clone().map(|()| self.store.matches()),
             attempts: self.attempt,
             resumes: self.resumes,
             path: self.path,
             degraded: self.degraded,
             failures: self.failures.clone(),
-            emitted: self.ledger.clone(),
+            emitted: self.store.ledger().to_vec(),
             suppressed: self.suppressed,
         })
     }
 
-    /// The one stored result as a [`MultiJobReport`].
+    /// The stored answer as a [`MultiJobReport`].
     fn multi_report(&self, id: u64) -> Option<MultiJobReport> {
         let Status::Done(result) = &self.status else {
             return None;
         };
         Some(MultiJobReport {
             id: JobId(id),
-            results: result.clone(),
+            results: result.clone().map(|()| self.store.lists()),
             attempts: self.attempt,
             group_size: self.group_size,
             failures: self.failures.clone(),
@@ -516,8 +569,8 @@ fn live(jobs: &mut HashMap<u64, JobState>, job: u64, attempt: u32) -> Option<&mu
 
 struct Pending {
     id: u64,
-    /// Earliest dispatch time (ms since runtime epoch); retries carry
-    /// their exponential backoff here.
+    /// Earliest claim time (ms since runtime epoch); retries carry their
+    /// exponential backoff here.
     not_before_ms: u64,
 }
 
@@ -525,61 +578,90 @@ struct Pending {
 struct QueueState {
     q: VecDeque<Pending>,
     shutdown: bool,
-    /// Bumped with every `queue_cv` notify, so the dispatcher sleeps
-    /// only if nothing changed since it last read the queue.
-    wakes: u64,
 }
 
 struct WorkerSlot {
-    /// Cleared by a drop sentinel when the worker thread dies.
+    /// Cleared by a drop sentinel when the worker thread dies of a panic.
     alive: AtomicBool,
     /// Set by the supervisor when it gives up on a stalled worker; the
-    /// zombie's slot is replaced and its late writes are epoch-guarded.
+    /// zombie claims nothing more, its slot is replaced and its late
+    /// writes are epoch-guarded.
     abandoned: AtomicBool,
-    /// The assignment this worker currently runs.
-    busy: Mutex<Option<Assignment>>,
+    /// The members of the pass this worker runs.  Whoever takes it — the
+    /// worker's own panic path, the reaper, the stall detector — reports
+    /// the pass's failure.
+    busy: Mutex<Option<Members>>,
     /// Last liveness signal (ms since runtime epoch); ticks once per
     /// checkpoint cadence.
     heartbeat_ms: AtomicU64,
 }
 
-/// One unit of worker work: a single job, or a whole multi-query group
-/// claimed for one shared pass (every `(job, attempt)` pair is already
-/// marked Running).
-type Assignment = Vec<(u64, u32)>;
+/// `(job, attempt)` of every member of one pass, lead first.
+type Members = Vec<(u64, u32)>;
+
+/// One claimed pass: a single job, or a whole multi-query group served
+/// by one shared session; every member is already marked Running.
+struct Pass {
+    members: Members,
+    jobs: Vec<Arc<Job>>,
+    /// The lead's last checkpoint, when the pass continues from it.
+    checkpoint: Option<PassCheckpoint>,
+}
 
 struct WorkerHandle {
     slot: Arc<WorkerSlot>,
-    tx: Option<Sender<Assignment>>,
     join: Option<JoinHandle<()>>,
 }
 
-/// Pre-resolved observability instruments for the runtime's hot sites.
-///
-/// Each counter mirrors one [`ServeStats`] atomic and is incremented at
-/// *exactly* the same site, so a metrics snapshot and a stats snapshot
-/// taken after drain agree number-for-number.  With a disabled handle
-/// every instrument is inert (one branch per record, no allocation).
+/// One [`ServeStats`] counter and the metrics counter that mirrors it.
+/// Both move in one call, so a metrics snapshot and a stats snapshot
+/// taken after drain agree number-for-number.
+struct Tally {
+    n: AtomicU64,
+    metric: Counter,
+}
+
+impl Tally {
+    fn new(handle: &ObsHandle, name: &'static str) -> Tally {
+        Tally {
+            n: AtomicU64::new(0),
+            metric: handle.counter(name),
+        }
+    }
+
+    fn add(&self, k: u64) {
+        self.n.fetch_add(k, Ordering::SeqCst);
+        self.metric.add(k);
+    }
+
+    fn get(&self) -> u64 {
+        self.n.load(Ordering::SeqCst)
+    }
+}
+
+/// The runtime's counters and pre-resolved observability instruments.
+/// With a disabled handle every instrument is inert (one branch per
+/// record, no allocation); the [`ServeStats`] counters still count.
 struct ServeObs {
     handle: ObsHandle,
-    submitted: Counter,
-    completed: Counter,
-    failed: Counter,
-    shed: Counter,
-    rejected: Counter,
-    retries: Counter,
-    resumes: Counter,
-    panics: Counter,
-    stalls: Counter,
-    corruptions: Counter,
-    degraded: Counter,
-    checkpoints: Counter,
-    workers_spawned: Counter,
-    multi_groups: Counter,
-    multi_group_members: Counter,
-    deadline_expired: Counter,
-    emitted: Counter,
-    emission_suppressed: Counter,
+    submitted: Tally,
+    completed: Tally,
+    failed: Tally,
+    shed: Tally,
+    rejected: Tally,
+    retries: Tally,
+    resumes: Tally,
+    panics: Tally,
+    stalls: Tally,
+    corruptions: Tally,
+    degraded: Tally,
+    checkpoints: Tally,
+    workers_spawned: Tally,
+    multi_groups: Tally,
+    multi_group_members: Tally,
+    deadline_expired: Tally,
+    emitted: Tally,
+    emission_suppressed: Tally,
     /// Requests per shared multi-query pass.
     multi_group_size: Histogram,
     /// Current submission-queue occupancy.
@@ -598,24 +680,24 @@ struct ServeObs {
 impl ServeObs {
     fn attach(handle: &ObsHandle) -> ServeObs {
         ServeObs {
-            submitted: handle.counter("serve_submitted_total"),
-            completed: handle.counter("serve_completed_total"),
-            failed: handle.counter("serve_failed_total"),
-            shed: handle.counter("serve_shed_total"),
-            rejected: handle.counter("serve_rejected_total"),
-            retries: handle.counter("serve_retries_total"),
-            resumes: handle.counter("serve_resumes_total"),
-            panics: handle.counter("serve_panics_total"),
-            stalls: handle.counter("serve_stalls_total"),
-            corruptions: handle.counter("serve_corruptions_total"),
-            degraded: handle.counter("serve_degraded_total"),
-            checkpoints: handle.counter("serve_checkpoints_total"),
-            workers_spawned: handle.counter("serve_workers_spawned_total"),
-            multi_groups: handle.counter("serve_multi_groups_total"),
-            multi_group_members: handle.counter("serve_multi_group_members_total"),
-            deadline_expired: handle.counter("serve_deadline_expired_total"),
-            emitted: handle.counter("serve_emissions_total"),
-            emission_suppressed: handle.counter("serve_emission_suppressed_total"),
+            submitted: Tally::new(handle, "serve_submitted_total"),
+            completed: Tally::new(handle, "serve_completed_total"),
+            failed: Tally::new(handle, "serve_failed_total"),
+            shed: Tally::new(handle, "serve_shed_total"),
+            rejected: Tally::new(handle, "serve_rejected_total"),
+            retries: Tally::new(handle, "serve_retries_total"),
+            resumes: Tally::new(handle, "serve_resumes_total"),
+            panics: Tally::new(handle, "serve_panics_total"),
+            stalls: Tally::new(handle, "serve_stalls_total"),
+            corruptions: Tally::new(handle, "serve_corruptions_total"),
+            degraded: Tally::new(handle, "serve_degraded_total"),
+            checkpoints: Tally::new(handle, "serve_checkpoints_total"),
+            workers_spawned: Tally::new(handle, "serve_workers_spawned_total"),
+            multi_groups: Tally::new(handle, "serve_multi_groups_total"),
+            multi_group_members: Tally::new(handle, "serve_multi_group_members_total"),
+            deadline_expired: Tally::new(handle, "serve_deadline_expired_total"),
+            emitted: Tally::new(handle, "serve_emissions_total"),
+            emission_suppressed: Tally::new(handle, "serve_emission_suppressed_total"),
             multi_group_size: handle.histogram("serve_multi_group_size"),
             queue_depth: handle.gauge("serve_queue_depth"),
             in_flight_bytes: handle.gauge("serve_in_flight_bytes"),
@@ -656,27 +738,9 @@ struct Inner {
     jobs_cv: Condvar,
     in_flight_bytes: AtomicUsize,
     next_id: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    retries: AtomicU64,
-    resumes: AtomicU64,
-    panics: AtomicU64,
-    stalls: AtomicU64,
-    corruptions: AtomicU64,
-    degraded: AtomicU64,
-    checkpoints: AtomicU64,
-    workers_spawned: AtomicU64,
-    multi_groups: AtomicU64,
-    multi_group_members: AtomicU64,
-    deadline_expired: AtomicU64,
-    emitted: AtomicU64,
-    emission_suppressed: AtomicU64,
     /// EWMA throughput of completed shared multi-query passes, in
     /// bytes/ms on the runtime clock (0 until the first measured pass).
-    /// Feeds the deadline-aware grouping projection in [`try_assign`].
+    /// Feeds the deadline-aware grouping projection in [`Inner::claim`].
     group_rate_bpms: AtomicU64,
 }
 
@@ -691,24 +755,24 @@ impl Inner {
 
     fn stats(&self) -> ServeStats {
         ServeStats {
-            submitted: self.submitted.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
-            failed: self.failed.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            rejected: self.rejected.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            resumes: self.resumes.load(Ordering::SeqCst),
-            panics: self.panics.load(Ordering::SeqCst),
-            stalls: self.stalls.load(Ordering::SeqCst),
-            corruptions: self.corruptions.load(Ordering::SeqCst),
-            degraded: self.degraded.load(Ordering::SeqCst),
-            checkpoints: self.checkpoints.load(Ordering::SeqCst),
-            workers_spawned: self.workers_spawned.load(Ordering::SeqCst),
-            multi_groups: self.multi_groups.load(Ordering::SeqCst),
-            multi_group_members: self.multi_group_members.load(Ordering::SeqCst),
-            deadline_expired: self.deadline_expired.load(Ordering::SeqCst),
-            emitted: self.emitted.load(Ordering::SeqCst),
-            emission_suppressed: self.emission_suppressed.load(Ordering::SeqCst),
+            submitted: self.obs.submitted.get(),
+            completed: self.obs.completed.get(),
+            failed: self.obs.failed.get(),
+            shed: self.obs.shed.get(),
+            rejected: self.obs.rejected.get(),
+            retries: self.obs.retries.get(),
+            resumes: self.obs.resumes.get(),
+            panics: self.obs.panics.get(),
+            stalls: self.obs.stalls.get(),
+            corruptions: self.obs.corruptions.get(),
+            degraded: self.obs.degraded.get(),
+            checkpoints: self.obs.checkpoints.get(),
+            workers_spawned: self.obs.workers_spawned.get(),
+            multi_groups: self.obs.multi_groups.get(),
+            multi_group_members: self.obs.multi_group_members.get(),
+            deadline_expired: self.obs.deadline_expired.get(),
+            emitted: self.obs.emitted.get(),
+            emission_suppressed: self.obs.emission_suppressed.get(),
         }
     }
 
@@ -742,39 +806,130 @@ impl Inner {
         self.group_rate_bpms.store(new, Ordering::SeqCst);
     }
 
-    /// Drops a request whose deadline passed while it was queued: a
-    /// typed terminal [`ServeError::DeadlineExpired`], no worker time
-    /// spent.  Returns whether the request was expired (false when it is
-    /// no longer queued, carries no deadline, or is not yet due).
-    fn expire_if_due(&self, job: u64, now_ns: u64) -> bool {
-        let now_ms = now_ns / 1_000_000;
-        let mut jobs = lock(&self.jobs);
-        let due = |st: &&mut JobState| {
-            matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d)
-        };
-        let Some(st) = jobs.get_mut(&job).filter(due) else {
-            return false;
-        };
-        let waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
-        let expired = Err(ServeError::DeadlineExpired { waited_ms });
-        self.conclude(job, st, expired);
-        self.deadline_expired.fetch_add(1, Ordering::SeqCst);
-        self.obs.deadline_expired.incr();
-        true
+    /// Open requests: admitted and not yet finished.
+    fn open(&self) -> u64 {
+        self.obs.submitted.get() - self.obs.completed.get() - self.obs.failed.get()
     }
 
-    /// Ends a job with its one stored result — a completion, a
-    /// [`ServeError::Failed`] or a [`ServeError::DeadlineExpired`]: frees
-    /// its resume point and in-flight bytes, records the terminal
+    /// How long the supervisor and idle workers sleep between checks.
+    fn poll(&self) -> Duration {
+        (self.cfg.stall_timeout / 4)
+            .min(Duration::from_millis(10))
+            .max(Duration::from_millis(1))
+    }
+
+    /// Drops a queued request whose deadline passed: a typed terminal
+    /// [`ServeError::DeadlineExpired`], no worker time spent.  Returns
+    /// whether the request was expired (false when it is not queued,
+    /// carries no deadline, or is not yet due).
+    fn expire_if_due(&self, job: u64, st: &mut JobState, now_ms: u64) -> bool {
+        let due =
+            matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d);
+        if due {
+            let waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
+            self.conclude(job, st, Err(ServeError::DeadlineExpired { waited_ms }));
+            self.obs.deadline_expired.add(1);
+        }
+        due
+    }
+
+    /// Expires the due queue entries whose deadline passed and drops
+    /// them from the queue.
+    fn expire_queued(&self, now_ms: u64) {
+        let mut q = lock(&self.queue);
+        if q.q.iter().all(|p| p.not_before_ms > now_ms) {
+            return;
+        }
+        let mut jobs = lock(&self.jobs);
+        q.q.retain(|p| {
+            p.not_before_ms > now_ms
+                || !jobs
+                    .get_mut(&p.id)
+                    .is_some_and(|st| self.expire_if_due(p.id, st, now_ms))
+        });
+        self.obs.queue_depth.set(q.q.len() as i64);
+    }
+
+    /// Claims queue entry `id`, just taken off `q`, as the lead of one
+    /// pass.  A request whose deadline passed while it was queued expires
+    /// instead.  A groupable multi-query lead pulls every other queued
+    /// request with the same document fingerprint into its pass, and
+    /// their own queue entries go.  A pass that starts over empties the
+    /// lead's list store.  `None` when the entry is stale (its job is no
+    /// longer queued) or expired.
+    fn claim(&self, q: &mut QueueState, id: u64, now_ms: u64) -> Option<Pass> {
+        let mut states = lock(&self.jobs);
+        let st = states
+            .get_mut(&id)
+            .filter(|st| matches!(st.status, Status::Queued))?;
+        if self.expire_if_due(id, st, now_ms) {
+            return None;
+        }
+        st.status = Status::Running;
+        let mut members = vec![(id, st.attempt)];
+        if let Some(fp) = st.job.group_key {
+            // Ascending-id member order keeps result splitting
+            // independent of queue arrival order.
+            let peers = states.iter_mut().filter(|(_, st)| {
+                // The lead is Running already.
+                matches!(st.status, Status::Queued)
+                    // Deadline-aware grouping: never adopt a member
+                    // whose deadline is projected to expire before the
+                    // shared pass finishes — it would ride along only to
+                    // receive an answer nobody is waiting for.  The
+                    // projection uses the measured EWMA throughput of
+                    // completed shared passes (the configured hint until
+                    // one completes).
+                    && st.deadline_ms.is_none_or(|d| {
+                        let projected_ms = st.job.doc.len() as u64 / self.group_rate() + 1;
+                        now_ms + projected_ms <= d
+                    })
+                    && st.job.group_key == Some(fp)
+            });
+            for (id, st) in peers {
+                st.status = Status::Running;
+                members.push((*id, st.attempt));
+            }
+            members[1..].sort_unstable();
+            q.q.retain(|p| !members[1..].iter().any(|m| m.0 == p.id));
+            self.obs.queue_depth.set(q.q.len() as i64);
+        }
+        let jobs: Vec<Arc<Job>> = members.iter().map(|m| states[&m.0].job.clone()).collect();
+        let queries = jobs.iter().map(|j| j.plan.queries()).sum();
+        let lead = states.get_mut(&id).expect("claimed above");
+        // A resume point over another member list covers other queries'
+        // matches: this pass starts over at byte 0.
+        let resumes = lead
+            .resume
+            .as_ref()
+            .is_some_and(|r| r.members.iter().eq(members.iter().map(|m| &m.0)));
+        if !resumes {
+            lead.resume = None;
+            if let Store::Lists(lists) = &mut lead.store {
+                *lists = vec![Vec::new(); queries];
+            }
+        }
+        let checkpoint = lead.resume.as_ref().map(|r| r.checkpoint.clone());
+        Some(Pass {
+            members,
+            jobs,
+            checkpoint,
+        })
+    }
+
+    /// Ends a job — a completion, a [`ServeError::Failed`] or a
+    /// [`ServeError::DeadlineExpired`]: frees its resume point, a failed
+    /// job's list store and its in-flight bytes, records the terminal
     /// counters, histograms and trace, and wakes its waiters and the
-    /// dispatcher.
-    fn conclude(&self, job: u64, st: &mut JobState, result: Result<Vec<Vec<usize>>, ServeError>) {
+    /// pool.  It notifies the queue without taking its lock (claims
+    /// expire requests under it); a drain that misses the notify sees
+    /// the last request end at its next poll tick.
+    fn conclude(&self, job: u64, st: &mut JobState, result: Result<(), ServeError>) {
         let attempts = st.attempt;
         match &result {
-            Ok(lists) => {
-                self.completed.fetch_add(1, Ordering::SeqCst);
-                self.obs.completed.incr();
-                let matches = lists.iter().map(|m| m.len() as u64).sum();
+            Ok(()) => {
+                self.obs.completed.add(1);
+                let matches = st.store.len() as u64;
                 self.obs.trace(TraceEvent::JobCompleted {
                     job,
                     attempts,
@@ -782,8 +937,7 @@ impl Inner {
                 });
             }
             Err(e) => {
-                self.failed.fetch_add(1, Ordering::SeqCst);
-                self.obs.failed.incr();
+                self.obs.failed.add(1);
                 let cause = match e {
                     ServeError::Failed { last, .. } => cause_label(last),
                     _ => "deadline_expired",
@@ -793,6 +947,10 @@ impl Inner {
                     attempts,
                     cause,
                 });
+                // A ledger stays: it is what the stream delivered.
+                if let Store::Lists(lists) = &mut st.store {
+                    *lists = Vec::new();
+                }
             }
         }
         st.status = Status::Done(result);
@@ -805,14 +963,6 @@ impl Inner {
             .request_latency_ns
             .record(self.now_ns().saturating_sub(st.submitted_ns));
         self.jobs_cv.notify_all();
-        self.wake_dispatcher();
-    }
-
-    /// Notifies the dispatcher that the queue or the pool changed.  The
-    /// bumped generation is seen even by a dispatcher that is between
-    /// reading the queue and going to sleep, where a bare notify is lost.
-    fn wake_dispatcher(&self) {
-        lock(&self.queue).wakes += 1;
         self.queue_cv.notify_all();
     }
 
@@ -832,152 +982,158 @@ impl Inner {
         false
     }
 
-    /// Records a successful completion for `(job, attempt)`: one match
-    /// list per query of the job.  A stale attempt (superseded by
-    /// failover) is discarded.
+    /// Completes a pass (`group`, lead first): member `i` takes the next
+    /// `spans[i]` lists of the lead's store — or of `lists`, when the
+    /// answer bypassed the store (the chunked path) — and concludes.  A
+    /// stale pass (superseded by failover) is discarded.
     fn complete(
         &self,
-        job: u64,
-        attempt: u32,
-        lists: Vec<Vec<usize>>,
+        group: &[(u64, u32)],
+        spans: &[usize],
         path: PathTaken,
-        group_size: usize,
-    ) {
-        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
-            st.path = path;
-            st.group_size = group_size;
-            self.conclude(job, st, Ok(lists));
-        }
-    }
-
-    /// Stores a pass's latest good checkpoint on its lead, with the
-    /// matches each query found since the previous one (`stored[q]` of
-    /// query `q` already went out), so a failover over the same members
-    /// can resume mid-document.
-    fn store_resume<S: PassSession>(
-        &self,
-        lead: u64,
-        attempt: u32,
-        checkpoint: PassCheckpoint,
-        members: &Arc<[u64]>,
-        session: &S,
-        stored: &mut [usize],
+        lists: Option<Vec<Vec<usize>>>,
     ) {
         let mut jobs = lock(&self.jobs);
-        let Some(st) = live(&mut jobs, lead, attempt) else {
+        let Some(lead) = live(&mut jobs, group[0].0, group[0].1) else {
             return;
         };
-        let mut matches = st
-            .resume
-            .take()
-            .map_or_else(|| vec![Vec::new(); stored.len()], |r| r.matches);
-        for (q, (kept, done)) in matches.iter_mut().zip(stored).enumerate() {
-            let found = session.matches_of(q);
-            kept.extend_from_slice(&found[*done..]);
-            *done = found.len();
+        let mut lists = match (lists, &mut lead.store) {
+            (Some(lists), _) => lists,
+            (None, Store::Lists(lists)) => std::mem::take(lists),
+            (None, Store::Ledger(_)) => Vec::new(),
         }
-        st.resume = Some(ResumePoint {
-            checkpoint,
-            matches,
-            members: members.clone(),
-        });
-        self.checkpoints.fetch_add(1, Ordering::SeqCst);
-        self.obs.checkpoints.incr();
+        .into_iter();
+        let group_size = if path == PathTaken::Shared {
+            group.len()
+        } else {
+            0
+        };
+        for (&(id, attempt), &n) in group.iter().zip(spans) {
+            let own = lists.by_ref().take(n).collect();
+            let Some(st) = live(&mut jobs, id, attempt) else {
+                continue;
+            };
+            if let Store::Lists(lists) = &mut st.store {
+                *lists = own;
+            }
+            st.path = path;
+            st.group_size = group_size;
+            self.conclude(id, st, Ok(()));
+        }
     }
 
-    /// Records a batch of matches a worker claims to have emitted
-    /// starting at stream position `start` (0-based index into the
-    /// emitted sequence).  This is the delivery point of exactly-once:
+    /// Records one segment of a pass on its lead, under one lock: the
+    /// session's new matches go to the store once, and `checkpoint`,
+    /// minted after the segment, becomes the resume point.  `done[q]`
+    /// counts the matches of query `q` the session already handed to a
+    /// list store.  A ledger is the delivery point of exactly-once:
     ///
-    /// * positions already in the ledger are **verified** against it —
+    /// * stream positions it already holds are **verified** against it —
     ///   a replayed match must be identical to what was delivered, and a
     ///   divergence is a typed [`FailureCause::EmissionLedger`] failure,
     ///   never a silent duplicate;
-    /// * positions past the ledger are **appended** (delivered);
-    /// * a batch starting beyond the ledger's end claims deliveries the
-    ///   supervisor never saw (forged cursor) and fails the request.
+    /// * positions past its end are **appended** (delivered).
     ///
-    /// Stale attempts (superseded by failover) are discarded without
-    /// effect, as is a batch for a finished request.
-    fn record_emissions(
+    /// A stale attempt's segment is discarded without effect.
+    fn record_segment<S: PassSession>(
         &self,
-        job: u64,
-        attempt: u32,
-        start: usize,
-        batch: &[StreamedMatch],
+        (lead, attempt): (u64, u32),
+        members: &Arc<[u64]>,
+        checkpoint: PassCheckpoint,
+        session: &mut S,
+        done: &mut [usize],
     ) -> Result<(), FailureCause> {
-        let appended;
-        let replayed;
+        let (mut appended, mut replayed) = (0, 0);
         {
             let mut jobs = lock(&self.jobs);
-            let Some(st) = live(&mut jobs, job, attempt) else {
+            let Some(st) = live(&mut jobs, lead, attempt) else {
                 return Ok(());
             };
-            if start > st.ledger.len() {
-                return Err(FailureCause::EmissionLedger {
-                    detail: format!(
-                        "batch starts at stream position {start} but only {} \
-                         matches were ever delivered",
-                        st.ledger.len()
-                    ),
-                });
+            match &mut st.store {
+                Store::Ledger(ledger) => {
+                    let end = session.emission_cursor().count as usize;
+                    let mut batch = session.drain_emitted();
+                    let start = end - batch.len();
+                    if start > ledger.len() {
+                        return Err(FailureCause::EmissionLedger {
+                            detail: format!(
+                                "segment starts at stream position {start} but only {} \
+                                 matches were ever delivered",
+                                ledger.len()
+                            ),
+                        });
+                    }
+                    // The first `replay` matches re-cover delivered
+                    // positions; the rest are new.
+                    let replay = (ledger.len() - start).min(batch.len());
+                    for (k, m) in batch.by_ref().take(replay).enumerate() {
+                        let d = ledger[start + k];
+                        if d != m {
+                            return Err(FailureCause::EmissionLedger {
+                                detail: format!(
+                                    "replay diverged at stream position {}: \
+                                     delivered node {} at byte {}, replay claims \
+                                     node {} at byte {}",
+                                    start + k,
+                                    d.node,
+                                    d.offset,
+                                    m.node,
+                                    m.offset
+                                ),
+                            });
+                        }
+                    }
+                    let before = ledger.len();
+                    ledger.extend(batch);
+                    appended = (ledger.len() - before) as u64;
+                    replayed = replay as u64;
+                    st.suppressed += replayed;
+                }
+                Store::Lists(lists) => {
+                    for (q, (list, done)) in lists.iter_mut().zip(done).enumerate() {
+                        let found = session.matches_of(q);
+                        list.extend_from_slice(&found[*done..]);
+                        *done = found.len();
+                    }
+                }
             }
-            // `batch[..replay]` re-covers delivered positions; the rest
-            // is new and appended in one copy.
-            let replay = (st.ledger.len() - start).min(batch.len());
-            let delivered = &st.ledger[start..start + replay];
-            if let Some(k) = delivered.iter().zip(batch).position(|(d, m)| d != m) {
-                let (d, m) = (delivered[k], batch[k]);
-                return Err(FailureCause::EmissionLedger {
-                    detail: format!(
-                        "replay diverged at stream position {}: \
-                         delivered node {} at byte {}, replay claims \
-                         node {} at byte {}",
-                        start + k,
-                        d.node,
-                        d.offset,
-                        m.node,
-                        m.offset
-                    ),
-                });
-            }
-            st.ledger.extend_from_slice(&batch[replay..]);
-            replayed = replay as u64;
-            appended = (batch.len() - replay) as u64;
-            st.suppressed += replayed;
+            st.resume = Some(ResumePoint {
+                checkpoint,
+                members: members.clone(),
+            });
         }
+        self.obs.checkpoints.add(1);
         if appended > 0 {
-            self.emitted.fetch_add(appended, Ordering::SeqCst);
             self.obs.emitted.add(appended);
         }
         if replayed > 0 {
-            self.emission_suppressed
-                .fetch_add(replayed, Ordering::SeqCst);
             self.obs.emission_suppressed.add(replayed);
         }
         Ok(())
     }
 
-    /// Verifies a streamed attempt's emission cursor against the ledger
-    /// before any of its output is accepted: the cursor must not claim
-    /// more deliveries than the ledger holds, and its digest must equal
-    /// the digest of the delivered prefix it claims.  A hostile or
-    /// corrupted checkpoint fails here with a typed error instead of
-    /// poisoning the stream.  At completion (`last` is the final match
-    /// list) the cursor must cover the whole ledger, whose node ids must
-    /// equal the list, in order.
+    /// Verifies a streamed attempt's emission cursor against the ledger:
+    /// the cursor must not claim more deliveries than the ledger holds,
+    /// and its digest must equal the digest of the delivered prefix it
+    /// claims.  At resume this refuses a hostile or corrupted checkpoint
+    /// before any of its output is accepted.  At completion, `last` is
+    /// the final session's own match list and the stream position it
+    /// began at: the cursor must then cover the whole ledger, and the
+    /// ledger's node ids from that position on must equal the list, in
+    /// order.
     fn verify_cursor(
         &self,
         job: u64,
         attempt: u32,
         cursor: EmissionCursor,
-        last: Option<&[usize]>,
+        last: Option<(usize, &[usize])>,
     ) -> Result<(), FailureCause> {
         let mut jobs = lock(&self.jobs);
         let Some(st) = live(&mut jobs, job, attempt) else {
             return Ok(());
         };
-        let (count, delivered) = (cursor.count as usize, st.ledger.len());
+        let ledger = st.store.ledger();
+        let (count, delivered) = (cursor.count as usize, ledger.len());
         let fail = |detail| Err(FailureCause::EmissionLedger { detail });
         if count > delivered || (last.is_some() && count != delivered) {
             return fail(format!(
@@ -985,7 +1141,7 @@ impl Inner {
                  were delivered"
             ));
         }
-        let reference = EmissionCursor::over(&st.ledger[..count]);
+        let reference = EmissionCursor::over(&ledger[..count]);
         if reference.digest != cursor.digest {
             return fail(format!(
                 "cursor digest {:#018x} does not match the delivered prefix \
@@ -993,11 +1149,14 @@ impl Inner {
                 cursor.digest, reference.digest
             ));
         }
-        if last.is_some_and(|m| st.ledger.iter().map(|d| d.node).ne(m.iter().copied())) {
-            return fail(format!(
-                "delivered stream ({delivered} matches) does not equal the \
-                 final match list"
-            ));
+        if let Some((from, list)) = last {
+            let tail = ledger.get(from..).unwrap_or_default();
+            if tail.iter().map(|d| d.node).ne(list.iter().copied()) {
+                return fail(format!(
+                    "delivered stream ({delivered} matches) does not equal the \
+                     final match list"
+                ));
+            }
         }
         Ok(())
     }
@@ -1006,8 +1165,7 @@ impl Inner {
         if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
             st.resumes += 1;
         }
-        self.resumes.fetch_add(1, Ordering::SeqCst);
-        self.obs.resumes.incr();
+        self.obs.resumes.add(1);
         let offset = offset as u64;
         self.obs.trace(TraceEvent::Failover {
             job,
@@ -1020,8 +1178,7 @@ impl Inner {
         if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
             st.degraded = true;
         }
-        self.degraded.fetch_add(1, Ordering::SeqCst);
-        self.obs.degraded.incr();
+        self.obs.degraded.add(1);
         self.obs.trace(TraceEvent::Degraded { job });
     }
 
@@ -1048,13 +1205,11 @@ impl Inner {
             // returned above and must not inflate the counters.
             match &cause {
                 FailureCause::WorkerPanic { .. } => {
-                    self.panics.fetch_add(1, Ordering::SeqCst);
-                    self.obs.panics.incr();
+                    self.obs.panics.add(1);
                     self.obs.trace(TraceEvent::WorkerPanic { job, attempt });
                 }
                 FailureCause::WorkerStall { stalled_ms } => {
-                    self.stalls.fetch_add(1, Ordering::SeqCst);
-                    self.obs.stalls.incr();
+                    self.obs.stalls.add(1);
                     self.obs.trace(TraceEvent::WorkerStall {
                         job,
                         attempt,
@@ -1062,8 +1217,7 @@ impl Inner {
                     });
                 }
                 FailureCause::SegmentCorrupted { .. } => {
-                    self.corruptions.fetch_add(1, Ordering::SeqCst);
-                    self.obs.corruptions.incr();
+                    self.obs.corruptions.add(1);
                     self.obs
                         .trace(TraceEvent::SegmentCorrupted { job, attempt });
                 }
@@ -1078,8 +1232,7 @@ impl Inner {
                 let exp = (attempt - 1).min(16);
                 let backoff = self.cfg.backoff_base * 2u32.pow(exp);
                 requeue_backoff = Some(backoff);
-                self.retries.fetch_add(1, Ordering::SeqCst);
-                self.obs.retries.incr();
+                self.obs.retries.add(1);
                 self.obs.trace(TraceEvent::Retry {
                     job,
                     attempt,
@@ -1101,7 +1254,6 @@ impl Inner {
                 id: job,
                 not_before_ms: due,
             });
-            q.wakes += 1;
             self.obs.queue_depth.set(q.q.len() as i64);
             drop(q);
             self.queue_cv.notify_all();
@@ -1113,13 +1265,15 @@ impl Inner {
 // Worker
 // ---------------------------------------------------------------------------
 
-/// Sets `alive = false` when the worker thread exits — by any route,
-/// including a panic unwinding through `worker_main`.
+/// Sets `alive = false` when a panic unwinds through `worker_main`.  A
+/// worker that returns (drained or abandoned) needs no replacement.
 struct Sentinel(Arc<WorkerSlot>);
 
 impl Drop for Sentinel {
     fn drop(&mut self) {
-        self.0.alive.store(false, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.0.alive.store(false, Ordering::SeqCst);
+        }
     }
 }
 
@@ -1133,28 +1287,58 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>, rx: Receiver<Assignment>) {
+fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>) {
     let _sentinel = Sentinel(slot.clone());
-    while let Ok(a) = rx.recv() {
-        match catch_unwind(AssertUnwindSafe(|| run_pass(&inner, &slot, &a))) {
-            Ok(()) => {
-                *lock(&slot.busy) = None;
-                inner.wake_dispatcher();
-            }
+    while let Some(pass) = next_pass(&inner, &slot) {
+        match catch_unwind(AssertUnwindSafe(|| run_pass(&inner, &slot, &pass))) {
+            Ok(()) => *lock(&slot.busy) = None,
             Err(payload) => {
-                // Report the death against every request of the group
-                // (so failover starts immediately instead of waiting
-                // for the supervisor's sweep), then die authentically:
-                // the supervisor replaces the thread.  `busy` stays set
-                // through the death — clearing it here would open a
-                // window where the dispatcher assigns a request to this
-                // still-`alive`, already-unwinding thread, burning one
-                // of its attempts on a worker that will never run it.
-                let detail = payload_message(payload.as_ref());
-                inner.fail_all(&a, FailureCause::WorkerPanic { detail });
+                // Report the death against every request of the pass (so
+                // failover starts now instead of at the supervisor's
+                // sweep), then die authentically: the supervisor
+                // replaces the thread.
+                if let Some(a) = lock(&slot.busy).take() {
+                    let detail = payload_message(payload.as_ref());
+                    inner.fail_all(&a, FailureCause::WorkerPanic { detail });
+                }
                 resume_unwind(payload);
             }
         }
+    }
+}
+
+/// Blocks until a queue entry is due, then claims it: the worker's next
+/// pass, already recorded in its `busy` slot.  `None` once the
+/// worker is abandoned, or the runtime drains and no request is open.
+fn next_pass(inner: &Inner, slot: &WorkerSlot) -> Option<Pass> {
+    let mut q = lock(&inner.queue);
+    loop {
+        if slot.abandoned.load(Ordering::SeqCst) || (q.shutdown && inner.open() == 0) {
+            return None;
+        }
+        let now_ms = inner.now_ms();
+        if let Some(i) = q.q.iter().position(|p| p.not_before_ms <= now_ms) {
+            let p = q.q.remove(i).expect("position is in range");
+            inner.obs.queue_depth.set(q.q.len() as i64);
+            if let Some(pass) = inner.claim(&mut q, p.id, now_ms) {
+                drop(q);
+                slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
+                *lock(&slot.busy) = Some(pass.members.clone());
+                return Some(pass);
+            }
+            continue;
+        }
+        // Nothing due: sleep until a notify, the earliest backoff's end
+        // or the poll tick.
+        let next_due_ms = q.q.iter().map(|p| p.not_before_ms - now_ms).min();
+        let wait = next_due_ms.map_or(inner.poll(), |ms| {
+            inner.poll().min(Duration::from_millis(ms.max(1)))
+        });
+        q = inner
+            .queue_cv
+            .wait_timeout(q, wait)
+            .unwrap_or_else(|p| p.into_inner())
+            .0;
     }
 }
 
@@ -1176,8 +1360,8 @@ pub(crate) trait PassSession: Sized {
     }
     /// The matches that crossed the certainty frontier since the last
     /// drain.  A query set streams nothing, so it keeps this empty.
-    fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
-        Vec::new()
+    fn drain_emitted(&mut self) -> impl ExactSizeIterator<Item = StreamedMatch> + '_ {
+        std::iter::empty()
     }
 }
 
@@ -1213,7 +1397,7 @@ pass_session! { EngineSession, PassCheckpoint::Query, {
     fn emission_cursor(&self) -> EmissionCursor {
         EngineSession::emission_cursor(self)
     }
-    fn drain_emitted(&mut self) -> Vec<StreamedMatch> {
+    fn drain_emitted(&mut self) -> impl ExactSizeIterator<Item = StreamedMatch> + '_ {
         EngineSession::drain_emitted(self)
     }
 }}
@@ -1227,41 +1411,16 @@ pass_session! { QuerySetSession, PassCheckpoint::Set, {
     }
 }}
 
-/// Runs one assignment as one pass over its still-live members, lead
-/// first: a single job alone (on the chunked fast path or a session), or
-/// a batch-by-document group whose shared [`QuerySet`] session runs the
-/// union of its members' patterns.
-fn run_pass(inner: &Inner, slot: &WorkerSlot, group: &[(u64, u32)]) {
-    let (mut members, mut jobs) = (Vec::new(), Vec::<Arc<Job>>::new());
-    let resume = {
-        let mut states = lock(&inner.jobs);
-        // Members superseded while queued for this worker drop out.
-        for &(id, attempt) in group {
-            if let Some(st) = live(&mut states, id, attempt) {
-                if matches!(st.status, Status::Running) {
-                    members.push((id, attempt));
-                    jobs.push(st.job.clone());
-                }
-            }
-        }
-        let Some(st) = members.first().and_then(|m| states.get_mut(&m.0)) else {
-            return;
-        };
-        // Matches stored over another member list belong to other
-        // queries: this pass starts over at byte 0.
-        if let Some(r) = &st.resume {
-            if !r.members.iter().eq(members.iter().map(|m| &m.0)) {
-                st.resume = None;
-            }
-        }
-        st.resume.clone().map(|r| (r.checkpoint, r.matches))
-    };
-    let ((lead, attempt), job) = (members[0], &jobs[0]);
+/// Runs one claimed pass, lead first: a single job alone (on the chunked
+/// fast path or a session), or a batch-by-document group whose shared
+/// [`QuerySet`] session runs the union of its members' patterns.
+fn run_pass(inner: &Inner, slot: &WorkerSlot, pass: &Pass) {
+    let ((lead, attempt), job) = (pass.members[0], &pass.jobs[0]);
     let cfg = &inner.cfg;
     // Only requests without limits of their own group, so the lead's
     // limits are the pass's.
     let limits = cfg.budget.session_limits_for(job.limits.as_ref(), &cfg.obs);
-    let (checkpoint, prefix) = resume.unzip();
+    let spans: Vec<usize> = pass.jobs.iter().map(|j| j.plan.queries()).collect();
     match &job.plan {
         Plan::Query(query) => {
             // Fast path: the data-parallel chunked engine, for large
@@ -1273,7 +1432,7 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, group: &[(u64, u32)]) {
             // frontier.
             let chunk_eligible = cfg.chaos.is_none()
                 && attempt == 1
-                && checkpoint.is_none()
+                && pass.checkpoint.is_none()
                 && !job.stream
                 && job.doc.len() >= cfg.parallel_threshold
                 && query.strategy() == Strategy::Registerless
@@ -1284,57 +1443,56 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, group: &[(u64, u32)]) {
                 } else {
                     slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
                     return match query.select_bytes_parallel(&job.doc, cfg.chunk_threads) {
-                        Ok(m) => inner.complete(lead, attempt, vec![m], PathTaken::Chunked, 0),
-                        Err(e) => inner.fail_all(&[(lead, attempt)], FailureCause::Engine(e)),
+                        Ok(m) => {
+                            inner.complete(&pass.members, &spans, PathTaken::Chunked, Some(vec![m]))
+                        }
+                        Err(e) => inner.fail_all(&pass.members, FailureCause::Engine(e)),
                     };
                 }
             }
-            let session = match checkpoint {
+            let session = match &pass.checkpoint {
                 None => Ok(query.session(limits)),
-                Some(PassCheckpoint::Query(cp)) => query.resume(&cp, limits),
+                Some(PassCheckpoint::Query(cp)) => query.resume(cp, limits),
                 Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
             };
-            drive(inner, slot, job, &members, &[1], session, prefix);
+            drive(inner, slot, pass, &spans, session);
         }
         Plan::Set {
             alphabet, budget, ..
         } => {
-            let (mut planned, mut spans) = (Vec::new(), Vec::new());
-            for member in &jobs {
+            let mut planned = Vec::new();
+            for member in &pass.jobs {
                 if let Plan::Set {
                     patterns, plans, ..
                 } = &member.plan
                 {
                     planned.extend(patterns.iter().map(|p| Some(p.as_str())).zip(plans));
-                    spans.push(plans.len());
                 }
             }
             let set = QuerySet::from_plans(planned, alphabet, *budget);
-            let session = match checkpoint {
+            let session = match &pass.checkpoint {
                 None => Ok(set.session(limits)),
-                Some(PassCheckpoint::Set(cp)) => set.resume(&cp, limits),
+                Some(PassCheckpoint::Set(cp)) => set.resume(cp, limits),
                 Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
             };
-            drive(inner, slot, job, &members, &spans, session, prefix);
+            drive(inner, slot, pass, &spans, session);
         }
     }
 }
 
 /// The pass loop: feeds the lead's document in cadence-sized segments,
 /// each behind a chaos roll keyed by the lead's `(job, attempt,
-/// segment)` and followed by a heartbeat, the streamed emissions and a
-/// stored resume point; then hands member `i` the next `spans[i]` match
-/// lists.  `prefix` holds, per query, the matches stored before the
-/// checkpoint a resumed session started from.
+/// segment)` and followed by a heartbeat and the segment's record (new
+/// matches into the lead's store, the checkpoint as its resume point);
+/// then member `i` takes the next `spans[i]` match lists.
 fn drive<S: PassSession>(
     inner: &Inner,
     slot: &WorkerSlot,
-    job: &Job,
-    group: &[(u64, u32)],
+    pass: &Pass,
     spans: &[usize],
     session: Result<S, SessionError>,
-    prefix: Option<Vec<Vec<usize>>>,
 ) {
+    let (group, job) = (pass.members.as_slice(), &pass.jobs[0]);
     let (lead, attempt) = group[0];
     let fail = |cause| inner.fail_all(group, cause);
     let mut session = match session {
@@ -1343,7 +1501,7 @@ fn drive<S: PassSession>(
     };
     let start = session.offset();
     for &(id, attempt) in group {
-        if prefix.is_some() {
+        if pass.checkpoint.is_some() {
             inner.note_resume(id, attempt, start);
         }
         let session = session.obs_session_id();
@@ -1353,8 +1511,9 @@ fn drive<S: PassSession>(
     // before any of its output is accepted: a hostile checkpoint (forged
     // count, tampered digest) dies here with a typed error instead of
     // letting replay dedup silently mis-align.
+    let resumed_at = session.emission_cursor();
     if job.stream {
-        if let Err(cause) = inner.verify_cursor(lead, attempt, session.emission_cursor(), None) {
+        if let Err(cause) = inner.verify_cursor(lead, attempt, resumed_at, None) {
             return fail(cause);
         }
     }
@@ -1364,9 +1523,8 @@ fn drive<S: PassSession>(
     let cadence = inner.cfg.checkpoint_every.max(1);
     let start_ms = inner.now_ms();
     let mut off = start;
-    // `session.matches_of(q)[..stored[q]]` already went out with a
-    // checkpoint.
-    let mut stored = vec![0usize; spans.iter().sum()];
+    // `session.matches_of(q)[..done[q]]` is in the lead's list store.
+    let mut done = vec![0usize; spans.iter().sum()];
     while off < doc.len() {
         let end = (off + cadence).min(doc.len());
         match chaos.map_or(Fault::None, |c| {
@@ -1389,62 +1547,48 @@ fn drive<S: PassSession>(
         }
         off = end;
         slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
-        // Deliver what crossed the certainty frontier *before* storing
-        // the checkpoint: the ledger may then run ahead of the stored
-        // cursor (matches recorded after the last stored checkpoint),
-        // which is exactly the replay window failover dedup suppresses.
-        if job.stream {
-            let batch = session.drain_emitted();
-            let first = session.emission_cursor().count as usize - batch.len();
-            if let Err(cause) = inner.record_emissions(lead, attempt, first, &batch) {
-                return fail(cause);
-            }
-        }
-        match session.checkpoint() {
-            Ok(cp) => inner.store_resume(lead, attempt, cp, &ids, &session, &mut stored),
+        let checkpoint = match session.checkpoint() {
+            Ok(cp) => cp,
             Err(e) => return fail(FailureCause::Engine(e)),
-        }
-    }
-    let cursor = session.emission_cursor();
-    let mut lists = match (session.finish(), prefix) {
-        (Ok(tails), Some(mut prefix)) => {
-            prefix.iter_mut().zip(tails).for_each(|(p, t)| p.extend(t));
-            prefix
-        }
-        (Ok(lists), None) => lists,
-        (Err(e), _) => return fail(FailureCause::Engine(e)),
-    };
-    // A streamed request completes only if the delivered stream equals
-    // the final match list and the cursors agree — a gap or duplicate
-    // that survived this far is a typed failure, never a silently wrong
-    // answer.
-    if job.stream {
-        if let Err(cause) = inner.verify_cursor(lead, attempt, cursor, Some(&lists[0])) {
+        };
+        if let Err(cause) =
+            inner.record_segment(group[0], &ids, checkpoint, &mut session, &mut done)
+        {
             return fail(cause);
         }
     }
-    let (path, group_size) = if matches!(job.plan, Plan::Set { .. }) {
+    let cursor = session.emission_cursor();
+    let own = match session.finish() {
+        Ok(lists) => lists,
+        Err(e) => return fail(FailureCause::Engine(e)),
+    };
+    // A streamed request completes only if the delivered stream equals
+    // the final session's own answer and the cursors agree — a gap or
+    // duplicate that survived this far is a typed failure, never a
+    // silently wrong answer.
+    if job.stream {
+        let last = (resumed_at.count as usize, own[0].as_slice());
+        if let Err(cause) = inner.verify_cursor(lead, attempt, cursor, Some(last)) {
+            return fail(cause);
+        }
+    }
+    let path = if matches!(job.plan, Plan::Set { .. }) {
         let n = group.len() as u64;
         inner.observe_group_rate(off - start, inner.now_ms().saturating_sub(start_ms));
-        inner.multi_groups.fetch_add(1, Ordering::SeqCst);
-        inner.multi_group_members.fetch_add(n, Ordering::SeqCst);
-        inner.obs.multi_groups.incr();
+        inner.obs.multi_groups.add(1);
         inner.obs.multi_group_members.add(n);
         inner.obs.multi_group_size.record(n);
-        let queries = lists.len() as u64;
+        let queries = own.len() as u64;
         inner.obs.trace(TraceEvent::SharedPass {
             job: lead,
             members: n,
             queries,
         });
-        (PathTaken::Shared, group.len())
+        PathTaken::Shared
     } else {
-        (PathTaken::Session, 0)
+        PathTaken::Session
     };
-    for (&(id, attempt), &n) in group.iter().zip(spans) {
-        let own = lists.drain(..n).collect();
-        inner.complete(id, attempt, own, path, group_size);
-    }
+    inner.complete(group, spans, path, None);
 }
 
 // ---------------------------------------------------------------------------
@@ -1452,24 +1596,21 @@ fn drive<S: PassSession>(
 // ---------------------------------------------------------------------------
 
 fn spawn_worker(inner: &Arc<Inner>, index: usize) -> WorkerHandle {
-    let (tx, rx) = channel::<Assignment>();
     let slot = Arc::new(WorkerSlot {
         alive: AtomicBool::new(true),
         abandoned: AtomicBool::new(false),
         busy: Mutex::new(None),
         heartbeat_ms: AtomicU64::new(inner.now_ms()),
     });
-    inner.workers_spawned.fetch_add(1, Ordering::SeqCst);
-    inner.obs.workers_spawned.incr();
+    inner.obs.workers_spawned.add(1);
     let inner2 = inner.clone();
     let slot2 = slot.clone();
     let join = std::thread::Builder::new()
         .name(format!("st-serve-worker-{index}"))
-        .spawn(move || worker_main(inner2, slot2, rx))
+        .spawn(move || worker_main(inner2, slot2))
         .expect("spawn worker thread");
     WorkerHandle {
         slot,
-        tx: Some(tx),
         join: Some(join),
     }
 }
@@ -1494,172 +1635,45 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
             continue;
         }
         // Stalled?  Only a busy worker owes heartbeats.
-        let victim = lock(&worker.slot.busy).clone();
-        if let Some(a) = victim {
-            let hb = worker.slot.heartbeat_ms.load(Ordering::SeqCst);
-            let silent = now_ms.saturating_sub(hb);
-            if silent > stall_ms {
-                worker.slot.abandoned.store(true, Ordering::SeqCst);
-                *lock(&worker.slot.busy) = None;
-                inner.fail_all(&a, FailureCause::WorkerStall { stalled_ms: silent });
-                // Replace the slot; dropping the old sender lets the
-                // zombie exit once it wakes, and dropping the handle
-                // detaches it (joining a sleeping zombie would block
-                // shutdown).
-                let replacement = spawn_worker(inner, i);
-                let _zombie = std::mem::replace(worker, replacement);
-            }
-        }
-    }
-}
-
-/// Hands one pending entry to an idle worker.  A groupable multi-query
-/// lead pulls every other queued multi-query request with the same
-/// document fingerprint into its assignment, so one worker serves the
-/// whole batch with one shared pass.  Returns `false` if the work must
-/// go back to the queue (no healthy idle worker took it).
-fn try_assign(inner: &Arc<Inner>, workers: &[WorkerHandle], p: &Pending, now_ns: u64) -> bool {
-    // Deadline-aware admission: a queued request whose deadline already
-    // passed is dropped here — typed error, no worker dispatch.
-    if inner.expire_if_due(p.id, now_ns) {
-        return true;
-    }
-    let now_ms = now_ns / 1_000_000;
-    let mut group: Vec<(u64, u32)> = Vec::new();
-    {
-        let mut jobs = lock(&inner.jobs);
-        let group_key = match jobs.get_mut(&p.id) {
-            Some(st) if matches!(st.status, Status::Queued) => {
-                st.status = Status::Running;
-                group.push((p.id, st.attempt));
-                st.job.group_key
-            }
-            // Vanished or already terminal: the entry is stale; drop it.
-            _ => return true,
-        };
-        if let Some(fp) = group_key {
-            // Claim the rest of the batch.  Members stay Running while
-            // their own queue entries surface later as stale no-ops;
-            // deterministic ascending-id order keeps result splitting
-            // independent of queue arrival order.
-            let peers = jobs.iter_mut().filter(|(_, st)| {
-                // The lead is Running already.
-                matches!(st.status, Status::Queued)
-                    // Deadline-aware grouping: never adopt a member
-                    // whose deadline is projected to expire before the
-                    // shared pass finishes — it would ride along only to
-                    // receive an answer nobody is waiting for.  The
-                    // projection uses the measured EWMA throughput of
-                    // completed shared passes (the configured hint until
-                    // one completes).
-                    && st.deadline_ms.is_none_or(|d| {
-                        let projected_ms = st.job.doc.len() as u64 / inner.group_rate() + 1;
-                        now_ms + projected_ms <= d
-                    })
-                    && st.job.group_key == Some(fp)
-            });
-            for (id, st) in peers {
-                st.status = Status::Running;
-                group.push((*id, st.attempt));
-            }
-            group[1..].sort_unstable();
-        }
-    }
-    for w in workers {
-        let healthy =
-            w.slot.alive.load(Ordering::SeqCst) && !w.slot.abandoned.load(Ordering::SeqCst);
-        let Some(tx) = w.tx.as_ref().filter(|_| healthy) else {
-            continue;
-        };
-        let mut busy = lock(&w.slot.busy);
-        if busy.is_some() {
+        let mut busy = lock(&worker.slot.busy);
+        let silent = now_ms.saturating_sub(worker.slot.heartbeat_ms.load(Ordering::SeqCst));
+        if busy.is_none() || silent <= stall_ms {
             continue;
         }
-        *busy = Some(group.clone());
+        worker.slot.abandoned.store(true, Ordering::SeqCst);
+        let victims = busy.take().expect("checked busy");
         drop(busy);
-        w.slot.heartbeat_ms.store(now_ms, Ordering::SeqCst);
-        if tx.send(group.clone()).is_ok() {
-            return true;
-        }
-        // The worker died between the liveness check and the send; the
-        // reaper will replace it.  Roll back and keep looking.
-        *lock(&w.slot.busy) = None;
+        inner.fail_all(&victims, FailureCause::WorkerStall { stalled_ms: silent });
+        // Replace the slot; the zombie claims nothing more once it
+        // wakes, and dropping its handle detaches it (joining a
+        // sleeping zombie would block shutdown).
+        let replacement = spawn_worker(inner, i);
+        let _zombie = std::mem::replace(worker, replacement);
     }
-    // No healthy idle worker: the whole claimed group goes back to the
-    // queue (non-lead members' queue entries are still there).
-    let mut jobs = lock(&inner.jobs);
-    for &(id, attempt) in &group {
-        if let Some(st) = live(&mut jobs, id, attempt) {
-            st.status = Status::Queued;
-        }
-    }
-    false
 }
 
-fn dispatcher_main(inner: Arc<Inner>) {
+/// The supervisor: spawns the pool, then reaps, replaces and abandons
+/// workers and expires queued deadlines until the drain finishes.
+fn supervisor_main(inner: Arc<Inner>) {
     let mut workers: Vec<WorkerHandle> = (0..inner.cfg.workers.max(1))
         .map(|i| spawn_worker(&inner, i))
         .collect();
-    let poll = (inner.cfg.stall_timeout / 4)
-        .min(Duration::from_millis(10))
-        .max(Duration::from_millis(1));
+    let poll = inner.poll();
     loop {
-        let now_ns = inner.now_ns();
-        let now_ms = now_ns / 1_000_000;
+        let now_ms = inner.now_ms();
         reap_and_replace(&inner, &mut workers, now_ms);
-
-        // Pull due entries (retries wait out their backoff).
-        let mut due: Vec<Pending> = Vec::new();
-        let mut next_due_ms: Option<u64> = None;
-        let seen = {
-            let mut q = lock(&inner.queue);
-            let mut keep = VecDeque::with_capacity(q.q.len());
-            while let Some(p) = q.q.pop_front() {
-                if p.not_before_ms <= now_ms {
-                    due.push(p);
-                } else {
-                    next_due_ms =
-                        Some(next_due_ms.map_or(p.not_before_ms, |m| m.min(p.not_before_ms)));
-                    keep.push_back(p);
-                }
-            }
-            q.q = keep;
-            inner.obs.queue_depth.set(q.q.len() as i64);
-            q.wakes
-        };
-        due.retain(|p| !try_assign(&inner, &workers, p, now_ns));
-        if !due.is_empty() {
-            let mut q = lock(&inner.queue);
-            for p in due.into_iter().rev() {
-                q.q.push_front(p);
-            }
-            inner.obs.queue_depth.set(q.q.len() as i64);
+        // An idle worker expires entries itself as it claims them.
+        if workers.iter().all(|w| lock(&w.slot.busy).is_some()) {
+            inner.expire_queued(now_ms);
         }
-
-        // Graceful drain: exit only when no request is still open.
-        let open = inner.submitted.load(Ordering::SeqCst)
-            - inner.completed.load(Ordering::SeqCst)
-            - inner.failed.load(Ordering::SeqCst);
         let q = lock(&inner.queue);
-        if q.shutdown && open == 0 {
+        // Graceful drain: exit only when no request is still open.
+        if q.shutdown && inner.open() == 0 {
             break;
         }
-        // Sleep only under the guard that sees no wake since the queue
-        // was read: a notify that landed in between is not lost.
-        if q.wakes == seen {
-            let mut timeout = poll;
-            if let Some(nd) = next_due_ms {
-                timeout = timeout.min(
-                    Duration::from_millis(nd.saturating_sub(now_ms)).max(Duration::from_millis(1)),
-                );
-            }
-            let _ = inner.queue_cv.wait_timeout(q, timeout);
-        }
+        let _ = inner.queue_cv.wait_timeout(q, poll);
     }
-    // Drop senders so idle workers exit, then join the live ones.
-    for w in &mut workers {
-        w.tx = None;
-    }
+    // Idle workers see the drain and exit; join the live ones.
     for mut w in workers {
         if let Some(h) = w.join.take() {
             let _ = h.join();
@@ -1677,7 +1691,7 @@ fn dispatcher_main(inner: Arc<Inner>) {
 /// drain with [`ServeRuntime::shutdown`].
 pub struct ServeRuntime {
     inner: Arc<Inner>,
-    dispatcher: Option<JoinHandle<()>>,
+    supervisor: Option<JoinHandle<()>>,
 }
 
 impl ServeRuntime {
@@ -1704,135 +1718,108 @@ impl ServeRuntime {
             jobs_cv: Condvar::new(),
             in_flight_bytes: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            resumes: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            workers_spawned: AtomicU64::new(0),
-            multi_groups: AtomicU64::new(0),
-            multi_group_members: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            emitted: AtomicU64::new(0),
-            emission_suppressed: AtomicU64::new(0),
             group_rate_bpms: AtomicU64::new(0),
         });
         let inner2 = inner.clone();
-        let dispatcher = std::thread::Builder::new()
+        let supervisor = std::thread::Builder::new()
             .name("st-serve-supervisor".to_owned())
-            .spawn(move || dispatcher_main(inner2))
+            .spawn(move || supervisor_main(inner2))
             .expect("spawn supervisor thread");
         ServeRuntime {
             inner,
-            dispatcher: Some(dispatcher),
+            supervisor: Some(supervisor),
         }
     }
 
     fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
+        let inner = &self.inner;
         let doc_len = job.doc.len();
-        let job = Arc::new(job);
+        // Lock order everywhere: queue before jobs.
+        let mut q = lock(&inner.queue);
         loop {
-            {
-                // Lock order everywhere: jobs before queue.
-                let mut jobs = lock(&self.inner.jobs);
-                let mut q = lock(&self.inner.queue);
-                if q.shutdown {
-                    return Err(ServeError::ShuttingDown);
-                }
-                if q.q.len() < self.inner.cfg.queue_capacity {
-                    if let Some(mb) = self.inner.cfg.budget.max_in_flight_bytes {
-                        let cur = self.inner.in_flight_bytes.load(Ordering::SeqCst);
-                        if cur + doc_len > mb {
-                            self.inner.rejected.fetch_add(1, Ordering::SeqCst);
-                            self.inner.obs.rejected.incr();
-                            self.inner.obs.trace(TraceEvent::BudgetReject {
-                                requested: doc_len as u64,
-                                held: cur as u64,
-                                budget: mb as u64,
-                            });
-                            return Err(ServeError::Rejected {
-                                reason: format!(
-                                    "in-flight byte budget: {cur} held + {doc_len} requested > {mb}"
-                                ),
-                            });
-                        }
-                    }
-                    let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
-                    let submitted_ns = self.inner.now_ns();
-                    let submitted_ms = submitted_ns / 1_000_000;
-                    jobs.insert(
-                        id,
-                        JobState {
-                            attempt: 1,
-                            resume: None,
-                            resumes: 0,
-                            failures: Vec::new(),
-                            status: Status::Queued,
-                            path: PathTaken::Session,
-                            degraded: false,
-                            submitted_ns,
-                            deadline_ms: job
-                                .deadline
-                                .map(|d| submitted_ms.saturating_add(d.as_millis() as u64)),
-                            group_size: 0,
-                            ledger: Vec::new(),
-                            suppressed: 0,
-                            job: job.clone(),
-                        },
-                    );
-                    let held = self
-                        .inner
-                        .in_flight_bytes
-                        .fetch_add(doc_len, Ordering::SeqCst);
-                    q.q.push_back(Pending {
-                        id,
-                        not_before_ms: 0,
-                    });
-                    q.wakes += 1;
-                    self.inner.submitted.fetch_add(1, Ordering::SeqCst);
-                    self.inner.obs.submitted.incr();
-                    self.inner.obs.in_flight_bytes.set((held + doc_len) as i64);
-                    self.inner.obs.queue_depth.set(q.q.len() as i64);
-                    self.inner.obs.trace(TraceEvent::JobAdmitted {
-                        job: id,
-                        bytes: doc_len as u64,
-                    });
-                    drop(q);
-                    drop(jobs);
-                    self.inner.queue_cv.notify_all();
-                    return Ok(JobId(id));
-                }
-                if !block {
-                    self.inner.shed.fetch_add(1, Ordering::SeqCst);
-                    self.inner.obs.shed.incr();
-                    self.inner.obs.trace(TraceEvent::QueueShed {
-                        queue_len: q.q.len() as u64,
-                        capacity: self.inner.cfg.queue_capacity as u64,
-                    });
-                    return Err(ServeError::Overloaded {
-                        queue_len: q.q.len(),
-                        capacity: self.inner.cfg.queue_capacity,
-                    });
-                }
-            }
-            // Blocking submit: wait for space (jobs lock released).
-            let q = lock(&self.inner.queue);
             if q.shutdown {
                 return Err(ServeError::ShuttingDown);
             }
-            let _ = self
-                .inner
+            if q.q.len() < inner.cfg.queue_capacity {
+                break;
+            }
+            if !block {
+                inner.obs.shed.add(1);
+                inner.obs.trace(TraceEvent::QueueShed {
+                    queue_len: q.q.len() as u64,
+                    capacity: inner.cfg.queue_capacity as u64,
+                });
+                return Err(ServeError::Overloaded {
+                    queue_len: q.q.len(),
+                    capacity: inner.cfg.queue_capacity,
+                });
+            }
+            // Blocking submit: wait for space.
+            q = inner
                 .queue_cv
                 .wait_timeout(q, Duration::from_millis(10))
-                .map(|(g, _)| drop(g));
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
         }
+        let held = inner.in_flight_bytes.load(Ordering::SeqCst);
+        if let Some(mb) = inner.cfg.budget.max_in_flight_bytes {
+            if held + doc_len > mb {
+                inner.obs.rejected.add(1);
+                inner.obs.trace(TraceEvent::BudgetReject {
+                    requested: doc_len as u64,
+                    held: held as u64,
+                    budget: mb as u64,
+                });
+                return Err(ServeError::Rejected {
+                    reason: format!(
+                        "in-flight byte budget: {held} held + {doc_len} requested > {mb}"
+                    ),
+                });
+            }
+        }
+        let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
+        let submitted_ns = inner.now_ns();
+        let deadline_ms = job
+            .deadline
+            .map(|d| (submitted_ns / 1_000_000).saturating_add(d.as_millis() as u64));
+        let store = if job.stream {
+            Store::Ledger(Vec::new())
+        } else {
+            Store::Lists(Vec::new())
+        };
+        lock(&inner.jobs).insert(
+            id,
+            JobState {
+                job: Arc::new(job),
+                attempt: 1,
+                resume: None,
+                resumes: 0,
+                failures: Vec::new(),
+                status: Status::Queued,
+                store,
+                path: PathTaken::Session,
+                degraded: false,
+                submitted_ns,
+                deadline_ms,
+                group_size: 0,
+                suppressed: 0,
+            },
+        );
+        let held = inner.in_flight_bytes.fetch_add(doc_len, Ordering::SeqCst) + doc_len;
+        q.q.push_back(Pending {
+            id,
+            not_before_ms: 0,
+        });
+        inner.obs.submitted.add(1);
+        inner.obs.in_flight_bytes.set(held as i64);
+        inner.obs.queue_depth.set(q.q.len() as i64);
+        inner.obs.trace(TraceEvent::JobAdmitted {
+            job: id,
+            bytes: doc_len as u64,
+        });
+        drop(q);
+        inner.queue_cv.notify_all();
+        Ok(JobId(id))
     }
 
     /// Submits a request.  Admission control applies: a full queue sheds
@@ -1887,8 +1874,7 @@ impl ServeRuntime {
             match compile_regex(p, &spec.alphabet) {
                 Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
                 Err(e) => {
-                    self.inner.rejected.fetch_add(1, Ordering::SeqCst);
-                    self.inner.obs.rejected.incr();
+                    self.inner.obs.rejected.add(1);
                     return Err(ServeError::Rejected {
                         reason: format!("pattern {i} ({p:?}) failed to compile: {e}"),
                     });
@@ -1896,7 +1882,11 @@ impl ServeRuntime {
             }
         }
         let budget = spec.product_budget.unwrap_or(self.inner.cfg.product_budget);
-        let fp = group_fingerprint(&spec.doc, &spec.alphabet, budget);
+        // Only requests that inherit the service limits group.
+        let group_key = spec
+            .limits
+            .is_none()
+            .then(|| group_fingerprint(&spec.doc, &spec.alphabet, budget));
         self.admit(
             Job {
                 plan: Plan::Set {
@@ -1906,7 +1896,7 @@ impl ServeRuntime {
                     budget,
                 },
                 doc: spec.doc,
-                group_key: spec.limits.is_none().then_some(fp),
+                group_key,
                 limits: spec.limits,
                 deadline: spec.deadline,
                 stream: false,
@@ -1974,7 +1964,7 @@ impl ServeRuntime {
         let Some(st) = jobs.get(&id.0) else {
             return Err(ServeError::UnknownJob { id: id.0 });
         };
-        Ok(st.ledger.get(start..).unwrap_or_default().to_vec())
+        Ok(st.store.ledger().get(start..).unwrap_or_default().to_vec())
     }
 
     /// Blocks until the request finishes and returns its report with
@@ -2012,7 +2002,7 @@ impl ServeRuntime {
     /// the final counters.
     pub fn shutdown(mut self) -> ServeStats {
         self.begin_shutdown();
-        if let Some(h) = self.dispatcher.take() {
+        if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
         self.inner.stats()
@@ -2020,14 +2010,14 @@ impl ServeRuntime {
 
     fn begin_shutdown(&self) {
         lock(&self.inner.queue).shutdown = true;
-        self.inner.wake_dispatcher();
+        self.inner.queue_cv.notify_all();
     }
 }
 
 impl Drop for ServeRuntime {
     fn drop(&mut self) {
         self.begin_shutdown();
-        if let Some(h) = self.dispatcher.take() {
+        if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
     }

@@ -134,7 +134,7 @@ fn resume_at_every_checkpoint_cut_is_emission_transparent() {
                 // Head run: feed the prefix, drain, checkpoint.
                 let mut head = fused.session(limits.clone());
                 head.feed(&doc[..cut]).unwrap();
-                let head_emitted = head.drain_emitted();
+                let head_emitted: Vec<_> = head.drain_emitted().collect();
                 let cp = head.checkpoint().expect("healthy snapshot");
                 assert_eq!(
                     cp.emission_cursor(),
@@ -172,7 +172,7 @@ fn matches_are_emitted_before_end_of_document() {
             for b in &doc {
                 session.feed(std::slice::from_ref(b)).unwrap();
                 fed += 1;
-                if first_emission_at.is_none() && !session.drain_emitted().is_empty() {
+                if first_emission_at.is_none() && session.drain_emitted().len() > 0 {
                     first_emission_at = Some(fed);
                 }
             }

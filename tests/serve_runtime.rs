@@ -15,7 +15,7 @@ use stackless_streamed_trees::core::engine::FusedQuery;
 use stackless_streamed_trees::core::planner::CompiledQuery;
 use stackless_streamed_trees::core::session::Limits;
 use stackless_streamed_trees::serve::{
-    ChaosConfig, FailureCause, JobSpec, PathTaken, ServeConfig, ServeError, ServeRuntime,
+    ChaosConfig, FailureCause, Fault, JobSpec, PathTaken, ServeConfig, ServeError, ServeRuntime,
     ServiceBudget,
 };
 
@@ -441,9 +441,9 @@ fn shutdown_drains_and_then_refuses_new_work() {
 fn zero_deadline_expires_in_queue_with_a_typed_error() {
     let q = fused("a.*b", "ab");
     let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
-    // A deadline of zero is due the instant the dispatcher looks at the
-    // queue, whatever the timing — the head-of-queue check runs before
-    // any worker assignment.
+    // A deadline of zero is due the instant a worker claims the entry,
+    // whatever the timing — the deadline check runs before any pass
+    // starts.
     let id = serve
         .submit(JobSpec::new(q, doc_with_leaves(3)).with_deadline(Duration::ZERO))
         .unwrap();
@@ -511,8 +511,8 @@ fn streamed_jobs_deliver_exactly_once_across_failover() {
 
     let q = fused("a.*b", "ab");
     // Aggressive panic chaos with a small checkpoint cadence: most
-    // requests lose at least one worker mid-stream, so replay windows
-    // (ledger ahead of the stored cursor) actually occur.
+    // requests lose at least one worker mid-stream and resume from a
+    // checkpoint against a non-empty ledger.
     let cfg = ServeConfig::default()
         .with_workers(2)
         .with_checkpoint_every(16)
@@ -583,4 +583,109 @@ fn streamed_jobs_deliver_exactly_once_across_failover() {
         stats.emitted > 0,
         "streamed jobs must actually deliver through the ledger"
     );
+}
+
+#[test]
+fn queued_deadline_expires_while_every_worker_is_busy() {
+    let q = fused("a.*b", "ab");
+    // The one worker sleeps 400 ms inside the long job's only segment;
+    // the stall deadline is far away, so it stays busy, not abandoned.
+    let cfg = ServeConfig::default()
+        .with_workers(1)
+        .with_stall_timeout(Duration::from_secs(30))
+        .with_chaos(only(7, 0, 1000, 0, 400));
+    let serve = ServeRuntime::start(cfg);
+    let doc = doc_with_leaves(10);
+    let long = serve
+        .submit(JobSpec::new(q.clone(), doc.clone()).with_stream())
+        .unwrap();
+    let submitted = std::time::Instant::now();
+    let short = serve
+        .submit(JobSpec::new(q.clone(), doc.clone()).with_deadline(Duration::from_millis(5)))
+        .unwrap();
+    let report = serve.wait(short).unwrap();
+    let waited = submitted.elapsed();
+    assert!(
+        matches!(report.result, Err(ServeError::DeadlineExpired { .. })),
+        "expected DeadlineExpired, got {:?}",
+        report.result
+    );
+    assert!(
+        serve.try_report(long).is_none(),
+        "the deadline must expire while the long job still holds the worker"
+    );
+    assert!(
+        waited < Duration::from_millis(200),
+        "expiry took {waited:?}"
+    );
+    let long = serve.wait(long).unwrap();
+    assert_eq!(long.result.unwrap(), q.select_bytes(&doc).unwrap());
+    let stats = serve.shutdown();
+    assert_eq!((stats.deadline_expired, stats.completed), (1, 1));
+}
+
+/// Fake time for [`retry_waits_out_its_backoff_on_the_injected_clock`]
+/// (its own, so the stall test's ticker cannot move it).
+static BACKOFF_NOW_MS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1_000);
+
+fn backoff_clock() -> Duration {
+    Duration::from_millis(BACKOFF_NOW_MS.load(std::sync::atomic::Ordering::SeqCst))
+}
+
+#[test]
+fn retry_waits_out_its_backoff_on_the_injected_clock() {
+    use std::sync::atomic::Ordering;
+
+    let q = fused("a.*b", "ab");
+    let doc = doc_with_leaves(12);
+    let segments = doc.len().div_ceil(16) as u64;
+    // A chaos seed whose rolls corrupt the first attempt's first segment
+    // and leave every segment of the second attempt clean (the first
+    // request a runtime admits is job 1).
+    let chaos = (0..)
+        .map(|seed| only(seed, 0, 0, 500, 0))
+        .find(|c| {
+            c.roll(1, 1, 0) == Fault::Corrupt
+                && (0..segments).all(|s| c.roll(1, 2, s) == Fault::None)
+        })
+        .unwrap();
+    let budget = ServiceBudget {
+        max_in_flight_bytes: None,
+        session_limits: Limits::none().with_clock(backoff_clock),
+    };
+    let cfg = ServeConfig::default()
+        .with_workers(1)
+        .with_checkpoint_every(16)
+        .with_backoff_base(Duration::from_millis(50))
+        .with_chaos(chaos)
+        .with_budget(budget);
+    let serve = ServeRuntime::start(cfg);
+    let id = serve.submit(JobSpec::new(q.clone(), doc.clone())).unwrap();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while serve.stats().retries == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "first attempt never failed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The clock is frozen, so the 50 ms backoff never ends, however long
+    // real time runs.
+    std::thread::sleep(Duration::from_millis(150));
+    assert!(
+        serve.try_report(id).is_none(),
+        "retry ran before its backoff"
+    );
+    assert_eq!(serve.stats().corruptions, 1);
+
+    BACKOFF_NOW_MS.fetch_add(51, Ordering::SeqCst);
+    let report = serve.wait(id).unwrap();
+    assert_eq!(report.result.unwrap(), q.select_bytes(&doc).unwrap());
+    assert_eq!(report.attempts, 2);
+    assert!(matches!(
+        report.failures.as_slice(),
+        [FailureCause::SegmentCorrupted { offset: 0 }]
+    ));
+    serve.shutdown();
 }
