@@ -362,8 +362,8 @@ fn write_throughput_json(path: &str) {
         .with_max_imbalance(1 << 20);
 
     let mut workload_objects: Vec<String> = Vec::new();
-    // `ledger`: the ~40 KB shapes also record the compile ledger and the
-    // mixed-class 8-query series.  The mixed shapes also record the pool
+    // `ledger`: the ~40 KB shapes also record the compile ledger, the
+    // edge's 16 KiB session series and the mixed-class 8-query series.  The mixed shapes also record the pool
     // ledger.
     let mut measure_workload = |name: &str, nodes: usize, depth: u32, xml: &[u8], ledger: bool| {
         let mut series: Vec<(String, f64)> = Vec::new();
@@ -427,6 +427,29 @@ fn write_throughput_json(path: &str) {
                     black_box(emitted);
                 }),
             ));
+            // The edge's per-request path: one 16 KiB feed per CHUNK,
+            // the emitted matches drained after each, and a checkpoint
+            // once 64 KiB have passed (none, on a ~40 KB document).
+            if ledger {
+                series.push((
+                    format!("session_16k_{slug}/{pattern}"),
+                    gbit_per_s(xml.len(), || {
+                        let mut session = fused.session(session_guards.clone());
+                        let (mut emitted, mut since) = (0usize, 0usize);
+                        for feed in black_box(xml).chunks(16 << 10) {
+                            session.feed(feed).unwrap();
+                            emitted += session.drain_emitted().len();
+                            since += feed.len();
+                            if since >= 64 << 10 {
+                                since = 0;
+                                black_box(session.checkpoint().unwrap());
+                            }
+                        }
+                        black_box(session.finish().unwrap());
+                        black_box(emitted);
+                    }),
+                ));
+            }
             // The forced-scalar reference: the same structural scan
             // with certification off, so every tag goes through the
             // byte-at-a-time lexer excursion; kept in the matrix so the

@@ -102,7 +102,7 @@ pub use planner::{CompiledQuery, CompiledTermQuery, Strategy};
 pub use query::{Query, QueryError};
 pub use queryset::{
     ProductShape, QuerySet, QuerySetCheckpoint, QuerySetOutcome, QuerySetSession, SetGrouping,
-    DEFAULT_PRODUCT_BUDGET,
+    DEFAULT_PRODUCT_BUDGET, MAX_SET_MEMBERS,
 };
 pub use session::{
     check_event_limits, monotonic_clock, CheckpointState, ClockFn, Diagnostic, EngineCheckpoint,

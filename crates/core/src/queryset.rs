@@ -77,6 +77,12 @@ use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
 /// forcing those paths in differential tests).
 pub const DEFAULT_PRODUCT_BUDGET: usize = 4096;
 
+/// Cap on a query set's member count that serving front-ends enforce
+/// before planning any member: building a set grows faster than
+/// linearly in its members, so one request must not hold a core for
+/// minutes.
+pub const MAX_SET_MEMBERS: usize = 256;
+
 /// Version tag of the [`QuerySetCheckpoint`] wire format.
 pub const QUERYSET_CHECKPOINT_VERSION: u16 = 1;
 

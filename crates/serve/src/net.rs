@@ -1,22 +1,25 @@
 //! The TCP front-end: a [`NetServer`] that speaks the [`crate::frame`]
-//! protocol and streams document bytes straight into checkpointed
-//! engine sessions, plus the small blocking [`NetClient`] the CLI,
-//! tests, and the network chaos harness drive it with.
+//! protocol, plus the small blocking [`NetClient`] the CLI, tests, and
+//! the network chaos harness drive it with.
 //!
-//! Connection-level robustness is the point of this module:
+//! Every request is a job of the server's own job book (see
+//! [`crate::runtime`]), driven on its connection's thread: each CHUNK is
+//! one pass step, FINISH the completion check, and the reply settles the
+//! job.  No request's work crosses threads, and a connection holds its
+//! session, one frame and its job's match store, never the document.
+//! Connection-level robustness is the point:
 //!
 //! * **Deadlines.**  Every connection carries read and write deadlines
 //!   (socket timeouts); expiry surfaces as a typed error
 //!   ([`crate::error::codes::READ_TIMEOUT`] /
 //!   [`crate::error::codes::WRITE_TIMEOUT`]) on the wire and a counter
 //!   in the stats, never a hung handler.
-//! * **Backpressure.**  Socket reads are tied to the service-level
-//!   in-flight byte budget ([`crate::ServiceBudget`]): a chunk is not
-//!   read past the budget — the handler first *waits* (bounded by
-//!   [`NetConfig::shed_wait`], i.e. genuine backpressure: the TCP window
-//!   fills and the client blocks), then *sheds* with a typed
-//!   `OVERLOADED` error frame.  A document that could never fit the
-//!   budget is rejected outright (`REJECTED`).
+//! * **Backpressure.**  Each chunk is charged to its job against the
+//!   book's in-flight byte budget ([`crate::ServiceBudget`]) before it is
+//!   fed: the handler first *waits* (bounded by [`NetConfig::shed_wait`];
+//!   the socket is not read, so the TCP window fills and the client
+//!   blocks), then *sheds* with `OVERLOADED`.  A document that could
+//!   never fit the budget is rejected outright (`REJECTED`).
 //! * **Slow-client detection.**  A min-throughput watchdog on the
 //!   injectable clock ([`st_core::session::ClockFn`]) kills uploads
 //!   whose sustained rate falls below the configured floor
@@ -24,7 +27,8 @@
 //!   budget bytes indefinitely.
 //! * **Bounded buffers.**  The frame codec validates lengths before
 //!   allocating; per-connection memory is bounded by
-//!   [`NetConfig::max_frame_len`] plus the session state.
+//!   [`NetConfig::max_frame_len`] plus the session state and the job's
+//!   match store.
 //! * **Graceful drain.**  [`NetServer::begin_drain`] refuses new
 //!   connections and new requests; in-flight requests checkpoint and
 //!   finish.  [`NetServer::shutdown`] drains, waits up to
@@ -45,23 +49,23 @@ use std::time::Duration;
 
 use st_automata::Alphabet;
 use st_core::plancache::PlanCache;
-use st_core::queryset::{QuerySet, DEFAULT_PRODUCT_BUDGET};
-use st_core::session::{monotonic_clock, ClockFn, SessionError};
+use st_core::queryset::{QuerySet, DEFAULT_PRODUCT_BUDGET, MAX_SET_MEMBERS};
+use st_core::session::SessionError;
 use st_core::Query;
-use st_obs::{Counter, Gauge, Histogram, ObsHandle, TraceEvent};
+use st_obs::{Gauge, Histogram, ObsHandle, TraceEvent};
 
 use st_core::emit::{EmissionCursor, StreamedMatch};
 
 use crate::config::ServiceBudget;
-use crate::error::codes;
+use crate::error::{codes, FailureCause};
 use crate::frame::{
     decode_error, decode_match_part, decode_matches, decode_matches_with_cursor,
     decode_multi_matches, decode_multi_query, decode_query, encode_error, encode_match_part,
     encode_matches, encode_matches_with_cursor, encode_multi_matches, encode_multi_query,
-    encode_query, read_frame, read_frame_or_eof, read_preamble, write_frame, write_preamble, Frame,
+    encode_query, read_frame, read_frame_or_eof, read_preamble, write_frame, write_preamble,
     FrameError, FrameKind, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
 };
-use crate::runtime::PassSession;
+use crate::runtime::{Book, PassSession, ServeObs, Store, Tally};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -210,9 +214,9 @@ pub struct NetConfig {
     pub throughput_grace: Duration,
     /// Maximum accepted frame payload, enforced before allocation.
     pub max_frame_len: usize,
-    /// Checkpoint cadence in document bytes: in-flight sessions mint a
-    /// checkpoint after every this-many bytes, so a drain or post-mortem
-    /// always has a recent resumable snapshot.
+    /// Checkpoint cadence in document bytes: a request's pass mints a
+    /// checkpoint, its job's resume point, once this many bytes have
+    /// passed since the last one.
     pub checkpoint_every: usize,
     /// How long a handler waits for in-flight bytes to free up before
     /// shedding the chunk with `OVERLOADED`.  While waiting, the socket
@@ -390,58 +394,44 @@ impl fmt::Display for NetStats {
     }
 }
 
-#[derive(Default)]
+/// The edge's counters: each [`Tally`] moves its [`NetStats`] field and
+/// its metric in one call.
 struct NetCounters {
-    connections: AtomicU64,
-    refused: AtomicU64,
-    requests: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    read_timeouts: AtomicU64,
-    write_timeouts: AtomicU64,
-    slow_clients: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    bad_frames: AtomicU64,
-    checkpoints: AtomicU64,
-}
-
-struct NetObs {
     conns_open: Gauge,
-    connections: Counter,
-    refused: Counter,
-    requests: Counter,
-    completed: Counter,
-    failed: Counter,
-    read_timeouts: Counter,
-    write_timeouts: Counter,
-    slow_clients: Counter,
-    shed: Counter,
-    rejected: Counter,
-    bad_frames: Counter,
-    checkpoints: Counter,
+    connections: Tally,
+    refused: Tally,
+    requests: Tally,
+    completed: Tally,
+    failed: Tally,
+    read_timeouts: Tally,
+    write_timeouts: Tally,
+    slow_clients: Tally,
+    shed: Tally,
+    rejected: Tally,
+    bad_frames: Tally,
+    checkpoints: Tally,
     /// Clock nanoseconds from a request's first frame to its settled
     /// reply (sub-millisecond requests land in their own log2 bucket).
     request_latency_ns: Histogram,
     request_bytes: Histogram,
 }
 
-impl NetObs {
-    fn new(obs: &ObsHandle) -> NetObs {
-        NetObs {
+impl NetCounters {
+    fn new(obs: &ObsHandle) -> NetCounters {
+        NetCounters {
             conns_open: obs.gauge("net_connections_open"),
-            connections: obs.counter("net_connections_total"),
-            refused: obs.counter("net_refused_total"),
-            requests: obs.counter("net_requests_total"),
-            completed: obs.counter("net_completed_total"),
-            failed: obs.counter("net_failed_total"),
-            read_timeouts: obs.counter("net_read_timeouts_total"),
-            write_timeouts: obs.counter("net_write_timeouts_total"),
-            slow_clients: obs.counter("net_slow_clients_total"),
-            shed: obs.counter("net_shed_total"),
-            rejected: obs.counter("net_rejected_total"),
-            bad_frames: obs.counter("net_bad_frames_total"),
-            checkpoints: obs.counter("net_checkpoints_total"),
+            connections: Tally::new(obs, "net_connections_total"),
+            refused: Tally::new(obs, "net_refused_total"),
+            requests: Tally::new(obs, "net_requests_total"),
+            completed: Tally::new(obs, "net_completed_total"),
+            failed: Tally::new(obs, "net_failed_total"),
+            read_timeouts: Tally::new(obs, "net_read_timeouts_total"),
+            write_timeouts: Tally::new(obs, "net_write_timeouts_total"),
+            slow_clients: Tally::new(obs, "net_slow_clients_total"),
+            shed: Tally::new(obs, "net_shed_total"),
+            rejected: Tally::new(obs, "net_rejected_total"),
+            bad_frames: Tally::new(obs, "net_bad_frames_total"),
+            checkpoints: Tally::new(obs, "net_checkpoints_total"),
             request_latency_ns: obs.histogram("net_request_latency_ns"),
             request_bytes: obs.histogram("net_request_doc_bytes"),
         }
@@ -454,9 +444,7 @@ impl NetObs {
 
 struct NetInner {
     cfg: NetConfig,
-    clock: ClockFn,
     draining: AtomicBool,
-    in_flight_bytes: AtomicUsize,
     open_conns: AtomicUsize,
     next_conn_id: AtomicU64,
     cache: Arc<PlanCache>,
@@ -464,99 +452,32 @@ struct NetInner {
     /// through reads blocked on their socket deadline.
     conns: Mutex<HashMap<u64, TcpStream>>,
     handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Every request is a job here, driven on its connection's thread.
+    book: Book<()>,
     c: NetCounters,
-    o: NetObs,
 }
 
 impl NetInner {
-    fn now_ms(&self) -> u64 {
-        self.now_ns() / 1_000_000
-    }
-
-    fn now_ns(&self) -> u64 {
-        (self.clock)().as_nanos() as u64
-    }
-
-    fn release_bytes(&self, n: usize) {
-        if n > 0 {
-            self.in_flight_bytes.fetch_sub(n, Ordering::SeqCst);
-        }
-    }
-
-    /// Charges `n` bytes against the in-flight budget, waiting (bounded
-    /// backpressure) then shedding.  `held` is what this request already
-    /// holds, counted inside the budget.
-    fn acquire_bytes(&self, n: usize, held: usize) -> Result<(), NetError> {
-        let Some(cap) = self.cfg.budget.max_in_flight_bytes else {
-            self.in_flight_bytes.fetch_add(n, Ordering::SeqCst);
-            return Ok(());
-        };
-        if held.saturating_add(n) > cap {
-            return Err(NetError::Rejected {
-                reason: format!(
-                    "document needs {} byte(s) in flight, budget is {cap}",
-                    held + n
-                ),
-            });
-        }
-        let deadline = std::time::Instant::now() + self.cfg.shed_wait;
-        loop {
-            let res =
-                self.in_flight_bytes
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-                        (cur + n <= cap).then_some(cur + n)
-                    });
-            if res.is_ok() {
-                return Ok(());
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(NetError::Overloaded {
-                    held: self.in_flight_bytes.load(Ordering::SeqCst),
-                    budget: cap,
-                });
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-    }
-
     /// Bumps the per-cause counters of a request/connection failure.
     /// `ShuttingDown` is not a failure — it is the drain refusing new
     /// work — so it counts under `refused`, not `failed`.
     fn count_failure(&self, err: &NetError) {
         if matches!(err, NetError::ShuttingDown) {
-            self.c.refused.fetch_add(1, Ordering::SeqCst);
-            self.o.refused.incr();
-            return;
+            return self.c.refused.add(1);
         }
-        self.c.failed.fetch_add(1, Ordering::SeqCst);
-        self.o.failed.incr();
-        match err {
-            NetError::Frame(FrameError::Timeout) => {
-                self.c.read_timeouts.fetch_add(1, Ordering::SeqCst);
-                self.o.read_timeouts.incr();
-            }
-            NetError::WriteTimeout => {
-                self.c.write_timeouts.fetch_add(1, Ordering::SeqCst);
-                self.o.write_timeouts.incr();
-            }
-            NetError::SlowClient { .. } => {
-                self.c.slow_clients.fetch_add(1, Ordering::SeqCst);
-                self.o.slow_clients.incr();
-            }
-            NetError::Overloaded { .. } => {
-                self.c.shed.fetch_add(1, Ordering::SeqCst);
-                self.o.shed.incr();
-            }
-            NetError::Rejected { .. } => {
-                self.c.rejected.fetch_add(1, Ordering::SeqCst);
-                self.o.rejected.incr();
-            }
+        self.c.failed.add(1);
+        let cause = match err {
+            NetError::Frame(FrameError::Timeout) => &self.c.read_timeouts,
+            NetError::WriteTimeout => &self.c.write_timeouts,
+            NetError::SlowClient { .. } => &self.c.slow_clients,
+            NetError::Overloaded { .. } => &self.c.shed,
+            NetError::Rejected { .. } => &self.c.rejected,
             NetError::Frame(_) | NetError::Protocol { .. } | NetError::BadQuery { .. } => {
-                self.c.bad_frames.fetch_add(1, Ordering::SeqCst);
-                self.o.bad_frames.incr();
+                &self.c.bad_frames
             }
-            NetError::ShuttingDown | NetError::Engine(_) => {}
-        }
+            NetError::ShuttingDown | NetError::Engine(_) => return,
+        };
+        cause.add(1);
     }
 }
 
@@ -581,21 +502,22 @@ impl NetServer {
     pub fn bind(addr: &str, cfg: NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let clock = cfg.budget.session_limits.clock.unwrap_or(monotonic_clock);
         let cache = Arc::new(PlanCache::with_obs(cfg.plan_cache_capacity, &cfg.obs));
-        let o = NetObs::new(&cfg.obs);
+        // The book traces to the edge's handle; its counters stay off the
+        // registry, where the edge's own count the same requests.
+        let obs = ServeObs::attach(&ObsHandle::disabled(), &cfg.obs);
+        let book = Book::new(&cfg.budget, cfg.checkpoint_every, obs);
+        let c = NetCounters::new(&cfg.obs);
         let inner = Arc::new(NetInner {
             cfg,
-            clock,
             draining: AtomicBool::new(false),
-            in_flight_bytes: AtomicUsize::new(0),
             open_conns: AtomicUsize::new(0),
             next_conn_id: AtomicU64::new(1),
             cache,
             conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
-            c: NetCounters::default(),
-            o,
+            book,
+            c,
         });
         let stop_accept = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -629,20 +551,20 @@ impl NetServer {
     pub fn stats(&self) -> NetStats {
         let c = &self.inner.c;
         NetStats {
-            connections: c.connections.load(Ordering::SeqCst),
-            refused: c.refused.load(Ordering::SeqCst),
+            connections: c.connections.get(),
+            refused: c.refused.get(),
             open: self.inner.open_conns.load(Ordering::SeqCst) as u64,
-            requests: c.requests.load(Ordering::SeqCst),
-            completed: c.completed.load(Ordering::SeqCst),
-            failed: c.failed.load(Ordering::SeqCst),
-            read_timeouts: c.read_timeouts.load(Ordering::SeqCst),
-            write_timeouts: c.write_timeouts.load(Ordering::SeqCst),
-            slow_clients: c.slow_clients.load(Ordering::SeqCst),
-            shed: c.shed.load(Ordering::SeqCst),
-            rejected: c.rejected.load(Ordering::SeqCst),
-            bad_frames: c.bad_frames.load(Ordering::SeqCst),
-            checkpoints: c.checkpoints.load(Ordering::SeqCst),
-            in_flight_bytes: self.inner.in_flight_bytes.load(Ordering::SeqCst) as u64,
+            requests: c.requests.get(),
+            completed: c.completed.get(),
+            failed: c.failed.get(),
+            read_timeouts: c.read_timeouts.get(),
+            write_timeouts: c.write_timeouts.get(),
+            slow_clients: c.slow_clients.get(),
+            shed: c.shed.get(),
+            rejected: c.rejected.get(),
+            bad_frames: c.bad_frames.get(),
+            checkpoints: c.checkpoints.get(),
+            in_flight_bytes: self.inner.book.in_flight() as u64,
         }
     }
 
@@ -733,8 +655,7 @@ fn accept_loop(inner: &Arc<NetInner>, listener: &TcpListener, stop: &AtomicBool)
             // The connection that woke a stopping loop is not served.
             Ok(_) if stop.load(Ordering::SeqCst) => return,
             Ok((mut stream, _peer)) => {
-                inner.c.connections.fetch_add(1, Ordering::SeqCst);
-                inner.o.connections.incr();
+                inner.c.connections.add(1);
                 let refuse = if inner.draining.load(Ordering::SeqCst) {
                     Some((codes::SHUTTING_DOWN, "server is draining"))
                 } else if inner.open_conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
@@ -743,8 +664,7 @@ fn accept_loop(inner: &Arc<NetInner>, listener: &TcpListener, stop: &AtomicBool)
                     None
                 };
                 if let Some((code, msg)) = refuse {
-                    inner.c.refused.fetch_add(1, Ordering::SeqCst);
-                    inner.o.refused.incr();
+                    inner.c.refused.add(1);
                     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
                     let _ = write_frame(&mut stream, FrameKind::Error, &encode_error(code, msg));
                     continue;
@@ -781,7 +701,7 @@ fn handle_conn(inner: &Arc<NetInner>, mut stream: TcpStream, conn: u64) {
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
-    inner.o.conns_open.add(1);
+    inner.c.conns_open.add(1);
     inner.cfg.obs.trace(TraceEvent::ConnOpened { conn });
     let reason = match conn_loop(inner, &mut stream) {
         Ok(reason) => reason,
@@ -797,7 +717,7 @@ fn handle_conn(inner: &Arc<NetInner>, mut stream: TcpStream, conn: u64) {
         }
     };
     inner.cfg.obs.trace(TraceEvent::ConnClosed { conn, reason });
-    inner.o.conns_open.add(-1);
+    inner.c.conns_open.add(-1);
     inner.open_conns.fetch_sub(1, Ordering::SeqCst);
     inner
         .conns
@@ -815,6 +735,14 @@ enum Request {
 }
 
 impl Request {
+    /// How many match lists the request answers with.
+    fn queries(&self) -> usize {
+        match self {
+            Request::Single { .. } => 1,
+            Request::Multi(set) => set.len(),
+        }
+    }
+
     /// The success reply to a finished upload: its kind and payload.
     fn reply(&self, lists: &[Vec<usize>], cursor: EmissionCursor) -> (FrameKind, Vec<u8>) {
         match self {
@@ -861,7 +789,15 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
             }
             FrameKind::MultiQuery => {
                 let (csv, patterns) = decode_multi_query(&frame.payload)?;
-                parse_alphabet(&csv).and_then(|alphabet| {
+                let members = patterns.len();
+                let alphabet = if members > MAX_SET_MEMBERS {
+                    Err(bad_query(format!(
+                        "{members} patterns; a query set holds at most {MAX_SET_MEMBERS}"
+                    )))
+                } else {
+                    parse_alphabet(&csv)
+                };
+                alphabet.and_then(|alphabet| {
                     let plans = patterns
                         .iter()
                         .map(|p| inner.cache.get_or_plan(p, &alphabet))
@@ -884,13 +820,22 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
             Ok(r) => r,
             Err(e) => return Err(drain_then_fail(inner, stream, e)),
         };
-        inner.c.requests.fetch_add(1, Ordering::SeqCst);
-        inner.o.requests.incr();
+        inner.c.requests.add(1);
         let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
+        let parts = matches!(request, Request::Single { parts: true, .. });
+        let id = inner.book.enter((), 0, parts, request.queries(), None);
+        let mut ticket = Ticket {
+            book: &inner.book,
+            id,
+            cause: "panic",
+        };
         match &request {
-            Request::Single { query, .. } => serve(inner, stream, &request, query.session(limits)),
-            Request::Multi(set) => serve(inner, stream, &request, set.session(limits)),
-        }?;
+            Request::Single { query, .. } => {
+                serve(inner, stream, &request, id, query.session(limits))
+            }
+            Request::Multi(set) => serve(inner, stream, &request, id, set.session(limits)),
+        }
+        .inspect_err(|e| ticket.cause = e.class())?;
     }
 }
 
@@ -938,98 +883,6 @@ fn drain_then_fail(inner: &NetInner, stream: &mut TcpStream, err: NetError) -> N
     }
 }
 
-/// Tracks the budget bytes and watchdog state of one in-flight upload;
-/// releases the held bytes on drop, so every exit path — success,
-/// typed error, or panic unwind — returns its budget.
-struct Upload<'i> {
-    inner: &'i NetInner,
-    held: usize,
-    fed: u64,
-    since_checkpoint: usize,
-    started_ns: u64,
-}
-
-impl<'i> Upload<'i> {
-    fn new(inner: &'i NetInner) -> Upload<'i> {
-        Upload {
-            inner,
-            held: 0,
-            fed: 0,
-            since_checkpoint: 0,
-            started_ns: inner.now_ns(),
-        }
-    }
-
-    /// Budget + watchdog gate for one arriving chunk.
-    fn admit_chunk(&mut self, payload: &[u8]) -> Result<(), NetError> {
-        if payload.is_empty() {
-            return Err(NetError::Frame(FrameError::BadPayload {
-                detail: "empty CHUNK frame".to_owned(),
-            }));
-        }
-        self.inner.acquire_bytes(payload.len(), self.held)?;
-        self.held += payload.len();
-        self.fed += payload.len() as u64;
-        if let Some(floor) = self.inner.cfg.min_throughput {
-            let elapsed_ms = self
-                .inner
-                .now_ms()
-                .saturating_sub(self.started_ns / 1_000_000);
-            if elapsed_ms > self.inner.cfg.throughput_grace.as_millis() as u64
-                && self.fed.saturating_mul(1000) < floor.saturating_mul(elapsed_ms)
-            {
-                return Err(NetError::SlowClient {
-                    bytes: self.fed,
-                    elapsed_ms,
-                    floor,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the session should mint a checkpoint after this chunk.
-    fn checkpoint_due(&mut self, chunk_len: usize) -> bool {
-        self.since_checkpoint += chunk_len;
-        if self.since_checkpoint >= self.inner.cfg.checkpoint_every {
-            self.since_checkpoint = 0;
-            self.inner.c.checkpoints.fetch_add(1, Ordering::SeqCst);
-            self.inner.o.checkpoints.incr();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Bytes fed and nanoseconds since the upload started.
-    fn finish(self) -> (u64, u64) {
-        let latency_ns = self.inner.now_ns().saturating_sub(self.started_ns);
-        (self.fed, latency_ns)
-    }
-}
-
-impl Drop for Upload<'_> {
-    fn drop(&mut self) {
-        self.inner.release_bytes(self.held);
-    }
-}
-
-/// Counts the request completed, then writes the success frame.  The
-/// counter moves *before* the write so that a client that has read the
-/// reply always observes settled stats — the same ordering the error
-/// path gets from counting failures before the error frame.  (A reply
-/// that then fails to write additionally counts as a write timeout.)
-fn send_reply(
-    inner: &NetInner,
-    stream: &mut TcpStream,
-    kind: FrameKind,
-    payload: &[u8],
-) -> Result<(), NetError> {
-    inner.c.completed.fetch_add(1, Ordering::SeqCst);
-    inner.o.completed.incr();
-    write_reply(stream, kind, payload)
-}
-
 /// Writes one frame to the client; an expired write deadline is a typed
 /// [`NetError::WriteTimeout`].
 fn write_reply(stream: &mut TcpStream, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
@@ -1039,61 +892,132 @@ fn write_reply(stream: &mut TcpStream, kind: FrameKind, payload: &[u8]) -> Resul
     })
 }
 
-/// The upload loop of every request kind: each `Chunk` is admitted
-/// against the budget and the throughput watchdog, fed to the session
-/// and checkpointed on cadence; `Finish` settles the upload and sends
-/// the request's reply.
+/// A failed pass step as the edge reports it.  An edge job never resumes
+/// or replays, so only its engine fails it; a ledger check that still
+/// trips travels under the same ENGINE code.
+fn pass_error(cause: FailureCause) -> NetError {
+    match cause {
+        FailureCause::Engine(e) => NetError::Engine(e),
+        other => NetError::Engine(SessionError::Checkpoint {
+            detail: other.to_string(),
+        }),
+    }
+}
+
+/// An edge job's place in the book.  Dropping it settles the job as
+/// failed with `cause` — on every exit short of the reply, a panic unwind
+/// included — so no record or budget byte outlives its request.
+struct Ticket<'i> {
+    book: &'i Book<()>,
+    id: u64,
+    cause: &'static str,
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        self.book.settle(self.id, Err(self.cause));
+    }
+}
+
+/// Runs one request as job `id` of the edge's book, on this connection's
+/// thread.  Each `Chunk` is charged to the job against the byte budget (waiting up to
+/// [`NetConfig::shed_wait`], then `OVERLOADED`), checked by the
+/// throughput watchdog and fed through one [`Book::step`]; `Finish` runs
+/// the completion check, settles the job and sends the reply read off
+/// its match store.
 ///
 /// A streaming request answers every `Chunk` with exactly one
-/// `MatchPart` carrying the matches that crossed the certainty frontier
-/// during it (possibly zero), and its final `Matches` reply carries the
-/// emission cursor so the client can verify that the parts it
-/// accumulated are bitwise the stream the server delivered.  The strict
-/// lock step — the client must read each part before sending its next
-/// chunk — is what makes the path deadlock-free under every
-/// deadline/backpressure interaction: neither side ever has more than
-/// one frame in flight toward a peer that is not reading.
+/// `MatchPart` carrying the matches its ledger gained during it
+/// (possibly zero), and its final `Matches` reply carries the emission
+/// cursor so the client can verify that the parts it accumulated are
+/// bitwise the stream the server delivered.  The strict lock step — the
+/// client must read each part before sending its next chunk — is what
+/// makes the path deadlock-free under every deadline/backpressure
+/// interaction: neither side ever has more than one frame in flight
+/// toward a peer that is not reading.
 fn serve<S: PassSession>(
     inner: &NetInner,
     stream: &mut TcpStream,
     request: &Request,
-    mut session: S,
+    id: u64,
+    session: S,
 ) -> Result<(), NetError> {
+    let (book, queries) = (&inner.book, request.queries());
     let parts = matches!(request, Request::Single { parts: true, .. });
-    let mut upload = Upload::new(inner);
+    let mut run =
+        (book.start(&[(id, 1)], queries, parts, false, Ok(session))).map_err(pass_error)?;
+    let (started_ns, mut fed, mut sent) = (book.now_ns(), 0u64, 0);
     loop {
         let frame = read_frame(stream, inner.cfg.max_frame_len)?;
         match frame.kind {
             FrameKind::Chunk => {
-                upload.admit_chunk(&frame.payload)?;
-                if let Err(e) = session.feed(&frame.payload) {
+                let n = frame.payload.len();
+                if n == 0 {
+                    return Err(NetError::Frame(FrameError::BadPayload {
+                        detail: "empty CHUNK frame".to_owned(),
+                    }));
+                }
+                let need = fed as usize + n;
+                (book.reserve(Some(id), n, inner.cfg.shed_wait)).map_err(|r| {
+                    if r.never {
+                        let budget = r.budget;
+                        let reason =
+                            format!("document needs {need} byte(s) in flight, budget is {budget}");
+                        return NetError::Rejected { reason };
+                    }
+                    let (held, budget) = (r.held, r.budget);
+                    NetError::Overloaded { held, budget }
+                })?;
+                fed += n as u64;
+                if let Some(floor) = inner.cfg.min_throughput {
+                    let elapsed_ms = book.now_ms().saturating_sub(started_ns / 1_000_000);
+                    if elapsed_ms > inner.cfg.throughput_grace.as_millis() as u64
+                        && fed.saturating_mul(1000) < floor.saturating_mul(elapsed_ms)
+                    {
+                        return Err(NetError::SlowClient {
+                            bytes: fed,
+                            elapsed_ms,
+                            floor,
+                        });
+                    }
+                }
+                match book.step(&mut run, &frame.payload, false) {
+                    Ok(minted) => inner.c.checkpoints.add(u64::from(minted)),
                     // Content-determined failure mid-upload: swallow the
                     // rest so the typed error outlives the connection
                     // teardown (see `drain_then_fail`).
-                    return Err(drain_then_fail(inner, stream, NetError::Engine(e)));
-                }
-                if upload.checkpoint_due(frame.payload.len()) {
-                    let _ = session.checkpoint();
+                    Err(cause) => return Err(drain_then_fail(inner, stream, pass_error(cause))),
                 }
                 if parts {
-                    let batch: Vec<_> = session.drain_emitted().collect();
-                    let start = session.emission_cursor().count - batch.len() as u64;
-                    let part = encode_match_part(start, &batch);
+                    let batch = book.emitted(id, sent).unwrap_or_default();
+                    let part = encode_match_part(sent as u64, &batch);
+                    sent += batch.len();
                     write_reply(stream, FrameKind::MatchPart, &part)?;
                 }
             }
             FrameKind::Finish => {
-                require_empty_finish(&frame)?;
-                let cursor = session.emission_cursor();
-                let lists = session.finish().map_err(NetError::Engine)?;
-                // Settle the budget and the histograms before the reply
-                // goes out, so a client that has read it observes final
-                // stats (no in-flight residue, counters moved).
-                let (fed, latency_ns) = upload.finish();
-                inner.o.request_bytes.record(fed);
-                inner.o.request_latency_ns.record(latency_ns);
-                let (kind, payload) = request.reply(&lists, cursor);
-                return send_reply(inner, stream, kind, &payload);
+                if !frame.payload.is_empty() {
+                    return Err(NetError::Frame(FrameError::BadPayload {
+                        detail: format!(
+                            "FINISH carries {} payload byte(s); it must be empty",
+                            frame.payload.len()
+                        ),
+                    }));
+                }
+                let cursor = book.finish(run).map_err(pass_error)?;
+                // Settle the job, its budget bytes, the histograms and the
+                // counters before the reply goes out, so a client that has
+                // read it observes final stats — the order the error path
+                // gets from counting failures before the error frame.  (A
+                // reply that then fails to write also counts as a write
+                // timeout.)
+                let lists = book.settle(id, Ok(())).map(Store::into_lists);
+                inner.c.request_bytes.record(fed);
+                let latency_ns = book.now_ns().saturating_sub(started_ns);
+                inner.c.request_latency_ns.record(latency_ns);
+                inner.c.completed.add(1);
+                let (kind, payload) = request.reply(&lists.unwrap_or_default(), cursor);
+                return write_reply(stream, kind, &payload);
             }
             other => {
                 return Err(NetError::Protocol {
@@ -1101,19 +1025,6 @@ fn serve<S: PassSession>(
                 })
             }
         }
-    }
-}
-
-fn require_empty_finish(frame: &Frame) -> Result<(), NetError> {
-    if frame.payload.is_empty() {
-        Ok(())
-    } else {
-        Err(NetError::Frame(FrameError::BadPayload {
-            detail: format!(
-                "FINISH carries {} payload byte(s); it must be empty",
-                frame.payload.len()
-            ),
-        }))
     }
 }
 
@@ -1416,5 +1327,85 @@ impl NetClient {
         }
         self.send_finish()?;
         self.read_response()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// The edge book's (records, in-flight bytes), once both reach zero
+    /// or two seconds pass.
+    fn book_after(server: &NetServer) -> (usize, usize) {
+        let book = &server.inner.book;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let state = (book.records(), book.in_flight());
+            if state == (0, 0) || Instant::now() >= deadline {
+                return state;
+            }
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn error_code(reply: NetResponse) -> u16 {
+        match reply {
+            NetResponse::ServerError { code, .. } => code,
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn edge_requests_leave_no_record_or_byte_in_the_book() {
+        let cfg = NetConfig::default()
+            .with_budget(ServiceBudget::default().with_max_in_flight_bytes(100))
+            .with_shed_wait(Duration::from_millis(40));
+        let server = NetServer::bind("127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr().to_string();
+        let doc = b"<a><b></b><b><a></a></b></a>";
+
+        // A completed request.
+        let mut c = NetClient::connect(&addr).unwrap();
+        let reply = c.query(".*a", "a,b", doc, 7).unwrap();
+        assert_eq!(reply, NetResponse::Matches(vec![0, 3]));
+        assert_eq!(book_after(&server), (0, 0), "after a completed request");
+
+        // An ENGINE failure mid-upload.
+        c.send_query(".*a", "a,b").unwrap();
+        c.send_chunk(b"<a><>").unwrap();
+        c.send_chunk(b"</a>").unwrap();
+        c.send_finish().unwrap();
+        assert_eq!(error_code(c.read_response().unwrap()), codes::ENGINE);
+        assert_eq!(book_after(&server), (0, 0), "after an ENGINE failure");
+
+        // A shed request: A parks 80 bytes, B's 50 cannot fit.
+        let mut a = NetClient::connect(&addr).unwrap();
+        a.send_query(".*a", "a").unwrap();
+        let mut parked = b"<a>".to_vec();
+        parked.extend_from_slice(&[b'x'; 73]);
+        parked.extend_from_slice(b"</a>");
+        a.send_chunk(&parked).unwrap();
+        while server.stats().in_flight_bytes < 80 {
+            thread::sleep(Duration::from_millis(2));
+        }
+        let mut b = NetClient::connect(&addr).unwrap();
+        b.send_query(".*a", "a").unwrap();
+        b.send_chunk(&[b'y'; 50]).unwrap();
+        assert_eq!(error_code(b.read_response().unwrap()), codes::OVERLOADED);
+        a.send_finish().unwrap();
+        assert_eq!(a.read_response().unwrap(), NetResponse::Matches(vec![0]));
+        assert_eq!(book_after(&server), (0, 0), "after a shed request");
+
+        // A disconnect mid-upload.
+        let mut d = NetClient::connect(&addr).unwrap();
+        d.send_query(".*a", "a,b").unwrap();
+        d.send_chunk(b"<a><b>").unwrap();
+        while server.stats().in_flight_bytes < 6 {
+            thread::sleep(Duration::from_millis(2));
+        }
+        drop(d);
+        assert_eq!(book_after(&server), (0, 0), "after a mid-upload disconnect");
+        assert_eq!(server.stats().requests, 5);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! One soak run: bind a [`NetServer`] on a loopback port, generate a
 //! seeded stream of conformance cases, compute each case's *clean*
-//! reference (an uninterrupted [`FusedQuery::select_bytes`] run, plus
+//! reference (an uninterrupted
+//! [`st_core::engine::FusedQuery::select_bytes`] run, plus
 //! the DOM oracle on well-formed documents), then play each request
 //! over the wire as a hostile client — seeded mid-stream disconnects,
 //! torn frames, read-deadline stalls, and duplicate uploads
@@ -26,19 +27,12 @@
 //! different capacities and asserts exactly that.
 
 use std::io::Write;
-use std::sync::Arc;
 use std::time::Duration;
 
-use st_automata::{compile_regex, Alphabet, Dfa, Tag};
-use st_baseline::dom;
-use st_conform::gen::{case_rng, gen_case, GenConfig};
-use st_core::engine::FusedQuery;
-use st_core::plancache::PlanCacheStats;
-use st_core::planner::CompiledQuery;
-use st_obs::ObsHandle;
-use st_trees::{encode::markup_decode, xml::Scanner};
-
+use st_conform::gen::GenConfig;
 use st_core::emit::{EmissionCursor, StreamedMatch};
+use st_core::plancache::PlanCacheStats;
+use st_obs::ObsHandle;
 
 use crate::config::ServiceBudget;
 use crate::error::codes;
@@ -48,6 +42,7 @@ use crate::frame::{
 };
 use crate::net::{NetClient, NetConfig, NetResponse, NetServer, NetStats};
 use crate::netchaos::{NetChaosConfig, NetFault};
+use crate::soak::{prepare, Prepared};
 
 /// Parameters of one network soak run.  Everything that influences
 /// behaviour is here, so `(NetSoakConfig, seed)` fully reproduces a
@@ -240,54 +235,13 @@ impl NetSoakReport {
     }
 }
 
-/// One generated request with its precomputed references.
-struct Prepared {
-    pattern: String,
-    alphabet: String,
-    csv: String,
-    doc: Vec<u8>,
-    /// The uninterrupted clean run: matches, or the engine's rejection.
-    clean: Result<Vec<usize>, String>,
-    /// DOM-oracle matches, when the document is well-formed.
-    oracle: Option<Vec<usize>>,
-}
-
-fn dom_oracle(doc: &[u8], g: &Alphabet, dfa: &Dfa) -> Option<Vec<usize>> {
-    let tags: Vec<Tag> = Scanner::new(doc, g).collect::<Result<_, _>>().ok()?;
-    markup_decode(&tags).ok()?;
-    dom::evaluate(dfa, &tags).ok().map(|r| r.selected)
-}
-
-fn prepare(seed: u64, request: u64, gen_cfg: &GenConfig) -> Prepared {
-    let (case, _) = gen_case(&mut case_rng(seed, request), gen_cfg);
-    let g = Alphabet::of_chars(&case.alphabet);
-    let csv = case
-        .alphabet
+/// The wire form of a case's alphabet: its letters, comma-separated.
+fn csv(alphabet: &str) -> String {
+    alphabet
         .chars()
         .map(String::from)
         .collect::<Vec<_>>()
-        .join(",");
-    let compiled = compile_regex(&case.pattern, &g).ok().and_then(|dfa| {
-        let plan = CompiledQuery::compile(&dfa);
-        plan.fused(&g).ok().map(|f| (f, dfa))
-    });
-    let (clean, oracle) = match compiled {
-        Some((f, dfa)) => {
-            let f: Arc<FusedQuery> = Arc::new(f);
-            let clean = f.select_bytes(&case.doc).map_err(|e| format!("{e:?}"));
-            let oracle = dom_oracle(&case.doc, &g, &dfa);
-            (clean, oracle)
-        }
-        None => (Err("no byte-level engine".to_owned()), None),
-    };
-    Prepared {
-        pattern: case.pattern,
-        alphabet: case.alphabet,
-        csv,
-        doc: case.doc,
-        clean,
-        oracle,
-    }
+        .join(",")
 }
 
 /// Sends the header and a strict prefix of one `CHUNK` frame — a torn
@@ -399,16 +353,17 @@ fn play_attempt(
     // pure function of the request index: every retry of a request (and
     // every pool capacity) replays the same protocol.
     let stream = request.is_multiple_of(2);
+    let (pattern, csv) = (&p.case.pattern, csv(&p.case.alphabet));
     let sent = if stream {
-        client.send_stream_query(&p.pattern, &p.csv)
+        client.send_stream_query(pattern, &csv)
     } else {
-        client.send_query(&p.pattern, &p.csv)
+        client.send_query(pattern, &csv)
     };
     if sent.is_err() {
         return AttemptEnd::Faulted;
     }
     let mut parts: Vec<StreamedMatch> = Vec::new();
-    let segs: Vec<&[u8]> = p.doc.chunks(cfg.segment_bytes.max(1)).collect();
+    let segs: Vec<&[u8]> = p.case.doc.chunks(cfg.segment_bytes.max(1)).collect();
     // One roll per segment boundary, plus one before FINISH, so faults
     // can land anywhere in the upload including its very end.
     for (s, seg) in segs.iter().enumerate() {
@@ -544,9 +499,9 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
     for (i, p) in prepared.iter().enumerate() {
         let diverge = |detail: String| NetSoakDivergence {
             request: i as u64,
-            pattern: p.pattern.clone(),
-            alphabet: p.alphabet.clone(),
-            doc: p.doc.clone(),
+            pattern: p.case.pattern.clone(),
+            alphabet: p.case.alphabet.clone(),
+            doc: p.case.doc.clone(),
             detail,
         };
         let mut outcome = NetRequestOutcome::GaveUp;
@@ -580,7 +535,8 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
                         match NetClient::connect(&addr)
                             .map_err(|e| e.to_string())
                             .and_then(|mut c| {
-                                c.query(&p.pattern, &p.csv, &p.doc, cfg.segment_bytes)
+                                let csv = csv(&p.case.alphabet);
+                                c.query(&p.case.pattern, &csv, &p.case.doc, cfg.segment_bytes)
                                     .map_err(|e| e.to_string())
                             }) {
                             Ok(NetResponse::Matches(ids2)) if ids2 == ids => {}

@@ -1,43 +1,47 @@
-//! The supervised serving runtime: a fixed worker pool multiplexing many
-//! concurrent streaming query sessions, with checkpoint failover.
+//! The supervised serving runtime: a job book, and a fixed worker pool
+//! that drives many concurrent streaming query sessions through it, with
+//! checkpoint failover.
 //!
 //! # Architecture
 //!
 //! ```text
-//!              submit / submit_blocking          wait
-//!                   │   (admission control:        ▲
-//!                   │    bounded queue, byte       │ JobReport
-//!                   ▼    budget → shed/reject)     │
-//!            ┌─────────────┐                ┌──────┴──────┐
-//!            │ submission  │                │  jobs map:  │
-//!            │ queue (VecD)│                │  state and  │
-//!            └─────────────┘                │ match store │
-//!               │       ▲                   └─────────────┘
-//!         claim │       │ requeue                  ▲
-//!    (due entry,│       │ (backoff; resumes        │ per segment: new
-//!   whole group)│       │  from last checkpoint)   │ matches + checkpoint;
-//!               ▼       │                          │ complete / fail
-//!            ┌────┐┌────┐┌────┐                    │
-//!            │ w0 ││ w1 ││ w2 │────────────────────┘
-//!            └────┘└────┘└────┘
-//!               ▲  ▲  ▲   spawn, reap, abandon stalled workers;
-//!            ┌──┴──┴──┴──┐ expire queued deadlines
-//!            │supervisor │
-//!            └───────────┘
+//!    submit ── queue full: shed         wait ──▶ JobReport
+//!      │                                  ▲
+//!      ▼     reserve bytes, enter  ┌──────┴───────────────────┐
+//!   ┌───────┐ ───────────────────▶ │ book: byte budget, job   │
+//!   │ queue │                      │ records (match store,    │
+//!   └───────┘                      │ resume point), the pass  │
+//!   claim │ ▲ requeue (backoff;    │ step, completion check,  │
+//!         ▼ │ resume from the last │ conclude, counters and   │
+//!   ┌────┐┌────┐┌────┐ checkpoint) │ trace                    │
+//!   │ w0 ││ w1 ││ w2 │ ──────────▶ └──────────────────────────┘
+//!   └────┘└────┘└────┘ one step per segment: feed, checkpoint, record
+//!      ▲  ▲  ▲   spawn, reap, abandon stalled workers;
+//!   ┌──┴──┴──┴──┐ expire queued deadlines
+//!   │supervisor │
+//!   └───────────┘
 //! ```
 //!
-//! Each worker claims its next *pass* straight from the queue: a single
+//! The `Book` holds what a job *is*: admission into it, the one
+//! in-flight byte budget, each job's record with its one match store and
+//! resume point, the pass step, the completion check and the end of the
+//! job.  The `Pool` — the queue, the workers, their supervisor and the
+//! grouping of query-set requests — only decides *who drives* a pass.
+//! A worker claims its next pass straight from the queue (a single
 //! request, or a batch of query-set requests over one document, fed
-//! through one session — an [`EngineSession`] or a [`QuerySetSession`] —
-//! in cadence-sized segments.  After each segment the pass appends the
-//! session's new matches, once, to the lead request's one match store and
-//! records the checkpoint it minted there.  The O(1)/O(depth) snapshot of
-//! Theorems 3.1/3.2 is exactly what makes a session *migratable*: when a
-//! worker panics or stalls, its requests go back to the queue, and the
-//! next pass resumes from the last checkpoint and the store entries it
-//! covers, not from zero.  Retries back off exponentially and are
-//! bounded; the terminal error is typed ([`ServeError::Failed`]) and
-//! carries the full failure history.
+//! through one [`EngineSession`] or [`QuerySetSession`]) and calls the
+//! book's step once per cadence-sized segment.  The TCP edge
+//! ([`crate::net`]) keeps a book of its own and calls the same step once
+//! per uploaded chunk, on the connection's thread.
+//!
+//! Each step appends the session's new matches, once, to the lead
+//! request's store and records the checkpoint it minted there.  The
+//! O(1)/O(depth) snapshot of Theorems 3.1/3.2 is exactly what makes a
+//! session *migratable*: when a worker panics or stalls, its requests go
+//! back to the queue, and the next pass resumes from the last checkpoint
+//! and the store entries it covers, not from zero.  Retries back off
+//! exponentially and are bounded; the terminal error is typed
+//! ([`ServeError::Failed`]) and carries the full failure history.
 //!
 //! The degradation ladder under pressure: data-parallel chunked path →
 //! sequential guarded session path → load shedding at the queue.
@@ -53,14 +57,14 @@ use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
 use st_core::planner::{CompiledQuery, Strategy};
-use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession};
+use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession, MAX_SET_MEMBERS};
 use st_core::session::{
     monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
 };
 use st_obs::{Counter, Gauge, Histogram, ObsHandle, TraceEvent};
 
 use crate::chaos::Fault;
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, ServiceBudget};
 use crate::error::{FailureCause, ServeError};
 
 /// Locks a mutex, riding through poisoning: the runtime's own invariants
@@ -414,7 +418,7 @@ pub(crate) enum PassCheckpoint {
 /// A job's one match store.  The pass that runs the job's live attempt
 /// appends each segment's new matches to it once; reports read the job's
 /// answer off it.
-enum Store {
+pub(crate) enum Store {
     /// A streamed single-query job: the emission ledger, every match
     /// delivered so far with the byte offset that decided it, in
     /// emission order.  Append-only — the delivery point of
@@ -458,6 +462,14 @@ impl Store {
         union
     }
 
+    /// One match list per query, moved out.
+    pub(crate) fn into_lists(self) -> Vec<Vec<usize>> {
+        match self {
+            Store::Lists(lists) => lists,
+            ledger => ledger.lists(),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Store::Ledger(ledger) => ledger.len(),
@@ -467,10 +479,10 @@ impl Store {
 }
 
 /// The last good checkpoint of a pass, kept by its lead job.  The
-/// lead's store says how much of the run it covers: a list store grows
-/// only together with a new resume point, so the checkpoint covers every
-/// entry, and of a ledger it covers as many entries as its emission
-/// cursor counts.
+/// lead's store says how much of the run it covers: a pool pass
+/// checkpoints at every step, so a list store grows only together with a
+/// new resume point and the checkpoint covers every entry; of a ledger
+/// it covers as many entries as its emission cursor counts.
 struct ResumePoint {
     checkpoint: PassCheckpoint,
     /// The pass's member list: the store holds these members' queries,
@@ -499,8 +511,10 @@ fn group_fingerprint(doc: &[u8], alphabet: &Alphabet, budget: usize) -> u64 {
     h
 }
 
-struct JobState {
-    job: Arc<Job>,
+/// One job's record in a [`Book`].  `J` is what a job carries beyond
+/// its record: the pool's queued [`Job`], nothing at the edge.
+struct JobState<J> {
+    job: J,
     /// Current attempt number (1-based); see [`live`].
     attempt: u32,
     /// Pass leads: where a failover resumes; freed once the job ends.
@@ -511,10 +525,12 @@ struct JobState {
     store: Store,
     path: PathTaken,
     degraded: bool,
-    /// Admission timestamp (ns since runtime epoch), for the terminal
+    /// Bytes the job holds against the in-flight budget.
+    held: usize,
+    /// Admission timestamp (ns since the book's epoch), for the terminal
     /// latency histogram.
     submitted_ns: u64,
-    /// Absolute queueing deadline (ms since runtime epoch); a request
+    /// Absolute queueing deadline (ms since the book's epoch); a request
     /// still queued past it is dropped with
     /// [`ServeError::DeadlineExpired`].
     deadline_ms: Option<u64>,
@@ -524,7 +540,7 @@ struct JobState {
     suppressed: u64,
 }
 
-impl JobState {
+impl<J> JobState<J> {
     /// The stored answer as a [`JobReport`].
     fn report(&self, id: u64) -> Option<JobReport> {
         let Status::Done(result) = &self.status else {
@@ -558,11 +574,14 @@ impl JobState {
     }
 }
 
+/// A book's job records by id.
+type Records<J> = HashMap<u64, JobState<J>>;
+
 /// The state of `(job, attempt)` while that attempt is the live one.
 /// Writes from older attempts — a stalled worker waking up, a panicking
 /// worker's final report racing the supervisor — and writes to a
 /// finished job get `None` and are discarded.
-fn live(jobs: &mut HashMap<u64, JobState>, job: u64, attempt: u32) -> Option<&mut JobState> {
+fn live<J>(jobs: &mut Records<J>, job: u64, attempt: u32) -> Option<&mut JobState<J>> {
     jobs.get_mut(&job)
         .filter(|st| st.attempt == attempt && !matches!(st.status, Status::Done(_)))
 }
@@ -616,100 +635,100 @@ struct WorkerHandle {
 /// One [`ServeStats`] counter and the metrics counter that mirrors it.
 /// Both move in one call, so a metrics snapshot and a stats snapshot
 /// taken after drain agree number-for-number.
-struct Tally {
+pub(crate) struct Tally {
     n: AtomicU64,
     metric: Counter,
 }
 
 impl Tally {
-    fn new(handle: &ObsHandle, name: &'static str) -> Tally {
+    pub(crate) fn new(handle: &ObsHandle, name: &'static str) -> Tally {
         Tally {
             n: AtomicU64::new(0),
             metric: handle.counter(name),
         }
     }
 
-    fn add(&self, k: u64) {
+    pub(crate) fn add(&self, k: u64) {
         self.n.fetch_add(k, Ordering::SeqCst);
         self.metric.add(k);
     }
 
-    fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.n.load(Ordering::SeqCst)
     }
 }
 
-/// The runtime's counters and pre-resolved observability instruments.
-/// With a disabled handle every instrument is inert (one branch per
-/// record, no allocation); the [`ServeStats`] counters still count.
-struct ServeObs {
-    handle: ObsHandle,
-    submitted: Tally,
-    completed: Tally,
-    failed: Tally,
-    shed: Tally,
-    rejected: Tally,
-    retries: Tally,
-    resumes: Tally,
-    panics: Tally,
-    stalls: Tally,
-    corruptions: Tally,
-    degraded: Tally,
-    checkpoints: Tally,
-    workers_spawned: Tally,
-    multi_groups: Tally,
-    multi_group_members: Tally,
-    deadline_expired: Tally,
-    emitted: Tally,
-    emission_suppressed: Tally,
-    /// Requests per shared multi-query pass.
-    multi_group_size: Histogram,
-    /// Current submission-queue occupancy.
-    queue_depth: Gauge,
-    /// Bytes currently held against the in-flight budget.
-    in_flight_bytes: Gauge,
-    /// Attempts each finished request consumed (recorded at terminal
-    /// completion or failure).
-    request_attempts: Histogram,
-    /// Runtime-clock nanoseconds from admission to terminal state, per
-    /// finished request (a sub-millisecond request still lands in its
-    /// own log2 bucket).
-    request_latency_ns: Histogram,
+/// Declares [`ServeObs`] — one [`Tally`] per [`ServeStats`] field, named
+/// by its metric — and [`ServeObs::stats`], which reads them.
+macro_rules! serve_obs {
+    ($($tally:ident: $metric:literal,)*) => {
+        /// A book's counters and pre-resolved observability instruments.
+        /// With a disabled handle every instrument is inert (one branch
+        /// per record, no allocation); the [`ServeStats`] counters still
+        /// count.
+        pub(crate) struct ServeObs {
+            handle: ObsHandle,
+            $($tally: Tally,)*
+            /// Requests per shared multi-query pass.
+            multi_group_size: Histogram,
+            /// Current submission-queue occupancy.
+            queue_depth: Gauge,
+            /// Bytes currently held against the in-flight budget.
+            in_flight_bytes: Gauge,
+            /// Attempts each finished request consumed.
+            request_attempts: Histogram,
+            /// Clock nanoseconds from admission to terminal state, per
+            /// finished request (a sub-millisecond request still lands in
+            /// its own log2 bucket).
+            request_latency_ns: Histogram,
+        }
+
+        impl ServeObs {
+            /// Resolves the instruments on `metrics` and traces to `trace`.
+            pub(crate) fn attach(metrics: &ObsHandle, trace: &ObsHandle) -> ServeObs {
+                ServeObs {
+                    handle: trace.clone(),
+                    $($tally: Tally::new(metrics, $metric),)*
+                    multi_group_size: metrics.histogram("serve_multi_group_size"),
+                    queue_depth: metrics.gauge("serve_queue_depth"),
+                    in_flight_bytes: metrics.gauge("serve_in_flight_bytes"),
+                    request_attempts: metrics.histogram("serve_request_attempts"),
+                    request_latency_ns: metrics.histogram("serve_request_latency_ns"),
+                }
+            }
+
+            fn stats(&self) -> ServeStats {
+                ServeStats {
+                    $($tally: self.$tally.get(),)*
+                }
+            }
+
+            fn trace(&self, event: TraceEvent) {
+                self.handle.trace(event);
+            }
+        }
+    };
 }
 
-impl ServeObs {
-    fn attach(handle: &ObsHandle) -> ServeObs {
-        ServeObs {
-            submitted: Tally::new(handle, "serve_submitted_total"),
-            completed: Tally::new(handle, "serve_completed_total"),
-            failed: Tally::new(handle, "serve_failed_total"),
-            shed: Tally::new(handle, "serve_shed_total"),
-            rejected: Tally::new(handle, "serve_rejected_total"),
-            retries: Tally::new(handle, "serve_retries_total"),
-            resumes: Tally::new(handle, "serve_resumes_total"),
-            panics: Tally::new(handle, "serve_panics_total"),
-            stalls: Tally::new(handle, "serve_stalls_total"),
-            corruptions: Tally::new(handle, "serve_corruptions_total"),
-            degraded: Tally::new(handle, "serve_degraded_total"),
-            checkpoints: Tally::new(handle, "serve_checkpoints_total"),
-            workers_spawned: Tally::new(handle, "serve_workers_spawned_total"),
-            multi_groups: Tally::new(handle, "serve_multi_groups_total"),
-            multi_group_members: Tally::new(handle, "serve_multi_group_members_total"),
-            deadline_expired: Tally::new(handle, "serve_deadline_expired_total"),
-            emitted: Tally::new(handle, "serve_emissions_total"),
-            emission_suppressed: Tally::new(handle, "serve_emission_suppressed_total"),
-            multi_group_size: handle.histogram("serve_multi_group_size"),
-            queue_depth: handle.gauge("serve_queue_depth"),
-            in_flight_bytes: handle.gauge("serve_in_flight_bytes"),
-            request_attempts: handle.histogram("serve_request_attempts"),
-            request_latency_ns: handle.histogram("serve_request_latency_ns"),
-            handle: handle.clone(),
-        }
-    }
-
-    fn trace(&self, event: TraceEvent) {
-        self.handle.trace(event);
-    }
+serve_obs! {
+    submitted: "serve_submitted_total",
+    completed: "serve_completed_total",
+    failed: "serve_failed_total",
+    shed: "serve_shed_total",
+    rejected: "serve_rejected_total",
+    retries: "serve_retries_total",
+    resumes: "serve_resumes_total",
+    panics: "serve_panics_total",
+    stalls: "serve_stalls_total",
+    corruptions: "serve_corruptions_total",
+    degraded: "serve_degraded_total",
+    checkpoints: "serve_checkpoints_total",
+    workers_spawned: "serve_workers_spawned_total",
+    multi_groups: "serve_multi_groups_total",
+    multi_group_members: "serve_multi_group_members_total",
+    deadline_expired: "serve_deadline_expired_total",
+    emitted: "serve_emissions_total",
+    emission_suppressed: "serve_emission_suppressed_total",
 }
 
 /// The stable cause label carried by [`TraceEvent::JobFailed`].
@@ -723,87 +742,72 @@ fn cause_label(cause: &FailureCause) -> &'static str {
     }
 }
 
-struct Inner {
-    cfg: ServeConfig,
-    /// The runtime clock: the budget's injected [`ClockFn`] when one was
-    /// set (so stall detection and backoff are testable without real
-    /// time), else [`monotonic_clock`].
+/// A refused byte reservation: the bytes in flight, the budget, and
+/// whether the job alone exceeds the budget (so waiting cannot help).
+pub(crate) struct Refusal {
+    pub(crate) held: usize,
+    pub(crate) budget: usize,
+    pub(crate) never: bool,
+}
+
+/// A pass in progress: its session and what [`Book::step`] carries from
+/// one step to the next.
+pub(crate) struct Run<S> {
+    session: S,
+    /// The lead's `(job, attempt)`, whose store the steps write.
+    lead: (u64, u32),
+    /// The pass's member ids, which key its resume points.
+    members: Arc<[u64]>,
+    /// `session.matches_of(q)[..done[q]]` is in the lead's list store.
+    done: Vec<usize>,
+    /// Bytes fed since the last checkpoint.
+    since: usize,
+    resumed_at: EmissionCursor,
+    stream: bool,
+}
+
+/// The job book: admission, the one in-flight byte budget, the job
+/// records, the pass step with its completion check, the end of every
+/// job, and the counters, histograms and trace.  The pool's jobs live in
+/// its book; the TCP edge keeps a book of its own.
+pub(crate) struct Book<J> {
+    /// The budget's injected [`ClockFn`] when one was set (so stall
+    /// detection and backoff are testable without real time), else
+    /// [`monotonic_clock`]; timestamps count from `epoch`.
     clock: ClockFn,
-    /// `clock()` at startup; all runtime timestamps are relative to it.
     epoch: Duration,
+    /// Bytes a pass feeds between checkpoints.
+    cadence: usize,
+    budget: Option<usize>,
     obs: ServeObs,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    jobs: Mutex<HashMap<u64, JobState>>,
+    jobs: Mutex<Records<J>>,
     jobs_cv: Condvar,
     in_flight_bytes: AtomicUsize,
     next_id: AtomicU64,
-    /// EWMA throughput of completed shared multi-query passes, in
-    /// bytes/ms on the runtime clock (0 until the first measured pass).
-    /// Feeds the deadline-aware grouping projection in [`Inner::claim`].
-    group_rate_bpms: AtomicU64,
 }
 
-impl Inner {
-    fn now_ms(&self) -> u64 {
+impl<J> Book<J> {
+    pub(crate) fn new(budget: &ServiceBudget, cadence: usize, obs: ServeObs) -> Book<J> {
+        let clock = budget.session_limits.clock.unwrap_or(monotonic_clock);
+        Book {
+            clock,
+            epoch: clock(),
+            cadence: cadence.max(1),
+            budget: budget.max_in_flight_bytes,
+            obs,
+            jobs: Mutex::new(HashMap::new()),
+            jobs_cv: Condvar::new(),
+            in_flight_bytes: AtomicUsize::new(0),
+            next_id: AtomicU64::new(1),
+        }
+    }
+
+    pub(crate) fn now_ms(&self) -> u64 {
         self.now_ns() / 1_000_000
     }
 
-    fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         (self.clock)().saturating_sub(self.epoch).as_nanos() as u64
-    }
-
-    fn stats(&self) -> ServeStats {
-        ServeStats {
-            submitted: self.obs.submitted.get(),
-            completed: self.obs.completed.get(),
-            failed: self.obs.failed.get(),
-            shed: self.obs.shed.get(),
-            rejected: self.obs.rejected.get(),
-            retries: self.obs.retries.get(),
-            resumes: self.obs.resumes.get(),
-            panics: self.obs.panics.get(),
-            stalls: self.obs.stalls.get(),
-            corruptions: self.obs.corruptions.get(),
-            degraded: self.obs.degraded.get(),
-            checkpoints: self.obs.checkpoints.get(),
-            workers_spawned: self.obs.workers_spawned.get(),
-            multi_groups: self.obs.multi_groups.get(),
-            multi_group_members: self.obs.multi_group_members.get(),
-            deadline_expired: self.obs.deadline_expired.get(),
-            emitted: self.obs.emitted.get(),
-            emission_suppressed: self.obs.emission_suppressed.get(),
-        }
-    }
-
-    /// The shared-pass throughput estimate used to project a group's
-    /// finish time: the measured EWMA when at least one pass completed,
-    /// else the configured hint.  Always ≥ 1 byte/ms.
-    fn group_rate(&self) -> u64 {
-        let measured = self.group_rate_bpms.load(Ordering::SeqCst);
-        let rate = if measured > 0 {
-            measured
-        } else {
-            self.cfg.group_rate_hint
-        };
-        rate.max(1)
-    }
-
-    /// Folds a completed shared pass (`bytes` over `elapsed_ms`) into
-    /// the EWMA throughput estimate.
-    fn observe_group_rate(&self, bytes: usize, elapsed_ms: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let sample = (bytes as u64) / elapsed_ms.max(1);
-        let sample = sample.max(1);
-        let old = self.group_rate_bpms.load(Ordering::SeqCst);
-        let new = if old == 0 {
-            sample
-        } else {
-            (3 * old + sample) / 4
-        };
-        self.group_rate_bpms.store(new, Ordering::SeqCst);
     }
 
     /// Open requests: admitted and not yet finished.
@@ -811,123 +815,125 @@ impl Inner {
         self.obs.submitted.get() - self.obs.completed.get() - self.obs.failed.get()
     }
 
-    /// How long the supervisor and idle workers sleep between checks.
-    fn poll(&self) -> Duration {
-        (self.cfg.stall_timeout / 4)
-            .min(Duration::from_millis(10))
-            .max(Duration::from_millis(1))
+    /// Bytes currently held against the budget.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight_bytes.load(Ordering::SeqCst)
     }
 
-    /// Drops a queued request whose deadline passed: a typed terminal
-    /// [`ServeError::DeadlineExpired`], no worker time spent.  Returns
-    /// whether the request was expired (false when it is not queued,
-    /// carries no deadline, or is not yet due).
-    fn expire_if_due(&self, job: u64, st: &mut JobState, now_ms: u64) -> bool {
-        let due =
-            matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d);
-        if due {
-            let waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
-            self.conclude(job, st, Err(ServeError::DeadlineExpired { waited_ms }));
-            self.obs.deadline_expired.add(1);
-        }
-        due
+    /// Job records the book holds.
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> usize {
+        lock(&self.jobs).len()
     }
 
-    /// Expires the due queue entries whose deadline passed and drops
-    /// them from the queue.
-    fn expire_queued(&self, now_ms: u64) {
-        let mut q = lock(&self.queue);
-        if q.q.iter().all(|p| p.not_before_ms > now_ms) {
-            return;
+    /// The one in-flight byte budget: reserves `n` more bytes — for open
+    /// job `id`, which then holds them, or for a job about to enter —
+    /// waiting up to `wait` (real time) for other jobs to release theirs.
+    /// A job that alone would exceed the budget is refused at once.
+    pub(crate) fn reserve(&self, id: Option<u64>, n: usize, wait: Duration) -> Result<(), Refusal> {
+        let held = |id| Some(lock(&self.jobs).get(&id)?.held);
+        let own = id.and_then(held).unwrap_or(0);
+        let budget = self.budget.unwrap_or(usize::MAX);
+        let never = own.saturating_add(n) > budget;
+        let fits = |cur: usize| (!never && budget - cur >= n).then_some(cur + n);
+        let deadline = std::time::Instant::now() + wait;
+        loop {
+            match (self.in_flight_bytes).fetch_update(Ordering::SeqCst, Ordering::SeqCst, fits) {
+                Ok(held) => break self.obs.in_flight_bytes.set((held + n) as i64),
+                Err(held) if never || std::time::Instant::now() >= deadline => {
+                    return Err(Refusal {
+                        held,
+                        budget,
+                        never,
+                    })
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
         }
         let mut jobs = lock(&self.jobs);
-        q.q.retain(|p| {
-            p.not_before_ms > now_ms
-                || !jobs
-                    .get_mut(&p.id)
-                    .is_some_and(|st| self.expire_if_due(p.id, st, now_ms))
-        });
-        self.obs.queue_depth.set(q.q.len() as i64);
+        if let Some(st) = id.and_then(|id| jobs.get_mut(&id)) {
+            st.held += n;
+        }
+        Ok(())
     }
 
-    /// Claims queue entry `id`, just taken off `q`, as the lead of one
-    /// pass.  A request whose deadline passed while it was queued expires
-    /// instead.  A groupable multi-query lead pulls every other queued
-    /// request with the same document fingerprint into its pass, and
-    /// their own queue entries go.  A pass that starts over empties the
-    /// lead's list store.  `None` when the entry is stale (its job is no
-    /// longer queued) or expired.
-    fn claim(&self, q: &mut QueueState, id: u64, now_ms: u64) -> Option<Pass> {
-        let mut states = lock(&self.jobs);
-        let st = states
-            .get_mut(&id)
-            .filter(|st| matches!(st.status, Status::Queued))?;
-        if self.expire_if_due(id, st, now_ms) {
-            return None;
-        }
-        st.status = Status::Running;
-        let mut members = vec![(id, st.attempt)];
-        if let Some(fp) = st.job.group_key {
-            // Ascending-id member order keeps result splitting
-            // independent of queue arrival order.
-            let peers = states.iter_mut().filter(|(_, st)| {
-                // The lead is Running already.
-                matches!(st.status, Status::Queued)
-                    // Deadline-aware grouping: never adopt a member
-                    // whose deadline is projected to expire before the
-                    // shared pass finishes — it would ride along only to
-                    // receive an answer nobody is waiting for.  The
-                    // projection uses the measured EWMA throughput of
-                    // completed shared passes (the configured hint until
-                    // one completes).
-                    && st.deadline_ms.is_none_or(|d| {
-                        let projected_ms = st.job.doc.len() as u64 / self.group_rate() + 1;
-                        now_ms + projected_ms <= d
-                    })
-                    && st.job.group_key == Some(fp)
-            });
-            for (id, st) in peers {
-                st.status = Status::Running;
-                members.push((*id, st.attempt));
-            }
-            members[1..].sort_unstable();
-            q.q.retain(|p| !members[1..].iter().any(|m| m.0 == p.id));
-            self.obs.queue_depth.set(q.q.len() as i64);
-        }
-        let jobs: Vec<Arc<Job>> = members.iter().map(|m| states[&m.0].job.clone()).collect();
-        let queries = jobs.iter().map(|j| j.plan.queries()).sum();
-        let lead = states.get_mut(&id).expect("claimed above");
-        // A resume point over another member list covers other queries'
-        // matches: this pass starts over at byte 0.
-        let resumes = lead
-            .resume
-            .as_ref()
-            .is_some_and(|r| r.members.iter().eq(members.iter().map(|m| &m.0)));
-        if !resumes {
-            lead.resume = None;
-            if let Store::Lists(lists) = &mut lead.store {
-                *lists = vec![Vec::new(); queries];
-            }
-        }
-        let checkpoint = lead.resume.as_ref().map(|r| r.checkpoint.clone());
-        Some(Pass {
-            members,
-            jobs,
-            checkpoint,
-        })
+    fn release(&self, n: usize) {
+        let held = self.in_flight_bytes.fetch_sub(n, Ordering::SeqCst) - n;
+        self.obs.in_flight_bytes.set(held as i64);
+    }
+
+    /// Records a job with `held` bytes reserved for it; counts and traces
+    /// its admission.  Returns its id.
+    pub(crate) fn enter(
+        &self,
+        job: J,
+        held: usize,
+        stream: bool,
+        queries: usize,
+        deadline: Option<Duration>,
+    ) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let submitted_ns = self.now_ns();
+        let deadline_ms =
+            deadline.map(|d| (submitted_ns / 1_000_000).saturating_add(d.as_millis() as u64));
+        let store = if stream {
+            Store::Ledger(Vec::new())
+        } else {
+            Store::Lists(vec![Vec::new(); queries])
+        };
+        lock(&self.jobs).insert(
+            id,
+            JobState {
+                job,
+                attempt: 1,
+                resume: None,
+                resumes: 0,
+                failures: Vec::new(),
+                status: Status::Queued,
+                store,
+                path: PathTaken::Session,
+                degraded: false,
+                held,
+                submitted_ns,
+                deadline_ms,
+                group_size: 0,
+                suppressed: 0,
+            },
+        );
+        self.obs.submitted.add(1);
+        self.obs.trace(TraceEvent::JobAdmitted {
+            job: id,
+            bytes: held as u64,
+        });
+        id
     }
 
     /// Ends a job — a completion, a [`ServeError::Failed`] or a
-    /// [`ServeError::DeadlineExpired`]: frees its resume point, a failed
-    /// job's list store and its in-flight bytes, records the terminal
-    /// counters, histograms and trace, and wakes its waiters and the
-    /// pool.  It notifies the queue without taking its lock (claims
-    /// expire requests under it); a drain that misses the notify sees
-    /// the last request end at its next poll tick.
-    fn conclude(&self, job: u64, st: &mut JobState, result: Result<(), ServeError>) {
+    /// [`ServeError::DeadlineExpired`] — keeping its answer for reports.
+    fn conclude(&self, job: u64, st: &mut JobState<J>, result: Result<(), ServeError>) {
+        let failed = result.as_ref().err().map(|e| match e {
+            ServeError::Failed { last, .. } => cause_label(last),
+            _ => "deadline_expired",
+        });
+        self.close(job, st, failed);
+        st.status = Status::Done(result);
+    }
+
+    /// Takes job `id` out of the book and ends it, completed or failed
+    /// with the trace label `Err` carries.  Returns its match store.
+    pub(crate) fn settle(&self, id: u64, result: Result<(), &'static str>) -> Option<Store> {
+        let mut st = lock(&self.jobs).remove(&id)?;
+        self.close(id, &mut st, result.err());
+        Some(st.store)
+    }
+
+    /// Every end of a job: frees its resume point, a failed job's list
+    /// store and its bytes, records the terminal counters, histograms and
+    /// trace, and wakes its waiters.
+    fn close(&self, job: u64, st: &mut JobState<J>, failed: Option<&'static str>) {
         let attempts = st.attempt;
-        match &result {
-            Ok(()) => {
+        match failed {
+            None => {
                 self.obs.completed.add(1);
                 let matches = st.store.len() as u64;
                 self.obs.trace(TraceEvent::JobCompleted {
@@ -936,12 +942,8 @@ impl Inner {
                     matches,
                 });
             }
-            Err(e) => {
+            Some(cause) => {
                 self.obs.failed.add(1);
-                let cause = match e {
-                    ServeError::Failed { last, .. } => cause_label(last),
-                    _ => "deadline_expired",
-                };
                 self.obs.trace(TraceEvent::JobFailed {
                     job,
                     attempts,
@@ -953,163 +955,169 @@ impl Inner {
                 }
             }
         }
-        st.status = Status::Done(result);
         st.resume = None;
-        let bytes = st.job.doc.len();
-        let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
-        self.obs.in_flight_bytes.set((held - bytes) as i64);
+        self.release(std::mem::take(&mut st.held));
         self.obs.request_attempts.record(attempts as u64);
         self.obs
             .request_latency_ns
             .record(self.now_ns().saturating_sub(st.submitted_ns));
         self.jobs_cv.notify_all();
-        self.queue_cv.notify_all();
     }
 
-    /// Whether the degradation ladder should step down from the chunked
-    /// to the session path: queue occupancy at/over the configured
-    /// fraction, or the in-flight byte budget half consumed.
-    fn pressure_high(&self) -> bool {
-        let qlen = lock(&self.queue).q.len();
-        if qlen * 100 >= self.cfg.queue_capacity * self.cfg.degrade_at_percent {
-            return true;
-        }
-        if let Some(mb) = self.cfg.budget.max_in_flight_bytes {
-            if self.in_flight_bytes.load(Ordering::SeqCst) * 2 >= mb {
-                return true;
-            }
-        }
-        false
+    /// Job `id`'s delivered matches from stream position `start` on.
+    pub(crate) fn emitted(&self, id: u64, start: usize) -> Option<Vec<StreamedMatch>> {
+        let jobs = lock(&self.jobs);
+        let ledger = jobs.get(&id)?.store.ledger();
+        Some(ledger.get(start..).unwrap_or_default().to_vec())
     }
 
-    /// Completes a pass (`group`, lead first): member `i` takes the next
-    /// `spans[i]` lists of the lead's store — or of `lists`, when the
-    /// answer bypassed the store (the chunked path) — and concludes.  A
-    /// stale pass (superseded by failover) is discarded.
-    fn complete(
+    /// Starts a pass over `group` (lead first, `queries` match lists in
+    /// all): counts a resume when the session continues from a
+    /// checkpoint, links each member's job to the session in the trace,
+    /// and verifies a resumed stream's cursor before any of its output is
+    /// accepted — a hostile checkpoint (forged count, tampered digest)
+    /// dies here with a typed error instead of mis-aligning replay dedup.
+    pub(crate) fn start<S: PassSession>(
         &self,
         group: &[(u64, u32)],
-        spans: &[usize],
-        path: PathTaken,
-        lists: Option<Vec<Vec<usize>>>,
-    ) {
-        let mut jobs = lock(&self.jobs);
-        let Some(lead) = live(&mut jobs, group[0].0, group[0].1) else {
-            return;
-        };
-        let mut lists = match (lists, &mut lead.store) {
-            (Some(lists), _) => lists,
-            (None, Store::Lists(lists)) => std::mem::take(lists),
-            (None, Store::Ledger(_)) => Vec::new(),
-        }
-        .into_iter();
-        let group_size = if path == PathTaken::Shared {
-            group.len()
-        } else {
-            0
-        };
-        for (&(id, attempt), &n) in group.iter().zip(spans) {
-            let own = lists.by_ref().take(n).collect();
-            let Some(st) = live(&mut jobs, id, attempt) else {
-                continue;
-            };
-            if let Store::Lists(lists) = &mut st.store {
-                *lists = own;
+        queries: usize,
+        stream: bool,
+        resumed: bool,
+        session: Result<S, SessionError>,
+    ) -> Result<Run<S>, FailureCause> {
+        let session = session.map_err(FailureCause::Engine)?;
+        for &(job, attempt) in group {
+            if resumed {
+                if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+                    st.resumes += 1;
+                }
+                self.obs.resumes.add(1);
+                let offset = session.offset() as u64;
+                self.obs.trace(TraceEvent::Failover {
+                    job,
+                    attempt,
+                    offset,
+                });
             }
-            st.path = path;
-            st.group_size = group_size;
-            self.conclude(id, st, Ok(()));
+            let session = session.obs_session_id();
+            self.obs.trace(TraceEvent::JobSession { job, session });
         }
+        let resumed_at = session.emission_cursor();
+        if stream {
+            self.verify_cursor(group[0], resumed_at, None)?;
+        }
+        Ok(Run {
+            session,
+            lead: group[0],
+            members: group.iter().map(|m| m.0).collect(),
+            done: vec![0; queries],
+            since: 0,
+            resumed_at,
+            stream,
+        })
     }
 
-    /// Records one segment of a pass on its lead, under one lock: the
-    /// session's new matches go to the store once, and `checkpoint`,
-    /// minted after the segment, becomes the resume point.  `done[q]`
-    /// counts the matches of query `q` the session already handed to a
-    /// list store.  A ledger is the delivery point of exactly-once:
-    ///
-    /// * stream positions it already holds are **verified** against it —
-    ///   a replayed match must be identical to what was delivered, and a
-    ///   divergence is a typed [`FailureCause::EmissionLedger`] failure,
-    ///   never a silent duplicate;
-    /// * positions past its end are **appended** (delivered).
-    ///
-    /// A stale attempt's segment is discarded without effect.
-    fn record_segment<S: PassSession>(
+    /// One pass step: feeds `segment` and checkpoints once the cadence's
+    /// bytes have passed since the last checkpoint (or at `end`, the end
+    /// of the document).  Then, under one lock, the session's new matches
+    /// go to the lead's store once and the checkpoint becomes its resume
+    /// point.  A ledger is the delivery point of exactly-once: stream
+    /// positions it already holds are **verified** (a diverging replay is
+    /// a typed [`FailureCause::EmissionLedger`], never a silent
+    /// duplicate), and positions past its end are **appended**.  A stale
+    /// attempt's step records nothing.  Returns whether it checkpointed.
+    pub(crate) fn step<S: PassSession>(
         &self,
-        (lead, attempt): (u64, u32),
-        members: &Arc<[u64]>,
-        checkpoint: PassCheckpoint,
-        session: &mut S,
-        done: &mut [usize],
-    ) -> Result<(), FailureCause> {
-        let (mut appended, mut replayed) = (0, 0);
-        {
-            let mut jobs = lock(&self.jobs);
-            let Some(st) = live(&mut jobs, lead, attempt) else {
-                return Ok(());
-            };
-            match &mut st.store {
-                Store::Ledger(ledger) => {
-                    let end = session.emission_cursor().count as usize;
-                    let mut batch = session.drain_emitted();
-                    let start = end - batch.len();
-                    if start > ledger.len() {
+        run: &mut Run<S>,
+        segment: &[u8],
+        end: bool,
+    ) -> Result<bool, FailureCause> {
+        let session = &mut run.session;
+        session.feed(segment).map_err(FailureCause::Engine)?;
+        let since = run.since + segment.len();
+        let minted = end || since >= self.cadence;
+        run.since = if minted { 0 } else { since };
+        let checkpoint =
+            (minted.then(|| session.checkpoint()).transpose()).map_err(FailureCause::Engine)?;
+        let mut jobs = lock(&self.jobs);
+        let Some(st) = live(&mut jobs, run.lead.0, run.lead.1) else {
+            return Ok(minted);
+        };
+        match &mut st.store {
+            Store::Ledger(ledger) => {
+                let end = session.emission_cursor().count as usize;
+                let mut batch = session.drain_emitted();
+                let start = end - batch.len();
+                if start > ledger.len() {
+                    return Err(FailureCause::EmissionLedger {
+                        detail: format!(
+                            "segment starts at stream position {start} but only {} \
+                             matches were ever delivered",
+                            ledger.len()
+                        ),
+                    });
+                }
+                // The first `replay` matches re-cover delivered positions;
+                // the rest are new.
+                let replay = (ledger.len() - start).min(batch.len());
+                for (k, m) in batch.by_ref().take(replay).enumerate() {
+                    let d = ledger[start + k];
+                    if d != m {
                         return Err(FailureCause::EmissionLedger {
                             detail: format!(
-                                "segment starts at stream position {start} but only {} \
-                                 matches were ever delivered",
-                                ledger.len()
+                                "replay diverged at stream position {}: \
+                                 delivered node {} at byte {}, replay claims \
+                                 node {} at byte {}",
+                                start + k,
+                                d.node,
+                                d.offset,
+                                m.node,
+                                m.offset
                             ),
                         });
                     }
-                    // The first `replay` matches re-cover delivered
-                    // positions; the rest are new.
-                    let replay = (ledger.len() - start).min(batch.len());
-                    for (k, m) in batch.by_ref().take(replay).enumerate() {
-                        let d = ledger[start + k];
-                        if d != m {
-                            return Err(FailureCause::EmissionLedger {
-                                detail: format!(
-                                    "replay diverged at stream position {}: \
-                                     delivered node {} at byte {}, replay claims \
-                                     node {} at byte {}",
-                                    start + k,
-                                    d.node,
-                                    d.offset,
-                                    m.node,
-                                    m.offset
-                                ),
-                            });
-                        }
-                    }
-                    let before = ledger.len();
-                    ledger.extend(batch);
-                    appended = (ledger.len() - before) as u64;
-                    replayed = replay as u64;
-                    st.suppressed += replayed;
                 }
-                Store::Lists(lists) => {
-                    for (q, (list, done)) in lists.iter_mut().zip(done).enumerate() {
-                        let found = session.matches_of(q);
-                        list.extend_from_slice(&found[*done..]);
-                        *done = found.len();
-                    }
+                let before = ledger.len();
+                ledger.extend(batch);
+                self.obs.emitted.add((ledger.len() - before) as u64);
+                self.obs.emission_suppressed.add(replay as u64);
+                st.suppressed += replay as u64;
+            }
+            Store::Lists(lists) => {
+                for (q, (list, done)) in lists.iter_mut().zip(&mut run.done).enumerate() {
+                    let found = session.matches_of(q);
+                    list.extend_from_slice(&found[*done..]);
+                    *done = found.len();
                 }
             }
+        }
+        if let Some(checkpoint) = checkpoint {
+            let members = run.members.clone();
             st.resume = Some(ResumePoint {
                 checkpoint,
-                members: members.clone(),
+                members,
             });
+            self.obs.checkpoints.add(1);
         }
-        self.obs.checkpoints.add(1);
-        if appended > 0 {
-            self.obs.emitted.add(appended);
+        Ok(minted)
+    }
+
+    /// The completion check: ends the input and, for a streamed pass,
+    /// requires the delivered stream to equal the final session's own
+    /// answer and the cursors to agree — a gap or duplicate that survived
+    /// this far is a typed failure, never a silently wrong answer.
+    /// Returns the final emission cursor.
+    pub(crate) fn finish<S: PassSession>(
+        &self,
+        run: Run<S>,
+    ) -> Result<EmissionCursor, FailureCause> {
+        let cursor = run.session.emission_cursor();
+        let own = run.session.finish().map_err(FailureCause::Engine)?;
+        if run.stream {
+            let last = (run.resumed_at.count as usize, own[0].as_slice());
+            self.verify_cursor(run.lead, cursor, Some(last))?;
         }
-        if replayed > 0 {
-            self.obs.emission_suppressed.add(replayed);
-        }
-        Ok(())
+        Ok(cursor)
     }
 
     /// Verifies a streamed attempt's emission cursor against the ledger:
@@ -1123,8 +1131,7 @@ impl Inner {
     /// order.
     fn verify_cursor(
         &self,
-        job: u64,
-        attempt: u32,
+        (job, attempt): (u64, u32),
         cursor: EmissionCursor,
         last: Option<(usize, &[usize])>,
     ) -> Result<(), FailureCause> {
@@ -1160,26 +1167,229 @@ impl Inner {
         }
         Ok(())
     }
+}
 
-    fn note_resume(&self, job: u64, attempt: u32, offset: usize) {
-        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
-            st.resumes += 1;
+/// The pool: the submission queue, the workers that claim passes from
+/// it, their supervisor and the grouping of query-set requests.  Its
+/// jobs live in its [`Book`]; only [`ServeRuntime`] has a pool.
+struct Pool {
+    cfg: ServeConfig,
+    book: Book<Arc<Job>>,
+    queue: Mutex<QueueState>,
+    queue_cv: Condvar,
+    /// EWMA throughput of completed shared multi-query passes, in
+    /// bytes/ms on the runtime clock (0 until the first measured pass).
+    /// Feeds the deadline-aware grouping projection in [`Pool::claim`].
+    group_rate_bpms: AtomicU64,
+}
+
+impl Pool {
+    /// The shared-pass throughput estimate used to project a group's
+    /// finish time: the measured EWMA when at least one pass completed,
+    /// else the configured hint.  Always ≥ 1 byte/ms.
+    fn group_rate(&self) -> u64 {
+        let measured = self.group_rate_bpms.load(Ordering::SeqCst);
+        let rate = if measured > 0 {
+            measured
+        } else {
+            self.cfg.group_rate_hint
+        };
+        rate.max(1)
+    }
+
+    /// Folds a completed shared pass (`bytes` over `elapsed_ms`) into
+    /// the EWMA throughput estimate.
+    fn observe_group_rate(&self, bytes: usize, elapsed_ms: u64) {
+        if bytes == 0 {
+            return;
         }
-        self.obs.resumes.add(1);
-        let offset = offset as u64;
-        self.obs.trace(TraceEvent::Failover {
-            job,
-            attempt,
-            offset,
+        let sample = (bytes as u64) / elapsed_ms.max(1);
+        let sample = sample.max(1);
+        let old = self.group_rate_bpms.load(Ordering::SeqCst);
+        let new = if old == 0 {
+            sample
+        } else {
+            (3 * old + sample) / 4
+        };
+        self.group_rate_bpms.store(new, Ordering::SeqCst);
+    }
+
+    /// How long the supervisor and idle workers sleep between checks.
+    fn poll(&self) -> Duration {
+        (self.cfg.stall_timeout / 4)
+            .min(Duration::from_millis(10))
+            .max(Duration::from_millis(1))
+    }
+
+    /// Drops a queued request whose deadline passed: a typed terminal
+    /// [`ServeError::DeadlineExpired`], no worker time spent.  Returns
+    /// whether the request was expired (false when it is not queued,
+    /// carries no deadline, or is not yet due).
+    fn expire_if_due(&self, job: u64, st: &mut JobState<Arc<Job>>, now_ms: u64) -> bool {
+        let due =
+            matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d);
+        if due {
+            let waited_ms = now_ms.saturating_sub(st.submitted_ns / 1_000_000);
+            self.conclude(job, st, Err(ServeError::DeadlineExpired { waited_ms }));
+            self.book.obs.deadline_expired.add(1);
+        }
+        due
+    }
+
+    /// Expires the due queue entries whose deadline passed and drops
+    /// them from the queue.
+    fn expire_queued(&self, now_ms: u64) {
+        let mut q = lock(&self.queue);
+        if q.q.iter().all(|p| p.not_before_ms > now_ms) {
+            return;
+        }
+        let mut jobs = lock(&self.book.jobs);
+        q.q.retain(|p| {
+            p.not_before_ms > now_ms
+                || !jobs
+                    .get_mut(&p.id)
+                    .is_some_and(|st| self.expire_if_due(p.id, st, now_ms))
         });
+        self.book.obs.queue_depth.set(q.q.len() as i64);
+    }
+
+    /// Claims queue entry `id`, just taken off `q`, as the lead of one
+    /// pass.  A request whose deadline passed while it was queued expires
+    /// instead.  A groupable multi-query lead pulls every other queued
+    /// request with the same document fingerprint into its pass, and
+    /// their own queue entries go.  A pass that starts over empties the
+    /// lead's list store.  `None` when the entry is stale (its job is no
+    /// longer queued) or expired.
+    fn claim(&self, q: &mut QueueState, id: u64, now_ms: u64) -> Option<Pass> {
+        let mut states = lock(&self.book.jobs);
+        let st = states
+            .get_mut(&id)
+            .filter(|st| matches!(st.status, Status::Queued))?;
+        if self.expire_if_due(id, st, now_ms) {
+            return None;
+        }
+        st.status = Status::Running;
+        let mut members = vec![(id, st.attempt)];
+        if let Some(fp) = st.job.group_key {
+            // Ascending-id member order keeps result splitting
+            // independent of queue arrival order.
+            let peers = states.iter_mut().filter(|(_, st)| {
+                // The lead is Running already.
+                matches!(st.status, Status::Queued)
+                    // Deadline-aware grouping: never adopt a member
+                    // whose deadline is projected to expire before the
+                    // shared pass finishes — it would ride along only to
+                    // receive an answer nobody is waiting for.  The
+                    // projection uses the measured EWMA throughput of
+                    // completed shared passes (the configured hint until
+                    // one completes).
+                    && st.deadline_ms.is_none_or(|d| {
+                        let projected_ms = st.job.doc.len() as u64 / self.group_rate() + 1;
+                        now_ms + projected_ms <= d
+                    })
+                    && st.job.group_key == Some(fp)
+            });
+            for (id, st) in peers {
+                st.status = Status::Running;
+                members.push((*id, st.attempt));
+            }
+            members[1..].sort_unstable();
+            q.q.retain(|p| !members[1..].iter().any(|m| m.0 == p.id));
+            self.book.obs.queue_depth.set(q.q.len() as i64);
+        }
+        let jobs: Vec<Arc<Job>> = members.iter().map(|m| states[&m.0].job.clone()).collect();
+        let queries = jobs.iter().map(|j| j.plan.queries()).sum();
+        let lead = states.get_mut(&id).expect("claimed above");
+        // A resume point over another member list covers other queries'
+        // matches: this pass starts over at byte 0.
+        let resumes = lead
+            .resume
+            .as_ref()
+            .is_some_and(|r| r.members.iter().eq(members.iter().map(|m| &m.0)));
+        if !resumes {
+            lead.resume = None;
+            if let Store::Lists(lists) = &mut lead.store {
+                *lists = vec![Vec::new(); queries];
+            }
+        }
+        let checkpoint = lead.resume.as_ref().map(|r| r.checkpoint.clone());
+        Some(Pass {
+            members,
+            jobs,
+            checkpoint,
+        })
+    }
+
+    /// [`Book::conclude`], then a wake of the pool without the queue lock
+    /// (claims expire requests under it); a drain that misses the notify
+    /// sees the last request end at its next poll tick.
+    fn conclude(&self, job: u64, st: &mut JobState<Arc<Job>>, result: Result<(), ServeError>) {
+        self.book.conclude(job, st, result);
+        self.queue_cv.notify_all();
+    }
+
+    /// Whether the degradation ladder should step down from the chunked
+    /// to the session path: queue occupancy at/over the configured
+    /// fraction, or the in-flight byte budget half consumed.
+    fn pressure_high(&self) -> bool {
+        let qlen = lock(&self.queue).q.len();
+        if qlen * 100 >= self.cfg.queue_capacity * self.cfg.degrade_at_percent {
+            return true;
+        }
+        if let Some(mb) = self.cfg.budget.max_in_flight_bytes {
+            if self.book.in_flight() * 2 >= mb {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Completes a pass (`group`, lead first): member `i` takes the next
+    /// `spans[i]` lists of the lead's store — or of `lists`, when the
+    /// answer bypassed the store (the chunked path) — and concludes.  A
+    /// stale pass (superseded by failover) is discarded.
+    fn complete(
+        &self,
+        group: &[(u64, u32)],
+        spans: &[usize],
+        path: PathTaken,
+        lists: Option<Vec<Vec<usize>>>,
+    ) {
+        let mut jobs = lock(&self.book.jobs);
+        let Some(lead) = live(&mut jobs, group[0].0, group[0].1) else {
+            return;
+        };
+        let mut lists = match (lists, &mut lead.store) {
+            (Some(lists), _) => lists,
+            (None, Store::Lists(lists)) => std::mem::take(lists),
+            (None, Store::Ledger(_)) => Vec::new(),
+        }
+        .into_iter();
+        let group_size = if path == PathTaken::Shared {
+            group.len()
+        } else {
+            0
+        };
+        for (&(id, attempt), &n) in group.iter().zip(spans) {
+            let own = lists.by_ref().take(n).collect();
+            let Some(st) = live(&mut jobs, id, attempt) else {
+                continue;
+            };
+            if let Store::Lists(lists) = &mut st.store {
+                *lists = own;
+            }
+            st.path = path;
+            st.group_size = group_size;
+            self.conclude(id, st, Ok(()));
+        }
     }
 
     fn mark_degraded(&self, job: u64, attempt: u32) {
-        if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+        if let Some(st) = live(&mut lock(&self.book.jobs), job, attempt) {
             st.degraded = true;
         }
-        self.obs.degraded.add(1);
-        self.obs.trace(TraceEvent::Degraded { job });
+        self.book.obs.degraded.add(1);
+        self.book.obs.trace(TraceEvent::Degraded { job });
     }
 
     /// Records one failure against every `(job, attempt)` of a pass.
@@ -1195,7 +1405,7 @@ impl Inner {
     fn record_attempt_failure(&self, job: u64, attempt: u32, cause: FailureCause) {
         let mut requeue_backoff = None;
         {
-            let mut jobs = lock(&self.jobs);
+            let mut jobs = lock(&self.book.jobs);
             let Some(st) = live(&mut jobs, job, attempt) else {
                 return;
             };
@@ -1205,20 +1415,23 @@ impl Inner {
             // returned above and must not inflate the counters.
             match &cause {
                 FailureCause::WorkerPanic { .. } => {
-                    self.obs.panics.add(1);
-                    self.obs.trace(TraceEvent::WorkerPanic { job, attempt });
+                    self.book.obs.panics.add(1);
+                    self.book
+                        .obs
+                        .trace(TraceEvent::WorkerPanic { job, attempt });
                 }
                 FailureCause::WorkerStall { stalled_ms } => {
-                    self.obs.stalls.add(1);
-                    self.obs.trace(TraceEvent::WorkerStall {
+                    self.book.obs.stalls.add(1);
+                    self.book.obs.trace(TraceEvent::WorkerStall {
                         job,
                         attempt,
                         silent_ms: *stalled_ms,
                     });
                 }
                 FailureCause::SegmentCorrupted { .. } => {
-                    self.obs.corruptions.add(1);
-                    self.obs
+                    self.book.obs.corruptions.add(1);
+                    self.book
+                        .obs
                         .trace(TraceEvent::SegmentCorrupted { job, attempt });
                 }
                 FailureCause::Engine(_) => {}
@@ -1232,8 +1445,8 @@ impl Inner {
                 let exp = (attempt - 1).min(16);
                 let backoff = self.cfg.backoff_base * 2u32.pow(exp);
                 requeue_backoff = Some(backoff);
-                self.obs.retries.add(1);
-                self.obs.trace(TraceEvent::Retry {
+                self.book.obs.retries.add(1);
+                self.book.obs.trace(TraceEvent::Retry {
                     job,
                     attempt,
                     backoff_ms: backoff.as_millis() as u64,
@@ -1248,13 +1461,13 @@ impl Inner {
             }
         }
         if let Some(backoff) = requeue_backoff {
-            let due = self.now_ms() + backoff.as_millis() as u64;
+            let due = self.book.now_ms() + backoff.as_millis() as u64;
             let mut q = lock(&self.queue);
             q.q.push_back(Pending {
                 id: job,
                 not_before_ms: due,
             });
-            self.obs.queue_depth.set(q.q.len() as i64);
+            self.book.obs.queue_depth.set(q.q.len() as i64);
             drop(q);
             self.queue_cv.notify_all();
         }
@@ -1287,10 +1500,10 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>) {
+fn worker_main(pool: Arc<Pool>, slot: Arc<WorkerSlot>) {
     let _sentinel = Sentinel(slot.clone());
-    while let Some(pass) = next_pass(&inner, &slot) {
-        match catch_unwind(AssertUnwindSafe(|| run_pass(&inner, &slot, &pass))) {
+    while let Some(pass) = next_pass(&pool, &slot) {
+        match catch_unwind(AssertUnwindSafe(|| run_pass(&pool, &slot, &pass))) {
             Ok(()) => *lock(&slot.busy) = None,
             Err(payload) => {
                 // Report the death against every request of the pass (so
@@ -1299,7 +1512,7 @@ fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>) {
                 // replaces the thread.
                 if let Some(a) = lock(&slot.busy).take() {
                     let detail = payload_message(payload.as_ref());
-                    inner.fail_all(&a, FailureCause::WorkerPanic { detail });
+                    pool.fail_all(&a, FailureCause::WorkerPanic { detail });
                 }
                 resume_unwind(payload);
             }
@@ -1310,19 +1523,20 @@ fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>) {
 /// Blocks until a queue entry is due, then claims it: the worker's next
 /// pass, already recorded in its `busy` slot.  `None` once the
 /// worker is abandoned, or the runtime drains and no request is open.
-fn next_pass(inner: &Inner, slot: &WorkerSlot) -> Option<Pass> {
-    let mut q = lock(&inner.queue);
+fn next_pass(pool: &Pool, slot: &WorkerSlot) -> Option<Pass> {
+    let mut q = lock(&pool.queue);
     loop {
-        if slot.abandoned.load(Ordering::SeqCst) || (q.shutdown && inner.open() == 0) {
+        if slot.abandoned.load(Ordering::SeqCst) || (q.shutdown && pool.book.open() == 0) {
             return None;
         }
-        let now_ms = inner.now_ms();
+        let now_ms = pool.book.now_ms();
         if let Some(i) = q.q.iter().position(|p| p.not_before_ms <= now_ms) {
             let p = q.q.remove(i).expect("position is in range");
-            inner.obs.queue_depth.set(q.q.len() as i64);
-            if let Some(pass) = inner.claim(&mut q, p.id, now_ms) {
+            pool.book.obs.queue_depth.set(q.q.len() as i64);
+            if let Some(pass) = pool.claim(&mut q, p.id, now_ms) {
                 drop(q);
-                slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
+                slot.heartbeat_ms
+                    .store(pool.book.now_ms(), Ordering::SeqCst);
                 *lock(&slot.busy) = Some(pass.members.clone());
                 return Some(pass);
             }
@@ -1331,10 +1545,10 @@ fn next_pass(inner: &Inner, slot: &WorkerSlot) -> Option<Pass> {
         // Nothing due: sleep until a notify, the earliest backoff's end
         // or the poll tick.
         let next_due_ms = q.q.iter().map(|p| p.not_before_ms - now_ms).min();
-        let wait = next_due_ms.map_or(inner.poll(), |ms| {
-            inner.poll().min(Duration::from_millis(ms.max(1)))
+        let wait = next_due_ms.map_or(pool.poll(), |ms| {
+            pool.poll().min(Duration::from_millis(ms.max(1)))
         });
-        q = inner
+        q = pool
             .queue_cv
             .wait_timeout(q, wait)
             .unwrap_or_else(|p| p.into_inner())
@@ -1342,9 +1556,8 @@ fn next_pass(inner: &Inner, slot: &WorkerSlot) -> Option<Pass> {
     }
 }
 
-/// What the pass loop needs of a session, so one loop drives both
-/// session kinds (statically dispatched); the TCP edge's upload loop
-/// drives its sessions through it too.
+/// What [`Book::step`] needs of a session, so one step drives both
+/// session kinds (statically dispatched), in the pool and at the edge.
 pub(crate) trait PassSession: Sized {
     fn feed(&mut self, segment: &[u8]) -> Result<(), SessionError>;
     fn checkpoint(&self) -> Result<PassCheckpoint, SessionError>;
@@ -1414,14 +1627,14 @@ pass_session! { QuerySetSession, PassCheckpoint::Set, {
 /// Runs one claimed pass, lead first: a single job alone (on the chunked
 /// fast path or a session), or a batch-by-document group whose shared
 /// [`QuerySet`] session runs the union of its members' patterns.
-fn run_pass(inner: &Inner, slot: &WorkerSlot, pass: &Pass) {
+fn run_pass(pool: &Pool, slot: &WorkerSlot, pass: &Pass) {
     let ((lead, attempt), job) = (pass.members[0], &pass.jobs[0]);
-    let cfg = &inner.cfg;
+    let cfg = &pool.cfg;
     // Only requests without limits of their own group, so the lead's
     // limits are the pass's.
     let limits = cfg.budget.session_limits_for(job.limits.as_ref(), &cfg.obs);
     let spans: Vec<usize> = pass.jobs.iter().map(|j| j.plan.queries()).collect();
-    match &job.plan {
+    let result = match &job.plan {
         Plan::Query(query) => {
             // Fast path: the data-parallel chunked engine, for large
             // registerless documents on a fresh, guard-free, chaos-free
@@ -1438,15 +1651,16 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, pass: &Pass) {
                 && query.strategy() == Strategy::Registerless
                 && limits.is_unbounded();
             if chunk_eligible {
-                if inner.pressure_high() {
-                    inner.mark_degraded(lead, attempt);
+                if pool.pressure_high() {
+                    pool.mark_degraded(lead, attempt);
                 } else {
-                    slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
+                    slot.heartbeat_ms
+                        .store(pool.book.now_ms(), Ordering::SeqCst);
                     return match query.select_bytes_parallel(&job.doc, cfg.chunk_threads) {
                         Ok(m) => {
-                            inner.complete(&pass.members, &spans, PathTaken::Chunked, Some(vec![m]))
+                            pool.complete(&pass.members, &spans, PathTaken::Chunked, Some(vec![m]))
                         }
-                        Err(e) => inner.fail_all(&pass.members, FailureCause::Engine(e)),
+                        Err(e) => pool.fail_all(&pass.members, FailureCause::Engine(e)),
                     };
                 }
             }
@@ -1455,7 +1669,7 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, pass: &Pass) {
                 Some(PassCheckpoint::Query(cp)) => query.resume(cp, limits),
                 Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
             };
-            drive(inner, slot, pass, &spans, session);
+            drive(pool, slot, pass, &spans, session)
         }
         Plan::Set {
             alphabet, budget, ..
@@ -1475,56 +1689,37 @@ fn run_pass(inner: &Inner, slot: &WorkerSlot, pass: &Pass) {
                 Some(PassCheckpoint::Set(cp)) => set.resume(cp, limits),
                 Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
             };
-            drive(inner, slot, pass, &spans, session);
+            drive(pool, slot, pass, &spans, session)
         }
+    };
+    match result {
+        Ok(path) => pool.complete(&pass.members, &spans, path, None),
+        Err(cause) => pool.fail_all(&pass.members, cause),
     }
 }
 
-/// The pass loop: feeds the lead's document in cadence-sized segments,
-/// each behind a chaos roll keyed by the lead's `(job, attempt,
-/// segment)` and followed by a heartbeat and the segment's record (new
-/// matches into the lead's store, the checkpoint as its resume point);
-/// then member `i` takes the next `spans[i]` match lists.
+/// The pass loop: one [`Book::step`] per cadence-sized segment of the
+/// lead's document, each behind a chaos roll keyed by the lead's `(job,
+/// attempt, segment)` and followed by a heartbeat; then the completion
+/// check.  Returns the path that served the pass.
 fn drive<S: PassSession>(
-    inner: &Inner,
+    pool: &Pool,
     slot: &WorkerSlot,
     pass: &Pass,
     spans: &[usize],
     session: Result<S, SessionError>,
-) {
-    let (group, job) = (pass.members.as_slice(), &pass.jobs[0]);
+) -> Result<PathTaken, FailureCause> {
+    let (group, job, book) = (pass.members.as_slice(), &pass.jobs[0], &pool.book);
     let (lead, attempt) = group[0];
-    let fail = |cause| inner.fail_all(group, cause);
-    let mut session = match session {
-        Ok(s) => s,
-        Err(e) => return fail(FailureCause::Engine(e)),
-    };
-    let start = session.offset();
-    for &(id, attempt) in group {
-        if pass.checkpoint.is_some() {
-            inner.note_resume(id, attempt, start);
-        }
-        let session = session.obs_session_id();
-        inner.obs.trace(TraceEvent::JobSession { job: id, session });
-    }
-    // A resumed streamed attempt's cursor is verified against the ledger
-    // before any of its output is accepted: a hostile checkpoint (forged
-    // count, tampered digest) dies here with a typed error instead of
-    // letting replay dedup silently mis-align.
-    let resumed_at = session.emission_cursor();
-    if job.stream {
-        if let Err(cause) = inner.verify_cursor(lead, attempt, resumed_at, None) {
-            return fail(cause);
-        }
-    }
-    let ids: Arc<[u64]> = group.iter().map(|m| m.0).collect();
+    let queries = spans.iter().sum();
+    let resumed = pass.checkpoint.is_some();
+    let mut run = book.start(group, queries, job.stream, resumed, session)?;
     let doc = job.doc.as_slice();
-    let chaos = inner.cfg.chaos.as_ref();
-    let cadence = inner.cfg.checkpoint_every.max(1);
-    let start_ms = inner.now_ms();
+    let chaos = pool.cfg.chaos.as_ref();
+    let cadence = pool.cfg.checkpoint_every.max(1);
+    let start_ms = book.now_ms();
+    let start = run.session.offset();
     let mut off = start;
-    // `session.matches_of(q)[..done[q]]` is in the lead's list store.
-    let mut done = vec![0usize; spans.iter().sum()];
     while off < doc.len() {
         let end = (off + cadence).min(doc.len());
         match chaos.map_or(Fault::None, |c| {
@@ -1533,7 +1728,7 @@ fn drive<S: PassSession>(
             Fault::Panic => {
                 panic!("chaos: injected worker panic (job {lead}, attempt {attempt}, offset {off})")
             }
-            Fault::Corrupt => return fail(FailureCause::SegmentCorrupted { offset: off }),
+            Fault::Corrupt => return Err(FailureCause::SegmentCorrupted { offset: off }),
             // Sleep through the supervisor's deadline; by the time this
             // worker wakes, it has been abandoned and all its further
             // writes are stale no-ops.
@@ -1542,72 +1737,44 @@ fn drive<S: PassSession>(
             }
             Fault::None => {}
         }
-        if let Err(e) = session.feed(&doc[off..end]) {
-            return fail(FailureCause::Engine(e));
-        }
+        book.step(&mut run, &doc[off..end], end == doc.len())?;
         off = end;
-        slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
-        let checkpoint = match session.checkpoint() {
-            Ok(cp) => cp,
-            Err(e) => return fail(FailureCause::Engine(e)),
-        };
-        if let Err(cause) =
-            inner.record_segment(group[0], &ids, checkpoint, &mut session, &mut done)
-        {
-            return fail(cause);
-        }
+        slot.heartbeat_ms.store(book.now_ms(), Ordering::SeqCst);
     }
-    let cursor = session.emission_cursor();
-    let own = match session.finish() {
-        Ok(lists) => lists,
-        Err(e) => return fail(FailureCause::Engine(e)),
-    };
-    // A streamed request completes only if the delivered stream equals
-    // the final session's own answer and the cursors agree — a gap or
-    // duplicate that survived this far is a typed failure, never a
-    // silently wrong answer.
-    if job.stream {
-        let last = (resumed_at.count as usize, own[0].as_slice());
-        if let Err(cause) = inner.verify_cursor(lead, attempt, cursor, Some(last)) {
-            return fail(cause);
-        }
+    book.finish(run)?;
+    if !matches!(job.plan, Plan::Set { .. }) {
+        return Ok(PathTaken::Session);
     }
-    let path = if matches!(job.plan, Plan::Set { .. }) {
-        let n = group.len() as u64;
-        inner.observe_group_rate(off - start, inner.now_ms().saturating_sub(start_ms));
-        inner.obs.multi_groups.add(1);
-        inner.obs.multi_group_members.add(n);
-        inner.obs.multi_group_size.record(n);
-        let queries = own.len() as u64;
-        inner.obs.trace(TraceEvent::SharedPass {
-            job: lead,
-            members: n,
-            queries,
-        });
-        PathTaken::Shared
-    } else {
-        PathTaken::Session
-    };
-    inner.complete(group, spans, path, None);
+    let n = group.len() as u64;
+    pool.observe_group_rate(off - start, book.now_ms().saturating_sub(start_ms));
+    book.obs.multi_groups.add(1);
+    book.obs.multi_group_members.add(n);
+    book.obs.multi_group_size.record(n);
+    book.obs.trace(TraceEvent::SharedPass {
+        job: lead,
+        members: n,
+        queries: queries as u64,
+    });
+    Ok(PathTaken::Shared)
 }
 
 // ---------------------------------------------------------------------------
 // Supervisor
 // ---------------------------------------------------------------------------
 
-fn spawn_worker(inner: &Arc<Inner>, index: usize) -> WorkerHandle {
+fn spawn_worker(pool: &Arc<Pool>, index: usize) -> WorkerHandle {
     let slot = Arc::new(WorkerSlot {
         alive: AtomicBool::new(true),
         abandoned: AtomicBool::new(false),
         busy: Mutex::new(None),
-        heartbeat_ms: AtomicU64::new(inner.now_ms()),
+        heartbeat_ms: AtomicU64::new(pool.book.now_ms()),
     });
-    inner.obs.workers_spawned.add(1);
-    let inner2 = inner.clone();
+    pool.book.obs.workers_spawned.add(1);
+    let pool2 = pool.clone();
     let slot2 = slot.clone();
     let join = std::thread::Builder::new()
         .name(format!("st-serve-worker-{index}"))
-        .spawn(move || worker_main(inner2, slot2))
+        .spawn(move || worker_main(pool2, slot2))
         .expect("spawn worker thread");
     WorkerHandle {
         slot,
@@ -1617,8 +1784,8 @@ fn spawn_worker(inner: &Arc<Inner>, index: usize) -> WorkerHandle {
 
 /// Detects dead and stalled workers; recovers their in-flight requests
 /// and replaces them.
-fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u64) {
-    let stall_ms = inner.cfg.stall_timeout.as_millis() as u64;
+fn reap_and_replace(pool: &Arc<Pool>, workers: &mut [WorkerHandle], now_ms: u64) {
+    let stall_ms = pool.cfg.stall_timeout.as_millis() as u64;
     for (i, worker) in workers.iter_mut().enumerate() {
         if !worker.slot.alive.load(Ordering::SeqCst) {
             // Dead (panic).  The panic path normally reported already;
@@ -1626,12 +1793,12 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
             // reporting.
             if let Some(a) = lock(&worker.slot.busy).take() {
                 let detail = "worker thread died".to_owned();
-                inner.fail_all(&a, FailureCause::WorkerPanic { detail });
+                pool.fail_all(&a, FailureCause::WorkerPanic { detail });
             }
             if let Some(h) = worker.join.take() {
                 let _ = h.join(); // reap; Err(panic payload) is expected
             }
-            *worker = spawn_worker(inner, i);
+            *worker = spawn_worker(pool, i);
             continue;
         }
         // Stalled?  Only a busy worker owes heartbeats.
@@ -1643,35 +1810,35 @@ fn reap_and_replace(inner: &Arc<Inner>, workers: &mut [WorkerHandle], now_ms: u6
         worker.slot.abandoned.store(true, Ordering::SeqCst);
         let victims = busy.take().expect("checked busy");
         drop(busy);
-        inner.fail_all(&victims, FailureCause::WorkerStall { stalled_ms: silent });
+        pool.fail_all(&victims, FailureCause::WorkerStall { stalled_ms: silent });
         // Replace the slot; the zombie claims nothing more once it
         // wakes, and dropping its handle detaches it (joining a
         // sleeping zombie would block shutdown).
-        let replacement = spawn_worker(inner, i);
+        let replacement = spawn_worker(pool, i);
         let _zombie = std::mem::replace(worker, replacement);
     }
 }
 
 /// The supervisor: spawns the pool, then reaps, replaces and abandons
 /// workers and expires queued deadlines until the drain finishes.
-fn supervisor_main(inner: Arc<Inner>) {
-    let mut workers: Vec<WorkerHandle> = (0..inner.cfg.workers.max(1))
-        .map(|i| spawn_worker(&inner, i))
+fn supervisor_main(pool: Arc<Pool>) {
+    let mut workers: Vec<WorkerHandle> = (0..pool.cfg.workers.max(1))
+        .map(|i| spawn_worker(&pool, i))
         .collect();
-    let poll = inner.poll();
+    let poll = pool.poll();
     loop {
-        let now_ms = inner.now_ms();
-        reap_and_replace(&inner, &mut workers, now_ms);
+        let now_ms = pool.book.now_ms();
+        reap_and_replace(&pool, &mut workers, now_ms);
         // An idle worker expires entries itself as it claims them.
         if workers.iter().all(|w| lock(&w.slot.busy).is_some()) {
-            inner.expire_queued(now_ms);
+            pool.expire_queued(now_ms);
         }
-        let q = lock(&inner.queue);
+        let q = lock(&pool.queue);
         // Graceful drain: exit only when no request is still open.
-        if q.shutdown && inner.open() == 0 {
+        if q.shutdown && pool.book.open() == 0 {
             break;
         }
-        let _ = inner.queue_cv.wait_timeout(q, poll);
+        let _ = pool.queue_cv.wait_timeout(q, poll);
     }
     // Idle workers see the drain and exit; join the live ones.
     for mut w in workers {
@@ -1690,7 +1857,7 @@ fn supervisor_main(inner: Arc<Inner>) {
 /// [`ServeRuntime::submit`], collect with [`ServeRuntime::wait`], and
 /// drain with [`ServeRuntime::shutdown`].
 pub struct ServeRuntime {
-    inner: Arc<Inner>,
+    pool: Arc<Pool>,
     supervisor: Option<JoinHandle<()>>,
 }
 
@@ -1705,120 +1872,81 @@ impl ServeRuntime {
         if cfg.chaos.is_some() {
             silence_chaos_panics();
         }
-        let clock = cfg.budget.session_limits.clock.unwrap_or(monotonic_clock);
-        let obs = ServeObs::attach(&cfg.obs);
-        let inner = Arc::new(Inner {
+        let book = Book::new(
+            &cfg.budget,
+            cfg.checkpoint_every,
+            ServeObs::attach(&cfg.obs, &cfg.obs),
+        );
+        let pool = Arc::new(Pool {
             cfg,
-            clock,
-            epoch: clock(),
-            obs,
+            book,
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
-            jobs_cv: Condvar::new(),
-            in_flight_bytes: AtomicUsize::new(0),
-            next_id: AtomicU64::new(1),
             group_rate_bpms: AtomicU64::new(0),
         });
-        let inner2 = inner.clone();
+        let pool2 = pool.clone();
         let supervisor = std::thread::Builder::new()
             .name("st-serve-supervisor".to_owned())
-            .spawn(move || supervisor_main(inner2))
+            .spawn(move || supervisor_main(pool2))
             .expect("spawn supervisor thread");
         ServeRuntime {
-            inner,
+            pool,
             supervisor: Some(supervisor),
         }
     }
 
     fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
-        let inner = &self.inner;
+        let (pool, book) = (&self.pool, &self.pool.book);
         let doc_len = job.doc.len();
         // Lock order everywhere: queue before jobs.
-        let mut q = lock(&inner.queue);
+        let mut q = lock(&pool.queue);
         loop {
             if q.shutdown {
                 return Err(ServeError::ShuttingDown);
             }
-            if q.q.len() < inner.cfg.queue_capacity {
+            if q.q.len() < pool.cfg.queue_capacity {
                 break;
             }
             if !block {
-                inner.obs.shed.add(1);
-                inner.obs.trace(TraceEvent::QueueShed {
+                book.obs.shed.add(1);
+                book.obs.trace(TraceEvent::QueueShed {
                     queue_len: q.q.len() as u64,
-                    capacity: inner.cfg.queue_capacity as u64,
+                    capacity: pool.cfg.queue_capacity as u64,
                 });
                 return Err(ServeError::Overloaded {
                     queue_len: q.q.len(),
-                    capacity: inner.cfg.queue_capacity,
+                    capacity: pool.cfg.queue_capacity,
                 });
             }
             // Blocking submit: wait for space.
-            q = inner
+            q = pool
                 .queue_cv
                 .wait_timeout(q, Duration::from_millis(10))
                 .unwrap_or_else(|p| p.into_inner())
                 .0;
         }
-        let held = inner.in_flight_bytes.load(Ordering::SeqCst);
-        if let Some(mb) = inner.cfg.budget.max_in_flight_bytes {
-            if held + doc_len > mb {
-                inner.obs.rejected.add(1);
-                inner.obs.trace(TraceEvent::BudgetReject {
-                    requested: doc_len as u64,
-                    held: held as u64,
-                    budget: mb as u64,
-                });
-                return Err(ServeError::Rejected {
-                    reason: format!(
-                        "in-flight byte budget: {held} held + {doc_len} requested > {mb}"
-                    ),
-                });
-            }
+        if let Err(Refusal { held, budget, .. }) = book.reserve(None, doc_len, Duration::ZERO) {
+            book.obs.rejected.add(1);
+            book.obs.trace(TraceEvent::BudgetReject {
+                requested: doc_len as u64,
+                held: held as u64,
+                budget: budget as u64,
+            });
+            return Err(ServeError::Rejected {
+                reason: format!(
+                    "in-flight byte budget: {held} held + {doc_len} requested > {budget}"
+                ),
+            });
         }
-        let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
-        let submitted_ns = inner.now_ns();
-        let deadline_ms = job
-            .deadline
-            .map(|d| (submitted_ns / 1_000_000).saturating_add(d.as_millis() as u64));
-        let store = if job.stream {
-            Store::Ledger(Vec::new())
-        } else {
-            Store::Lists(Vec::new())
-        };
-        lock(&inner.jobs).insert(
-            id,
-            JobState {
-                job: Arc::new(job),
-                attempt: 1,
-                resume: None,
-                resumes: 0,
-                failures: Vec::new(),
-                status: Status::Queued,
-                store,
-                path: PathTaken::Session,
-                degraded: false,
-                submitted_ns,
-                deadline_ms,
-                group_size: 0,
-                suppressed: 0,
-            },
-        );
-        let held = inner.in_flight_bytes.fetch_add(doc_len, Ordering::SeqCst) + doc_len;
+        let (stream, queries, deadline) = (job.stream, job.plan.queries(), job.deadline);
+        let id = book.enter(Arc::new(job), doc_len, stream, queries, deadline);
         q.q.push_back(Pending {
             id,
             not_before_ms: 0,
         });
-        inner.obs.submitted.add(1);
-        inner.obs.in_flight_bytes.set(held as i64);
-        inner.obs.queue_depth.set(q.q.len() as i64);
-        inner.obs.trace(TraceEvent::JobAdmitted {
-            job: id,
-            bytes: doc_len as u64,
-        });
+        book.obs.queue_depth.set(q.q.len() as i64);
         drop(q);
-        inner.queue_cv.notify_all();
+        pool.queue_cv.notify_all();
         Ok(JobId(id))
     }
 
@@ -1869,19 +1997,24 @@ impl ServeRuntime {
     }
 
     fn admit_multi(&self, spec: MultiJobSpec, block: bool) -> Result<JobId, ServeError> {
-        let mut plans = Vec::with_capacity(spec.patterns.len());
+        let reject = |reason| {
+            self.pool.book.obs.rejected.add(1);
+            Err(ServeError::Rejected { reason })
+        };
+        let n = spec.patterns.len();
+        if n > MAX_SET_MEMBERS {
+            return reject(format!(
+                "{n} patterns; a query set holds at most {MAX_SET_MEMBERS}"
+            ));
+        }
+        let mut plans = Vec::with_capacity(n);
         for (i, p) in spec.patterns.iter().enumerate() {
             match compile_regex(p, &spec.alphabet) {
                 Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
-                Err(e) => {
-                    self.inner.obs.rejected.add(1);
-                    return Err(ServeError::Rejected {
-                        reason: format!("pattern {i} ({p:?}) failed to compile: {e}"),
-                    });
-                }
+                Err(e) => return reject(format!("pattern {i} ({p:?}) failed to compile: {e}")),
             }
         }
-        let budget = spec.product_budget.unwrap_or(self.inner.cfg.product_budget);
+        let budget = spec.product_budget.unwrap_or(self.pool.cfg.product_budget);
         // Only requests that inherit the service limits group.
         let group_key = spec
             .limits
@@ -1918,7 +2051,7 @@ impl ServeRuntime {
     /// The report of a finished request, or `None` while it is still
     /// queued or running.
     pub fn try_report(&self, id: JobId) -> Option<JobReport> {
-        lock(&self.inner.jobs).get(&id.0)?.report(id.0)
+        lock(&self.pool.book.jobs).get(&id.0)?.report(id.0)
     }
 
     /// Blocks until `project` reads a report off the request's state,
@@ -1926,9 +2059,9 @@ impl ServeRuntime {
     fn wait_for<R>(
         &self,
         id: JobId,
-        project: impl Fn(&JobState, u64) -> Option<R>,
+        project: impl Fn(&JobState<Arc<Job>>, u64) -> Option<R>,
     ) -> Result<R, ServeError> {
-        let mut jobs = lock(&self.inner.jobs);
+        let mut jobs = lock(&self.pool.book.jobs);
         loop {
             let Some(st) = jobs.get(&id.0) else {
                 return Err(ServeError::UnknownJob { id: id.0 });
@@ -1937,7 +2070,8 @@ impl ServeRuntime {
                 return Ok(report);
             }
             jobs = self
-                .inner
+                .pool
+                .book
                 .jobs_cv
                 .wait_timeout(jobs, Duration::from_millis(50))
                 .unwrap_or_else(|p| p.into_inner())
@@ -1960,11 +2094,9 @@ impl ServeRuntime {
         id: JobId,
         start: usize,
     ) -> Result<Vec<StreamedMatch>, ServeError> {
-        let jobs = lock(&self.inner.jobs);
-        let Some(st) = jobs.get(&id.0) else {
-            return Err(ServeError::UnknownJob { id: id.0 });
-        };
-        Ok(st.store.ledger().get(start..).unwrap_or_default().to_vec())
+        (self.pool.book)
+            .emitted(id.0, start)
+            .ok_or(ServeError::UnknownJob { id: id.0 })
     }
 
     /// Blocks until the request finishes and returns its report with
@@ -1981,12 +2113,12 @@ impl ServeRuntime {
     /// The per-query report of a finished request, or `None` while it is
     /// still queued or running.
     pub fn try_multi_report(&self, id: JobId) -> Option<MultiJobReport> {
-        lock(&self.inner.jobs).get(&id.0)?.multi_report(id.0)
+        lock(&self.pool.book.jobs).get(&id.0)?.multi_report(id.0)
     }
 
     /// A snapshot of the runtime counters.
     pub fn stats(&self) -> ServeStats {
-        self.inner.stats()
+        self.pool.book.obs.stats()
     }
 
     /// Closes admission without blocking: subsequent submissions get
@@ -2005,12 +2137,12 @@ impl ServeRuntime {
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
-        self.inner.stats()
+        self.pool.book.obs.stats()
     }
 
     fn begin_shutdown(&self) {
-        lock(&self.inner.queue).shutdown = true;
-        self.inner.queue_cv.notify_all();
+        lock(&self.pool.queue).shutdown = true;
+        self.pool.queue_cv.notify_all();
     }
 }
 
@@ -2031,16 +2163,7 @@ pub fn silence_chaos_panics() {
     ONCE.get_or_init(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let is_chaos = payload
-                .downcast_ref::<String>()
-                .map(|s| s.starts_with("chaos:"))
-                .or_else(|| {
-                    payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.starts_with("chaos:"))
-                })
-                .unwrap_or(false);
+            let is_chaos = payload_message(info.payload()).starts_with("chaos:");
             if !is_chaos {
                 prev(info);
             }

@@ -273,14 +273,15 @@ impl SoakReport {
     }
 }
 
-/// One generated request with its precomputed references.
-struct Prepared {
-    case: Case,
+/// One generated request with its precomputed references (the network
+/// soak replays the same cases).
+pub(crate) struct Prepared {
+    pub(crate) case: Case,
     fused: Option<Arc<FusedQuery>>,
     /// The uninterrupted clean run: matches, or the engine's rejection.
-    clean: Result<Vec<usize>, String>,
+    pub(crate) clean: Result<Vec<usize>, String>,
     /// DOM-oracle matches, when the document is well-formed.
-    oracle: Option<Vec<usize>>,
+    pub(crate) oracle: Option<Vec<usize>>,
 }
 
 fn dom_oracle(doc: &[u8], g: &Alphabet, dfa: &Dfa) -> Option<Vec<usize>> {
@@ -289,7 +290,7 @@ fn dom_oracle(doc: &[u8], g: &Alphabet, dfa: &Dfa) -> Option<Vec<usize>> {
     dom::evaluate(dfa, &tags).ok().map(|r| r.selected)
 }
 
-fn prepare(seed: u64, request: u64, gen_cfg: &GenConfig) -> Prepared {
+pub(crate) fn prepare(seed: u64, request: u64, gen_cfg: &GenConfig) -> Prepared {
     let (case, _) = gen_case(&mut case_rng(seed, request), gen_cfg);
     let g = Alphabet::of_chars(&case.alphabet);
     let fused = compile_regex(&case.pattern, &g).ok().and_then(|dfa| {

@@ -14,6 +14,7 @@ use stackless_streamed_trees::serve::{
 };
 
 use stackless_streamed_trees::automata::Alphabet;
+use stackless_streamed_trees::obs::{ObsHandle, TraceEvent};
 
 /// The reference answer for `pattern` over `alphabet` on `doc`.
 fn clean(pattern: &str, alphabet: &str, doc: &[u8]) -> Vec<usize> {
@@ -108,6 +109,13 @@ fn hostile_patterns_are_refused_before_planning() {
     }
     let mut c = NetClient::connect(&addr).unwrap();
     match c.multi_query(&[".*a", &hostile], "a,b", doc, 4).unwrap() {
+        NetResponse::ServerError { code, .. } => assert_eq!(code, codes::BAD_QUERY),
+        other => panic!("expected BAD_QUERY, got {other:?}"),
+    }
+    // One pattern past the member cap: refused before any is planned.
+    let many: Vec<String> = (1..=257).map(|n| "a".repeat(n)).collect();
+    let mut c = NetClient::connect(&addr).unwrap();
+    match c.multi_query(&many, "a,b", doc, 4).unwrap() {
         NetResponse::ServerError { code, .. } => assert_eq!(code, codes::BAD_QUERY),
         other => panic!("expected BAD_QUERY, got {other:?}"),
     }
@@ -397,4 +405,95 @@ fn streaming_request_hits_the_read_deadline_like_any_other() {
     }
     assert_eq!(server.stats().read_timeouts, 1);
     assert_eq!(server.stats().in_flight_bytes, 0);
+}
+
+/// Sends `.*a` over a document whose second chunk is malformed markup,
+/// then more chunks and FINISH, and returns the reply.
+fn malformed_upload(c: &mut NetClient) -> NetResponse {
+    c.send_query(".*a", "a,b").unwrap();
+    for chunk in [&b"<a><b></b>"[..], b"<><a>", b"</a></a>"] {
+        c.send_chunk(chunk).unwrap();
+    }
+    c.send_finish().unwrap();
+    c.read_response().unwrap()
+}
+
+#[test]
+fn a_malformed_document_mid_upload_gets_the_typed_engine_code() {
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = NetClient::connect(&addr).unwrap();
+    // The server drains the rest of the upload, then answers.
+    match malformed_upload(&mut c) {
+        NetResponse::ServerError { code, .. } => assert_eq!(code, codes::ENGINE),
+        other => panic!("expected ENGINE, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.failed), (1, 1), "{stats}");
+    assert_eq!(stats.in_flight_bytes, 0, "budget bytes leaked: {stats}");
+}
+
+#[test]
+fn edge_requests_join_the_trace_as_jobs() {
+    let obs = ObsHandle::new();
+    let server =
+        NetServer::bind("127.0.0.1:0", NetConfig::default().with_obs(obs.clone())).unwrap();
+    let addr = server.local_addr().to_string();
+    let doc = b"<a><b></b><b><a></a></b></a>";
+    let mut c = NetClient::connect(&addr).unwrap();
+    assert!(matches!(
+        c.query(".*a", "a,b", doc, 7).unwrap(),
+        NetResponse::Matches(_)
+    ));
+    let streamed = c.stream_query(".*a", "a,b", doc, 7, |_| {}).unwrap();
+    assert!(matches!(streamed, NetResponse::StreamMatches { .. }));
+    let mut bad = NetClient::connect(&addr).unwrap();
+    assert!(matches!(
+        malformed_upload(&mut bad),
+        NetResponse::ServerError { .. }
+    ));
+
+    let jobs: Vec<u64> = obs
+        .trace_records()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::JobAdmitted { job, .. } => Some(job),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(jobs.len(), 3, "one job per request");
+    for &job in &jobs[..2] {
+        let events: Vec<TraceEvent> = obs
+            .trace_for_job(job)
+            .into_iter()
+            .map(|r| r.event)
+            .collect();
+        let has = |f: fn(&TraceEvent) -> bool| events.iter().any(f);
+        assert!(
+            has(|e| matches!(e, TraceEvent::JobAdmitted { .. })),
+            "{events:?}"
+        );
+        assert!(
+            has(|e| matches!(e, TraceEvent::SessionStart { .. })),
+            "{events:?}"
+        );
+        assert!(
+            has(|e| matches!(e, TraceEvent::SessionFeed { .. })),
+            "{events:?}"
+        );
+        assert!(
+            has(|e| matches!(e, TraceEvent::JobCompleted { .. })),
+            "{events:?}"
+        );
+    }
+    let failed = TraceEvent::JobFailed {
+        job: jobs[2],
+        attempts: 1,
+        cause: "engine",
+    };
+    assert!(
+        obs.trace_for_job(jobs[2]).iter().any(|r| r.event == failed),
+        "{:?}",
+        obs.trace_for_job(jobs[2])
+    );
 }

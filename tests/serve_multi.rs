@@ -214,6 +214,18 @@ fn invalid_patterns_are_rejected_at_admission() {
     let stats = serve.shutdown();
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.submitted, 0);
+
+    // One pattern past the member cap: refused before any is planned.
+    let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
+    let many = (1..=257).map(|n| "a".repeat(n)).collect();
+    match serve.submit_multi(MultiJobSpec::new(many, g, mixed_doc(2))) {
+        Err(ServeError::Rejected { reason }) => {
+            assert!(reason.contains("257"), "reason names the count: {reason}")
+        }
+        other => panic!("expected admission rejection, got {other:?}"),
+    }
+    let stats = serve.shutdown();
+    assert_eq!((stats.rejected, stats.submitted), (1, 0));
 }
 
 #[test]
