@@ -21,7 +21,8 @@
 //!    * Steps: the Lemma 3.5 registerless DFA ([`ByteDfa`]: one
 //!      per-event table load per tag, or the factored query table when
 //!      the premultiplied offsets do not fit `u16`), the Lemma 3.8
-//!      depth-register run (depth counter + SCC chain), and the pushdown
+//!      depth-register run (one packed entry per event, a depth counter
+//!      and the SCC chain; see `HarRun::step`), and the pushdown
 //!      fallback (an explicit state stack).
 //!    * Sinks: count, select (document-order node ids), and emit (select
 //!      plus the offset of the byte that decided each match).
@@ -47,6 +48,7 @@
 //! reports byte-identical errors to the event pipeline.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hint::select_unpredictable;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use st_automata::{Alphabet, Dfa};
@@ -54,7 +56,10 @@ use st_trees::error::TreeError;
 use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
-use crate::har::{HarCore, HarMarkupProgram, MAX_CHAIN};
+use crate::har::{
+    HarCore, HarMarkupProgram, MAX_CHAIN, ROW_ACCEPT, ROW_BITS, ROW_CLOSE, ROW_NEXT, ROW_OPEN,
+    ROW_POP, ROW_PUSH,
+};
 use crate::session::{
     alphabet_symbols, corrupt, query_fingerprint, LimitExceeded, LimitKind, Limits, SessionError,
 };
@@ -1120,44 +1125,65 @@ impl Step for QnextStep<'_> {
     }
 }
 
-/// The Lemma 3.8 run state: current DFA state, the dead flag, and the
-/// SCC chain with its depth registers.
+/// Frame slots of a [`HarRun`]: slot 0 (the sentinel) and the frames
+/// `1..=MAX_CHAIN`; a power of two, so a masked index needs no bounds
+/// check.
+const FRAME_SLOTS: usize = (MAX_CHAIN + 1).next_power_of_two();
+
+/// The Lemma 3.8 run state: the current row of the packed step (a DFA
+/// state or its dead copy) and the SCC chain with its depth registers.
 #[derive(Clone, Copy)]
 pub(crate) struct HarRun {
-    pub(crate) current: usize,
-    pub(crate) dead: bool,
-    pub(crate) chain: [u16; MAX_CHAIN],
-    pub(crate) regs: [i64; MAX_CHAIN],
-    pub(crate) chain_len: usize,
+    /// The current state's row offset in [`HarCore::rows`] (the low
+    /// `ROW_BITS`), and above it the frame count `len`: the frames live
+    /// at `1..=len`, over slot 0, whose register is `i64::MIN` so that it
+    /// never pops.  One word for both is one load and one store per
+    /// event where the step's state lives in memory (the query-set lanes,
+    /// the select scan): with a separate count field, select on a
+    /// 100 000-deep chain ran slower than the old branching step.
+    at: u32,
+    /// Each frame's `at` word before its push: a pop restores the state
+    /// and the count in one move.
+    chain: [u32; FRAME_SLOTS],
+    regs: [i64; FRAME_SLOTS],
 }
+
+/// Where [`HarRun::at`] keeps the frame count.
+const LEN_SHIFT: u32 = ROW_BITS;
 
 impl HarRun {
     /// The run at document start.
     pub(crate) fn new(core: &HarCore) -> HarRun {
+        let mut regs = [0; FRAME_SLOTS];
+        regs[0] = i64::MIN;
         HarRun {
-            current: core.dfa().init(),
-            dead: false,
-            chain: [0; MAX_CHAIN],
-            regs: [0; MAX_CHAIN],
-            chain_len: 0,
+            at: (core.dfa().init() * core.stride()) as u32,
+            chain: [0; FRAME_SLOTS],
+            regs,
         }
     }
 
     /// The frozen form a checkpoint carries: current state, dead flag,
     /// and the `(state, register)` pairs of the chain.
-    pub(crate) fn freeze(&self) -> (usize, bool, Vec<(u16, i64)>) {
-        let chain = (0..self.chain_len)
-            .map(|i| (self.chain[i], self.regs[i]))
+    pub(crate) fn freeze(&self, core: &HarCore) -> (usize, bool, Vec<(u16, i64)>) {
+        let (m, stride) = (core.dfa().n_states(), core.stride());
+        let state = |at: u32| (at & ROW_NEXT) as usize / stride;
+        let chain = (1..=(self.at >> LEN_SHIFT) as usize)
+            .map(|i| (state(self.chain[i]) as u16, self.regs[i]))
             .collect();
-        (self.current, self.dead, chain)
+        let current = state(self.at);
+        (current % m, current >= m, chain)
     }
 
-    /// Rebuilds a run from its frozen form — the one thaw of every
-    /// checkpointed HAR run, single-query or query-set lane.  Every state
-    /// must be in range, and the chain followed by `current` must be a
-    /// path of one-letter steps down the SCC DAG, as a real run pushes
-    /// it: anything else could index past the DFA or, on a later open,
-    /// push past [`MAX_CHAIN`].
+    /// Rebuilds a run from its frozen form at the checkpoint's `depth` —
+    /// the one thaw of every checkpointed HAR run, single-query or
+    /// query-set lane.  Every state must be in range, and the chain
+    /// followed by `current` must be a path of one-letter steps down the
+    /// SCC DAG, as a real run pushes it: anything else could index past
+    /// the DFA or, on a later open, push past [`MAX_CHAIN`].  A live run's
+    /// registers must rise strictly and its top must not exceed `depth`,
+    /// as every open and close keeps them (a self-close relies on it); a
+    /// dead run's chain is frozen while the depth moves on.
     ///
     /// # Errors
     ///
@@ -1167,6 +1193,7 @@ impl HarRun {
         current: usize,
         dead: bool,
         chain: &[(u16, i64)],
+        depth: i64,
     ) -> Result<HarRun, SessionError> {
         let dfa = core.dfa();
         let comp = core.component();
@@ -1184,59 +1211,60 @@ impl HarRun {
                 return Err(corrupt("HAR chain is not a path of the SCC DAG"));
             }
         }
+        let regs = chain.iter().map(|&(_, r)| r);
+        if !dead
+            && (regs.clone().zip(regs.skip(1)).any(|(a, b)| a >= b)
+                || chain.last().is_some_and(|&(_, top)| top > depth))
+        {
+            return Err(corrupt(
+                "HAR registers do not rise strictly up to the checkpoint depth",
+            ));
+        }
+        let at = |s: usize, len: usize| (s * core.stride()) as u32 | (len as u32) << LEN_SHIFT;
         let mut run = HarRun::new(core);
-        run.current = current;
-        run.dead = dead;
-        run.chain_len = chain.len();
+        run.at = at(current + usize::from(dead) * dfa.n_states(), chain.len());
         for (i, &(s, r)) in chain.iter().enumerate() {
-            run.chain[i] = s;
-            run.regs[i] = r;
+            run.chain[i + 1] = at(s as usize, i);
+            run.regs[i + 1] = r;
         }
         Ok(run)
     }
 
-    /// Applies an open event; `depth` is the depth *after* the open.
-    /// Returns the pre-selection verdict.
-    #[inline]
-    pub(crate) fn open(&mut self, core: &HarCore, l: usize, depth: i64) -> bool {
-        if self.dead {
-            return false;
+    /// Applies a lexer event code (`1..=3k`) at `depth`, which it moves:
+    /// one packed entry and a register compare with a conditional move —
+    /// no branch on the event kind or on death.  The one branch is the
+    /// push, which only an open that leaves an SCC takes.  Returns
+    /// `(opened, selected)`.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, rows: &[u32], ev: u16, depth: &mut i64) -> (bool, bool) {
+        const SLOT: usize = FRAME_SLOTS - 1;
+        let at = self.at;
+        // Only a plain close pops, and it pops the top frame if that
+        // register is above `depth - 1`: the test waits on no load of
+        // the entry.
+        let top = (at >> LEN_SHIFT) as usize & SLOT;
+        let above = self.regs[top] >= *depth;
+        let e = rows[(at & ROW_NEXT) as usize + ev as usize];
+        let (push, pop) = (e & ROW_PUSH != 0, (e & ROW_POP != 0) & above);
+        let up = *depth + i64::from(e & ROW_OPEN != 0);
+        *depth = up - i64::from(e & ROW_CLOSE != 0);
+        let kept = (e & ROW_NEXT) | (at & !ROW_NEXT);
+        self.at = select_unpredictable(pop, self.chain[top], kept);
+        if push {
+            let slot = (top + 1) & SLOT;
+            (self.chain[slot], self.regs[slot]) = (at, up);
+            self.at += 1 << LEN_SHIFT;
         }
-        let dfa = core.dfa();
-        let next = dfa.step(self.current, l);
-        if core.component()[next] != core.component()[self.current] {
-            self.chain[self.chain_len] = self.current as u16;
-            self.regs[self.chain_len] = depth;
-            self.chain_len += 1;
-        }
-        self.current = next;
-        dfa.is_accepting(self.current)
-    }
-
-    /// Applies a close event; `depth` is the depth *after* the close.
-    #[inline]
-    pub(crate) fn close(&mut self, core: &HarCore, l: usize, depth: i64) {
-        if self.dead {
-            return;
-        }
-        if self.chain_len > 0 && self.regs[self.chain_len - 1] > depth {
-            self.chain_len -= 1;
-            self.current = self.chain[self.chain_len] as usize;
-        } else {
-            match core.rewind_markup()[self.current * core.dfa().n_letters() + l] {
-                Some(p2) => self.current = p2,
-                None => self.dead = true,
-            }
-        }
+        (e & ROW_OPEN != 0, e & ROW_ACCEPT != 0)
     }
 }
 
-/// Lemma 3.8: the depth-register run, one register comparison per close
-/// beyond the DFA step.
+/// Lemma 3.8: the depth-register run, one packed entry and one register
+/// compare per event.
 #[derive(Clone, Copy)]
 pub(crate) struct HarStep<'a> {
-    core: &'a HarCore,
-    k: usize,
+    pub(crate) core: &'a HarCore,
+    rows: &'a [u32],
     depth: i64,
     pub(crate) run: HarRun,
 }
@@ -1244,9 +1272,10 @@ pub(crate) struct HarStep<'a> {
 impl<'a> HarStep<'a> {
     /// The step at `depth` with run state `run`.
     pub(crate) fn at(engine: &'a FusedHar, depth: i64, run: HarRun) -> EngineStep<'a> {
+        let core = engine.program.core();
         EngineStep::Har(HarStep {
-            core: engine.program.core(),
-            k: engine.lexer.k(),
+            core,
+            rows: core.rows(),
             depth,
             run,
         })
@@ -1256,17 +1285,7 @@ impl<'a> HarStep<'a> {
 impl Step for HarStep<'_> {
     #[inline(always)]
     fn step(&mut self, ev: u16) -> (bool, bool) {
-        let (open_l, close_l) = decode_event(ev, self.k);
-        let mut selected = false;
-        if let Some(l) = open_l {
-            self.depth += 1;
-            selected = self.run.open(self.core, l, self.depth);
-        }
-        if let Some(l) = close_l {
-            self.depth -= 1;
-            self.run.close(self.core, l, self.depth);
-        }
-        (open_l.is_some(), selected)
+        self.run.step(self.rows, ev, &mut self.depth)
     }
 }
 
@@ -1565,7 +1584,10 @@ impl<St: Step, Sk: Sink, G: Guard> EventSink for Drive<St, Sk, G> {
 
 /// The live state of a fused engine, whichever class the planner picked:
 /// what a run carries between scans (session windows, recovery
-/// restarts).
+/// restarts).  The HAR run's frames live inline (a box would put a
+/// pointer chase in the per-event scan loop), so that variant is the
+/// large one.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum EngineStep<'a> {
     Evtab(EvtabStep<'a>),
     Qnext(QnextStep<'a>),
@@ -2243,5 +2265,140 @@ mod tests {
             Err(CoreError::FusedTooLarge { .. }) => {}
             other => panic!("expected FusedTooLarge, got ok={:?}", other.is_ok()),
         }
+    }
+
+    /// The Lemma 3.8 rule, event by event, as the packed step's
+    /// reference: an open moves by the DFA and pushes on leaving an SCC;
+    /// a close pops a frame whose register is above the depth, else
+    /// rewinds inside the SCC, else kills the run.
+    #[derive(Clone, Debug, PartialEq)]
+    struct RefRun {
+        current: usize,
+        dead: bool,
+        chain: Vec<(u16, i64)>,
+    }
+
+    impl RefRun {
+        fn open(&mut self, core: &HarCore, l: usize, depth: i64) -> bool {
+            if self.dead {
+                return false;
+            }
+            let next = core.dfa().step(self.current, l);
+            if core.component()[next] != core.component()[self.current] {
+                self.chain.push((self.current as u16, depth));
+            }
+            self.current = next;
+            core.dfa().is_accepting(next)
+        }
+
+        fn close(&mut self, core: &HarCore, l: usize, depth: i64) {
+            if self.dead {
+                return;
+            }
+            match self.chain.last() {
+                Some(&(s, r)) if r > depth => {
+                    self.chain.pop();
+                    self.current = s as usize;
+                }
+                _ => match core.rewind_markup()[self.current * core.dfa().n_letters() + l] {
+                    Some(p) => self.current = p,
+                    None => self.dead = true,
+                },
+            }
+        }
+
+        fn step(&mut self, core: &HarCore, ev: u16, depth: &mut i64) -> (bool, bool) {
+            let (open_l, close_l) = decode_event(ev, core.dfa().n_letters());
+            let mut selected = false;
+            if let Some(l) = open_l {
+                *depth += 1;
+                selected = self.open(core, l, *depth);
+            }
+            if let Some(l) = close_l {
+                *depth -= 1;
+                self.close(core, l, *depth);
+            }
+            (open_l.is_some(), selected)
+        }
+    }
+
+    /// Every chain a run can hold: the paths of one-letter steps down the
+    /// SCC DAG, each with the state it leads to.
+    fn har_chains(core: &HarCore) -> Vec<(Vec<u16>, usize)> {
+        let (dfa, comp) = (core.dfa(), core.component());
+        let below = |from: usize, to: usize| {
+            comp[from] != comp[to]
+                && (0..dfa.n_letters()).any(|l| comp[dfa.step(from, l)] == comp[to])
+        };
+        let mut out = Vec::new();
+        let mut paths: Vec<Vec<u16>> = vec![Vec::new()];
+        while let Some(path) = paths.pop() {
+            for s in 0..dfa.n_states() {
+                if path.last().is_none_or(|&c| below(c as usize, s)) {
+                    out.push((path.clone(), s));
+                    if path.len() < MAX_CHAIN {
+                        paths.push([path.as_slice(), &[s as u16]].concat());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packed_har_step_agrees_with_the_lemma_3_8_rule() {
+        let g = Alphabet::of_chars("abc");
+        let mut dead_rows = false;
+        // The last four have SCCs where a self-close's rewind from the
+        // opened state differs from the rewind of the state it left.
+        for pattern in [
+            "ab",
+            "abc",
+            ".*a.*b",
+            ".*a.*b.*c",
+            "a.*b.*c",
+            "(a|b)c.*",
+            "(ab)*c",
+            "a(bc)*",
+            "(aa)*b",
+            "(ab|ba)*",
+        ] {
+            let plan = CompiledQuery::compile(&compile_regex(pattern, &g).unwrap());
+            let fused = plan.fused(&g).unwrap();
+            let FusedBackend::Stackless(e) = &fused.backend else {
+                panic!("{pattern} is stackless");
+            };
+            let core = e.program.core();
+            dead_rows |= core.rewind_markup().iter().any(Option::is_none);
+            for (chain, current) in har_chains(core) {
+                // Registers 1..=len under a depth at the top register (a
+                // close pops) and one above it (a close rewinds); a dead
+                // run's registers may also sit above the depth.
+                let regs = (1..).zip(&chain).map(|(r, &s)| (s, r)).collect::<Vec<_>>();
+                let top = chain.len() as i64;
+                let cases = [(false, top), (false, top + 1), (true, top), (true, top - 2)];
+                for (dead, depth) in cases {
+                    let run = HarRun::thaw(core, current, dead, &regs, depth).unwrap();
+                    assert_eq!(run.freeze(core), (current, dead, regs.clone()));
+                    let chain = regs.clone();
+                    let reference = RefRun {
+                        current,
+                        dead,
+                        chain,
+                    };
+                    for ev in 1..=3 * g.len() as u16 {
+                        let (mut want, mut got) = (reference.clone(), run);
+                        let (mut d1, mut d2) = (depth, depth);
+                        let verdict = want.step(core, ev, &mut d1);
+                        assert_eq!(
+                            (got.step(core.rows(), ev, &mut d2), d2, got.freeze(core)),
+                            (verdict, d1, (want.current, want.dead, want.chain)),
+                            "{pattern}: state {current} dead {dead} chain {regs:?} depth {depth} event {ev}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(dead_rows, "some run must die");
     }
 }

@@ -25,10 +25,11 @@ pub enum CoreError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// The fused byte engine's composite table (tag lexer × query DFA)
-    /// would exceed its `u16` state budget.
+    /// A fused byte engine's dense table would outgrow what its entries
+    /// address: the registerless composite table (tag lexer × query DFA)
+    /// past its `u16` states, or the packed HAR step past `2^26` entries.
     FusedTooLarge {
-        /// The composite state count that was requested.
+        /// The table size that was requested.
         states: usize,
     },
     /// A DTD was malformed (e.g. a production references an unknown
@@ -68,7 +69,7 @@ impl fmt::Display for CoreError {
             CoreError::FusedTooLarge { states } => {
                 write!(
                     f,
-                    "fused byte engine needs {states} composite states; the dense table caps at 65536"
+                    "fused byte engine needs a dense table of {states}, more than its entries address"
                 )
             }
             CoreError::MalformedDtd { detail } => write!(f, "malformed DTD: {detail}"),

@@ -56,6 +56,62 @@ pub struct HarCore {
     rewind_markup: Vec<Option<State>>,
     /// `rewind_term[p]`: the blind variant (any witnessing letter).
     rewind_term: Vec<Option<State>>,
+    /// The packed markup step, one entry per (state, lexer event code
+    /// `1..=3k`); see [`packed_rows`].  Empty in a term program.
+    rows: Vec<u32>,
+}
+
+/// A packed step entry holds the next state's row offset in its low
+/// `ROW_BITS` bits, then the five flags below.
+pub(crate) const ROW_BITS: u32 = 26;
+/// The mask of a packed entry's next row offset.
+pub(crate) const ROW_NEXT: u32 = (1 << ROW_BITS) - 1;
+/// The open pushes the state it leaves, with the depth, as a frame.
+pub(crate) const ROW_PUSH: u32 = 1 << ROW_BITS;
+/// The close pops the top frame if its register is above the depth.
+pub(crate) const ROW_POP: u32 = 1 << (ROW_BITS + 1);
+/// The opened node is selected.
+pub(crate) const ROW_ACCEPT: u32 = 1 << (ROW_BITS + 2);
+/// The event opens a node: the depth rises by one before any push.
+pub(crate) const ROW_OPEN: u32 = 1 << (ROW_BITS + 3);
+/// The event closes a node: the depth falls by one before any pop.
+pub(crate) const ROW_CLOSE: u32 = 1 << (ROW_BITS + 4);
+
+/// The packed Lemma 3.8 markup step: one `u32` per (state, lexer event
+/// code `1..=3k`), in rows of stride `3k + 1` (column 0 is unused).
+/// Rows `m..2m` are the states' dead copies, which only move the depth:
+/// a close that neither pops nor rewinds enters the dead copy of its
+/// state, so the step never asks whether the run is dead.
+fn packed_rows(dfa: &Dfa, component: &[usize], rewind: &[Option<State>]) -> Vec<u32> {
+    let (m, k) = (dfa.n_states(), dfa.n_letters());
+    let stride = 3 * k + 1;
+    let row = |s: usize| (s * stride) as u32;
+    let back = |s: usize, l: usize| row(rewind[s * k + l].unwrap_or(s + m));
+    let mut rows = vec![0; 2 * m * stride];
+    for s in 0..m {
+        let (live, dead) = (s * stride + 1, (s + m) * stride + 1);
+        for l in 0..k {
+            let next = dfa.step(s, l);
+            let accept = if dfa.is_accepting(next) {
+                ROW_ACCEPT
+            } else {
+                0
+            };
+            let push = component[next] != component[s];
+            let open = row(next) | ROW_OPEN | accept;
+            rows[live + l] = open | if push { ROW_PUSH } else { 0 };
+            rows[live + k + l] = back(s, l) | ROW_CLOSE | ROW_POP;
+            // A self-close pops its own push, or rewinds from the state
+            // it opened: a live run's top register never exceeds the
+            // depth, so no older frame can pop.
+            let after = if push { row(s) } else { back(next, l) };
+            rows[live + 2 * k + l] = after | ROW_OPEN | ROW_CLOSE | accept;
+            rows[dead + l] = row(s + m) | ROW_OPEN;
+            rows[dead + k + l] = row(s + m) | ROW_CLOSE;
+            rows[dead + 2 * k + l] = row(s + m) | ROW_OPEN | ROW_CLOSE;
+        }
+    }
+    rows
 }
 
 /// Maximum SCC-chain length the inline control state supports.  The chain
@@ -132,6 +188,7 @@ impl HarCore {
             n_registers,
             rewind_markup,
             rewind_term,
+            rows: Vec::new(),
         }
     }
 
@@ -145,9 +202,20 @@ impl HarCore {
         &self.component
     }
 
-    /// The markup rewind table (fused byte engine).
+    /// The markup rewind table (the packed step's reference rule).
+    #[cfg(test)]
     pub(crate) fn rewind_markup(&self) -> &[Option<State>] {
         &self.rewind_markup
+    }
+
+    /// The packed markup step (fused byte engine); see [`packed_rows`].
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The row stride of [`Self::rows`]: `3k + 1`.
+    pub(crate) fn stride(&self) -> usize {
+        3 * self.dfa.n_letters() + 1
     }
 
     /// The register budget.
@@ -383,7 +451,9 @@ impl DraProgram for HarTermProgram {
 /// # Errors
 ///
 /// [`CoreError::ClassMismatch`] if L is not HAR — by Theorem 3.1 no DRA
-/// realizes Q_L then.
+/// realizes Q_L then; [`CoreError::TooManyRegisters`] or
+/// [`CoreError::FusedTooLarge`] past the inline chain, the `u16` state
+/// ids or the packed step's table.
 pub fn compile_query_markup(analysis: &Analysis) -> Result<HarMarkupProgram, CoreError> {
     let verdict = check_har(analysis, MeetMode::Synchronous);
     if !verdict.holds {
@@ -393,9 +463,15 @@ pub fn compile_query_markup(analysis: &Analysis) -> Result<HarMarkupProgram, Cor
         });
     }
     budget_check(analysis)?;
-    Ok(HarMarkupProgram {
-        core: HarCore::new(analysis),
-    })
+    // A packed entry addresses `2^ROW_BITS` entries of the table.
+    let (m, k) = (analysis.dfa.n_states(), analysis.dfa.n_letters());
+    let entries = 2 * m * (3 * k + 1);
+    if entries > ROW_NEXT as usize + 1 {
+        return Err(CoreError::FusedTooLarge { states: entries });
+    }
+    let mut core = HarCore::new(analysis);
+    core.rows = packed_rows(&core.dfa, &core.component, &core.rewind_markup);
+    Ok(HarMarkupProgram { core })
 }
 
 /// The inline control state caps the chain at [`MAX_CHAIN`] entries and

@@ -258,7 +258,9 @@ enum LaneEngine {
     Stack(Dfa),
 }
 
-/// One lane's live state.
+/// One lane's live state; a HAR run keeps its frames inline, like the
+/// single-query step, rather than behind a pointer each event follows.
+#[allow(clippy::large_enum_variant)]
 enum LaneState {
     Har { run: HarRun },
     Stack { s: u32, frames: Vec<u32> },
@@ -276,33 +278,36 @@ fn fresh_lane(engine: &LaneEngine) -> LaneState {
     }
 }
 
-/// Applies an open event to one lane; `depth` is the depth *after* the
-/// open.  Returns whether the member selects the node.
-#[inline]
-fn lane_open(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) -> bool {
+/// Applies lexer event `ev`, decoded as its `open` and `close` letters,
+/// to one lane; `depth` is the depth before the event.  Returns whether
+/// the member selects the node the event opens.
+#[inline(always)]
+fn lane_step(
+    engine: &LaneEngine,
+    state: &mut LaneState,
+    ev: u16,
+    (open, close): (Option<usize>, Option<usize>),
+    mut depth: i64,
+) -> bool {
     match (engine, state) {
-        (LaneEngine::Har(program), LaneState::Har { run }) => run.open(program.core(), l, depth),
-        (LaneEngine::Stack(dfa), LaneState::Stack { s, frames }) => {
-            frames.push(*s);
-            *s = dfa.step(*s as usize, l) as u32;
-            dfa.is_accepting(*s as usize)
+        (LaneEngine::Har(program), LaneState::Har { run }) => {
+            run.step(program.core().rows(), ev, &mut depth).1
         }
-        _ => unreachable!("lane engine/state agree by construction"),
-    }
-}
-
-/// Applies a close event to one lane; `depth` is the depth *after* the
-/// close.
-#[inline]
-fn lane_close(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) {
-    match (engine, state) {
-        (LaneEngine::Har(program), LaneState::Har { run }) => run.close(program.core(), l, depth),
-        (LaneEngine::Stack(_), LaneState::Stack { frames, s }) => {
+        (LaneEngine::Stack(dfa), LaneState::Stack { s, frames }) => {
+            let mut selected = false;
+            if let Some(l) = open {
+                frames.push(*s);
+                *s = dfa.step(*s as usize, l) as u32;
+                selected = dfa.is_accepting(*s as usize);
+            }
             // Underflowing pop keeps the state, like the baseline
             // evaluator and the single-query stack session.
-            if let Some(p) = frames.pop() {
-                *s = p;
+            if close.is_some() {
+                if let Some(p) = frames.pop() {
+                    *s = p;
+                }
             }
+            selected
         }
         _ => unreachable!("lane engine/state agree by construction"),
     }
@@ -506,7 +511,7 @@ impl SetMachine {
                         frames: st.frames.iter().map(|&f| g.project(f, j)).collect(),
                     }
                 }
-                Seat::Lane(i) => freeze_lane(&st.lanes[i]),
+                Seat::Lane(i) => freeze_lane(&st.lanes[i], &tail.expect(seated).lanes[i].1),
             })
             .collect()
     }
@@ -516,7 +521,12 @@ impl SetMachine {
     /// a lane of the wrong kind, a state out of its member's range,
     /// grouped stack lanes with unequal frame counts, or a combination
     /// of lane states outside a group's product.
-    fn thaw(&self, lanes: &[HybridLaneCheckpoint], offset: u64) -> Result<SetState, SessionError> {
+    fn thaw(
+        &self,
+        lanes: &[HybridLaneCheckpoint],
+        offset: u64,
+        depth: i64,
+    ) -> Result<SetState, SessionError> {
         if lanes.len() != self.seats.len() {
             return Err(corrupt("lane count does not match the query set"));
         }
@@ -544,7 +554,7 @@ impl SetMachine {
                     frames.push(f.as_slice());
                 }
                 (Seat::Lane(i), lane) => {
-                    st.lanes[*i] = thaw_lane(lane, &tail().lanes[*i].1, offset)?
+                    st.lanes[*i] = thaw_lane(lane, &tail().lanes[*i].1, offset, depth)?
                 }
                 _ => return Err(corrupt("lane kind does not match the member's engine")),
             }
@@ -1043,8 +1053,12 @@ struct SetSink<'a, E: Emit, G, const TAIL: bool> {
 }
 
 impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
+    /// Steps the tail through an event that opens `l` (and closes it
+    /// too when `close` is set): the family table and the stack group
+    /// through the open, each lane once through the whole event.
     #[inline]
-    fn tail_open(&mut self, t: &Tail, l: usize) {
+    fn tail_open(&mut self, t: &Tail, ev: u16, l: usize, close: Option<usize>) {
+        let depth = self.walk.depth;
         self.walk.depth += 1;
         let (st, buf, node) = (&mut self.st, &mut self.buf, self.walk.node);
         let f = &t.family;
@@ -1070,7 +1084,7 @@ impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
             hit_masks(self.emit, g.table.masks(st.stack), node);
         }
         for ((i, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-            let bit = u64::from(lane_open(engine, lane, l, self.walk.depth));
+            let bit = u64::from(lane_step(engine, lane, ev, (Some(l), close), depth));
             buf[i >> 6] |= bit << (i & 63);
             any |= bit;
         }
@@ -1080,8 +1094,13 @@ impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
         }
     }
 
+    /// Steps the tail through an event that closes `l`: the family table
+    /// and the stack group through the close, and each lane unless the
+    /// event also opened (a self-close), which [`Self::tail_open`]
+    /// stepped whole.
     #[inline]
-    fn tail_close(&mut self, t: &Tail, l: usize) {
+    fn tail_close(&mut self, t: &Tail, ev: u16, l: usize, opened: bool) {
+        let depth = self.walk.depth;
         self.walk.depth -= 1;
         let st = &mut self.st;
         let f = &t.family;
@@ -1092,8 +1111,10 @@ impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
         if let Some(p) = st.frames.pop() {
             st.stack = p;
         }
-        for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-            lane_close(engine, lane, l, self.walk.depth);
+        if !opened {
+            for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
+                lane_step(engine, lane, ev, (None, Some(l)), depth);
+            }
         }
     }
 }
@@ -1111,7 +1132,7 @@ impl<E: Emit, G: Guard, const TAIL: bool> EventSink for SetSink<'_, E, G, TAIL> 
                 hit_masks(self.emit, m.masks(self.st.markup), self.walk.node);
             }
             if let (true, Some(tail)) = (TAIL, self.tail) {
-                self.tail_open(tail, l);
+                self.tail_open(tail, ev, l, close_l);
             }
             self.walk.node += 1;
         }
@@ -1120,7 +1141,7 @@ impl<E: Emit, G: Guard, const TAIL: bool> EventSink for SetSink<'_, E, G, TAIL> 
                 self.st.markup = m.step(self.st.markup, self.k + l);
             }
             if let (true, Some(tail)) = (TAIL, self.tail) {
-                self.tail_close(tail, l);
+                self.tail_close(tail, ev, l, open_l.is_some());
             }
         }
         true
@@ -1402,7 +1423,7 @@ impl QuerySet {
                 "checkpoint was minted by a different query set or alphabet",
             ));
         }
-        let state = self.machine.thaw(&checkpoint.lanes, h.offset)?;
+        let state = self.machine.thaw(&checkpoint.lanes, h.offset, h.depth)?;
         let core = SessionCore::resume(limits, h, checkpoint.lex, &self.lexer)?;
         Ok(QuerySetSession::new(self, core, state))
     }
@@ -1456,20 +1477,21 @@ impl QuerySet {
     }
 }
 
-fn freeze_lane(lane: &LaneState) -> HybridLaneCheckpoint {
-    match lane {
-        LaneState::Har { run } => {
-            let (current, dead, chain) = run.freeze();
+fn freeze_lane(lane: &LaneState, engine: &LaneEngine) -> HybridLaneCheckpoint {
+    match (lane, engine) {
+        (LaneState::Har { run }, LaneEngine::Har(program)) => {
+            let (current, dead, chain) = run.freeze(program.core());
             HybridLaneCheckpoint::Har {
                 current: current as u32,
                 dead,
                 chain,
             }
         }
-        LaneState::Stack { s, frames } => HybridLaneCheckpoint::Stack {
+        (LaneState::Stack { s, frames }, _) => HybridLaneCheckpoint::Stack {
             current: *s,
             frames: frames.clone(),
         },
+        _ => unreachable!("lane engine/state agree by construction"),
     }
 }
 
@@ -1477,6 +1499,7 @@ fn thaw_lane(
     lane: &HybridLaneCheckpoint,
     engine: &LaneEngine,
     offset: u64,
+    depth: i64,
 ) -> Result<LaneState, SessionError> {
     Ok(match (lane, engine) {
         (
@@ -1487,7 +1510,7 @@ fn thaw_lane(
             },
             LaneEngine::Har(program),
         ) => LaneState::Har {
-            run: HarRun::thaw(program.core(), *current as usize, *dead, chain)?,
+            run: HarRun::thaw(program.core(), *current as usize, *dead, chain, depth)?,
         },
         (HybridLaneCheckpoint::Stack { current, frames }, LaneEngine::Stack(dfa)) => {
             LaneState::Stack {

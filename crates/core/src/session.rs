@@ -1341,7 +1341,7 @@ impl WindowRun for EngineRun<'_> {
         let lex = core.lex;
         let state = match (&self.step, &self.query.backend) {
             (EngineStep::Har(st), _) => {
-                let (current, dead, chain) = st.run.freeze();
+                let (current, dead, chain) = st.run.freeze(st.core);
                 CheckpointState::Stackless {
                     lex,
                     current: current as u16,
@@ -1554,7 +1554,8 @@ impl FusedQuery {
                 },
                 FusedBackend::Stackless(e),
             ) => {
-                let run = HarRun::thaw(e.program.core(), *current as usize, *dead, chain)?;
+                let core = e.program.core();
+                let run = HarRun::thaw(core, *current as usize, *dead, chain, h.depth)?;
                 (*lex, HarStep::at(e, h.depth, run))
             }
             (

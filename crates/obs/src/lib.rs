@@ -296,12 +296,6 @@ pub enum TraceEvent {
         /// The configured budget.
         budget: u64,
     },
-    /// A request was degraded from the chunked to the session path
-    /// under pressure.
-    Degraded {
-        /// Job id.
-        job: u64,
-    },
     /// A request completed successfully.
     JobCompleted {
         /// Job id.
@@ -356,7 +350,6 @@ impl TraceEvent {
             | Failover { job, .. }
             | Retry { job, .. }
             | SegmentCorrupted { job, .. }
-            | Degraded { job }
             | JobCompleted { job, .. }
             | JobFailed { job, .. }
             | SharedPass { job, .. } => Some(*job),
@@ -454,7 +447,6 @@ impl fmt::Display for TraceEvent {
                 f,
                 "budget reject: {requested} byte(s) requested, {held}/{budget} in flight"
             ),
-            Degraded { job } => write!(f, "job {job}: degraded chunked -> session"),
             JobCompleted {
                 job,
                 attempts,

@@ -1,5 +1,5 @@
 //! Runtime configuration: pool shape, checkpoint cadence, retry policy,
-//! backpressure thresholds, and the service-level budget that per-session
+//! queue capacity, and the service-level budget that per-session
 //! [`Limits`] inherit from.
 
 use std::time::Duration;
@@ -87,15 +87,6 @@ pub struct ServeConfig {
     /// cadence, so keep this comfortably above the time one cadence of
     /// bytes takes to process.
     pub stall_timeout: Duration,
-    /// Queue occupancy (in percent of `queue_capacity`) at and above
-    /// which the runtime degrades from the data-parallel chunked path to
-    /// the sequential guarded session path.
-    pub degrade_at_percent: usize,
-    /// Minimum document size for the data-parallel chunked fast path;
-    /// smaller documents always run the session path.
-    pub parallel_threshold: usize,
-    /// Threads given to one chunked evaluation.
-    pub chunk_threads: usize,
     /// State budget for each product of grouped multi-query requests
     /// (see [`st_core::queryset::QuerySet::compile_with_budget`]): past
     /// it a query set steps its members through the family table and
@@ -112,8 +103,7 @@ pub struct ServeConfig {
     pub group_rate_hint: u64,
     /// Service-level budget (admission control + inherited limits).
     pub budget: ServiceBudget,
-    /// Deterministic fault injection; `None` in production.  When set,
-    /// every request runs the checkpointed session path so that every
+    /// Deterministic fault injection; `None` in production.  Every
     /// injected fault exercises checkpoint failover.
     pub chaos: Option<ChaosConfig>,
     /// Observability sink.  The disabled default costs one branch per
@@ -133,9 +123,6 @@ impl Default for ServeConfig {
             max_retries: 3,
             backoff_base: Duration::from_millis(2),
             stall_timeout: Duration::from_secs(10),
-            degrade_at_percent: 50,
-            parallel_threshold: 64 << 10,
-            chunk_threads: 4,
             product_budget: st_core::queryset::DEFAULT_PRODUCT_BUDGET,
             group_rate_hint: 100_000,
             budget: ServiceBudget::default(),
@@ -179,24 +166,6 @@ impl ServeConfig {
     /// Sets the exponential backoff base.
     pub fn with_backoff_base(mut self, base: Duration) -> ServeConfig {
         self.backoff_base = base;
-        self
-    }
-
-    /// Sets the queue-occupancy degradation threshold (percent).
-    pub fn with_degrade_at_percent(mut self, percent: usize) -> ServeConfig {
-        self.degrade_at_percent = percent;
-        self
-    }
-
-    /// Sets the minimum document size for the chunked fast path.
-    pub fn with_parallel_threshold(mut self, bytes: usize) -> ServeConfig {
-        self.parallel_threshold = bytes;
-        self
-    }
-
-    /// Sets the thread count of one chunked evaluation.
-    pub fn with_chunk_threads(mut self, threads: usize) -> ServeConfig {
-        self.chunk_threads = threads.max(1);
         self
     }
 

@@ -19,8 +19,7 @@
 //!   (load shedding with [`ServeError::Overloaded`]), a service-level
 //!   in-flight byte budget ([`ServeError::Rejected`]), per-session
 //!   [`st_core::session::Limits`] inherited from the
-//!   [`ServiceBudget`], and graceful degradation from the data-parallel
-//!   chunked path to the sequential guarded path under pressure.
+//!   [`ServiceBudget`].
 //! * A deterministic chaos harness (feature `chaos`) — seeded injection
 //!   of worker panics, stalls, and corrupt segments, with a DOM-oracle
 //!   checker (`run_soak`) asserting that completed

@@ -43,8 +43,8 @@
 //! exponentially and are bounded; the terminal error is typed
 //! ([`ServeError::Failed`]) and carries the full failure history.
 //!
-//! The degradation ladder under pressure: data-parallel chunked path →
-//! sequential guarded session path → load shedding at the queue.
+//! Every pass runs the guarded session path with its checkpoint cadence;
+//! under pressure the pool sheds at the queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -56,7 +56,7 @@ use std::time::Duration;
 use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
-use st_core::planner::{CompiledQuery, Strategy};
+use st_core::planner::CompiledQuery;
 use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession, MAX_SET_MEMBERS};
 use st_core::session::{
     monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
@@ -105,8 +105,7 @@ pub struct JobSpec {
     /// Whether the submitter consumes the match stream incrementally
     /// (polling [`ServeRuntime::emitted_prefix`] while the request
     /// runs).  Streamed requests get a supervisor-side emission ledger
-    /// with exactly-once replay dedup across failovers, and skip the
-    /// chunked fast path — which only ever reports at end-of-document.
+    /// with exactly-once replay dedup across failovers.
     pub stream: bool,
 }
 
@@ -146,13 +145,13 @@ impl JobSpec {
 ///
 /// The runtime *batches by document*: queued multi-query requests
 /// that target the same document (same bytes, alphabet, and product
-/// budget — compared by fingerprint) and inherit the service-level
+/// budget — a fingerprint, then the bytes) and inherit the service-level
 /// limits are claimed as one group and served by a single shared
 /// [`QuerySet`] pass; per-query results are split back out to each
 /// request ([`ServeRuntime::wait_multi`]).  A request that carries its
-/// own [`Limits`] always runs alone.  Multi-query requests never take
-/// the chunked fast path; like single-query requests they checkpoint,
-/// resume mid-document after a fault, and take injected chaos.
+/// own [`Limits`] always runs alone.  Like single-query requests,
+/// multi-query requests checkpoint, resume mid-document after a fault,
+/// and take injected chaos.
 #[derive(Clone)]
 pub struct MultiJobSpec {
     /// The path patterns to evaluate (the per-query result order).
@@ -212,7 +211,8 @@ impl MultiJobSpec {
 /// Which evaluation path ultimately served a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathTaken {
-    /// The data-parallel chunked byte engine (fast path).
+    /// The data-parallel chunked byte engine.  The runtime no longer
+    /// produces it: every pass runs the session path.
     Chunked,
     /// The sequential guarded session path with checkpoint cadence.
     Session,
@@ -235,9 +235,6 @@ pub struct JobReport {
     pub resumes: u32,
     /// The path that produced the result.
     pub path: PathTaken,
-    /// Whether queue/memory pressure degraded this request from the
-    /// chunked path to the session path.
-    pub degraded: bool,
     /// Every non-terminal failure absorbed along the way, oldest first.
     pub failures: Vec<FailureCause>,
     /// Streamed requests: the full delivered stream (the emission
@@ -295,8 +292,6 @@ pub struct ServeStats {
     pub stalls: u64,
     /// Corrupt segments detected.
     pub corruptions: u64,
-    /// Requests degraded from the chunked to the session path.
-    pub degraded: u64,
     /// Checkpoints minted.
     pub checkpoints: u64,
     /// Worker threads spawned (initial pool + replacements).
@@ -322,7 +317,7 @@ impl std::fmt::Display for ServeStats {
             f,
             "submitted {} completed {} failed {} shed {} rejected {} | \
              retries {} resumes {} panics {} stalls {} corruptions {} | \
-             degraded {} checkpoints {} workers-spawned {} | \
+             checkpoints {} workers-spawned {} | \
              multi-groups {} multi-members {} deadline-expired {} | \
              emitted {} emission-suppressed {}",
             self.submitted,
@@ -335,7 +330,6 @@ impl std::fmt::Display for ServeStats {
             self.panics,
             self.stalls,
             self.corruptions,
-            self.degraded,
             self.checkpoints,
             self.workers_spawned,
             self.multi_groups,
@@ -393,6 +387,25 @@ struct Job {
     /// Query sets that inherit the service limits: the fingerprint of
     /// (doc bytes, alphabet, budget) that jobs sharing a pass agree on.
     group_key: Option<u64>,
+}
+
+impl Job {
+    /// Whether `peer` may ride this job's shared pass: equal fingerprints
+    /// are only a hint, so the document (the same allocation, else equal
+    /// bytes), the alphabet and the product budget must agree too.
+    fn shares_pass_with(&self, peer: &Job) -> bool {
+        fn identity(job: &Job) -> Option<(u64, usize, &Alphabet)> {
+            match &job.plan {
+                Plan::Set {
+                    alphabet, budget, ..
+                } => job.group_key.map(|key| (key, *budget, alphabet)),
+                Plan::Query(_) => None,
+            }
+        }
+        identity(self).is_some()
+            && identity(self) == identity(peer)
+            && (Arc::ptr_eq(&self.doc, &peer.doc) || self.doc == peer.doc)
+    }
 }
 
 impl From<JobSpec> for Job {
@@ -524,7 +537,6 @@ struct JobState<J> {
     status: Status,
     store: Store,
     path: PathTaken,
-    degraded: bool,
     /// Bytes the job holds against the in-flight budget.
     held: usize,
     /// Admission timestamp (ns since the book's epoch), for the terminal
@@ -552,7 +564,6 @@ impl<J> JobState<J> {
             attempts: self.attempt,
             resumes: self.resumes,
             path: self.path,
-            degraded: self.degraded,
             failures: self.failures.clone(),
             emitted: self.store.ledger().to_vec(),
             suppressed: self.suppressed,
@@ -721,7 +732,6 @@ serve_obs! {
     panics: "serve_panics_total",
     stalls: "serve_stalls_total",
     corruptions: "serve_corruptions_total",
-    degraded: "serve_degraded_total",
     checkpoints: "serve_checkpoints_total",
     workers_spawned: "serve_workers_spawned_total",
     multi_groups: "serve_multi_groups_total",
@@ -892,7 +902,6 @@ impl<J> Book<J> {
                 status: Status::Queued,
                 store,
                 path: PathTaken::Session,
-                degraded: false,
                 held,
                 submitted_ns,
                 deadline_ms,
@@ -1184,6 +1193,21 @@ struct Pool {
 }
 
 impl Pool {
+    fn new(cfg: ServeConfig) -> Pool {
+        let book = Book::new(
+            &cfg.budget,
+            cfg.checkpoint_every,
+            ServeObs::attach(&cfg.obs, &cfg.obs),
+        );
+        Pool {
+            cfg,
+            book,
+            queue: Mutex::new(QueueState::default()),
+            queue_cv: Condvar::new(),
+            group_rate_bpms: AtomicU64::new(0),
+        }
+    }
+
     /// The shared-pass throughput estimate used to project a group's
     /// finish time: the measured EWMA when at least one pass completed,
     /// else the configured hint.  Always ≥ 1 byte/ms.
@@ -1256,8 +1280,8 @@ impl Pool {
     /// Claims queue entry `id`, just taken off `q`, as the lead of one
     /// pass.  A request whose deadline passed while it was queued expires
     /// instead.  A groupable multi-query lead pulls every other queued
-    /// request with the same document fingerprint into its pass, and
-    /// their own queue entries go.  A pass that starts over empties the
+    /// request over the same document, alphabet and budget into its pass,
+    /// and their own queue entries go.  A pass that starts over empties the
     /// lead's list store.  `None` when the entry is stale (its job is no
     /// longer queued) or expired.
     fn claim(&self, q: &mut QueueState, id: u64, now_ms: u64) -> Option<Pass> {
@@ -1270,7 +1294,8 @@ impl Pool {
         }
         st.status = Status::Running;
         let mut members = vec![(id, st.attempt)];
-        if let Some(fp) = st.job.group_key {
+        if st.job.group_key.is_some() {
+            let lead = st.job.clone();
             // Ascending-id member order keeps result splitting
             // independent of queue arrival order.
             let peers = states.iter_mut().filter(|(_, st)| {
@@ -1287,7 +1312,7 @@ impl Pool {
                         let projected_ms = st.job.doc.len() as u64 / self.group_rate() + 1;
                         now_ms + projected_ms <= d
                     })
-                    && st.job.group_key == Some(fp)
+                    && lead.shares_pass_with(&st.job)
             });
             for (id, st) in peers {
                 st.status = Status::Running;
@@ -1320,6 +1345,63 @@ impl Pool {
         })
     }
 
+    /// Admits a request into the queue and the book, or sheds or
+    /// rejects it.
+    fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
+        let (pool, book) = (self, &self.book);
+        let doc_len = job.doc.len();
+        // Lock order everywhere: queue before jobs.
+        let mut q = lock(&pool.queue);
+        loop {
+            if q.shutdown {
+                return Err(ServeError::ShuttingDown);
+            }
+            if q.q.len() < pool.cfg.queue_capacity {
+                break;
+            }
+            if !block {
+                book.obs.shed.add(1);
+                book.obs.trace(TraceEvent::QueueShed {
+                    queue_len: q.q.len() as u64,
+                    capacity: pool.cfg.queue_capacity as u64,
+                });
+                return Err(ServeError::Overloaded {
+                    queue_len: q.q.len(),
+                    capacity: pool.cfg.queue_capacity,
+                });
+            }
+            // Blocking submit: wait for space.
+            q = pool
+                .queue_cv
+                .wait_timeout(q, Duration::from_millis(10))
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+        }
+        if let Err(Refusal { held, budget, .. }) = book.reserve(None, doc_len, Duration::ZERO) {
+            book.obs.rejected.add(1);
+            book.obs.trace(TraceEvent::BudgetReject {
+                requested: doc_len as u64,
+                held: held as u64,
+                budget: budget as u64,
+            });
+            return Err(ServeError::Rejected {
+                reason: format!(
+                    "in-flight byte budget: {held} held + {doc_len} requested > {budget}"
+                ),
+            });
+        }
+        let (stream, queries, deadline) = (job.stream, job.plan.queries(), job.deadline);
+        let id = book.enter(Arc::new(job), doc_len, stream, queries, deadline);
+        q.q.push_back(Pending {
+            id,
+            not_before_ms: 0,
+        });
+        book.obs.queue_depth.set(q.q.len() as i64);
+        drop(q);
+        pool.queue_cv.notify_all();
+        Ok(JobId(id))
+    }
+
     /// [`Book::conclude`], then a wake of the pool without the queue lock
     /// (claims expire requests under it); a drain that misses the notify
     /// sees the last request end at its next poll tick.
@@ -1328,41 +1410,17 @@ impl Pool {
         self.queue_cv.notify_all();
     }
 
-    /// Whether the degradation ladder should step down from the chunked
-    /// to the session path: queue occupancy at/over the configured
-    /// fraction, or the in-flight byte budget half consumed.
-    fn pressure_high(&self) -> bool {
-        let qlen = lock(&self.queue).q.len();
-        if qlen * 100 >= self.cfg.queue_capacity * self.cfg.degrade_at_percent {
-            return true;
-        }
-        if let Some(mb) = self.cfg.budget.max_in_flight_bytes {
-            if self.book.in_flight() * 2 >= mb {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Completes a pass (`group`, lead first): member `i` takes the next
-    /// `spans[i]` lists of the lead's store — or of `lists`, when the
-    /// answer bypassed the store (the chunked path) — and concludes.  A
-    /// stale pass (superseded by failover) is discarded.
-    fn complete(
-        &self,
-        group: &[(u64, u32)],
-        spans: &[usize],
-        path: PathTaken,
-        lists: Option<Vec<Vec<usize>>>,
-    ) {
+    /// `spans[i]` lists of the lead's store and concludes.  A stale pass
+    /// (superseded by failover) is discarded.
+    fn complete(&self, group: &[(u64, u32)], spans: &[usize], path: PathTaken) {
         let mut jobs = lock(&self.book.jobs);
         let Some(lead) = live(&mut jobs, group[0].0, group[0].1) else {
             return;
         };
-        let mut lists = match (lists, &mut lead.store) {
-            (Some(lists), _) => lists,
-            (None, Store::Lists(lists)) => std::mem::take(lists),
-            (None, Store::Ledger(_)) => Vec::new(),
+        let mut lists = match &mut lead.store {
+            Store::Lists(lists) => std::mem::take(lists),
+            Store::Ledger(_) => Vec::new(),
         }
         .into_iter();
         let group_size = if path == PathTaken::Shared {
@@ -1382,14 +1440,6 @@ impl Pool {
             st.group_size = group_size;
             self.conclude(id, st, Ok(()));
         }
-    }
-
-    fn mark_degraded(&self, job: u64, attempt: u32) {
-        if let Some(st) = live(&mut lock(&self.book.jobs), job, attempt) {
-            st.degraded = true;
-        }
-        self.book.obs.degraded.add(1);
-        self.book.obs.trace(TraceEvent::Degraded { job });
     }
 
     /// Records one failure against every `(job, attempt)` of a pass.
@@ -1624,11 +1674,11 @@ pass_session! { QuerySetSession, PassCheckpoint::Set, {
     }
 }}
 
-/// Runs one claimed pass, lead first: a single job alone (on the chunked
-/// fast path or a session), or a batch-by-document group whose shared
-/// [`QuerySet`] session runs the union of its members' patterns.
+/// Runs one claimed pass, lead first: a single job alone, or a
+/// batch-by-document group whose shared [`QuerySet`] session runs the
+/// union of its members' patterns.
 fn run_pass(pool: &Pool, slot: &WorkerSlot, pass: &Pass) {
-    let ((lead, attempt), job) = (pass.members[0], &pass.jobs[0]);
+    let job = &pass.jobs[0];
     let cfg = &pool.cfg;
     // Only requests without limits of their own group, so the lead's
     // limits are the pass's.
@@ -1636,34 +1686,6 @@ fn run_pass(pool: &Pool, slot: &WorkerSlot, pass: &Pass) {
     let spans: Vec<usize> = pass.jobs.iter().map(|j| j.plan.queries()).collect();
     let result = match &job.plan {
         Plan::Query(query) => {
-            // Fast path: the data-parallel chunked engine, for large
-            // registerless documents on a fresh, guard-free, chaos-free
-            // attempt.  Under pressure the degradation ladder steps down
-            // to the session path.  Streamed requests never take the
-            // chunked path: it reports only at end-of-document, and the
-            // whole point of streaming is delivery at the certainty
-            // frontier.
-            let chunk_eligible = cfg.chaos.is_none()
-                && attempt == 1
-                && pass.checkpoint.is_none()
-                && !job.stream
-                && job.doc.len() >= cfg.parallel_threshold
-                && query.strategy() == Strategy::Registerless
-                && limits.is_unbounded();
-            if chunk_eligible {
-                if pool.pressure_high() {
-                    pool.mark_degraded(lead, attempt);
-                } else {
-                    slot.heartbeat_ms
-                        .store(pool.book.now_ms(), Ordering::SeqCst);
-                    return match query.select_bytes_parallel(&job.doc, cfg.chunk_threads) {
-                        Ok(m) => {
-                            pool.complete(&pass.members, &spans, PathTaken::Chunked, Some(vec![m]))
-                        }
-                        Err(e) => pool.fail_all(&pass.members, FailureCause::Engine(e)),
-                    };
-                }
-            }
             let session = match &pass.checkpoint {
                 None => Ok(query.session(limits)),
                 Some(PassCheckpoint::Query(cp)) => query.resume(cp, limits),
@@ -1693,7 +1715,7 @@ fn run_pass(pool: &Pool, slot: &WorkerSlot, pass: &Pass) {
         }
     };
     match result {
-        Ok(path) => pool.complete(&pass.members, &spans, path, None),
+        Ok(path) => pool.complete(&pass.members, &spans, path),
         Err(cause) => pool.fail_all(&pass.members, cause),
     }
 }
@@ -1872,18 +1894,7 @@ impl ServeRuntime {
         if cfg.chaos.is_some() {
             silence_chaos_panics();
         }
-        let book = Book::new(
-            &cfg.budget,
-            cfg.checkpoint_every,
-            ServeObs::attach(&cfg.obs, &cfg.obs),
-        );
-        let pool = Arc::new(Pool {
-            cfg,
-            book,
-            queue: Mutex::new(QueueState::default()),
-            queue_cv: Condvar::new(),
-            group_rate_bpms: AtomicU64::new(0),
-        });
+        let pool = Arc::new(Pool::new(cfg));
         let pool2 = pool.clone();
         let supervisor = std::thread::Builder::new()
             .name("st-serve-supervisor".to_owned())
@@ -1895,61 +1906,6 @@ impl ServeRuntime {
         }
     }
 
-    fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
-        let (pool, book) = (&self.pool, &self.pool.book);
-        let doc_len = job.doc.len();
-        // Lock order everywhere: queue before jobs.
-        let mut q = lock(&pool.queue);
-        loop {
-            if q.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            if q.q.len() < pool.cfg.queue_capacity {
-                break;
-            }
-            if !block {
-                book.obs.shed.add(1);
-                book.obs.trace(TraceEvent::QueueShed {
-                    queue_len: q.q.len() as u64,
-                    capacity: pool.cfg.queue_capacity as u64,
-                });
-                return Err(ServeError::Overloaded {
-                    queue_len: q.q.len(),
-                    capacity: pool.cfg.queue_capacity,
-                });
-            }
-            // Blocking submit: wait for space.
-            q = pool
-                .queue_cv
-                .wait_timeout(q, Duration::from_millis(10))
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-        }
-        if let Err(Refusal { held, budget, .. }) = book.reserve(None, doc_len, Duration::ZERO) {
-            book.obs.rejected.add(1);
-            book.obs.trace(TraceEvent::BudgetReject {
-                requested: doc_len as u64,
-                held: held as u64,
-                budget: budget as u64,
-            });
-            return Err(ServeError::Rejected {
-                reason: format!(
-                    "in-flight byte budget: {held} held + {doc_len} requested > {budget}"
-                ),
-            });
-        }
-        let (stream, queries, deadline) = (job.stream, job.plan.queries(), job.deadline);
-        let id = book.enter(Arc::new(job), doc_len, stream, queries, deadline);
-        q.q.push_back(Pending {
-            id,
-            not_before_ms: 0,
-        });
-        book.obs.queue_depth.set(q.q.len() as i64);
-        drop(q);
-        pool.queue_cv.notify_all();
-        Ok(JobId(id))
-    }
-
     /// Submits a request.  Admission control applies: a full queue sheds
     /// with [`ServeError::Overloaded`], a blown service byte budget
     /// refuses with [`ServeError::Rejected`].
@@ -1959,7 +1915,7 @@ impl ServeRuntime {
     /// [`ServeError::Overloaded`], [`ServeError::Rejected`], or
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.admit(spec.into(), false)
+        self.pool.admit(spec.into(), false)
     }
 
     /// Like [`Self::submit`] but waits for queue space instead of
@@ -1969,7 +1925,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::Rejected`] or [`ServeError::ShuttingDown`].
     pub fn submit_blocking(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.admit(spec.into(), true)
+        self.pool.admit(spec.into(), true)
     }
 
     /// Submits a multi-query request.  Every pattern is validated at
@@ -2020,7 +1976,7 @@ impl ServeRuntime {
             .limits
             .is_none()
             .then(|| group_fingerprint(&spec.doc, &spec.alphabet, budget));
-        self.admit(
+        self.pool.admit(
             Job {
                 plan: Plan::Set {
                     patterns: spec.patterns,
@@ -2169,4 +2125,85 @@ pub fn silence_chaos_panics() {
             }
         }));
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Admits a query set over `doc` whose grouping fingerprint is forced
+    /// to `key`, as two colliding documents would have it.
+    fn admit_set(pool: &Pool, patterns: &[&str], doc: &[u8], key: u64) -> u64 {
+        let alphabet = Alphabet::of_chars("ab");
+        let plans = patterns
+            .iter()
+            .map(|p| CompiledQuery::compile(&compile_regex(p, &alphabet).unwrap()))
+            .collect();
+        let job = Job {
+            plan: Plan::Set {
+                patterns: patterns.iter().map(|p| p.to_string()).collect(),
+                plans,
+                alphabet,
+                budget: pool.cfg.product_budget,
+            },
+            doc: Arc::new(doc.to_vec()),
+            limits: None,
+            deadline: None,
+            stream: false,
+            group_key: Some(key),
+        };
+        pool.admit(job, false).unwrap().0
+    }
+
+    /// Claims and runs every queued pass on this thread (the pool has no
+    /// workers); returns each pass's member count.
+    fn run_queue(pool: &Pool) -> Vec<usize> {
+        let slot = WorkerSlot {
+            alive: AtomicBool::new(true),
+            abandoned: AtomicBool::new(false),
+            busy: Mutex::new(None),
+            heartbeat_ms: AtomicU64::new(0),
+        };
+        let mut sizes = Vec::new();
+        loop {
+            let mut q = lock(&pool.queue);
+            let Some(p) = q.q.pop_front() else {
+                return sizes;
+            };
+            if let Some(pass) = pool.claim(&mut q, p.id, pool.book.now_ms()) {
+                drop(q);
+                sizes.push(pass.members.len());
+                run_pass(pool, &slot, &pass);
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_group_keys_group_only_equal_documents() {
+        let pool = Pool::new(ServeConfig::default());
+        let patterns = [".*a.*b", ".*b"];
+        let docs: [&[u8]; 3] = [
+            b"<a><b></b></a>",
+            b"<b><a><b/></a><b></b></b>",
+            b"<a><b></b></a>",
+        ];
+        let ids: Vec<u64> = docs
+            .iter()
+            .map(|doc| admit_set(&pool, &patterns, doc, 7))
+            .collect();
+        // The first and last documents are equal bytes in separate
+        // allocations: they share a pass; the colliding second runs alone.
+        assert_eq!(run_queue(&pool), vec![2, 1]);
+        let alphabet = Alphabet::of_chars("ab");
+        for (doc, id) in docs.iter().zip(ids) {
+            let want: Vec<Vec<usize>> = (patterns.iter())
+                .map(|p| {
+                    let q = CompiledQuery::compile(&compile_regex(p, &alphabet).unwrap());
+                    q.fused(&alphabet).unwrap().select_bytes(doc).unwrap()
+                })
+                .collect();
+            let report = lock(&pool.book.jobs)[&id].multi_report(id).unwrap();
+            assert_eq!(report.results.unwrap(), want, "job {id}");
+        }
+    }
 }

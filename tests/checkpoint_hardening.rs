@@ -488,6 +488,66 @@ fn a_full_har_chain_that_is_not_a_dag_path_is_refused_at_resume() {
 }
 
 #[test]
+fn har_registers_that_do_not_rise_to_the_depth_are_refused_at_resume() {
+    // After `<a><b>`, `ab`'s run holds two registers, 1 and 2, at depth
+    // 2, and they end the wire: the top register is its last 8 bytes,
+    // the one below it the 8 before the top's state.  A live run's
+    // registers rise strictly and its top never exceeds the depth (a
+    // self-close relies on it); a dead run's chain is frozen while the
+    // depth moves on, so it is not checked.
+    let g = Alphabet::of_chars("ab");
+    let q = fused("ab", &g);
+    assert_eq!(q.strategy(), Strategy::Stackless);
+    let set = QuerySet::compile(&["ab"], &g).unwrap();
+    let mut session = q.session(Limits::none());
+    session.feed(b"<a><b>").unwrap();
+    let stck = session.checkpoint().unwrap().to_bytes();
+    let mut session = set.session(Limits::none());
+    session.feed(b"<a><b>").unwrap();
+    let stqs = session.checkpoint().unwrap().to_bytes();
+    let resume = |wire: &[u8]| -> Result<Vec<usize>, SessionError> {
+        if wire[..4] == *b"STCK" {
+            let mut s = q.resume(&EngineCheckpoint::from_bytes(wire)?, Limits::none())?;
+            s.feed(b"</b><b/></a>")?;
+            Ok(s.finish()?.matches)
+        } else {
+            let cp = QuerySetCheckpoint::from_bytes(wire)?;
+            let mut s = set.resume(&cp, Limits::none())?;
+            s.feed(b"</b><b/></a>")?;
+            Ok(s.finish()?.matches.remove(0))
+        }
+    };
+    let forge = |wire: &[u8], below: i64, top: i64, dead: bool| {
+        let mut w = wire.to_vec();
+        let n = w.len();
+        w[n - 8..].copy_from_slice(&top.to_le_bytes());
+        w[n - 18..n - 10].copy_from_slice(&below.to_le_bytes());
+        // The dead flag precedes the chain length (1 byte on STCK, 2 on
+        // an STQS lane) and the two 10-byte pairs.
+        let len_bytes = if w[..4] == *b"STCK" { 1 } else { 2 };
+        let flag = n - 20 - len_bytes - 1;
+        assert_eq!(w[flag], 0, "a live run");
+        w[flag] = u8::from(dead);
+        w
+    };
+    for wire in [&stck, &stqs] {
+        // The honest chain: the second `b` is the one match left.
+        assert_eq!(resume(&forge(wire, 1, 2, false)).unwrap(), [2]);
+        for (below, top) in [(1, 3), (2, 2), (2, 1)] {
+            match resume(&forge(wire, below, top, false)) {
+                Err(SessionError::Checkpoint { detail }) => assert_eq!(
+                    detail,
+                    "HAR registers do not rise strictly up to the checkpoint depth"
+                ),
+                other => panic!("registers {below}, {top} resumed: {other:?}"),
+            }
+        }
+        // A dead run selects nothing more, whatever its frozen chain.
+        assert!(resume(&forge(wire, 2, 7, true)).unwrap().is_empty());
+    }
+}
+
+#[test]
 fn older_checkpoint_versions_are_refused_with_the_version_error() {
     // STCK version 2 carried a byte-wise emission digest; resuming it
     // under the word-wise fold would reject an honest stream, so the

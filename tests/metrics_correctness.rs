@@ -139,7 +139,6 @@ fn soak_snapshot_mirrors_typed_outcomes_exactly() {
         ("serve_panics_total", s.panics),
         ("serve_stalls_total", s.stalls),
         ("serve_corruptions_total", s.corruptions),
-        ("serve_degraded_total", s.degraded),
         ("serve_checkpoints_total", s.checkpoints),
         ("serve_workers_spawned_total", s.workers_spawned),
         ("serve_emissions_total", s.emitted),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the supervised serving runtime: checkpoint
 //! failover under injected worker panics and stalls, admission control
-//! (shedding and budget rejection), graceful degradation, and typed
-//! terminal errors.
+//! (shedding and budget rejection), the session path for every pass,
+//! and typed terminal errors.
 //!
 //! The recovery contract under test: a request either completes with
 //! exactly the match set an uninterrupted run produces, or fails with a
@@ -303,42 +303,44 @@ fn byte_budget_rejects_oversized_submissions_deterministically() {
 }
 
 #[test]
-fn pressure_degrades_chunked_requests_to_the_session_path() {
+fn plain_large_registerless_jobs_checkpoint_and_resume_on_the_session_path() {
     let q = fused("a.*b", "ab");
     assert!(q.byte_dfa().is_some(), "registerless pattern expected");
-    let doc = doc_with_leaves(200); // > the 1KiB parallel threshold below
-    let clean = q.select_bytes(&doc).unwrap();
-
-    // Control: no pressure → the chunked fast path serves the request.
-    let calm = ServeConfig::default().with_queue_capacity(64);
-    let calm = ServeConfig {
-        parallel_threshold: 1 << 10,
-        degrade_at_percent: 100,
-        ..calm
-    };
-    let serve = ServeRuntime::start(calm);
-    let id = serve.submit(JobSpec::new(q.clone(), doc.clone())).unwrap();
-    let report = serve.wait(id).unwrap();
-    assert_eq!(report.result.as_ref().unwrap(), &clean);
-    assert_eq!(report.path, PathTaken::Chunked);
-    assert!(!report.degraded);
-    serve.shutdown();
-
-    // Pressure: a zero degrade threshold marks the pool permanently
-    // under pressure, so the same request degrades to the session path.
-    let pressed = ServeConfig {
-        parallel_threshold: 1 << 10,
-        degrade_at_percent: 0,
-        ..ServeConfig::default()
-    };
-    let serve = ServeRuntime::start(pressed);
-    let id = serve.submit(JobSpec::new(q.clone(), doc.clone())).unwrap();
-    let report = serve.wait(id).unwrap();
-    assert_eq!(report.result.as_ref().unwrap(), &clean);
-    assert_eq!(report.path, PathTaken::Session);
-    assert!(report.degraded);
+    // Plain, unbounded jobs on documents above 64 KiB: every pass runs
+    // the session path, checkpointing once per cadence.
+    let cadence = 8 << 10;
+    let cfg = ServeConfig::default()
+        .with_workers(2)
+        .with_checkpoint_every(cadence)
+        .with_max_retries(25)
+        .with_chaos(only(0x5E55, 100, 0, 0, 0));
+    let serve = ServeRuntime::start(cfg);
+    let docs: Vec<Vec<u8>> = (0..4).map(|i| doc_with_leaves(10_000 + 97 * i)).collect();
+    let ids: Vec<_> = docs
+        .iter()
+        .map(|d| {
+            assert!(d.len() > 64 << 10);
+            let spec = JobSpec::new(q.clone(), d.clone()).with_limits(Limits::none());
+            serve.submit(spec).unwrap()
+        })
+        .collect();
+    let mut total_resumes = 0u32;
+    for (d, id) in docs.iter().zip(ids) {
+        let report = serve.wait(id).unwrap();
+        assert_eq!(report.result.as_ref().unwrap(), &q.select_bytes(d).unwrap());
+        assert_eq!(report.path, PathTaken::Session);
+        total_resumes += report.resumes;
+    }
     let stats = serve.shutdown();
-    assert_eq!(stats.degraded, 1);
+    let segments: u64 = docs.iter().map(|d| d.len().div_ceil(cadence) as u64).sum();
+    assert!(stats.panics > 0, "chaos rate should have killed workers");
+    assert!(total_resumes > 0, "a retry must resume from a checkpoint");
+    assert!(
+        stats.checkpoints >= segments,
+        "one checkpoint per cadence: {} minted, {segments} segments",
+        stats.checkpoints
+    );
+    assert_eq!(stats.failed, 0);
 }
 
 /// Fake time for [`stall_detection_runs_on_the_injected_clock`]:
