@@ -216,7 +216,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<(), String> {
                         let path_taken = match report.path {
                             st_serve::PathTaken::Chunked => "chunked",
                             st_serve::PathTaken::Session => "session",
-                            st_serve::PathTaken::Shared => "shared",
                         };
                         println!(
                             "{path}: {} match(es) [{path_taken}, {} attempt(s), {} resume(s)]",

@@ -314,15 +314,6 @@ pub enum TraceEvent {
         /// Failure class (e.g. `"worker-panic"`).
         cause: &'static str,
     },
-    /// One shared multi-query pass served a batch of grouped requests.
-    SharedPass {
-        /// Job id of the group's lead request.
-        job: u64,
-        /// Requests served by the pass (including the lead).
-        members: u64,
-        /// Total member queries evaluated in the pass.
-        queries: u64,
-    },
     /// A network connection was accepted by the TCP front-end.
     ConnOpened {
         /// Connection id (the front-end's own id space).
@@ -351,8 +342,7 @@ impl TraceEvent {
             | Retry { job, .. }
             | SegmentCorrupted { job, .. }
             | JobCompleted { job, .. }
-            | JobFailed { job, .. }
-            | SharedPass { job, .. } => Some(*job),
+            | JobFailed { job, .. } => Some(*job),
             _ => None,
         }
     }
@@ -460,14 +450,6 @@ impl fmt::Display for TraceEvent {
                 attempts,
                 cause,
             } => write!(f, "job {job}: failed ({cause}) after {attempts} attempt(s)"),
-            SharedPass {
-                job,
-                members,
-                queries,
-            } => write!(
-                f,
-                "job {job}: shared pass served {members} request(s), {queries} query(ies)"
-            ),
             ConnOpened { conn } => write!(f, "conn {conn}: opened"),
             ConnClosed { conn, reason } => write!(f, "conn {conn}: closed ({reason})"),
         }

@@ -87,20 +87,6 @@ pub struct ServeConfig {
     /// cadence, so keep this comfortably above the time one cadence of
     /// bytes takes to process.
     pub stall_timeout: Duration,
-    /// State budget for each product of grouped multi-query requests
-    /// (see [`st_core::queryset::QuerySet::compile_with_budget`]): past
-    /// it a query set steps its members through the family table and
-    /// per-member lanes, and `0` disables every product.  A
-    /// [`crate::MultiJobSpec`] can override it per request.
-    pub product_budget: usize,
-    /// Assumed shared-pass throughput, in bytes per runtime-clock
-    /// millisecond, used to project a grouped multi-query pass's finish
-    /// time for deadline-aware grouping *before* any pass has completed.
-    /// Once passes complete, a measured moving average replaces it.  A
-    /// member whose deadline is projected to expire before the shared
-    /// pass finishes is not adopted into the group (it runs its own pass
-    /// or expires as a worker claims it).
-    pub group_rate_hint: u64,
     /// Service-level budget (admission control + inherited limits).
     pub budget: ServiceBudget,
     /// Deterministic fault injection; `None` in production.  Every
@@ -123,8 +109,6 @@ impl Default for ServeConfig {
             max_retries: 3,
             backoff_base: Duration::from_millis(2),
             stall_timeout: Duration::from_secs(10),
-            product_budget: st_core::queryset::DEFAULT_PRODUCT_BUDGET,
-            group_rate_hint: 100_000,
             budget: ServiceBudget::default(),
             chaos: None,
             obs: ObsHandle::disabled(),
@@ -166,20 +150,6 @@ impl ServeConfig {
     /// Sets the exponential backoff base.
     pub fn with_backoff_base(mut self, base: Duration) -> ServeConfig {
         self.backoff_base = base;
-        self
-    }
-
-    /// Sets the shared product-DFA state budget for grouped multi-query
-    /// requests (`0` disables every product).
-    pub fn with_product_budget(mut self, budget: usize) -> ServeConfig {
-        self.product_budget = budget;
-        self
-    }
-
-    /// Sets the assumed shared-pass throughput (bytes per millisecond)
-    /// for deadline-aware grouping projections.
-    pub fn with_group_rate_hint(mut self, bytes_per_ms: u64) -> ServeConfig {
-        self.group_rate_hint = bytes_per_ms.max(1);
         self
     }
 

@@ -227,9 +227,6 @@ pub struct NetConfig {
     pub drain_timeout: Duration,
     /// Compiled-plan cache capacity (entries); `0` disables caching.
     pub plan_cache_capacity: usize,
-    /// Product-DFA state budget for multi-query requests (see
-    /// [`QuerySet::compile_with_budget`]).
-    pub product_budget: usize,
     /// The service-level budget: the aggregate in-flight byte cap the
     /// backpressure ties socket reads to, and the per-session
     /// [`st_core::session::Limits`] every request runs under (whose
@@ -253,7 +250,6 @@ impl Default for NetConfig {
             shed_wait: Duration::from_millis(50),
             drain_timeout: Duration::from_secs(5),
             plan_cache_capacity: 64,
-            product_budget: DEFAULT_PRODUCT_BUDGET,
             budget: ServiceBudget::default(),
             obs: ObsHandle::disabled(),
         }
@@ -308,12 +304,6 @@ impl NetConfig {
     /// Sets the plan-cache capacity (`0` disables caching).
     pub fn with_plan_cache_capacity(mut self, entries: usize) -> NetConfig {
         self.plan_cache_capacity = entries;
-        self
-    }
-
-    /// Sets the multi-query product-DFA state budget.
-    pub fn with_product_budget(mut self, budget: usize) -> NetConfig {
-        self.product_budget = budget;
         self
     }
 
@@ -805,8 +795,7 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
                         .map_err(bad_query)?;
                     let members =
                         (patterns.iter().zip(&plans)).map(|(p, plan)| (Some(p.as_str()), &**plan));
-                    let budget = inner.cfg.product_budget;
-                    let set = QuerySet::from_plans(members, &alphabet, budget);
+                    let set = QuerySet::from_plans(members, &alphabet, DEFAULT_PRODUCT_BUDGET);
                     Ok(Request::Multi(Box::new(set)))
                 })
             }
@@ -944,8 +933,7 @@ fn serve<S: PassSession>(
 ) -> Result<(), NetError> {
     let (book, queries) = (&inner.book, request.queries());
     let parts = matches!(request, Request::Single { parts: true, .. });
-    let mut run =
-        (book.start(&[(id, 1)], queries, parts, false, Ok(session))).map_err(pass_error)?;
+    let mut run = (book.start((id, 1), queries, parts, false, Ok(session))).map_err(pass_error)?;
     let (started_ns, mut fed, mut sent) = (book.now_ns(), 0u64, 0);
     loop {
         let frame = read_frame(stream, inner.cfg.max_frame_len)?;

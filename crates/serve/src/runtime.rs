@@ -25,21 +25,21 @@
 //! The `Book` holds what a job *is*: admission into it, the one
 //! in-flight byte budget, each job's record with its one match store and
 //! resume point, the pass step, the completion check and the end of the
-//! job.  The `Pool` — the queue, the workers, their supervisor and the
-//! grouping of query-set requests — only decides *who drives* a pass.
-//! A worker claims its next pass straight from the queue (a single
-//! request, or a batch of query-set requests over one document, fed
-//! through one [`EngineSession`] or [`QuerySetSession`]) and calls the
-//! book's step once per cadence-sized segment.  The TCP edge
-//! ([`crate::net`]) keeps a book of its own and calls the same step once
-//! per uploaded chunk, on the connection's thread.
+//! job.  The `Pool` — the queue, the workers and their supervisor —
+//! only decides *who drives* a pass.  A worker claims its next pass
+//! straight from the queue: one request, fed through one
+//! [`EngineSession`] or [`QuerySetSession`].  It calls the book's step
+//! once per cadence-sized segment.  The TCP edge ([`crate::net`]) keeps a
+//! book of its own and calls the same step once per uploaded chunk, on
+//! the connection's thread.
 //!
-//! Each step appends the session's new matches, once, to the lead
-//! request's store and records the checkpoint it minted there.  The
-//! O(1)/O(depth) snapshot of Theorems 3.1/3.2 is exactly what makes a
-//! session *migratable*: when a worker panics or stalls, its requests go
-//! back to the queue, and the next pass resumes from the last checkpoint
-//! and the store entries it covers, not from zero.  Retries back off
+//! Each step appends the session's new matches, once, to the request's
+//! store and records the checkpoint it minted there.  The O(1)/O(depth)
+//! snapshot of Theorems 3.1/3.2 is exactly what makes a session
+//! *migratable*: when a worker panics or stalls, its request goes back
+//! to the queue, and the next pass resumes from the last checkpoint and
+//! the store entries it covers, not from zero.  A request's faults are
+//! its own: no pass serves two requests.  Retries back off
 //! exponentially and are bounded; the terminal error is typed
 //! ([`ServeError::Failed`]) and carries the full failure history.
 //!
@@ -57,7 +57,9 @@ use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
 use st_core::planner::CompiledQuery;
-use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession, MAX_SET_MEMBERS};
+use st_core::queryset::{
+    QuerySet, QuerySetCheckpoint, QuerySetSession, DEFAULT_PRODUCT_BUDGET, MAX_SET_MEMBERS,
+};
 use st_core::session::{
     monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
 };
@@ -143,13 +145,8 @@ impl JobSpec {
 /// One multi-query request: a set of path patterns over one alphabet,
 /// plus the document to run them all over.
 ///
-/// The runtime *batches by document*: queued multi-query requests
-/// that target the same document (same bytes, alphabet, and product
-/// budget — a fingerprint, then the bytes) and inherit the service-level
-/// limits are claimed as one group and served by a single shared
-/// [`QuerySet`] pass; per-query results are split back out to each
-/// request ([`ServeRuntime::wait_multi`]).  A request that carries its
-/// own [`Limits`] always runs alone.  Like single-query requests,
+/// The request runs as one [`QuerySet`] pass of its own, with per-query
+/// results ([`ServeRuntime::wait_multi`]).  Like single-query requests,
 /// multi-query requests checkpoint, resume mid-document after a fault,
 /// and take injected chaos.
 #[derive(Clone)]
@@ -161,19 +158,14 @@ pub struct MultiJobSpec {
     /// The document bytes (shared with retries).
     pub doc: Arc<Vec<u8>>,
     /// Per-session limits; `None` inherits
-    /// [`crate::ServiceBudget::session_limits`] and makes the request
-    /// eligible for grouping.
+    /// [`crate::ServiceBudget::session_limits`].
     pub limits: Option<Limits>,
-    /// Product-DFA state budget override; `None` inherits
-    /// [`crate::ServeConfig::product_budget`].
-    pub product_budget: Option<usize>,
-    /// Admission deadline; see [`JobSpec::deadline`].  An expired queued
-    /// request is never pulled into a shared group.
+    /// Admission deadline; see [`JobSpec::deadline`].
     pub deadline: Option<Duration>,
 }
 
 impl MultiJobSpec {
-    /// A multi-query request with inherited limits and product budget.
+    /// A multi-query request with inherited limits.
     pub fn new(
         patterns: Vec<String>,
         alphabet: Alphabet,
@@ -184,20 +176,13 @@ impl MultiJobSpec {
             alphabet,
             doc: doc.into(),
             limits: None,
-            product_budget: None,
             deadline: None,
         }
     }
 
-    /// Overrides the inherited limits (and opts out of grouping).
+    /// Overrides the inherited limits for this request.
     pub fn with_limits(mut self, limits: Limits) -> MultiJobSpec {
         self.limits = Some(limits);
-        self
-    }
-
-    /// Overrides the inherited product-DFA state budget.
-    pub fn with_product_budget(mut self, budget: usize) -> MultiJobSpec {
-        self.product_budget = Some(budget);
         self
     }
 
@@ -216,9 +201,6 @@ pub enum PathTaken {
     Chunked,
     /// The sequential guarded session path with checkpoint cadence.
     Session,
-    /// One shared multi-query pass served this request as part of a
-    /// batch-by-document group.
-    Shared,
 }
 
 /// The final record of one request.
@@ -261,10 +243,6 @@ pub struct MultiJobReport {
     pub results: Result<Vec<Vec<usize>>, ServeError>,
     /// Attempts spent (1 + retries).
     pub attempts: u32,
-    /// Requests (including this one) served by the shared pass that
-    /// completed this request; 0 when the request never completed via a
-    /// shared pass.
-    pub group_size: usize,
     /// Every non-terminal failure absorbed along the way, oldest first.
     pub failures: Vec<FailureCause>,
 }
@@ -296,10 +274,6 @@ pub struct ServeStats {
     pub checkpoints: u64,
     /// Worker threads spawned (initial pool + replacements).
     pub workers_spawned: u64,
-    /// Shared multi-query passes run (each serves a whole group).
-    pub multi_groups: u64,
-    /// Requests served by shared multi-query passes.
-    pub multi_group_members: u64,
     /// Queued requests dropped because their deadline passed before a
     /// worker picked them up ([`ServeError::DeadlineExpired`]).
     pub deadline_expired: u64,
@@ -318,7 +292,7 @@ impl std::fmt::Display for ServeStats {
             "submitted {} completed {} failed {} shed {} rejected {} | \
              retries {} resumes {} panics {} stalls {} corruptions {} | \
              checkpoints {} workers-spawned {} | \
-             multi-groups {} multi-members {} deadline-expired {} | \
+             deadline-expired {} | \
              emitted {} emission-suppressed {}",
             self.submitted,
             self.completed,
@@ -332,8 +306,6 @@ impl std::fmt::Display for ServeStats {
             self.corruptions,
             self.checkpoints,
             self.workers_spawned,
-            self.multi_groups,
-            self.multi_group_members,
             self.deadline_expired,
             self.emitted,
             self.emission_suppressed
@@ -356,14 +328,8 @@ enum Status {
 enum Plan {
     /// One fused query.
     Query(Arc<FusedQuery>),
-    /// A set of path patterns with the plans admission made of them.
-    Set {
-        patterns: Vec<String>,
-        plans: Vec<CompiledQuery>,
-        alphabet: Alphabet,
-        /// Resolved product-DFA state budget.
-        budget: usize,
-    },
+    /// A query set, built at admission.
+    Set(Box<QuerySet>),
 }
 
 impl Plan {
@@ -371,7 +337,7 @@ impl Plan {
     fn queries(&self) -> usize {
         match self {
             Plan::Query(_) => 1,
-            Plan::Set { plans, .. } => plans.len(),
+            Plan::Set(set) => set.len(),
         }
     }
 }
@@ -384,28 +350,6 @@ struct Job {
     limits: Option<Limits>,
     deadline: Option<Duration>,
     stream: bool,
-    /// Query sets that inherit the service limits: the fingerprint of
-    /// (doc bytes, alphabet, budget) that jobs sharing a pass agree on.
-    group_key: Option<u64>,
-}
-
-impl Job {
-    /// Whether `peer` may ride this job's shared pass: equal fingerprints
-    /// are only a hint, so the document (the same allocation, else equal
-    /// bytes), the alphabet and the product budget must agree too.
-    fn shares_pass_with(&self, peer: &Job) -> bool {
-        fn identity(job: &Job) -> Option<(u64, usize, &Alphabet)> {
-            match &job.plan {
-                Plan::Set {
-                    alphabet, budget, ..
-                } => job.group_key.map(|key| (key, *budget, alphabet)),
-                Plan::Query(_) => None,
-            }
-        }
-        identity(self).is_some()
-            && identity(self) == identity(peer)
-            && (Arc::ptr_eq(&self.doc, &peer.doc) || self.doc == peer.doc)
-    }
 }
 
 impl From<JobSpec> for Job {
@@ -416,7 +360,6 @@ impl From<JobSpec> for Job {
             limits: spec.limits,
             deadline: spec.deadline,
             stream: spec.stream,
-            group_key: None,
         }
     }
 }
@@ -439,9 +382,7 @@ pub(crate) enum Store {
     /// and suppressed, never re-appended, and entries survive retries
     /// and resumes untouched.
     Ledger(Vec<StreamedMatch>),
-    /// Every other job: one node list per query.  A pass lead holds the
-    /// lists of every query of its pass until completion hands each
-    /// member its own.
+    /// Every other job: one node list per query.
     Lists(Vec<Vec<usize>>),
 }
 
@@ -491,52 +432,23 @@ impl Store {
     }
 }
 
-/// The last good checkpoint of a pass, kept by its lead job.  The
-/// lead's store says how much of the run it covers: a pool pass
-/// checkpoints at every step, so a list store grows only together with a
-/// new resume point and the checkpoint covers every entry; of a ledger
-/// it covers as many entries as its emission cursor counts.
-struct ResumePoint {
-    checkpoint: PassCheckpoint,
-    /// The pass's member list: the store holds these members' queries,
-    /// so only a pass over the same members resumes here.
-    members: Arc<[u64]>,
-}
-
-/// FNV-1a grouping fingerprint of a multi-query request's shared-pass
-/// identity: two requests group iff document bytes, alphabet, and
-/// product budget all agree.
-fn group_fingerprint(doc: &[u8], alphabet: &Alphabet, budget: usize) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in doc {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    for (_, symbol) in alphabet.entries() {
-        for &b in symbol.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        h = (h ^ 0xFF).wrapping_mul(PRIME);
-    }
-    for b in (budget as u64).to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// One job's record in a [`Book`].  `J` is what a job carries beyond
 /// its record: the pool's queued [`Job`], nothing at the edge.
 struct JobState<J> {
     job: J,
     /// Current attempt number (1-based); see [`live`].
     attempt: u32,
-    /// Pass leads: where a failover resumes; freed once the job ends.
-    resume: Option<ResumePoint>,
+    /// The last good checkpoint, where a failover resumes; freed once
+    /// the job ends.  The store says how much of the run it covers: a
+    /// pool pass checkpoints at every step, so a list store grows only
+    /// together with a new resume point and the checkpoint covers every
+    /// entry; of a ledger it covers as many entries as its emission
+    /// cursor counts.
+    resume: Option<PassCheckpoint>,
     resumes: u32,
     failures: Vec<FailureCause>,
     status: Status,
     store: Store,
-    path: PathTaken,
     /// Bytes the job holds against the in-flight budget.
     held: usize,
     /// Admission timestamp (ns since the book's epoch), for the terminal
@@ -546,8 +458,6 @@ struct JobState<J> {
     /// still queued past it is dropped with
     /// [`ServeError::DeadlineExpired`].
     deadline_ms: Option<u64>,
-    /// Multi jobs: how many requests the completing shared pass served.
-    group_size: usize,
     /// Streamed jobs: replayed matches the ledger suppressed.
     suppressed: u64,
 }
@@ -563,7 +473,7 @@ impl<J> JobState<J> {
             result: result.clone().map(|()| self.store.matches()),
             attempts: self.attempt,
             resumes: self.resumes,
-            path: self.path,
+            path: PathTaken::Session,
             failures: self.failures.clone(),
             emitted: self.store.ledger().to_vec(),
             suppressed: self.suppressed,
@@ -579,7 +489,6 @@ impl<J> JobState<J> {
             id: JobId(id),
             results: result.clone().map(|()| self.store.lists()),
             attempts: self.attempt,
-            group_size: self.group_size,
             failures: self.failures.clone(),
         })
     }
@@ -617,24 +526,21 @@ struct WorkerSlot {
     /// zombie claims nothing more, its slot is replaced and its late
     /// writes are epoch-guarded.
     abandoned: AtomicBool,
-    /// The members of the pass this worker runs.  Whoever takes it — the
+    /// The `(job, attempt)` this worker runs.  Whoever takes it — the
     /// worker's own panic path, the reaper, the stall detector — reports
-    /// the pass's failure.
-    busy: Mutex<Option<Members>>,
+    /// the attempt's failure.
+    busy: Mutex<Option<(u64, u32)>>,
     /// Last liveness signal (ms since runtime epoch); ticks once per
     /// checkpoint cadence.
     heartbeat_ms: AtomicU64,
 }
 
-/// `(job, attempt)` of every member of one pass, lead first.
-type Members = Vec<(u64, u32)>;
-
-/// One claimed pass: a single job, or a whole multi-query group served
-/// by one shared session; every member is already marked Running.
+/// One claimed pass: one attempt of one job, already marked Running.
 struct Pass {
-    members: Members,
-    jobs: Vec<Arc<Job>>,
-    /// The lead's last checkpoint, when the pass continues from it.
+    /// `(job, attempt)`.
+    attempt: (u64, u32),
+    job: Arc<Job>,
+    /// The job's last checkpoint, when the pass continues from it.
     checkpoint: Option<PassCheckpoint>,
 }
 
@@ -680,8 +586,6 @@ macro_rules! serve_obs {
         pub(crate) struct ServeObs {
             handle: ObsHandle,
             $($tally: Tally,)*
-            /// Requests per shared multi-query pass.
-            multi_group_size: Histogram,
             /// Current submission-queue occupancy.
             queue_depth: Gauge,
             /// Bytes currently held against the in-flight budget.
@@ -700,7 +604,6 @@ macro_rules! serve_obs {
                 ServeObs {
                     handle: trace.clone(),
                     $($tally: Tally::new(metrics, $metric),)*
-                    multi_group_size: metrics.histogram("serve_multi_group_size"),
                     queue_depth: metrics.gauge("serve_queue_depth"),
                     in_flight_bytes: metrics.gauge("serve_in_flight_bytes"),
                     request_attempts: metrics.histogram("serve_request_attempts"),
@@ -734,8 +637,6 @@ serve_obs! {
     corruptions: "serve_corruptions_total",
     checkpoints: "serve_checkpoints_total",
     workers_spawned: "serve_workers_spawned_total",
-    multi_groups: "serve_multi_groups_total",
-    multi_group_members: "serve_multi_group_members_total",
     deadline_expired: "serve_deadline_expired_total",
     emitted: "serve_emissions_total",
     emission_suppressed: "serve_emission_suppressed_total",
@@ -764,11 +665,9 @@ pub(crate) struct Refusal {
 /// one step to the next.
 pub(crate) struct Run<S> {
     session: S,
-    /// The lead's `(job, attempt)`, whose store the steps write.
-    lead: (u64, u32),
-    /// The pass's member ids, which key its resume points.
-    members: Arc<[u64]>,
-    /// `session.matches_of(q)[..done[q]]` is in the lead's list store.
+    /// The `(job, attempt)` whose store the steps write.
+    attempt: (u64, u32),
+    /// `session.matches_of(q)[..done[q]]` is in the job's list store.
     done: Vec<usize>,
     /// Bytes fed since the last checkpoint.
     since: usize,
@@ -901,11 +800,9 @@ impl<J> Book<J> {
                 failures: Vec::new(),
                 status: Status::Queued,
                 store,
-                path: PathTaken::Session,
                 held,
                 submitted_ns,
                 deadline_ms,
-                group_size: 0,
                 suppressed: 0,
             },
         );
@@ -980,45 +877,42 @@ impl<J> Book<J> {
         Some(ledger.get(start..).unwrap_or_default().to_vec())
     }
 
-    /// Starts a pass over `group` (lead first, `queries` match lists in
-    /// all): counts a resume when the session continues from a
-    /// checkpoint, links each member's job to the session in the trace,
-    /// and verifies a resumed stream's cursor before any of its output is
-    /// accepted — a hostile checkpoint (forged count, tampered digest)
-    /// dies here with a typed error instead of mis-aligning replay dedup.
+    /// Starts a pass of `(job, attempt)` with `queries` match lists:
+    /// counts a resume when the session continues from a checkpoint,
+    /// links the job to the session in the trace, and verifies a resumed
+    /// stream's cursor before any of its output is accepted — a hostile
+    /// checkpoint (forged count, tampered digest) dies here with a typed
+    /// error instead of mis-aligning replay dedup.
     pub(crate) fn start<S: PassSession>(
         &self,
-        group: &[(u64, u32)],
+        (job, attempt): (u64, u32),
         queries: usize,
         stream: bool,
         resumed: bool,
         session: Result<S, SessionError>,
     ) -> Result<Run<S>, FailureCause> {
         let session = session.map_err(FailureCause::Engine)?;
-        for &(job, attempt) in group {
-            if resumed {
-                if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
-                    st.resumes += 1;
-                }
-                self.obs.resumes.add(1);
-                let offset = session.offset() as u64;
-                self.obs.trace(TraceEvent::Failover {
-                    job,
-                    attempt,
-                    offset,
-                });
+        if resumed {
+            if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+                st.resumes += 1;
             }
-            let session = session.obs_session_id();
-            self.obs.trace(TraceEvent::JobSession { job, session });
+            self.obs.resumes.add(1);
+            let offset = session.offset() as u64;
+            self.obs.trace(TraceEvent::Failover {
+                job,
+                attempt,
+                offset,
+            });
         }
+        let id = session.obs_session_id();
+        self.obs.trace(TraceEvent::JobSession { job, session: id });
         let resumed_at = session.emission_cursor();
         if stream {
-            self.verify_cursor(group[0], resumed_at, None)?;
+            self.verify_cursor((job, attempt), resumed_at, None)?;
         }
         Ok(Run {
             session,
-            lead: group[0],
-            members: group.iter().map(|m| m.0).collect(),
+            attempt: (job, attempt),
             done: vec![0; queries],
             since: 0,
             resumed_at,
@@ -1029,7 +923,7 @@ impl<J> Book<J> {
     /// One pass step: feeds `segment` and checkpoints once the cadence's
     /// bytes have passed since the last checkpoint (or at `end`, the end
     /// of the document).  Then, under one lock, the session's new matches
-    /// go to the lead's store once and the checkpoint becomes its resume
+    /// go to the job's store once and the checkpoint becomes its resume
     /// point.  A ledger is the delivery point of exactly-once: stream
     /// positions it already holds are **verified** (a diverging replay is
     /// a typed [`FailureCause::EmissionLedger`], never a silent
@@ -1049,7 +943,7 @@ impl<J> Book<J> {
         let checkpoint =
             (minted.then(|| session.checkpoint()).transpose()).map_err(FailureCause::Engine)?;
         let mut jobs = lock(&self.jobs);
-        let Some(st) = live(&mut jobs, run.lead.0, run.lead.1) else {
+        let Some(st) = live(&mut jobs, run.attempt.0, run.attempt.1) else {
             return Ok(minted);
         };
         match &mut st.store {
@@ -1101,11 +995,7 @@ impl<J> Book<J> {
             }
         }
         if let Some(checkpoint) = checkpoint {
-            let members = run.members.clone();
-            st.resume = Some(ResumePoint {
-                checkpoint,
-                members,
-            });
+            st.resume = Some(checkpoint);
             self.obs.checkpoints.add(1);
         }
         Ok(minted)
@@ -1124,7 +1014,7 @@ impl<J> Book<J> {
         let own = run.session.finish().map_err(FailureCause::Engine)?;
         if run.stream {
             let last = (run.resumed_at.count as usize, own[0].as_slice());
-            self.verify_cursor(run.lead, cursor, Some(last))?;
+            self.verify_cursor(run.attempt, cursor, Some(last))?;
         }
         Ok(cursor)
     }
@@ -1179,17 +1069,13 @@ impl<J> Book<J> {
 }
 
 /// The pool: the submission queue, the workers that claim passes from
-/// it, their supervisor and the grouping of query-set requests.  Its
-/// jobs live in its [`Book`]; only [`ServeRuntime`] has a pool.
+/// it and their supervisor.  Its jobs live in its [`Book`]; only
+/// [`ServeRuntime`] has a pool.
 struct Pool {
     cfg: ServeConfig,
     book: Book<Arc<Job>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    /// EWMA throughput of completed shared multi-query passes, in
-    /// bytes/ms on the runtime clock (0 until the first measured pass).
-    /// Feeds the deadline-aware grouping projection in [`Pool::claim`].
-    group_rate_bpms: AtomicU64,
 }
 
 impl Pool {
@@ -1204,38 +1090,7 @@ impl Pool {
             book,
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
-            group_rate_bpms: AtomicU64::new(0),
         }
-    }
-
-    /// The shared-pass throughput estimate used to project a group's
-    /// finish time: the measured EWMA when at least one pass completed,
-    /// else the configured hint.  Always ≥ 1 byte/ms.
-    fn group_rate(&self) -> u64 {
-        let measured = self.group_rate_bpms.load(Ordering::SeqCst);
-        let rate = if measured > 0 {
-            measured
-        } else {
-            self.cfg.group_rate_hint
-        };
-        rate.max(1)
-    }
-
-    /// Folds a completed shared pass (`bytes` over `elapsed_ms`) into
-    /// the EWMA throughput estimate.
-    fn observe_group_rate(&self, bytes: usize, elapsed_ms: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let sample = (bytes as u64) / elapsed_ms.max(1);
-        let sample = sample.max(1);
-        let old = self.group_rate_bpms.load(Ordering::SeqCst);
-        let new = if old == 0 {
-            sample
-        } else {
-            (3 * old + sample) / 4
-        };
-        self.group_rate_bpms.store(new, Ordering::SeqCst);
     }
 
     /// How long the supervisor and idle workers sleep between checks.
@@ -1277,71 +1132,23 @@ impl Pool {
         self.book.obs.queue_depth.set(q.q.len() as i64);
     }
 
-    /// Claims queue entry `id`, just taken off `q`, as the lead of one
-    /// pass.  A request whose deadline passed while it was queued expires
-    /// instead.  A groupable multi-query lead pulls every other queued
-    /// request over the same document, alphabet and budget into its pass,
-    /// and their own queue entries go.  A pass that starts over empties the
-    /// lead's list store.  `None` when the entry is stale (its job is no
-    /// longer queued) or expired.
-    fn claim(&self, q: &mut QueueState, id: u64, now_ms: u64) -> Option<Pass> {
-        let mut states = lock(&self.book.jobs);
-        let st = states
+    /// Claims queue entry `id`, just taken off the queue, as one pass.  A
+    /// request whose deadline passed while it was queued expires instead.
+    /// `None` when the entry is stale (its job is no longer queued) or
+    /// expired.
+    fn claim(&self, id: u64, now_ms: u64) -> Option<Pass> {
+        let mut jobs = lock(&self.book.jobs);
+        let st = jobs
             .get_mut(&id)
             .filter(|st| matches!(st.status, Status::Queued))?;
         if self.expire_if_due(id, st, now_ms) {
             return None;
         }
         st.status = Status::Running;
-        let mut members = vec![(id, st.attempt)];
-        if st.job.group_key.is_some() {
-            let lead = st.job.clone();
-            // Ascending-id member order keeps result splitting
-            // independent of queue arrival order.
-            let peers = states.iter_mut().filter(|(_, st)| {
-                // The lead is Running already.
-                matches!(st.status, Status::Queued)
-                    // Deadline-aware grouping: never adopt a member
-                    // whose deadline is projected to expire before the
-                    // shared pass finishes — it would ride along only to
-                    // receive an answer nobody is waiting for.  The
-                    // projection uses the measured EWMA throughput of
-                    // completed shared passes (the configured hint until
-                    // one completes).
-                    && st.deadline_ms.is_none_or(|d| {
-                        let projected_ms = st.job.doc.len() as u64 / self.group_rate() + 1;
-                        now_ms + projected_ms <= d
-                    })
-                    && lead.shares_pass_with(&st.job)
-            });
-            for (id, st) in peers {
-                st.status = Status::Running;
-                members.push((*id, st.attempt));
-            }
-            members[1..].sort_unstable();
-            q.q.retain(|p| !members[1..].iter().any(|m| m.0 == p.id));
-            self.book.obs.queue_depth.set(q.q.len() as i64);
-        }
-        let jobs: Vec<Arc<Job>> = members.iter().map(|m| states[&m.0].job.clone()).collect();
-        let queries = jobs.iter().map(|j| j.plan.queries()).sum();
-        let lead = states.get_mut(&id).expect("claimed above");
-        // A resume point over another member list covers other queries'
-        // matches: this pass starts over at byte 0.
-        let resumes = lead
-            .resume
-            .as_ref()
-            .is_some_and(|r| r.members.iter().eq(members.iter().map(|m| &m.0)));
-        if !resumes {
-            lead.resume = None;
-            if let Store::Lists(lists) = &mut lead.store {
-                *lists = vec![Vec::new(); queries];
-            }
-        }
-        let checkpoint = lead.resume.as_ref().map(|r| r.checkpoint.clone());
         Some(Pass {
-            members,
-            jobs,
-            checkpoint,
+            attempt: (id, st.attempt),
+            job: st.job.clone(),
+            checkpoint: st.resume.clone(),
         })
     }
 
@@ -1402,6 +1209,40 @@ impl Pool {
         Ok(JobId(id))
     }
 
+    /// Validates a query-set request's patterns, builds its set and
+    /// admits it.
+    fn admit_multi(&self, spec: MultiJobSpec, block: bool) -> Result<JobId, ServeError> {
+        let reject = |reason| {
+            self.book.obs.rejected.add(1);
+            Err(ServeError::Rejected { reason })
+        };
+        let n = spec.patterns.len();
+        if n > MAX_SET_MEMBERS {
+            return reject(format!(
+                "{n} patterns; a query set holds at most {MAX_SET_MEMBERS}"
+            ));
+        }
+        let mut plans = Vec::with_capacity(n);
+        for (i, p) in spec.patterns.iter().enumerate() {
+            match compile_regex(p, &spec.alphabet) {
+                Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
+                Err(e) => return reject(format!("pattern {i} ({p:?}) failed to compile: {e}")),
+            }
+        }
+        let members = (spec.patterns.iter()).map(|p| Some(p.as_str())).zip(&plans);
+        let set = QuerySet::from_plans(members, &spec.alphabet, DEFAULT_PRODUCT_BUDGET);
+        self.admit(
+            Job {
+                plan: Plan::Set(Box::new(set)),
+                doc: spec.doc,
+                limits: spec.limits,
+                deadline: spec.deadline,
+                stream: false,
+            },
+            block,
+        )
+    }
+
     /// [`Book::conclude`], then a wake of the pool without the queue lock
     /// (claims expire requests under it); a drain that misses the notify
     /// sees the last request end at its next poll tick.
@@ -1410,49 +1251,18 @@ impl Pool {
         self.queue_cv.notify_all();
     }
 
-    /// Completes a pass (`group`, lead first): member `i` takes the next
-    /// `spans[i]` lists of the lead's store and concludes.  A stale pass
-    /// (superseded by failover) is discarded.
-    fn complete(&self, group: &[(u64, u32)], spans: &[usize], path: PathTaken) {
-        let mut jobs = lock(&self.book.jobs);
-        let Some(lead) = live(&mut jobs, group[0].0, group[0].1) else {
-            return;
-        };
-        let mut lists = match &mut lead.store {
-            Store::Lists(lists) => std::mem::take(lists),
-            Store::Ledger(_) => Vec::new(),
-        }
-        .into_iter();
-        let group_size = if path == PathTaken::Shared {
-            group.len()
-        } else {
-            0
-        };
-        for (&(id, attempt), &n) in group.iter().zip(spans) {
-            let own = lists.by_ref().take(n).collect();
-            let Some(st) = live(&mut jobs, id, attempt) else {
-                continue;
-            };
-            if let Store::Lists(lists) = &mut st.store {
-                *lists = own;
-            }
-            st.path = path;
-            st.group_size = group_size;
-            self.conclude(id, st, Ok(()));
-        }
-    }
-
-    /// Records one failure against every `(job, attempt)` of a pass.
-    fn fail_all(&self, group: &[(u64, u32)], cause: FailureCause) {
-        for &(job, attempt) in group {
-            self.record_attempt_failure(job, attempt, cause.clone());
+    /// Completes `(job, attempt)`; a stale attempt (superseded by
+    /// failover) is discarded.
+    fn complete(&self, (job, attempt): (u64, u32)) {
+        if let Some(st) = live(&mut lock(&self.book.jobs), job, attempt) {
+            self.conclude(job, st, Ok(()));
         }
     }
 
     /// Records a failed attempt: requeues with exponential backoff when
     /// the cause is retryable and the retry budget allows, otherwise
     /// finalizes the request with a typed [`ServeError::Failed`].
-    fn record_attempt_failure(&self, job: u64, attempt: u32, cause: FailureCause) {
+    fn record_attempt_failure(&self, (job, attempt): (u64, u32), cause: FailureCause) {
         let mut requeue_backoff = None;
         {
             let mut jobs = lock(&self.book.jobs);
@@ -1556,13 +1366,13 @@ fn worker_main(pool: Arc<Pool>, slot: Arc<WorkerSlot>) {
         match catch_unwind(AssertUnwindSafe(|| run_pass(&pool, &slot, &pass))) {
             Ok(()) => *lock(&slot.busy) = None,
             Err(payload) => {
-                // Report the death against every request of the pass (so
+                // Report the death against the pass's attempt (so
                 // failover starts now instead of at the supervisor's
                 // sweep), then die authentically: the supervisor
                 // replaces the thread.
                 if let Some(a) = lock(&slot.busy).take() {
                     let detail = payload_message(payload.as_ref());
-                    pool.fail_all(&a, FailureCause::WorkerPanic { detail });
+                    pool.record_attempt_failure(a, FailureCause::WorkerPanic { detail });
                 }
                 resume_unwind(payload);
             }
@@ -1583,11 +1393,11 @@ fn next_pass(pool: &Pool, slot: &WorkerSlot) -> Option<Pass> {
         if let Some(i) = q.q.iter().position(|p| p.not_before_ms <= now_ms) {
             let p = q.q.remove(i).expect("position is in range");
             pool.book.obs.queue_depth.set(q.q.len() as i64);
-            if let Some(pass) = pool.claim(&mut q, p.id, now_ms) {
+            if let Some(pass) = pool.claim(p.id, now_ms) {
                 drop(q);
                 slot.heartbeat_ms
                     .store(pool.book.now_ms(), Ordering::SeqCst);
-                *lock(&slot.busy) = Some(pass.members.clone());
+                *lock(&slot.busy) = Some(pass.attempt);
                 return Some(pass);
             }
             continue;
@@ -1674,81 +1484,51 @@ pass_session! { QuerySetSession, PassCheckpoint::Set, {
     }
 }}
 
-/// Runs one claimed pass, lead first: a single job alone, or a
-/// batch-by-document group whose shared [`QuerySet`] session runs the
-/// union of its members' patterns.
+/// Runs one claimed pass and completes or fails its attempt.
 fn run_pass(pool: &Pool, slot: &WorkerSlot, pass: &Pass) {
-    let job = &pass.jobs[0];
     let cfg = &pool.cfg;
-    // Only requests without limits of their own group, so the lead's
-    // limits are the pass's.
-    let limits = cfg.budget.session_limits_for(job.limits.as_ref(), &cfg.obs);
-    let spans: Vec<usize> = pass.jobs.iter().map(|j| j.plan.queries()).collect();
-    let result = match &job.plan {
-        Plan::Query(query) => {
-            let session = match &pass.checkpoint {
-                None => Ok(query.session(limits)),
-                Some(PassCheckpoint::Query(cp)) => query.resume(cp, limits),
-                Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
-            };
-            drive(pool, slot, pass, &spans, session)
+    let limits = (cfg.budget).session_limits_for(pass.job.limits.as_ref(), &cfg.obs);
+    let result = match (&pass.job.plan, &pass.checkpoint) {
+        (Plan::Query(query), None) => drive(pool, slot, pass, Ok(query.session(limits))),
+        (Plan::Query(query), Some(PassCheckpoint::Query(cp))) => {
+            drive(pool, slot, pass, query.resume(cp, limits))
         }
-        Plan::Set {
-            alphabet, budget, ..
-        } => {
-            let mut planned = Vec::new();
-            for member in &pass.jobs {
-                if let Plan::Set {
-                    patterns, plans, ..
-                } = &member.plan
-                {
-                    planned.extend(patterns.iter().map(|p| Some(p.as_str())).zip(plans));
-                }
-            }
-            let set = QuerySet::from_plans(planned, alphabet, *budget);
-            let session = match &pass.checkpoint {
-                None => Ok(set.session(limits)),
-                Some(PassCheckpoint::Set(cp)) => set.resume(cp, limits),
-                Some(_) => unreachable!("a job resumes from its own plan's checkpoints"),
-            };
-            drive(pool, slot, pass, &spans, session)
+        (Plan::Set(set), None) => drive(pool, slot, pass, Ok(set.session(limits))),
+        (Plan::Set(set), Some(PassCheckpoint::Set(cp))) => {
+            drive(pool, slot, pass, set.resume(cp, limits))
         }
+        _ => unreachable!("a job resumes from its own plan's checkpoints"),
     };
     match result {
-        Ok(path) => pool.complete(&pass.members, &spans, path),
-        Err(cause) => pool.fail_all(&pass.members, cause),
+        Ok(()) => pool.complete(pass.attempt),
+        Err(cause) => pool.record_attempt_failure(pass.attempt, cause),
     }
 }
 
 /// The pass loop: one [`Book::step`] per cadence-sized segment of the
-/// lead's document, each behind a chaos roll keyed by the lead's `(job,
-/// attempt, segment)` and followed by a heartbeat; then the completion
-/// check.  Returns the path that served the pass.
+/// job's document, each behind a chaos roll keyed by the job's own
+/// `(job, attempt, segment)` and followed by a heartbeat; then the
+/// completion check.
 fn drive<S: PassSession>(
     pool: &Pool,
     slot: &WorkerSlot,
     pass: &Pass,
-    spans: &[usize],
     session: Result<S, SessionError>,
-) -> Result<PathTaken, FailureCause> {
-    let (group, job, book) = (pass.members.as_slice(), &pass.jobs[0], &pool.book);
-    let (lead, attempt) = group[0];
-    let queries = spans.iter().sum();
+) -> Result<(), FailureCause> {
+    let (job, book) = (&pass.job, &pool.book);
+    let (id, attempt) = pass.attempt;
     let resumed = pass.checkpoint.is_some();
-    let mut run = book.start(group, queries, job.stream, resumed, session)?;
+    let queries = job.plan.queries();
+    let mut run = book.start(pass.attempt, queries, job.stream, resumed, session)?;
     let doc = job.doc.as_slice();
     let chaos = pool.cfg.chaos.as_ref();
     let cadence = pool.cfg.checkpoint_every.max(1);
-    let start_ms = book.now_ms();
-    let start = run.session.offset();
-    let mut off = start;
+    let mut off = run.session.offset();
     while off < doc.len() {
         let end = (off + cadence).min(doc.len());
-        match chaos.map_or(Fault::None, |c| {
-            c.roll(lead, attempt, (off / cadence) as u64)
-        }) {
+        match chaos.map_or(Fault::None, |c| c.roll(id, attempt, (off / cadence) as u64)) {
             Fault::Panic => {
-                panic!("chaos: injected worker panic (job {lead}, attempt {attempt}, offset {off})")
+                panic!("chaos: injected worker panic (job {id}, attempt {attempt}, offset {off})")
             }
             Fault::Corrupt => return Err(FailureCause::SegmentCorrupted { offset: off }),
             // Sleep through the supervisor's deadline; by the time this
@@ -1763,21 +1543,7 @@ fn drive<S: PassSession>(
         off = end;
         slot.heartbeat_ms.store(book.now_ms(), Ordering::SeqCst);
     }
-    book.finish(run)?;
-    if !matches!(job.plan, Plan::Set { .. }) {
-        return Ok(PathTaken::Session);
-    }
-    let n = group.len() as u64;
-    pool.observe_group_rate(off - start, book.now_ms().saturating_sub(start_ms));
-    book.obs.multi_groups.add(1);
-    book.obs.multi_group_members.add(n);
-    book.obs.multi_group_size.record(n);
-    book.obs.trace(TraceEvent::SharedPass {
-        job: lead,
-        members: n,
-        queries: queries as u64,
-    });
-    Ok(PathTaken::Shared)
+    book.finish(run).map(drop)
 }
 
 // ---------------------------------------------------------------------------
@@ -1815,7 +1581,7 @@ fn reap_and_replace(pool: &Arc<Pool>, workers: &mut [WorkerHandle], now_ms: u64)
             // reporting.
             if let Some(a) = lock(&worker.slot.busy).take() {
                 let detail = "worker thread died".to_owned();
-                pool.fail_all(&a, FailureCause::WorkerPanic { detail });
+                pool.record_attempt_failure(a, FailureCause::WorkerPanic { detail });
             }
             if let Some(h) = worker.join.take() {
                 let _ = h.join(); // reap; Err(panic payload) is expected
@@ -1830,9 +1596,9 @@ fn reap_and_replace(pool: &Arc<Pool>, workers: &mut [WorkerHandle], now_ms: u64)
             continue;
         }
         worker.slot.abandoned.store(true, Ordering::SeqCst);
-        let victims = busy.take().expect("checked busy");
+        let victim = busy.take().expect("checked busy");
         drop(busy);
-        pool.fail_all(&victims, FailureCause::WorkerStall { stalled_ms: silent });
+        pool.record_attempt_failure(victim, FailureCause::WorkerStall { stalled_ms: silent });
         // Replace the slot; the zombie claims nothing more once it
         // wakes, and dropping its handle detaches it (joining a
         // sleeping zombie would block shutdown).
@@ -1928,10 +1694,9 @@ impl ServeRuntime {
         self.pool.admit(spec.into(), true)
     }
 
-    /// Submits a multi-query request.  Every pattern is validated at
-    /// admission; requests over the same document (same bytes, alphabet,
-    /// and product budget) that carry no custom limits are grouped by the
-    /// scheduler and served by one shared [`st_core::QuerySet`] pass.
+    /// Submits a multi-query request.  Every pattern is validated and the
+    /// request's [`st_core::QuerySet`] built at admission; the request
+    /// then runs as one pass of its own.
     ///
     /// # Errors
     ///
@@ -1939,7 +1704,7 @@ impl ServeRuntime {
     /// byte budget is blown, [`ServeError::Overloaded`], or
     /// [`ServeError::ShuttingDown`].
     pub fn submit_multi(&self, spec: MultiJobSpec) -> Result<JobId, ServeError> {
-        self.admit_multi(spec, false)
+        self.pool.admit_multi(spec, false)
     }
 
     /// Like [`Self::submit_multi`] but waits for queue space instead of
@@ -1949,49 +1714,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::Rejected`] or [`ServeError::ShuttingDown`].
     pub fn submit_multi_blocking(&self, spec: MultiJobSpec) -> Result<JobId, ServeError> {
-        self.admit_multi(spec, true)
-    }
-
-    fn admit_multi(&self, spec: MultiJobSpec, block: bool) -> Result<JobId, ServeError> {
-        let reject = |reason| {
-            self.pool.book.obs.rejected.add(1);
-            Err(ServeError::Rejected { reason })
-        };
-        let n = spec.patterns.len();
-        if n > MAX_SET_MEMBERS {
-            return reject(format!(
-                "{n} patterns; a query set holds at most {MAX_SET_MEMBERS}"
-            ));
-        }
-        let mut plans = Vec::with_capacity(n);
-        for (i, p) in spec.patterns.iter().enumerate() {
-            match compile_regex(p, &spec.alphabet) {
-                Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
-                Err(e) => return reject(format!("pattern {i} ({p:?}) failed to compile: {e}")),
-            }
-        }
-        let budget = spec.product_budget.unwrap_or(self.pool.cfg.product_budget);
-        // Only requests that inherit the service limits group.
-        let group_key = spec
-            .limits
-            .is_none()
-            .then(|| group_fingerprint(&spec.doc, &spec.alphabet, budget));
-        self.pool.admit(
-            Job {
-                plan: Plan::Set {
-                    patterns: spec.patterns,
-                    plans,
-                    alphabet: spec.alphabet,
-                    budget,
-                },
-                doc: spec.doc,
-                group_key,
-                limits: spec.limits,
-                deadline: spec.deadline,
-                stream: false,
-            },
-            block,
-        )
+        self.pool.admit_multi(spec, true)
     }
 
     /// Blocks until the request finishes (completes, or fails its typed
@@ -2130,80 +1853,90 @@ pub fn silence_chaos_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Admits a query set over `doc` whose grouping fingerprint is forced
-    /// to `key`, as two colliding documents would have it.
-    fn admit_set(pool: &Pool, patterns: &[&str], doc: &[u8], key: u64) -> u64 {
-        let alphabet = Alphabet::of_chars("ab");
-        let plans = patterns
-            .iter()
-            .map(|p| CompiledQuery::compile(&compile_regex(p, &alphabet).unwrap()))
-            .collect();
-        let job = Job {
-            plan: Plan::Set {
-                patterns: patterns.iter().map(|p| p.to_string()).collect(),
-                plans,
-                alphabet,
-                budget: pool.cfg.product_budget,
-            },
-            doc: Arc::new(doc.to_vec()),
-            limits: None,
-            deadline: None,
-            stream: false,
-            group_key: Some(key),
-        };
-        pool.admit(job, false).unwrap().0
-    }
+    use crate::chaos::ChaosConfig;
 
     /// Claims and runs every queued pass on this thread (the pool has no
-    /// workers); returns each pass's member count.
-    fn run_queue(pool: &Pool) -> Vec<usize> {
+    /// workers), retries included.
+    fn run_queue(pool: &Pool) {
         let slot = WorkerSlot {
             alive: AtomicBool::new(true),
             abandoned: AtomicBool::new(false),
             busy: Mutex::new(None),
             heartbeat_ms: AtomicU64::new(0),
         };
-        let mut sizes = Vec::new();
         loop {
-            let mut q = lock(&pool.queue);
-            let Some(p) = q.q.pop_front() else {
-                return sizes;
+            let Some(p) = lock(&pool.queue).q.pop_front() else {
+                return;
             };
-            if let Some(pass) = pool.claim(&mut q, p.id, pool.book.now_ms()) {
-                drop(q);
-                sizes.push(pass.members.len());
+            if let Some(pass) = pool.claim(p.id, pool.book.now_ms()) {
                 run_pass(pool, &slot, &pass);
             }
         }
     }
 
+    /// The failures and attempt count that job `id`'s own corrupt rolls
+    /// name over `segments` segments of `cadence` bytes: each retry
+    /// resumes at the segment the last attempt failed on.
+    fn own_rolls(
+        chaos: &ChaosConfig,
+        id: u64,
+        segments: u64,
+        cadence: usize,
+    ) -> (Vec<FailureCause>, u32) {
+        let (mut failures, mut attempt, mut from) = (Vec::new(), 1, 0);
+        while let Some(seg) =
+            (from..segments).find(|&s| chaos.roll(id, attempt, s) == Fault::Corrupt)
+        {
+            let offset = seg as usize * cadence;
+            failures.push(FailureCause::SegmentCorrupted { offset });
+            (attempt, from) = (attempt + 1, seg);
+        }
+        (failures, attempt)
+    }
+
     #[test]
-    fn colliding_group_keys_group_only_equal_documents() {
-        let pool = Pool::new(ServeConfig::default());
-        let patterns = [".*a.*b", ".*b"];
-        let docs: [&[u8]; 3] = [
-            b"<a><b></b></a>",
-            b"<b><a><b/></a><b></b></b>",
-            b"<a><b></b></a>",
-        ];
-        let ids: Vec<u64> = docs
-            .iter()
-            .map(|doc| admit_set(&pool, &patterns, doc, 7))
-            .collect();
-        // The first and last documents are equal bytes in separate
-        // allocations: they share a pass; the colliding second runs alone.
-        assert_eq!(run_queue(&pool), vec![2, 1]);
+    fn a_query_set_jobs_faults_are_its_own() {
+        // Seed 13 corrupts job 1's first attempt at segment 6 and none of
+        // job 2's 14 segments.
+        let chaos = ChaosConfig {
+            seed: 13,
+            panic_per_mille: 0,
+            stall_per_mille: 0,
+            corrupt_per_mille: 50,
+            stall_ms: 0,
+        };
+        let cadence = 64;
+        let cfg = ServeConfig::default()
+            .with_checkpoint_every(cadence)
+            .with_chaos(chaos.clone());
+        let pool = Pool::new(cfg);
+        let doc = Arc::new(b"<a><b></b></a>".repeat(60));
+        let segments = doc.len().div_ceil(cadence) as u64;
         let alphabet = Alphabet::of_chars("ab");
-        for (doc, id) in docs.iter().zip(ids) {
+        let sets: [&[&str]; 2] = [&[".*a.*b", ".*b"], &["a.*", ".*a"]];
+        let ids: Vec<u64> = (sets.iter())
+            .map(|patterns| {
+                let patterns = patterns.iter().map(|p| p.to_string()).collect();
+                let spec = MultiJobSpec::new(patterns, alphabet.clone(), doc.clone());
+                pool.admit_multi(spec, false).unwrap().0
+            })
+            .collect();
+        let own: Vec<_> = (ids.iter())
+            .map(|&id| own_rolls(&chaos, id, segments, cadence))
+            .collect();
+        assert!(!own[0].0.is_empty() && own[1].0.is_empty(), "{own:?}");
+        run_queue(&pool);
+        for ((patterns, id), (failures, attempts)) in sets.iter().zip(ids).zip(own) {
             let want: Vec<Vec<usize>> = (patterns.iter())
                 .map(|p| {
                     let q = CompiledQuery::compile(&compile_regex(p, &alphabet).unwrap());
-                    q.fused(&alphabet).unwrap().select_bytes(doc).unwrap()
+                    q.fused(&alphabet).unwrap().select_bytes(&doc).unwrap()
                 })
                 .collect();
             let report = lock(&pool.book.jobs)[&id].multi_report(id).unwrap();
             assert_eq!(report.results.unwrap(), want, "job {id}");
+            assert_eq!(report.failures, failures, "job {id}");
+            assert_eq!(report.attempts, attempts, "job {id}");
         }
     }
 }
