@@ -734,11 +734,14 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         let report = st_conform::fuzz_stream(&cfg, st_conform::StreamMutation::None);
         eprintln!(
             "fuzz --stream: seed {seed}, {} iteration(s), streamed emission vs \
-             collect-at-end vs DOM oracle",
+             collect-at-end vs DOM oracle, budgeted runs vs the per-event guard",
             report.iters_run
         );
         if report.clean() {
-            println!("agreement: every chunking streams the collect-at-end answer in order");
+            println!(
+                "agreement: every chunking streams the collect-at-end answer in order \
+                 and ends each budgeted run as the per-event guard does"
+            );
             return Ok(());
         }
         for f in &report.failures {

@@ -28,7 +28,10 @@
 //!   by one shared [`st_core::QuerySet`] pass must agree bitwise with N
 //!   independent single-query runs at three product budgets (every
 //!   product, none, and a small one that mixes them), indexed and
-//!   forced-scalar alike.
+//!   forced-scalar alike;
+//! * [`guard`] — the per-event reference for the depth and imbalance
+//!   budgets, against which the streaming oracle checks the byte
+//!   engines' window-checked guard.
 //!
 //! Deliberate engine faults ([`engines::Mutation`]) let the harness test
 //! itself: a fault must be caught *and* shrunk to a small reproducer,
@@ -40,6 +43,7 @@
 pub mod corpus;
 pub mod engines;
 pub mod gen;
+pub mod guard;
 pub mod multi;
 pub mod pattern;
 pub mod runner;

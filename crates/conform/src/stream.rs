@@ -16,6 +16,11 @@
 //! * **Indexed/scalar twin** — the forced-scalar byte path delivers a
 //!   bitwise-identical stream, and on malformed documents the two twins
 //!   fail identically with identical delivered prefixes.
+//! * **Budgets** — under depth, imbalance and byte budgets drawn from the
+//!   case (breaching ones included), every chunking of both twins ends
+//!   with the typed [`LimitExceeded`] the per-event reference
+//!   ([`crate::guard::reference_breach`]) finds, or, when it finds none,
+//!   exactly as the run without the structural budgets does.
 //!
 //! Like the other oracles, the loop can inject deliberate faults
 //! ([`StreamMutation`]) to prove it catches and shrinks real bugs, and
@@ -28,12 +33,14 @@ use st_automata::{compile_regex, Alphabet};
 use st_baseline::dom;
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::prelude::{Limits, Query};
+use st_core::session::{LimitExceeded, SessionError};
 use st_trees::encode::markup_decode;
 use st_trees::xml::Scanner;
 
 use crate::corpus;
 use crate::engines::cuts_for;
 use crate::gen::{case_rng, gen_case, Case};
+use crate::guard::{depth_extent, reference_breach};
 use crate::pattern::Pat;
 use crate::runner::FuzzConfig;
 
@@ -84,9 +91,102 @@ fn streamed_run(fused: &st_core::prelude::FusedQuery, doc: &[u8], chunk: usize) 
     }
 }
 
+/// One session run of `fused` over `doc` under `limits`, cut every
+/// `chunk` bytes: the final matches, or the typed error that ended it.
+fn limited_run(
+    fused: &st_core::prelude::FusedQuery,
+    doc: &[u8],
+    chunk: usize,
+    limits: &Limits,
+) -> Result<Vec<usize>, SessionError> {
+    let mut session = fused.session(limits.clone());
+    let mut prev = 0usize;
+    for cut in cuts_for(chunk, doc.len()).into_iter().chain([doc.len()]) {
+        session.feed(&doc[prev..cut])?;
+        prev = cut;
+    }
+    session.finish().map(|out| out.matches)
+}
+
+/// Budgets drawn from `case` (a pure function of it, so shrinking and
+/// replay see the same draws), centred on the depth extent of the
+/// document so that about a third of them breach: a depth budget from two
+/// below to one above the deepest point, an imbalance budget likewise
+/// around the lowest, and a byte budget somewhere in the document.
+fn limit_draws(case: &Case, alphabet: &Alphabet) -> Vec<Limits> {
+    let (peak, trough) = depth_extent(&case.doc, alphabet);
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in case.pattern.as_bytes().iter().chain(&case.doc) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+    }
+    let mut draw = move |n: u64| {
+        h ^= h << 13;
+        h ^= h >> 7;
+        h ^= h << 17;
+        h % n
+    };
+    let around = |x: i64, d: u64| (x + d as i64 - 2).max(0) as usize;
+    (0..3)
+        .map(|_| {
+            let mut limits = Limits::none();
+            if draw(4) != 0 {
+                limits = limits.with_max_depth(around(peak, draw(4)));
+            }
+            if draw(2) == 0 {
+                limits = limits.with_max_imbalance(around(-trough, draw(4)));
+            }
+            if draw(3) == 0 {
+                limits = limits.with_max_bytes(draw(case.doc.len() as u64 + 1) as usize);
+            }
+            limits
+        })
+        .collect()
+}
+
+/// The budgets axis of [`run_stream_case`]: the first disagreement
+/// between a budgeted session and the per-event reference.
+fn check_budgets(
+    case: &Case,
+    alphabet: &Alphabet,
+    fused: &st_core::prelude::FusedQuery,
+    chunks: &[usize],
+    twin: &str,
+) -> Option<String> {
+    for limits in limit_draws(case, alphabet) {
+        let budgets = format!(
+            "depth {:?} imbalance {:?} bytes {:?}",
+            limits.max_depth, limits.max_imbalance, limits.max_bytes
+        );
+        let breach: Option<LimitExceeded> = reference_breach(&case.doc, alphabet, &limits, 0);
+        let mut unguarded = limits.clone();
+        (unguarded.max_depth, unguarded.max_imbalance) = (None, None);
+        for &s in chunks {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                limited_run(fused, &case.doc, s, &limits)
+            }));
+            let Ok(got) = run else {
+                return Some(format!(
+                    "[{budgets} chunk {s} {twin}] budgeted run panicked"
+                ));
+            };
+            let want = match &breach {
+                Some(b) => Err(SessionError::Limit(b.clone())),
+                None => limited_run(fused, &case.doc, s, &unguarded),
+            };
+            if got != want {
+                return Some(format!(
+                    "[{budgets} chunk {s} {twin}] outcome {got:?} vs per-event reference {want:?}"
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Runs one case through the streamed path at every chunk size, indexed
 /// and forced-scalar, and cross-checks against the collect-at-end run
-/// and the DOM oracle.  Returns the first disagreement, or `None` when
+/// and the DOM oracle, then under drawn budgets against the per-event
+/// reference.  Returns the first disagreement, or `None` when
 /// every view concurs (or the case is inert, e.g. the pattern no longer
 /// compiles after shrinking).
 pub fn run_stream_case(case: &Case, mutation: StreamMutation) -> Option<String> {
@@ -116,6 +216,10 @@ pub fn run_stream_case(case: &Case, mutation: StreamMutation) -> Option<String> 
             Err(_) => return None, // composite table over budget: inert
         };
         let fused = query.fused();
+        let twin = if force_scalar { "scalar" } else { "indexed" };
+        if let Some(detail) = check_budgets(case, &g, fused, &chunks, twin) {
+            return Some(detail);
+        }
         for &s in &chunks {
             let variant = format!(
                 "chunk {s} {}",
@@ -422,6 +526,28 @@ mod tests {
         let report = fuzz_stream(&cfg, StreamMutation::None);
         assert_eq!(report.iters_run, 150);
         assert!(report.clean(), "divergences: {:?}", report.failures);
+    }
+
+    #[test]
+    fn budget_draws_include_breaching_ones() {
+        let cfg = FuzzConfig::default();
+        let (mut draws, mut breaching) = (0usize, 0usize);
+        for iter in 0..100 {
+            let (case, _) = gen_case(&mut case_rng(11, iter), &cfg.gen);
+            let g = Alphabet::of_chars(&case.alphabet);
+            for limits in limit_draws(&case, &g) {
+                draws += 1;
+                breaching += usize::from(reference_breach(&case.doc, &g, &limits, 0).is_some());
+            }
+        }
+        assert!(
+            breaching * 4 >= draws,
+            "{breaching} of {draws} draws breach"
+        );
+        assert!(
+            breaching * 3 <= draws * 2,
+            "{breaching} of {draws} draws breach"
+        );
     }
 
     #[test]
