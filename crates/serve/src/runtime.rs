@@ -1360,6 +1360,11 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A worker's loop.  A panic inside an engine scan unwinds through the
+/// scan without dropping the buffers the scan owns (a pushdown step's
+/// frames; `st_core`'s structural scan documents why), so each such
+/// panic leaks that much; the session's match lists are only lent to
+/// the scan, and the unwind frees them.
 fn worker_main(pool: Arc<Pool>, slot: Arc<WorkerSlot>) {
     let _sentinel = Sentinel(slot.clone());
     while let Some(pass) = next_pass(&pool, &slot) {
