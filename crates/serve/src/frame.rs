@@ -30,7 +30,7 @@
 //! without a code is a compile error.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use st_core::emit::{EmissionCursor, StreamedMatch};
 
@@ -207,6 +207,18 @@ fn bad_payload(detail: impl Into<String>) -> FrameError {
     }
 }
 
+/// Bytes in a frame header: the kind byte and the `u32` payload length.
+const HEADER_LEN: usize = 5;
+
+/// What a failed read or write means: deadline expiry is
+/// [`FrameError::Timeout`], anything else [`FrameError::Io`].
+fn io_error(e: io::Error) -> FrameError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::Timeout,
+        kind => FrameError::Io { kind },
+    }
+}
+
 /// Reads exactly `buf.len()` bytes, mapping end-of-stream to
 /// [`FrameError::Truncated`] and deadline expiry to
 /// [`FrameError::Timeout`].  Hand-rolled (rather than
@@ -219,33 +231,10 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], context: &'static str) -> Result
             Ok(0) => return Err(FrameError::Truncated { context }),
             Ok(n) => at += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(FrameError::Timeout)
-            }
-            Err(e) => return Err(FrameError::Io { kind: e.kind() }),
+            Err(e) => return Err(io_error(e)),
         }
     }
     Ok(())
-}
-
-fn write_full(w: &mut impl Write, buf: &[u8]) -> Result<(), FrameError> {
-    match w.write_all(buf) {
-        Ok(()) => Ok(()),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(FrameError::Timeout)
-        }
-        Err(e) => Err(FrameError::Io { kind: e.kind() }),
-    }
 }
 
 /// Reads and checks the connection preamble.
@@ -270,20 +259,59 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), FrameError> {
 ///
 /// [`FrameError::Timeout`] or [`FrameError::Io`] on transport failure.
 pub fn write_preamble(w: &mut impl Write) -> Result<(), FrameError> {
-    write_full(w, &PREAMBLE)
+    w.write_all(&PREAMBLE).map_err(io_error)
+}
+
+/// The one frame-header reader: asks for all five header bytes in each
+/// `read`, so a header that arrives whole costs one call.  The kind byte
+/// is checked as soon as it arrives and the declared length against
+/// `max_len` before the caller allocates anything.  `Ok(None)` is a
+/// clean end-of-stream before any header byte.
+fn read_header(
+    r: &mut impl Read,
+    max_len: usize,
+) -> Result<Option<(FrameKind, usize)>, FrameError> {
+    let mut header = [0u8; HEADER_LEN];
+    let mut at = 0;
+    while at < HEADER_LEN {
+        match r.read(&mut header[at..]) {
+            Ok(0) if at == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(FrameError::Truncated {
+                    context: "frame length",
+                })
+            }
+            Ok(n) => {
+                if at == 0 {
+                    FrameKind::from_byte(header[0])
+                        .ok_or(FrameError::BadFrameType { byte: header[0] })?;
+                }
+                at += n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
+    }
+    let kind = FrameKind::from_byte(header[0]).expect("kind checked on arrival");
+    let len = u32::from_le_bytes(header[1..].try_into().expect("4 length bytes")) as usize;
+    if len > max_len {
+        return Err(FrameError::TooLarge { len, max: max_len });
+    }
+    Ok(Some((kind, len)))
 }
 
 /// Reads one frame, enforcing `max_len` on the declared payload length
-/// *before* allocating.
+/// *before* allocating.  A whole frame costs two `read` calls (one for
+/// an empty payload), and nothing past the frame is consumed.
 ///
 /// # Errors
 ///
 /// Any [`FrameError`]; end-of-stream anywhere inside the frame is
 /// [`FrameError::Truncated`].
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Frame, FrameError> {
-    let mut kind_byte = [0u8; 1];
-    read_full(r, &mut kind_byte, "frame type")?;
-    read_frame_after_kind(r, kind_byte[0], max_len)
+    read_frame_or_eof(r, max_len)?.ok_or(FrameError::Truncated {
+        context: "frame type",
+    })
 }
 
 /// Like [`read_frame`], but a clean end-of-stream *before any frame
@@ -294,46 +322,16 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Frame, FrameError
 ///
 /// As [`read_frame`], for everything past the first byte.
 pub fn read_frame_or_eof(r: &mut impl Read, max_len: usize) -> Result<Option<Frame>, FrameError> {
-    let mut kind_byte = [0u8; 1];
-    let mut at = 0;
-    while at < 1 {
-        match r.read(&mut kind_byte[at..]) {
-            Ok(0) => return Ok(None),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(FrameError::Timeout)
-            }
-            Err(e) => return Err(FrameError::Io { kind: e.kind() }),
-        }
-    }
-    read_frame_after_kind(r, kind_byte[0], max_len).map(Some)
-}
-
-fn read_frame_after_kind(
-    r: &mut impl Read,
-    kind_byte: u8,
-    max_len: usize,
-) -> Result<Frame, FrameError> {
-    let kind =
-        FrameKind::from_byte(kind_byte).ok_or(FrameError::BadFrameType { byte: kind_byte })?;
-    let mut len_bytes = [0u8; 4];
-    read_full(r, &mut len_bytes, "frame length")?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > max_len {
-        return Err(FrameError::TooLarge { len, max: max_len });
-    }
+    let Some((kind, len)) = read_header(r, max_len)? else {
+        return Ok(None);
+    };
     let mut payload = vec![0u8; len];
     read_full(r, &mut payload, "frame payload")?;
-    Ok(Frame { kind, payload })
+    Ok(Some(Frame { kind, payload }))
 }
 
-/// Writes one frame.
+/// Writes one frame: header and payload leave in one vectored write
+/// (more only if the writer takes part of it).
 ///
 /// # Errors
 ///
@@ -346,22 +344,133 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Resul
             max: u32::MAX as usize,
         });
     }
-    let mut header = [0u8; 5];
+    let mut header = [0u8; HEADER_LEN];
     header[0] = kind.as_byte();
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    write_full(w, &header)?;
-    write_full(w, payload)?;
-    match w.flush() {
-        Ok(()) => Ok(()),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(FrameError::Timeout)
+    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let total = HEADER_LEN + payload.len();
+    let mut at = 0;
+    while at < total {
+        let wrote = if at < HEADER_LEN {
+            w.write_vectored(&[IoSlice::new(&header[at..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[at - HEADER_LEN..])
+        };
+        match wrote {
+            Ok(0) => {
+                return Err(FrameError::Io {
+                    kind: io::ErrorKind::WriteZero,
+                })
+            }
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
         }
-        Err(e) => Err(FrameError::Io { kind: e.kind() }),
+    }
+    w.flush().map_err(io_error)
+}
+
+/// The initial size of a [`FrameReader`]'s buffer: room for a preamble,
+/// a request's opening frame and any small frames sent with it.
+const FRAME_READER_START: usize = 4 << 10;
+
+/// The server's read side of one connection: every frame is parsed out
+/// of one buffer, and one `read` refills it with whatever the socket
+/// holds, so a burst of frames costs one call and a frame's payload is
+/// lent out of the buffer instead of copied into a fresh `Vec`.
+///
+/// The buffer starts at 4 KiB and grows only to fit the largest frame
+/// admitted — header plus payload — after that frame's length has
+/// passed the `max_len` check.  Bytes past the current frame stay
+/// buffered for the next one.  Errors map exactly as [`read_frame`]'s.
+pub(crate) struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// Unparsed bytes are `buf[at..end]`.
+    at: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: vec![0; FRAME_READER_START],
+            at: 0,
+            end: 0,
+        }
+    }
+
+    /// The source the frames are read from.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The next frame, its payload borrowed from the buffer; `Ok(None)`
+    /// on a clean end-of-stream between frames.
+    pub(crate) fn next_frame_or_eof(
+        &mut self,
+        max_len: usize,
+    ) -> Result<Option<(FrameKind, &[u8])>, FrameError> {
+        let Some((kind, len)) = read_header(self, max_len)? else {
+            return Ok(None);
+        };
+        Ok(Some((kind, self.take(len)?)))
+    }
+
+    /// The next frame; end-of-stream anywhere is
+    /// [`FrameError::Truncated`].
+    pub(crate) fn next_frame(&mut self, max_len: usize) -> Result<(FrameKind, &[u8]), FrameError> {
+        self.next_frame_or_eof(max_len)?
+            .ok_or(FrameError::Truncated {
+                context: "frame type",
+            })
+    }
+
+    /// Consumes `len` buffered bytes, reading until that many are
+    /// present.  The room a short buffer makes is sized for this payload
+    /// plus the next frame's header.
+    fn take(&mut self, len: usize) -> Result<&[u8], FrameError> {
+        if self.end - self.at < len {
+            if self.at + len > self.buf.len() {
+                self.buf.copy_within(self.at..self.end, 0);
+                self.end -= self.at;
+                self.at = 0;
+                if HEADER_LEN + len > self.buf.len() {
+                    self.buf.resize(HEADER_LEN + len, 0);
+                }
+            }
+            while self.end - self.at < len {
+                match self.inner.read(&mut self.buf[self.end..]) {
+                    Ok(0) => {
+                        return Err(FrameError::Truncated {
+                            context: "frame payload",
+                        })
+                    }
+                    Ok(n) => self.end += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(io_error(e)),
+                }
+            }
+        }
+        let at = self.at;
+        self.at += len;
+        Ok(&self.buf[at..at + len])
+    }
+}
+
+/// Buffered bytes first; an empty buffer is refilled by one `read` of
+/// whatever the source holds.  The preamble and frame headers are read
+/// through this.
+impl<R: Read> Read for FrameReader<R> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.at == self.end {
+            (self.at, self.end) = (0, 0);
+            self.end = self.inner.read(&mut self.buf)?;
+        }
+        let n = out.len().min(self.end - self.at);
+        out[..n].copy_from_slice(&self.buf[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
     }
 }
 
@@ -822,6 +931,216 @@ mod tests {
         assert_eq!(
             FrameKind::from_byte(FrameKind::MatchPart.as_byte()),
             Some(FrameKind::MatchPart)
+        );
+    }
+
+    /// A source that counts its `read` calls, hands out at most `step`
+    /// bytes per call, and past its bytes either ends or times out.
+    struct CountingReader {
+        bytes: Cursor<Vec<u8>>,
+        step: usize,
+        reads: usize,
+        then_timeout: bool,
+    }
+
+    impl CountingReader {
+        fn new(bytes: Vec<u8>) -> CountingReader {
+            CountingReader {
+                bytes: Cursor::new(bytes),
+                step: usize::MAX,
+                reads: 0,
+                then_timeout: false,
+            }
+        }
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = out.len().min(self.step);
+            match self.bytes.read(&mut out[..n])? {
+                0 if self.then_timeout => Err(io::ErrorKind::WouldBlock.into()),
+                got => Ok(got),
+            }
+        }
+    }
+
+    /// A sink that counts its calls and takes at most `step` bytes per
+    /// call.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        step: usize,
+        writes: usize,
+        vectored: usize,
+    }
+
+    impl CountingWriter {
+        fn new(step: usize) -> CountingWriter {
+            CountingWriter {
+                bytes: Vec::new(),
+                step,
+                writes: 0,
+                vectored: 0,
+            }
+        }
+
+        fn take(&mut self, bufs: &[IoSlice<'_>]) -> usize {
+            let mut room = self.step;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.bytes.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            self.step - room
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Ok(self.take(&[IoSlice::new(buf)]))
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored += 1;
+            Ok(self.take(bufs))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The preamble and one whole request: QUERY, 3 CHUNK, FINISH.
+    fn request_burst() -> Vec<u8> {
+        let mut wire = PREAMBLE.to_vec();
+        wire.extend(frame_bytes(FrameKind::Query, &encode_query("a,b", ".*a")));
+        for seg in [&b"<a><b>"[..], b"</b>", b"</a>"] {
+            wire.extend(frame_bytes(FrameKind::Chunk, seg));
+        }
+        wire.extend(frame_bytes(FrameKind::Finish, &[]));
+        wire
+    }
+
+    #[test]
+    fn a_whole_frame_on_a_raw_stream_costs_two_reads() {
+        let mut r = CountingReader::new(frame_bytes(FrameKind::Chunk, b"<a></a>"));
+        let f = read_frame(&mut r, 1024).unwrap();
+        assert_eq!(
+            (f.kind, f.payload.as_slice()),
+            (FrameKind::Chunk, &b"<a></a>"[..])
+        );
+        assert_eq!(r.reads, 2, "one read for the header, one for the payload");
+    }
+
+    #[test]
+    fn write_frame_is_one_vectored_write() {
+        let mut w = CountingWriter::new(usize::MAX);
+        write_frame(&mut w, FrameKind::Chunk, b"<a></a>").unwrap();
+        assert_eq!((w.vectored, w.writes), (1, 0));
+        let mut wire = vec![FrameKind::Chunk.as_byte(), 7, 0, 0, 0];
+        wire.extend_from_slice(b"<a></a>");
+        assert_eq!(w.bytes, wire);
+    }
+
+    #[test]
+    fn a_writer_taking_one_byte_per_call_gets_the_exact_wire_bytes() {
+        for payload in [&b""[..], b"x", b"<a><b></b></a>"] {
+            let mut w = CountingWriter::new(1);
+            write_frame(&mut w, FrameKind::Chunk, payload).unwrap();
+            let mut wire = vec![FrameKind::Chunk.as_byte()];
+            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            wire.extend_from_slice(payload);
+            assert_eq!(w.bytes, wire);
+            assert_eq!(w.vectored + w.writes, wire.len());
+        }
+    }
+
+    #[test]
+    fn a_request_sent_in_one_burst_parses_with_one_fill() {
+        let mut frames = FrameReader::new(CountingReader::new(request_burst()));
+        read_preamble(&mut frames).unwrap();
+        let mut kinds = Vec::new();
+        let mut doc = Vec::new();
+        loop {
+            let (kind, payload) = frames.next_frame(1024).unwrap();
+            kinds.push(kind);
+            if kind == FrameKind::Chunk {
+                doc.extend_from_slice(payload);
+            }
+            if kind == FrameKind::Finish {
+                break;
+            }
+        }
+        use FrameKind::{Chunk, Finish, Query};
+        assert_eq!(kinds, [Query, Chunk, Chunk, Chunk, Finish]);
+        assert_eq!(doc, b"<a><b></b></a>");
+        assert_eq!(frames.inner.reads, 1);
+        assert_eq!(frames.buf.len(), FRAME_READER_START, "no growth");
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_grows_it_to_header_plus_payload() {
+        let payload = vec![b'x'; 3 * FRAME_READER_START];
+        let mut frames =
+            FrameReader::new(CountingReader::new(frame_bytes(FrameKind::Chunk, &payload)));
+        let (kind, got) = frames.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!((kind, got), (FrameKind::Chunk, payload.as_slice()));
+        assert_eq!(frames.buf.len(), HEADER_LEN + payload.len());
+    }
+
+    #[test]
+    fn a_header_over_the_maximum_is_refused_before_any_growth() {
+        let mut wire = vec![FrameKind::Chunk.as_byte()];
+        wire.extend_from_slice(&(DEFAULT_MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        let mut frames = FrameReader::new(CountingReader::new(wire));
+        assert_eq!(
+            frames.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap_err(),
+            FrameError::TooLarge {
+                len: DEFAULT_MAX_FRAME_LEN + 1,
+                max: DEFAULT_MAX_FRAME_LEN
+            }
+        );
+        assert_eq!(frames.buf.len(), FRAME_READER_START);
+    }
+
+    #[test]
+    fn bytes_past_a_frame_survive_for_the_next_frame() {
+        // Seven bytes per read: every frame boundary lands inside a read.
+        let big = vec![b'y'; FRAME_READER_START + 3];
+        let mut wire = frame_bytes(FrameKind::Chunk, b"<a>");
+        wire.extend(frame_bytes(FrameKind::Chunk, &big));
+        wire.extend(frame_bytes(FrameKind::Chunk, b"</a>"));
+        let mut source = CountingReader::new(wire);
+        source.step = 7;
+        let mut frames = FrameReader::new(source);
+        assert_eq!(frames.next_frame(1 << 16).unwrap().1, b"<a>");
+        assert_eq!(frames.next_frame(1 << 16).unwrap().1, big.as_slice());
+        assert_eq!(frames.next_frame(1 << 16).unwrap().1, b"</a>");
+        assert_eq!(frames.next_frame_or_eof(1 << 16).unwrap(), None);
+    }
+
+    #[test]
+    fn the_connection_buffer_maps_errors_as_the_raw_codec_does() {
+        let wire = frame_bytes(FrameKind::Chunk, b"payload");
+        for cut in 0..wire.len() {
+            let raw = read_frame(&mut Cursor::new(&wire[..cut]), 1024).unwrap_err();
+            let mut frames = FrameReader::new(Cursor::new(&wire[..cut]));
+            assert_eq!(frames.next_frame(1024).unwrap_err(), raw, "cut at {cut}");
+            // A deadline after partial progress is still a timeout.
+            let stalled = || {
+                let mut source = CountingReader::new(wire[..cut].to_vec());
+                source.then_timeout = true;
+                source
+            };
+            assert_eq!(read_frame(&mut stalled(), 1024), Err(FrameError::Timeout));
+            let mut frames = FrameReader::new(stalled());
+            assert_eq!(frames.next_frame(1024).unwrap_err(), FrameError::Timeout);
+        }
+        let mut frames = FrameReader::new(Cursor::new([0x7f, 0, 0, 0, 0]));
+        assert_eq!(
+            frames.next_frame(1024).unwrap_err(),
+            FrameError::BadFrameType { byte: 0x7f }
         );
     }
 

@@ -6,8 +6,8 @@
 //! [`crate::runtime`]), driven on its connection's thread: each CHUNK is
 //! one pass step, FINISH the completion check, and the reply settles the
 //! job.  No request's work crosses threads, and a connection holds its
-//! session, one frame and its job's match store, never the document.
-//! Connection-level robustness is the point:
+//! session, one frame buffer and its job's match store, never the
+//! document.  Connection-level robustness is the point:
 //!
 //! * **Deadlines.**  Every connection carries read and write deadlines
 //!   (socket timeouts); expiry surfaces as a typed error
@@ -26,9 +26,10 @@
 //!   (`SLOW_CLIENT`), so a trickling client cannot squat a handler and
 //!   budget bytes indefinitely.
 //! * **Bounded buffers.**  The frame codec validates lengths before
-//!   allocating; per-connection memory is bounded by
-//!   [`NetConfig::max_frame_len`] plus the session state and the job's
-//!   match store.
+//!   allocating.  A connection reads through one buffer that grows only
+//!   to its largest admitted frame, so per-connection memory is bounded
+//!   by [`NetConfig::max_frame_len`] plus the session state and the
+//!   job's match store.
 //! * **Graceful drain.**  [`NetServer::begin_drain`] refuses new
 //!   connections and new requests; in-flight requests checkpoint and
 //!   finish.  [`NetServer::shutdown`] drains, waits up to
@@ -62,8 +63,8 @@ use crate::frame::{
     decode_error, decode_match_part, decode_matches, decode_matches_with_cursor,
     decode_multi_matches, decode_multi_query, decode_query, encode_error, encode_match_part,
     encode_matches, encode_matches_with_cursor, encode_multi_matches, encode_multi_query,
-    encode_query, read_frame, read_frame_or_eof, read_preamble, write_frame, write_preamble,
-    FrameError, FrameKind, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
+    encode_query, read_frame, read_preamble, write_frame, write_preamble, FrameError, FrameKind,
+    FrameReader, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
 };
 use crate::runtime::{Book, PassSession, ServeObs, Store, Tally};
 
@@ -404,6 +405,11 @@ struct NetCounters {
     /// reply (sub-millisecond requests land in their own log2 bucket).
     request_latency_ns: Histogram,
     request_bytes: Histogram,
+    /// Clock nanoseconds to read each CHUNK or FINISH frame of a request
+    /// out of the connection buffer, refills included.
+    frame_read_ns: Histogram,
+    /// Clock nanoseconds to write each reply frame.
+    reply_write_ns: Histogram,
 }
 
 impl NetCounters {
@@ -424,6 +430,8 @@ impl NetCounters {
             checkpoints: Tally::new(obs, "net_checkpoints_total"),
             request_latency_ns: obs.histogram("net_request_latency_ns"),
             request_bytes: obs.histogram("net_request_doc_bytes"),
+            frame_read_ns: obs.histogram("net_frame_read_ns"),
+            reply_write_ns: obs.histogram("net_reply_write_ns"),
         }
     }
 }
@@ -468,6 +476,36 @@ impl NetInner {
             NetError::ShuttingDown | NetError::Engine(_) => return,
         };
         cause.add(1);
+    }
+
+    /// The clock reading a stage timing starts from: `None`, and no
+    /// clock read, when metrics are off.
+    fn stage_start(&self) -> Option<u64> {
+        self.cfg.obs.is_enabled().then(|| self.book.now_ns())
+    }
+
+    /// Records the stage that began at `start` into `stage`.
+    fn stage_end(&self, stage: &Histogram, start: Option<u64>) {
+        if let Some(start) = start {
+            stage.record(self.book.now_ns().saturating_sub(start));
+        }
+    }
+
+    /// Writes one reply frame to the client; an expired write deadline
+    /// is a typed [`NetError::WriteTimeout`].
+    fn write_reply(
+        &self,
+        mut out: &TcpStream,
+        kind: FrameKind,
+        payload: &[u8],
+    ) -> Result<(), NetError> {
+        let start = self.stage_start();
+        let wrote = write_frame(&mut out, kind, payload);
+        self.stage_end(&self.c.reply_write_ns, start);
+        wrote.map_err(|e| match e {
+            FrameError::Timeout => NetError::WriteTimeout,
+            other => NetError::Frame(other),
+        })
     }
 }
 
@@ -687,22 +725,19 @@ fn accept_loop(inner: &Arc<NetInner>, listener: &TcpListener, stop: &AtomicBool)
     }
 }
 
-fn handle_conn(inner: &Arc<NetInner>, mut stream: TcpStream, conn: u64) {
+fn handle_conn(inner: &Arc<NetInner>, stream: TcpStream, conn: u64) {
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
     inner.c.conns_open.add(1);
     inner.cfg.obs.trace(TraceEvent::ConnOpened { conn });
-    let reason = match conn_loop(inner, &mut stream) {
+    let reason = match conn_loop(inner, &stream) {
         Ok(reason) => reason,
         Err(e) => {
             inner.count_failure(&e);
             // Best-effort typed goodbye; the transport may already be gone.
-            let _ = write_frame(
-                &mut stream,
-                FrameKind::Error,
-                &encode_error(e.wire_code(), &e.to_string()),
-            );
+            let goodbye = encode_error(e.wire_code(), &e.to_string());
+            let _ = inner.write_reply(&stream, FrameKind::Error, &goodbye);
             e.class()
         }
     };
@@ -750,13 +785,15 @@ impl Request {
 /// a polite shutdown; `Err` closes the connection after a typed error
 /// frame.  Any request-level error closes the connection — a client
 /// whose stream position is ambiguous cannot be safely resynchronized.
-fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static str, NetError> {
-    read_preamble(stream)?;
+/// Every read goes through the connection's one [`FrameReader`].
+fn conn_loop(inner: &Arc<NetInner>, stream: &TcpStream) -> Result<&'static str, NetError> {
+    let mut frames = FrameReader::new(stream);
+    read_preamble(&mut frames)?;
     loop {
         if inner.draining.load(Ordering::SeqCst) {
             return Err(NetError::ShuttingDown);
         }
-        let Some(frame) = read_frame_or_eof(stream, inner.cfg.max_frame_len)? else {
+        let Some((kind, payload)) = frames.next_frame_or_eof(inner.cfg.max_frame_len)? else {
             return Ok("eof");
         };
         // Re-check after the (possibly long) blocking read: a request
@@ -765,10 +802,10 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
         if inner.draining.load(Ordering::SeqCst) {
             return Err(NetError::ShuttingDown);
         }
-        let compiled = match frame.kind {
+        let compiled = match kind {
             FrameKind::Query | FrameKind::StreamQuery => {
-                let (csv, pattern) = decode_query(&frame.payload)?;
-                let parts = frame.kind == FrameKind::StreamQuery;
+                let (csv, pattern) = decode_query(payload)?;
+                let parts = kind == FrameKind::StreamQuery;
                 parse_alphabet(&csv).and_then(|alphabet| {
                     let query = inner.cache.get_or_compile(&pattern, &alphabet);
                     Ok(Request::Single {
@@ -778,7 +815,7 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
                 })
             }
             FrameKind::MultiQuery => {
-                let (csv, patterns) = decode_multi_query(&frame.payload)?;
+                let (csv, patterns) = decode_multi_query(payload)?;
                 let members = patterns.len();
                 let alphabet = if members > MAX_SET_MEMBERS {
                     Err(bad_query(format!(
@@ -807,7 +844,7 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
         };
         let request = match compiled {
             Ok(r) => r,
-            Err(e) => return Err(drain_then_fail(inner, stream, e)),
+            Err(e) => return Err(drain_then_fail(inner, &mut frames, e)),
         };
         inner.c.requests.add(1);
         let limits = inner.cfg.budget.session_limits_for(None, &inner.cfg.obs);
@@ -820,9 +857,9 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &mut TcpStream) -> Result<&'static s
         };
         match &request {
             Request::Single { query, .. } => {
-                serve(inner, stream, &request, id, query.session(limits))
+                serve(inner, &mut frames, &request, id, query.session(limits))
             }
-            Request::Multi(set) => serve(inner, stream, &request, id, set.session(limits)),
+            Request::Multi(set) => serve(inner, &mut frames, &request, id, set.session(limits)),
         }
         .inspect_err(|e| ticket.cause = e.class())?;
     }
@@ -838,8 +875,8 @@ fn bad_query(e: impl fmt::Display) -> NetError {
     }
 }
 
-/// Consumes the rest of a doomed request's upload (unbudgeted, frames
-/// dropped on arrival), then reports `err`.
+/// Consumes the rest of a doomed request's upload (unbudgeted, each
+/// frame skipped inside the connection buffer), then reports `err`.
 ///
 /// Why drain at all: erroring out *mid-upload* closes the socket with
 /// unread client data in flight, which TCP answers with a reset — and a
@@ -854,13 +891,17 @@ fn bad_query(e: impl fmt::Display) -> NetError {
 /// [`NetConfig::max_frame_len`], gaps by the read deadline, and total
 /// volume by eight max-size frames, past which the failure is reported
 /// immediately.
-fn drain_then_fail(inner: &NetInner, stream: &mut TcpStream, err: NetError) -> NetError {
+fn drain_then_fail(
+    inner: &NetInner,
+    frames: &mut FrameReader<&TcpStream>,
+    err: NetError,
+) -> NetError {
     let cap = inner.cfg.max_frame_len.saturating_mul(8);
     let mut drained = 0usize;
     loop {
-        match read_frame(stream, inner.cfg.max_frame_len) {
-            Ok(f) if f.kind == FrameKind::Chunk => {
-                drained += f.payload.len();
+        match frames.next_frame(inner.cfg.max_frame_len) {
+            Ok((FrameKind::Chunk, payload)) => {
+                drained += payload.len();
                 if drained > cap {
                     return err;
                 }
@@ -870,15 +911,6 @@ fn drain_then_fail(inner: &NetInner, stream: &mut TcpStream, err: NetError) -> N
             Ok(_) | Err(_) => return err,
         }
     }
-}
-
-/// Writes one frame to the client; an expired write deadline is a typed
-/// [`NetError::WriteTimeout`].
-fn write_reply(stream: &mut TcpStream, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
-    write_frame(stream, kind, payload).map_err(|e| match e {
-        FrameError::Timeout => NetError::WriteTimeout,
-        other => NetError::Frame(other),
-    })
 }
 
 /// A failed pass step as the edge reports it.  An edge job never resumes
@@ -926,20 +958,22 @@ impl Drop for Ticket<'_> {
 /// toward a peer that is not reading.
 fn serve<S: PassSession>(
     inner: &NetInner,
-    stream: &mut TcpStream,
+    frames: &mut FrameReader<&TcpStream>,
     request: &Request,
     id: u64,
     session: S,
 ) -> Result<(), NetError> {
-    let (book, queries) = (&inner.book, request.queries());
+    let (book, queries, out) = (&inner.book, request.queries(), *frames.get_ref());
     let parts = matches!(request, Request::Single { parts: true, .. });
     let mut run = (book.start((id, 1), queries, parts, false, Ok(session))).map_err(pass_error)?;
     let (started_ns, mut fed, mut sent) = (book.now_ns(), 0u64, 0);
     loop {
-        let frame = read_frame(stream, inner.cfg.max_frame_len)?;
-        match frame.kind {
+        let read_start = inner.stage_start();
+        let (kind, payload) = frames.next_frame(inner.cfg.max_frame_len)?;
+        inner.stage_end(&inner.c.frame_read_ns, read_start);
+        match kind {
             FrameKind::Chunk => {
-                let n = frame.payload.len();
+                let n = payload.len();
                 if n == 0 {
                     return Err(NetError::Frame(FrameError::BadPayload {
                         detail: "empty CHUNK frame".to_owned(),
@@ -969,26 +1003,30 @@ fn serve<S: PassSession>(
                         });
                     }
                 }
-                match book.step(&mut run, &frame.payload, false) {
+                match book.step(&mut run, payload, false) {
                     Ok(minted) => inner.c.checkpoints.add(u64::from(minted)),
                     // Content-determined failure mid-upload: swallow the
                     // rest so the typed error outlives the connection
                     // teardown (see `drain_then_fail`).
-                    Err(cause) => return Err(drain_then_fail(inner, stream, pass_error(cause))),
+                    Err(cause) => return Err(drain_then_fail(inner, frames, pass_error(cause))),
                 }
                 if parts {
-                    let batch = book.emitted(id, sent).unwrap_or_default();
-                    let part = encode_match_part(sent as u64, &batch);
-                    sent += batch.len();
-                    write_reply(stream, FrameKind::MatchPart, &part)?;
+                    // Encoded straight off the ledger, under its lock.
+                    let start = sent as u64;
+                    let part = book.with_emitted(id, sent, |batch| {
+                        sent += batch.len();
+                        encode_match_part(start, batch)
+                    });
+                    let part = part.unwrap_or_else(|| encode_match_part(start, &[]));
+                    inner.write_reply(out, FrameKind::MatchPart, &part)?;
                 }
             }
             FrameKind::Finish => {
-                if !frame.payload.is_empty() {
+                if !payload.is_empty() {
                     return Err(NetError::Frame(FrameError::BadPayload {
                         detail: format!(
                             "FINISH carries {} payload byte(s); it must be empty",
-                            frame.payload.len()
+                            payload.len()
                         ),
                     }));
                 }
@@ -1005,7 +1043,7 @@ fn serve<S: PassSession>(
                 inner.c.request_latency_ns.record(latency_ns);
                 inner.c.completed.add(1);
                 let (kind, payload) = request.reply(&lists.unwrap_or_default(), cursor);
-                return write_reply(stream, kind, &payload);
+                return inner.write_reply(out, kind, &payload);
             }
             other => {
                 return Err(NetError::Protocol {
@@ -1088,6 +1126,12 @@ impl NetClient {
     }
 
     /// The raw socket, for tests that tear frames or disconnect.
+    ///
+    /// The client never reads ahead: each reply is read header first,
+    /// then exactly its payload, so no byte of a later frame sits in a
+    /// client-side buffer.  A caller may therefore read frames straight
+    /// off this socket with [`crate::frame::read_frame`] and go on with
+    /// the client's own methods after.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
         &mut self.stream
     }

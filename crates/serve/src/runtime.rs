@@ -872,9 +872,21 @@ impl<J> Book<J> {
 
     /// Job `id`'s delivered matches from stream position `start` on.
     pub(crate) fn emitted(&self, id: u64, start: usize) -> Option<Vec<StreamedMatch>> {
+        self.with_emitted(id, start, <[StreamedMatch]>::to_vec)
+    }
+
+    /// Runs `f` on job `id`'s delivered matches from stream position
+    /// `start` on, under the book's lock, so a caller can encode them
+    /// without copying them out first.
+    pub(crate) fn with_emitted<R>(
+        &self,
+        id: u64,
+        start: usize,
+        f: impl FnOnce(&[StreamedMatch]) -> R,
+    ) -> Option<R> {
         let jobs = lock(&self.jobs);
         let ledger = jobs.get(&id)?.store.ledger();
-        Some(ledger.get(start..).unwrap_or_default().to_vec())
+        Some(f(ledger.get(start..).unwrap_or_default()))
     }
 
     /// Starts a pass of `(job, attempt)` with `queries` match lists:

@@ -497,3 +497,47 @@ fn edge_requests_join_the_trace_as_jobs() {
         obs.trace_for_job(jobs[2])
     );
 }
+
+/// The number of samples in histogram `name`, once it reaches `want` or
+/// two seconds pass (a reply's write is timed after the client has it).
+fn samples(obs: &ObsHandle, name: &str, want: u64) -> u64 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    loop {
+        let got = obs.snapshot().histogram(name).map_or(0, |h| h.count);
+        if got >= want || std::time::Instant::now() >= deadline {
+            return got;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn frame_reads_and_reply_writes_are_timed_per_frame() {
+    let doc = b"<a><b></b><b><a></a></b></a>";
+    let chunk = doc.len().div_ceil(3);
+    assert_eq!(doc.chunks(chunk).count(), 3);
+
+    // QUERY: 3 CHUNK + FINISH read, one MATCHES written.
+    let obs = ObsHandle::new();
+    let server =
+        NetServer::bind("127.0.0.1:0", NetConfig::default().with_obs(obs.clone())).unwrap();
+    let mut c = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let reply = c.query(".*a", "a,b", doc, chunk).unwrap();
+    assert_eq!(reply, NetResponse::Matches(clean(".*a", "ab", doc)));
+    assert_eq!(samples(&obs, "net_frame_read_ns", 4), 4);
+    assert_eq!(samples(&obs, "net_reply_write_ns", 1), 1);
+
+    // STREAMQUERY: the same reads, a MATCH_PART per CHUNK and the final
+    // MATCHES written.
+    let obs = ObsHandle::new();
+    let server =
+        NetServer::bind("127.0.0.1:0", NetConfig::default().with_obs(obs.clone())).unwrap();
+    let mut c = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let reply = c.stream_query(".*a", "a,b", doc, chunk, |_| {}).unwrap();
+    assert!(
+        matches!(reply, NetResponse::StreamMatches { .. }),
+        "{reply:?}"
+    );
+    assert_eq!(samples(&obs, "net_frame_read_ns", 4), 4);
+    assert_eq!(samples(&obs, "net_reply_write_ns", 4), 4);
+}
