@@ -2019,17 +2019,13 @@ impl FusedQuery {
         }
     }
 
-    /// Fuses a registerless query DFA (over Γ ∪ Γ̄) with the byte lexer.
-    ///
-    /// Prefer [`crate::query::Query::compile`], which lets the planner
-    /// choose the backend; this constructor stays public for callers
-    /// that already hold a markup DFA.
+    /// Fuses a registerless query DFA (over Γ ∪ Γ̄) with the byte lexer;
+    /// the planner's constructor for that backend.
     ///
     /// # Errors
     ///
     /// See [`ByteDfa::new`].
-    #[doc(hidden)]
-    pub fn registerless(dfa: &Dfa, alphabet: &Alphabet) -> Result<FusedQuery, CoreError> {
+    pub(crate) fn registerless(dfa: &Dfa, alphabet: &Alphabet) -> Result<FusedQuery, CoreError> {
         Ok(FusedQuery::new(
             alphabet,
             FusedBackend::Registerless(ByteDfa::new(dfa, alphabet)?),
@@ -2037,9 +2033,7 @@ impl FusedQuery {
     }
 
     /// Fuses a Lemma 3.8 depth-register program with the byte lexer.
-    /// Prefer [`crate::query::Query::compile`].
-    #[doc(hidden)]
-    pub fn stackless(program: HarMarkupProgram, alphabet: &Alphabet) -> FusedQuery {
+    pub(crate) fn stackless(program: HarMarkupProgram, alphabet: &Alphabet) -> FusedQuery {
         FusedQuery::new(
             alphabet,
             FusedBackend::Stackless(FusedHar {
@@ -2050,9 +2044,8 @@ impl FusedQuery {
     }
 
     /// Fuses the pushdown fallback (over the minimal automaton of L) with
-    /// the byte lexer.  Prefer [`crate::query::Query::compile`].
-    #[doc(hidden)]
-    pub fn stack(dfa: &Dfa, alphabet: &Alphabet) -> FusedQuery {
+    /// the byte lexer.
+    pub(crate) fn stack(dfa: &Dfa, alphabet: &Alphabet) -> FusedQuery {
         FusedQuery::new(
             alphabet,
             FusedBackend::Stack(FusedStack {
@@ -2135,23 +2128,12 @@ impl FusedQuery {
     ///
     /// The `Scanner`'s diagnostic if the document is malformed.
     pub fn select_bytes(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        self.select_bytes_stats(bytes, &mut ScanStats::default())
-    }
-
-    /// [`Self::select_bytes`] exposing the structural-index window
-    /// tallies (experiment harness / obs plumbing).
-    #[doc(hidden)]
-    pub fn select_bytes_stats(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-    ) -> Result<Vec<usize>, TreeError> {
         let sink = one_shot(
             EngineStep::fresh(self),
             self.tag_lexer(),
             &self.alphabet,
             bytes,
-            stats,
+            &mut ScanStats::default(),
             SelectSink::default(),
         )?;
         Ok(sink.into_matches())

@@ -847,19 +847,8 @@ impl QuerySet {
     ///
     /// The same structural diagnostics as the single-query engines.
     pub fn count_all(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        self.count_all_stats(bytes).map(|(c, _)| c)
-    }
-
-    /// [`Self::count_all`] plus the structural-index window tallies of
-    /// the pass.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_all`].
-    pub fn count_all_stats(&self, bytes: &[u8]) -> Result<(Vec<usize>, ScanStats), TreeError> {
         let counts = vec![0; self.members.len()];
-        let (emit, stats) = self.run_emit(bytes, CountEmit { counts })?;
-        Ok((emit.counts, stats))
+        Ok(self.run_emit(bytes, CountEmit { counts })?.counts)
     }
 
     /// Per-query selected node ids (document order) from one pass.
@@ -869,24 +858,11 @@ impl QuerySet {
     ///
     /// As for [`Self::count_all`].
     pub fn select_all(&self, bytes: &[u8]) -> Result<Vec<Vec<usize>>, TreeError> {
-        self.select_all_stats(bytes).map(|(s, _)| s)
-    }
-
-    /// [`Self::select_all`] plus the structural-index window tallies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_all`].
-    pub fn select_all_stats(
-        &self,
-        bytes: &[u8],
-    ) -> Result<(Vec<Vec<usize>>, ScanStats), TreeError> {
         let sel = vec![Vec::new(); self.members.len()];
-        let (emit, stats) = self.run_emit(bytes, SelectEmit { sel })?;
-        Ok((emit.sel, stats))
+        Ok(self.run_emit(bytes, SelectEmit { sel })?.sel)
     }
 
-    fn run_emit<E: Emit>(&self, bytes: &[u8], mut emit: E) -> Result<(E, ScanStats), TreeError> {
+    fn run_emit<E: Emit>(&self, bytes: &[u8], mut emit: E) -> Result<E, TreeError> {
         let mut walk = Walk {
             node: 0,
             depth: 0,
@@ -898,7 +874,7 @@ impl QuerySet {
         match self.drive(
             &mut state, bytes, TEXT, certify, &mut walk, &mut emit, &mut stats,
         ) {
-            ScanEnd::Complete { lex: TEXT } => Ok((emit, stats)),
+            ScanEnd::Complete { lex: TEXT } => Ok(emit),
             // Any failure re-scans cold for the exact single-query
             // diagnostic (same offset and message as `Query::count`).
             _ => Err(rescan_error(bytes, &self.alphabet)),

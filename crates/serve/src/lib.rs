@@ -52,12 +52,9 @@ pub use net::{NetClient, NetConfig, NetError, NetResponse, NetServer, NetStats};
 #[cfg(feature = "chaos")]
 pub use netchaos::{NetChaosConfig, NetFault};
 #[cfg(feature = "chaos")]
-pub use netsoak::{
-    run_net_soak, NetRequestOutcome, NetSoakConfig, NetSoakDivergence, NetSoakReport,
-};
+pub use netsoak::{run_net_soak, NetRequestOutcome, NetSoakConfig, NetSoakReport};
 pub use runtime::{
-    silence_chaos_panics, JobId, JobReport, JobSpec, MultiJobReport, MultiJobSpec, PathTaken,
-    ServeRuntime, ServeStats,
+    silence_chaos_panics, JobId, JobReport, JobSpec, PathTaken, Plan, ServeRuntime, ServeStats,
 };
 #[cfg(feature = "chaos")]
 pub use soak::{run_soak, RequestOutcome, SoakConfig, SoakDivergence, SoakReport};

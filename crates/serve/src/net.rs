@@ -1197,13 +1197,7 @@ impl NetClient {
             FrameKind::MultiMatches => Ok(NetResponse::MultiMatches(decode_multi_matches(
                 &frame.payload,
             )?)),
-            FrameKind::Error => {
-                let (code, message) = decode_error(&frame.payload)?;
-                Ok(NetResponse::ServerError { code, message })
-            }
-            other => Err(FrameError::BadPayload {
-                detail: format!("server sent a {other:?} frame as a reply"),
-            }),
+            other => error_reply(other, &frame.payload, "a reply"),
         }
     }
 
@@ -1227,20 +1221,14 @@ impl NetClient {
     /// One full *streaming* round trip: stream-query, then for each
     /// `chunk`-byte document frame one `MatchPart` reply (handed to
     /// `on_part` as it arrives — this is the earliest-delivery surface),
-    /// then finish and the final cursor-carrying reply.
-    ///
-    /// Before returning, the accumulated parts are verified against the
-    /// server's final answer three ways: their node ids must equal the
-    /// final match list, the parts must tile the stream exactly (each
-    /// starting where the previous ended), and their FNV-1a digest must
-    /// equal the server's cursor digest.  Any disagreement is a typed
-    /// [`FrameError::BadPayload`] — a corrupted or reordered stream can
-    /// never be silently accepted.
+    /// then [`NetClient::finish_stream`], which verifies the parts
+    /// against the final reply.
     ///
     /// # Errors
     ///
-    /// Transport failures as [`FrameError`]; server-side failures come
-    /// back as `Ok(NetResponse::ServerError { .. })`.
+    /// As [`NetClient::read_stream_part`] and [`NetClient::finish_stream`];
+    /// server-side failures come back as
+    /// `Ok(NetResponse::ServerError { .. })`.
     pub fn stream_query(
         &mut self,
         pattern: &str,
@@ -1250,69 +1238,88 @@ impl NetClient {
         mut on_part: impl FnMut(&[StreamedMatch]),
     ) -> Result<NetResponse, FrameError> {
         self.send_stream_query(pattern, alphabet_csv)?;
-        let mut parts: Vec<StreamedMatch> = Vec::new();
+        let mut parts = Vec::new();
         for seg in doc.chunks(chunk.max(1)) {
             self.send_chunk(seg)?;
             // Lock step: exactly one reply per chunk, read before the
             // next chunk goes out, so neither side blocks on a full
             // socket buffer.
-            let frame = read_frame(&mut self.stream, RESPONSE_MAX_FRAME_LEN)?;
-            match frame.kind {
-                FrameKind::MatchPart => {
-                    let (start, batch) = decode_match_part(&frame.payload)?;
-                    if start != parts.len() as u64 {
-                        return Err(FrameError::BadPayload {
-                            detail: format!(
-                                "MATCH_PART starts at {start} but {} match(es) \
-                                 were received so far",
-                                parts.len()
-                            ),
-                        });
-                    }
-                    on_part(&batch);
-                    parts.extend_from_slice(&batch);
-                }
-                FrameKind::Error => {
-                    let (code, message) = decode_error(&frame.payload)?;
-                    return Ok(NetResponse::ServerError { code, message });
-                }
-                other => {
-                    return Err(FrameError::BadPayload {
-                        detail: format!("server sent a {other:?} frame as a stream part"),
-                    })
-                }
+            let from = parts.len();
+            if let Some(failure) = self.read_stream_part(&mut parts)? {
+                return Ok(failure);
             }
+            on_part(&parts[from..]);
         }
+        self.finish_stream(parts)
+    }
+
+    /// Reads the one reply a streamed chunk owes: a `MatchPart`, appended
+    /// to `parts` (the matches received so far), or the server's typed
+    /// failure, returned as `Some(NetResponse::ServerError { .. })`.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures; a part that does not start where `parts`
+    /// ends, or a reply of any other kind, is a
+    /// [`FrameError::BadPayload`].
+    pub fn read_stream_part(
+        &mut self,
+        parts: &mut Vec<StreamedMatch>,
+    ) -> Result<Option<NetResponse>, FrameError> {
+        let frame = read_frame(&mut self.stream, RESPONSE_MAX_FRAME_LEN)?;
+        if frame.kind != FrameKind::MatchPart {
+            return error_reply(frame.kind, &frame.payload, "a stream part").map(Some);
+        }
+        let (start, batch) = decode_match_part(&frame.payload)?;
+        if start != parts.len() as u64 {
+            return Err(FrameError::BadPayload {
+                detail: format!(
+                    "MATCH_PART starts at {start} but {} match(es) were received so far",
+                    parts.len()
+                ),
+            });
+        }
+        parts.extend(batch);
+        Ok(None)
+    }
+
+    /// Closes a streamed document and reads the final, cursor-carrying
+    /// reply.  `parts` (every match [`NetClient::read_stream_part`]
+    /// received) are verified against it three ways: their node ids must
+    /// equal the final match list, the parts must tile the stream
+    /// exactly (checked as each arrived), and their FNV-1a digest must
+    /// equal the server's cursor digest.  Any disagreement is a typed
+    /// [`FrameError::BadPayload`] — a corrupted or reordered stream can
+    /// never be silently accepted.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and failed checks as [`FrameError`];
+    /// server-side failures come back as
+    /// `Ok(NetResponse::ServerError { .. })`.
+    pub fn finish_stream(&mut self, parts: Vec<StreamedMatch>) -> Result<NetResponse, FrameError> {
         self.send_finish()?;
         let frame = read_frame(&mut self.stream, RESPONSE_MAX_FRAME_LEN)?;
-        match frame.kind {
-            FrameKind::Matches => {
-                let (ids, cursor) = decode_matches_with_cursor(&frame.payload)?;
-                let reference = EmissionCursor::over(&parts);
-                if reference != cursor {
-                    return Err(FrameError::BadPayload {
-                        detail: format!(
-                            "stream parts (count {}, digest {:#018x}) disagree with \
-                             the final cursor (count {}, digest {:#018x})",
-                            reference.count, reference.digest, cursor.count, cursor.digest
-                        ),
-                    });
-                }
-                if parts.iter().map(|m| m.node).ne(ids.iter().copied()) {
-                    return Err(FrameError::BadPayload {
-                        detail: "stream parts do not equal the final match list".to_owned(),
-                    });
-                }
-                Ok(NetResponse::StreamMatches { ids, parts, cursor })
-            }
-            FrameKind::Error => {
-                let (code, message) = decode_error(&frame.payload)?;
-                Ok(NetResponse::ServerError { code, message })
-            }
-            other => Err(FrameError::BadPayload {
-                detail: format!("server sent a {other:?} frame as a stream reply"),
-            }),
+        if frame.kind != FrameKind::Matches {
+            return error_reply(frame.kind, &frame.payload, "a stream reply");
         }
+        let (ids, cursor) = decode_matches_with_cursor(&frame.payload)?;
+        let reference = EmissionCursor::over(&parts);
+        if reference != cursor {
+            return Err(FrameError::BadPayload {
+                detail: format!(
+                    "stream parts (count {}, digest {:#018x}) disagree with \
+                     the final cursor (count {}, digest {:#018x})",
+                    reference.count, reference.digest, cursor.count, cursor.digest
+                ),
+            });
+        }
+        if parts.iter().map(|m| m.node).ne(ids.iter().copied()) {
+            return Err(FrameError::BadPayload {
+                detail: "stream parts do not equal the final match list".to_owned(),
+            });
+        }
+        Ok(NetResponse::StreamMatches { ids, parts, cursor })
     }
 
     /// One full round trip: query, document in `chunk`-byte frames,
@@ -1360,6 +1367,18 @@ impl NetClient {
         self.send_finish()?;
         self.read_response()
     }
+}
+
+/// A reply of `kind` where `expected` was due: an `Error` frame's typed
+/// failure, anything else a [`FrameError::BadPayload`].
+fn error_reply(kind: FrameKind, payload: &[u8], expected: &str) -> Result<NetResponse, FrameError> {
+    if kind != FrameKind::Error {
+        return Err(FrameError::BadPayload {
+            detail: format!("server sent a {kind:?} frame as {expected}"),
+        });
+    }
+    let (code, message) = decode_error(payload)?;
+    Ok(NetResponse::ServerError { code, message })
 }
 
 #[cfg(test)]

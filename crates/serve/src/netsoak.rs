@@ -30,19 +30,15 @@ use std::io::Write;
 use std::time::Duration;
 
 use st_conform::gen::GenConfig;
-use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::plancache::PlanCacheStats;
 use st_obs::ObsHandle;
 
 use crate::config::ServiceBudget;
 use crate::error::codes;
-use crate::frame::{
-    decode_error, decode_match_part, decode_matches_with_cursor, read_frame, FrameKind,
-    RESPONSE_MAX_FRAME_LEN,
-};
+use crate::frame::{FrameError, FrameKind};
 use crate::net::{NetClient, NetConfig, NetResponse, NetServer, NetStats};
 use crate::netchaos::{NetChaosConfig, NetFault};
-use crate::soak::{prepare, Prepared};
+use crate::soak::{prepare, Prepared, SoakDivergence};
 
 /// Parameters of one network soak run.  Everything that influences
 /// behaviour is here, so `(NetSoakConfig, seed)` fully reproduces a
@@ -163,35 +159,6 @@ pub enum NetRequestOutcome {
     GaveUp,
 }
 
-/// A violation of the front-end contract, with everything needed to
-/// reproduce it.
-#[derive(Clone, Debug)]
-pub struct NetSoakDivergence {
-    /// Index of the request in the generation stream (`case_rng(seed,
-    /// request)` regenerates its case).
-    pub request: u64,
-    /// The case's query pattern.
-    pub pattern: String,
-    /// The case's alphabet characters.
-    pub alphabet: String,
-    /// The case's document bytes.
-    pub doc: Vec<u8>,
-    /// What disagreed with what.
-    pub detail: String,
-}
-
-impl NetSoakDivergence {
-    /// A self-contained text reproducer (hex document, regeneration
-    /// coordinates) suitable for a CI artifact.
-    pub fn reproducer(&self, seed: u64) -> String {
-        let hex: String = self.doc.iter().map(|b| format!("{b:02x}")).collect();
-        format!(
-            "seed = {}\nrequest = {}\npattern = {}\nalphabet = {}\ndoc_hex = {}\ndetail = {}\n",
-            seed, self.request, self.pattern, self.alphabet, hex, self.detail
-        )
-    }
-}
-
 /// The result of one network soak run.
 #[derive(Clone, Debug)]
 pub struct NetSoakReport {
@@ -211,7 +178,8 @@ pub struct NetSoakReport {
     /// original reply).
     pub resends: usize,
     /// Contract violations.  Empty on a healthy front-end.
-    pub divergences: Vec<NetSoakDivergence>,
+    /// Their `job` is `None`: the edge keeps no job ids.
+    pub divergences: Vec<SoakDivergence>,
     /// Final server counters.
     pub stats: NetStats,
     /// Final plan-cache counters (duplicate patterns and resends hit).
@@ -280,47 +248,25 @@ enum AttemptEnd {
     Faulted,
 }
 
-/// Reads the one lock-step reply a streamed chunk owes: a `MatchPart`
-/// (appended to `parts` after its start position is verified) or an
-/// `Error` frame.  `Ok(None)` means the part was consumed and the upload
-/// continues; `Ok(Some(end))` ends the attempt; `Err(())` is a
-/// transport-level fault (reconnect and retry).
-fn read_stream_part(
-    client: &mut NetClient,
-    parts: &mut Vec<StreamedMatch>,
-) -> Result<Option<AttemptEnd>, ()> {
-    match read_frame(client.stream_mut(), RESPONSE_MAX_FRAME_LEN) {
-        Ok(f) if f.kind == FrameKind::MatchPart => match decode_match_part(&f.payload) {
-            Ok((start, batch)) if start == parts.len() as u64 => {
-                parts.extend_from_slice(&batch);
-                Ok(None)
-            }
-            Ok((start, _)) => Ok(Some(AttemptEnd::TypedFailure(
-                0,
-                format!(
-                    "MATCH_PART starts at {start}, {} part(s) received so far",
-                    parts.len()
-                ),
-            ))),
-            Err(e) => Ok(Some(AttemptEnd::TypedFailure(
-                0,
-                format!("malformed MATCH_PART: {e}"),
-            ))),
+/// How a reply ends an attempt.  A transport fault or a transient
+/// service condition is retried on a fresh connection; a reply the
+/// client's own checks refuse (a mis-tiled part, a cursor or node-id
+/// disagreement, a garbage frame) is a divergence, never retried away.
+fn attempt_end(reply: Result<NetResponse, FrameError>) -> AttemptEnd {
+    match reply {
+        Ok(NetResponse::Matches(ids) | NetResponse::StreamMatches { ids, .. }) => {
+            AttemptEnd::Completed(ids)
+        }
+        Ok(NetResponse::MultiMatches(_)) => AttemptEnd::TypedFailure(
+            0,
+            "server answered a single query with the wrong reply shape".into(),
+        ),
+        Ok(NetResponse::ServerError { code, message }) => match code {
+            codes::READ_TIMEOUT | codes::WRITE_TIMEOUT | codes::OVERLOADED => AttemptEnd::Faulted,
+            _ => AttemptEnd::TypedFailure(code, message),
         },
-        Ok(f) if f.kind == FrameKind::Error => match decode_error(&f.payload) {
-            Ok((code, message)) => {
-                if matches!(
-                    code,
-                    codes::READ_TIMEOUT | codes::WRITE_TIMEOUT | codes::OVERLOADED
-                ) {
-                    Err(())
-                } else {
-                    Ok(Some(AttemptEnd::TypedFailure(code, message)))
-                }
-            }
-            Err(_) => Err(()),
-        },
-        _ => Err(()),
+        Err(FrameError::BadPayload { detail }) => AttemptEnd::TypedFailure(0, detail),
+        Err(_) => AttemptEnd::Faulted,
     }
 }
 
@@ -362,27 +308,17 @@ fn play_attempt(
     if sent.is_err() {
         return AttemptEnd::Faulted;
     }
-    let mut parts: Vec<StreamedMatch> = Vec::new();
+    let mut parts = Vec::new();
     let segs: Vec<&[u8]> = p.case.doc.chunks(cfg.segment_bytes.max(1)).collect();
     // One roll per segment boundary, plus one before FINISH, so faults
     // can land anywhere in the upload including its very end.
-    for (s, seg) in segs.iter().enumerate() {
+    for s in 0..=segs.len() {
+        let seg = segs.get(s).copied();
         match cfg.chaos.roll(request, attempt, s as u64) {
-            NetFault::None => {
-                if client.send_chunk(seg).is_err() {
-                    return AttemptEnd::Faulted;
-                }
-                if stream {
-                    match read_stream_part(&mut client, &mut parts) {
-                        Ok(None) => {}
-                        Ok(Some(end)) => return end,
-                        Err(()) => return AttemptEnd::Faulted,
-                    }
-                }
-            }
+            NetFault::None => {}
             NetFault::Disconnect => return AttemptEnd::Faulted,
             NetFault::Torn => {
-                send_torn_chunk(&mut client, seg);
+                send_torn_chunk(&mut client, seg.unwrap_or(b"x"));
                 return AttemptEnd::Faulted;
             }
             NetFault::Stall => {
@@ -390,91 +326,23 @@ fn play_attempt(
                 return AttemptEnd::Faulted;
             }
         }
-    }
-    match cfg.chaos.roll(request, attempt, segs.len() as u64) {
-        NetFault::None => {}
-        NetFault::Disconnect => return AttemptEnd::Faulted,
-        NetFault::Torn => {
-            send_torn_chunk(&mut client, b"x");
+        let Some(seg) = seg else { break };
+        if client.send_chunk(seg).is_err() {
             return AttemptEnd::Faulted;
         }
-        NetFault::Stall => {
-            std::thread::sleep(Duration::from_millis(cfg.chaos.stall_ms));
-            return AttemptEnd::Faulted;
-        }
-    }
-    if client.send_finish().is_err() {
-        return AttemptEnd::Faulted;
-    }
-    if stream {
-        // The final MATCHES reply carries the emission cursor.  The
-        // parts collected in lock-step must tile the final list exactly
-        // and hash to the server's digest — a disagreement here is a
-        // retraction or a duplicate, never something to retry away.
-        return match read_frame(client.stream_mut(), RESPONSE_MAX_FRAME_LEN) {
-            Ok(f) if f.kind == FrameKind::Matches => match decode_matches_with_cursor(&f.payload) {
-                Ok((ids, cursor)) => {
-                    if EmissionCursor::over(&parts) != cursor {
-                        AttemptEnd::TypedFailure(
-                            0,
-                            format!(
-                                "stream cursor mismatch: {} part(s) do not hash to the \
-                                     server's final cursor",
-                                parts.len()
-                            ),
-                        )
-                    } else if parts.iter().map(|m| m.node).ne(ids.iter().copied()) {
-                        AttemptEnd::TypedFailure(
-                            0,
-                            format!(
-                                "streamed parts {:?} != final matches {ids:?}",
-                                parts.iter().map(|m| m.node).collect::<Vec<_>>()
-                            ),
-                        )
-                    } else {
-                        AttemptEnd::Completed(ids)
-                    }
-                }
-                Err(e) => AttemptEnd::TypedFailure(0, format!("bad final stream reply: {e}")),
-            },
-            Ok(f) if f.kind == FrameKind::Error => match decode_error(&f.payload) {
-                Ok((code, message)) => {
-                    if matches!(
-                        code,
-                        codes::READ_TIMEOUT | codes::WRITE_TIMEOUT | codes::OVERLOADED
-                    ) {
-                        AttemptEnd::Faulted
-                    } else {
-                        AttemptEnd::TypedFailure(code, message)
-                    }
-                }
-                Err(_) => AttemptEnd::Faulted,
-            },
-            _ => AttemptEnd::Faulted,
-        };
-    }
-    match client.read_response() {
-        Ok(NetResponse::Matches(ids)) => AttemptEnd::Completed(ids),
-        Ok(NetResponse::MultiMatches(_) | NetResponse::StreamMatches { .. }) => {
-            AttemptEnd::TypedFailure(
-                0,
-                "server answered a plain query with the wrong reply shape".into(),
-            )
-        }
-        Ok(NetResponse::ServerError { code, message }) => {
-            // Transient service-side conditions are retried; everything
-            // else is the request's typed end.
-            if matches!(
-                code,
-                codes::READ_TIMEOUT | codes::WRITE_TIMEOUT | codes::OVERLOADED
-            ) {
-                AttemptEnd::Faulted
-            } else {
-                AttemptEnd::TypedFailure(code, message)
+        if stream {
+            if let Some(reply) = client.read_stream_part(&mut parts).transpose() {
+                return attempt_end(reply);
             }
         }
-        Err(_) => AttemptEnd::Faulted,
     }
+    // A streamed reply is verified against the parts collected in lock
+    // step before it counts as completed.
+    attempt_end(if stream {
+        client.finish_stream(parts)
+    } else {
+        client.send_finish().and_then(|()| client.read_response())
+    })
 }
 
 /// Runs one network chaos soak and checks the front-end contract.  See
@@ -489,7 +357,7 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
     let addr = server.local_addr().to_string();
 
     let mut outcomes = Vec::with_capacity(prepared.len() + 1);
-    let mut divergences: Vec<NetSoakDivergence> = Vec::new();
+    let mut divergences = Vec::new();
     let mut completed = 0usize;
     let mut typed_failures = 0usize;
     let mut chaos_retries = 0u64;
@@ -497,11 +365,12 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
     let mut resends = 0usize;
 
     for (i, p) in prepared.iter().enumerate() {
-        let diverge = |detail: String| NetSoakDivergence {
+        let diverge = |detail: String| SoakDivergence {
             request: i as u64,
             pattern: p.case.pattern.clone(),
             alphabet: p.case.alphabet.clone(),
             doc: p.case.doc.clone(),
+            job: None,
             detail,
         };
         let mut outcome = NetRequestOutcome::GaveUp;
@@ -595,11 +464,12 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
                 outcomes.push(NetRequestOutcome::Failed(code));
             }
             other => {
-                divergences.push(NetSoakDivergence {
+                divergences.push(SoakDivergence {
                     request: cfg.requests,
                     pattern: ".*a".to_owned(),
                     alphabet: "ab".to_owned(),
                     doc: Vec::new(),
+                    job: None,
                     detail: format!("oversized request did not REJECT: {other:?}"),
                 });
                 outcomes.push(NetRequestOutcome::GaveUp);
@@ -617,11 +487,12 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> NetSoakReport {
                     .map_err(|e| e.to_string())
             });
         if end != Ok(NetResponse::Matches(vec![0])) {
-            divergences.push(NetSoakDivergence {
+            divergences.push(SoakDivergence {
                 request: cfg.requests + 1,
                 pattern: ".*a".to_owned(),
                 alphabet: "ab".to_owned(),
                 doc: b"<a><b></b></a>".to_vec(),
+                job: None,
                 detail: format!("post-chaos clean request failed: {end:?}"),
             });
         }

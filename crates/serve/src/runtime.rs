@@ -22,6 +22,10 @@
 //!   └───────────┘
 //! ```
 //!
+//! A request is one [`JobSpec`] over a [`Plan`]: one fused query, or a
+//! query set whose members share one pass.  Its [`JobReport`] carries
+//! the match set and, for a set, each member's own (`per_query`).
+//!
 //! The `Book` holds what a job *is*: admission into it, the one
 //! in-flight byte budget, each job's record with its one match store and
 //! resume point, the pass step, the completion check and the end of the
@@ -53,13 +57,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
-use st_core::planner::CompiledQuery;
-use st_core::queryset::{
-    QuerySet, QuerySetCheckpoint, QuerySetSession, DEFAULT_PRODUCT_BUDGET, MAX_SET_MEMBERS,
-};
+use st_core::queryset::{QuerySet, QuerySetCheckpoint, QuerySetSession};
 use st_core::session::{
     monotonic_clock, ClockFn, EngineCheckpoint, EngineSession, Limits, SessionError,
 };
@@ -86,11 +86,43 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// One request: a compiled query and the document to run it over.
+/// What a job evaluates.
+#[derive(Clone)]
+pub enum Plan {
+    /// One fused query: the report's `result` is its match set.
+    Query(Arc<FusedQuery>),
+    /// A query set, run in one shared pass: the report's `per_query`
+    /// holds each member's match set and `result` their union.
+    Set(Arc<QuerySet>),
+}
+
+impl From<Arc<FusedQuery>> for Plan {
+    fn from(query: Arc<FusedQuery>) -> Plan {
+        Plan::Query(query)
+    }
+}
+
+impl From<Arc<QuerySet>> for Plan {
+    fn from(set: Arc<QuerySet>) -> Plan {
+        Plan::Set(set)
+    }
+}
+
+impl Plan {
+    /// How many match lists the plan yields.
+    fn queries(&self) -> usize {
+        match self {
+            Plan::Query(_) => 1,
+            Plan::Set(set) => set.len(),
+        }
+    }
+}
+
+/// One request: a plan and the document to run it over.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// The fused engine to evaluate (shared across requests).
-    pub query: Arc<FusedQuery>,
+    /// What to evaluate (shared across requests).
+    pub plan: Plan,
     /// The document bytes (shared with retries and checkpoint resumes).
     pub doc: Arc<Vec<u8>>,
     /// Per-session limits; `None` inherits
@@ -107,15 +139,17 @@ pub struct JobSpec {
     /// Whether the submitter consumes the match stream incrementally
     /// (polling [`ServeRuntime::emitted_prefix`] while the request
     /// runs).  Streamed requests get a supervisor-side emission ledger
-    /// with exactly-once replay dedup across failovers.
+    /// with exactly-once replay dedup across failovers.  Only a
+    /// [`Plan::Query`] streams: a streamed [`Plan::Set`] is refused at
+    /// admission.
     pub stream: bool,
 }
 
 impl JobSpec {
     /// A request with inherited service-level limits.
-    pub fn new(query: Arc<FusedQuery>, doc: impl Into<Arc<Vec<u8>>>) -> JobSpec {
+    pub fn new(plan: impl Into<Plan>, doc: impl Into<Arc<Vec<u8>>>) -> JobSpec {
         JobSpec {
-            query,
+            plan: plan.into(),
             doc: doc.into(),
             limits: None,
             deadline: None,
@@ -142,57 +176,6 @@ impl JobSpec {
     }
 }
 
-/// One multi-query request: a set of path patterns over one alphabet,
-/// plus the document to run them all over.
-///
-/// The request runs as one [`QuerySet`] pass of its own, with per-query
-/// results ([`ServeRuntime::wait_multi`]).  Like single-query requests,
-/// multi-query requests checkpoint, resume mid-document after a fault,
-/// and take injected chaos.
-#[derive(Clone)]
-pub struct MultiJobSpec {
-    /// The path patterns to evaluate (the per-query result order).
-    pub patterns: Vec<String>,
-    /// The label alphabet the patterns are compiled over.
-    pub alphabet: Alphabet,
-    /// The document bytes (shared with retries).
-    pub doc: Arc<Vec<u8>>,
-    /// Per-session limits; `None` inherits
-    /// [`crate::ServiceBudget::session_limits`].
-    pub limits: Option<Limits>,
-    /// Admission deadline; see [`JobSpec::deadline`].
-    pub deadline: Option<Duration>,
-}
-
-impl MultiJobSpec {
-    /// A multi-query request with inherited limits.
-    pub fn new(
-        patterns: Vec<String>,
-        alphabet: Alphabet,
-        doc: impl Into<Arc<Vec<u8>>>,
-    ) -> MultiJobSpec {
-        MultiJobSpec {
-            patterns,
-            alphabet,
-            doc: doc.into(),
-            limits: None,
-            deadline: None,
-        }
-    }
-
-    /// Overrides the inherited limits for this request.
-    pub fn with_limits(mut self, limits: Limits) -> MultiJobSpec {
-        self.limits = Some(limits);
-        self
-    }
-
-    /// Sets the queueing deadline (relative to admission).
-    pub fn with_deadline(mut self, deadline: Duration) -> MultiJobSpec {
-        self.deadline = Some(deadline);
-        self
-    }
-}
-
 /// Which evaluation path ultimately served a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathTaken {
@@ -208,8 +191,12 @@ pub enum PathTaken {
 pub struct JobReport {
     /// The request's id.
     pub id: JobId,
-    /// Match set (document-order node ids) or the typed terminal error.
+    /// Match set (document-order node ids) or the typed terminal error;
+    /// a query set's is the union of its members' match sets.
     pub result: Result<Vec<usize>, ServeError>,
+    /// A completed [`Plan::Set`]'s match set per member, in set order.
+    /// Empty for a [`Plan::Query`] and for a failed request.
+    pub per_query: Vec<Vec<usize>>,
     /// Attempts spent (1 + retries).
     pub attempts: u32,
     /// Checkpoint resumes performed (a resume means a later attempt
@@ -228,23 +215,6 @@ pub struct JobReport {
     /// the ledger suppressed instead of re-delivering (the exactly-once
     /// dedup at work; 0 on an uninterrupted run).
     pub suppressed: u64,
-}
-
-/// The final record of one multi-query request, with per-query match
-/// attribution.  Collected with [`ServeRuntime::wait_multi`].
-#[derive(Clone, Debug)]
-pub struct MultiJobReport {
-    /// The request's id.
-    pub id: JobId,
-    /// Per-pattern match sets (document-order node ids), in the order
-    /// the [`MultiJobSpec`] listed its patterns, or the typed terminal
-    /// error.  A single-query request queried this way reports its one
-    /// match set as a one-entry list.
-    pub results: Result<Vec<Vec<usize>>, ServeError>,
-    /// Attempts spent (1 + retries).
-    pub attempts: u32,
-    /// Every non-terminal failure absorbed along the way, oldest first.
-    pub failures: Vec<FailureCause>,
 }
 
 /// Counters exposed by [`ServeRuntime::stats`] / [`ServeRuntime::shutdown`].
@@ -324,46 +294,6 @@ enum Status {
     Done(Result<(), ServeError>),
 }
 
-/// What a job evaluates.
-enum Plan {
-    /// One fused query.
-    Query(Arc<FusedQuery>),
-    /// A query set, built at admission.
-    Set(Box<QuerySet>),
-}
-
-impl Plan {
-    /// How many match lists the plan yields.
-    fn queries(&self) -> usize {
-        match self {
-            Plan::Query(_) => 1,
-            Plan::Set(set) => set.len(),
-        }
-    }
-}
-
-/// A request as the runtime holds it; [`JobSpec`] and [`MultiJobSpec`]
-/// build it.
-struct Job {
-    plan: Plan,
-    doc: Arc<Vec<u8>>,
-    limits: Option<Limits>,
-    deadline: Option<Duration>,
-    stream: bool,
-}
-
-impl From<JobSpec> for Job {
-    fn from(spec: JobSpec) -> Job {
-        Job {
-            plan: Plan::Query(spec.query),
-            doc: spec.doc,
-            limits: spec.limits,
-            deadline: spec.deadline,
-            stream: spec.stream,
-        }
-    }
-}
-
 /// A checkpoint of either session kind.
 #[derive(Clone)]
 pub(crate) enum PassCheckpoint {
@@ -433,7 +363,7 @@ impl Store {
 }
 
 /// One job's record in a [`Book`].  `J` is what a job carries beyond
-/// its record: the pool's queued [`Job`], nothing at the edge.
+/// its record: the pool's queued [`JobSpec`], nothing at the edge.
 struct JobState<J> {
     job: J,
     /// Current attempt number (1-based); see [`live`].
@@ -462,34 +392,26 @@ struct JobState<J> {
     suppressed: u64,
 }
 
-impl<J> JobState<J> {
+impl JobState<Arc<JobSpec>> {
     /// The stored answer as a [`JobReport`].
     fn report(&self, id: u64) -> Option<JobReport> {
         let Status::Done(result) = &self.status else {
             return None;
         };
+        let per_query = match (&self.job.plan, result) {
+            (Plan::Set(_), Ok(())) => self.store.lists(),
+            _ => Vec::new(),
+        };
         Some(JobReport {
             id: JobId(id),
             result: result.clone().map(|()| self.store.matches()),
+            per_query,
             attempts: self.attempt,
             resumes: self.resumes,
             path: PathTaken::Session,
             failures: self.failures.clone(),
             emitted: self.store.ledger().to_vec(),
             suppressed: self.suppressed,
-        })
-    }
-
-    /// The stored answer as a [`MultiJobReport`].
-    fn multi_report(&self, id: u64) -> Option<MultiJobReport> {
-        let Status::Done(result) = &self.status else {
-            return None;
-        };
-        Some(MultiJobReport {
-            id: JobId(id),
-            results: result.clone().map(|()| self.store.lists()),
-            attempts: self.attempt,
-            failures: self.failures.clone(),
         })
     }
 }
@@ -539,7 +461,7 @@ struct WorkerSlot {
 struct Pass {
     /// `(job, attempt)`.
     attempt: (u64, u32),
-    job: Arc<Job>,
+    job: Arc<JobSpec>,
     /// The job's last checkpoint, when the pass continues from it.
     checkpoint: Option<PassCheckpoint>,
 }
@@ -1085,7 +1007,7 @@ impl<J> Book<J> {
 /// [`ServeRuntime`] has a pool.
 struct Pool {
     cfg: ServeConfig,
-    book: Book<Arc<Job>>,
+    book: Book<Arc<JobSpec>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
 }
@@ -1116,7 +1038,7 @@ impl Pool {
     /// [`ServeError::DeadlineExpired`], no worker time spent.  Returns
     /// whether the request was expired (false when it is not queued,
     /// carries no deadline, or is not yet due).
-    fn expire_if_due(&self, job: u64, st: &mut JobState<Arc<Job>>, now_ms: u64) -> bool {
+    fn expire_if_due(&self, job: u64, st: &mut JobState<Arc<JobSpec>>, now_ms: u64) -> bool {
         let due =
             matches!(st.status, Status::Queued) && st.deadline_ms.is_some_and(|d| now_ms >= d);
         if due {
@@ -1165,9 +1087,17 @@ impl Pool {
     }
 
     /// Admits a request into the queue and the book, or sheds or
-    /// rejects it.
-    fn admit(&self, job: Job, block: bool) -> Result<JobId, ServeError> {
+    /// rejects it.  A streamed query set is rejected: a set streams
+    /// nothing, so its ledger check could only fail.
+    fn admit(&self, job: JobSpec, block: bool) -> Result<JobId, ServeError> {
         let (pool, book) = (self, &self.book);
+        let reject = |reason| {
+            book.obs.rejected.add(1);
+            Err(ServeError::Rejected { reason })
+        };
+        if job.stream && matches!(job.plan, Plan::Set(_)) {
+            return reject("a query set streams nothing; submit it unstreamed".to_owned());
+        }
         let doc_len = job.doc.len();
         // Lock order everywhere: queue before jobs.
         let mut q = lock(&pool.queue);
@@ -1197,17 +1127,14 @@ impl Pool {
                 .0;
         }
         if let Err(Refusal { held, budget, .. }) = book.reserve(None, doc_len, Duration::ZERO) {
-            book.obs.rejected.add(1);
             book.obs.trace(TraceEvent::BudgetReject {
                 requested: doc_len as u64,
                 held: held as u64,
                 budget: budget as u64,
             });
-            return Err(ServeError::Rejected {
-                reason: format!(
-                    "in-flight byte budget: {held} held + {doc_len} requested > {budget}"
-                ),
-            });
+            return reject(format!(
+                "in-flight byte budget: {held} held + {doc_len} requested > {budget}"
+            ));
         }
         let (stream, queries, deadline) = (job.stream, job.plan.queries(), job.deadline);
         let id = book.enter(Arc::new(job), doc_len, stream, queries, deadline);
@@ -1221,44 +1148,10 @@ impl Pool {
         Ok(JobId(id))
     }
 
-    /// Validates a query-set request's patterns, builds its set and
-    /// admits it.
-    fn admit_multi(&self, spec: MultiJobSpec, block: bool) -> Result<JobId, ServeError> {
-        let reject = |reason| {
-            self.book.obs.rejected.add(1);
-            Err(ServeError::Rejected { reason })
-        };
-        let n = spec.patterns.len();
-        if n > MAX_SET_MEMBERS {
-            return reject(format!(
-                "{n} patterns; a query set holds at most {MAX_SET_MEMBERS}"
-            ));
-        }
-        let mut plans = Vec::with_capacity(n);
-        for (i, p) in spec.patterns.iter().enumerate() {
-            match compile_regex(p, &spec.alphabet) {
-                Ok(dfa) => plans.push(CompiledQuery::compile(&dfa)),
-                Err(e) => return reject(format!("pattern {i} ({p:?}) failed to compile: {e}")),
-            }
-        }
-        let members = (spec.patterns.iter()).map(|p| Some(p.as_str())).zip(&plans);
-        let set = QuerySet::from_plans(members, &spec.alphabet, DEFAULT_PRODUCT_BUDGET);
-        self.admit(
-            Job {
-                plan: Plan::Set(Box::new(set)),
-                doc: spec.doc,
-                limits: spec.limits,
-                deadline: spec.deadline,
-                stream: false,
-            },
-            block,
-        )
-    }
-
     /// [`Book::conclude`], then a wake of the pool without the queue lock
     /// (claims expire requests under it); a drain that misses the notify
     /// sees the last request end at its next poll tick.
-    fn conclude(&self, job: u64, st: &mut JobState<Arc<Job>>, result: Result<(), ServeError>) {
+    fn conclude(&self, job: u64, st: &mut JobState<Arc<JobSpec>>, result: Result<(), ServeError>) {
         self.book.conclude(job, st, result);
         self.queue_cv.notify_all();
     }
@@ -1690,15 +1583,15 @@ impl ServeRuntime {
     }
 
     /// Submits a request.  Admission control applies: a full queue sheds
-    /// with [`ServeError::Overloaded`], a blown service byte budget
-    /// refuses with [`ServeError::Rejected`].
+    /// with [`ServeError::Overloaded`], a blown service byte budget or a
+    /// streamed [`Plan::Set`] is refused with [`ServeError::Rejected`].
     ///
     /// # Errors
     ///
     /// [`ServeError::Overloaded`], [`ServeError::Rejected`], or
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.pool.admit(spec.into(), false)
+        self.pool.admit(spec, false)
     }
 
     /// Like [`Self::submit`] but waits for queue space instead of
@@ -1708,30 +1601,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::Rejected`] or [`ServeError::ShuttingDown`].
     pub fn submit_blocking(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        self.pool.admit(spec.into(), true)
-    }
-
-    /// Submits a multi-query request.  Every pattern is validated and the
-    /// request's [`st_core::QuerySet`] built at admission; the request
-    /// then runs as one pass of its own.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] when a pattern fails to compile or the
-    /// byte budget is blown, [`ServeError::Overloaded`], or
-    /// [`ServeError::ShuttingDown`].
-    pub fn submit_multi(&self, spec: MultiJobSpec) -> Result<JobId, ServeError> {
-        self.pool.admit_multi(spec, false)
-    }
-
-    /// Like [`Self::submit_multi`] but waits for queue space instead of
-    /// shedding.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] or [`ServeError::ShuttingDown`].
-    pub fn submit_multi_blocking(&self, spec: MultiJobSpec) -> Result<JobId, ServeError> {
-        self.pool.admit_multi(spec, true)
+        self.pool.admit(spec, true)
     }
 
     /// Blocks until the request finishes (completes, or fails its typed
@@ -1741,28 +1611,12 @@ impl ServeRuntime {
     ///
     /// [`ServeError::UnknownJob`] for an id this runtime never issued.
     pub fn wait(&self, id: JobId) -> Result<JobReport, ServeError> {
-        self.wait_for(id, JobState::report)
-    }
-
-    /// The report of a finished request, or `None` while it is still
-    /// queued or running.
-    pub fn try_report(&self, id: JobId) -> Option<JobReport> {
-        lock(&self.pool.book.jobs).get(&id.0)?.report(id.0)
-    }
-
-    /// Blocks until `project` reads a report off the request's state,
-    /// which it does once the request finished.
-    fn wait_for<R>(
-        &self,
-        id: JobId,
-        project: impl Fn(&JobState<Arc<Job>>, u64) -> Option<R>,
-    ) -> Result<R, ServeError> {
         let mut jobs = lock(&self.pool.book.jobs);
         loop {
             let Some(st) = jobs.get(&id.0) else {
                 return Err(ServeError::UnknownJob { id: id.0 });
             };
-            if let Some(report) = project(st, id.0) {
+            if let Some(report) = st.report(id.0) {
                 return Ok(report);
             }
             jobs = self
@@ -1773,6 +1627,12 @@ impl ServeRuntime {
                 .unwrap_or_else(|p| p.into_inner())
                 .0;
         }
+    }
+
+    /// The report of a finished request, or `None` while it is still
+    /// queued or running.
+    pub fn try_report(&self, id: JobId) -> Option<JobReport> {
+        lock(&self.pool.book.jobs).get(&id.0)?.report(id.0)
     }
 
     /// The matches delivered so far to a streamed request, from stream
@@ -1793,23 +1653,6 @@ impl ServeRuntime {
         (self.pool.book)
             .emitted(id.0, start)
             .ok_or(ServeError::UnknownJob { id: id.0 })
-    }
-
-    /// Blocks until the request finishes and returns its report with
-    /// per-query match attribution.  For a request submitted via
-    /// [`Self::submit`] the single result set is returned as one entry.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownJob`] for an id this runtime never issued.
-    pub fn wait_multi(&self, id: JobId) -> Result<MultiJobReport, ServeError> {
-        self.wait_for(id, JobState::multi_report)
-    }
-
-    /// The per-query report of a finished request, or `None` while it is
-    /// still queued or running.
-    pub fn try_multi_report(&self, id: JobId) -> Option<MultiJobReport> {
-        lock(&self.pool.book.jobs).get(&id.0)?.multi_report(id.0)
     }
 
     /// A snapshot of the runtime counters.
@@ -1871,6 +1714,8 @@ pub fn silence_chaos_panics() {
 mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
+    use st_automata::Alphabet;
+    use st_core::query::Query;
 
     /// Claims and runs every queued pass on this thread (the pool has no
     /// workers), retries included.
@@ -1933,9 +1778,8 @@ mod tests {
         let sets: [&[&str]; 2] = [&[".*a.*b", ".*b"], &["a.*", ".*a"]];
         let ids: Vec<u64> = (sets.iter())
             .map(|patterns| {
-                let patterns = patterns.iter().map(|p| p.to_string()).collect();
-                let spec = MultiJobSpec::new(patterns, alphabet.clone(), doc.clone());
-                pool.admit_multi(spec, false).unwrap().0
+                let set = Arc::new(QuerySet::compile(patterns, &alphabet).unwrap());
+                pool.admit(JobSpec::new(set, doc.clone()), false).unwrap().0
             })
             .collect();
         let own: Vec<_> = (ids.iter())
@@ -1945,13 +1789,11 @@ mod tests {
         run_queue(&pool);
         for ((patterns, id), (failures, attempts)) in sets.iter().zip(ids).zip(own) {
             let want: Vec<Vec<usize>> = (patterns.iter())
-                .map(|p| {
-                    let q = CompiledQuery::compile(&compile_regex(p, &alphabet).unwrap());
-                    q.fused(&alphabet).unwrap().select_bytes(&doc).unwrap()
-                })
+                .map(|p| Query::compile(p, &alphabet).unwrap().select(&doc).unwrap())
                 .collect();
-            let report = lock(&pool.book.jobs)[&id].multi_report(id).unwrap();
-            assert_eq!(report.results.unwrap(), want, "job {id}");
+            let report = lock(&pool.book.jobs)[&id].report(id).unwrap();
+            assert!(report.result.is_ok(), "job {id}");
+            assert_eq!(report.per_query, want, "job {id}");
             assert_eq!(report.failures, failures, "job {id}");
             assert_eq!(report.attempts, attempts, "job {id}");
         }

@@ -191,8 +191,9 @@ pub enum RequestOutcome {
     Skipped,
 }
 
-/// A violation of the recovery contract, with everything needed to
-/// reproduce it.
+/// A violation of the recovery contract (of the pool, or of the TCP
+/// edge under [`crate::netsoak`]), with everything needed to reproduce
+/// it.
 #[derive(Clone, Debug)]
 pub struct SoakDivergence {
     /// Index of the request in the generation stream (`case_rng(seed,
@@ -205,7 +206,7 @@ pub struct SoakDivergence {
     /// The case's document bytes.
     pub doc: Vec<u8>,
     /// The runtime [`crate::JobId`] the request ran under (`None` for
-    /// skipped requests).  With an observability handle attached
+    /// skipped requests and at the edge, which keeps no job ids).  With an observability handle attached
     /// ([`SoakConfig::with_obs`]), `ObsHandle::trace_for_job(job)` is
     /// the post-mortem: the supervisor-decision trace of exactly this
     /// request.

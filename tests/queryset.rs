@@ -13,7 +13,7 @@ use stackless_streamed_trees::automata::Alphabet;
 use stackless_streamed_trees::core::session::{Limits, SessionError};
 use stackless_streamed_trees::core::structural::STRUCTURAL_WINDOW;
 use stackless_streamed_trees::core::{
-    Query, QuerySet, QuerySetCheckpoint, Strategy, DEFAULT_PRODUCT_BUDGET,
+    Query, QueryError, QuerySet, QuerySetCheckpoint, Strategy, DEFAULT_PRODUCT_BUDGET,
 };
 
 /// All-almost-reversible members: one markup product at the default
@@ -42,6 +42,15 @@ fn budgeted_sets(g: &Alphabet) -> Vec<QuerySet> {
 fn decorated_doc() -> Vec<u8> {
     b"<?xml version=\"1.0\"?><a id=\"x<y\"><b q='1'>text<a/><!-- c --></b>\n<b><a>deep</a></b></a><b><a></a></b>"
         .to_vec()
+}
+
+#[test]
+fn a_pattern_that_does_not_parse_is_a_typed_pattern_error() {
+    let g = Alphabet::of_chars("ab");
+    assert!(matches!(
+        QuerySet::compile(&["a.*", "("], &g),
+        Err(QueryError::Pattern(_))
+    ));
 }
 
 #[test]

@@ -1,16 +1,16 @@
-//! End-to-end tests of multi-query requests on the serving runtime:
-//! each request runs one [`QuerySet`] pass of its own, per-query
+//! End-to-end tests of query-set requests on the serving runtime: each
+//! [`Plan::Set`] job runs one [`QuerySet`] pass of its own, per-query
 //! attribution comes out exactly as N independent single-query runs
-//! would, custom limits apply, and a query-set pass resumes mid-document
-//! after a fault.
+//! would, custom limits apply, a query-set pass resumes mid-document
+//! after a fault, and a streamed set is refused at admission.
 
 use std::sync::Arc;
 
 use stackless_streamed_trees::automata::Alphabet;
 use stackless_streamed_trees::core::session::Limits;
-use stackless_streamed_trees::core::Query;
+use stackless_streamed_trees::core::{Query, QuerySet};
 use stackless_streamed_trees::serve::{
-    ChaosConfig, MultiJobSpec, PathTaken, ServeConfig, ServeError, ServeRuntime,
+    ChaosConfig, JobSpec, PathTaken, Plan, ServeConfig, ServeError, ServeRuntime,
 };
 
 /// A well-formed document over {a, b}: nested runs with both labels.
@@ -24,6 +24,13 @@ fn mixed_doc(n: usize) -> Vec<u8> {
         }
     }
     d
+}
+
+/// A [`Plan::Set`] of `patterns`.
+fn set(patterns: &[&str], alphabet: &Alphabet) -> Plan {
+    Plan::Set(Arc::new(
+        QuerySet::compile(patterns, alphabet).expect("patterns compile"),
+    ))
 }
 
 /// What N independent single-query runs produce — the attribution oracle.
@@ -55,25 +62,26 @@ fn query_set_requests_get_exact_attribution() {
     let ids: Vec<_> = sets
         .iter()
         .map(|(ps, doc)| {
-            let patterns = ps.iter().map(|p| p.to_string()).collect();
-            let spec = MultiJobSpec::new(patterns, g.clone(), Arc::clone(doc));
-            serve.submit_multi(spec).expect("multi admitted")
+            let spec = JobSpec::new(set(ps, &g), Arc::clone(doc));
+            serve.submit(spec).expect("set admitted")
         })
         .collect();
     for ((ps, doc), id) in sets.iter().zip(&ids) {
-        let report = serve.wait_multi(*id).expect("known job");
-        let got = report.results.expect("the pass succeeds");
-        assert_eq!(got, oracle(ps, &g, doc), "attribution for {ps:?}");
+        let report = serve.wait(*id).expect("known job");
+        assert_eq!(
+            report.per_query,
+            oracle(ps, &g, doc),
+            "attribution for {ps:?}"
+        );
         assert_eq!(report.attempts, 1);
         assert!(report.failures.is_empty());
-        // The plain report is the union of the request's own per-query
+        // The match set is the union of the request's own per-query
         // match sets.
-        let plain = serve.wait(*id).expect("known job");
-        let mut union: Vec<usize> = got.concat();
+        let mut union: Vec<usize> = report.per_query.concat();
         union.sort_unstable();
         union.dedup();
-        assert_eq!(plain.result.unwrap(), union);
-        assert_eq!(plain.path, PathTaken::Session);
+        assert_eq!(report.result.unwrap(), union);
+        assert_eq!(report.path, PathTaken::Session);
     }
     let stats = serve.shutdown();
     assert_eq!(stats.completed, sets.len() as u64);
@@ -84,79 +92,61 @@ fn query_set_requests_get_exact_attribution() {
 fn custom_limits_opt_out_of_grouping_but_still_apply() {
     let g = Alphabet::of_chars("ab");
     let doc = Arc::new(mixed_doc(12));
-    let patterns = vec!["a.*".to_string(), ".*b".to_string()];
+    let patterns = ["a.*", ".*b"];
     let serve = ServeRuntime::start(ServeConfig::default().with_workers(2));
     // A request whose limits it cannot satisfy fails with the engine's
     // typed limit error.
-    let strict = MultiJobSpec::new(patterns.clone(), g.clone(), doc.clone())
+    let strict = JobSpec::new(set(&patterns, &g), doc.clone())
         .with_limits(Limits::default().with_max_bytes(8));
-    let id = serve.submit_multi(strict).unwrap();
-    let report = serve.wait_multi(id).unwrap();
-    match report.results {
+    let id = serve.submit(strict).unwrap();
+    let report = serve.wait(id).unwrap();
+    match report.result {
         Err(ServeError::Failed { .. }) => {}
         other => panic!("expected terminal limit failure, got {other:?}"),
     }
+    assert!(report.per_query.is_empty());
     // The same request with satisfiable limits completes correctly.
-    let ok = MultiJobSpec::new(patterns.clone(), g.clone(), doc.clone())
+    let ok = JobSpec::new(set(&patterns, &g), doc.clone())
         .with_limits(Limits::default().with_max_bytes(1 << 20));
-    let id = serve.submit_multi(ok).unwrap();
-    let report = serve.wait_multi(id).unwrap();
-    let ps: Vec<&str> = patterns.iter().map(|s| s.as_str()).collect();
-    assert_eq!(report.results.unwrap(), oracle(&ps, &g, &doc));
+    let id = serve.submit(ok).unwrap();
+    let report = serve.wait(id).unwrap();
+    assert!(report.result.is_ok());
+    assert_eq!(report.per_query, oracle(&patterns, &g, &doc));
     serve.shutdown();
 }
 
 #[test]
-fn invalid_patterns_are_rejected_at_admission() {
-    let g = Alphabet::of_chars("ab");
-    let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
-    let bad = MultiJobSpec::new(
-        vec!["a.*".to_string(), "(".to_string()],
-        g.clone(),
-        mixed_doc(2),
-    );
-    match serve.submit_multi(bad) {
-        Err(ServeError::Rejected { reason }) => {
-            assert!(
-                reason.contains("pattern 1"),
-                "reason names the pattern: {reason}"
-            );
-        }
-        other => panic!("expected admission rejection, got {other:?}"),
-    }
-    let stats = serve.shutdown();
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.submitted, 0);
-
-    // One pattern past the member cap: refused before any is planned.
-    let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
-    let many = (1..=257).map(|n| "a".repeat(n)).collect();
-    match serve.submit_multi(MultiJobSpec::new(many, g, mixed_doc(2))) {
-        Err(ServeError::Rejected { reason }) => {
-            assert!(reason.contains("257"), "reason names the count: {reason}")
-        }
-        other => panic!("expected admission rejection, got {other:?}"),
-    }
-    let stats = serve.shutdown();
-    assert_eq!((stats.rejected, stats.submitted), (1, 0));
-}
-
-#[test]
-fn single_query_requests_answer_wait_multi_with_one_entry() {
+fn single_query_reports_have_no_per_query_lists() {
     let g = Alphabet::of_chars("ab");
     let doc = mixed_doc(6);
     let q = Query::compile("a.*b", &g).unwrap();
     let expected = q.select(&doc).unwrap();
     let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
     let id = serve
-        .submit(stackless_streamed_trees::serve::JobSpec::new(
-            Arc::new(q.into_fused()),
-            doc,
-        ))
+        .submit(JobSpec::new(Arc::new(q.into_fused()), doc))
         .unwrap();
-    let report = serve.wait_multi(id).unwrap();
-    assert_eq!(report.results.unwrap(), vec![expected]);
+    let report = serve.wait(id).unwrap();
+    assert_eq!(report.result.unwrap(), expected);
+    assert!(report.per_query.is_empty());
     serve.shutdown();
+}
+
+#[test]
+fn streamed_query_sets_are_rejected_at_admission() {
+    let g = Alphabet::of_chars("ab");
+    let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
+    let spec = JobSpec::new(set(&["a.*", ".*b"], &g), mixed_doc(2)).with_stream();
+    match serve.submit(spec) {
+        Err(ServeError::Rejected { reason }) => {
+            assert!(
+                reason.contains("query set"),
+                "reason names the set: {reason}"
+            )
+        }
+        other => panic!("expected admission rejection, got {other:?}"),
+    }
+    let stats = serve.shutdown();
+    assert_eq!((stats.rejected, stats.submitted), (1, 0));
 }
 
 #[test]
@@ -181,15 +171,13 @@ fn query_set_passes_resume_mid_document_after_a_worker_panic() {
             .with_checkpoint_every(64)
             .with_chaos(chaos),
     );
-    let spec = MultiJobSpec::new(
-        patterns.iter().map(|p| p.to_string()).collect(),
-        g.clone(),
-        doc.clone(),
-    );
-    let id = serve.submit_multi(spec).expect("admitted");
-    let report = serve.wait_multi(id).expect("known job");
+    let id = serve
+        .submit(JobSpec::new(set(&patterns, &g), doc.clone()))
+        .expect("admitted");
+    let report = serve.wait(id).expect("known job");
+    assert!(report.result.is_ok(), "finishes within its retries");
     assert_eq!(
-        report.results.expect("finishes within its retries"),
+        report.per_query,
         oracle(&patterns, &g, &doc),
         "prefix before the checkpoint + resumed tail = the clean run"
     );

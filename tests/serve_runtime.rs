@@ -14,9 +14,10 @@ use stackless_streamed_trees::automata::{compile_regex, Alphabet};
 use stackless_streamed_trees::core::engine::FusedQuery;
 use stackless_streamed_trees::core::planner::CompiledQuery;
 use stackless_streamed_trees::core::session::Limits;
+use stackless_streamed_trees::core::QuerySet;
 use stackless_streamed_trees::serve::{
-    ChaosConfig, FailureCause, Fault, JobSpec, PathTaken, ServeConfig, ServeError, ServeRuntime,
-    ServiceBudget,
+    ChaosConfig, FailureCause, Fault, JobSpec, PathTaken, Plan, ServeConfig, ServeError,
+    ServeRuntime, ServiceBudget,
 };
 
 /// Compiles `pattern` over `alphabet` down to the fused byte engine.
@@ -461,18 +462,15 @@ fn zero_deadline_expires_in_queue_with_a_typed_error() {
 
 #[test]
 fn zero_deadline_expires_multi_requests_too() {
-    use stackless_streamed_trees::serve::MultiJobSpec;
     let g = Alphabet::of_chars("ab");
+    let set = QuerySet::compile(&["a.*b", ".*a"], &g).unwrap();
     let serve = ServeRuntime::start(ServeConfig::default().with_workers(1));
-    let spec = MultiJobSpec::new(
-        vec!["a.*b".to_string(), ".*a".to_string()],
-        g,
-        doc_with_leaves(3),
-    )
-    .with_deadline(Duration::ZERO);
-    let id = serve.submit_multi(spec).unwrap();
-    let report = serve.wait_multi(id).unwrap();
-    match &report.results {
+    let spec =
+        JobSpec::new(Plan::Set(Arc::new(set)), doc_with_leaves(3)).with_deadline(Duration::ZERO);
+    let id = serve.submit(spec).unwrap();
+    let report = serve.wait(id).unwrap();
+    assert!(report.per_query.is_empty());
+    match &report.result {
         Err(ServeError::DeadlineExpired { .. }) => {}
         other => panic!("expected DeadlineExpired, got {other:?}"),
     }
@@ -541,11 +539,12 @@ fn streamed_jobs_deliver_exactly_once_across_failover() {
             if done[i] {
                 continue;
             }
+            // Completion first, then the tail: a job that ends between
+            // the two reads still has its last matches polled.
+            let finished = serve.try_report(*id).is_some();
             let tail = serve.emitted_prefix(*id, seen[i].len()).unwrap();
             seen[i].extend(tail);
-            if serve.try_report(*id).is_some() {
-                done[i] = true;
-            }
+            done[i] = finished;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
