@@ -34,6 +34,15 @@ fn main() {
         write_throughput_json(path);
         return;
     }
+    if args.iter().any(|a| a == "--check-sets") {
+        // CI gate: an 8-member registerless set's shared pass must stay
+        // within a fixed multiple of one member's single-query pass.
+        if !check_sets() {
+            eprintln!("FAIL: the 8-member set costs more than {SET_RATIO_BAR}x one member");
+            std::process::exit(1);
+        }
+        return;
+    }
     if args.iter().any(|a| a == "--check-obs-overhead") {
         // CI gate: only the observability-overhead experiment, exiting
         // non-zero when the no-op handle costs more than the 2% budget.
@@ -90,6 +99,95 @@ fn multi_patterns() -> Vec<String> {
 /// (`x.*y`, `c.*`), three stackless (`ab`, `ba`, `.*a.*b`) and two stack
 /// members (`.*ab`, `.*bc`), so the set groups every engine class.
 const HYBRID_PATTERNS: [&str; 8] = ["a.*b", "b.*c", "c.*", "ab", "ba", ".*a.*b", ".*ab", ".*bc"];
+
+/// Eight members of one engine class each, over Γ: at the default
+/// budget the registerless ones step as one markup product, the stack
+/// ones as one stack product, the stackless ones as eight HAR lanes.
+const CLASS_SETS: [(&str, [&str; 8]); 3] = [
+    (
+        "registerless",
+        ["a.*b", "a.*c", "b.*a", "b.*c", "c.*a", "c.*b", "a.*", "b.*"],
+    ),
+    (
+        "stack",
+        [
+            ".*ab", ".*ba", ".*bc", ".*cb", ".*ac", ".*ca", ".*aa", ".*bb",
+        ],
+    ),
+    (
+        "stackless",
+        ["ab", "ba", "bc", "cb", "ac", "ca", ".*a.*b", ".*b.*c"],
+    ),
+];
+
+/// Median µs per call of `a` and of `b`, timed in `batches` interleaved
+/// batches of `reps` calls each (`a`'s batch, then `b`'s), so that a
+/// drift of the host's speed reaches both alike.
+fn paired_medians(
+    batches: usize,
+    reps: u32,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
+    };
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..batches {
+        ta.push(time(&mut a));
+        tb.push(time(&mut b));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(ta), median(tb))
+}
+
+/// A set of eight members against its first member alone on `xml`:
+/// medians of 31 interleaved batches of the set's `count_all` and the
+/// member's `count_bytes`, in µs per call.
+fn set_against_one(members: &[&str], xml: &[u8]) -> (f64, f64) {
+    let g = gamma();
+    let set = st_core::QuerySet::compile(members, &g).unwrap();
+    let one = Query::compile(members[0], &g).unwrap();
+    assert_eq!(set.count_all(xml).unwrap()[0], one.count(xml).unwrap());
+    paired_medians(
+        31,
+        20,
+        || {
+            black_box(set.count_all(black_box(xml)).unwrap());
+        },
+        || {
+            black_box(one.fused().count_bytes(black_box(xml)).unwrap());
+        },
+    )
+}
+
+/// The `--check-sets` bar on `count_all` of the 8-member registerless set
+/// ÷ `count_bytes` of one member on the ~42 KB `mixed` document.  An A/A
+/// calibration (one build, eight runs on a shared 2-vCPU VM) read the
+/// ratio at 1.77–1.79 with the packed set step; eight runs of the build
+/// before it, interleaved with those, read 2.83–3.88.  The bar sits 26%
+/// above the calibrated spread and below every reading of the old step.
+const SET_RATIO_BAR: f64 = 2.25;
+
+/// CI gate: the 8-member registerless product's shared pass against one
+/// member's single-query pass on the ~42 KB `mixed` document.
+fn check_sets() -> bool {
+    let mixed = standard_workloads(6_000).remove(1);
+    let (set, one) = set_against_one(&CLASS_SETS[0].1, &mixed.xml);
+    let ratio = set / one;
+    println!(
+        "8 registerless members: count_all {set:.1} µs, one member's count_bytes {one:.1} µs: \
+         {ratio:.2}x (bar {SET_RATIO_BAR}x)"
+    );
+    ratio <= SET_RATIO_BAR
+}
 
 /// Median wall time of `f` in microseconds over 200 runs after one warm
 /// run: compiles are sub-millisecond and one-off, so the median (not a
@@ -508,6 +606,23 @@ fn write_throughput_json(path: &str) {
                 "multi_hybrid/8q".to_owned(),
                 gbit_per_s(xml.len(), || {
                     black_box(hybrid_set.count_all(black_box(xml)).unwrap());
+                }),
+            ));
+            // A MULTIQUERY as the edge runs it: the mixed-class set in a
+            // session, 16 KiB feeds under service-like guards, with its
+            // per-member match lists.
+            let edge_guards = Limits::none()
+                .with_max_depth(depth as usize * 2 + 16)
+                .with_max_imbalance(16)
+                .with_max_bytes(xml.len() * 2);
+            series.push((
+                "multi_session_edge8/8q".to_owned(),
+                gbit_per_s(xml.len(), || {
+                    let mut session = hybrid_set.session(edge_guards.clone());
+                    for feed in black_box(xml).chunks(16 << 10) {
+                        session.feed(feed).unwrap();
+                    }
+                    black_box(session.finish().unwrap());
                 }),
             ));
             let times = compile_series(&g)
@@ -1140,6 +1255,18 @@ fn e23_multi_query() {
             fast,
             slow,
             fast / slow
+        );
+    }
+    // One class at a time: eight members against one member's pass
+    // (medians of interleaved batches, µs per call).
+    let mixed = standard_workloads(6_000).remove(1);
+    for (class, members) in CLASS_SETS {
+        let set = QuerySet::compile(&members, &g).unwrap();
+        let (shared, one) = set_against_one(&members, &mixed.xml);
+        println!(
+            "mixed : 8 {class:<12} members ({}): count_all {shared:>6.1} µs | one member {one:>5.1} µs | {:>4.2}x",
+            set.grouping(),
+            shared / one
         );
     }
     let ledger = compile_series(&g);

@@ -768,7 +768,9 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             report.iters_run
         );
         if report.clean() {
-            println!("agreement: zero divergences across budgets, byte paths and set builds");
+            println!(
+                "agreement: zero divergences across budgets, byte paths, set builds and long documents"
+            );
             return Ok(());
         }
         for f in &report.failures {

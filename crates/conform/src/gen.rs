@@ -154,7 +154,7 @@ fn gen_tree(rng: &mut StdRng, cfg: &GenConfig, g: &Alphabet, dfa: &Dfa) -> Tree 
 
 /// Renders a tree to bytes: sometimes the plain skeleton, sometimes a
 /// decorated document with the noise the scanner must skip.
-fn render_doc(rng: &mut StdRng, tree: &Tree, g: &Alphabet) -> Vec<u8> {
+pub(crate) fn render_doc(rng: &mut StdRng, tree: &Tree, g: &Alphabet) -> Vec<u8> {
     if rng.gen_bool(0.4) {
         xml::write_document(tree, g).into_bytes()
     } else {

@@ -16,7 +16,10 @@
 //! and a session checkpointed at a pseudo-random cut, serialized and
 //! resumed (which puts the groups' projection onto per-member lanes,
 //! and the lift back, under the fuzzer).  Eighteen shared-pass variants
-//! per case, all compared against the same single-query oracle.
+//! per case, all compared against the same single-query oracle.  One
+//! case in [`LONG_DOC_ONE_IN`] runs on a document of 8 KiB or more, deep
+//! or dense, so index-window edges, the stack frames' per-window reserve
+//! and multi-window emission are fuzzed too.
 //!
 //! Divergences shrink along three axes (drop patterns, delete byte
 //! windows, structurally shrink pattern ASTs) and persist as `.mcase`
@@ -30,9 +33,10 @@ use st_core::session::{Limits, SessionError};
 use st_core::{Query, QuerySet, QuerySetCheckpoint};
 
 use crate::corpus;
-use crate::gen::{case_rng, gen_case, GenConfig};
+use crate::gen::{case_rng, gen_case, mutate_bytes, render_doc, GenConfig};
 use crate::pattern::Pat;
 use crate::runner::FuzzConfig;
+use st_trees::generate;
 
 /// The small product budget of the oracle's budget axis: enough states
 /// for small groups' products, too few for most large ones.
@@ -61,10 +65,38 @@ pub enum MultiMutation {
     DropLastMatch,
 }
 
+/// One case in this many gets a long document — 8 KiB or more, deep or
+/// dense — in place of the generator's, whose trees stay under about a
+/// kilobyte.
+pub const LONG_DOC_ONE_IN: u32 = 16;
+
+/// A document of at least 8 KiB that spans several 4 KiB index windows:
+/// a deep chain, so stack frames run past one window's reserve, or a
+/// dense tree, so one window's emission holds many matches; rendered
+/// plain or decorated, and mutated like a generated case one time in
+/// four.
+fn long_doc(rng: &mut StdRng, g: &Alphabet) -> Vec<u8> {
+    let nodes = rng.gen_range(1200usize..5000);
+    let tree = if rng.gen_bool(0.5) {
+        let ls: Vec<_> = g.letters().collect();
+        let labels: Vec<_> = (0..nodes).map(|_| ls[rng.gen_range(0..ls.len())]).collect();
+        generate::chain(&labels, nodes)
+    } else {
+        let bias = [0.05, 0.5, 0.95][rng.gen_range(0..3usize)];
+        generate::random_attachment(g, nodes, bias, rng.gen())
+    };
+    let mut doc = render_doc(rng, &tree, g);
+    if rng.gen_bool(0.25) {
+        mutate_bytes(rng, &mut doc);
+    }
+    doc
+}
+
 /// Draws one multi-query case from `rng`: the single-case generator's
-/// document and pattern, plus 1–7 extra patterns over the same alphabet.
+/// document and pattern, plus 1–7 extra patterns over the same alphabet;
+/// one case in [`LONG_DOC_ONE_IN`] swaps the document for a long one.
 pub fn gen_multi_case(rng: &mut StdRng, cfg: &GenConfig) -> (MultiCase, Vec<Pat>) {
-    let (case, first) = gen_case(rng, cfg);
+    let (mut case, first) = gen_case(rng, cfg);
     let g = Alphabet::of_chars(&case.alphabet);
     let chars: Vec<char> = case.alphabet.chars().collect();
     let mut pats = vec![first];
@@ -76,6 +108,9 @@ pub fn gen_multi_case(rng: &mut StdRng, cfg: &GenConfig) -> (MultiCase, Vec<Pat>
         }
     }
     let patterns = pats.iter().map(Pat::render).collect();
+    if rng.gen_range(0..LONG_DOC_ONE_IN) == 0 {
+        case.doc = long_doc(rng, &g);
+    }
     (
         MultiCase {
             patterns,
@@ -439,6 +474,19 @@ mod tests {
             assert_eq!(a, b);
             assert!((2..=8).contains(&a.patterns.len()));
         }
+    }
+
+    #[test]
+    fn long_documents_are_drawn() {
+        let cfg = GenConfig::default();
+        let long = (0..64u64)
+            .map(|iter| gen_multi_case(&mut case_rng(42, iter), &cfg).0)
+            .filter(|c| c.doc.len() >= 8 << 10)
+            .count();
+        assert!(
+            (1..=12).contains(&long),
+            "{long} long document(s) in 64 cases"
+        );
     }
 
     #[test]

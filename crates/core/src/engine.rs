@@ -1467,7 +1467,7 @@ impl Sink for CountSink {
 /// writes — the per-window half of a pre-sized buffer, whose per-event
 /// half is a bounds-checked store that never grows.
 #[inline(always)]
-fn make_room<T: Copy + Default>(buf: &mut Vec<T>, len: usize, events: usize) {
+pub(crate) fn make_room<T: Copy + Default>(buf: &mut Vec<T>, len: usize, events: usize) {
     if buf.len() < len + events {
         *buf = grown(std::mem::take(buf), len + events);
     }
@@ -1522,7 +1522,7 @@ impl Sink for SelectSink {
 
 /// Candidates one index window can fire: [`max_events`] of
 /// [`STRUCTURAL_WINDOW`], the most any [`EventSink::reserve`] asks for.
-const WINDOW_EVENTS: usize = max_events(STRUCTURAL_WINDOW);
+pub(crate) const WINDOW_EVENTS: usize = max_events(STRUCTURAL_WINDOW);
 
 /// An [`EmitSink`]'s per-window scratch: one index window's candidates.
 pub(crate) type EmitWindow = [u64; WINDOW_EVENTS];

@@ -18,17 +18,47 @@
 //!   they step as one synchronous **markup product** over *compressed
 //!   letter classes* (letters indistinguishable to the whole group share
 //!   a transition column, [`st_automata::ops::letter_classes`]).  Each
-//!   product state carries an accepting mask over the set's members, so
-//!   an open costs one table step plus one mask test for the whole
-//!   group.  Past the state budget ([`QuerySet::compile_with_budget`])
-//!   they step through one **family table** instead: the member DFAs
-//!   flattened into one global state space, one load per member per
-//!   event;
+//!   product state carries an accepting mask over the set's members.
+//!   Past the state budget ([`QuerySet::compile_with_budget`]) they step
+//!   through one **family table** instead: the member DFAs flattened
+//!   into one global state space, one load per member per event;
 //! * **stack** members all push at opens and pop at closes, so they step
 //!   as one product over Γ with **one shared frame stack**;
 //! * **HAR** members, and stack members whose product would pass the
 //!   budget, keep a native **lane** each (a depth-register run, or a
-//!   DFA with its own stack).
+//!   DFA with its own stack), stored by kind.
+//!
+//! # The set step
+//!
+//! Every table is packed as the single-query event table is: one entry
+//! per (state, lexer event) holding the next state's row offset and a
+//! word of flags — whether a member selects the node the event opens,
+//! whether it opens or closes, and the state whose accepting mask
+//! decides the open.  The scan owns the sink by value and steps only the
+//! markup product (or, without one, a one-state table that tells opens
+//! from closes), one load per event with its state in a register.
+//!
+//! # Per-window emission
+//!
+//! Each event records, at the next slot of a buffer that holds one index
+//! window's events, the markup entry index it read and the event code —
+//! both known before the entry loads, so the record waits on nothing and
+//! the walk runs at a lone query's pace.  Once per index window the
+//! window is decided: the markup entries' flags and masks give the
+//! group's matches, and every other part replays the window's event
+//! codes in a loop of its own with its state in registers — the stack
+//! product and stack lanes through a branch-free packed step over a
+//! frame stack reserved once per window, the family members through
+//! their table, the HAR lanes (up to four per loop, so their serial
+//! walks overlap) through the packed Lemma 3.8 step — each leaving a bit
+//! per event.  Then the matches go to the per-member lists in document
+//! order: a group packs the window's hits (deciding state and node) into
+//! a buffer that advances by "any member hit", and each member with a
+//! hit in the window takes one branch-free pass over them, writing every
+//! node at its list's end and advancing by its bit; a lane's nodes come
+//! off its bits.  A count collector instead adds each group hit to its
+//! deciding state, spread over the members once per run, and a lane's
+//! bits by popcount.
 //!
 //! Checkpoints project the groups onto one lane per member, so the wire
 //! form does not depend on the grouping: a set resumes a checkpoint
@@ -40,9 +70,9 @@
 //!
 //! The byte pass is the structural scan, with certification off under
 //! `ST_FORCE_SCALAR` or [`Limits::force_scalar`].  The machine is one
-//! sink type, parameterized by what it collects (counts or node ids)
-//! and by its guard (none for one-shot runs, the depth/imbalance
-//! budgets for sessions).
+//! sink type, parameterized by what it collects (counts or node ids),
+//! by its guard (none for one-shot runs, the depth/imbalance budgets for
+//! sessions) and by whether the set has anything past its markup group.
 //!
 //! # Sessions
 //!
@@ -53,15 +83,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
-use st_automata::ops::{letter_classes, product_many, MultiProduct};
+use st_automata::ops::{letter_classes, product_many};
 use st_automata::{compile_regex, Alphabet, Dfa};
 use st_trees::error::TreeError;
 
 use crate::engine::{
-    decode_event, rescan_error, thaw_stack, DepthGuard, Guard, HarRun, NoGuard, TagLexer, Verdict,
-    TEXT,
+    make_room, rescan_error, thaw_stack, DepthGuard, Guard, HarRun, NoGuard, TagLexer, Verdict,
+    TEXT, WINDOW_EVENTS,
 };
 use crate::har::HarMarkupProgram;
 use crate::planner::{CompiledQuery, Strategy};
@@ -101,226 +132,269 @@ const LANE_HAR: u8 = 1;
 const LANE_STACK: u8 = 2;
 
 // ---------------------------------------------------------------------------
-// Compiled tables
+// Packed per-event tables
 // ---------------------------------------------------------------------------
 
-/// The compressed-alphabet product DFA with per-state accepting masks.
-struct ProductTable {
-    /// Number of letter classes (compressed alphabet size).
-    n_classes: usize,
-    /// `u64` words per accepting mask (`ceil(n_members / 64)`).
-    words: usize,
-    /// Letter → class id (markup letters `0..2k` in the markup group,
-    /// Γ letters `0..k` in the stack group).
-    class_of: Vec<u16>,
-    /// Row-major transitions over classes: `delta[s * n_classes + c]`;
-    /// the initial state is 0.
-    delta: Vec<u32>,
-    /// Per-state accepting masks: `accept[s * words .. (s+1) * words]`,
-    /// bit `q` set iff member `q`'s DFA accepts in state `s`.
-    accept: Vec<u64>,
+/// One entry of a set table per (state, lexer event), as the
+/// single-query event table packs them: the next state's row offset and
+/// a word of flags, with the state whose accepting mask decides the
+/// event's open above them.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    next: u32,
+    word: u32,
 }
 
-impl ProductTable {
-    /// Builds the table of `mp`, the product of `dfas`; `members[j]` is
-    /// the set-wide index of `dfas[j]`, the bit its acceptance sets in
-    /// masks of `words` words.
-    fn from_product(
-        mp: &MultiProduct,
-        dfas: &[&Dfa],
-        members: &[usize],
-        words: usize,
-        class_of: &[usize],
-    ) -> ProductTable {
-        let delta = mp
-            .delta
-            .iter()
-            .map(|&d| u32::try_from(d).expect("product states fit u32"))
-            .collect();
-        let mut accept = vec![0u64; mp.tuples.len() * words];
-        for (s, tuple) in mp.tuples.iter().enumerate() {
-            for ((&st, d), &i) in tuple.iter().zip(dfas).zip(members) {
-                if d.is_accepting(st) {
-                    accept[s * words + (i >> 6)] |= 1 << (i & 63);
-                }
-            }
+/// [`Entry::word`] flag: a member of the table selects the node the
+/// event opens.
+const HIT: u32 = 1;
+/// Markup table flags: the event opened a node, closed one.
+const OPENED: u32 = 2;
+const CLOSED: u32 = 4;
+/// Stack table flags: the event pushes the state, pops a frame.
+const PUSH: u32 = 2;
+const POP: u32 = 4;
+/// Where the deciding state sits in [`Entry::word`].
+const DEC_SHIFT: u32 = 3;
+
+/// The row offset of state `s` in a table of `row` entries per state.
+fn row_offset(s: usize, row: usize) -> u32 {
+    u32::try_from(s * row).expect("set table offsets fit u32")
+}
+
+/// The deciding-state field of an [`Entry::word`].
+fn decides(s: usize) -> u32 {
+    assert!(
+        s < 1 << (32 - DEC_SHIFT),
+        "set table states fit the entry word"
+    );
+    (s as u32) << DEC_SHIFT
+}
+
+/// The packed table of an `n`-state DFA over the markup letters (open
+/// `l` ↦ `l`, close `l` ↦ `k + l`) that steps by `step` and selects in
+/// the states `accepts` names: row `s` at offset `s * (3k + 1)`, one
+/// entry per lexer event code (code 0 never fires).
+fn markup_entries(
+    n: usize,
+    k: usize,
+    step: impl Fn(usize, usize) -> usize,
+    accepts: impl Fn(usize) -> bool,
+) -> Vec<Entry> {
+    let row = 3 * k + 1;
+    let mut t = vec![Entry::default(); n * row];
+    for (s, r) in t.chunks_mut(row).enumerate() {
+        r[0].next = row_offset(s, row);
+        for l in 0..k {
+            let qo = step(s, l);
+            let open = u32::from(accepts(qo)) | OPENED | decides(qo);
+            r[1 + l] = Entry {
+                next: row_offset(qo, row),
+                word: open,
+            };
+            r[1 + k + l] = Entry {
+                next: row_offset(step(s, k + l), row),
+                word: CLOSED,
+            };
+            r[1 + 2 * k + l] = Entry {
+                next: row_offset(step(qo, k + l), row),
+                word: open | CLOSED,
+            };
         }
-        ProductTable {
-            n_classes: mp.n_classes,
-            words,
-            class_of: class_of
-                .iter()
-                .map(|&c| u16::try_from(c).expect("letter classes fit u16"))
-                .collect(),
-            delta,
-            accept,
+    }
+    t
+}
+
+/// The packed table of an `n`-state DFA over Γ run with a stack: an open
+/// of `l` pushes the state and steps by `open`, a close pops, and a
+/// self-closing element decides its node without moving.
+fn stack_entries(
+    n: usize,
+    k: usize,
+    open: impl Fn(usize, usize) -> usize,
+    accepts: impl Fn(usize) -> bool,
+) -> Vec<Entry> {
+    let row = 3 * k + 1;
+    let mut t = vec![Entry::default(); n * row];
+    for (s, r) in t.chunks_mut(row).enumerate() {
+        let here = row_offset(s, row);
+        r[0].next = here;
+        for l in 0..k {
+            let qo = open(s, l);
+            let decided = u32::from(accepts(qo)) | decides(qo);
+            r[1 + l] = Entry {
+                next: row_offset(qo, row),
+                word: decided | PUSH,
+            };
+            r[1 + k + l] = Entry {
+                next: here,
+                word: POP,
+            };
+            r[1 + 2 * k + l] = Entry {
+                next: here,
+                word: decided,
+            };
+        }
+    }
+    t
+}
+
+/// A pushdown run over a stack table: the current row offset and the
+/// saved row offsets, live at `[1..=top]` over a sentinel slot 0; during
+/// a scan the slots past them are room [`Self::reserve`] keeps for one
+/// index window's pushes.
+#[derive(Clone, Default)]
+struct StackRun {
+    at: u32,
+    frames: Vec<u32>,
+    top: usize,
+}
+
+impl StackRun {
+    /// A run in row offset `at` over the saved offsets `frames`.
+    fn new(at: u32, frames: Vec<u32>) -> StackRun {
+        StackRun {
+            at,
+            top: frames.len(),
+            frames: [0].into_iter().chain(frames).collect(),
         }
     }
 
-    /// The successor of product state `s` on letter `a`.
-    #[inline]
-    fn step(&self, s: u32, a: usize) -> u32 {
-        self.delta[s as usize * self.n_classes + self.class_of[a] as usize]
+    /// Applies lexer event `ev`: one packed entry, a load of the top
+    /// frame and a store of the state above it (scratch unless the event
+    /// pushes), both addressed before the entry arrives, and a select
+    /// between that frame and the entry's next state — no branch on the
+    /// event kind.  An underflowing close keeps the state, like the
+    /// single-query stack step.  Returns the entry's word.
+    #[inline(always)]
+    fn step(&mut self, table: &[Entry], ev: u16) -> u32 {
+        let (at, top) = (self.at, self.top);
+        let e = table[at as usize + ev as usize];
+        let below = self.frames[top];
+        self.frames[top + 1] = at;
+        let pop = (e.word & POP != 0) & (top != 0);
+        self.top = top + usize::from(e.word & PUSH != 0) - usize::from(pop);
+        self.at = select_unpredictable(pop, below, e.next);
+        e.word
     }
 
-    /// The accepting mask of product state `s`.
-    #[inline]
-    fn masks(&self, s: u32) -> &[u64] {
-        &self.accept[s as usize * self.words..][..self.words]
+    /// Makes room for `events` more events (the sentinel and a push's
+    /// slot above the top included).
+    #[inline(always)]
+    fn reserve(&mut self, events: usize) {
+        make_room(&mut self.frames, self.top + 1, events + 1);
+    }
+
+    /// The frozen form: the current state and the live frames, with `row`
+    /// entries per state.
+    fn freeze(&self, row: usize) -> (u32, Vec<u32>) {
+        let state = |at: u32| at / row as u32;
+        let live = self.frames.get(1..=self.top).unwrap_or_default();
+        (state(self.at), live.iter().map(|&f| state(f)).collect())
     }
 }
 
 /// The registerless members past the budget, their markup DFAs
 /// flattened into one global state space: member `j`'s states occupy
-/// the block `starts[j]..starts[j+1]` and transition rows are stored at
-/// their global ids, so stepping member `j` is one load from a shared
-/// table.
+/// the block `starts[j]..starts[j+1]`, and one packed table over global
+/// states steps every member.
 struct FamilyTable {
-    /// Letters per member DFA (2k for markup DFAs).
-    n_letters: usize,
     /// Set-wide index per member.
     members: Vec<usize>,
-    /// Global initial state per member.
+    /// Initial row offset per member.
     init: Vec<u32>,
     /// Block boundaries, `len == members.len() + 1`.
     starts: Vec<u32>,
-    /// Global row-major transitions: `delta[s * n_letters + a]`.
-    delta: Vec<u32>,
-    /// Accepting bitset over global states.
-    accepting: Vec<u64>,
+    /// Entries per state (`3k + 1`).
+    row: usize,
+    entries: Vec<Entry>,
 }
 
 impl FamilyTable {
-    fn build(dfas: &[&Dfa], members: Vec<usize>) -> FamilyTable {
-        let n_letters = dfas.first().map_or(0, |d| d.n_letters());
-        let mut starts = Vec::with_capacity(dfas.len() + 1);
-        let mut total = 0usize;
-        for d in dfas {
-            starts.push(u32::try_from(total).expect("family state space fits u32"));
-            total += d.n_states();
-        }
-        starts.push(u32::try_from(total).expect("family state space fits u32"));
-        let mut delta = Vec::with_capacity(total * n_letters);
-        let mut accepting = vec![0u64; total.div_ceil(64)];
+    fn build(dfas: &[&Dfa], members: Vec<usize>, k: usize) -> FamilyTable {
+        let row = 3 * k + 1;
+        let mut starts = vec![0u32];
+        let mut owner = Vec::new();
         for (j, d) in dfas.iter().enumerate() {
-            let base = starts[j] as usize;
-            for s in 0..d.n_states() {
-                for a in 0..n_letters {
-                    delta.push((base + d.step(s, a)) as u32);
-                }
-                if d.is_accepting(s) {
-                    accepting[(base + s) >> 6] |= 1 << ((base + s) & 63);
-                }
-            }
+            owner.extend(std::iter::repeat_n(j, d.n_states()));
+            starts.push(u32::try_from(owner.len()).expect("family state space fits u32"));
         }
-        let init = dfas
-            .iter()
-            .zip(&starts)
-            .map(|(d, &start)| start + d.init() as u32)
+        let local = |g: usize| (dfas[owner[g]], starts[owner[g]] as usize);
+        let entries = markup_entries(
+            owner.len(),
+            k,
+            |g, a| {
+                let (d, base) = local(g);
+                base + d.step(g - base, a)
+            },
+            |g| {
+                let (d, base) = local(g);
+                d.is_accepting(g - base)
+            },
+        );
+        let init = (dfas.iter().zip(&starts))
+            .map(|(d, &start)| row_offset(start as usize + d.init(), row))
             .collect();
         FamilyTable {
-            n_letters,
             members,
             init,
             starts,
-            delta,
-            accepting,
+            row,
+            entries,
         }
     }
 
-    /// The global id of member `j`'s state `s`, or `None` when `s` is
+    /// The row offset of member `j`'s state `s`, or `None` when `s` is
     /// not one of its states.
     fn global(&self, j: usize, s: u32) -> Option<u32> {
         let (start, end) = (self.starts[j], self.starts[j + 1]);
-        s.checked_add(start).filter(|&g| g < end)
+        let g = s.checked_add(start).filter(|&g| g < end)?;
+        Some(row_offset(g as usize, self.row))
     }
 
-    /// Member `j`'s own state for global state `g`.
-    fn local(&self, j: usize, g: u32) -> u32 {
-        g - self.starts[j]
-    }
-
-    #[inline]
-    fn step(&self, s: u32, a: usize) -> u32 {
-        self.delta[s as usize * self.n_letters + a]
-    }
-
-    /// 1 if global state `s` accepts, else 0.
-    #[inline]
-    fn accepts(&self, s: u32) -> u64 {
-        (self.accepting[s as usize >> 6] >> (s & 63)) & 1
+    /// Member `j`'s own state at row offset `at`.
+    fn local(&self, j: usize, at: u32) -> u32 {
+        at / self.row as u32 - self.starts[j]
     }
 }
 
-/// One member's native event-level engine, as its own lane.
-enum LaneEngine {
-    /// Stackless member: its Lemma 3.8 HAR markup program.
-    Har(HarMarkupProgram),
-    /// General member: minimal DFA over Γ plus an explicit stack.
-    Stack(Dfa),
+/// A stack member past the budget, as its own lane: its minimal DFA's
+/// packed stack table.
+struct StackLane {
+    n_states: usize,
+    init: u32,
+    entries: Vec<Entry>,
 }
 
-/// One lane's live state; a HAR run keeps its frames inline, like the
-/// single-query step, rather than behind a pointer each event follows.
-#[allow(clippy::large_enum_variant)]
-enum LaneState {
-    Har { run: HarRun },
-    Stack { s: u32, frames: Vec<u32> },
-}
-
-fn fresh_lane(engine: &LaneEngine) -> LaneState {
-    match engine {
-        LaneEngine::Har(program) => LaneState::Har {
-            run: HarRun::new(program.core()),
-        },
-        LaneEngine::Stack(dfa) => LaneState::Stack {
-            s: dfa.init() as u32,
-            frames: Vec::new(),
-        },
-    }
-}
-
-/// Applies lexer event `ev`, decoded as its `open` and `close` letters,
-/// to one lane; `depth` is the depth before the event.  Returns whether
-/// the member selects the node the event opens.
-#[inline(always)]
-fn lane_step(
-    engine: &LaneEngine,
-    state: &mut LaneState,
-    ev: u16,
-    (open, close): (Option<usize>, Option<usize>),
-    mut depth: i64,
-) -> bool {
-    match (engine, state) {
-        (LaneEngine::Har(program), LaneState::Har { run }) => {
-            run.step(program.core().rows(), ev, &mut depth).1
+impl StackLane {
+    fn build(dfa: &Dfa) -> StackLane {
+        let k = dfa.n_letters();
+        StackLane {
+            n_states: dfa.n_states(),
+            init: row_offset(dfa.init(), 3 * k + 1),
+            entries: stack_entries(
+                dfa.n_states(),
+                k,
+                |s, l| dfa.step(s, l),
+                |s| dfa.is_accepting(s),
+            ),
         }
-        (LaneEngine::Stack(dfa), LaneState::Stack { s, frames }) => {
-            let mut selected = false;
-            if let Some(l) = open {
-                frames.push(*s);
-                *s = dfa.step(*s as usize, l) as u32;
-                selected = dfa.is_accepting(*s as usize);
-            }
-            // Underflowing pop keeps the state, like the baseline
-            // evaluator and the single-query stack session.
-            if close.is_some() {
-                if let Some(p) = frames.pop() {
-                    *s = p;
-                }
-            }
-            selected
-        }
-        _ => unreachable!("lane engine/state agree by construction"),
     }
 }
 
-/// Members of one class stepping as one product: the table (its masks
-/// over the whole set's members) and each product state's component
-/// tuple, which projects the group onto per-member lanes and lifts lanes
-/// back.
+/// Members of one class stepping as one product over their letter
+/// classes: the product's packed table (markup or stack), each state's
+/// accepting mask over the whole set's members, and each product state's
+/// component tuple, which projects the group onto per-member lanes and
+/// lifts lanes back.
 struct Group {
-    table: ProductTable,
+    entries: Vec<Entry>,
+    /// `u64` words per accepting mask (`ceil(set members / 64)`).
+    words: usize,
+    /// Per-state accepting masks: `accept[s * words ..][..words]`, bit
+    /// `i` set iff set member `i` selects in product state `s`.
+    accept: Vec<u64>,
+    classes: usize,
     /// Group members (their set-wide indices), in set order.
     members: Vec<usize>,
     /// `tuples[s * members.len() + j]`: member `j`'s state in product
@@ -328,20 +402,52 @@ struct Group {
     tuples: Vec<u32>,
 }
 
+/// Which packed table a [`Group`] steps through.
+#[derive(Clone, Copy)]
+enum Class {
+    /// Registerless members over the markup letters.
+    Markup,
+    /// Stack members over Γ, with one shared frame stack.
+    Stack,
+}
+
 impl Group {
-    /// The product of the members `ids` (with DFAs `dfas`) over their
-    /// letter classes, or `None` when there are no members, the budget
-    /// is 0, or the product would pass `budget` states.
-    fn build(dfas: &[&Dfa], ids: &[usize], words: usize, budget: usize) -> Option<Group> {
+    /// The product of the members `ids` (with DFAs `dfas`, over `k`
+    /// labels) over their letter classes, or `None` when there are no
+    /// members, the budget is 0, or the product would pass `budget`
+    /// states.
+    fn build(
+        dfas: &[&Dfa],
+        ids: &[usize],
+        (k, words, budget): (usize, usize, usize),
+        class: Class,
+    ) -> Option<Group> {
         if ids.is_empty() || budget == 0 {
             return None;
         }
         let (class_of, n_classes) = letter_classes(dfas);
         let mp = product_many(dfas, &class_of, n_classes, budget)?;
-        let table = ProductTable::from_product(&mp, dfas, ids, words, &class_of);
+        let n = mp.tuples.len();
+        let mut accept = vec![0u64; n * words];
+        for (s, tuple) in mp.tuples.iter().enumerate() {
+            for ((&st, d), &i) in tuple.iter().zip(dfas).zip(ids) {
+                if d.is_accepting(st) {
+                    accept[s * words + (i >> 6)] |= 1 << (i & 63);
+                }
+            }
+        }
+        let step = |s: usize, a: usize| mp.delta[s * n_classes + class_of[a]];
+        let accepts = |s: usize| accept[s * words..][..words].iter().any(|&w| w != 0);
+        let entries = match class {
+            Class::Markup => markup_entries(n, k, step, accepts),
+            Class::Stack => stack_entries(n, k, step, accepts),
+        };
         let tuples = mp.tuples.iter().flatten().map(|&q| q as u32).collect();
         Some(Group {
-            table,
+            entries,
+            words,
+            accept,
+            classes: n_classes,
             members: ids.to_vec(),
             tuples,
         })
@@ -351,6 +457,12 @@ impl Group {
     #[inline]
     fn project(&self, s: u32, j: usize) -> u32 {
         self.tuples[s as usize * self.members.len() + j]
+    }
+
+    /// The accepting mask of product state `s`.
+    #[inline]
+    fn masks(&self, s: u32) -> &[u64] {
+        &self.accept[s as usize * self.words..][..self.words]
     }
 
     /// Lifts per-member states back to product states: the returned
@@ -371,7 +483,7 @@ impl Group {
         ProductShape {
             members: self.members.clone(),
             states: self.tuples.len() / self.members.len(),
-            classes: self.table.n_classes,
+            classes: self.classes,
         }
     }
 }
@@ -385,97 +497,111 @@ enum Seat {
     Family(usize),
     /// Component `j` of the stack group.
     Stack(usize),
-    /// Lane `i`.
+    /// HAR lane `i`.
+    Har(usize),
+    /// Stack lane `i`.
     Lane(usize),
 }
 
 /// What the set steps past its markup group: the family table, the
-/// stack group and the lanes.  Whether a set has a tail is the one
-/// branch past the markup group, taken once per scan (see
-/// [`QuerySet::drive`]).
+/// stack group and the lanes, each kind in its own list.  They replay
+/// each index window's events once the scan has recorded them (see
+/// [`scatter`]); a set without a tail skips that per window.
 struct Tail {
     /// Registerless members past the budget (possibly none).
     family: FamilyTable,
     /// Stack members as one product over Γ; opens push its state on one
     /// shared frame stack, closes pop it.
     stack: Option<Group>,
-    /// Every other member's native engine, with its set-wide index.
-    lanes: Vec<(usize, LaneEngine)>,
+    /// Stackless members, each its Lemma 3.8 program, with its set-wide
+    /// index.
+    har: Vec<(usize, HarMarkupProgram)>,
+    /// Stack members past the budget, each with its set-wide index.
+    lanes: Vec<(usize, StackLane)>,
 }
 
 /// The set's machine: the class groups and the lanes.
 struct SetMachine {
+    /// Entries per table row (`3k + 1`).
+    row: usize,
     /// Registerless members as one markup product (closes are real
     /// transitions).
     markup: Option<Group>,
+    /// Without a markup group: a one-state markup table, whose entries
+    /// only tell opens from closes.
+    idle: Vec<Entry>,
     tail: Option<Box<Tail>>,
     /// Per member, in set order.
     seats: Vec<Seat>,
 }
 
-/// The machine's live state: the groups' product states, the family
-/// table's states, the stack group's frames, and the lanes.
+/// The machine's live state: the markup group's row offset, the family
+/// table's, the stack group's run, and the lanes.
 #[derive(Default)]
 struct SetState {
     markup: u32,
     family: Vec<u32>,
-    stack: u32,
-    frames: Vec<u32>,
-    lanes: Vec<LaneState>,
+    stack: StackRun,
+    har: Vec<HarRun>,
+    lanes: Vec<StackRun>,
 }
 
 impl SetMachine {
-    fn build(plans: &[&CompiledQuery], budget: usize) -> SetMachine {
-        let words = plans.len().div_ceil(64);
+    fn build(plans: &[&CompiledQuery], k: usize, budget: usize) -> SetMachine {
+        let sizes = (k, plans.len().div_ceil(64), budget);
         let (mut markup_ids, mut markups) = (Vec::new(), Vec::new());
         let (mut stack_ids, mut stacks) = (Vec::new(), Vec::new());
+        let mut har = Vec::new();
         for (i, p) in plans.iter().enumerate() {
             if let Some(m) = p.markup_dfa() {
                 markup_ids.push(i);
                 markups.push(m);
-            } else if p.har_program().is_none() {
+            } else if let Some(h) = p.har_program() {
+                har.push((i, h.clone()));
+            } else {
                 stack_ids.push(i);
                 stacks.push(p.minimal_dfa());
             }
         }
-        let markup = Group::build(&markups, &markup_ids, words, budget);
+        let markup = Group::build(&markups, &markup_ids, sizes, Class::Markup);
         let family = match markup {
-            Some(_) => FamilyTable::build(&[], Vec::new()),
-            None => FamilyTable::build(&markups, markup_ids),
+            Some(_) => FamilyTable::build(&[], Vec::new(), k),
+            None => FamilyTable::build(&markups, markup_ids, k),
         };
-        let stack = Group::build(&stacks, &stack_ids, words, budget);
-        let mut seats = vec![None; plans.len()];
-        let mut seat = |members: &[usize], at: fn(usize) -> Seat| {
-            for (j, &i) in members.iter().enumerate() {
-                seats[i] = Some(at(j));
+        let stack = Group::build(&stacks, &stack_ids, sizes, Class::Stack);
+        let lanes: Vec<(usize, StackLane)> = match stack {
+            Some(_) => Vec::new(),
+            None => (stack_ids.iter().zip(&stacks))
+                .map(|(&i, d)| (i, StackLane::build(d)))
+                .collect(),
+        };
+        let mut seats = vec![Seat::Markup(0); plans.len()];
+        let mut seat = |members: Vec<usize>, at: fn(usize) -> Seat| {
+            for (j, i) in members.into_iter().enumerate() {
+                seats[i] = at(j);
             }
         };
-        if let Some(g) = &markup {
-            seat(&g.members, Seat::Markup);
-        }
-        seat(&family.members, Seat::Family);
-        if let Some(g) = &stack {
-            seat(&g.members, Seat::Stack);
-        }
-        let mut lanes = Vec::new();
-        let seats = (seats.into_iter().zip(plans).enumerate())
-            .map(|(i, (seat, p))| {
-                seat.unwrap_or_else(|| {
-                    lanes.push((i, lane_engine(p)));
-                    Seat::Lane(lanes.len() - 1)
-                })
-            })
-            .collect();
+        let group_members =
+            |g: &Option<Group>| g.as_ref().map_or_else(Vec::new, |g| g.members.clone());
+        seat(group_members(&markup), Seat::Markup);
+        seat(family.members.clone(), Seat::Family);
+        seat(group_members(&stack), Seat::Stack);
+        seat(har.iter().map(|l| l.0).collect(), Seat::Har);
+        seat(lanes.iter().map(|l| l.0).collect(), Seat::Lane);
         let tail =
-            (!family.members.is_empty() || stack.is_some() || !lanes.is_empty()).then(|| {
-                Box::new(Tail {
-                    family,
-                    stack,
-                    lanes,
-                })
-            });
+            (!family.members.is_empty() || stack.is_some() || !har.is_empty() || !lanes.is_empty())
+                .then(|| {
+                    Box::new(Tail {
+                        family,
+                        stack,
+                        har,
+                        lanes,
+                    })
+                });
         SetMachine {
+            row: 3 * k + 1,
             markup,
+            idle: markup_entries(1, k, |_, _| 0, |_| false),
             tail,
             seats,
         }
@@ -486,7 +612,10 @@ impl SetMachine {
         match &self.tail {
             Some(t) => SetState {
                 family: t.family.init.clone(),
-                lanes: t.lanes.iter().map(|(_, e)| fresh_lane(e)).collect(),
+                har: t.har.iter().map(|(_, p)| HarRun::new(p.core())).collect(),
+                lanes: (t.lanes.iter())
+                    .map(|(_, l)| StackRun::new(l.init, Vec::new()))
+                    .collect(),
                 ..SetState::default()
             },
             None => SetState::default(),
@@ -497,23 +626,37 @@ impl SetMachine {
     fn freeze(&self, st: &SetState) -> Vec<HybridLaneCheckpoint> {
         let seated = "seated members have a group";
         let (markup, tail) = (self.markup.as_ref(), self.tail.as_ref());
+        let row = self.row as u32;
         self.seats
             .iter()
             .map(|seat| match *seat {
                 Seat::Markup(j) => HybridLaneCheckpoint::Markup {
-                    state: markup.expect(seated).project(st.markup, j),
+                    state: markup.expect(seated).project(st.markup / row, j),
                 },
                 Seat::Family(j) => HybridLaneCheckpoint::Markup {
                     state: tail.expect(seated).family.local(j, st.family[j]),
                 },
                 Seat::Stack(j) => {
                     let g = tail.and_then(|t| t.stack.as_ref()).expect(seated);
+                    let (current, frames) = st.stack.freeze(self.row);
                     HybridLaneCheckpoint::Stack {
-                        current: g.project(st.stack, j),
-                        frames: st.frames.iter().map(|&f| g.project(f, j)).collect(),
+                        current: g.project(current, j),
+                        frames: frames.iter().map(|&f| g.project(f, j)).collect(),
                     }
                 }
-                Seat::Lane(i) => freeze_lane(&st.lanes[i], &tail.expect(seated).lanes[i].1),
+                Seat::Har(i) => {
+                    let program = &tail.expect(seated).har[i].1;
+                    let (current, dead, chain) = st.har[i].freeze(program.core());
+                    HybridLaneCheckpoint::Har {
+                        current: current as u32,
+                        dead,
+                        chain,
+                    }
+                }
+                Seat::Lane(i) => {
+                    let (current, frames) = st.lanes[i].freeze(self.row);
+                    HybridLaneCheckpoint::Stack { current, frames }
+                }
             })
             .collect()
     }
@@ -534,6 +677,7 @@ impl SetMachine {
         }
         let mut st = self.fresh();
         let (mut markup, mut current, mut frames) = (Vec::new(), Vec::new(), Vec::new());
+        let at = |s: u32| row_offset(s as usize, self.row);
         // A seat other than `Markup` exists only with a tail.
         let tail = || self.tail.as_ref().expect("seated members have a group");
         for (lane, seat) in lanes.iter().zip(&self.seats) {
@@ -555,14 +699,28 @@ impl SetMachine {
                     current.push(*c);
                     frames.push(f.as_slice());
                 }
-                (Seat::Lane(i), lane) => {
-                    st.lanes[*i] = thaw_lane(lane, &tail().lanes[*i].1, offset, depth)?
+                (
+                    Seat::Har(i),
+                    HybridLaneCheckpoint::Har {
+                        current,
+                        dead,
+                        chain,
+                    },
+                ) => {
+                    let core = tail().har[*i].1.core();
+                    st.har[*i] = HarRun::thaw(core, *current as usize, *dead, chain, depth)?;
+                }
+                (Seat::Lane(i), HybridLaneCheckpoint::Stack { current, frames }) => {
+                    let n = tail().lanes[*i].1.n_states;
+                    let frames = thaw_stack(n, *current, frames, offset)?;
+                    st.lanes[*i] =
+                        StackRun::new(at(*current), frames.into_iter().map(at).collect());
                 }
                 _ => return Err(corrupt("lane kind does not match the member's engine")),
             }
         }
         if let Some(g) = &self.markup {
-            st.markup = g.lifter()(&markup)?;
+            st.markup = at(g.lifter()(&markup)?);
         }
         if let Some(g) = self.tail.as_ref().and_then(|t| t.stack.as_ref()) {
             let depth = frames[0].len();
@@ -573,21 +731,12 @@ impl SetMachine {
                 return Err(corrupt("stack frames exceed bytes consumed"));
             }
             let lift = g.lifter();
-            st.stack = lift(&current)?;
-            st.frames = (0..depth)
-                .map(|d| lift(&frames.iter().map(|f| f[d]).collect::<Vec<_>>()))
+            let saved = (0..depth)
+                .map(|d| lift(&frames.iter().map(|f| f[d]).collect::<Vec<_>>()).map(at))
                 .collect::<Result<_, _>>()?;
+            st.stack = StackRun::new(at(lift(&current)?), saved);
         }
         Ok(st)
-    }
-}
-
-/// A member's native engine, as its own lane (its plan has no markup
-/// DFA).
-fn lane_engine(plan: &CompiledQuery) -> LaneEngine {
-    match plan.har_program() {
-        Some(h) => LaneEngine::Har(h.clone()),
-        None => LaneEngine::Stack(plan.minimal_dfa().clone()),
     }
 }
 
@@ -774,7 +923,7 @@ impl QuerySet {
             alphabet: alphabet.clone(),
             lexer: TagLexer::shared(alphabet),
             members,
-            machine: SetMachine::build(&plans, budget),
+            machine: SetMachine::build(&plans, k, budget),
             fingerprint: set_fingerprint(alphabet, plans.iter().map(|p| p.minimal_dfa())),
         }
     }
@@ -799,11 +948,16 @@ impl QuerySet {
     pub fn grouping(&self) -> SetGrouping {
         let m = &self.machine;
         let tail = m.tail.as_ref();
+        let mut lanes: Vec<usize> = tail.map_or_else(Vec::new, |t| {
+            let har = t.har.iter().map(|l| l.0);
+            har.chain(t.lanes.iter().map(|l| l.0)).collect()
+        });
+        lanes.sort_unstable();
         SetGrouping {
             markup: m.markup.as_ref().map(Group::shape),
             family: tail.map_or_else(Vec::new, |t| t.family.members.clone()),
             stack: tail.and_then(|t| t.stack.as_ref()).map(Group::shape),
-            lanes: tail.map_or_else(Vec::new, |t| t.lanes.iter().map(|l| l.0).collect()),
+            lanes,
         }
     }
 
@@ -847,8 +1001,9 @@ impl QuerySet {
     ///
     /// The same structural diagnostics as the single-query engines.
     pub fn count_all(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        let counts = vec![0; self.members.len()];
-        Ok(self.run_emit(bytes, CountEmit { counts })?.counts)
+        let mut counts = Counts::new(&self.machine);
+        self.one_shot(bytes, &mut counts)?;
+        Ok(counts.finish(&self.machine))
     }
 
     /// Per-query selected node ids (document order) from one pass.
@@ -858,11 +1013,13 @@ impl QuerySet {
     ///
     /// As for [`Self::count_all`].
     pub fn select_all(&self, bytes: &[u8]) -> Result<Vec<Vec<usize>>, TreeError> {
-        let sel = vec![Vec::new(); self.members.len()];
-        Ok(self.run_emit(bytes, SelectEmit { sel })?.sel)
+        let mut sel = vec![Vec::new(); self.members.len()];
+        self.one_shot(bytes, &mut sel[..])?;
+        Ok(sel)
     }
 
-    fn run_emit<E: Emit>(&self, bytes: &[u8], mut emit: E) -> Result<E, TreeError> {
+    /// One unguarded pass over a whole document into `out`.
+    fn one_shot<C: Collect + ?Sized>(&self, bytes: &[u8], out: &mut C) -> Result<(), TreeError> {
         let mut walk = Walk {
             node: 0,
             depth: 0,
@@ -871,10 +1028,18 @@ impl QuerySet {
         let certify = self.lexer.certify(false);
         let mut stats = ScanStats::default();
         let mut state = self.machine.fresh();
+        let mut scratch = Scratch::new(&self.machine);
         match self.drive(
-            &mut state, bytes, TEXT, certify, &mut walk, &mut emit, &mut stats,
+            &mut state,
+            bytes,
+            TEXT,
+            certify,
+            &mut walk,
+            &mut scratch,
+            out,
+            &mut stats,
         ) {
-            ScanEnd::Complete { lex: TEXT } => Ok(emit),
+            ScanEnd::Complete { lex: TEXT } => Ok(()),
             // Any failure re-scans cold for the exact single-query
             // diagnostic (same offset and message as `Query::count`).
             _ => Err(rescan_error(bytes, &self.alphabet)),
@@ -882,53 +1047,37 @@ impl QuerySet {
     }
 
     /// Scans `bytes` from lexer state `lex` through the machine's sink,
-    /// advancing `state` and `walk` — the one byte pass of every
-    /// one-shot run and session window.  A set without a tail scans
-    /// with a sink compiled without it, whose per-event step is a lone
-    /// markup product's.
+    /// advancing `state` and `walk`, with `scratch` (made for this set)
+    /// as the sink's buffers — the one byte pass of every one-shot run
+    /// and session window.
     #[allow(clippy::too_many_arguments)]
-    fn drive<E: Emit, G: Guard + Copy>(
+    fn drive<C: Collect + ?Sized, G: Guard + Copy>(
         &self,
         state: &mut SetState,
         bytes: &[u8],
         lex: u16,
         certify: bool,
         walk: &mut Walk<G>,
-        emit: &mut E,
+        scratch: &mut Scratch,
+        out: &mut C,
         stats: &mut ScanStats,
     ) -> ScanEnd {
-        if self.machine.tail.is_some() {
-            self.scan::<E, G, true>(state, bytes, lex, certify, walk, emit, stats)
-        } else {
-            self.scan::<E, G, false>(state, bytes, lex, certify, walk, emit, stats)
-        }
-    }
-
-    /// [`Self::drive`] with the sink that steps the tail iff `TAIL`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan<E: Emit, G: Guard + Copy, const TAIL: bool>(
-        &self,
-        state: &mut SetState,
-        bytes: &[u8],
-        lex: u16,
-        certify: bool,
-        walk: &mut Walk<G>,
-        emit: &mut E,
-        stats: &mut ScanStats,
-    ) -> ScanEnd {
-        let (markup, tail) = (self.machine.markup.as_ref(), self.machine.tail.as_deref());
-        let sink = SetSink::<E, G, TAIL> {
-            k: self.lexer.k(),
-            markup: markup.map(|g| &g.table),
-            tail,
-            st: std::mem::take(state),
-            buf: vec![0; if TAIL { self.len().div_ceil(64) } else { 0 }],
+        let m = &self.machine;
+        let sink = SetSink {
+            machine: m,
+            table: m.markup.as_ref().map_or(&m.idle, |g| &g.entries),
+            markup: state.markup,
+            st: state,
             walk: *walk,
-            emit,
+            depth: walk.depth,
+            events: &mut scratch.events,
+            len: 0,
+            columns: &mut scratch.columns,
+            out,
         };
-        let (end, sink) = structural_scan(&self.lexer, bytes, lex, certify, stats, sink);
-        *state = sink.st;
-        *walk = sink.walk;
+        let (end, mut sink) = structural_scan(&self.lexer, bytes, lex, certify, stats, sink);
+        sink.flush();
+        (sink.st.markup, *walk) = (sink.markup, sink.walk);
         end
     }
 }
@@ -954,12 +1103,11 @@ fn set_fingerprint<'d>(alphabet: &Alphabet, dfas: impl ExactSizeIterator<Item = 
 }
 
 // ---------------------------------------------------------------------------
-// The sink (monomorphized per collector × guard × tail)
+// The sink (monomorphized per collector × guard)
 // ---------------------------------------------------------------------------
 
 /// Where a pass stands between scans: the id of the next opened node,
-/// the depth (HAR lanes register it; kept only while a tail steps), and
-/// the guard.
+/// the depth (HAR lanes register it), and the guard.
 #[derive(Clone, Copy)]
 struct Walk<G> {
     node: usize,
@@ -967,167 +1115,401 @@ struct Walk<G> {
     guard: G,
 }
 
-/// What a multi-query sink does with an attributed match: bit `q` of
-/// `masks` set means member `q` selected node `node`.  One node may
-/// reach it several times, with disjoint masks.
-trait Emit {
-    fn hit(&mut self, masks: &[u64], node: usize);
+/// What a multi-query run collects, one index window at a time.
+trait Collect {
+    /// Group `gi` (0 markup, 1 stack), `g`: per event of the window, the
+    /// group entry's word (its hit flag and deciding state) and the id
+    /// of the node the event opened (or of the next one); `spare` is
+    /// room for a window's worth of masks and nodes.
+    fn group(&mut self, gi: usize, g: &Group, words: &[u32], nodes: &[usize], spare: &mut Spare);
+
+    /// Member `q`: a bit per event of the window, a word per 64 events,
+    /// set where it selects the event's node `nodes[e]`.
+    fn column(&mut self, q: usize, col: &[u64], nodes: &[usize]);
 }
 
-struct CountEmit {
+/// Room for one window's hits: each hit's deciding state, its mask word
+/// and its node.
+struct Spare {
+    states: Vec<u32>,
+    masks: Vec<u64>,
+    nodes: Vec<usize>,
+}
+
+/// Per-member node lists.
+impl Collect for [Vec<usize>] {
+    /// The window's hits first, each its deciding state and node, in one
+    /// branch-free pass; then per mask word each hit's mask, and per
+    /// member with a hit in the window one branch-free pass over the
+    /// hits that appends the nodes its bit selects.
+    fn group(&mut self, _gi: usize, g: &Group, words: &[u32], nodes: &[usize], spare: &mut Spare) {
+        let Spare {
+            states,
+            masks,
+            nodes: kept,
+        } = spare;
+        let mut k = 0;
+        for (&word, &node) in words.iter().zip(nodes) {
+            states[k] = word >> DEC_SHIFT;
+            kept[k] = node;
+            k += (word & HIT) as usize;
+        }
+        let (states, masks, kept) = (&states[..k], &mut masks[..k], &kept[..k]);
+        for w in 0..g.words {
+            let mut any = 0;
+            for (mask, &s) in masks.iter_mut().zip(states) {
+                *mask = g.accept[s as usize * g.words + w];
+                any |= *mask;
+            }
+            while any != 0 {
+                let b = any.trailing_zeros();
+                append_selected(&mut self[(w << 6) + b as usize], masks, kept, b);
+                any &= any - 1;
+            }
+        }
+    }
+
+    fn column(&mut self, q: usize, col: &[u64], nodes: &[usize]) {
+        let list = &mut self[q];
+        list.reserve(col.iter().map(|b| b.count_ones() as usize).sum());
+        for (block, &bits) in col.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                list.push(nodes[(block << 6) + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Appends to `list` the `nodes` whose `masks` have bit `b` set: every
+/// node is written at the list's end, which advances by the bit.
+fn append_selected(list: &mut Vec<usize>, masks: &[u64], nodes: &[usize], b: u32) {
+    let mut len = list.len();
+    list.resize(len + nodes.len(), 0);
+    for (&mask, &node) in masks.iter().zip(nodes) {
+        list[len] = node;
+        len += (mask >> b) as usize & 1;
+    }
+    list.truncate(len);
+}
+
+/// Per-member match counts.  A group's hits are counted per deciding
+/// state, one branch-free add each, and spread over the members once
+/// ([`Self::finish`]); a lane's are counted a word of events at a time.
+struct Counts {
     counts: Vec<usize>,
+    /// Hits per product state of the markup and the stack group, in
+    /// [`HIT_WAYS`] counters per state: consecutive events add to
+    /// different ones, so runs of one state (or of misses, which all add
+    /// to state 0) wait on no earlier add.
+    hits: [Vec<usize>; 2],
 }
 
-impl Emit for CountEmit {
-    #[inline]
-    fn hit(&mut self, masks: &[u64], _node: usize) {
-        for (w, &word0) in masks.iter().enumerate() {
-            let mut word = word0;
-            while word != 0 {
-                self.counts[(w << 6) + word.trailing_zeros() as usize] += 1;
-                word &= word - 1;
+/// Counters per group state in [`Counts::hits`].
+const HIT_WAYS: usize = 4;
+
+impl Counts {
+    fn new(m: &SetMachine) -> Counts {
+        let states =
+            |g: Option<&Group>| vec![0; g.map_or(0, |g| g.accept.len() / g.words * HIT_WAYS)];
+        let stack = m.tail.as_ref().and_then(|t| t.stack.as_ref());
+        Counts {
+            counts: vec![0; m.seats.len()],
+            hits: [states(m.markup.as_ref()), states(stack)],
+        }
+    }
+
+    /// The counts, with every group state's hits added to its members.
+    fn finish(mut self, m: &SetMachine) -> Vec<usize> {
+        let stack = m.tail.as_ref().and_then(|t| t.stack.as_ref());
+        for (g, hits) in [m.markup.as_ref(), stack].into_iter().zip(&self.hits) {
+            let Some(g) = g else { continue };
+            let per_state = hits.chunks(HIT_WAYS).map(|ways| ways.iter().sum::<usize>());
+            for (s, n) in per_state.enumerate().filter(|&(_, n)| n > 0) {
+                for (w, &bits) in g.masks(s as u32).iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        self.counts[(w << 6) + bits.trailing_zeros() as usize] += n;
+                        bits &= bits - 1;
+                    }
+                }
             }
+        }
+        self.counts
+    }
+}
+
+impl Collect for Counts {
+    fn group(&mut self, gi: usize, _g: &Group, words: &[u32], _nodes: &[usize], _: &mut Spare) {
+        let hits = &mut self.hits[gi];
+        for (e, &word) in words.iter().enumerate() {
+            let at = (word >> DEC_SHIFT) as usize * HIT_WAYS + e % HIT_WAYS;
+            hits[at] += (word & HIT) as usize;
+        }
+    }
+
+    fn column(&mut self, q: usize, col: &[u64], _nodes: &[usize]) {
+        self.counts[q] += col.iter().map(|b| b.count_ones() as usize).sum::<usize>();
+    }
+}
+
+/// The buffers a pass lends its scans: one index window's events as the
+/// scan records them, and the columns deciding them takes.
+struct Scratch {
+    /// Per event: the markup table's entry index, and the event code
+    /// above it.
+    events: Vec<u64>,
+    columns: Columns,
+}
+
+/// Per-event columns [`scatter`] fills.
+struct Columns {
+    /// The id of the node the event opened (or of the next one).
+    nodes: Vec<usize>,
+    /// A group's entry word.
+    words: Vec<u32>,
+    spare: Spare,
+    /// The stack group's entry index.
+    stack: Vec<u32>,
+    /// Per family member and lane, in that order: a bit per event, a
+    /// word per 64 events.
+    bits: Vec<u64>,
+}
+
+/// Words of [`Columns::bits`] per family member or lane.
+const BIT_WORDS: usize = WINDOW_EVENTS.div_ceil(64);
+
+impl Scratch {
+    fn new(m: &SetMachine) -> Scratch {
+        let (stack, parts) = m.tail.as_ref().map_or((0, 0), |t| {
+            let parts = t.family.members.len() + t.har.len() + t.lanes.len();
+            (if t.stack.is_some() { WINDOW_EVENTS } else { 0 }, parts)
+        });
+        Scratch {
+            events: vec![0; WINDOW_EVENTS],
+            columns: Columns {
+                nodes: vec![0; WINDOW_EVENTS],
+                words: vec![0; WINDOW_EVENTS],
+                spare: Spare {
+                    states: vec![0; WINDOW_EVENTS],
+                    masks: vec![0; WINDOW_EVENTS],
+                    nodes: vec![0; WINDOW_EVENTS],
+                },
+                stack: vec![0; stack],
+                bits: vec![0; parts * BIT_WORDS],
+            },
         }
     }
 }
 
-struct SelectEmit {
-    sel: Vec<Vec<usize>>,
+/// Replays `events` through one lane's `step` (which returns whether the
+/// lane selects the event's node) and sets the lane's bit per selecting
+/// event in `bits`, a word per 64 events.
+#[inline(always)]
+fn lane_bits(events: &[u64], bits: &mut [u64], mut step: impl FnMut(u16) -> bool) {
+    for (block, evs) in bits.iter_mut().zip(events.chunks(64)) {
+        let mut word = 0u64;
+        for (e, &c) in evs.iter().enumerate() {
+            word |= u64::from(step((c >> 32) as u16)) << e;
+        }
+        *block = word;
+    }
 }
 
-impl Emit for SelectEmit {
-    #[inline]
-    fn hit(&mut self, masks: &[u64], node: usize) {
-        for (w, &word0) in masks.iter().enumerate() {
-            let mut word = word0;
-            while word != 0 {
-                self.sel[(w << 6) + word.trailing_zeros() as usize].push(node);
-                word &= word - 1;
+/// The next `n` bit columns.
+fn bits_of<'c>(column: &mut impl FnMut() -> &'c mut [u64], n: usize) -> Vec<&'c mut [u64]> {
+    (0..n).map(|_| column()).collect()
+}
+
+/// Replays `events` through `N` HAR lanes at once, from `depth`,
+/// setting each lane's bit per selecting event in its column.
+#[inline(always)]
+fn har_replay<const N: usize>(
+    runs: &mut [HarRun],
+    lanes: &[(usize, HarMarkupProgram)],
+    events: &[u64],
+    cols: &mut [&mut [u64]],
+    depth: i64,
+) {
+    let mut r: [HarRun; N] = std::array::from_fn(|i| runs[i]);
+    let rows: [&[u32]; N] = std::array::from_fn(|i| lanes[i].1.core().rows());
+    let mut d = [depth; N];
+    for (block, evs) in events.chunks(64).enumerate() {
+        let mut words = [0u64; N];
+        for (e, &c) in evs.iter().enumerate() {
+            let ev = (c >> 32) as u16;
+            for i in 0..N {
+                words[i] |= u64::from(r[i].step(rows[i], ev, &mut d[i]).1) << e;
             }
         }
+        for (col, word) in cols.iter_mut().zip(words) {
+            col[block] = word;
+        }
     }
+    runs[..N].copy_from_slice(&r);
 }
 
-/// Passes a product's accepting mask on when any bit is set.
-#[inline]
-fn hit_masks<E: Emit>(emit: &mut E, masks: &[u64], node: usize) {
-    if masks.iter().any(|&w| w != 0) {
-        emit.hit(masks, node);
+/// Decides one index window's `events` and hands their matches to
+/// `out`.  The markup group's decisions are in the entries the scan
+/// read; every other part of the machine replays the event codes in a
+/// loop of its own, from its state in `st` at the window's start (which
+/// it advances; HAR lanes from the window's starting `depth`), with that
+/// state in registers, and its selecting members get the nodes.  `node`
+/// is the id of the window's first opened node.  Out of the scan's loop
+/// and out of line: it gets the buffers' and the lists' addresses, never
+/// one into the sink.  Returns the nodes the window opened.
+#[inline(never)]
+fn scatter<C: Collect + ?Sized>(
+    out: &mut C,
+    m: &SetMachine,
+    st: &mut SetState,
+    events: &[u64],
+    columns: &mut Columns,
+    (node, depth): (usize, i64),
+) -> usize {
+    let table = m.markup.as_ref().map_or(&m.idle, |g| &g.entries);
+    let len = events.len();
+    let Columns {
+        nodes,
+        words,
+        spare,
+        stack,
+        bits,
+    } = columns;
+    let (nodes, words) = (&mut nodes[..len], &mut words[..len]);
+    let mut n = node;
+    for ((&c, id), word) in events.iter().zip(nodes.iter_mut()).zip(words.iter_mut()) {
+        *word = table[c as u32 as usize].word;
+        *id = n;
+        n += usize::from(*word & OPENED != 0);
     }
+    if let Some(g) = &m.markup {
+        out.group(0, g, words, nodes, spare);
+    }
+    let Some(t) = m.tail.as_deref() else {
+        return n - node;
+    };
+    if let Some(g) = &t.stack {
+        let stack = &mut stack[..len];
+        let mut run = std::mem::take(&mut st.stack);
+        run.reserve(len);
+        for (&c, at) in events.iter().zip(stack.iter_mut()) {
+            let ev = (c >> 32) as u16;
+            *at = run.at + u32::from(ev);
+            run.step(&g.entries, ev);
+        }
+        st.stack = run;
+        for (&at, word) in stack.iter().zip(words.iter_mut()) {
+            *word = g.entries[at as usize].word;
+        }
+        out.group(1, g, words, nodes, spare);
+    }
+    let mut columns = bits.chunks_mut(BIT_WORDS);
+    let mut column = || &mut columns.next().expect("a bit column per part")[..len.div_ceil(64)];
+    let f = &t.family;
+    for (s, &q) in st.family.iter_mut().zip(&f.members) {
+        let col = column();
+        lane_bits(events, col, |ev| {
+            let e = f.entries[*s as usize + ev as usize];
+            *s = e.next;
+            e.word & HIT != 0
+        });
+        out.column(q, col, nodes);
+    }
+    // HAR lanes replay up to four at a time: each run's chain is one
+    // long serial walk, and several of them in one loop overlap.
+    for (runs, lanes) in st.har.chunks_mut(4).zip(t.har.chunks(4)) {
+        let cols = &mut bits_of(&mut column, lanes.len());
+        match runs.len() {
+            4 => har_replay::<4>(runs, lanes, events, cols, depth),
+            3 => har_replay::<3>(runs, lanes, events, cols, depth),
+            2 => har_replay::<2>(runs, lanes, events, cols, depth),
+            _ => har_replay::<1>(runs, lanes, events, cols, depth),
+        }
+        for ((q, _), col) in lanes.iter().zip(cols.iter()) {
+            out.column(*q, col, nodes);
+        }
+    }
+    for (run, (q, lane)) in st.lanes.iter_mut().zip(&t.lanes) {
+        let col = column();
+        run.reserve(len);
+        lane_bits(events, col, |ev| run.step(&lane.entries, ev) & HIT != 0);
+        out.column(*q, col, nodes);
+    }
+    n - node
 }
 
-/// The machine's event sink; `TAIL` is whether the set has a tail, so
-/// a set without one compiles its tail steps away.
-struct SetSink<'a, E: Emit, G, const TAIL: bool> {
-    k: usize,
-    markup: Option<&'a ProductTable>,
-    tail: Option<&'a Tail>,
-    st: SetState,
-    /// The family's and the lanes' accepting bits of one open, all zero
-    /// between events.
-    buf: Vec<u64>,
+/// The machine's event sink, which the scan owns by value.
+///
+/// Every event steps the markup table (the group's, or the idle one) and
+/// records, at the next slot of the lent buffer, the entry index it read
+/// and the event code.  Both are known before the entry loads, so
+/// neither the slot nor the record waits on it and the walk runs at a
+/// lone query's pace.  Once per index window ([`EventSink::reserve`])
+/// [`scatter`] decides the recorded events: the markup entries' flags
+/// and masks, and every other part of the machine replaying the event
+/// codes in a loop of its own.
+struct SetSink<'a, C: ?Sized, G> {
+    machine: &'a SetMachine,
+    /// The markup group's table, or the idle one.
+    table: &'a [Entry],
+    /// The markup group's row offset.
+    markup: u32,
+    /// Every other part's state, as of the window's start.
+    st: &'a mut SetState,
     walk: Walk<G>,
-    emit: &'a mut E,
+    /// The depth at the window's start.
+    depth: i64,
+    events: &'a mut [u64],
+    len: usize,
+    columns: &'a mut Columns,
+    out: &'a mut C,
 }
 
-impl<E: Emit, G: Guard, const TAIL: bool> SetSink<'_, E, G, TAIL> {
-    /// Steps the tail through an event that opens `l` (and closes it
-    /// too when `close` is set): the family table and the stack group
-    /// through the open, each lane once through the whole event.
-    #[inline]
-    fn tail_open(&mut self, t: &Tail, ev: u16, l: usize, close: Option<usize>) {
-        let depth = self.walk.depth;
-        self.walk.depth += 1;
-        let (st, buf, node) = (&mut self.st, &mut self.buf, self.walk.node);
-        let f = &t.family;
-        let mut any = 0u64;
-        // Accepting bits gather per 64 family members in a register, then
-        // scatter to their set-wide bits.
-        for (states, ids) in st.family.chunks_mut(64).zip(f.members.chunks(64)) {
-            let mut word = 0u64;
-            for (j, s) in states.iter_mut().enumerate() {
-                *s = f.step(*s, l);
-                word |= f.accepts(*s) << j;
-            }
-            any |= word;
-            while word != 0 {
-                let i = ids[word.trailing_zeros() as usize];
-                buf[i >> 6] |= 1 << (i & 63);
-                word &= word - 1;
-            }
-        }
-        if let Some(g) = &t.stack {
-            st.frames.push(st.stack);
-            st.stack = g.table.step(st.stack, l);
-            hit_masks(self.emit, g.table.masks(st.stack), node);
-        }
-        for ((i, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-            let bit = u64::from(lane_step(engine, lane, ev, (Some(l), close), depth));
-            buf[i >> 6] |= bit << (i & 63);
-            any |= bit;
-        }
-        if any != 0 {
-            self.emit.hit(&buf[..], node);
-            buf.fill(0);
-        }
-    }
-
-    /// Steps the tail through an event that closes `l`: the family table
-    /// and the stack group through the close, and each lane unless the
-    /// event also opened (a self-close), which [`Self::tail_open`]
-    /// stepped whole.
-    #[inline]
-    fn tail_close(&mut self, t: &Tail, ev: u16, l: usize, opened: bool) {
-        let depth = self.walk.depth;
-        self.walk.depth -= 1;
-        let st = &mut self.st;
-        let f = &t.family;
-        for s in st.family.iter_mut() {
-            *s = f.step(*s, self.k + l);
-        }
-        // Underflowing pop keeps the state, like a stack lane.
-        if let Some(p) = st.frames.pop() {
-            st.stack = p;
-        }
-        if !opened {
-            for ((_, engine), lane) in t.lanes.iter().zip(&mut st.lanes) {
-                lane_step(engine, lane, ev, (None, Some(l)), depth);
-            }
-        }
+impl<C: Collect + ?Sized, G: Guard> SetSink<'_, C, G> {
+    /// Decides and scatters the window's events and moves the node count
+    /// past them.
+    #[inline(always)]
+    fn flush(&mut self) {
+        let (events, window) = (&self.events[..self.len], (self.walk.node, self.depth));
+        self.walk.node += scatter(
+            self.out,
+            self.machine,
+            self.st,
+            events,
+            self.columns,
+            window,
+        );
+        (self.len, self.depth) = (0, self.walk.depth);
     }
 }
 
-impl<E: Emit, G: Guard, const TAIL: bool> EventSink for SetSink<'_, E, G, TAIL> {
-    #[inline]
+impl<C: Collect + ?Sized, G: Guard> EventSink for SetSink<'_, C, G> {
+    #[inline(always)]
     fn event(&mut self, ev: u16, _pos: usize) {
-        let (open_l, close_l) = decode_event(ev, self.k);
+        let at = self.markup + u32::from(ev);
+        let e = self.table[at as usize];
+        self.markup = e.next;
+        self.events[self.len] = u64::from(at) | u64::from(ev) << 32;
+        self.len += 1;
+        let (opened, closed) = (e.word & OPENED != 0, e.word & CLOSED != 0);
+        self.walk.depth += i64::from(opened) - i64::from(closed);
         let v = Verdict {
-            opened: open_l.is_some(),
-            closed: close_l.is_some(),
+            opened,
+            closed,
             selected: false,
         };
-        self.walk.guard.track(v, None);
-        if let Some(l) = open_l {
-            if let Some(m) = self.markup {
-                self.st.markup = m.step(self.st.markup, l);
-                hit_masks(self.emit, m.masks(self.st.markup), self.walk.node);
-            }
-            if let (true, Some(tail)) = (TAIL, self.tail) {
-                self.tail_open(tail, ev, l, close_l);
-            }
-            self.walk.node += 1;
-        }
-        if let Some(l) = close_l {
-            if let Some(m) = self.markup {
-                self.st.markup = m.step(self.st.markup, self.k + l);
-            }
-            if let (true, Some(tail)) = (TAIL, self.tail) {
-                self.tail_close(tail, ev, l, open_l.is_some());
-            }
-        }
+        self.walk.guard.track(v, Some(self.walk.depth));
     }
 
-    #[inline]
+    #[inline(always)]
+    fn reserve(&mut self, events: usize) {
+        debug_assert!(events <= self.events.len());
+        self.flush();
+    }
+
+    #[inline(always)]
     fn settle(
         &mut self,
         lexer: &TagLexer,
@@ -1314,12 +1696,14 @@ session_methods!(
     QuerySetOutcome
 );
 
-/// The engine half of a [`QuerySetSession`]: the machine state and the
-/// per-member matches.
+/// The engine half of a [`QuerySetSession`]: the machine state, the
+/// per-member matches and the buffers every scan records its events
+/// in.
 struct SetRun<'q> {
     set: &'q QuerySet,
     state: SetState,
     matches: Vec<Vec<usize>>,
+    scratch: Scratch,
 }
 
 impl WindowRun for SetRun<'_> {
@@ -1335,19 +1719,16 @@ impl WindowRun for SetRun<'_> {
             depth: core.depth,
             guard: DepthGuard::new(lexer.k(), core.depth, &core.limits),
         };
-        let mut emit = SelectEmit {
-            sel: std::mem::take(&mut self.matches),
-        };
         let end = self.set.drive(
             &mut self.state,
             w,
             core.lex,
             certify,
             &mut walk,
-            &mut emit,
+            &mut self.scratch,
+            &mut self.matches[..],
             stats,
         );
-        self.matches = emit.sel;
         core.node = walk.node;
         core.depth = walk.guard.depth();
         end
@@ -1381,6 +1762,7 @@ impl<'q> QuerySetSession<'q> {
                 set,
                 state,
                 matches: vec![Vec::new(); set.members.len()],
+                scratch: Scratch::new(&set.machine),
             },
         }
     }
@@ -1462,51 +1844,6 @@ impl QuerySet {
         let s = self.resume(checkpoint, limits.clone())?;
         s.core.run_cuts(s.run, rest, &[]).map(|(o, _)| o)
     }
-}
-
-fn freeze_lane(lane: &LaneState, engine: &LaneEngine) -> HybridLaneCheckpoint {
-    match (lane, engine) {
-        (LaneState::Har { run }, LaneEngine::Har(program)) => {
-            let (current, dead, chain) = run.freeze(program.core());
-            HybridLaneCheckpoint::Har {
-                current: current as u32,
-                dead,
-                chain,
-            }
-        }
-        (LaneState::Stack { s, frames }, _) => HybridLaneCheckpoint::Stack {
-            current: *s,
-            frames: frames.clone(),
-        },
-        _ => unreachable!("lane engine/state agree by construction"),
-    }
-}
-
-fn thaw_lane(
-    lane: &HybridLaneCheckpoint,
-    engine: &LaneEngine,
-    offset: u64,
-    depth: i64,
-) -> Result<LaneState, SessionError> {
-    Ok(match (lane, engine) {
-        (
-            HybridLaneCheckpoint::Har {
-                current,
-                dead,
-                chain,
-            },
-            LaneEngine::Har(program),
-        ) => LaneState::Har {
-            run: HarRun::thaw(program.core(), *current as usize, *dead, chain, depth)?,
-        },
-        (HybridLaneCheckpoint::Stack { current, frames }, LaneEngine::Stack(dfa)) => {
-            LaneState::Stack {
-                s: *current,
-                frames: thaw_stack(dfa.n_states(), *current, frames, offset)?,
-            }
-        }
-        _ => return Err(corrupt("lane kind does not match the member's engine")),
-    })
 }
 
 #[cfg(test)]

@@ -594,12 +594,18 @@ pub fn decode_multi_query(payload: &[u8]) -> Result<(String, Vec<String>), Frame
 
 /// Encodes a [`FrameKind::Matches`] payload.
 pub fn encode_matches(ids: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 * ids.len());
+    let mut out = Vec::new();
+    encode_matches_into(&mut out, ids);
+    out
+}
+
+/// Appends a [`FrameKind::Matches`] payload (an id block) to `out`.
+pub fn encode_matches_into(out: &mut Vec<u8>, ids: &[usize]) {
+    out.reserve(4 + 8 * ids.len());
     out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
     for &id in ids {
         out.extend_from_slice(&(id as u64).to_le_bytes());
     }
-    out
 }
 
 /// Decodes a [`FrameKind::Matches`] payload.
@@ -632,24 +638,28 @@ fn decode_id_block(payload: &[u8], mut at: usize) -> Result<(Vec<usize>, usize),
             "id count {count} exceeds the payload bytes present"
         )));
     }
-    let mut ids = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&payload[at..at + 8]);
-        ids.push(u64::from_le_bytes(b) as usize);
-        at += 8;
-    }
-    Ok((ids, at))
+    let end = at + 8 * count;
+    let ids = (payload[at..end].chunks_exact(8))
+        .map(|b| u64::from_le_bytes(b.try_into().expect("chunk is 8 bytes")) as usize)
+        .collect();
+    Ok((ids, end))
 }
 
 /// Encodes a [`FrameKind::MultiMatches`] payload.
 pub fn encode_multi_matches(members: &[Vec<usize>]) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_multi_matches_into(&mut out, members);
+    out
+}
+
+/// Appends a [`FrameKind::MultiMatches`] payload to `out`, sized once.
+pub fn encode_multi_matches_into(out: &mut Vec<u8>, members: &[Vec<usize>]) {
+    let ids: usize = members.iter().map(Vec::len).sum();
+    out.reserve(4 + 4 * members.len() + 8 * ids);
     out.extend_from_slice(&(members.len() as u32).to_le_bytes());
     for ids in members {
-        out.extend_from_slice(&encode_matches(ids));
+        encode_matches_into(out, ids);
     }
-    out
 }
 
 /// Decodes a [`FrameKind::MultiMatches`] payload.
@@ -722,10 +732,18 @@ pub fn decode_match_part(payload: &[u8]) -> Result<(u64, Vec<StreamedMatch>), Fr
 /// client can verify that the parts it accumulated are exactly the
 /// stream the server delivered (count and FNV-1a digest both).
 pub fn encode_matches_with_cursor(ids: &[usize], cursor: EmissionCursor) -> Vec<u8> {
-    let mut out = encode_matches(ids);
+    let mut out = Vec::new();
+    encode_matches_with_cursor_into(&mut out, ids, cursor);
+    out
+}
+
+/// Appends the final streaming [`FrameKind::Matches`] payload (see
+/// [`encode_matches_with_cursor`]) to `out`.
+pub fn encode_matches_with_cursor_into(out: &mut Vec<u8>, ids: &[usize], cursor: EmissionCursor) {
+    out.reserve(4 + 8 * ids.len() + 16);
+    encode_matches_into(out, ids);
     out.extend_from_slice(&cursor.count.to_le_bytes());
     out.extend_from_slice(&cursor.digest.to_le_bytes());
-    out
 }
 
 /// Decodes a final streaming [`FrameKind::Matches`] payload into

@@ -62,9 +62,9 @@ use crate::error::{codes, FailureCause};
 use crate::frame::{
     decode_error, decode_match_part, decode_matches, decode_matches_with_cursor,
     decode_multi_matches, decode_multi_query, decode_query, encode_error, encode_match_part,
-    encode_matches, encode_matches_with_cursor, encode_multi_matches, encode_multi_query,
-    encode_query, read_frame, read_preamble, write_frame, write_preamble, FrameError, FrameKind,
-    FrameReader, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
+    encode_matches_into, encode_matches_with_cursor_into, encode_multi_matches_into,
+    encode_multi_query, encode_query, read_frame, read_preamble, write_frame, write_preamble,
+    FrameError, FrameKind, FrameReader, DEFAULT_MAX_FRAME_LEN, RESPONSE_MAX_FRAME_LEN,
 };
 use crate::runtime::{Book, PassSession, ServeObs, Store, Tally};
 
@@ -768,16 +768,21 @@ impl Request {
         }
     }
 
-    /// The success reply to a finished upload: its kind and payload.
-    fn reply(&self, lists: &[Vec<usize>], cursor: EmissionCursor) -> (FrameKind, Vec<u8>) {
+    /// Encodes the success reply to a finished upload into `out` (the
+    /// connection's reply buffer, cleared first); returns its kind.
+    fn reply(&self, lists: &[Vec<usize>], cursor: EmissionCursor, out: &mut Vec<u8>) -> FrameKind {
+        out.clear();
         match self {
-            Request::Single { parts: false, .. } => (FrameKind::Matches, encode_matches(&lists[0])),
-            Request::Single { parts: true, .. } => (
-                FrameKind::Matches,
-                encode_matches_with_cursor(&lists[0], cursor),
-            ),
-            Request::Multi(_) => (FrameKind::MultiMatches, encode_multi_matches(lists)),
+            Request::Single { parts: false, .. } => encode_matches_into(out, &lists[0]),
+            Request::Single { parts: true, .. } => {
+                encode_matches_with_cursor_into(out, &lists[0], cursor)
+            }
+            Request::Multi(_) => {
+                encode_multi_matches_into(out, lists);
+                return FrameKind::MultiMatches;
+            }
         }
+        FrameKind::Matches
     }
 }
 
@@ -788,6 +793,8 @@ impl Request {
 /// Every read goes through the connection's one [`FrameReader`].
 fn conn_loop(inner: &Arc<NetInner>, stream: &TcpStream) -> Result<&'static str, NetError> {
     let mut frames = FrameReader::new(stream);
+    // Every success reply is encoded here, reusing the room of the last.
+    let mut reply = Vec::new();
     read_preamble(&mut frames)?;
     loop {
         if inner.draining.load(Ordering::SeqCst) {
@@ -857,9 +864,17 @@ fn conn_loop(inner: &Arc<NetInner>, stream: &TcpStream) -> Result<&'static str, 
         };
         match &request {
             Request::Single { query, .. } => {
-                serve(inner, &mut frames, &request, id, query.session(limits))
+                let session = query.session(limits);
+                serve(inner, &mut frames, &mut reply, &request, id, session)
             }
-            Request::Multi(set) => serve(inner, &mut frames, &request, id, set.session(limits)),
+            Request::Multi(set) => serve(
+                inner,
+                &mut frames,
+                &mut reply,
+                &request,
+                id,
+                set.session(limits),
+            ),
         }
         .inspect_err(|e| ticket.cause = e.class())?;
     }
@@ -945,7 +960,7 @@ impl Drop for Ticket<'_> {
 /// [`NetConfig::shed_wait`], then `OVERLOADED`), checked by the
 /// throughput watchdog and fed through one [`Book::step`]; `Finish` runs
 /// the completion check, settles the job and sends the reply read off
-/// its match store.
+/// its match store, encoded into the connection's `reply` buffer.
 ///
 /// A streaming request answers every `Chunk` with exactly one
 /// `MatchPart` carrying the matches its ledger gained during it
@@ -959,6 +974,7 @@ impl Drop for Ticket<'_> {
 fn serve<S: PassSession>(
     inner: &NetInner,
     frames: &mut FrameReader<&TcpStream>,
+    reply: &mut Vec<u8>,
     request: &Request,
     id: u64,
     session: S,
@@ -1042,8 +1058,8 @@ fn serve<S: PassSession>(
                 let latency_ns = book.now_ns().saturating_sub(started_ns);
                 inner.c.request_latency_ns.record(latency_ns);
                 inner.c.completed.add(1);
-                let (kind, payload) = request.reply(&lists.unwrap_or_default(), cursor);
-                return inner.write_reply(out, kind, &payload);
+                let kind = request.reply(&lists.unwrap_or_default(), cursor, reply);
+                return inner.write_reply(out, kind, reply);
             }
             other => {
                 return Err(NetError::Protocol {

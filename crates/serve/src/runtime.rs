@@ -591,6 +591,9 @@ pub(crate) struct Run<S> {
     attempt: (u64, u32),
     /// `session.matches_of(q)[..done[q]]` is in the job's list store.
     done: Vec<usize>,
+    /// Whether the session started at byte 0, so that its own lists are
+    /// the job's whole answer.
+    whole: bool,
     /// Bytes fed since the last checkpoint.
     since: usize,
     resumed_at: EmissionCursor,
@@ -841,6 +844,7 @@ impl<J> Book<J> {
         let id = session.obs_session_id();
         self.obs.trace(TraceEvent::JobSession { job, session: id });
         let resumed_at = session.emission_cursor();
+        let whole = session.offset() == 0;
         if stream {
             self.verify_cursor((job, attempt), resumed_at, None)?;
         }
@@ -848,6 +852,7 @@ impl<J> Book<J> {
             session,
             attempt: (job, attempt),
             done: vec![0; queries],
+            whole,
             since: 0,
             resumed_at,
             stream,
@@ -858,11 +863,15 @@ impl<J> Book<J> {
     /// bytes have passed since the last checkpoint (or at `end`, the end
     /// of the document).  Then, under one lock, the session's new matches
     /// go to the job's store once and the checkpoint becomes its resume
-    /// point.  A ledger is the delivery point of exactly-once: stream
-    /// positions it already holds are **verified** (a diverging replay is
-    /// a typed [`FailureCause::EmissionLedger`], never a silent
-    /// duplicate), and positions past its end are **appended**.  A stale
-    /// attempt's step records nothing.  Returns whether it checkpointed.
+    /// point — a list store takes them only with a checkpoint, so it
+    /// covers exactly what the resume point covers, and a pass that
+    /// mints none (a small edge request) copies nothing until
+    /// [`Self::finish`].  A ledger is the delivery point of exactly-once:
+    /// stream positions it already holds are **verified** (a diverging
+    /// replay is a typed [`FailureCause::EmissionLedger`], never a
+    /// silent duplicate), and positions past its end are **appended**.
+    /// A stale attempt's step records nothing.  Returns whether it
+    /// checkpointed.
     pub(crate) fn step<S: PassSession>(
         &self,
         run: &mut Run<S>,
@@ -920,6 +929,7 @@ impl<J> Book<J> {
                 self.obs.emission_suppressed.add(replay as u64);
                 st.suppressed += replay as u64;
             }
+            Store::Lists(_) if checkpoint.is_none() => {}
             Store::Lists(lists) => {
                 for (q, (list, done)) in lists.iter_mut().zip(&mut run.done).enumerate() {
                     let found = session.matches_of(q);
@@ -938,7 +948,9 @@ impl<J> Book<J> {
     /// The completion check: ends the input and, for a streamed pass,
     /// requires the delivered stream to equal the final session's own
     /// answer and the cursors to agree — a gap or duplicate that survived
-    /// this far is a typed failure, never a silently wrong answer.
+    /// this far is a typed failure, never a silently wrong answer.  A
+    /// pass that started at byte 0 moves its session's own lists into a
+    /// list store, which then holds the whole answer without a copy.
     /// Returns the final emission cursor.
     pub(crate) fn finish<S: PassSession>(
         &self,
@@ -949,6 +961,13 @@ impl<J> Book<J> {
         if run.stream {
             let last = (run.resumed_at.count as usize, own[0].as_slice());
             self.verify_cursor(run.attempt, cursor, Some(last))?;
+        } else if run.whole {
+            let (job, attempt) = run.attempt;
+            if let Some(st) = live(&mut lock(&self.jobs), job, attempt) {
+                if let Store::Lists(lists) = &mut st.store {
+                    *lists = own;
+                }
+            }
         }
         Ok(cursor)
     }

@@ -521,3 +521,140 @@ fn forged_unreachable_lane_state_combinations_are_refused() {
     }
     assert!(refused > 0, "every forged pair was reachable");
 }
+
+// ---------------------------------------------------------------------------
+// Long documents: frame reserves, window edges and multi-window emission
+// ---------------------------------------------------------------------------
+
+/// Feed sizes around the 4 KiB index window and the 64 KiB session
+/// window.
+const FEEDS: [usize; 6] = [1, 4095, 4096, 4097, 16384, 65536];
+
+/// A chain of alternating `a`/`b` nodes `depth` deep: the stack
+/// product's frames run far past one index window's reserve.
+fn deep_chain(depth: usize) -> Vec<u8> {
+    let label = |i: usize| ['a', 'b'][i % 2];
+    let mut doc = String::with_capacity(depth * 7);
+    for i in 0..depth {
+        doc.push('<');
+        doc.push(label(i));
+        doc.push('>');
+    }
+    for i in (0..depth).rev() {
+        doc.push_str("</");
+        doc.push(label(i));
+        doc.push('>');
+    }
+    doc.into_bytes()
+}
+
+/// A dense `mixed` tree of over 1 MiB whose nodes most members select.
+fn dense_mixed() -> Vec<u8> {
+    use stackless_streamed_trees::trees::{generate, xml};
+    let g = Alphabet::of_chars("ab");
+    let tree = generate::random_attachment(&g, 160_000, 0.5, 202);
+    let doc = xml::write_document(&tree, &g).into_bytes();
+    assert!(doc.len() >= 1 << 20, "{} bytes", doc.len());
+    doc
+}
+
+/// The hybrid set at the default budget, at 8 (products and the family
+/// table or lanes mixed) and at 0.
+fn hybrid_groupings(g: &Alphabet) -> Vec<QuerySet> {
+    [DEFAULT_PRODUCT_BUDGET, 8, 0]
+        .map(|b| QuerySet::compile_with_budget(&HYBRID_SET, g, b).unwrap())
+        .into()
+}
+
+/// Feeds `doc` to a session of `set` in pieces of `size` bytes — one
+/// byte at a time only across the first three index windows, the rest
+/// in 4 KiB pieces, so the size-1 run stays quick.
+fn session_lists(set: &QuerySet, doc: &[u8], size: usize, scalar: bool) -> Vec<Vec<usize>> {
+    let limits = Limits::none().with_force_scalar(scalar);
+    let mut session = set.session(limits);
+    let (head, rest) = doc.split_at(if size == 1 { 3 * STRUCTURAL_WINDOW } else { 0 });
+    for piece in head.chunks(size).chain(rest.chunks(size.max(4096))) {
+        session.feed(piece).unwrap();
+    }
+    session.finish().unwrap().matches
+}
+
+/// FNV-1a over bytes.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+    }
+}
+
+/// Every grouping answers a long document as independent single-query
+/// runs do, one-shot and in sessions at every feed size, indexed and
+/// forced-scalar; checkpoints cut around index- and session-window edges
+/// resume to the whole run, and their bytes (hashed) are those of the
+/// pinned build, whatever the grouping.
+fn long_document_agrees(doc: &[u8], pinned_digest: u64) {
+    let g = Alphabet::of_chars("ab");
+    let independent: Vec<Vec<usize>> = HYBRID_SET
+        .iter()
+        .map(|p| Query::compile(p, &g).unwrap().select(doc).unwrap())
+        .collect();
+    assert!(independent.iter().any(|m| m.len() * 2 > doc.len() / 7));
+    let edges = (1..=16)
+        .map(|k| k * STRUCTURAL_WINDOW)
+        .chain((1..=doc.len() / 65536).map(|k| k * 65536));
+    let mut cuts: Vec<usize> = edges
+        .flat_map(|e| [e - 1, e, e + 1])
+        .filter(|&c| c < doc.len())
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    for (gi, mut set) in hybrid_groupings(&g).into_iter().enumerate() {
+        let grouping = set.grouping();
+        for scalar in [false, true] {
+            set.set_force_scalar(scalar);
+            assert_eq!(set.select_all(doc).unwrap(), independent, "{grouping}");
+            let counts: Vec<usize> = independent.iter().map(Vec::len).collect();
+            assert_eq!(set.count_all(doc).unwrap(), counts, "{grouping}");
+            for size in FEEDS {
+                let lists = session_lists(&set, doc, size, scalar);
+                assert_eq!(lists, independent, "{grouping}, feeds of {size}");
+            }
+        }
+        set.set_force_scalar(false);
+        let limits = Limits::none();
+        let (whole, cps) = set.run_with_checkpoints(doc, &cuts, &limits).unwrap();
+        assert_eq!(whole.matches, independent);
+        assert_eq!(cps.len(), cuts.len());
+        let mut digest = 0xCBF2_9CE4_8422_2325;
+        for (i, (cp, &cut)) in cps.iter().zip(&cuts).enumerate() {
+            let wire = cp.to_bytes();
+            fnv(&mut digest, &wire);
+            // Each cut resumes under one grouping (checkpoints do not
+            // depend on it), which keeps the debug-build run short.
+            if i % 3 != gi {
+                continue;
+            }
+            let cp = QuerySetCheckpoint::from_bytes(&wire).unwrap();
+            let tail = set.resume_from(&cp, &doc[cut..], &limits).unwrap();
+            for (q, list) in tail.matches.iter().enumerate() {
+                let from = independent[q].partition_point(|&n| n < cp.next_node());
+                assert_eq!(list[..], independent[q][from..], "{grouping}, cut {cut}");
+            }
+        }
+        assert_eq!(digest, pinned_digest, "{grouping}: checkpoint bytes moved");
+    }
+}
+
+#[test]
+fn a_100_000_deep_chain_agrees_in_every_grouping() {
+    long_document_agrees(&deep_chain(100_000), DEEP_CHAIN_DIGEST);
+}
+
+#[test]
+fn a_dense_mebibyte_document_agrees_in_every_grouping() {
+    long_document_agrees(&dense_mixed(), DENSE_MIXED_DIGEST);
+}
+
+/// FNV-1a of the checkpoint bytes each long-document test mints, as
+/// the build before the packed set step minted them.
+const DEEP_CHAIN_DIGEST: u64 = 142683765087490156;
+const DENSE_MIXED_DIGEST: u64 = 8230159677688311318;
